@@ -107,8 +107,8 @@ impl BlameAnalysis {
     pub fn into_localization(self) -> Localization {
         Localization {
             backend: BackendKind::Blame,
-            core_size: self.core_size,
-            subsets_enumerated: self.correction_sets as u64,
+            core_size: self.core.len(),
+            subsets_enumerated: self.corrections.len() as u64,
             solve_ns: 0,
             elapsed: self.elapsed,
             spans: self.spans,

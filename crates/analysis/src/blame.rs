@@ -29,11 +29,13 @@ pub struct SpanBlame {
 pub struct BlameAnalysis {
     /// The baseline first error (exactly what `check_program` reports).
     pub error: TypeError,
-    /// Size of the deletion-shrunk unsatisfiable core; 0 when the error
+    /// The deletion-shrunk minimal unsatisfiable core, as ascending
+    /// indices into the recorded constraint list; empty when the error
     /// is a naming/arity error no constraint subset can explain.
-    pub core_size: usize,
-    /// Number of correction subsets enumerated (bounded).
-    pub correction_sets: usize,
+    pub core: Vec<usize>,
+    /// The enumerated correction subsets (bounded), each as ascending
+    /// constraint indices whose deletion restores satisfiability.
+    pub corrections: Vec<Vec<usize>>,
     /// Wall-clock cost of recording, shrinking, and enumerating.
     pub elapsed: Duration,
     /// Blamed spans, highest score first (ties broken by source order).
@@ -93,8 +95,8 @@ pub fn analyze(prog: &Program) -> Option<BlameAnalysis> {
         // checker's own span is the whole localization.
         return Some(BlameAnalysis {
             error: error.clone(),
-            core_size: 0,
-            correction_sets: 0,
+            core: Vec::new(),
+            corrections: Vec::new(),
             elapsed: start.elapsed(),
             spans: vec![SpanBlame {
                 span: error.span,
@@ -105,26 +107,14 @@ pub fn analyze(prog: &Program) -> Option<BlameAnalysis> {
         });
     }
 
-    let core = shrink_core(&trace);
-    let corrections = enumerate_corrections(&trace, &core);
+    // Every replay runs in the failing component: the same verdicts as
+    // the whole list (see `replay_universe`) at a fraction of the cost.
+    let universe = trace.replay_universe();
+    let core = trace.shrink_unsat_core(&universe);
+    let corrections = enumerate_corrections(&trace, &universe, &core);
     let spans = score_spans(&trace, &core, &corrections);
 
-    Some(BlameAnalysis {
-        error,
-        core_size: core.len(),
-        correction_sets: corrections.len(),
-        elapsed: start.elapsed(),
-        spans,
-    })
-}
-
-/// Deletion-shrinks the full (unsatisfiable) constraint list to a
-/// minimal unsatisfiable core. The scan itself lives on the trace
-/// ([`ConstraintTrace::shrink_unsat_core`]) so the MCS backend can
-/// shrink within restricted universes; blame always shrinks over the
-/// whole constraint list.
-pub(crate) fn shrink_core(trace: &ConstraintTrace) -> Vec<usize> {
-    trace.shrink_unsat_core(&vec![true; trace.constraints.len()])
+    Some(BlameAnalysis { error, core, corrections, elapsed: start.elapsed(), spans })
 }
 
 /// Enumerates a bounded set of minimal correction subsets drawn from the
@@ -132,12 +122,17 @@ pub(crate) fn shrink_core(trace: &ConstraintTrace) -> Vec<usize> {
 /// then pairs over the remaining core members. Subsets are minimal by
 /// construction (a pair is only reported when neither member suffices
 /// alone); restricting candidates to the shrunk core is the bounding
-/// approximation — documented in DESIGN.md.
-fn enumerate_corrections(trace: &ConstraintTrace, core: &[usize]) -> Vec<Vec<usize>> {
-    let n = trace.constraints.len();
+/// approximation — documented in DESIGN.md. Each candidate is replayed
+/// as `universe` minus the candidate, which decides the same verdict as
+/// the whole list minus it.
+fn enumerate_corrections(
+    trace: &ConstraintTrace,
+    universe: &[bool],
+    core: &[usize],
+) -> Vec<Vec<usize>> {
     let mut found: Vec<Vec<usize>> = Vec::new();
-    let mut singleton = vec![false; n];
-    let mut keep = vec![true; n];
+    let mut singleton = vec![false; universe.len()];
+    let mut keep = universe.to_vec();
 
     for &i in core {
         keep[i] = false;
@@ -242,7 +237,7 @@ mod tests {
     fn simple_mismatch_blames_the_conflict() {
         let src = "let x = 3 + true";
         let a = analyzed(src);
-        assert!(a.core_size >= 1);
+        assert!(!a.core.is_empty());
         assert!(!a.spans.is_empty());
         assert_eq!(a.spans[0].score, 1.0);
         // The top span must touch the actual conflict.
@@ -252,7 +247,7 @@ mod tests {
     #[test]
     fn unbound_variable_blames_its_own_span() {
         let a = analyzed("let x = missing_name + 1");
-        assert_eq!(a.core_size, 0);
+        assert!(a.core.is_empty());
         assert_eq!(a.spans.len(), 1);
         assert_eq!(a.spans[0].span, a.error.span);
         assert!(a.spans[0].fixes_alone);
@@ -285,7 +280,8 @@ mod tests {
         let a = analyze(&prog).unwrap();
         let b = analyze(&prog).unwrap();
         assert_eq!(a.spans, b.spans);
-        assert_eq!(a.core_size, b.core_size);
+        assert_eq!(a.core, b.core);
+        assert_eq!(a.corrections, b.corrections);
     }
 
     #[test]
@@ -308,8 +304,8 @@ mod tests {
                 kind: TypeErrorKind::Mismatch { found: "int".into(), expected: "bool".into() },
                 span: blamed,
             },
-            core_size: 1,
-            correction_sets: 0,
+            core: vec![0],
+            corrections: Vec::new(),
             elapsed: Duration::ZERO,
             spans: vec![SpanBlame {
                 span: blamed,

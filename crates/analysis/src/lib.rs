@@ -11,6 +11,16 @@
 //! by cheap replay ([`seminal_typeck::ConstraintTrace::subset_sat`]):
 //! no re-parse, no oracle round-trip.
 //!
+//! Every replay runs inside the
+//! [replay universe](seminal_typeck::ConstraintTrace::replay_universe),
+//! the failing constraint's connected component. Components share no
+//! type variables, so for any subset S, sat(S) = sat(S ∩ comp) ∧
+//! sat(S ∖ comp); once the complement of the component replays
+//! satisfiable, S ∖ comp lies inside a satisfiable set and sat(S) =
+//! sat(S ∩ comp). Cores and correction subsets are therefore exactly the
+//! whole-list ones, found in replays over a handful of constraints
+//! rather than the hundreds a paper-sized file records.
+//!
 //! The result is a per-span **blame score** in `(0, 1]`:
 //!
 //! * constraints in the deletion-shrunk core share `1/|core|` each;

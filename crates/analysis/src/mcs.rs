@@ -26,11 +26,13 @@
 //! 3. repeat breadth-first, deduplicating, until the subset cap or the
 //!    replay budget is reached.
 //!
-//! The soft universe is restricted to the failing connected component of
-//! the exported [constraint graph](seminal_typeck::ConstraintTrace::graph) — constraints
+//! Soft clauses, the hard base and every replay are confined to the
+//! [replay universe](seminal_typeck::ConstraintTrace::replay_universe):
+//! the failing connected component of the constraint graph. Constraints
 //! that share no type variables (transitively) with the failing demand
-//! cannot take part in any correction, so excluding them is sound and
-//! keeps grows short.
+//! cannot take part in any correction, and leaving them out of a replay
+//! never changes its verdict, so grows and the core shrink replay a
+//! handful of constraints instead of the whole list.
 //!
 //! Naming errors have no constraint system at all, so no MCS exists;
 //! the backend still ranks alternative repairs there by proposing the
@@ -42,7 +44,7 @@
 //! Everything is deterministic and zero-oracle-call: the only "solver"
 //! is in-process constraint replay.
 
-use crate::blame::{score_spans, shrink_core, SpanBlame};
+use crate::blame::{score_spans, SpanBlame};
 use crate::weights::constraint_weights;
 use seminal_ml::ast::{DeclKind, PatKind, Program};
 use seminal_ml::span::Span;
@@ -102,7 +104,8 @@ pub struct McsAnalysis {
     pub soft_clauses: usize,
     /// Hard-clause count (everything else).
     pub hard_clauses: usize,
-    /// Constraint-replay count the enumeration spent.
+    /// Constraint replays the analysis ran: the replay-universe check,
+    /// the hard-base check, every grow step, and the core shrink.
     pub replays: u64,
     /// Pure solver time: lowering, growing, blocking, core shrinking —
     /// excludes the recording run.
@@ -130,39 +133,27 @@ pub fn analyze_mcs(prog: &Program) -> Option<McsAnalysis> {
 
     let solve_start = Instant::now();
     let n = trace.constraints.len();
-    let graph = trace.graph();
-    let comp = graph.failing_component().expect("unsat trace records constraints");
-    let mut replays: u64 = 0;
+    // Every replay runs inside the replay universe (the failing
+    // component), which decides the same verdicts as the whole list.
+    // Computing it costs one replay.
+    let universe = trace.replay_universe();
+    let mut replays: u64 = 1;
 
-    // Lower: soft = span-attributed constraints of the failing
-    // component; hard = everything else. If the hard base alone is
-    // already unsatisfiable (the failing demand itself is synthesized),
-    // fall back to the whole component as soft.
-    let mask_without = |soft: &[usize]| {
-        let mut keep = vec![true; n];
-        for &i in soft {
-            keep[i] = false;
-        }
-        keep
-    };
-    let mut soft: Vec<usize> = graph
-        .nodes
-        .iter()
-        .filter(|nd| nd.component == comp && nd.soft)
-        .map(|nd| nd.index)
-        .collect();
-    let mut base = mask_without(&soft);
+    // Lower: soft = span-attributed constraints of the universe; hard =
+    // everything else, of which the universe's share is the replayed
+    // base. If that base alone is already unsatisfiable (the failing
+    // demand itself is synthesized), the whole universe goes soft over
+    // an empty base.
+    let mut soft: Vec<usize> =
+        (0..n).filter(|&i| universe[i] && !trace.constraints[i].span.is_empty()).collect();
+    let mut base = universe.clone();
+    for &i in &soft {
+        base[i] = false;
+    }
     replays += 1;
     if !trace.subset_sat(&base) {
-        soft = graph.component_members(comp);
-        base = mask_without(&soft);
-        replays += 1;
-        if !trace.subset_sat(&base) {
-            // Unreachable in practice: inference satisfied every
-            // constraint before the final one, and the final one is in
-            // `comp`. Stay total: no enumerable subsets.
-            soft.clear();
-        }
+        soft = (0..n).filter(|&i| universe[i]).collect();
+        base = vec![false; n];
     }
 
     let weights = constraint_weights(prog, &trace);
@@ -262,8 +253,8 @@ pub fn analyze_mcs(prog: &Program) -> Option<McsAnalysis> {
     // Core and per-span scores: the same shrinker and aggregation as
     // blame analysis, but the corrections feeding the scores are the
     // enumerated MCSes — the "richer ranking" guidance consumes.
-    let core = shrink_core(&trace);
-    replays += n as u64;
+    let core = trace.shrink_unsat_core(&universe);
+    replays += universe.iter().filter(|&&u| u).count() as u64;
     let spans = score_spans(&trace, &core, &found);
     let solve = solve_start.elapsed();
 

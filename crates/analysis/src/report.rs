@@ -14,15 +14,15 @@ pub fn render_report(analysis: &BlameAnalysis, source: &str, k: usize) -> String
     out.push('\n');
     out.push('\n');
 
-    if analysis.core_size == 0 {
+    if analysis.core.is_empty() {
         out.push_str(
             "Blame analysis: no constraint conflict (naming error); the location above is exact.\n",
         );
     } else {
         out.push_str(&format!(
             "Blame analysis: minimal unsatisfiable core of {} constraint(s), {} candidate fix(es), {:?}.\n",
-            analysis.core_size,
-            analysis.correction_sets,
+            analysis.core.len(),
+            analysis.corrections.len(),
             analysis.elapsed,
         ));
     }

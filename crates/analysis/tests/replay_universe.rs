@@ -1,0 +1,93 @@
+//! Identity of the replay universe: both localization backends replay
+//! only the failing constraint component, and must answer exactly as if
+//! they had replayed the whole recorded list.
+//!
+//! Inputs are every shipped sample, every golden-corpus source, a seeded
+//! batch of corpus programs, and paper-sized files (many well-typed
+//! homework problems before one faulty one), where the universe is a
+//! small fraction of the trace.
+
+use seminal_analysis::{analyze, analyze_mcs};
+use seminal_corpus::generate::{generate, small_config};
+use seminal_corpus::TEMPLATES;
+use seminal_ml::parser::parse_program;
+use seminal_typeck::trace_program;
+use std::path::Path;
+
+fn ml_sources(dir: &Path) -> Vec<(String, String)> {
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|p| p.extension().is_some_and(|ext| ext == "ml"))
+        .collect();
+    paths.sort();
+    paths
+        .into_iter()
+        .map(|p| {
+            let source = std::fs::read_to_string(&p).expect("readable source");
+            (p.display().to_string(), source)
+        })
+        .collect()
+}
+
+fn inputs() -> Vec<(String, String)> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut out = ml_sources(&root.join("samples"));
+    out.extend(ml_sources(&root.join("crates/testkit/golden")));
+    for seed in [1, 7, 42] {
+        for file in generate(&small_config(seed)) {
+            // Paper-sized: a run of well-typed problems, then the faulty one.
+            let skip = file.source.len() % TEMPLATES.len();
+            let mut big: String =
+                TEMPLATES.iter().cycle().skip(skip).take(12).map(|t| t.source).collect();
+            big.push_str(&file.source);
+            out.push((format!("{} (paper-sized)", file.id), big));
+            out.push((file.id, file.source));
+        }
+    }
+    out
+}
+
+#[test]
+fn universe_replays_agree_with_whole_list_replays() {
+    let (mut checked, mut narrowed) = (0, 0);
+    for (name, source) in inputs() {
+        let Ok(prog) = parse_program(&source) else { continue };
+        let Some(blame) = analyze(&prog) else { continue };
+        let trace = trace_program(&prog);
+        let n = trace.constraints.len();
+        let whole = vec![true; n];
+        let whole_core = if trace.has_unsat_constraints() {
+            trace.shrink_unsat_core(&whole)
+        } else {
+            Vec::new()
+        };
+        assert_eq!(blame.core, whole_core, "{name}: blame core differs from the whole-list core");
+
+        let replays_sat_without = |removed: &[usize]| {
+            let mut keep = whole.clone();
+            for &i in removed {
+                keep[i] = false;
+            }
+            trace.subset_sat(&keep)
+        };
+        for subset in &blame.corrections {
+            assert!(replays_sat_without(subset), "{name}: blame correction {subset:?} is not one");
+        }
+        let mcs = analyze_mcs(&prog).expect("ill-typed for both backends");
+        assert_eq!(mcs.core_size, whole_core.len(), "{name}: MCS core size differs");
+        for subset in &mcs.subsets {
+            let members: Vec<usize> = subset.members.iter().filter_map(|m| m.constraint).collect();
+            if !members.is_empty() {
+                assert!(replays_sat_without(&members), "{name}: MCS subset {members:?} is not one");
+            }
+        }
+
+        checked += 1;
+        if trace.replay_universe().iter().any(|&u| !u) {
+            narrowed += 1;
+        }
+    }
+    assert!(checked >= 150, "only {checked} ill-typed inputs checked");
+    assert!(narrowed * 2 >= checked, "universe narrowed only {narrowed} of {checked} replays");
+}

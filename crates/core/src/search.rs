@@ -147,7 +147,10 @@ pub struct SearchStats {
     pub sites_pruned: u64,
     /// Wall-clock cost of the constraint-blame analysis (recording,
     /// core shrinking, correction-subset enumeration). Not an oracle
-    /// cost: the blame pass replays unification in-process. Disjoint
+    /// cost: the blame pass replays unification in-process, and only
+    /// over the failing constraint's connected component (the replay
+    /// universe), so after the recording run it grows with that
+    /// component, not with the file. Disjoint
     /// from the oracle-driven search time by construction — the blame
     /// pass runs once, before the search proper, and this field measures
     /// exactly that interval.

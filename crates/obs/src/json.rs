@@ -149,14 +149,22 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting the decoder follows before reporting an
+/// error instead of risking a stack overflow: every level costs a
+/// `value` → `array`/`object` frame pair, so one request line of
+/// nested `[` would otherwise abort the process. The documents this
+/// workspace exchanges nest a handful of levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document (the integer-only dialect described on
 /// [`Json`]).
 ///
 /// # Errors
 ///
-/// Malformed input, trailing garbage, floats, or negative numbers.
+/// Malformed input, trailing garbage, floats, negative numbers, or
+/// arrays/objects nested deeper than `MAX_DEPTH` (128) levels.
 pub fn parse(src: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: src.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: src.as_bytes(), pos: 0, depth: 0 };
     let value = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
@@ -168,6 +176,8 @@ pub fn parse(src: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Current array/object nesting depth.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -198,6 +208,18 @@ impl Parser<'_> {
         }
     }
 
+    /// Bumps the nesting depth, failing with a [`JsonError`] (not a stack
+    /// overflow) on pathologically nested input. Paired with a decrement
+    /// in [`Parser::value`]; an error abandons the whole parse, so the
+    /// counter need not survive failure.
+    fn enter(&mut self) -> Result<(), JsonError> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(self.err(&format!("nesting exceeds the supported depth ({MAX_DEPTH})")));
+        }
+        Ok(())
+    }
+
     fn eat_keyword(&mut self, kw: &str) -> bool {
         if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
             self.pos += kw.len();
@@ -214,8 +236,12 @@ impl Parser<'_> {
             Some(b't') if self.eat_keyword("true") => Ok(Json::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                self.enter()?;
+                let nested = if open == b'[' { self.array() } else { self.object() }?;
+                self.depth -= 1;
+                Ok(nested)
+            }
             Some(b'0'..=b'9') => self.number(),
             Some(b'-') => Err(self.err("negative numbers are not part of this dialect")),
             _ => Err(self.err("expected a JSON value")),
@@ -238,8 +264,15 @@ impl Parser<'_> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of unescaped bytes up to the next `"` or `\` as
+            // one slice, so decoding stays linear in the string's length.
+            // Both delimiters are ASCII, so the run ends on a character
+            // boundary of the `&str` input.
+            let rest = &self.bytes[self.pos..];
+            let run = rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+            out.push_str(std::str::from_utf8(&rest[..run]).map_err(|_| self.err("invalid utf-8"))?);
+            self.pos += run;
             match self.peek() {
-                None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
@@ -273,15 +306,8 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                // The run stopped at the end of the input.
+                _ => return Err(self.err("unterminated string")),
             }
         }
     }
@@ -359,6 +385,30 @@ mod tests {
     fn escapes_round_trip() {
         let v = Json::Str("a\"b\\c\nd\te\u{1}f → unicode".into());
         assert_eq!(parse(&v.to_string_compact()).unwrap(), v);
+    }
+
+    #[test]
+    fn multi_byte_utf8_next_to_escapes_round_trips() {
+        let v = Json::Str("é\"ü\\ñ\n日本\u{1}語→\t€".into());
+        assert_eq!(parse(&v.to_string_compact()).unwrap(), v);
+        // Escapes the writer never emits decode in place, between
+        // multi-byte runs.
+        let parsed = parse(r#""ß\u00e9→\/😀\b""#).unwrap();
+        assert_eq!(parsed, Json::Str("ßé→/😀\u{8}".into()));
+        assert!(parse("\"日本").is_err(), "unterminated after a multi-byte run");
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_max_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.0.contains("depth"), "{err}");
+        let objects = "{\"k\":".repeat(MAX_DEPTH + 1) + "0" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objects).is_err(), "objects count toward the same bound");
+        // Far past the bound, the guard answers instead of overflowing
+        // the stack.
+        assert!(parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

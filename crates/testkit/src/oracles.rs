@@ -341,10 +341,11 @@ pub fn backend_agreement(prog: &Program) -> Option<Violation> {
             blame.error.span, mcs.error.span
         ));
     }
-    if blame.core_size != mcs.core_size {
+    if blame.core.len() != mcs.core_size {
         return bad(format!(
             "core sizes diverge: blame {} vs MCS {}",
-            blame.core_size, mcs.core_size
+            blame.core.len(),
+            mcs.core_size
         ));
     }
     if mcs.core_size == 0 {

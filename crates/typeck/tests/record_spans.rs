@@ -12,7 +12,8 @@
 //!   of the exported constraint graph;
 //! * when an instantiation fails, the failing constraint (the trace's
 //!   final entry) sits inside the offending use, which is what confines
-//!   the MCS backend's soft universe to the right component.
+//!   the replay universe of both localization backends to the right
+//!   component.
 
 use seminal_ml::parser::parse_program;
 use seminal_typeck::{trace_program, ConstraintTrace};
@@ -84,15 +85,15 @@ fn failing_instantiation_is_blamed_at_the_offending_use() {
     assert_eq!(last.span, err.span);
     assert_eq!(last.span.text(src), "(pair true)");
 
-    // The failing component contains only the second declaration's
-    // constraints; `pair`'s own (generalized) definition stays outside
-    // the MCS backend's soft universe.
-    let graph = trace.graph();
-    let comp = graph.failing_component().unwrap();
-    for idx in graph.component_members(comp) {
-        let text = trace.constraints[idx].span.text(src);
+    // The replay universe (the failing component) contains only the
+    // second declaration's constraints; `pair`'s own (generalized)
+    // definition stays outside every localization replay.
+    let universe = trace.replay_universe();
+    assert!(universe.iter().any(|&u| !u), "the definition's constraints are outside");
+    for (c, _) in trace.constraints.iter().zip(&universe).filter(|&(_, &u)| u) {
         assert_ne!(
-            text, "fun x -> (x, x)",
+            c.span.text(src),
+            "fun x -> (x, x)",
             "definition constraint leaked into the failing component"
         );
     }
