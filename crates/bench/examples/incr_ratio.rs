@@ -10,7 +10,7 @@ fn main() {
     let results = seminal_eval::evaluate_corpus(&corpus);
     let (mut recheck, mut bound, mut hits, mut calls) = (0u64, 0u64, 0u64, 0u64);
     for (file, r) in corpus.iter().zip(&results) {
-        let decls = parse_program(&file.source).map(|p| p.decls.len() as u64).unwrap_or(0);
+        let decls = parse_program(&file.source).map_or(0, |p| p.decls.len() as u64);
         recheck += r.metrics.counter("oracle.decls_recheck");
         hits += r.metrics.counter("oracle.incremental_hits");
         bound += r.full_calls * decls;

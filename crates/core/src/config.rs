@@ -151,16 +151,18 @@ pub struct SearchConfig {
     /// and reports `Completion::DeadlineExpired` with best-so-far
     /// suggestions. Zero (the default) charges nothing.
     pub admission_lag: Duration,
-    /// Use the checkpointed incremental oracle
-    /// ([`CheckpointedOracle`](seminal_typeck::CheckpointedOracle)):
-    /// probes re-infer only from their first edited declaration forward,
-    /// resuming from per-declaration snapshots, instead of re-checking
-    /// the whole program from scratch. Verdicts — and therefore the
-    /// suggestion set and report payload — are byte-identical either way
+    /// Type suggestion variants incrementally: one
+    /// [`InferChain`](seminal_typeck::InferChain) per search re-infers
+    /// each suggestion's "of type …" from its edited declaration
+    /// forward, instead of the scratch
+    /// [`check_program_types`](seminal_typeck::check_program_types) over
+    /// the whole program. Front ends pair it with the oracle they build
+    /// — a [`CheckpointedOracle`](seminal_typeck::CheckpointedOracle)
+    /// in the same mode — so one switch makes the whole search
+    /// incremental or scratch. Reports are byte-identical either way
     /// (the `incremental-scratch-identity` differential oracle pins
-    /// this); only `oracle.latency_ns` and the `oracle.incremental_*`
-    /// counters move. On by default; `--no-incremental` is the CLI
-    /// escape hatch.
+    /// this); only latencies and the `oracle.incremental_*` counters
+    /// move. On by default; `--no-incremental` is the CLI escape hatch.
     pub incremental_oracle: bool,
 }
 
@@ -290,8 +292,10 @@ impl SearchConfig {
         SearchConfig { guidance_backend: BackendKind::Mcs, ..SearchConfig::default() }
     }
 
-    /// The scratch oracle (`--no-incremental`): every probe re-infers
-    /// the whole program, as the 2007 tool did. The escape hatch for
+    /// Scratch mode (`--no-incremental`): suggestion typing re-infers
+    /// the whole program; paired with
+    /// [`CheckpointedOracle::scratch`](seminal_typeck::CheckpointedOracle::scratch)
+    /// every probe does too, as the 2007 tool did. The escape hatch for
     /// bisecting a suspected incremental-oracle bug — results must be
     /// byte-identical to the default.
     pub fn without_incremental_oracle() -> SearchConfig {

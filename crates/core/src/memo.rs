@@ -8,6 +8,12 @@
 //! file replay probe verdicts across requests instead of re-running the
 //! oracle.
 //!
+//! The key of every probe after the first is built by a
+//! [`FingerprintCache`] seeded from the request's first program (the
+//! search's base): declarations a probe shares with the base by `Arc`
+//! reuse the base's fingerprints, so a key costs O(edit) to build and
+//! stays bit-identical to [`program_fingerprint`].
+//!
 //! [`CrossRequestMemo`] is that cache: 16-way sharded like the engine
 //! memo, bounded by FIFO eviction per shard, with process-lifetime
 //! hit/miss/evict counters (surfaced as the `memo.cross_request_*`
@@ -20,12 +26,14 @@
 //!
 //! Probe *faults* (inner-oracle panics) propagate uncached: a chaotic
 //! or buggy oracle must not poison verdicts for every later request.
+//!
+//! [`program_fingerprint`]: seminal_typeck::program_fingerprint
 
 use seminal_typeck::fingerprint::fnv1a;
-use seminal_typeck::{program_fingerprint, Oracle, TypeError};
+use seminal_typeck::{FingerprintCache, Oracle, TypeError};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Shard count; must be a power of two (same layout as `ShardedMemo`).
 const SHARDS: usize = 16;
@@ -144,15 +152,20 @@ impl Default for CrossRequestMemo {
 /// Per-request oracle adapter over a shared [`CrossRequestMemo`].
 ///
 /// Wraps any inner [`Oracle`]; every `check` first consults the shared
-/// memo by [`program_fingerprint`], and only on a miss calls the inner
+/// memo by [`program_fingerprint`], built through a [`FingerprintCache`]
+/// of the first program checked, and only on a miss calls the inner
 /// oracle and caches its verdict. The wrapper's own counters are
 /// per-request (they start at zero for each wrapper), so `dispatch`
 /// can stamp `memo.cross_request_hits`/`_misses` and
 /// `oracle.real_calls` deltas into each response while the memo keeps
 /// the process totals.
+///
+/// [`program_fingerprint`]: seminal_typeck::program_fingerprint
 pub struct SharedMemoOracle<O> {
     inner: O,
     memo: Arc<CrossRequestMemo>,
+    /// Declaration fingerprints of the first program checked.
+    base: OnceLock<FingerprintCache>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -164,6 +177,7 @@ impl<O: Oracle> SharedMemoOracle<O> {
         SharedMemoOracle {
             inner,
             memo,
+            base: OnceLock::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -193,7 +207,7 @@ impl<O: Oracle> SharedMemoOracle<O> {
 
 impl<O: Oracle> Oracle for SharedMemoOracle<O> {
     fn check(&self, prog: &seminal_ml::ast::Program) -> Result<(), TypeError> {
-        let key = program_fingerprint(prog);
+        let key = self.base.get_or_init(|| FingerprintCache::new(prog)).program_fingerprint(prog);
         if let Some(verdict) = self.memo.get(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return verdict;
@@ -252,6 +266,36 @@ mod tests {
         let warm = oracle.check(&bad).unwrap_err();
         assert_eq!(cold.message(), warm.message());
         assert_eq!(oracle.hits(), 1);
+    }
+
+    #[test]
+    fn keys_match_program_fingerprint_for_shared_and_fresh_programs() {
+        // The first request's probes key through the base's cached
+        // declaration fingerprints; a second request re-parses the same
+        // texts (no shared `Arc`s) and must land on the very same keys.
+        let memo = Arc::new(CrossRequestMemo::default());
+        let src = "let x = 1\nlet y = x + 1\nlet z = y + true";
+        let base = parse_program(src).unwrap();
+        let mut ids = Vec::new();
+        base.decls[2].for_each_expr(&mut |e| ids.push(e.id));
+        let probe = seminal_ml::edit::remove_expr(&base, ids[0]);
+        let programs = [base.clone(), probe.clone(), base.prefix(2)];
+
+        let first = SharedMemoOracle::new(TypeCheckOracle::new(), memo.clone());
+        for p in &programs {
+            let _ = first.check(p);
+        }
+        assert_eq!(first.misses(), 3);
+        assert_eq!(memo.entries(), 3);
+
+        let second = SharedMemoOracle::new(TypeCheckOracle::new(), memo.clone());
+        let reparsed = parse_program(src).unwrap();
+        let _ = second.check(&reparsed);
+        let _ =
+            second.check(&parse_program(&seminal_ml::pretty::program_to_string(&probe)).unwrap());
+        let _ = second.check(&reparsed.prefix(2));
+        assert_eq!(second.hits(), 3);
+        assert_eq!(second.misses(), 0);
     }
 
     #[test]

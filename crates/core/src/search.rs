@@ -45,8 +45,8 @@ use seminal_obs::{
     ProbeKind, SpanKind, SrcSpan, TraceRecord, TraceSink, Tracer,
 };
 use seminal_typeck::{
-    check_program_types, guarded_check, guarded_probe, IncrementalStats, Oracle, ProbeOutcome,
-    TypeError,
+    check_program_types, guarded_check, guarded_probe, IncrementalStats, InferChain, Oracle,
+    ProbeOutcome, TypeError,
 };
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -448,6 +448,7 @@ impl<O: Oracle> SearchCore<O> {
             guidance: None,
             deferred: Vec::new(),
             sites_pruned: 0,
+            typing: self.config.incremental_oracle.then(InferChain::new),
         };
         let root = run.tracer.open(SpanKind::Search);
         let baseline = match run.check_full(prog) {
@@ -461,11 +462,7 @@ impl<O: Oracle> SearchCore<O> {
                 let records = capture.as_ref().map(|c| c.drain()).unwrap_or_default();
                 let mut metrics = run.local.snapshot(&stats, 0, Completion::Complete);
                 fold_engine_metrics(&mut metrics, engine);
-                fold_incremental_metrics(
-                    &mut metrics,
-                    inc_before,
-                    self.oracle.incremental_stats(),
-                );
+                fold_incremental_metrics(&mut metrics, inc_before, self.oracle.incremental_stats());
                 return SearchReport {
                     outcome: Outcome::WellTyped,
                     completion: Completion::Complete,
@@ -855,6 +852,11 @@ struct Run<'a, O> {
     /// pass (node ids in the first-bad-prefix scope).
     deferred: Vec<NodeId>,
     sites_pruned: u64,
+    /// Typing of suggestion variants: one [`InferChain`] for the whole
+    /// run when [`SearchConfig::incremental_oracle`] is set, so each
+    /// suggestion re-infers only its edited declaration; `None` runs
+    /// the scratch [`check_program_types`] per suggestion.
+    typing: Option<InferChain>,
 }
 
 impl<O: Oracle> Run<'_, O> {
@@ -1445,9 +1447,13 @@ impl<O: Oracle> Run<'_, O> {
         // Principal type of the replacement, for the "of type …" line.
         // This re-check is message formatting, not search, so it is not
         // counted against the oracle budget.
-        let new_type = check_program_types(&variant, &[inserted_root])
-            .ok()
-            .and_then(|mut m| m.remove(&inserted_root));
+        let wanted = [inserted_root];
+        let new_type = match &mut self.typing {
+            Some(chain) => chain.types(&variant, &wanted),
+            None => check_program_types(&variant, &wanted),
+        }
+        .ok()
+        .and_then(|mut m| m.remove(&inserted_root));
         let context_str = variant
             .decl_of(inserted_root)
             .map(|i| decl_to_string(&variant.decls[i]))

@@ -295,7 +295,9 @@ fn apply_one(
             }
             let idx = *pick(&candidates, rng)?;
             let mut variant = prog.clone();
-            if let DeclKind::Let { rec, .. } = &mut std::sync::Arc::make_mut(&mut variant.decls[idx]).kind {
+            if let DeclKind::Let { rec, .. } =
+                &mut std::sync::Arc::make_mut(&mut variant.decls[idx]).kind
+            {
                 *rec = false;
             }
             Some((

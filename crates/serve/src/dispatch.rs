@@ -321,6 +321,7 @@ fn run_search<O: Oracle>(
         if c.no_triage { SearchConfig::without_triage() } else { SearchConfig::default() };
     config.collect_trace = hooks.collect_trace;
     config.guidance_backend = c.backend;
+    config.incremental_oracle = !c.no_incremental;
     let mut builder = SearchSession::builder(oracle).config(config);
     if let Some(n) = c.threads {
         let Ok(n) = usize::try_from(n) else {
@@ -499,6 +500,28 @@ mod tests {
         assert_eq!(m.metrics.counter(keys::SERVER_INFLIGHT), 1);
         assert_eq!(state.requests_served(), 2, "shed requests still count as served");
         drop(held);
+    }
+
+    /// `no_incremental` switches the oracle and suggestion typing to
+    /// scratch inference together; the answer must not move, the
+    /// "of type …" of every suggestion included.
+    #[test]
+    fn no_incremental_checks_answer_like_the_default() {
+        let source = "let map2 f aList bList = List.map (fun (a, b) -> f a b) \
+                      (List.combine aList bList)\n\
+                      let lst = map2 (fun (x, y) -> x + y) [1;2;3] [4;5;6]\n\
+                      let ans = List.filter (fun x -> x == 0) lst";
+        let default =
+            check_response(&ServerState::new(), &Request::Check(CheckRequest::new(1, source)));
+        let scratch = check_response(
+            &ServerState::new(),
+            &Request::Check(CheckRequest { no_incremental: true, ..CheckRequest::new(2, source) }),
+        );
+        assert!(default.payload.iter().any(|e| e.new_type.is_some()));
+        assert_eq!(scratch.payload, default.payload);
+        assert_eq!(scratch.rendered, default.rendered);
+        assert!(default.metrics.counter(keys::ORACLE_DECLS_RECHECK) > 0);
+        assert_eq!(scratch.metrics.counter(keys::ORACLE_DECLS_RECHECK), 0);
     }
 
     /// The memo.rs invariant: a chaotic oracle must not poison verdicts

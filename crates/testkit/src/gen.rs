@@ -211,8 +211,8 @@ fn wide_match(rng: &mut SplitMix64) -> String {
 
 /// Many top-level declarations around let-polymorphic generalization
 /// sites, with the ill-typed declaration planted first, in the middle,
-/// or last. The incremental oracle snapshots inference state at every
-/// declaration boundary, so each position stresses a different path:
+/// or last. The incremental oracle marks its live inference state at
+/// every declaration boundary, so each position stresses a different path:
 /// an early error forces near-full recheck, a late one maximizes prefix
 /// reuse, and the polymorphic helpers in between catch any
 /// over-generalization leaking out of a rolled-back tail.
@@ -242,9 +242,9 @@ fn checkpoint_stress(rng: &mut SplitMix64) -> String {
         _ => "let bad = if id true then 1 else \"s\"".to_owned(),
     };
     let slot = match rng.random_range(0..3usize) {
-        0 => 0,                  // first: no reusable prefix
-        1 => decls.len() / 2,    // middle: partial reuse + rollback
-        _ => decls.len(),        // last: maximal prefix reuse
+        0 => 0,               // first: no reusable prefix
+        1 => decls.len() / 2, // middle: partial reuse + rollback
+        _ => decls.len(),     // last: maximal prefix reuse
     };
     decls.insert(slot, bad);
     decls.join("\n") + "\n"

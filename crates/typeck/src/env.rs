@@ -53,8 +53,8 @@ impl TypeInfo {
 /// extended by the program's own declarations.
 ///
 /// The three name-keyed maps sit behind [`Arc`]: cloning an `Env` (the
-/// stdlib seed, or an incremental-oracle snapshot) shares them, and the
-/// rare writers — `type`/`exception` declarations — go through
+/// stdlib seed) or marking a boundary (`InferState::push`) shares them,
+/// and the rare writers — `type`/`exception` declarations — go through
 /// [`Arc::make_mut`], copy-on-write. Reads auto-deref.
 #[derive(Debug, Clone, Default)]
 pub struct Env {

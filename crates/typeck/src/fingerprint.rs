@@ -7,6 +7,13 @@
 //! same canonical text the in-search [`ShardedMemo`] already keys on,
 //! compressed to a `u64` so millions of verdicts fit in memory.
 //!
+//! Printing is the expensive part, and a probe shares every declaration
+//! but its edited one with the base program by `Arc`. A
+//! [`FingerprintCache`] of the base therefore prints only the
+//! declarations a probe rebuilt, and its keys are bit-identical to
+//! [`program_fingerprint`]'s: the key's value never depends on which
+//! path built it.
+//!
 //! Two programs collide only if their printed forms collide under
 //! FNV-1a 64; for a cache of probe verdicts that is an acceptable risk
 //! (a collision can at worst replay a stale verdict, never corrupt the
@@ -16,6 +23,7 @@
 
 use seminal_ml::ast::{Decl, DeclKind, Program};
 use seminal_ml::pretty::decl_to_string;
+use std::sync::Arc;
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -39,7 +47,11 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// pretty-printed text.
 #[must_use]
 pub fn decl_fingerprints(prog: &Program) -> Vec<u64> {
-    prog.decls.iter().map(|d| fnv1a(decl_to_string(d).as_bytes())).collect()
+    prog.decls.iter().map(|d| decl_fingerprint(d)).collect()
+}
+
+fn decl_fingerprint(d: &Decl) -> u64 {
+    fnv1a(decl_to_string(d).as_bytes())
 }
 
 /// Fingerprint of one declaration including its source spans: the
@@ -77,18 +89,52 @@ pub fn decl_fingerprint_spanned(d: &Decl) -> u64 {
 /// Fingerprint of a whole program: the per-declaration subtree hashes
 /// folded through FNV-1a again (rather than hashing the concatenated
 /// text) so that a shared prefix of declarations contributes the same
-/// partial state regardless of what follows — the property an
-/// incremental per-subtree cache would build on.
+/// partial state regardless of what follows — the property
+/// [`FingerprintCache`] builds on.
 #[must_use]
 pub fn program_fingerprint(prog: &Program) -> u64 {
+    fold(decl_fingerprints(prog))
+}
+
+/// Folds per-declaration fingerprints into a program fingerprint.
+fn fold(decl_fps: impl IntoIterator<Item = u64>) -> u64 {
     let mut hash = FNV_OFFSET;
-    for sub in decl_fingerprints(prog) {
+    for sub in decl_fps {
         for b in sub.to_le_bytes() {
             hash ^= u64::from(b);
             hash = hash.wrapping_mul(FNV_PRIME);
         }
     }
     hash
+}
+
+/// The per-declaration fingerprints of one base program, kept with its
+/// declaration `Arc`s. An `Arc`-shared declaration has the same text,
+/// so [`FingerprintCache::program_fingerprint`] prints only the
+/// declarations a probe rebuilt: O(edit) per probe, and bit-identical
+/// to [`program_fingerprint`] for every program, sharing or not.
+#[derive(Debug, Clone)]
+pub struct FingerprintCache {
+    decls: Vec<Arc<Decl>>,
+    fps: Vec<u64>,
+}
+
+impl FingerprintCache {
+    /// Fingerprints every declaration of `base`.
+    #[must_use]
+    pub fn new(base: &Program) -> FingerprintCache {
+        FingerprintCache { decls: base.decls.clone(), fps: decl_fingerprints(base) }
+    }
+
+    /// [`program_fingerprint`] of `prog`, reusing the base's fingerprint
+    /// for every declaration that is the same `Arc` at the same index.
+    #[must_use]
+    pub fn program_fingerprint(&self, prog: &Program) -> u64 {
+        fold(prog.decls.iter().enumerate().map(|(i, d)| match self.decls.get(i) {
+            Some(base) if Arc::ptr_eq(base, d) => self.fps[i],
+            _ => decl_fingerprint(d),
+        }))
+    }
 }
 
 #[cfg(test)]
@@ -125,6 +171,31 @@ mod tests {
         let (fa, fb) = (decl_fingerprints(&a), decl_fingerprints(&b));
         assert_eq!(fa[0], fb[0]);
         assert_ne!(fa[1], fb[1]);
+    }
+
+    #[test]
+    fn cached_keys_equal_program_fingerprint() {
+        let src = "let x = 1\nlet y = x + 1\nlet z = y + true";
+        let base = parse_program(src).unwrap();
+        let cache = FingerprintCache::new(&base);
+        let mut ids = Vec::new();
+        base.decls[1].for_each_expr(&mut |e| ids.push(e.id));
+        let mut longer = base.clone();
+        longer.decls.push(parse_program("let w = z").unwrap().decls[0].clone());
+        // The base, an Arc-sharing probe, a shorter prefix, a longer
+        // program, and a re-parse sharing no Arcs.
+        let probes = [
+            base.clone(),
+            seminal_ml::edit::remove_expr(&base, ids[0]),
+            base.prefix(2),
+            longer,
+            parse_program(src).unwrap(),
+        ];
+        assert!(Arc::ptr_eq(&probes[1].decls[2], &base.decls[2]));
+        assert!(!Arc::ptr_eq(&probes[4].decls[0], &base.decls[0]));
+        for p in &probes {
+            assert_eq!(cache.program_fingerprint(p), program_fingerprint(p));
+        }
     }
 
     #[test]

@@ -1,81 +1,185 @@
-//! The incremental oracle: checkpointed re-inference over a shared
-//! declaration prefix.
+//! The incremental oracle: one live inference state over a base
+//! program, pushed and popped at declaration boundaries.
 //!
-//! A search probes hundreds of variants of one program, and almost every
-//! variant differs from the base in a single declaration. The scratch
-//! oracle re-infers the whole program per probe; this module's
-//! [`CheckpointedOracle`] instead keeps a chain of [`InferState`]
-//! snapshots at declaration boundaries, finds the longest prefix a probe
-//! shares with the chain (pointer equality on `Arc<Decl>` handles first,
-//! span-aware content fingerprints as the fallback), and re-infers only
-//! from the first differing declaration forward — under a
-//! [`Unifier::checkpoint`] that is rolled back afterwards, so the
-//! snapshot is byte-identical for the next probe.
+//! A search probes hundreds of variants of one program, and almost
+//! every variant differs from the base in a single declaration. The
+//! scratch oracle re-infers the whole program per probe. This
+//! module's [`InferChain`] infers the base once and pushes a mark on
+//! its [`InferState`] at every clean declaration boundary. A probe
+//! finds the longest prefix it shares with the base (pointer equality
+//! on `Arc<Decl>` handles first, span-aware content fingerprints as
+//! the fallback) and moves the live state to the deepest boundary
+//! inside that prefix: it pops back to an earlier mark, or re-infers
+//! clean base declarations up to a later one. It then re-infers only
+//! its own tail and pops back. Rollback restores the variable store
+//! byte-for-byte, so the state at a boundary is the same whether it
+//! was reached by seeding, by a pop, or by a scratch run.
 //!
-//! Identity with the scratch oracle is a hard contract (the testkit's
+//! Identity with the scratch checkers is a hard contract (the testkit's
 //! `incremental-scratch-identity` differential oracle pins it): the
 //! whole-program checker is itself implemented as "initial state, then
-//! [`InferState::check_decl`] per declaration", so resuming from a
-//! snapshot replays exactly the instructions a scratch run would
-//! execute. Spans are part of the prefix-match key because type errors
-//! carry them; node ids are not because inference never reads them.
+//! [`InferState::check_decl`] per declaration", so resuming at a
+//! boundary replays exactly the instructions a scratch run would
+//! execute. [`InferChain::check`] answers like [`check_program`], and
+//! [`InferChain::types`] like [`check_program_types`]. Spans are part of
+//! the prefix-match key because type errors carry them; node ids are not
+//! because inference never reads them.
 //!
-//! Concurrency: the chain sits behind a `Mutex`. The parallel probe
-//! engine calls `check` from several workers; whoever holds the lock
-//! gets the incremental path and everyone else falls back to a scratch
-//! check (correct, just uncached). A panic that unwinds through the lock
-//! (injected chaos, a checker bug) poisons the mutex; the next call
-//! resets the chain wholesale, so a half-rolled-back trail can never
-//! leak into a later probe.
+//! [`check_program_types`]: crate::infer::check_program_types
+//!
+//! [`CheckpointedOracle`] is the chain as an [`Oracle`]. The chain sits
+//! behind a `Mutex`. The parallel probe engine calls `check` from
+//! several workers; whoever holds the lock gets the incremental path and
+//! everyone else falls back to a scratch check (correct, just uncached).
+//! A panic that unwinds through the lock (injected chaos, a checker bug)
+//! poisons the mutex; the next call resets the chain wholesale, so a
+//! half-rolled-back trail can never leak into a later probe.
 
 use crate::error::TypeError;
 use crate::fingerprint::decl_fingerprint_spanned;
 use crate::infer::{check_program, InferState};
 use crate::oracle::{IncrementalStats, Oracle};
-use seminal_ml::ast::{Decl, Program};
+use crate::types::pretty;
+use seminal_ml::ast::{Decl, NodeId, Program};
+use std::cell::OnceCell;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError, TryLockError};
 use std::time::Instant;
 
-/// Snapshot chain for one base program: `states[i]` is the inference
-/// state after checking declarations `0..i` of `decls`. The chain is
-/// seeded by the first program checked (the search's base program) and
-/// extends only while declarations keep checking clean — after the first
-/// failing declaration no further state exists to snapshot.
+/// Incremental inference over one base program: the first program it
+/// checks. One live [`InferState`] rests at a clean declaration
+/// boundary `at`, with a mark open at every boundary `0..=at`, and
+/// extends no further than the base's first failing declaration.
+///
+/// [`check`](InferChain::check) and [`types`](InferChain::types) answer
+/// exactly like [`check_program`] and [`check_program_types`] for any
+/// program, sharing a prefix with the base or not; only the work they
+/// do, counted in [`InferChain::stats`], depends on that prefix.
+///
+/// [`check_program_types`]: crate::infer::check_program_types
 #[derive(Debug, Default)]
-struct Chain {
+pub struct InferChain {
     decls: Vec<Arc<Decl>>,
-    /// Span-aware content fingerprint per base declaration.
-    fps: Vec<u64>,
-    /// Boundary snapshots; `states.len() == k + 1` where `k` is the
-    /// number of leading declarations known to check clean.
-    states: Vec<InferState>,
+    /// Span-aware content fingerprint per base declaration, computed the
+    /// first time a program's declaration there is not the same `Arc`.
+    fps: Vec<OnceCell<u64>>,
+    /// The live state; `state.depth() == at + 1` once seeded.
+    state: InferState,
+    /// Number of leading base declarations known to check clean.
+    clean: usize,
     /// First failing declaration of the base, with its error.
     err: Option<(usize, TypeError)>,
+    stats: IncrementalStats,
 }
 
-impl Chain {
-    fn seeded(&self) -> bool {
-        !self.states.is_empty()
+impl InferChain {
+    /// An empty chain; the first `check` or `types` call seeds it.
+    pub fn new() -> InferChain {
+        InferChain::default()
     }
 
-    /// Builds the chain from `prog`, returning its verdict.
+    /// Counters accumulated over every call.
+    pub fn stats(&self) -> IncrementalStats {
+        self.stats
+    }
+
+    /// Checks `prog`.
+    ///
+    /// # Errors
+    ///
+    /// The same first [`TypeError`] as [`check_program`].
+    pub fn check(&mut self, prog: &Program) -> Result<(), TypeError> {
+        if self.state.depth() == 0 {
+            return self.seed(prog);
+        }
+        let shared = self.shared_prefix(prog);
+        if let Some(err) = self.cached_error(shared) {
+            return Err(err);
+        }
+        // Every probe declaration is a clean base prefix (prefix probes
+        // from the localization loop): nothing to re-infer at all.
+        if shared == prog.decls.len() && shared <= self.clean {
+            self.stats.incremental_hits += 1;
+            return Ok(());
+        }
+        let j = shared.min(self.clean);
+        self.resume(j);
+        let verdict = self.tail(prog, j, |state, d| state.check_decl(d));
+        self.pop_to(j);
+        verdict
+    }
+
+    /// Checks `prog`, reporting the resolved principal types of the
+    /// `wanted` nodes. Resumes no later than the first declaration
+    /// holding a wanted node, so every capture a scratch run would make
+    /// is made.
+    ///
+    /// # Errors
+    ///
+    /// The same first [`TypeError`] as
+    /// [`check_program_types`](crate::infer::check_program_types).
+    pub fn types(
+        &mut self,
+        prog: &Program,
+        wanted: &[NodeId],
+    ) -> Result<HashMap<NodeId, String>, TypeError> {
+        if self.state.depth() == 0 {
+            // The verdict is recomputed below, with the captures.
+            let _ = self.seed(prog);
+        }
+        let shared = self.shared_prefix(prog);
+        if let Some(err) = self.cached_error(shared) {
+            return Err(err);
+        }
+        let resumable = shared.min(self.clean);
+        let j = prog.decls[..resumable]
+            .iter()
+            .position(|d| wanted.iter().any(|&id| d.find_expr(id).is_some()))
+            .unwrap_or(resumable);
+        self.resume(j);
+        let mut capture: HashSet<NodeId> = wanted.iter().copied().collect();
+        let mut captured = HashMap::new();
+        let verdict = self
+            .tail(prog, j, |state, d| state.check_decl_capturing(d, &mut capture, &mut captured));
+        let types = verdict.map(|()| {
+            captured
+                .into_iter()
+                .map(|(id, ty)| (id, pretty(&self.state.uni.resolve(&ty))))
+                .collect()
+        });
+        self.pop_to(j);
+        types
+    }
+
+    /// Makes `prog` the base: infers it from the initial state, leaving
+    /// a mark at every clean boundary, and returns its verdict. Charges
+    /// `decls_recheck` for the declarations inference visited (it stops
+    /// at the first failing one).
     fn seed(&mut self, prog: &Program) -> Result<(), TypeError> {
         self.decls = prog.decls.clone();
-        self.fps = prog.decls.iter().map(|d| decl_fingerprint_spanned(d)).collect();
-        self.states = vec![InferState::initial()];
+        self.fps = vec![OnceCell::new(); prog.decls.len()];
+        self.state = InferState::initial();
+        self.state.push();
+        self.clean = 0;
         self.err = None;
-        for (i, d) in prog.decls.iter().enumerate() {
-            let mut next = self.states[i].clone();
-            match next.check_decl(d) {
-                Ok(()) => self.states.push(next),
-                Err(e) => {
-                    self.err = Some((i, e.clone()));
-                    return Err(e);
-                }
+        for d in &prog.decls {
+            self.stats.decls_recheck += 1;
+            if let Err(e) = self.state.check_decl(d) {
+                self.err = Some((self.clean, e.clone()));
+                // Drop the failed declaration's partial bindings.
+                self.pop_to(self.clean);
+                return Err(e);
             }
+            self.state.push();
+            self.clean += 1;
         }
         Ok(())
+    }
+
+    /// Drops the base and the live state, keeping the counters.
+    fn reset(&mut self) {
+        *self = InferChain { stats: self.stats, ..InferChain::default() };
     }
 
     /// Length of the prefix `prog` shares with the base: leading
@@ -85,21 +189,92 @@ impl Chain {
     fn shared_prefix(&self, prog: &Program) -> usize {
         let mut j = 0;
         for (base, probe) in self.decls.iter().zip(&prog.decls) {
-            if Arc::ptr_eq(base, probe) || self.fps[j] == decl_fingerprint_spanned(probe) {
-                j += 1;
-            } else {
+            let same = Arc::ptr_eq(base, probe)
+                || *self.fps[j].get_or_init(|| decl_fingerprint_spanned(base))
+                    == decl_fingerprint_spanned(probe);
+            if !same {
                 break;
             }
+            j += 1;
         }
         j
     }
+
+    /// The base's error when a program shares the base through its
+    /// failing declaration: inference is deterministic, so the program
+    /// fails with the very same error before reaching any edit.
+    fn cached_error(&mut self, shared: usize) -> Option<TypeError> {
+        let (e, err) = self.err.as_ref()?;
+        if shared <= *e {
+            return None;
+        }
+        self.stats.incremental_hits += 1;
+        Some(err.clone())
+    }
+
+    /// Moves the live state to clean boundary `j`: pops back to an
+    /// earlier mark, or re-infers the clean base declarations up to a
+    /// later one, charging them to `decls_recheck`.
+    fn resume(&mut self, j: usize) {
+        if j > 0 {
+            self.stats.incremental_hits += 1;
+        }
+        let at = self.state.depth() - 1;
+        if j < at {
+            self.pop_to(j);
+        }
+        for d in &self.decls[at.min(j)..j] {
+            self.stats.decls_recheck += 1;
+            self.state.check_decl(d).expect("a clean base declaration re-infers clean");
+            self.state.push();
+        }
+    }
+
+    /// Re-infers `prog.decls[j..]` on the live state with `step`,
+    /// stopping at the first failure and charging every declaration
+    /// visited.
+    fn tail(
+        &mut self,
+        prog: &Program,
+        j: usize,
+        mut step: impl FnMut(&mut InferState, &Decl) -> Result<(), TypeError>,
+    ) -> Result<(), TypeError> {
+        for d in &prog.decls[j..] {
+            self.stats.decls_recheck += 1;
+            step(&mut self.state, d)?;
+        }
+        Ok(())
+    }
+
+    /// Pops the live state back to boundary `j`, keeping its mark open.
+    fn pop_to(&mut self, j: usize) {
+        let clock = Instant::now();
+        while self.state.depth() > j {
+            self.state.pop();
+        }
+        self.state.push();
+        let ns = u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.stats.rollback_ns += ns;
+    }
+}
+
+/// A scratch [`check_program`] that also reports how many declarations
+/// inference visited: it stops at the first failing one.
+fn scratch_check(prog: &Program) -> (Result<(), TypeError>, u64) {
+    let mut state = InferState::initial();
+    for (i, d) in prog.decls.iter().enumerate() {
+        if let Err(e) = state.check_decl(d) {
+            return (Err(e), i as u64 + 1);
+        }
+    }
+    (Ok(()), prog.decls.len() as u64)
 }
 
 /// An [`Oracle`] that re-infers only the declarations a probe actually
-/// changed. See the module docs for the model; metric counters
-/// ([`IncrementalStats`]) are exposed through
-/// [`Oracle::incremental_stats`] so the search layer can fold them into
-/// its report.
+/// changed: an [`InferChain`] behind a `Mutex`. See the module docs for
+/// the model; metric counters ([`IncrementalStats`]) are exposed
+/// through [`Oracle::incremental_stats`] so the search layer can fold
+/// them into its report.
 ///
 /// Construct with [`CheckpointedOracle::new`] (incremental on) or
 /// [`CheckpointedOracle::scratch`] (`--no-incremental`: every call is a
@@ -109,10 +284,10 @@ impl Chain {
 #[derive(Debug, Default)]
 pub struct CheckpointedOracle {
     enabled: bool,
-    chain: Mutex<Chain>,
-    incremental_hits: AtomicU64,
-    decls_recheck: AtomicU64,
-    rollback_ns: AtomicU64,
+    chain: Mutex<InferChain>,
+    /// Declarations visited by scratch checks made while another worker
+    /// held the chain.
+    fallback_decls: AtomicU64,
 }
 
 impl CheckpointedOracle {
@@ -143,93 +318,9 @@ impl CheckpointedOracle {
 
     /// Current counter values.
     pub fn stats(&self) -> IncrementalStats {
-        IncrementalStats {
-            incremental_hits: self.incremental_hits.load(Ordering::Relaxed),
-            decls_recheck: self.decls_recheck.load(Ordering::Relaxed),
-            rollback_ns: self.rollback_ns.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Seeds the chain from `prog`, charging `decls_recheck` for the
-    /// declarations inference actually visited (it stops at the first
-    /// failing one).
-    fn seed_counted(&self, chain: &mut Chain, prog: &Program) -> Result<(), TypeError> {
-        let verdict = chain.seed(prog);
-        let checked = match &chain.err {
-            Some((e, _)) => *e as u64 + 1,
-            None => chain.decls.len() as u64,
-        };
-        self.decls_recheck.fetch_add(checked, Ordering::Relaxed);
-        verdict
-    }
-
-    /// The incremental check: prefix match, then checkpointed tail
-    /// re-inference against the boundary snapshot.
-    fn check_incremental(&self, chain: &mut Chain, prog: &Program) -> Result<(), TypeError> {
-        if !chain.seeded() {
-            return self.seed_counted(chain, prog);
-        }
-
-        let shared = chain.shared_prefix(prog);
-
-        // The probe contains the base's failing declaration, and every
-        // declaration before it, unchanged: inference is deterministic,
-        // so it fails with the very same error before ever reaching the
-        // edited suffix.
-        if let Some((e, ref err)) = chain.err {
-            if shared > e {
-                self.incremental_hits.fetch_add(1, Ordering::Relaxed);
-                return Err(err.clone());
-            }
-        }
-
-        // Every probe declaration is a clean base prefix (prefix probes
-        // from the localization loop): nothing to re-infer at all.
-        if shared == prog.decls.len() && shared < chain.states.len() {
-            self.incremental_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(());
-        }
-
-        // Resume from the deepest boundary snapshot at or before the
-        // shared prefix and re-infer the tail under a checkpoint.
-        let j = shared.min(chain.states.len() - 1);
-        if j > 0 {
-            self.incremental_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        let state = &mut chain.states[j];
-
-        // Save everything the tail may touch. Cloning the env map
-        // handles bumps their refcounts, which forces `Arc::make_mut` in
-        // the tail to copy-on-write instead of mutating the snapshot.
-        let saved_values = state.env.values.len();
-        let saved_ctors = state.env.ctors.clone();
-        let saved_fields = state.env.fields.clone();
-        let saved_types = state.env.types.clone();
-        let saved_annot = state.annot_vars.clone();
-        state.uni.checkpoint();
-
-        let mut verdict = Ok(());
-        let mut rechecked = 0u64;
-        for d in &prog.decls[j..] {
-            rechecked += 1;
-            if let Err(e) = state.check_decl(d) {
-                verdict = Err(e);
-                break;
-            }
-        }
-        self.decls_recheck.fetch_add(rechecked, Ordering::Relaxed);
-
-        let clock = Instant::now();
-        state.uni.rollback();
-        state.env.values.truncate(saved_values);
-        state.env.ctors = saved_ctors;
-        state.env.fields = saved_fields;
-        state.env.types = saved_types;
-        state.annot_vars = saved_annot;
-        let ns = u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.rollback_ns.fetch_add(ns, Ordering::Relaxed);
-
-        verdict
+        let mut stats = self.chain.lock().unwrap_or_else(PoisonError::into_inner).stats();
+        stats.decls_recheck += self.fallback_decls.load(Ordering::Relaxed);
+        stats
     }
 }
 
@@ -239,21 +330,22 @@ impl Oracle for CheckpointedOracle {
             return check_program(prog);
         }
         match self.chain.try_lock() {
-            Ok(mut chain) => self.check_incremental(&mut chain, prog),
-            Err(std::sync::TryLockError::Poisoned(poisoned)) => {
+            Ok(mut chain) => chain.check(prog),
+            Err(TryLockError::Poisoned(poisoned)) => {
                 // A panic unwound through a previous check. The trail and
-                // snapshots may be half-rolled-back — throw the whole
-                // chain away and reseed from this program.
+                // marks may be half-rolled-back — throw the whole chain
+                // away and reseed from this program.
                 let mut chain = poisoned.into_inner();
-                *chain = Chain::default();
+                chain.reset();
                 self.chain.clear_poison();
-                self.seed_counted(&mut chain, prog)
+                chain.check(prog)
             }
-            Err(std::sync::TryLockError::WouldBlock) => {
+            Err(TryLockError::WouldBlock) => {
                 // Another worker holds the chain; a scratch check is
                 // always correct and avoids serializing the probe engine.
-                self.decls_recheck.fetch_add(prog.decls.len() as u64, Ordering::Relaxed);
-                check_program(prog)
+                let (verdict, visited) = scratch_check(prog);
+                self.fallback_decls.fetch_add(visited, Ordering::Relaxed);
+                verdict
             }
         }
     }
@@ -266,6 +358,7 @@ impl Oracle for CheckpointedOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::infer::check_program_types;
     use crate::oracle::TypeCheckOracle;
     use seminal_ml::edit;
     use seminal_ml::parser::parse_program;
@@ -347,7 +440,7 @@ mod tests {
     }
 
     #[test]
-    fn repeated_probes_leave_snapshots_pristine() {
+    fn repeated_probes_leave_the_base_pristine() {
         let prog = parse_program(SRC).unwrap();
         let inc = CheckpointedOracle::new();
         inc.check(&prog).unwrap_err();
@@ -369,12 +462,17 @@ mod tests {
         assert!(inc.check(&prog).is_ok());
 
         // Probe that re-checks from decl 0 (the type decl itself differs
-        // → full recheck); the snapshot's ctor map must survive the
+        // → full recheck); the marked ctor map must survive the
         // copy-on-write insertions the tail performs.
         let probe = parse_program("type t = A of bool | B\nlet x = A 1\nlet y = B").unwrap();
         assert_eq!(inc.check(&probe), check_program(&probe));
         // And the original still agrees afterwards.
         assert_eq!(inc.check(&prog), check_program(&prog));
+        // Moving forward again re-infers the base's type decl against the
+        // restored maps: `A` must take an `int` once more.
+        let probe = parse_program("type t = A of int | B\nlet x = A 1\nlet y = A true").unwrap();
+        assert_eq!(inc.check(&probe), check_program(&probe));
+        assert!(inc.check(&probe).is_err());
     }
 
     #[test]
@@ -438,7 +536,7 @@ mod tests {
     #[test]
     fn generalization_sites_do_not_over_generalize_from_stale_state() {
         // `id` is let-polymorphic; the probe inserts a *monomorphic* use
-        // chain after it. A stale snapshot that over-generalized (or a
+        // chain after it. A stale mark that over-generalized (or a
         // rollback that leaked the tail's instantiations) would let the
         // second use unify at a different type and wrongly pass/fail.
         let src = "let id = fun x -> x\nlet a = id 1\nlet b = id true";
@@ -455,5 +553,102 @@ mod tests {
         assert_eq!(inc.check(&probe), check_program(&probe));
         // Original still pristine.
         assert_eq!(inc.check(&prog), check_program(&prog));
+    }
+
+    const CLEAN: &str = "let one = 1\n\
+                         let double x = x + x\n\
+                         let nums = [1; 2; 3]\n\
+                         let four = double 2\n\
+                         let tail = List.map double nums";
+
+    #[test]
+    fn probes_pop_back_and_move_forward_exactly() {
+        let prog = parse_program(CLEAN).unwrap();
+        let mut chain = InferChain::new();
+        assert!(chain.check(&prog).is_ok());
+        assert_eq!(chain.stats().decls_recheck, 5, "seeding visits every clean decl");
+
+        // Editing decl 1 pops the live state from boundary 5 back to 1
+        // and re-infers decls 1..5 of the probe.
+        let early = edit::remove_expr(&prog, expr_ids(&prog, 1)[0]);
+        let before = chain.stats().decls_recheck;
+        assert_eq!(chain.check(&early), check_program(&early));
+        assert_eq!(chain.stats().decls_recheck - before, 4);
+
+        // Editing decl 4 moves forward from boundary 1 to 4: the clean
+        // base decls 1..4 are re-inferred (and charged), then the tail.
+        let late = parse_program(
+            "let one = 1\nlet double x = x + x\nlet nums = [1; 2; 3]\n\
+             let four = double 2\nlet tail = List.map double true",
+        )
+        .unwrap();
+        let before = chain.stats().decls_recheck;
+        let verdict = chain.check(&late);
+        assert_eq!(verdict, check_program(&late));
+        assert!(verdict.is_err());
+        assert_eq!(chain.stats().decls_recheck - before, 3 + 1);
+
+        // Back at boundary 4, the base and both probes still agree.
+        for p in [&prog, &early, &late, &prog] {
+            assert_eq!(chain.check(p), check_program(p));
+        }
+    }
+
+    #[test]
+    fn a_passing_probe_can_seed_the_chain() {
+        // A warm cross-request memo can answer the base program, so the
+        // chain's first program is a probe: here one that fixes the
+        // base's failing decl 3. Later probes edit that declaration
+        // differently and must still match scratch.
+        let prog = parse_program(SRC).unwrap();
+        let ids = expr_ids(&prog, 3);
+        let fixed = edit::remove_expr(&prog, ids[2]);
+        let mut chain = InferChain::new();
+        assert!(chain.check(&fixed).is_ok());
+        assert_eq!(chain.stats().decls_recheck, 5);
+
+        for id in ids {
+            let probe = edit::remove_expr(&prog, id);
+            assert_eq!(chain.check(&probe), check_program(&probe), "probe at {id:?}");
+        }
+        assert_eq!(chain.check(&prog), check_program(&prog));
+        assert_eq!(chain.check(&fixed), Ok(()));
+    }
+
+    #[test]
+    fn types_agree_with_check_program_types() {
+        for src in
+            [SRC, CLEAN, "let id = fun x -> x\nlet a = id 1\nlet r = ref []\nlet b = r := [true]"]
+        {
+            let prog = parse_program(src).unwrap();
+            let mut chain = InferChain::new();
+            for idx in 0..prog.decls.len() {
+                for id in expr_ids(&prog, idx) {
+                    let variant = edit::remove_expr(&prog, id);
+                    // The hole, every node of the edited declaration, and
+                    // one node of the first declaration.
+                    let mut wanted = expr_ids(&variant, idx);
+                    wanted.push(NodeId(prog.next_id));
+                    wanted.push(expr_ids(&variant, 0)[0]);
+                    assert_eq!(
+                        chain.types(&variant, &wanted),
+                        check_program_types(&variant, &wanted),
+                        "{src:?}: variant at {id:?}"
+                    );
+                }
+            }
+            assert_eq!(chain.types(&prog, &[]), check_program_types(&prog, &[]));
+        }
+    }
+
+    #[test]
+    fn contended_fallback_charges_only_the_decls_it_visits() {
+        let prog = parse_program(SRC).unwrap();
+        let inc = CheckpointedOracle::new();
+        let guard = inc.chain.lock().unwrap();
+        assert_eq!(inc.check(&prog), check_program(&prog));
+        drop(guard);
+        // `bad` is decl 3: scratch inference stops there.
+        assert_eq!(inc.stats().decls_recheck, 3 + 1);
     }
 }

@@ -22,6 +22,7 @@ use crate::unify::{Unifier, UnifyError};
 use seminal_ml::ast::*;
 use seminal_ml::span::Span;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Checks a whole program against the standard environment.
 ///
@@ -38,20 +39,38 @@ pub fn check_program(prog: &Program) -> Result<(), TypeError> {
 }
 
 /// Inference state at a top-level declaration boundary: the variable
-/// store, the environment, and the per-declaration annotation-variable
-/// scope. This is the unit the incremental oracle snapshots — checking a
-/// program is exactly `initial()` followed by [`InferState::check_decl`]
-/// per declaration ([`check_program`] is implemented that way), so a
-/// state resumed from a snapshot continues byte-identically to a scratch
-/// run over the same prefix.
+/// store, the environment, and the per-declaration
+/// annotation-variable scope, plus a stack of boundary marks to pop
+/// back to. Checking a program is exactly `initial()` followed by
+/// [`InferState::check_decl`] per declaration ([`check_program`] is
+/// implemented that way), and popping restores a marked boundary
+/// byte-for-byte, so a state popped back to a boundary continues
+/// exactly like a scratch run over the same prefix.
 ///
-/// Cloning is cheap for the `Env` maps (`Arc`-shared) and proportional to
-/// the variable store otherwise.
-#[derive(Debug, Clone, Default)]
+/// The type is deliberately not `Clone`: the incremental chain
+/// ([`crate::incremental::InferChain`]) keeps one live state and moves
+/// it with `push` and `pop`, never with a copy of it.
+#[derive(Debug, Default)]
 pub struct InferState {
     pub(crate) uni: Unifier,
     pub(crate) env: Env,
     pub(crate) annot_vars: HashMap<String, Ty>,
+    /// Open marks, innermost last; each pairs with one open unifier
+    /// checkpoint.
+    marks: Vec<Mark>,
+}
+
+/// What [`InferState::pop`] restores besides the variable store, which
+/// keeps a checkpoint of its own per mark. Holding the env map handles
+/// bumps their refcounts, so a later `type` or `exception` declaration
+/// copies a map on write instead of mutating the marked one.
+#[derive(Debug)]
+struct Mark {
+    values: usize,
+    ctors: Arc<HashMap<String, CtorInfo>>,
+    fields: Arc<HashMap<String, FieldInfo>>,
+    types: Arc<HashMap<String, TypeInfo>>,
+    annot_vars: HashMap<String, Ty>,
 }
 
 impl InferState {
@@ -62,6 +81,7 @@ impl InferState {
             uni: Unifier::new(),
             env: stdlib_env().clone(),
             annot_vars: HashMap::new(),
+            marks: Vec::new(),
         }
     }
 
@@ -75,14 +95,27 @@ impl InferState {
     ///
     /// The first [`TypeError`] in inference order. On error the state is
     /// left with whatever partial bindings inference made — callers that
-    /// need to reuse the state roll the unifier back via a checkpoint.
+    /// need to reuse the state pop back to a mark.
     pub fn check_decl(&mut self, d: &Decl) -> Result<(), TypeError> {
+        self.check_decl_capturing(d, &mut HashSet::new(), &mut HashMap::new())
+    }
+
+    /// [`InferState::check_decl`] that also records, as
+    /// [`check_program_types`] does, the type inferred at every node of
+    /// `capture` into `captured` (unresolved: resolve once the whole
+    /// program has been checked).
+    pub(crate) fn check_decl_capturing(
+        &mut self,
+        d: &Decl,
+        capture: &mut HashSet<NodeId>,
+        captured: &mut HashMap<NodeId, Ty>,
+    ) -> Result<(), TypeError> {
         let mut infer = Infer {
             uni: std::mem::take(&mut self.uni),
             depth: 0,
             env: std::mem::take(&mut self.env),
-            capture: HashSet::new(),
-            captured: HashMap::new(),
+            capture: std::mem::take(capture),
+            captured: std::mem::take(captured),
             annot_vars: std::mem::take(&mut self.annot_vars),
             recorder: None,
         };
@@ -90,7 +123,44 @@ impl InferState {
         self.uni = infer.uni;
         self.env = infer.env;
         self.annot_vars = infer.annot_vars;
+        *capture = infer.capture;
+        *captured = infer.captured;
         result
+    }
+
+    /// Marks the current state (push): from here on every store write
+    /// is trailed, and the env scope is remembered, until the matching
+    /// [`InferState::pop`].
+    pub(crate) fn push(&mut self) {
+        self.uni.checkpoint();
+        self.marks.push(Mark {
+            values: self.env.values.len(),
+            ctors: self.env.ctors.clone(),
+            fields: self.env.fields.clone(),
+            types: self.env.types.clone(),
+            annot_vars: self.annot_vars.clone(),
+        });
+    }
+
+    /// Restores the state to the innermost mark and closes it (pop).
+    /// Marks pop in LIFO order.
+    ///
+    /// # Panics
+    ///
+    /// If no mark is open.
+    pub(crate) fn pop(&mut self) {
+        let mark = self.marks.pop().expect("pop without an open mark");
+        self.uni.rollback();
+        self.env.values.truncate(mark.values);
+        self.env.ctors = mark.ctors;
+        self.env.fields = mark.fields;
+        self.env.types = mark.types;
+        self.annot_vars = mark.annot_vars;
+    }
+
+    /// Number of open marks.
+    pub(crate) fn depth(&self) -> usize {
+        self.marks.len()
     }
 
     /// Number of type variables allocated so far.

@@ -42,8 +42,10 @@ pub mod unify;
 
 pub use chaos::{ChaosConfig, ChaosOracle};
 pub use error::{TypeError, TypeErrorKind};
-pub use fingerprint::{decl_fingerprint_spanned, decl_fingerprints, program_fingerprint};
-pub use incremental::CheckpointedOracle;
+pub use fingerprint::{
+    decl_fingerprint_spanned, decl_fingerprints, program_fingerprint, FingerprintCache,
+};
+pub use incremental::{CheckpointedOracle, InferChain};
 pub use infer::{check_program, check_program_types, trace_program, InferState};
 pub use oracle::{
     guarded_check, guarded_probe, CountingOracle, IncrementalStats, InstrumentedOracle, Oracle,

@@ -6,9 +6,9 @@
 //! destructive binding write — including path compression — logs the
 //! overwritten value on a trail, and [`Unifier::rollback`] replays the
 //! trail in reverse to restore the store byte-for-byte. The incremental
-//! oracle uses this to probe a declaration tail against a shared prefix
-//! substitution and then undo the probe in O(probe) instead of cloning
-//! the whole store.
+//! chain keeps one checkpoint open per clean declaration boundary, so a
+//! probe can pop back to any of them and be undone in O(probe) instead
+//! of cloning the whole store.
 
 use crate::types::{TvId, Ty};
 
@@ -69,10 +69,9 @@ impl Unifier {
     }
 
     /// Marks the current store state. Until the matching [`rollback`]
-    /// (or [`commit`]) every binding write is trailed.
+    /// every binding write is trailed.
     ///
     /// [`rollback`]: Unifier::rollback
-    /// [`commit`]: Unifier::commit
     pub fn checkpoint(&mut self) {
         self.checkpoints.push((self.trail.len(), self.bindings.len()));
     }
@@ -96,20 +95,6 @@ impl Unifier {
             }
         }
         self.bindings.truncate(vars_mark);
-    }
-
-    /// Closes the innermost checkpoint, keeping its writes. Outer
-    /// checkpoints can still roll them back; once the last checkpoint
-    /// closes the trail is dropped.
-    ///
-    /// # Panics
-    ///
-    /// If no checkpoint is open.
-    pub fn commit(&mut self) {
-        self.checkpoints.pop().expect("commit without an open checkpoint");
-        if self.checkpoints.is_empty() {
-            self.trail.clear();
-        }
     }
 
     /// Number of open checkpoints.
@@ -142,8 +127,16 @@ impl Unifier {
                 let Some(bound) = self.bindings.get(v.0 as usize).cloned().flatten() else {
                     return ty.clone();
                 };
+                // Only a chain of variables can be compressed; rewriting a
+                // binding with its own value would change nothing but
+                // still cost a trail entry under a checkpoint.
+                if !matches!(bound, Ty::Var(_)) {
+                    return bound;
+                }
                 let root = self.shallow_resolve(&bound);
-                self.set_binding(v.0, Some(root.clone()));
+                if root != bound {
+                    self.set_binding(v.0, Some(root.clone()));
+                }
                 root
             }
             other => other.clone(),
@@ -417,25 +410,6 @@ mod tests {
         u.rollback(); // outer: undoes the `a` binding too
 
         assert_eq!(observe(&mut u), vec![a.clone(), b.clone()]);
-        assert_eq!(u.trail_len(), 0);
-    }
-
-    #[test]
-    fn commit_keeps_writes_and_outer_rollback_still_works() {
-        let mut u = Unifier::new();
-        let a = u.fresh();
-        let b = u.fresh();
-        let before = observe(&mut u);
-
-        u.checkpoint();
-        u.unify(&a, &Ty::int()).unwrap();
-        u.checkpoint();
-        u.unify(&b, &Ty::bool()).unwrap();
-        u.commit(); // inner commit: `b` binding survives…
-        assert_eq!(u.resolve(&b), Ty::bool());
-        u.rollback(); // …until the outer checkpoint rolls everything back.
-
-        assert_eq!(observe(&mut u), before);
         assert_eq!(u.trail_len(), 0);
     }
 

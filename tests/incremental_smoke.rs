@@ -6,12 +6,18 @@
 //! that `oracle.decls_recheck` — declarations actually re-inferred —
 //! stays strictly below `oracle_calls × decls`, the scratch oracle's
 //! cost, while the user-visible report stays byte-identical to the
-//! scratch run's.
+//! scratch run's. Suggestion typing is pinned the same way: one
+//! `InferChain` per program must type every hole'd variant of the
+//! failing declaration exactly like the scratch `check_program_types`.
 
 use seminal::core::{SearchConfig, SearchReport, SearchSession};
+use seminal::corpus::generate::{generate, small_config};
+use seminal::ml::ast::{NodeId, Program};
+use seminal::ml::edit;
 use seminal::ml::parser::parse_program;
 use seminal::obs::keys;
-use seminal::typeck::CheckpointedOracle;
+use seminal::testkit::golden::{default_dir, load_corpus};
+use seminal::typeck::{check_program_types, CheckpointedOracle, InferChain, InferState};
 
 /// The ill-typed Caml samples (figure10.cpp belongs to the C++
 /// prototype; deadline_stress.ml is sized for deadline tests, not for
@@ -20,11 +26,8 @@ const SAMPLES: &[&str] = &["samples/figure2.ml", "samples/figure8.ml", "samples/
 
 fn run(source: &str, incremental: bool) -> SearchReport {
     let prog = parse_program(source).expect("sample parses");
-    let config = SearchConfig {
-        deadline: None,
-        incremental_oracle: incremental,
-        ..SearchConfig::default()
-    };
+    let config =
+        SearchConfig { deadline: None, incremental_oracle: incremental, ..SearchConfig::default() };
     SearchSession::builder(CheckpointedOracle::with_enabled(incremental))
         .config(config)
         .threads(1)
@@ -88,4 +91,70 @@ fn incremental_and_scratch_reports_agree_on_samples() {
         assert_eq!(scratch.metrics.counter(keys::ORACLE_DECLS_RECHECK), 0, "{sample}");
         assert_eq!(scratch.metrics.counter(keys::ORACLE_INCREMENTAL_HITS), 0, "{sample}");
     }
+}
+
+/// Every `.ml` sample, every golden-corpus program, and a seeded batch
+/// of corpus programs, as `(name, source)`.
+fn typing_inputs() -> Vec<(String, String)> {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let mut inputs = Vec::new();
+    let mut samples: Vec<_> = std::fs::read_dir(format!("{root}/samples"))
+        .expect("samples/ lists")
+        .map(|e| e.expect("samples/ entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "ml"))
+        .collect();
+    samples.sort();
+    for path in samples {
+        let source = std::fs::read_to_string(&path).expect("sample reads");
+        inputs.push((path.display().to_string(), source));
+    }
+    let golden = load_corpus(&default_dir()).expect("golden corpus loads");
+    for entry in &golden.entries {
+        let source = std::fs::read_to_string(golden.dir.join(&entry.file)).expect("golden reads");
+        inputs.push((entry.name.clone(), source));
+    }
+    for file in generate(&small_config(13)) {
+        inputs.push((file.id, file.source));
+    }
+    inputs
+}
+
+/// Ids of every expression in declaration `idx`.
+fn expr_ids(prog: &Program, idx: usize) -> Vec<NodeId> {
+    let mut ids = Vec::new();
+    prog.decls[idx].for_each_expr(&mut |e| ids.push(e.id));
+    ids
+}
+
+#[test]
+fn chain_typing_matches_scratch_typing() {
+    let mut variants = 0;
+    for (name, source) in typing_inputs() {
+        let prog = parse_program(&source).unwrap_or_else(|e| panic!("{name}: {e}"));
+        if prog.decls.is_empty() {
+            continue;
+        }
+        let mut state = InferState::initial();
+        let failing = prog
+            .decls
+            .iter()
+            .position(|d| state.check_decl(d).is_err())
+            .unwrap_or(prog.decls.len() - 1);
+        // One chain per program answers every variant: the hole takes the
+        // next fresh id, and every node of the edited declaration is
+        // wanted too.
+        let mut chain = InferChain::new();
+        for id in expr_ids(&prog, failing) {
+            let variant = edit::remove_expr(&prog, id);
+            let mut wanted = expr_ids(&variant, failing);
+            wanted.push(NodeId(prog.next_id));
+            assert_eq!(
+                chain.types(&variant, &wanted),
+                check_program_types(&variant, &wanted),
+                "{name}: variant removing {id:?}"
+            );
+            variants += 1;
+        }
+    }
+    assert!(variants > 1000, "only {variants} variants typed");
 }
