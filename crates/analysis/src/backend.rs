@@ -14,7 +14,7 @@ use crate::blame::{self, BlameAnalysis, SpanBlame};
 use crate::mcs::{self, McsAnalysis};
 use seminal_ml::ast::Program;
 use seminal_ml::span::Span;
-use seminal_typeck::TypeError;
+use seminal_typeck::{ConstraintTrace, TypeError};
 use std::time::Duration;
 
 /// Which localization backend to run.
@@ -73,7 +73,8 @@ pub struct Localization {
     /// Pure solver time in nanoseconds (0 for blame, which does not
     /// separate solving from recording).
     pub solve_ns: u64,
-    /// Wall-clock cost of the whole analysis.
+    /// Wall-clock cost of the analysis; it includes recording only when
+    /// the analysis recorded its own trace, never through [`localize`].
     pub elapsed: Duration,
 }
 
@@ -133,12 +134,14 @@ impl McsAnalysis {
 }
 
 /// A localization backend: anything that can turn an ill-typed program
-/// into a ranked span localization without oracle calls.
+/// and its recorded constraint system into a ranked span localization
+/// without oracle calls.
 pub trait LocalizationBackend {
     /// Which catalog entry this is.
     fn kind(&self) -> BackendKind;
-    /// Localizes `prog`; `None` when it is well-typed.
-    fn localize(&self, prog: &Program) -> Option<Localization>;
+    /// Localizes `prog` from `trace`, the recording of its inference;
+    /// `None` when it is well-typed.
+    fn localize(&self, prog: &Program, trace: &ConstraintTrace) -> Option<Localization>;
 }
 
 /// The unsat-core blame analysis as a [`LocalizationBackend`] — the
@@ -151,8 +154,8 @@ impl LocalizationBackend for BlameBackend {
         BackendKind::Blame
     }
 
-    fn localize(&self, prog: &Program) -> Option<Localization> {
-        blame::analyze(prog).map(BlameAnalysis::into_localization)
+    fn localize(&self, _prog: &Program, trace: &ConstraintTrace) -> Option<Localization> {
+        blame::analyze_trace(trace).map(BlameAnalysis::into_localization)
     }
 }
 
@@ -165,8 +168,8 @@ impl LocalizationBackend for McsBackend {
         BackendKind::Mcs
     }
 
-    fn localize(&self, prog: &Program) -> Option<Localization> {
-        mcs::analyze_mcs(prog).map(McsAnalysis::into_localization)
+    fn localize(&self, prog: &Program, trace: &ConstraintTrace) -> Option<Localization> {
+        mcs::analyze_mcs_trace(prog, trace).map(McsAnalysis::into_localization)
     }
 }
 
@@ -178,22 +181,30 @@ pub fn backend(kind: BackendKind) -> &'static dyn LocalizationBackend {
     }
 }
 
-/// Localizes `prog` with the chosen backend; `None` when well-typed.
-pub fn localize(prog: &Program, kind: BackendKind) -> Option<Localization> {
-    backend(kind).localize(prog)
+/// Localizes `prog` from `trace`, the recording of its inference (the
+/// search takes its oracle's), with the chosen backend; `None` when
+/// well-typed.
+pub fn localize(
+    prog: &Program,
+    trace: &ConstraintTrace,
+    kind: BackendKind,
+) -> Option<Localization> {
+    backend(kind).localize(prog, trace)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use seminal_ml::parser::parse_program;
+    use seminal_typeck::trace_program;
 
     #[test]
     fn both_backends_agree_on_well_typedness() {
         for src in ["let x = 1 + 2", "let x = 1 + true", "let main = print_"] {
             let prog = parse_program(src).unwrap();
-            let b = localize(&prog, BackendKind::Blame);
-            let m = localize(&prog, BackendKind::Mcs);
+            let trace = trace_program(&prog);
+            let b = localize(&prog, &trace, BackendKind::Blame);
+            let m = localize(&prog, &trace, BackendKind::Mcs);
             assert_eq!(b.is_some(), m.is_some(), "{src}");
         }
     }
@@ -201,8 +212,9 @@ mod tests {
     #[test]
     fn localizations_carry_their_backend_tag() {
         let prog = parse_program("let x = 1 + true").unwrap();
-        let b = localize(&prog, BackendKind::Blame).unwrap();
-        let m = localize(&prog, BackendKind::Mcs).unwrap();
+        let trace = trace_program(&prog);
+        let b = localize(&prog, &trace, BackendKind::Blame).unwrap();
+        let m = localize(&prog, &trace, BackendKind::Mcs).unwrap();
         assert_eq!(b.backend, BackendKind::Blame);
         assert_eq!(m.backend, BackendKind::Mcs);
         assert_eq!(b.backend.metric_code(), 1);

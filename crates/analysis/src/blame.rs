@@ -36,7 +36,12 @@ pub struct BlameAnalysis {
     /// The enumerated correction subsets (bounded), each as ascending
     /// constraint indices whose deletion restores satisfiability.
     pub corrections: Vec<Vec<usize>>,
-    /// Wall-clock cost of recording, shrinking, and enumerating.
+    /// Wall-clock cost of shrinking and enumerating, plus recording when
+    /// [`analyze`] recorded the trace itself. Over a trace recorded
+    /// earlier ([`analyze_trace`]) recording is left out: the search's
+    /// oracle records while checking the baseline, or while seeding an
+    /// empty chain in `constraint_trace` when a warm memo answered that
+    /// check.
     pub elapsed: Duration,
     /// Blamed spans, highest score first (ties broken by source order).
     pub spans: Vec<SpanBlame>,
@@ -84,7 +89,16 @@ pub(crate) fn milli(score: f64) -> u32 {
 /// aggregates per-span scores. Returns `None` when `prog` is well-typed.
 pub fn analyze(prog: &Program) -> Option<BlameAnalysis> {
     let start = Instant::now();
-    let trace = trace_program(prog);
+    analyze_from(&trace_program(prog), start)
+}
+
+/// [`analyze`] over an already-recorded trace of the program. Returns
+/// `None` when the recording run succeeded.
+pub fn analyze_trace(trace: &ConstraintTrace) -> Option<BlameAnalysis> {
+    analyze_from(trace, Instant::now())
+}
+
+fn analyze_from(trace: &ConstraintTrace, start: Instant) -> Option<BlameAnalysis> {
     let error = match &trace.result {
         Ok(()) => return None,
         Err(e) => e.clone(),
@@ -111,8 +125,8 @@ pub fn analyze(prog: &Program) -> Option<BlameAnalysis> {
     // the whole list (see `replay_universe`) at a fraction of the cost.
     let universe = trace.replay_universe();
     let core = trace.shrink_unsat_core(&universe);
-    let corrections = enumerate_corrections(&trace, &universe, &core);
-    let spans = score_spans(&trace, &core, &corrections);
+    let corrections = enumerate_corrections(trace, &universe, &core);
+    let spans = score_spans(trace, &core, &corrections);
 
     Some(BlameAnalysis { error, core, corrections, elapsed: start.elapsed(), spans })
 }

@@ -52,7 +52,7 @@ pub mod weights;
 pub use backend::{
     backend, localize, BackendKind, BlameBackend, Localization, LocalizationBackend, McsBackend,
 };
-pub use blame::{analyze, BlameAnalysis, SpanBlame};
-pub use mcs::{analyze_mcs, CorrectionSubset, McsAnalysis, McsMember};
+pub use blame::{analyze, analyze_trace, BlameAnalysis, SpanBlame};
+pub use mcs::{analyze_mcs, analyze_mcs_trace, CorrectionSubset, McsAnalysis, McsMember};
 pub use report::{render_mcs_report, render_report};
 pub use weights::constraint_weights;

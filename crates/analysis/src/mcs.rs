@@ -50,7 +50,7 @@ use seminal_ml::ast::{DeclKind, PatKind, Program};
 use seminal_ml::span::Span;
 use seminal_typeck::stdlib::stdlib_env;
 use seminal_typeck::types::pretty_pair;
-use seminal_typeck::{trace_program, TypeError, TypeErrorKind};
+use seminal_typeck::{trace_program, ConstraintTrace, TypeError, TypeErrorKind};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::{Duration, Instant};
 
@@ -110,7 +110,9 @@ pub struct McsAnalysis {
     /// Pure solver time: lowering, growing, blocking, core shrinking —
     /// excludes the recording run.
     pub solve: Duration,
-    /// Wall-clock cost of the whole analysis including recording.
+    /// Wall-clock cost of the whole analysis, including recording when
+    /// [`analyze_mcs`] recorded the trace itself (not when
+    /// [`analyze_mcs_trace`] is handed one, as the search's is).
     pub elapsed: Duration,
     /// Blamed spans for search guidance, highest score first — same
     /// aggregation as blame analysis but fed by the enumerated subsets.
@@ -121,7 +123,20 @@ pub struct McsAnalysis {
 /// Zero oracle calls: the recording run and every replay are in-process.
 pub fn analyze_mcs(prog: &Program) -> Option<McsAnalysis> {
     let start = Instant::now();
-    let trace = trace_program(prog);
+    analyze_mcs_from(prog, &trace_program(prog), start)
+}
+
+/// [`analyze_mcs`] over an already-recorded trace of `prog`. Returns
+/// `None` when the recording run succeeded.
+pub fn analyze_mcs_trace(prog: &Program, trace: &ConstraintTrace) -> Option<McsAnalysis> {
+    analyze_mcs_from(prog, trace, Instant::now())
+}
+
+fn analyze_mcs_from(
+    prog: &Program,
+    trace: &ConstraintTrace,
+    start: Instant,
+) -> Option<McsAnalysis> {
     let error = match &trace.result {
         Ok(()) => return None,
         Err(e) => e.clone(),
@@ -156,7 +171,7 @@ pub fn analyze_mcs(prog: &Program) -> Option<McsAnalysis> {
         base = vec![false; n];
     }
 
-    let weights = constraint_weights(prog, &trace);
+    let weights = constraint_weights(prog, trace);
     // Grow order: descending weight keeps expensive-to-blame clauses on
     // the satisfiable side, so cheap ones land in the correction subset.
     let mut order = soft.clone();
@@ -255,7 +270,7 @@ pub fn analyze_mcs(prog: &Program) -> Option<McsAnalysis> {
     // enumerated MCSes — the "richer ranking" guidance consumes.
     let core = trace.shrink_unsat_core(&universe);
     replays += universe.iter().filter(|&&u| u).count() as u64;
-    let spans = score_spans(&trace, &core, &found);
+    let spans = score_spans(trace, &core, &found);
     let solve = solve_start.elapsed();
 
     Some(McsAnalysis {

@@ -1,17 +1,22 @@
 //! Identity of the replay universe: both localization backends replay
 //! only the failing constraint component, and must answer exactly as if
-//! they had replayed the whole recorded list.
+//! they had replayed the whole recorded list. And identity of the
+//! recording itself: the trace the incremental oracle records while
+//! checking the base is the one a fresh recording run produces, so the
+//! search localizes from it exactly as from its own.
 //!
 //! Inputs are every shipped sample, every golden-corpus source, a seeded
 //! batch of corpus programs, and paper-sized files (many well-typed
 //! homework problems before one faulty one), where the universe is a
 //! small fraction of the trace.
 
-use seminal_analysis::{analyze, analyze_mcs};
+use seminal_analysis::{
+    analyze, analyze_mcs, analyze_mcs_trace, analyze_trace, localize, BackendKind,
+};
 use seminal_corpus::generate::{generate, small_config};
 use seminal_corpus::TEMPLATES;
 use seminal_ml::parser::parse_program;
-use seminal_typeck::trace_program;
+use seminal_typeck::{trace_program, CheckpointedOracle, Oracle};
 use std::path::Path;
 
 fn ml_sources(dir: &Path) -> Vec<(String, String)> {
@@ -90,4 +95,44 @@ fn universe_replays_agree_with_whole_list_replays() {
     }
     assert!(checked >= 150, "only {checked} ill-typed inputs checked");
     assert!(narrowed * 2 >= checked, "universe narrowed only {narrowed} of {checked} replays");
+}
+
+#[test]
+fn the_oracles_recorded_trace_localizes_like_a_fresh_recording() {
+    let (mut traced, mut localized) = (0, 0);
+    for (name, source) in inputs() {
+        let Ok(prog) = parse_program(&source) else { continue };
+        let oracle = CheckpointedOracle::new();
+        let verdict = oracle.check(&prog);
+        let trace = oracle.constraint_trace(&prog);
+        let fresh = trace_program(&prog);
+        assert_eq!(
+            format!("{:?}", trace.constraints),
+            format!("{:?}", fresh.constraints),
+            "{name}: recorded constraints differ"
+        );
+        assert_eq!(trace.num_vars, fresh.num_vars, "{name}: num_vars differs");
+        assert_eq!(trace.result, fresh.result, "{name}: outcome differs");
+        assert_eq!(trace.result, verdict, "{name}: the trace disagrees with the check");
+        traced += 1;
+
+        let (Some(blame), Some(mcs)) = (analyze(&prog), analyze_mcs(&prog)) else {
+            assert!(analyze_trace(&trace).is_none(), "{name}: well-typed, yet blamed");
+            continue;
+        };
+        let ours = analyze_trace(&trace).expect("ill-typed");
+        assert_eq!(ours.core, blame.core, "{name}: blame core differs");
+        assert_eq!(ours.corrections, blame.corrections, "{name}: corrections differ");
+        assert_eq!(ours.spans, blame.spans, "{name}: blame spans differ");
+        let ours = analyze_mcs_trace(&prog, &trace).expect("ill-typed");
+        assert_eq!(ours.subsets, mcs.subsets, "{name}: MCS subsets differ");
+        assert_eq!(ours.spans, mcs.spans, "{name}: MCS spans differ");
+        for (kind, spans) in [(BackendKind::Blame, &blame.spans), (BackendKind::Mcs, &mcs.spans)] {
+            let loc = localize(&prog, &trace, kind).expect("ill-typed");
+            assert_eq!(&loc.spans, spans, "{name}: {} localization differs", kind.name());
+        }
+        localized += 1;
+    }
+    assert!(traced >= 190, "only {traced} inputs traced");
+    assert!(localized >= 150, "only {localized} ill-typed inputs localized");
 }

@@ -151,19 +151,6 @@ pub struct SearchConfig {
     /// and reports `Completion::DeadlineExpired` with best-so-far
     /// suggestions. Zero (the default) charges nothing.
     pub admission_lag: Duration,
-    /// Type suggestion variants incrementally: one
-    /// [`InferChain`](seminal_typeck::InferChain) per search re-infers
-    /// each suggestion's "of type …" from its edited declaration
-    /// forward, instead of the scratch
-    /// [`check_program_types`](seminal_typeck::check_program_types) over
-    /// the whole program. Front ends pair it with the oracle they build
-    /// — a [`CheckpointedOracle`](seminal_typeck::CheckpointedOracle)
-    /// in the same mode — so one switch makes the whole search
-    /// incremental or scratch. Reports are byte-identical either way
-    /// (the `incremental-scratch-identity` differential oracle pins
-    /// this); only latencies and the `oracle.incremental_*` counters
-    /// move. On by default; `--no-incremental` is the CLI escape hatch.
-    pub incremental_oracle: bool,
 }
 
 /// Default thread count: `SEMINAL_THREADS` when set to a positive
@@ -215,7 +202,6 @@ impl Default for SearchConfig {
             threads: default_threads(),
             deadline: default_deadline(),
             admission_lag: Duration::ZERO,
-            incremental_oracle: true,
         }
     }
 }
@@ -290,16 +276,6 @@ impl SearchConfig {
     /// analysis — same probe set, richer ranking signal.
     pub fn with_mcs_guidance() -> SearchConfig {
         SearchConfig { guidance_backend: BackendKind::Mcs, ..SearchConfig::default() }
-    }
-
-    /// Scratch mode (`--no-incremental`): suggestion typing re-infers
-    /// the whole program; paired with
-    /// [`CheckpointedOracle::scratch`](seminal_typeck::CheckpointedOracle::scratch)
-    /// every probe does too, as the 2007 tool did. The escape hatch for
-    /// bisecting a suspected incremental-oracle bug — results must be
-    /// byte-identical to the default.
-    pub fn without_incremental_oracle() -> SearchConfig {
-        SearchConfig { incremental_oracle: false, ..SearchConfig::default() }
     }
 
     /// Pure removal search (§2.1), for ablation benches.
@@ -436,13 +412,6 @@ impl SearchConfigBuilder {
         self
     }
 
-    /// Enable/disable the checkpointed incremental oracle.
-    #[must_use]
-    pub fn incremental_oracle(mut self, on: bool) -> Self {
-        self.cfg.incremental_oracle = on;
-        self
-    }
-
     /// Validates and produces the configuration.
     ///
     /// # Errors
@@ -530,14 +499,6 @@ mod tests {
             SearchConfig::builder().deadline(Some(Duration::from_millis(50))).build().unwrap();
         assert_eq!(cfg.deadline, Some(Duration::from_millis(50)));
         assert!(SearchConfig::builder().deadline(None).build().is_ok());
-    }
-
-    #[test]
-    fn incremental_oracle_defaults_on_with_an_escape_hatch() {
-        assert!(SearchConfig::default().incremental_oracle);
-        assert!(!SearchConfig::without_incremental_oracle().incremental_oracle);
-        let cfg = SearchConfig::builder().incremental_oracle(false).build().unwrap();
-        assert!(!cfg.incremental_oracle);
     }
 
     #[test]

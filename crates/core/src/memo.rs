@@ -26,11 +26,14 @@
 //!
 //! Probe *faults* (inner-oracle panics) propagate uncached: a chaotic
 //! or buggy oracle must not poison verdicts for every later request.
+//! Typing and constraint traces are not probes: they pass straight to
+//! the inner oracle, uncounted and uncached.
 //!
 //! [`program_fingerprint`]: seminal_typeck::program_fingerprint
 
+use seminal_ml::ast::{NodeId, Program};
 use seminal_typeck::fingerprint::fnv1a;
-use seminal_typeck::{FingerprintCache, Oracle, TypeError};
+use seminal_typeck::{ConstraintTrace, FingerprintCache, Oracle, TypeError};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -206,7 +209,7 @@ impl<O: Oracle> SharedMemoOracle<O> {
 }
 
 impl<O: Oracle> Oracle for SharedMemoOracle<O> {
-    fn check(&self, prog: &seminal_ml::ast::Program) -> Result<(), TypeError> {
+    fn check(&self, prog: &Program) -> Result<(), TypeError> {
         let key = self.base.get_or_init(|| FingerprintCache::new(prog)).program_fingerprint(prog);
         if let Some(verdict) = self.memo.get(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -222,6 +225,18 @@ impl<O: Oracle> Oracle for SharedMemoOracle<O> {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         verdict
+    }
+
+    fn types(
+        &self,
+        prog: &Program,
+        wanted: &[NodeId],
+    ) -> Result<HashMap<NodeId, String>, TypeError> {
+        self.inner.types(prog, wanted)
+    }
+
+    fn constraint_trace(&self, prog: &Program) -> Arc<ConstraintTrace> {
+        self.inner.constraint_trace(prog)
     }
 
     fn incremental_stats(&self) -> Option<seminal_typeck::oracle::IncrementalStats> {
@@ -296,6 +311,24 @@ mod tests {
         let _ = second.check(&reparsed.prefix(2));
         assert_eq!(second.hits(), 3);
         assert_eq!(second.misses(), 0);
+    }
+
+    #[test]
+    fn types_and_traces_bypass_the_memo() {
+        let memo = Arc::new(CrossRequestMemo::default());
+        let prog = parse_program("let x = 1\nlet y = x + true").unwrap();
+        let mut ids = Vec::new();
+        prog.decls[1].for_each_expr(&mut |e| ids.push(e.id));
+        let inner = seminal_typeck::CheckpointedOracle::new();
+        let oracle = SharedMemoOracle::new(&inner, memo.clone());
+        assert!(oracle.check(&prog).is_err());
+        let (hits, misses, entries) = (oracle.hits(), oracle.misses(), memo.entries());
+
+        assert_eq!(oracle.types(&prog, &ids), seminal_typeck::check_program_types(&prog, &ids));
+        let trace = oracle.constraint_trace(&prog);
+        assert!(Arc::ptr_eq(&trace, &inner.constraint_trace(&prog)));
+        assert_eq!((oracle.hits(), oracle.misses(), memo.entries()), (hits, misses, entries));
+        assert_eq!((memo.hits(), memo.misses()), (0, 1));
     }
 
     #[test]

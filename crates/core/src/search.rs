@@ -45,8 +45,7 @@ use seminal_obs::{
     ProbeKind, SpanKind, SrcSpan, TraceRecord, TraceSink, Tracer,
 };
 use seminal_typeck::{
-    check_program_types, guarded_check, guarded_probe, IncrementalStats, InferChain, Oracle,
-    ProbeOutcome, TypeError,
+    guarded_check, guarded_probe, IncrementalStats, Oracle, ProbeOutcome, TypeError,
 };
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -145,14 +144,18 @@ pub struct SearchStats {
     /// deferred to the fallback pass
     /// ([`SearchConfig::blame_guidance`](crate::SearchConfig)).
     pub sites_pruned: u64,
-    /// Wall-clock cost of the constraint-blame analysis (recording,
-    /// core shrinking, correction-subset enumeration). Not an oracle
-    /// cost: the blame pass replays unification in-process, and only
-    /// over the failing constraint's connected component (the replay
-    /// universe), so after the recording run it grows with that
-    /// component, not with the file. Disjoint
-    /// from the oracle-driven search time by construction — the blame
-    /// pass runs once, before the search proper, and this field measures
+    /// Wall-clock cost of the constraint-blame analysis (fetching the
+    /// oracle's constraint trace, core shrinking, correction-subset
+    /// enumeration). Not an oracle cost: the blame pass replays
+    /// unification in-process, and only over the failing constraint's
+    /// connected component (the replay universe), so it grows with that
+    /// component, not with the file. Recording the trace is in it only
+    /// when the oracle has not recorded the program already: the
+    /// incremental oracle records while inferring the baseline check, or
+    /// here, seeding its empty chain, when a warm cross-request memo
+    /// answered that check; a scratch oracle records here. Disjoint from
+    /// the oracle-driven search time by construction — the blame pass
+    /// runs once, before the search proper, and this field measures
     /// exactly that interval.
     pub blame_time: Duration,
 }
@@ -448,7 +451,6 @@ impl<O: Oracle> SearchCore<O> {
             guidance: None,
             deferred: Vec::new(),
             sites_pruned: 0,
-            typing: self.config.incremental_oracle.then(InferChain::new),
         };
         let root = run.tracer.open(SpanKind::Search);
         let baseline = match run.check_full(prog) {
@@ -479,11 +481,14 @@ impl<O: Oracle> SearchCore<O> {
 
         // Localization pass (only on ill-typed input, so the well-typed
         // bypass above stays a single oracle call). The backend is
-        // oracle-free either way; MCS merely ranks spans differently.
+        // oracle-free either way; MCS merely ranks spans differently. It
+        // replays the oracle's own recording of the baseline inference,
+        // not a second inference run.
         let blame_clock = Instant::now();
         if self.config.blame_guidance {
             let span = run.tracer.open(SpanKind::BlamePass);
-            run.guidance = seminal_analysis::localize(prog, self.config.guidance_backend);
+            let trace = self.oracle.constraint_trace(prog);
+            run.guidance = seminal_analysis::localize(prog, &trace, self.config.guidance_backend);
             run.tracer.close(span);
         }
         let blame_time =
@@ -852,11 +857,6 @@ struct Run<'a, O> {
     /// pass (node ids in the first-bad-prefix scope).
     deferred: Vec<NodeId>,
     sites_pruned: u64,
-    /// Typing of suggestion variants: one [`InferChain`] for the whole
-    /// run when [`SearchConfig::incremental_oracle`] is set, so each
-    /// suggestion re-infers only its edited declaration; `None` runs
-    /// the scratch [`check_program_types`] per suggestion.
-    typing: Option<InferChain>,
 }
 
 impl<O: Oracle> Run<'_, O> {
@@ -1447,13 +1447,11 @@ impl<O: Oracle> Run<'_, O> {
         // Principal type of the replacement, for the "of type …" line.
         // This re-check is message formatting, not search, so it is not
         // counted against the oracle budget.
-        let wanted = [inserted_root];
-        let new_type = match &mut self.typing {
-            Some(chain) => chain.types(&variant, &wanted),
-            None => check_program_types(&variant, &wanted),
-        }
-        .ok()
-        .and_then(|mut m| m.remove(&inserted_root));
+        let new_type = self
+            .oracle
+            .types(&variant, &[inserted_root])
+            .ok()
+            .and_then(|mut m| m.remove(&inserted_root));
         let context_str = variant
             .decl_of(inserted_root)
             .map(|i| decl_to_string(&variant.decls[i]))

@@ -221,7 +221,8 @@ pub struct CheckRequest {
     /// Chaos: seed for the injection layer's own draws.
     pub chaos_seed: u64,
     /// Disable the checkpointed incremental oracle for this request
-    /// (probes re-infer the whole program from scratch). Optional on the
+    /// (probes, suggestion typing and the blame trace re-infer the whole
+    /// program from scratch). Optional on the
     /// wire, default `false` — existing v1 clients get the incremental
     /// path automatically.
     pub no_incremental: bool,

@@ -289,10 +289,11 @@ fn run_check(
         Err(e) => return error_response(c.id, Status::ParseError, e.to_string()),
     };
     // The real checker for this request: checkpointed (incremental)
-    // unless the client opted out. Chaos wraps *outside* the
-    // checkpointed oracle — injection decisions are a pure function of
-    // rendered text and seed, so they are identical whichever inner
-    // path answers the clean probes.
+    // unless the client opted out. Its one inference of the base also
+    // records the blame trace and types the suggestions. Chaos wraps
+    // *outside* the checkpointed oracle — injection decisions are a
+    // pure function of rendered text and seed, so they are identical
+    // whichever inner path answers the clean probes.
     let checker = CheckpointedOracle::with_enabled(!c.no_incremental);
     if c.chaos_flip > 0 || c.chaos_panic > 0 {
         let mut chaos = ChaosConfig::flips(c.chaos_seed, c.chaos_flip);
@@ -321,7 +322,6 @@ fn run_search<O: Oracle>(
         if c.no_triage { SearchConfig::without_triage() } else { SearchConfig::default() };
     config.collect_trace = hooks.collect_trace;
     config.guidance_backend = c.backend;
-    config.incremental_oracle = !c.no_incremental;
     let mut builder = SearchSession::builder(oracle).config(config);
     if let Some(n) = c.threads {
         let Ok(n) = usize::try_from(n) else {
@@ -502,9 +502,9 @@ mod tests {
         drop(held);
     }
 
-    /// `no_incremental` switches the oracle and suggestion typing to
-    /// scratch inference together; the answer must not move, the
-    /// "of type …" of every suggestion included.
+    /// `no_incremental` puts the oracle in scratch mode, and with it
+    /// the suggestion typing and the blame trace it answers; the answer
+    /// must not move, the "of type …" of every suggestion included.
     #[test]
     fn no_incremental_checks_answer_like_the_default() {
         let source = "let map2 f aList bList = List.map (fun (a, b) -> f a b) \

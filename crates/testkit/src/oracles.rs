@@ -133,7 +133,6 @@ impl InvariantSuite {
         let mut config =
             if guidance { SearchConfig::default() } else { SearchConfig::without_blame_guidance() };
         config.deadline = None;
-        config.incremental_oracle = incremental;
         let checker = CheckpointedOracle::with_enabled(incremental);
         match self.chaos {
             Some(chaos) => SearchSession::builder(ChaosOracle::new(checker, chaos))

@@ -13,12 +13,18 @@
 //! Injected panics carry the marker string `"chaos"` in their payload so
 //! test harnesses can install a panic hook that silences expected
 //! injections without hiding real bugs.
+//!
+//! Only probes are injected: [`Oracle::types`] and
+//! [`Oracle::constraint_trace`] reach the inner oracle untouched.
 
 use crate::error::{TypeError, TypeErrorKind};
 use crate::oracle::Oracle;
-use seminal_ml::ast::Program;
+use crate::record::ConstraintTrace;
+use seminal_ml::ast::{NodeId, Program};
 use seminal_ml::pretty::program_to_string;
 use seminal_ml::span::Span;
+use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// How much chaos to inject. Rates are per-mille (0–1000) of probes,
@@ -139,6 +145,18 @@ impl<O: Oracle> Oracle for ChaosOracle<O> {
         verdict
     }
 
+    fn types(
+        &self,
+        prog: &Program,
+        wanted: &[NodeId],
+    ) -> Result<HashMap<NodeId, String>, TypeError> {
+        self.inner.types(prog, wanted)
+    }
+
+    fn constraint_trace(&self, prog: &Program) -> Arc<ConstraintTrace> {
+        self.inner.constraint_trace(prog)
+    }
+
     fn incremental_stats(&self) -> Option<crate::oracle::IncrementalStats> {
         self.inner.incremental_stats()
     }
@@ -226,5 +244,21 @@ mod tests {
         let flipped = oracle.check(&good).unwrap_err();
         assert!(flipped.is_fault(), "a flipped pass reads as a synthesized fault");
         assert!(oracle.check(&bad).is_ok(), "a flipped failure reads as well-typed");
+    }
+
+    #[test]
+    fn types_and_traces_pass_through_uninjected() {
+        let inner = crate::incremental::CheckpointedOracle::new();
+        let oracle = ChaosOracle::new(&inner, ChaosConfig::flips(3, 1000));
+        let bad = parse_program("let x = 1 + true").unwrap();
+        let mut ids = Vec::new();
+        bad.decls[0].for_each_expr(&mut |e| ids.push(e.id));
+        assert!(oracle.check(&bad).is_ok(), "every verdict is flipped");
+
+        assert_eq!(oracle.types(&bad, &ids), inner.types(&bad, &ids));
+        assert!(oracle.types(&bad, &ids).is_err());
+        let trace = oracle.constraint_trace(&bad);
+        assert!(Arc::ptr_eq(&trace, &inner.constraint_trace(&bad)));
+        assert!(trace.result.is_err(), "the trace records the real verdict");
     }
 }

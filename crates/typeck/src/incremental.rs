@@ -20,26 +20,34 @@
 //! whole-program checker is itself implemented as "initial state, then
 //! [`InferState::check_decl`] per declaration", so resuming at a
 //! boundary replays exactly the instructions a scratch run would
-//! execute. [`InferChain::check`] answers like [`check_program`], and
-//! [`InferChain::types`] like [`check_program_types`]. Spans are part of
-//! the prefix-match key because type errors carry them; node ids are not
+//! execute. [`InferChain::check`] answers like [`check_program`],
+//! [`InferChain::types`] like [`check_program_types`], and
+//! [`InferChain::trace`] like [`trace_program`]. Spans are part of the
+//! prefix-match key because type errors carry them; node ids are not
 //! because inference never reads them.
 //!
+//! Seeding runs the constraint recorder, so the one inference of the
+//! base that answers the search's baseline check also yields the
+//! constraint trace its localization pass replays. Nothing else
+//! records: probes and typing pay nothing for it.
+//!
 //! [`check_program_types`]: crate::infer::check_program_types
+//! [`trace_program`]: crate::infer::trace_program
 //!
 //! [`CheckpointedOracle`] is the chain as an [`Oracle`]. The chain sits
 //! behind a `Mutex`. The parallel probe engine calls `check` from
 //! several workers; whoever holds the lock gets the incremental path and
 //! everyone else falls back to a scratch check (correct, just uncached).
-//! A panic that unwinds through the lock (injected chaos, a checker bug)
-//! poisons the mutex; the next call resets the chain wholesale, so a
+//! `types` and `constraint_trace` follow the same rules. A panic that
+//! unwinds through the lock (injected chaos, a checker bug) poisons the
+//! mutex; the next call resets the chain wholesale, so a
 //! half-rolled-back trail can never leak into a later probe.
 
 use crate::error::TypeError;
 use crate::fingerprint::decl_fingerprint_spanned;
-use crate::infer::{check_program, InferState};
+use crate::infer::{check_program, check_program_types, trace_program, InferState};
 use crate::oracle::{IncrementalStats, Oracle};
-use crate::types::pretty;
+use crate::record::ConstraintTrace;
 use seminal_ml::ast::{Decl, NodeId, Program};
 use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
@@ -52,12 +60,13 @@ use std::time::Instant;
 /// boundary `at`, with a mark open at every boundary `0..=at`, and
 /// extends no further than the base's first failing declaration.
 ///
-/// [`check`](InferChain::check) and [`types`](InferChain::types) answer
-/// exactly like [`check_program`] and [`check_program_types`] for any
-/// program, sharing a prefix with the base or not; only the work they
-/// do, counted in [`InferChain::stats`], depends on that prefix.
-///
-/// [`check_program_types`]: crate::infer::check_program_types
+/// [`check`](InferChain::check), [`types`](InferChain::types) and
+/// [`trace`](InferChain::trace) answer exactly like [`check_program`],
+/// [`check_program_types`] and [`trace_program`] for any program,
+/// sharing a prefix with the base or not; only the work they do depends
+/// on that prefix. [`InferChain::stats`] counts the work of seeding and
+/// of `check`: typing and traces format messages and order the search,
+/// they are not oracle work.
 #[derive(Debug, Default)]
 pub struct InferChain {
     decls: Vec<Arc<Decl>>,
@@ -70,11 +79,14 @@ pub struct InferChain {
     clean: usize,
     /// First failing declaration of the base, with its error.
     err: Option<(usize, TypeError)>,
+    /// The constraints seeding recorded: the base's trace.
+    trace: Option<Arc<ConstraintTrace>>,
     stats: IncrementalStats,
 }
 
 impl InferChain {
-    /// An empty chain; the first `check` or `types` call seeds it.
+    /// An empty chain; the first `check`, `types` or `trace` call seeds
+    /// it.
     pub fn new() -> InferChain {
         InferChain::default()
     }
@@ -113,12 +125,11 @@ impl InferChain {
     /// Checks `prog`, reporting the resolved principal types of the
     /// `wanted` nodes. Resumes no later than the first declaration
     /// holding a wanted node, so every capture a scratch run would make
-    /// is made.
+    /// is made. Charges nothing but the seeding of an empty chain.
     ///
     /// # Errors
     ///
-    /// The same first [`TypeError`] as
-    /// [`check_program_types`](crate::infer::check_program_types).
+    /// The same first [`TypeError`] as [`check_program_types`].
     pub fn types(
         &mut self,
         prog: &Program,
@@ -128,6 +139,34 @@ impl InferChain {
             // The verdict is recomputed below, with the captures.
             let _ = self.seed(prog);
         }
+        let stats = self.stats;
+        let types = self.types_seeded(prog, wanted);
+        self.stats = stats;
+        types
+    }
+
+    /// The recorded constraint system of `prog`: the trace seeding
+    /// recorded when `prog` is the base, declaration for declaration
+    /// the same `Arc`s (an empty chain is seeded from `prog` first),
+    /// and a scratch [`trace_program`] otherwise.
+    pub fn trace(&mut self, prog: &Program) -> Arc<ConstraintTrace> {
+        if self.state.depth() == 0 {
+            let _ = self.seed(prog);
+        }
+        let is_base = prog.decls.len() == self.decls.len()
+            && prog.decls.iter().zip(&self.decls).all(|(p, b)| Arc::ptr_eq(p, b));
+        match &self.trace {
+            Some(trace) if is_base => Arc::clone(trace),
+            _ => Arc::new(trace_program(prog)),
+        }
+    }
+
+    /// [`InferChain::types`] on a seeded chain.
+    fn types_seeded(
+        &mut self,
+        prog: &Program,
+        wanted: &[NodeId],
+    ) -> Result<HashMap<NodeId, String>, TypeError> {
         let shared = self.shared_prefix(prog);
         if let Some(err) = self.cached_error(shared) {
             return Err(err);
@@ -142,24 +181,21 @@ impl InferChain {
         let mut captured = HashMap::new();
         let verdict = self
             .tail(prog, j, |state, d| state.check_decl_capturing(d, &mut capture, &mut captured));
-        let types = verdict.map(|()| {
-            captured
-                .into_iter()
-                .map(|(id, ty)| (id, pretty(&self.state.uni.resolve(&ty))))
-                .collect()
-        });
+        let types = verdict.map(|()| self.state.resolve_captured(captured));
         self.pop_to(j);
         types
     }
 
-    /// Makes `prog` the base: infers it from the initial state, leaving
-    /// a mark at every clean boundary, and returns its verdict. Charges
-    /// `decls_recheck` for the declarations inference visited (it stops
-    /// at the first failing one).
+    /// Makes `prog` the base: infers it from the initial state with the
+    /// constraint recorder on, leaving a mark at every clean boundary,
+    /// and returns its verdict. Charges `decls_recheck` for the
+    /// declarations inference visited (it stops at the first failing
+    /// one).
     fn seed(&mut self, prog: &Program) -> Result<(), TypeError> {
         self.decls = prog.decls.clone();
         self.fps = vec![OnceCell::new(); prog.decls.len()];
         self.state = InferState::initial();
+        self.state.record();
         self.state.push();
         self.clean = 0;
         self.err = None;
@@ -167,6 +203,7 @@ impl InferChain {
             self.stats.decls_recheck += 1;
             if let Err(e) = self.state.check_decl(d) {
                 self.err = Some((self.clean, e.clone()));
+                self.trace = Some(Arc::new(self.state.take_trace(Err(e.clone()))));
                 // Drop the failed declaration's partial bindings.
                 self.pop_to(self.clean);
                 return Err(e);
@@ -174,6 +211,7 @@ impl InferChain {
             self.state.push();
             self.clean += 1;
         }
+        self.trace = Some(Arc::new(self.state.take_trace(Ok(()))));
         Ok(())
     }
 
@@ -276,11 +314,16 @@ fn scratch_check(prog: &Program) -> (Result<(), TypeError>, u64) {
 /// through [`Oracle::incremental_stats`] so the search layer can fold
 /// them into its report.
 ///
+/// The same chain answers [`Oracle::types`] and
+/// [`Oracle::constraint_trace`], so one inference of the base serves the
+/// baseline verdict, the localization pass and every suggestion's type.
+///
 /// Construct with [`CheckpointedOracle::new`] (incremental on) or
 /// [`CheckpointedOracle::scratch`] (`--no-incremental`: every call is a
-/// plain [`check_program`], counters stay zero). Both modes are the same
-/// type so the oracle stacks above — memo, chaos, counting — never
-/// change shape.
+/// plain [`check_program`], [`check_program_types`] or
+/// [`trace_program`], counters stay zero). Both modes are the same type
+/// so the oracle stacks above — memo, chaos, counting — never change
+/// shape.
 #[derive(Debug, Default)]
 pub struct CheckpointedOracle {
     enabled: bool,
@@ -322,6 +365,29 @@ impl CheckpointedOracle {
         stats.decls_recheck += self.fallback_decls.load(Ordering::Relaxed);
         stats
     }
+
+    /// Runs `f` on the chain, or returns `None` when the oracle is in
+    /// scratch mode or another worker holds the chain: the caller's
+    /// scratch answer is always correct and avoids serializing the
+    /// probe engine.
+    fn with_chain<T>(&self, f: impl FnOnce(&mut InferChain) -> T) -> Option<T> {
+        if !self.enabled {
+            return None;
+        }
+        match self.chain.try_lock() {
+            Ok(mut chain) => Some(f(&mut chain)),
+            Err(TryLockError::Poisoned(poisoned)) => {
+                // A panic unwound through a previous call. The trail and
+                // marks may be half-rolled-back — throw the whole chain
+                // away and reseed from this program.
+                let mut chain = poisoned.into_inner();
+                chain.reset();
+                self.chain.clear_poison();
+                Some(f(&mut chain))
+            }
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
 }
 
 impl Oracle for CheckpointedOracle {
@@ -329,25 +395,24 @@ impl Oracle for CheckpointedOracle {
         if !self.enabled {
             return check_program(prog);
         }
-        match self.chain.try_lock() {
-            Ok(mut chain) => chain.check(prog),
-            Err(TryLockError::Poisoned(poisoned)) => {
-                // A panic unwound through a previous check. The trail and
-                // marks may be half-rolled-back — throw the whole chain
-                // away and reseed from this program.
-                let mut chain = poisoned.into_inner();
-                chain.reset();
-                self.chain.clear_poison();
-                chain.check(prog)
-            }
-            Err(TryLockError::WouldBlock) => {
-                // Another worker holds the chain; a scratch check is
-                // always correct and avoids serializing the probe engine.
-                let (verdict, visited) = scratch_check(prog);
-                self.fallback_decls.fetch_add(visited, Ordering::Relaxed);
-                verdict
-            }
-        }
+        self.with_chain(|chain| chain.check(prog)).unwrap_or_else(|| {
+            let (verdict, visited) = scratch_check(prog);
+            self.fallback_decls.fetch_add(visited, Ordering::Relaxed);
+            verdict
+        })
+    }
+
+    fn types(
+        &self,
+        prog: &Program,
+        wanted: &[NodeId],
+    ) -> Result<HashMap<NodeId, String>, TypeError> {
+        self.with_chain(|chain| chain.types(prog, wanted))
+            .unwrap_or_else(|| check_program_types(prog, wanted))
+    }
+
+    fn constraint_trace(&self, prog: &Program) -> Arc<ConstraintTrace> {
+        self.with_chain(|chain| chain.trace(prog)).unwrap_or_else(|| Arc::new(trace_program(prog)))
     }
 
     fn incremental_stats(&self) -> Option<IncrementalStats> {
@@ -358,7 +423,6 @@ impl Oracle for CheckpointedOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::infer::check_program_types;
     use crate::oracle::TypeCheckOracle;
     use seminal_ml::edit;
     use seminal_ml::parser::parse_program;
@@ -650,5 +714,103 @@ mod tests {
         drop(guard);
         // `bad` is decl 3: scratch inference stops there.
         assert_eq!(inc.stats().decls_recheck, 3 + 1);
+    }
+
+    /// Trace identity is checked on the `Debug` text: the recorded types
+    /// reference the recording run's variable ids, so equal text means
+    /// the same demands over the same numbering.
+    fn assert_same_trace(got: &ConstraintTrace, want: &ConstraintTrace) {
+        assert_eq!(format!("{:?}", got.constraints), format!("{:?}", want.constraints));
+        assert_eq!(got.num_vars, want.num_vars);
+        assert_eq!(got.result, want.result);
+    }
+
+    #[test]
+    fn the_baseline_check_records_the_base_trace() {
+        for src in [SRC, CLEAN] {
+            let prog = parse_program(src).unwrap();
+            let inc = CheckpointedOracle::new();
+            assert_eq!(inc.check(&prog), check_program(&prog));
+            let seeded = inc.stats();
+            let trace = inc.constraint_trace(&prog);
+            assert_same_trace(&trace, &trace_program(&prog));
+            assert!(Arc::ptr_eq(&trace, &inc.constraint_trace(&prog)), "one recording per base");
+            assert_eq!(inc.stats(), seeded, "handing out the trace is not oracle work");
+        }
+    }
+
+    #[test]
+    fn a_trace_request_can_seed_the_chain() {
+        // The warm-memo order: the cross-request memo answered the
+        // baseline check, so the chain's first call is the trace. It
+        // seeds (charged as seeding always is), and later probes still
+        // answer like scratch.
+        let prog = parse_program(SRC).unwrap();
+        let inc = CheckpointedOracle::new();
+        assert_same_trace(&inc.constraint_trace(&prog), &trace_program(&prog));
+        assert_eq!(inc.stats().decls_recheck, 4, "seeding stops at the failing decl");
+        for idx in 0..prog.decls.len() {
+            for id in expr_ids(&prog, idx) {
+                let probe = edit::remove_expr(&prog, id);
+                assert_eq!(inc.check(&probe), check_program(&probe), "probe at {id:?}");
+            }
+        }
+        assert_eq!(inc.check(&prog), check_program(&prog));
+    }
+
+    #[test]
+    fn programs_other_than_the_base_get_a_scratch_trace() {
+        let prog = parse_program(SRC).unwrap();
+        let inc = CheckpointedOracle::new();
+        inc.check(&prog).unwrap_err();
+        let fixed = edit::remove_expr(&prog, expr_ids(&prog, 3)[2]);
+        let reparsed = parse_program(SRC).unwrap();
+        for other in [fixed, prog.prefix(3), reparsed] {
+            assert_same_trace(&inc.constraint_trace(&other), &trace_program(&other));
+        }
+        // The base keeps its recording.
+        assert_same_trace(&inc.constraint_trace(&prog), &trace_program(&prog));
+    }
+
+    #[test]
+    fn typing_is_not_charged() {
+        let prog = parse_program(SRC).unwrap();
+        let inc = CheckpointedOracle::new();
+        inc.check(&prog).unwrap_err();
+        let before = inc.stats();
+        for id in expr_ids(&prog, 3) {
+            let variant = edit::remove_expr(&prog, id);
+            let wanted = [NodeId(prog.next_id)];
+            assert_eq!(inc.types(&variant, &wanted), check_program_types(&variant, &wanted));
+        }
+        assert_eq!(inc.stats(), before);
+    }
+
+    #[test]
+    fn contended_types_and_traces_fall_back_to_scratch() {
+        let prog = parse_program(SRC).unwrap();
+        let variant = edit::remove_expr(&prog, expr_ids(&prog, 3)[2]);
+        let wanted = expr_ids(&variant, 3);
+        let inc = CheckpointedOracle::new();
+        inc.check(&prog).unwrap_err();
+        let recorded = inc.constraint_trace(&prog);
+        let before = inc.stats();
+        let guard = inc.chain.lock().unwrap();
+        assert_eq!(inc.types(&variant, &wanted), check_program_types(&variant, &wanted));
+        let contended = inc.constraint_trace(&prog);
+        assert!(!Arc::ptr_eq(&contended, &recorded), "the held chain was not read");
+        assert_same_trace(&contended, &trace_program(&prog));
+        drop(guard);
+        assert_eq!(inc.stats(), before, "scratch typing and tracing charge nothing");
+    }
+
+    #[test]
+    fn scratch_mode_types_and_traces_from_scratch() {
+        let prog = parse_program(SRC).unwrap();
+        let inc = CheckpointedOracle::scratch();
+        let wanted = expr_ids(&prog, 1);
+        assert_eq!(inc.types(&prog, &wanted), check_program_types(&prog, &wanted));
+        assert_same_trace(&inc.constraint_trace(&prog), &trace_program(&prog));
+        assert_eq!(inc.stats(), IncrementalStats::default());
     }
 }

@@ -17,7 +17,7 @@ use crate::env::{CtorInfo, Env, FieldInfo, TypeInfo};
 use crate::error::{TypeError, TypeErrorKind};
 use crate::record::{Constraint, ConstraintTrace};
 use crate::stdlib::stdlib_env;
-use crate::types::{pretty_pair, Scheme, TvId, Ty};
+use crate::types::{pretty, pretty_pair, Scheme, TvId, Ty};
 use crate::unify::{Unifier, UnifyError};
 use seminal_ml::ast::*;
 use seminal_ml::span::Span;
@@ -42,10 +42,11 @@ pub fn check_program(prog: &Program) -> Result<(), TypeError> {
 /// store, the environment, and the per-declaration
 /// annotation-variable scope, plus a stack of boundary marks to pop
 /// back to. Checking a program is exactly `initial()` followed by
-/// [`InferState::check_decl`] per declaration ([`check_program`] is
-/// implemented that way), and popping restores a marked boundary
-/// byte-for-byte, so a state popped back to a boundary continues
-/// exactly like a scratch run over the same prefix.
+/// [`InferState::check_decl`] per declaration ([`check_program`],
+/// [`check_program_types`] and [`trace_program`] are implemented that
+/// way), and popping restores a marked boundary byte-for-byte, so a
+/// state popped back to a boundary continues exactly like a scratch run
+/// over the same prefix.
 ///
 /// The type is deliberately not `Clone`: the incremental chain
 /// ([`crate::incremental::InferChain`]) keeps one live state and moves
@@ -55,6 +56,11 @@ pub struct InferState {
     pub(crate) uni: Unifier,
     pub(crate) env: Env,
     pub(crate) annot_vars: HashMap<String, Ty>,
+    /// The constraint recorder, while one runs: every unification
+    /// demand of every declaration checked since
+    /// [`InferState::record`]. Marks do not cover it, so a pop keeps
+    /// what the popped declarations recorded.
+    recorder: Option<Vec<Constraint>>,
     /// Open marks, innermost last; each pairs with one open unifier
     /// checkpoint.
     marks: Vec<Mark>,
@@ -81,6 +87,7 @@ impl InferState {
             uni: Unifier::new(),
             env: stdlib_env().clone(),
             annot_vars: HashMap::new(),
+            recorder: None,
             marks: Vec::new(),
         }
     }
@@ -117,12 +124,13 @@ impl InferState {
             capture: std::mem::take(capture),
             captured: std::mem::take(captured),
             annot_vars: std::mem::take(&mut self.annot_vars),
-            recorder: None,
+            recorder: self.recorder.take(),
         };
         let result = infer.decl(d);
         self.uni = infer.uni;
         self.env = infer.env;
         self.annot_vars = infer.annot_vars;
+        self.recorder = infer.recorder;
         *capture = infer.capture;
         *captured = infer.captured;
         result
@@ -167,20 +175,42 @@ impl InferState {
     pub fn num_vars(&self) -> usize {
         self.uni.len()
     }
+
+    /// Starts the constraint recorder: from here on every declaration
+    /// checked logs its unification demands, as [`trace_program`] does.
+    pub(crate) fn record(&mut self) {
+        self.recorder = Some(Vec::new());
+    }
+
+    /// Stops the recorder, returning what it logged as the trace of a
+    /// run that ended with `result`. Call it before popping a failed
+    /// declaration: `num_vars` is the store size at this point.
+    pub(crate) fn take_trace(&mut self, result: Result<(), TypeError>) -> ConstraintTrace {
+        ConstraintTrace {
+            constraints: self.recorder.take().unwrap_or_default(),
+            num_vars: self.uni.len(),
+            result,
+        }
+    }
+
+    /// Resolves and prints the types [`InferState::check_decl_capturing`]
+    /// captured, once the declarations holding them are checked.
+    pub(crate) fn resolve_captured(
+        &mut self,
+        captured: HashMap<NodeId, Ty>,
+    ) -> HashMap<NodeId, String> {
+        captured.into_iter().map(|(id, ty)| (id, pretty(&self.uni.resolve(&ty)))).collect()
+    }
 }
 
 /// Checks a whole program with the constraint recorder enabled, returning
 /// the span-labeled constraint system alongside the usual outcome. Same
 /// inference, same first error — the recorder only observes.
 pub fn trace_program(prog: &Program) -> ConstraintTrace {
-    let mut infer = Infer::new(&[]);
-    infer.recorder = Some(Vec::new());
-    let result = infer.run(prog);
-    ConstraintTrace {
-        constraints: infer.recorder.take().unwrap_or_default(),
-        num_vars: infer.uni.len(),
-        result,
-    }
+    let mut state = InferState::initial();
+    state.record();
+    let result = prog.decls.iter().try_for_each(|d| state.check_decl(d));
+    state.take_trace(result)
 }
 
 /// Checks a program, additionally reporting the resolved principal types
@@ -194,15 +224,13 @@ pub fn check_program_types(
     prog: &Program,
     wanted: &[NodeId],
 ) -> Result<HashMap<NodeId, String>, TypeError> {
-    let mut infer = Infer::new(wanted);
-    infer.run(prog)?;
-    let mut out = HashMap::new();
-    let captured = std::mem::take(&mut infer.captured);
-    for (id, ty) in captured {
-        let resolved = infer.uni.resolve(&ty);
-        out.insert(id, crate::types::pretty(&resolved));
+    let mut state = InferState::initial();
+    let mut capture: HashSet<NodeId> = wanted.iter().copied().collect();
+    let mut captured = HashMap::new();
+    for d in &prog.decls {
+        state.check_decl_capturing(d, &mut capture, &mut captured)?;
     }
-    Ok(out)
+    Ok(state.resolve_captured(captured))
 }
 
 /// Deepest expression nesting inference will follow before reporting a
@@ -228,25 +256,6 @@ struct Infer {
 type Res<T> = Result<T, TypeError>;
 
 impl Infer {
-    fn new(wanted: &[NodeId]) -> Infer {
-        Infer {
-            uni: Unifier::new(),
-            depth: 0,
-            env: stdlib_env().clone(),
-            capture: wanted.iter().copied().collect(),
-            captured: HashMap::new(),
-            annot_vars: HashMap::new(),
-            recorder: None,
-        }
-    }
-
-    fn run(&mut self, prog: &Program) -> Res<()> {
-        for decl in &prog.decls {
-            self.decl(decl)?;
-        }
-        Ok(())
-    }
-
     // ------------------------------------------------------------------
     // Declarations
     // ------------------------------------------------------------------

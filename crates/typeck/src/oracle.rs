@@ -5,13 +5,24 @@
 //! a change type-checks". `seminal-core` depends only on this trait —
 //! never on inference internals — which is what keeps the approach free
 //! of type-checker modifications.
+//!
+//! The search decides on verdicts alone ([`Oracle::check`]). The trait
+//! also hands out two by-products of inference that never decide
+//! anything: the principal types that format a suggestion's "of type …"
+//! line ([`Oracle::types`]) and the recorded constraint system whose
+//! localization orders the search ([`Oracle::constraint_trace`]). An
+//! oracle that has already inferred the program answers them from that
+//! inference instead of running a second one.
 
 use crate::error::{TypeError, TypeErrorKind};
-use crate::infer::check_program;
-use seminal_ml::ast::Program;
+use crate::infer::{check_program, check_program_types, trace_program};
+use crate::record::ConstraintTrace;
+use seminal_ml::ast::{NodeId, Program};
 use seminal_ml::span::Span;
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// The three-valued verdict of one fault-isolated probe.
 ///
@@ -107,6 +118,11 @@ pub struct IncrementalStats {
 /// Oracles carrying mutable state (counters, registries) use interior
 /// mutability with atomics or locks, as [`CountingOracle`] and
 /// [`InstrumentedOracle`] do.
+///
+/// Only [`Oracle::check`] is a probe. [`Oracle::types`] and
+/// [`Oracle::constraint_trace`] format messages and order the search;
+/// wrappers forward them to their inner oracle without counting,
+/// caching or injecting faults, and their defaults infer from scratch.
 pub trait Oracle: Send + Sync {
     /// Type-checks the whole program, returning the first error if any.
     ///
@@ -128,6 +144,27 @@ pub trait Oracle: Send + Sync {
     /// inference order when ill-typed.
     fn check_batch(&self, progs: &[&Program]) -> Vec<Result<(), TypeError>> {
         progs.iter().map(|p| self.check(p)).collect()
+    }
+
+    /// The resolved principal types of the `wanted` nodes of `prog`, as
+    /// [`check_program_types`] reports them: the "of type …" line of a
+    /// suggestion. Not a probe.
+    ///
+    /// # Errors
+    ///
+    /// The first [`TypeError`] in inference order.
+    fn types(
+        &self,
+        prog: &Program,
+        wanted: &[NodeId],
+    ) -> Result<HashMap<NodeId, String>, TypeError> {
+        check_program_types(prog, wanted)
+    }
+
+    /// The recorded constraint system of `prog`, as [`trace_program`]
+    /// records it: what the localization backends replay. Not a probe.
+    fn constraint_trace(&self, prog: &Program) -> Arc<ConstraintTrace> {
+        Arc::new(trace_program(prog))
     }
 
     /// Incremental-oracle counters, when an incremental oracle sits
@@ -193,6 +230,18 @@ impl<O: Oracle> Oracle for CountingOracle<O> {
         self.inner.check(prog)
     }
 
+    fn types(
+        &self,
+        prog: &Program,
+        wanted: &[NodeId],
+    ) -> Result<HashMap<NodeId, String>, TypeError> {
+        self.inner.types(prog, wanted)
+    }
+
+    fn constraint_trace(&self, prog: &Program) -> Arc<ConstraintTrace> {
+        self.inner.constraint_trace(prog)
+    }
+
     fn incremental_stats(&self) -> Option<IncrementalStats> {
         self.inner.incremental_stats()
     }
@@ -201,6 +250,18 @@ impl<O: Oracle> Oracle for CountingOracle<O> {
 impl<O: Oracle + ?Sized> Oracle for &O {
     fn check(&self, prog: &Program) -> Result<(), TypeError> {
         (**self).check(prog)
+    }
+
+    fn types(
+        &self,
+        prog: &Program,
+        wanted: &[NodeId],
+    ) -> Result<HashMap<NodeId, String>, TypeError> {
+        (**self).types(prog, wanted)
+    }
+
+    fn constraint_trace(&self, prog: &Program) -> Arc<ConstraintTrace> {
+        (**self).constraint_trace(prog)
     }
 
     fn incremental_stats(&self) -> Option<IncrementalStats> {
@@ -251,6 +312,18 @@ impl<O: Oracle> Oracle for InstrumentedOracle<O> {
         verdict
     }
 
+    fn types(
+        &self,
+        prog: &Program,
+        wanted: &[NodeId],
+    ) -> Result<HashMap<NodeId, String>, TypeError> {
+        self.inner.types(prog, wanted)
+    }
+
+    fn constraint_trace(&self, prog: &Program) -> Arc<ConstraintTrace> {
+        self.inner.constraint_trace(prog)
+    }
+
     fn incremental_stats(&self) -> Option<IncrementalStats> {
         self.inner.incremental_stats()
     }
@@ -297,5 +370,22 @@ mod tests {
         assert_eq!(oracle.calls(), 3);
         oracle.reset();
         assert_eq!(oracle.calls(), 0);
+    }
+
+    #[test]
+    fn wrappers_forward_types_and_traces_without_counting() {
+        let prog = parse_program("let f x = x + 1\nlet y = f true").unwrap();
+        let mut ids = Vec::new();
+        prog.decls[0].for_each_expr(&mut |e| ids.push(e.id));
+        let inner = crate::incremental::CheckpointedOracle::new();
+        let registry = Arc::new(seminal_obs::MetricsRegistry::new());
+        let oracle = InstrumentedOracle::new(CountingOracle::new(&inner), registry.clone());
+        assert!(oracle.check(&prog).is_err());
+
+        assert_eq!(oracle.types(&prog, &ids), check_program_types(&prog, &ids));
+        let trace = oracle.constraint_trace(&prog);
+        assert!(Arc::ptr_eq(&trace, &inner.constraint_trace(&prog)), "the inner chain's trace");
+        assert_eq!(oracle.into_inner().calls(), 1);
+        assert_eq!(registry.snapshot().counter("oracle.calls"), 1);
     }
 }

@@ -99,8 +99,9 @@ struct Opts {
     /// Disable triage (§2.4) — the evaluation's ablation, exposed for use.
     no_triage: bool,
     /// Disable the checkpointed incremental oracle (`check`, `fuzz`):
-    /// probes re-infer the whole program from scratch. The escape hatch
-    /// for bisecting a suspected incremental-path bug.
+    /// probes, suggestion typing and the blame trace re-infer the whole
+    /// program from scratch. The escape hatch for bisecting a suspected
+    /// incremental-path bug.
     no_incremental: bool,
     /// Print the structured search trace (spans nested, one line per probe).
     trace: bool,

@@ -6,9 +6,10 @@
 //! that `oracle.decls_recheck` — declarations actually re-inferred —
 //! stays strictly below `oracle_calls × decls`, the scratch oracle's
 //! cost, while the user-visible report stays byte-identical to the
-//! scratch run's. Suggestion typing is pinned the same way: one
-//! `InferChain` per program must type every hole'd variant of the
-//! failing declaration exactly like the scratch `check_program_types`.
+//! scratch run's. Suggestion typing is pinned the same way: the
+//! oracle's own chain, after the baseline check, must type every hole'd
+//! variant of the failing declaration exactly like the scratch
+//! `check_program_types`, and charge none of it as oracle work.
 
 use seminal::core::{SearchConfig, SearchReport, SearchSession};
 use seminal::corpus::generate::{generate, small_config};
@@ -17,7 +18,7 @@ use seminal::ml::edit;
 use seminal::ml::parser::parse_program;
 use seminal::obs::keys;
 use seminal::testkit::golden::{default_dir, load_corpus};
-use seminal::typeck::{check_program_types, CheckpointedOracle, InferChain, InferState};
+use seminal::typeck::{check_program_types, CheckpointedOracle, InferState, Oracle};
 
 /// The ill-typed Caml samples (figure10.cpp belongs to the C++
 /// prototype; deadline_stress.ml is sized for deadline tests, not for
@@ -26,8 +27,7 @@ const SAMPLES: &[&str] = &["samples/figure2.ml", "samples/figure8.ml", "samples/
 
 fn run(source: &str, incremental: bool) -> SearchReport {
     let prog = parse_program(source).expect("sample parses");
-    let config =
-        SearchConfig { deadline: None, incremental_oracle: incremental, ..SearchConfig::default() };
+    let config = SearchConfig { deadline: None, ..SearchConfig::default() };
     SearchSession::builder(CheckpointedOracle::with_enabled(incremental))
         .config(config)
         .threads(1)
@@ -140,21 +140,25 @@ fn chain_typing_matches_scratch_typing() {
             .iter()
             .position(|d| state.check_decl(d).is_err())
             .unwrap_or(prog.decls.len() - 1);
-        // One chain per program answers every variant: the hole takes the
+        // The search's order: the baseline check seeds the oracle's
+        // chain, which then answers every variant. The hole takes the
         // next fresh id, and every node of the edited declaration is
         // wanted too.
-        let mut chain = InferChain::new();
+        let oracle = CheckpointedOracle::new();
+        let _ = oracle.check(&prog);
+        let seeded = oracle.incremental_stats();
         for id in expr_ids(&prog, failing) {
             let variant = edit::remove_expr(&prog, id);
             let mut wanted = expr_ids(&variant, failing);
             wanted.push(NodeId(prog.next_id));
             assert_eq!(
-                chain.types(&variant, &wanted),
+                oracle.types(&variant, &wanted),
                 check_program_types(&variant, &wanted),
                 "{name}: variant removing {id:?}"
             );
             variants += 1;
         }
+        assert_eq!(oracle.incremental_stats(), seeded, "{name}: typing charged oracle work");
     }
     assert!(variants > 1000, "only {variants} variants typed");
 }
