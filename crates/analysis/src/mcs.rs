@@ -322,7 +322,7 @@ fn name_repair_subsets(prog: &Program, name: &str, span: Span) -> Vec<Correction
         let e = best.entry(cand.to_owned()).or_insert(u64::MAX);
         *e = (*e).min(d);
     };
-    for (n, _) in &stdlib_env().values {
+    for n in stdlib_env().stdlib.keys() {
         consider(n);
     }
     for decl in &prog.decls {

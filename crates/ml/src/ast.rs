@@ -277,11 +277,21 @@ pub struct TypeDef {
 }
 
 /// A top-level declaration.
+///
+/// A declaration also carries the smallest and largest [`NodeId`] it
+/// holds — its own, and those of every expression and pattern in it,
+/// nested patterns included. [`Decl::new`] computes them from the
+/// nodes, so they are a function of the content: equal declarations
+/// have equal bounds. Lookups by id ([`Decl::find_expr`],
+/// [`Program::decl_of`], [`edit::apply`](crate::edit::apply)) skip any
+/// declaration whose bounds cannot hold the id.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Decl {
     pub id: NodeId,
     pub span: Span,
     pub kind: DeclKind,
+    lo: NodeId,
+    hi: NodeId,
 }
 
 /// The shape of a top-level declaration.
@@ -307,8 +317,16 @@ pub enum DeclKind {
 /// declarations are pointer-equal provably have the same prefix, so the
 /// checker can resume from a snapshot instead of re-inferring from
 /// scratch. All `Arc`s here are handed out by the parser and by
-/// [`edit::apply`](crate::edit::apply); mutate one in place only through
-/// [`Arc::make_mut`], which unshares exactly the declaration touched.
+/// [`edit::apply`](crate::edit::apply), both through [`Decl::new`];
+/// mutate one in place only through [`Arc::make_mut`], which unshares
+/// exactly the declaration touched.
+///
+/// An in-place edit must keep the declaration's id bounds true: it may
+/// change what a node says (today's in-place edits only flip `rec`), but
+/// it must not add a node id outside the bounds [`Decl::new`] computed.
+/// Anything that adds or renumbers nodes goes through `edit::apply`,
+/// which rebuilds the declaration. [`edit::validate`](crate::edit::validate)
+/// reports a node outside its declaration's bounds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     pub decls: Vec<Arc<Decl>>,
@@ -468,6 +486,43 @@ impl Expr {
         self.for_each_child(&mut |c| c.walk(f));
     }
 
+    /// Calls `f` on the id of this node and of every expression and
+    /// pattern beneath it: `fun` parameters, local `let` bindings and
+    /// `match`/`try` arm patterns included. Each node comes before its
+    /// patterns and its children.
+    fn for_each_id(&self, f: &mut impl FnMut(NodeId)) {
+        // An explicit stack, not recursion: hand-built trees can nest
+        // deeper than inference's depth guard, and this walk runs first.
+        let mut stack = vec![self];
+        while let Some(e) = stack.pop() {
+            f(e.id);
+            match &e.kind {
+                ExprKind::Fun(params, _) => {
+                    for p in params {
+                        p.walk(&mut |q| f(q.id));
+                    }
+                }
+                ExprKind::Let { bindings, .. } => {
+                    for b in bindings {
+                        b.pat.walk(&mut |q| f(q.id));
+                        for p in &b.params {
+                            p.walk(&mut |q| f(q.id));
+                        }
+                    }
+                }
+                ExprKind::Match(_, arms) | ExprKind::Try(_, arms) => {
+                    for arm in arms {
+                        arm.pat.walk(&mut |q| f(q.id));
+                    }
+                }
+                _ => {}
+            }
+            let at = stack.len();
+            e.for_each_child(&mut |c| stack.push(c));
+            stack[at..].reverse();
+        }
+    }
+
     /// Finds the descendant (or self) with the given id.
     pub fn find(&self, id: NodeId) -> Option<&Expr> {
         if self.id == id {
@@ -569,6 +624,45 @@ impl Pat {
 }
 
 impl Decl {
+    /// Builds a declaration, computing its id bounds from its nodes.
+    pub fn new(id: NodeId, span: Span, kind: DeclKind) -> Decl {
+        let mut d = Decl { id, span, kind, lo: id, hi: id };
+        let (mut lo, mut hi) = (id, id);
+        d.for_each_id(&mut |n| {
+            lo = lo.min(n);
+            hi = hi.max(n);
+        });
+        d.lo = lo;
+        d.hi = hi;
+        d
+    }
+
+    /// Whether `id` lies within this declaration's id bounds — a
+    /// necessary condition for the declaration to hold that node.
+    pub fn may_hold(&self, id: NodeId) -> bool {
+        self.lo <= id && id <= self.hi
+    }
+
+    /// Calls `f` on the id of this declaration and of every expression
+    /// and pattern in it, nested patterns included: the walker behind
+    /// the id bounds and [`edit::validate`](crate::edit::validate).
+    pub fn for_each_id(&self, f: &mut impl FnMut(NodeId)) {
+        f(self.id);
+        match &self.kind {
+            DeclKind::Let { bindings, .. } => {
+                for b in bindings {
+                    b.pat.walk(&mut |q| f(q.id));
+                    for p in &b.params {
+                        p.walk(&mut |q| f(q.id));
+                    }
+                    b.body.for_each_id(f);
+                }
+            }
+            DeclKind::Expr(e) => e.for_each_id(f),
+            DeclKind::Type(_) | DeclKind::Exception(_, _) => {}
+        }
+    }
+
     /// Calls `f` on every expression node in this declaration, preorder.
     pub fn for_each_expr<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
         match &self.kind {
@@ -584,6 +678,9 @@ impl Decl {
 
     /// Finds the expression with the given id anywhere in this declaration.
     pub fn find_expr(&self, id: NodeId) -> Option<&Expr> {
+        if !self.may_hold(id) {
+            return None;
+        }
         match &self.kind {
             DeclKind::Let { bindings, .. } => bindings.iter().find_map(|b| b.body.find(id)),
             DeclKind::Expr(e) => e.find(id),

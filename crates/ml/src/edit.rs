@@ -92,9 +92,10 @@ impl Edit {
     }
 
     /// Whether applying this edit can change `d` at all. Declarations
-    /// that contain no target are shared untouched by [`apply`].
+    /// that contain no target are shared untouched by [`apply`]; one
+    /// whose id bounds hold no target is skipped without a walk.
     fn touches_decl(&self, d: &Decl) -> bool {
-        if self.is_empty() {
+        if !self.exprs.keys().chain(self.pats.keys()).any(|&id| d.may_hold(id)) {
             return false;
         }
         match &d.kind {
@@ -379,7 +380,7 @@ impl Applier<'_> {
             DeclKind::Expr(e) => DeclKind::Expr(self.expr(e)),
             DeclKind::Type(_) | DeclKind::Exception(_, _) => d.kind.clone(),
         };
-        Decl { id: d.id, span: d.span, kind }
+        Decl::new(d.id, d.span, kind)
     }
 }
 
@@ -394,6 +395,9 @@ pub enum ValidationError {
     /// A node's id is at or above `Program::next_id`, so a future edit
     /// could collide with it.
     IdBeyondCounter(NodeId),
+    /// A node's id lies outside its declaration's id bounds, so lookups
+    /// by id would skip it (an in-place edit added it).
+    OutsideDeclBounds { id: NodeId, decl: NodeId },
 }
 
 impl std::fmt::Display for ValidationError {
@@ -404,6 +408,9 @@ impl std::fmt::Display for ValidationError {
             ValidationError::IdBeyondCounter(id) => {
                 write!(f, "node id {id} is beyond the program's id counter")
             }
+            ValidationError::OutsideDeclBounds { id, decl } => {
+                write!(f, "node id {id} lies outside the id bounds of declaration {decl}")
+            }
         }
     }
 }
@@ -412,38 +419,35 @@ impl std::error::Error for ValidationError {}
 
 /// Checks the structural invariants every [`Program`] must satisfy after
 /// parsing or editing: node ids unique, no leftover SYNTH ids, all ids
-/// below the allocation counter.
+/// below the allocation counter, and every id inside its declaration's
+/// id bounds. Every node is checked — each declaration itself, every
+/// expression and every pattern, nested ones included — through the
+/// walker the bounds are computed with ([`Decl::for_each_id`]).
 ///
 /// # Errors
 ///
 /// The first violation found.
 pub fn validate(prog: &Program) -> Result<(), ValidationError> {
     let mut seen = std::collections::HashSet::new();
-    let mut result = Ok(());
-    let mut check_id = |id: NodeId, result: &mut Result<(), ValidationError>| {
-        if result.is_err() {
-            return;
-        }
-        if id == NodeId::SYNTH {
-            *result = Err(ValidationError::SynthId);
-        } else if id.0 >= prog.next_id {
-            *result = Err(ValidationError::IdBeyondCounter(id));
-        } else if !seen.insert(id) {
-            *result = Err(ValidationError::DuplicateId(id));
-        }
-    };
     for d in &prog.decls {
-        d.for_each_expr(&mut |e| check_id(e.id, &mut result));
-        if let DeclKind::Let { bindings, .. } = &d.kind {
-            for b in bindings {
-                b.pat.walk(&mut |p| check_id(p.id, &mut result));
-                for param in &b.params {
-                    param.walk(&mut |p| check_id(p.id, &mut result));
-                }
+        let mut result = Ok(());
+        d.for_each_id(&mut |id| {
+            if result.is_err() {
+                return;
             }
-        }
+            if id == NodeId::SYNTH {
+                result = Err(ValidationError::SynthId);
+            } else if id.0 >= prog.next_id {
+                result = Err(ValidationError::IdBeyondCounter(id));
+            } else if !seen.insert(id) {
+                result = Err(ValidationError::DuplicateId(id));
+            } else if !d.may_hold(id) {
+                result = Err(ValidationError::OutsideDeclBounds { id, decl: d.id });
+            }
+        });
+        result?;
     }
-    result
+    Ok(())
 }
 
 /// Flattens a curried application `((f a) b) c` into `(f, [a, b, c])`.
@@ -609,6 +613,70 @@ mod tests {
             bindings[0].body.id = NodeId::SYNTH;
         }
         assert_eq!(validate(&prog), Err(ValidationError::SynthId));
+
+        // Patterns nested inside expressions are nodes too: a `fun`
+        // parameter left SYNTH ...
+        let mut prog = parse_program("let f = fun x -> x").unwrap();
+        if let DeclKind::Let { bindings, .. } = &mut Arc::make_mut(&mut prog.decls[0]).kind {
+            if let ExprKind::Fun(params, _) = &mut bindings[0].body.kind {
+                params[0].id = NodeId::SYNTH;
+            }
+        }
+        assert_eq!(validate(&prog), Err(ValidationError::SynthId));
+
+        // ... and a match-arm pattern sharing its `match`'s id.
+        let mut prog = parse_program("let g y = match y with 0 -> 1 | _ -> 2").unwrap();
+        if let DeclKind::Let { bindings, .. } = &mut Arc::make_mut(&mut prog.decls[0]).kind {
+            let match_id = bindings[0].body.id;
+            if let ExprKind::Match(_, arms) = &mut bindings[0].body.kind {
+                arms[1].pat.id = match_id;
+            }
+        }
+        assert!(matches!(validate(&prog), Err(ValidationError::DuplicateId(_))));
+    }
+
+    #[test]
+    fn validate_rejects_ids_outside_decl_bounds() {
+        let mut prog = parse_program("let x = 1 + 2\nlet y = 3").unwrap();
+        // An unused id below the counter, but past the first
+        // declaration's bounds: lookups by id would skip the node.
+        let stray = NodeId(prog.next_id);
+        prog.next_id += 1;
+        if let DeclKind::Let { bindings, .. } = &mut Arc::make_mut(&mut prog.decls[0]).kind {
+            bindings[0].body.id = stray;
+        }
+        let decl = prog.decls[0].id;
+        assert_eq!(validate(&prog), Err(ValidationError::OutsideDeclBounds { id: stray, decl }));
+        assert!(prog.find_expr(stray).is_none());
+    }
+
+    #[test]
+    fn bounds_cover_every_node_and_skip_untouched_decls() {
+        let prog = parse_program(
+            "let a = 1\nlet f = fun (p, q) -> match p with [] -> q | h :: _ -> h\nlet b = 2",
+        )
+        .unwrap();
+        for d in &prog.decls {
+            d.for_each_id(&mut |id| assert!(d.may_hold(id)));
+        }
+        // Bounds are a function of content: a rebuilt copy is equal.
+        let d = &prog.decls[1];
+        assert_eq!(Decl::new(d.id, d.span, d.kind.clone()), **d);
+
+        let mut target = None;
+        prog.decls[1].for_each_expr(&mut |e| {
+            if matches!(e.kind, ExprKind::Var(ref v) if v == "q") {
+                target = Some(e.id);
+            }
+        });
+        let edited = remove_expr(&prog, target.unwrap());
+        validate(&edited).unwrap();
+        assert!(Arc::ptr_eq(&prog.decls[0], &edited.decls[0]));
+        assert!(!Arc::ptr_eq(&prog.decls[1], &edited.decls[1]));
+        assert!(Arc::ptr_eq(&prog.decls[2], &edited.decls[2]));
+        // The fresh hole id widens the edited declaration's bounds.
+        let hole = NodeId(prog.next_id);
+        assert!(!prog.decls[1].may_hold(hole) && edited.decls[1].may_hold(hole));
     }
 
     #[test]

@@ -263,7 +263,7 @@ impl Parser {
             _ => DeclKind::Expr(self.expr(prog)?),
         };
         let span = start.merge(self.prev_span());
-        Ok(Decl { id, span, kind })
+        Ok(Decl::new(id, span, kind))
     }
 
     fn binding(&mut self, prog: &mut Program) -> Result<Binding, ParseError> {

@@ -52,26 +52,34 @@ impl TypeInfo {
 /// The global (per-check) environment seeded from the standard library and
 /// extended by the program's own declarations.
 ///
-/// The three name-keyed maps sit behind [`Arc`]: cloning an `Env` (the
-/// stdlib seed) or marking a boundary (`InferState::push`) shares them,
-/// and the rare writers — `type`/`exception` declarations — go through
-/// [`Arc::make_mut`], copy-on-write. Reads auto-deref.
+/// The four name-keyed maps sit behind [`Arc`]: cloning an `Env` (the
+/// shared [`stdlib_env`](crate::stdlib::stdlib_env) seed) or marking a
+/// boundary (`InferState::push`) only bumps refcounts, and the rare
+/// writers — `type`/`exception` declarations — go through
+/// [`Arc::make_mut`], copy-on-write. Reads auto-deref. The standard
+/// library's value schemes are never written: user bindings live in
+/// `values` and shadow them.
 #[derive(Debug, Clone, Default)]
 pub struct Env {
-    /// Value bindings, innermost last; lookup scans from the end.
+    /// The program's value bindings, innermost last; lookup scans from
+    /// the end.
     pub values: Vec<(String, Scheme)>,
-    /// How many leading `values` entries come from the standard library
-    /// (those schemes are closed, so generalization can skip them).
-    pub stdlib_len: usize,
+    /// The standard library's value schemes, by name. They are closed,
+    /// so generalization never reads them.
+    pub stdlib: Arc<HashMap<String, Scheme>>,
     pub ctors: Arc<HashMap<String, CtorInfo>>,
     pub fields: Arc<HashMap<String, FieldInfo>>,
     pub types: Arc<HashMap<String, TypeInfo>>,
 }
 
 impl Env {
-    /// Looks up a value binding, innermost first.
+    /// Looks up a value binding: the innermost user binding, else the
+    /// standard library's scheme.
     pub fn lookup(&self, name: &str) -> Option<&Scheme> {
-        self.values.iter().rev().find(|(n, _)| n == name).map(|(_, s)| s)
+        match self.values.iter().rev().find(|(n, _)| n == name) {
+            Some((_, s)) => Some(s),
+            None => self.stdlib.get(name),
+        }
     }
 
     /// Pushes a binding (shadowing any previous one).
@@ -100,6 +108,22 @@ mod tests {
         env.push("x", Scheme::mono(Ty::int()));
         env.push("x", Scheme::mono(Ty::bool()));
         assert_eq!(env.lookup("x").unwrap().ty, Ty::bool());
+    }
+
+    #[test]
+    fn user_bindings_shadow_the_stdlib() {
+        let mut env = crate::stdlib::stdlib_env().clone();
+        let stdlib_fst = env.lookup("fst").cloned().unwrap();
+        assert!(!stdlib_fst.vars.is_empty());
+        let mark = env.mark();
+        env.push("fst", Scheme::mono(Ty::int()));
+        assert_eq!(env.lookup("fst").unwrap().ty, Ty::int());
+        // A later user binding shadows an earlier one.
+        env.push("fst", Scheme::mono(Ty::bool()));
+        assert_eq!(env.lookup("fst").unwrap().ty, Ty::bool());
+        // Truncating the user bindings restores the stdlib scheme.
+        env.truncate(mark);
+        assert_eq!(env.lookup("fst"), Some(&stdlib_fst));
     }
 
     #[test]

@@ -451,15 +451,17 @@ impl Infer {
         if vars.is_empty() {
             return Scheme::mono(resolved);
         }
-        // Free variables of the non-stdlib environment stay monomorphic.
-        let mut env_vars = Vec::new();
-        let monos: Vec<Ty> =
-            self.env.values[self.env.stdlib_len..].iter().map(|(_, s)| s.ty.clone()).collect();
-        for t in monos {
-            let r = self.uni.resolve(&t);
-            r.vars(&mut env_vars);
+        // Variables free in the user bindings stay monomorphic (stdlib
+        // schemes are closed). A read-only walk marks them in place.
+        let mut free = vec![false; vars.len()];
+        for (_, s) in &self.env.values {
+            self.uni.mark_occurring(&s.ty, &vars, &mut free);
+            if free.iter().all(|&f| f) {
+                break;
+            }
         }
-        let quantified: Vec<TvId> = vars.into_iter().filter(|v| !env_vars.contains(v)).collect();
+        let quantified: Vec<TvId> =
+            vars.into_iter().zip(free).filter(|&(_, f)| !f).map(|(v, _)| v).collect();
         Scheme { vars: quantified, ty: resolved }
     }
 
@@ -1121,5 +1123,19 @@ fn lit_type(l: &Lit) -> Ty {
         Lit::Str(_) => Ty::string(),
         Lit::Bool(_) => Ty::bool(),
         Lit::Unit => Ty::unit(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn initial_states_share_one_stdlib_map() {
+        let a = InferState::initial();
+        let b = InferState::initial();
+        assert!(Arc::ptr_eq(&a.env.stdlib, &b.env.stdlib));
+        assert!(Arc::ptr_eq(&a.env.stdlib, &stdlib_env().stdlib));
+        assert!(a.env.values.is_empty());
     }
 }

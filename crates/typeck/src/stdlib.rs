@@ -36,7 +36,8 @@ fn arrows(params: Vec<Ty>, ret: Ty) -> Ty {
     Ty::arrows(params, ret)
 }
 
-/// Builds the standard environment. Prefer [`stdlib_env`], which memoizes.
+/// Builds the standard environment. Prefer [`stdlib_env`], which builds
+/// it once per process.
 pub fn build_stdlib() -> Env {
     let mut env = Env::default();
 
@@ -78,7 +79,7 @@ pub fn build_stdlib() -> Env {
     }
 
     // --- List ------------------------------------------------------------
-    let entries: Vec<(&str, Scheme)> = vec![
+    let entries = [
         ("List.map", poly2(arrows(vec![Ty::arrow(a(), b()), Ty::list(a())], Ty::list(b())))),
         (
             "List.map2",
@@ -198,14 +199,15 @@ pub fn build_stdlib() -> Env {
         // The paper's adaptation helper (§2.3): `let adapt x = raise Foo`.
         ("adapt", poly2(Ty::arrow(a(), b()))),
     ];
-    for (name, scheme) in entries {
-        env.push(name, scheme);
-    }
-    env.stdlib_len = env.values.len();
+    env.stdlib = std::sync::Arc::new(
+        entries.into_iter().map(|(name, scheme)| (name.to_owned(), scheme)).collect(),
+    );
     env
 }
 
-/// The memoized standard environment; clone it per check.
+/// The standard environment, built once per process. Every inference
+/// state starts from a clone of it, which shares its maps: four
+/// refcount bumps, no copying.
 pub fn stdlib_env() -> &'static Env {
     static ENV: OnceLock<Env> = OnceLock::new();
     ENV.get_or_init(build_stdlib)
@@ -227,7 +229,8 @@ mod tests {
     fn stdlib_schemes_are_closed() {
         // Every free variable of a stdlib scheme must be quantified.
         let env = stdlib_env();
-        for (name, scheme) in &env.values {
+        assert!(env.values.is_empty(), "stdlib values live in the shared map");
+        for (name, scheme) in env.stdlib.iter() {
             let mut vars = Vec::new();
             scheme.ty.vars(&mut vars);
             for v in vars {

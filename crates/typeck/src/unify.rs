@@ -154,6 +154,38 @@ impl Unifier {
         }
     }
 
+    /// Marks `found[i]` for every `candidates[i]` that occurs in the
+    /// resolution of `ty`.
+    ///
+    /// The walk follows bindings without compressing paths, so it
+    /// writes nothing and leaves no trail: it marks exactly the
+    /// candidates among `self.resolve(ty)`'s variables.
+    pub fn mark_occurring(&self, ty: &Ty, candidates: &[TvId], found: &mut [bool]) {
+        let mut root = ty;
+        while let Ty::Var(v) = root {
+            match self.bindings.get(v.0 as usize) {
+                Some(Some(bound)) => root = bound,
+                _ => break,
+            }
+        }
+        match root {
+            Ty::Var(v) => {
+                if let Some(i) = candidates.iter().position(|c| c == v) {
+                    found[i] = true;
+                }
+            }
+            Ty::Con(_, args) | Ty::Tuple(args) => {
+                for a in args {
+                    self.mark_occurring(a, candidates, found);
+                }
+            }
+            Ty::Arrow(a, b) => {
+                self.mark_occurring(a, candidates, found);
+                self.mark_occurring(b, candidates, found);
+            }
+        }
+    }
+
     /// Whether `v` occurs in (the resolution of) `ty`.
     fn occurs(&mut self, v: TvId, ty: &Ty) -> bool {
         let root = self.shallow_resolve(ty);

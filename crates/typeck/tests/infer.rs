@@ -59,6 +59,10 @@ fn value_restriction_blocks_generalization() {
     bad("let r = ref []\nlet _ = r := [1]\nlet _ = r := [true]");
     // But using it at one type is fine.
     ok("let r = ref []\nlet _ = r := [1]\nlet _ = r := [2]");
+    // A function generalized after a monomorphic binding keeps the
+    // variables that binding makes free: `push` is not polymorphic.
+    bad("let r = ref []\nlet push x = r := [x]; x\nlet a = push 1\nlet b = push true");
+    ok("let r = ref []\nlet push x = r := [x]; x\nlet a = push 1\nlet b = push 2");
 }
 
 #[test]
@@ -599,11 +603,7 @@ fn pathological_nesting_is_a_too_deep_diagnostic_not_an_overflow() {
         e = Expr::synth(ExprKind::UnOp(UnOp::Neg, Box::new(e)), Span::DUMMY);
     }
     let prog = Program {
-        decls: vec![std::sync::Arc::new(Decl {
-            id: NodeId::SYNTH,
-            span: Span::DUMMY,
-            kind: DeclKind::Expr(e),
-        })],
+        decls: vec![std::sync::Arc::new(Decl::new(NodeId::SYNTH, Span::DUMMY, DeclKind::Expr(e)))],
         next_id: 0,
     };
     let err = check_program(&prog).expect_err("the guard must fire before the stack overflows");

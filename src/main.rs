@@ -72,6 +72,7 @@ use seminal_obs::{
     chrome_trace, extract_snapshot, parse_json, profile, regressions, render_profile, CrashReport,
     EventKind, JsonlSink, MetricsSnapshot, SpanKind, Tolerance, TraceRecord,
 };
+use std::io::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -624,31 +625,55 @@ fn render_check(path: &str, source: &str, opts: &Opts, dispatched: Dispatched) -
         }
         eprintln!("crash report written to {}", file.display());
     }
-    if resp.status == Status::Ok {
-        println!("{path}: no type errors");
-        return ExitCode::SUCCESS;
+    let printed = print_report(|out| {
+        if resp.status == Status::Ok {
+            return writeln!(out, "{path}: no type errors");
+        }
+        if let Some(baseline) = &resp.baseline {
+            writeln!(out, "Type-checker:\n{baseline}\n")?;
+        }
+        writeln!(out, "Our approach:\n{}", resp.rendered)?;
+        writeln!(
+            out,
+            "({} oracle calls, {:?}{})",
+            report.stats.oracle_calls,
+            report.stats.elapsed,
+            if report.stats.triage_used { ", triage used" } else { "" }
+        )?;
+        if opts.trace {
+            write!(out, "{}", render_trace_tree(&report.records, source))?;
+        }
+        if opts.profile {
+            writeln!(out)?;
+            write!(out, "{}", render_profile(&profile(&report.records), Some(source)))?;
+        }
+        Ok(())
+    });
+    if let Err(code) = printed {
+        return code;
     }
-    if let Some(baseline) = &resp.baseline {
-        println!("Type-checker:\n{baseline}\n");
-    }
-    println!("Our approach:\n{}", resp.rendered);
-    println!(
-        "({} oracle calls, {:?}{})",
-        report.stats.oracle_calls,
-        report.stats.elapsed,
-        if report.stats.triage_used { ", triage used" } else { "" }
-    );
-    if opts.trace {
-        print!("{}", render_trace_tree(&report.records, source));
-    }
-    if opts.profile {
-        println!();
-        print!("{}", render_profile(&profile(&report.records), Some(source)));
-    }
-    if resp.status != Status::TypeErrors {
+    if resp.status != Status::Ok && resp.status != Status::TypeErrors {
         eprintln!("search degraded: {} — suggestions are best-so-far", report.completion);
     }
     ExitCode::from(resp.status.exit_code())
+}
+
+/// Writes one report through a single locked stdout handle.
+///
+/// A reader that closed early (`seminal check f.ml | head -3`) is not an
+/// error: the rest of the report is dropped and the caller exits quietly
+/// with the report's own code. Any other write failure is an I/O error.
+fn print_report(
+    write: impl FnOnce(&mut std::io::StdoutLock<'static>) -> std::io::Result<()>,
+) -> Result<(), ExitCode> {
+    let mut out = std::io::stdout().lock();
+    match write(&mut out).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            eprintln!("cannot write to stdout: {e}");
+            Err(ExitCode::from(EXIT_IO))
+        }
+        _ => Ok(()),
+    }
 }
 
 /// Renders the structured record stream as an indented span tree with one
@@ -756,16 +781,18 @@ fn analyze_file(path: &str, opts: &Opts) -> ExitCode {
             ExitCode::from(err.status.exit_code())
         }
         Response::Analyze(resp) => {
-            match resp.status {
-                Status::Ok => println!("{path}: no type errors"),
-                Status::NoCore => {
-                    print!("{}", resp.rendered);
-                    eprintln!(
-                        "analysis produced no core: the {} backend has nothing to rank",
-                        resp.backend.name()
-                    );
-                }
-                _ => print!("{}", resp.rendered),
+            let printed = print_report(|out| match resp.status {
+                Status::Ok => writeln!(out, "{path}: no type errors"),
+                _ => write!(out, "{}", resp.rendered),
+            });
+            if let Err(code) = printed {
+                return code;
+            }
+            if resp.status == Status::NoCore {
+                eprintln!(
+                    "analysis produced no core: the {} backend has nothing to rank",
+                    resp.backend.name()
+                );
             }
             ExitCode::from(resp.status.exit_code())
         }

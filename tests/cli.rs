@@ -39,6 +39,26 @@ fn check_reports_on_ill_typed_file() {
 }
 
 #[test]
+fn check_and_analyze_exit_quietly_when_stdout_closes() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("samples/figure2.ml");
+    for cmd in ["check", "analyze"] {
+        let mut child = seminal()
+            .arg(cmd)
+            .arg(&path)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn seminal");
+        // Close the read end before the report is written.
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("wait for seminal");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: stderr: {stderr}");
+        assert!(!stderr.contains("panicked"), "{cmd}: {stderr}");
+    }
+}
+
+#[test]
 fn check_accepts_well_typed_file() {
     let dir = std::env::temp_dir().join("seminal-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
