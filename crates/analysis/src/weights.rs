@@ -158,11 +158,7 @@ mod tests {
         let lit_span = Span::new(34, 39);
         assert_eq!(if_span.text(src), "if true then 1 else 2");
         assert_eq!(lit_span.text(src), "false");
-        let demand = |span| Constraint {
-            span,
-            found: Ty::Con("bool".into(), vec![]),
-            expected: Ty::Con("int".into(), vec![]),
-        };
+        let demand = |span| Constraint { span, found: Ty::bool(), expected: Ty::int() };
         let trace = ConstraintTrace {
             constraints: vec![demand(lit_span), demand(if_span)],
             num_vars: 0,

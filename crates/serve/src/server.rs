@@ -50,8 +50,8 @@ pub const DEFAULT_MAX_CONNECTIONS: usize = 64;
 pub const DEFAULT_DRAIN_MS: u64 = 2_000;
 
 /// Default per-connection idle timeout (`--idle-timeout-ms`): a client
-/// that sends nothing for this long is disconnected so it cannot pin a
-/// connection slot forever.
+/// that completes no request line for this long, silent or trickling,
+/// is disconnected so it cannot pin a connection slot forever.
 pub const DEFAULT_IDLE_TIMEOUT_MS: u64 = 300_000;
 
 /// How often a blocked connection read wakes to check the stop flag
@@ -75,7 +75,8 @@ pub struct ServeOptions {
     /// Graceful-drain budget: after `shutdown`, in-flight connections
     /// get this long to finish before being force-closed.
     pub drain_ms: u64,
-    /// Disconnect a TCP client silent for this long (`None` = never).
+    /// Disconnect a TCP client that completes no request line for this
+    /// long (`None` = never).
     pub idle_timeout_ms: Option<u64>,
 }
 
@@ -381,6 +382,38 @@ fn wake_acceptor(listener: &TcpListener) {
     let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
 }
 
+/// Bytes received but not yet handed out as lines, and how much of
+/// them is known to hold no newline: a line that arrives over many
+/// reads is scanned once, not once per read.
+#[derive(Debug, Default)]
+struct LineBuffer {
+    pending: Vec<u8>,
+    /// Length of the prefix of `pending` already scanned.
+    scanned: usize,
+}
+
+impl LineBuffer {
+    fn extend(&mut self, bytes: &[u8]) {
+        self.pending.extend_from_slice(bytes);
+    }
+
+    /// The first complete line, newline included, once it has arrived.
+    /// Bytes after it stay for the next call.
+    fn take_line(&mut self) -> Option<Vec<u8>> {
+        match self.pending[self.scanned..].iter().position(|&b| b == b'\n') {
+            Some(pos) => {
+                let line = self.pending.drain(..=self.scanned + pos).collect();
+                self.scanned = 0;
+                Some(line)
+            }
+            None => {
+                self.scanned = self.pending.len();
+                None
+            }
+        }
+    }
+}
+
 /// A minimal line reader over a raw socket whose blocked reads wake on
 /// a short timeout tick. `BufReader::read_line` is unusable here: a
 /// read timeout mid-multibyte-char silently discards the partial bytes
@@ -389,17 +422,22 @@ fn wake_acceptor(listener: &TcpListener) {
 /// `\n`, so a slow client's request survives any number of ticks.
 struct TickReader {
     stream: TcpStream,
-    pending: Vec<u8>,
+    buffer: LineBuffer,
 }
 
 impl TickReader {
     fn new(stream: TcpStream) -> TickReader {
-        TickReader { stream, pending: Vec::new() }
+        TickReader { stream, buffer: LineBuffer::default() }
     }
 
     /// The next full line, or `None` when the connection should close:
     /// EOF, server drain (`stop`), the idle budget expiring, or a
     /// socket error after stop (the drain force-close).
+    ///
+    /// The idle budget runs from the call, that is from the previous
+    /// line, and is checked after every read: the bytes of an
+    /// unfinished line do not reset it, so a client trickling a line
+    /// out byte by byte is closed like a silent one.
     fn next_line(
         &mut self,
         stop: &AtomicBool,
@@ -407,19 +445,18 @@ impl TickReader {
     ) -> std::io::Result<Option<String>> {
         let waiting_since = Instant::now();
         loop {
-            if let Some(pos) = self.pending.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = self.pending.drain(..=pos).collect();
+            if let Some(line) = self.buffer.take_line() {
                 return Ok(Some(String::from_utf8_lossy(&line).into_owned()));
+            }
+            if idle_limit.is_some_and(|limit| waiting_since.elapsed() >= limit) {
+                return Ok(None);
             }
             let mut chunk = [0u8; 4096];
             match self.stream.read(&mut chunk) {
                 Ok(0) => return Ok(None),
-                Ok(n) => self.pending.extend_from_slice(&chunk[..n]),
+                Ok(n) => self.buffer.extend(&chunk[..n]),
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                     if stop.load(Ordering::SeqCst) {
-                        return Ok(None);
-                    }
-                    if idle_limit.is_some_and(|limit| waiting_since.elapsed() >= limit) {
                         return Ok(None);
                     }
                 }
@@ -662,6 +699,38 @@ mod tests {
     fn overloaded_line(id: u64, retry_after_ms: u64) -> String {
         Response::Overloaded(OverloadedResponse { id, status: Status::Overloaded, retry_after_ms })
             .to_json_string()
+    }
+
+    #[test]
+    fn line_buffer_scans_each_byte_once_and_keeps_the_rest() {
+        let mut buf = LineBuffer::default();
+        let line = format!("{}\n", "x".repeat(10_000));
+        let input = format!("{line}next");
+        let mut lines = Vec::new();
+        for chunk in input.as_bytes().chunks(7) {
+            buf.extend(chunk);
+            while let Some(l) = buf.take_line() {
+                lines.push(l);
+            }
+            assert_eq!(
+                buf.scanned,
+                buf.pending.len(),
+                "the next scan starts after every held byte"
+            );
+        }
+        assert_eq!(lines, vec![line.into_bytes()], "a line split over many reads comes back whole");
+        assert_eq!(buf.pending, b"next", "bytes after the newline stay for the next line");
+
+        // A newline planted among bytes already scanned is not seen
+        // again: the scan resumes where it stopped.
+        let mut buf = LineBuffer::default();
+        buf.extend(b"abc");
+        assert_eq!(buf.take_line(), None);
+        buf.pending[1] = b'\n';
+        buf.extend(b"de\nf");
+        assert_eq!(buf.take_line().as_deref(), Some(&b"a\ncde\n"[..]));
+        assert_eq!(buf.take_line(), None);
+        assert_eq!(buf.pending, b"f");
     }
 
     /// Satellite: a server that dies mid-session must produce a

@@ -4,8 +4,9 @@
 //! A search probes hundreds of variants of one program, and almost
 //! every variant differs from the base in a single declaration. The
 //! scratch oracle re-infers the whole program per probe. This
-//! module's [`InferChain`] infers the base once and pushes a mark on
-//! its [`InferState`] at every clean declaration boundary. A probe
+//! module's chain, a crate-private type behind [`CheckpointedOracle`],
+//! infers the base once and pushes a mark on its [`InferState`] at
+//! every clean declaration boundary. A probe
 //! finds the longest prefix it shares with the base (pointer equality
 //! on `Arc<Decl>` handles first, span-aware content fingerprints as
 //! the fallback) and moves the live state to the deepest boundary
@@ -20,9 +21,9 @@
 //! whole-program checker is itself implemented as "initial state, then
 //! [`InferState::check_decl`] per declaration", so resuming at a
 //! boundary replays exactly the instructions a scratch run would
-//! execute. [`InferChain::check`] answers like [`check_program`],
-//! [`InferChain::types`] like [`check_program_types`], and
-//! [`InferChain::trace`] like [`trace_program`]. Spans are part of the
+//! execute. The chain's verdicts answer like [`check_program`], its
+//! typing like [`check_program_types`] and its traces like
+//! [`trace_program`]. Spans are part of the
 //! prefix-match key because type errors carry them; node ids are not
 //! because inference never reads them.
 //!
@@ -68,7 +69,7 @@ use std::time::Instant;
 /// of `check`: typing and traces format messages and order the search,
 /// they are not oracle work.
 #[derive(Debug, Default)]
-pub struct InferChain {
+pub(crate) struct InferChain {
     decls: Vec<Arc<Decl>>,
     /// Span-aware content fingerprint per base declaration, computed the
     /// first time a program's declaration there is not the same `Arc`.
@@ -85,14 +86,8 @@ pub struct InferChain {
 }
 
 impl InferChain {
-    /// An empty chain; the first `check`, `types` or `trace` call seeds
-    /// it.
-    pub fn new() -> InferChain {
-        InferChain::default()
-    }
-
     /// Counters accumulated over every call.
-    pub fn stats(&self) -> IncrementalStats {
+    pub(crate) fn stats(&self) -> IncrementalStats {
         self.stats
     }
 
@@ -101,7 +96,7 @@ impl InferChain {
     /// # Errors
     ///
     /// The same first [`TypeError`] as [`check_program`].
-    pub fn check(&mut self, prog: &Program) -> Result<(), TypeError> {
+    pub(crate) fn check(&mut self, prog: &Program) -> Result<(), TypeError> {
         if self.state.depth() == 0 {
             return self.seed(prog);
         }
@@ -130,7 +125,7 @@ impl InferChain {
     /// # Errors
     ///
     /// The same first [`TypeError`] as [`check_program_types`].
-    pub fn types(
+    pub(crate) fn types(
         &mut self,
         prog: &Program,
         wanted: &[NodeId],
@@ -149,7 +144,7 @@ impl InferChain {
     /// recorded when `prog` is the base, declaration for declaration
     /// the same `Arc`s (an empty chain is seeded from `prog` first),
     /// and a scratch [`trace_program`] otherwise.
-    pub fn trace(&mut self, prog: &Program) -> Arc<ConstraintTrace> {
+    pub(crate) fn trace(&mut self, prog: &Program) -> Arc<ConstraintTrace> {
         if self.state.depth() == 0 {
             let _ = self.seed(prog);
         }
@@ -309,7 +304,7 @@ fn scratch_check(prog: &Program) -> (Result<(), TypeError>, u64) {
 }
 
 /// An [`Oracle`] that re-infers only the declarations a probe actually
-/// changed: an [`InferChain`] behind a `Mutex`. See the module docs for
+/// changed: the module's inference chain behind a `Mutex`. See the module docs for
 /// the model; metric counters ([`IncrementalStats`]) are exposed
 /// through [`Oracle::incremental_stats`] so the search layer can fold
 /// them into its report.
@@ -628,7 +623,7 @@ mod tests {
     #[test]
     fn probes_pop_back_and_move_forward_exactly() {
         let prog = parse_program(CLEAN).unwrap();
-        let mut chain = InferChain::new();
+        let mut chain = InferChain::default();
         assert!(chain.check(&prog).is_ok());
         assert_eq!(chain.stats().decls_recheck, 5, "seeding visits every clean decl");
 
@@ -667,7 +662,7 @@ mod tests {
         let prog = parse_program(SRC).unwrap();
         let ids = expr_ids(&prog, 3);
         let fixed = edit::remove_expr(&prog, ids[2]);
-        let mut chain = InferChain::new();
+        let mut chain = InferChain::default();
         assert!(chain.check(&fixed).is_ok());
         assert_eq!(chain.stats().decls_recheck, 5);
 
@@ -685,7 +680,7 @@ mod tests {
             [SRC, CLEAN, "let id = fun x -> x\nlet a = id 1\nlet r = ref []\nlet b = r := [true]"]
         {
             let prog = parse_program(src).unwrap();
-            let mut chain = InferChain::new();
+            let mut chain = InferChain::default();
             for idx in 0..prog.decls.len() {
                 for id in expr_ids(&prog, idx) {
                     let variant = edit::remove_expr(&prog, id);

@@ -48,9 +48,9 @@ pub fn check_program(prog: &Program) -> Result<(), TypeError> {
 /// state popped back to a boundary continues exactly like a scratch run
 /// over the same prefix.
 ///
-/// The type is deliberately not `Clone`: the incremental chain
-/// ([`crate::incremental::InferChain`]) keeps one live state and moves
-/// it with `push` and `pop`, never with a copy of it.
+/// The type is deliberately not `Clone`: the incremental oracle's
+/// chain ([`crate::incremental::CheckpointedOracle`]) keeps one live
+/// state and moves it with `push` and `pop`, never with a copy of it.
 #[derive(Debug, Default)]
 pub struct InferState {
     pub(crate) uni: Unifier,
@@ -308,7 +308,7 @@ impl Infer {
                 .collect();
             let param_map: HashMap<String, Ty> =
                 def.params.iter().cloned().zip(vars.iter().map(|v| Ty::Var(*v))).collect();
-            let result = Ty::Con(def.name.clone(), vars.iter().map(|v| Ty::Var(*v)).collect());
+            let result = Ty::apply(&def.name, vars.iter().map(|v| Ty::Var(*v)).collect());
             match &def.body {
                 TypeDefBody::Variant(ctors) => {
                     for (cname, carg) in ctors {
@@ -465,35 +465,6 @@ impl Infer {
         Scheme { vars: quantified, ty: resolved }
     }
 
-    fn instantiate(&mut self, scheme: &Scheme) -> Ty {
-        if scheme.vars.is_empty() {
-            return scheme.ty.clone();
-        }
-        let map: HashMap<TvId, Ty> = scheme.vars.iter().map(|v| (*v, self.uni.fresh())).collect();
-        self.subst(&scheme.ty, &map)
-    }
-
-    fn subst(&mut self, ty: &Ty, map: &HashMap<TvId, Ty>) -> Ty {
-        match ty {
-            Ty::Var(v) => {
-                if let Some(t) = map.get(v) {
-                    t.clone()
-                } else {
-                    let r = self.uni.shallow_resolve(ty);
-                    match &r {
-                        Ty::Var(w) if w == v => r,
-                        _ => self.subst(&r, map),
-                    }
-                }
-            }
-            Ty::Con(name, args) => {
-                Ty::Con(name.clone(), args.iter().map(|a| self.subst(a, map)).collect())
-            }
-            Ty::Arrow(x, y) => Ty::arrow(self.subst(x, map), self.subst(y, map)),
-            Ty::Tuple(parts) => Ty::Tuple(parts.iter().map(|p| self.subst(p, map)).collect()),
-        }
-    }
-
     // ------------------------------------------------------------------
     // Type-expression conversion
     // ------------------------------------------------------------------
@@ -522,7 +493,8 @@ impl Infer {
                 Ok(fresh)
             }
             TypeExpr::Con(name, args) => {
-                let Some(info) = self.env.types.get(name).cloned() else {
+                let types = Arc::clone(&self.env.types);
+                let Some(info) = types.get(name) else {
                     return Err(TypeError { kind: TypeErrorKind::UnboundType(name.clone()), span });
                 };
                 if info.arity() != args.len() {
@@ -541,17 +513,18 @@ impl Infer {
                     .collect::<Res<_>>()?;
                 match info {
                     TypeInfo::Alias { params: ps, body } => {
-                        let inner: HashMap<String, Ty> = ps.into_iter().zip(conv_args).collect();
-                        self.conv_type_with(&body, &inner, span)
+                        let inner: HashMap<String, Ty> =
+                            ps.iter().cloned().zip(conv_args).collect();
+                        self.conv_type_with(body, &inner, span)
                     }
-                    _ => Ok(Ty::Con(name.clone(), conv_args)),
+                    _ => Ok(Ty::apply(name, conv_args)),
                 }
             }
             TypeExpr::Arrow(x, y) => Ok(Ty::arrow(
                 self.conv_type_with(x, params, span)?,
                 self.conv_type_with(y, params, span)?,
             )),
-            TypeExpr::Tuple(parts) => Ok(Ty::Tuple(
+            TypeExpr::Tuple(parts) => Ok(Ty::tuple(
                 parts.iter().map(|p| self.conv_type_with(p, params, span)).collect::<Res<_>>()?,
             )),
         }
@@ -586,11 +559,13 @@ impl Infer {
 
     fn check_pat(&mut self, p: &Pat, expected: &Ty) -> Res<()> {
         // Duplicate-variable check at the top of each pattern.
-        let mut seen = HashSet::new();
+        let mut seen: Vec<&str> = Vec::new();
         let mut dup = None;
         p.walk(&mut |q| {
             if let PatKind::Var(name) = &q.kind {
-                if !seen.insert(name.clone()) && dup.is_none() {
+                if !seen.contains(&name.as_str()) {
+                    seen.push(name);
+                } else if dup.is_none() {
                     dup = Some((name.clone(), q.span));
                 }
             }
@@ -614,7 +589,7 @@ impl Infer {
             }
             PatKind::Tuple(parts) => {
                 let vars: Vec<Ty> = parts.iter().map(|_| self.uni.fresh()).collect();
-                self.unify_at(p.span, &Ty::Tuple(vars.clone()), expected)?;
+                self.unify_at(p.span, &Ty::tuple(vars.clone()), expected)?;
                 for (part, v) in parts.iter().zip(&vars) {
                     self.check_pat_inner(part, v)?;
                 }
@@ -635,19 +610,19 @@ impl Infer {
                 self.check_pat_inner(t, &Ty::list(el))
             }
             PatKind::Construct(name, arg) => {
-                let Some(info) = self.env.ctors.get(name).cloned() else {
+                let ctors = Arc::clone(&self.env.ctors);
+                let Some(info) = ctors.get(name) else {
                     return Err(TypeError {
                         kind: TypeErrorKind::UnboundCtor(name.clone()),
                         span: p.span,
                     });
                 };
-                let map: HashMap<TvId, Ty> =
-                    info.vars.iter().map(|v| (*v, self.uni.fresh())).collect();
-                let result = self.subst(&info.result, &map);
+                let map = fresh_for(&mut self.uni, &info.vars);
+                let result = self.uni.subst(&info.result, &map);
                 self.unify_at(p.span, &result, expected)?;
                 match (&info.arg, arg) {
                     (Some(at), Some(ap)) => {
-                        let at = self.subst(&at.clone(), &map);
+                        let at = self.uni.subst(at, &map);
                         self.check_pat_inner(ap, &at)
                     }
                     (None, None) => Ok(()),
@@ -690,7 +665,7 @@ impl Infer {
         let ty = self.infer_kind(e);
         self.depth -= 1;
         let ty = ty?;
-        if self.capture.contains(&e.id) {
+        if !self.capture.is_empty() && self.capture.contains(&e.id) {
             self.captured.insert(e.id, ty.clone());
         }
         Ok(ty)
@@ -707,7 +682,7 @@ impl Infer {
     }
 
     fn check_inner(&mut self, e: &Expr, expected: &Ty) -> Res<()> {
-        if self.capture.contains(&e.id) {
+        if !self.capture.is_empty() && self.capture.contains(&e.id) {
             self.captured.insert(e.id, expected.clone());
         }
         match &e.kind {
@@ -780,7 +755,7 @@ impl Infer {
                 let want = self.uni.shallow_resolve(expected);
                 if let Ty::Tuple(ws) = &want {
                     if ws.len() == parts.len() {
-                        for (part, w) in parts.iter().zip(ws) {
+                        for (part, w) in parts.iter().zip(ws.iter()) {
                             self.check(part, w)?;
                         }
                         return Ok(());
@@ -792,7 +767,7 @@ impl Infer {
             ExprKind::List(parts) => {
                 let want = self.uni.shallow_resolve(expected);
                 match &want {
-                    Ty::Con(name, args) if name == "list" && args.len() == 1 => {
+                    Ty::Con(name, args) if &**name == "list" && args.len() == 1 => {
                         for part in parts {
                             self.check(part, &args[0])?;
                         }
@@ -814,13 +789,13 @@ impl Infer {
     fn infer_kind(&mut self, e: &Expr) -> Res<Ty> {
         match &e.kind {
             ExprKind::Var(name) => {
-                let Some(scheme) = self.env.lookup(name).cloned() else {
+                let Some(scheme) = self.env.lookup(name) else {
                     return Err(TypeError {
                         kind: TypeErrorKind::UnboundVar(name.clone()),
                         span: e.span,
                     });
                 };
-                Ok(self.instantiate(&scheme))
+                Ok(instantiate(&mut self.uni, scheme))
             }
             ExprKind::Lit(l) => Ok(lit_type(l)),
             ExprKind::Hole => Ok(self.uni.fresh()),
@@ -838,7 +813,7 @@ impl Infer {
                 match tf {
                     Ty::Arrow(dom, cod) => {
                         self.check(a, &dom)?;
-                        Ok(*cod)
+                        Ok(Arc::unwrap_or_clone(cod))
                     }
                     other => {
                         let dom = self.uni.fresh();
@@ -886,7 +861,7 @@ impl Infer {
             }
             ExprKind::Tuple(parts) => {
                 let tys: Vec<Ty> = parts.iter().map(|p| self.infer(p)).collect::<Res<_>>()?;
-                Ok(Ty::Tuple(tys))
+                Ok(Ty::tuple(tys))
             }
             ExprKind::List(parts) => {
                 let el = self.uni.fresh();
@@ -932,17 +907,17 @@ impl Infer {
                 Ok(t)
             }
             ExprKind::Construct(name, arg) => {
-                let Some(info) = self.env.ctors.get(name).cloned() else {
+                let ctors = Arc::clone(&self.env.ctors);
+                let Some(info) = ctors.get(name) else {
                     return Err(TypeError {
                         kind: TypeErrorKind::UnboundCtor(name.clone()),
                         span: e.span,
                     });
                 };
-                let map: HashMap<TvId, Ty> =
-                    info.vars.iter().map(|v| (*v, self.uni.fresh())).collect();
+                let map = fresh_for(&mut self.uni, &info.vars);
                 match (&info.arg, arg) {
                     (Some(at), Some(ae)) => {
-                        let at = self.subst(&at.clone(), &map);
+                        let at = self.uni.subst(at, &map);
                         self.check(ae, &at)?;
                     }
                     (None, None) => {}
@@ -959,7 +934,7 @@ impl Infer {
                         })
                     }
                 }
-                Ok(self.subst(&info.result, &map))
+                Ok(self.uni.subst(&info.result, &map))
             }
             ExprKind::Record(fields) => {
                 let Some((first_name, _)) = fields.first() else {
@@ -968,46 +943,46 @@ impl Infer {
                         span: e.span,
                     });
                 };
-                let Some(finfo) = self.env.fields.get(first_name).cloned() else {
+                let infos = Arc::clone(&self.env.fields);
+                let Some(finfo) = infos.get(first_name) else {
                     return Err(TypeError {
                         kind: TypeErrorKind::UnboundField(first_name.clone()),
                         span: e.span,
                     });
                 };
                 let Ty::Con(rec_name, _) = &finfo.record else { unreachable!() };
-                let rec_name = rec_name.clone();
-                let map: HashMap<TvId, Ty> =
-                    finfo.vars.iter().map(|v| (*v, self.uni.fresh())).collect();
-                let record_ty = self.subst(&finfo.record, &map);
-                let declared = match self.env.types.get(&rec_name) {
-                    Some(TypeInfo::Record { fields, .. }) => fields.clone(),
-                    _ => Vec::new(),
+                let map = fresh_for(&mut self.uni, &finfo.vars);
+                let record_ty = self.uni.subst(&finfo.record, &map);
+                let types = Arc::clone(&self.env.types);
+                let declared = match types.get(&**rec_name) {
+                    Some(TypeInfo::Record { fields, .. }) => &fields[..],
+                    _ => &[],
                 };
                 for (fname, fval) in fields {
-                    let Some(fi) = self.env.fields.get(fname).cloned() else {
+                    let Some(fi) = infos.get(fname) else {
                         return Err(TypeError {
                             kind: TypeErrorKind::UnboundField(fname.clone()),
                             span: e.span,
                         });
                     };
                     let Ty::Con(owner, _) = &fi.record else { unreachable!() };
-                    if *owner != rec_name {
+                    if owner != rec_name {
                         return Err(TypeError {
                             kind: TypeErrorKind::ForeignField {
-                                record: rec_name.clone(),
+                                record: rec_name.to_string(),
                                 field: fname.clone(),
                             },
                             span: e.span,
                         });
                     }
-                    let fty = self.subst(&fi.ty, &map);
+                    let fty = self.uni.subst(&fi.ty, &map);
                     self.check(fval, &fty)?;
                 }
-                for want in &declared {
+                for want in declared {
                     if !fields.iter().any(|(n, _)| n == want) {
                         return Err(TypeError {
                             kind: TypeErrorKind::MissingField {
-                                record: rec_name.clone(),
+                                record: rec_name.to_string(),
                                 field: want.clone(),
                             },
                             span: e.span,
@@ -1056,12 +1031,12 @@ impl Infer {
     }
 
     fn field_types(&mut self, fname: &str, span: Span) -> Res<(Ty, Ty, bool)> {
-        let Some(fi) = self.env.fields.get(fname).cloned() else {
+        let Some(fi) = self.env.fields.get(fname) else {
             return Err(TypeError { kind: TypeErrorKind::UnboundField(fname.to_owned()), span });
         };
-        let map: HashMap<TvId, Ty> = fi.vars.iter().map(|v| (*v, self.uni.fresh())).collect();
-        let record = self.subst(&fi.record, &map);
-        let fty = self.subst(&fi.ty, &map);
+        let map = fresh_for(&mut self.uni, &fi.vars);
+        let record = self.uni.subst(&fi.record, &map);
+        let fty = self.uni.subst(&fi.ty, &map);
         Ok((record, fty, fi.mutable))
     }
 
@@ -1114,6 +1089,21 @@ impl Infer {
             }
         }
     }
+}
+
+/// `scheme`'s type with fresh variables for its quantified ones. A
+/// monomorphic scheme's type is returned as it stands, unresolved.
+fn instantiate(uni: &mut Unifier, scheme: &Scheme) -> Ty {
+    if scheme.vars.is_empty() {
+        return scheme.ty.clone();
+    }
+    let map = fresh_for(uni, &scheme.vars);
+    uni.subst(&scheme.ty, &map)
+}
+
+/// A fresh variable for each of `vars`, as [`Unifier::subst`] pairs.
+fn fresh_for(uni: &mut Unifier, vars: &[TvId]) -> Vec<(TvId, Ty)> {
+    vars.iter().map(|v| (*v, uni.fresh())).collect()
 }
 
 fn lit_type(l: &Lit) -> Ty {

@@ -45,7 +45,7 @@ pub use error::{TypeError, TypeErrorKind};
 pub use fingerprint::{
     decl_fingerprint_spanned, decl_fingerprints, program_fingerprint, FingerprintCache,
 };
-pub use incremental::{CheckpointedOracle, InferChain};
+pub use incremental::CheckpointedOracle;
 pub use infer::{check_program, check_program_types, trace_program, InferState};
 pub use oracle::{
     guarded_check, guarded_probe, CountingOracle, IncrementalStats, InstrumentedOracle, Oracle,

@@ -57,13 +57,11 @@ pub fn build_stdlib() -> Env {
     }
 
     // --- Built-in constructors -------------------------------------------
-    std::sync::Arc::make_mut(&mut env.ctors).insert(
-        "None".to_owned(),
-        CtorInfo { vars: vec![A], arg: None, result: Ty::Con("option".into(), vec![a()]) },
-    );
+    std::sync::Arc::make_mut(&mut env.ctors)
+        .insert("None".to_owned(), CtorInfo { vars: vec![A], arg: None, result: Ty::option(a()) });
     std::sync::Arc::make_mut(&mut env.ctors).insert(
         "Some".to_owned(),
-        CtorInfo { vars: vec![A], arg: Some(a()), result: Ty::Con("option".into(), vec![a()]) },
+        CtorInfo { vars: vec![A], arg: Some(a()), result: Ty::option(a()) },
     );
     for (name, arg) in [
         ("Not_found", None),
@@ -90,7 +88,7 @@ pub fn build_stdlib() -> Env {
         ),
         (
             "List.combine",
-            poly2(arrows(vec![Ty::list(a()), Ty::list(b())], Ty::list(Ty::Tuple(vec![a(), b()])))),
+            poly2(arrows(vec![Ty::list(a()), Ty::list(b())], Ty::list(Ty::tuple(vec![a(), b()])))),
         ),
         (
             "List.filter",
@@ -112,7 +110,7 @@ pub fn build_stdlib() -> Env {
             poly2(arrows(vec![Ty::arrows(vec![a(), b()], b()), Ty::list(a()), b()], b())),
         ),
         ("List.iter", poly1(arrows(vec![Ty::arrow(a(), Ty::unit()), Ty::list(a())], Ty::unit()))),
-        ("List.assoc", poly2(arrows(vec![a(), Ty::list(Ty::Tuple(vec![a(), b()]))], b()))),
+        ("List.assoc", poly2(arrows(vec![a(), Ty::list(Ty::tuple(vec![a(), b()]))], b()))),
         ("List.exists", poly1(arrows(vec![Ty::arrow(a(), Ty::bool()), Ty::list(a())], Ty::bool()))),
         (
             "List.for_all",
@@ -121,8 +119,8 @@ pub fn build_stdlib() -> Env {
         (
             "List.split",
             poly2(Ty::arrow(
-                Ty::list(Ty::Tuple(vec![a(), b()])),
-                Ty::Tuple(vec![Ty::list(a()), Ty::list(b())]),
+                Ty::list(Ty::tuple(vec![a(), b()])),
+                Ty::tuple(vec![Ty::list(a()), Ty::list(b())]),
             )),
         ),
         ("List.concat", poly1(Ty::arrow(Ty::list(Ty::list(a())), Ty::list(a())))),
@@ -159,8 +157,8 @@ pub fn build_stdlib() -> Env {
         ("incr", mono(Ty::arrow(Ty::reference(Ty::int()), Ty::unit()))),
         ("decr", mono(Ty::arrow(Ty::reference(Ty::int()), Ty::unit()))),
         // --- misc pervasives --------------------------------------------
-        ("fst", poly2(Ty::arrow(Ty::Tuple(vec![a(), b()]), a()))),
-        ("snd", poly2(Ty::arrow(Ty::Tuple(vec![a(), b()]), b()))),
+        ("fst", poly2(Ty::arrow(Ty::tuple(vec![a(), b()]), a()))),
+        ("snd", poly2(Ty::arrow(Ty::tuple(vec![a(), b()]), b()))),
         ("not", mono(Ty::arrow(Ty::bool(), Ty::bool()))),
         ("ignore", poly1(Ty::arrow(a(), Ty::unit()))),
         ("failwith", poly1(Ty::arrow(Ty::string(), a()))),

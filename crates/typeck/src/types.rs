@@ -1,7 +1,20 @@
 //! Semantic types for Hindley–Milner inference.
+//!
+//! A [`Ty`] is a persistent tree: constructor names are `Arc<str>`,
+//! argument lists `Arc<[Ty]>` and arrow halves `Arc<Ty>`, so a clone is a
+//! few refcount bumps and copies no tree. The unifier hands out types on
+//! every read and the constraint recorder keeps every demand, which is
+//! why that matters. The builtin types (`int`, `float`, `string`, `bool`,
+//! `unit`, `exn`) and the names `list`, `ref` and `option` are built once
+//! per process and handed out by the constructors below; an empty
+//! argument list is one shared allocation. Other names are not interned:
+//! each declaration or annotation gets its own `Arc<str>`, freed with the
+//! last type naming it, so nothing grows with the programs a daemon
+//! checks. `Arc`, not `Rc`: traces and the stdlib cross threads.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// An inference type variable, an index into the unifier's store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -13,67 +26,154 @@ impl fmt::Display for TvId {
     }
 }
 
-/// A (possibly partially solved) type.
+/// A (possibly partially solved) type. Cloning shares every child.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Ty {
     /// Unification variable.
     Var(TvId),
     /// Applied constructor: `int`, `'a list`, `('a, 'b) result`, `exn`, …
-    Con(String, Vec<Ty>),
+    Con(Arc<str>, Arc<[Ty]>),
     /// `t1 -> t2`.
-    Arrow(Box<Ty>, Box<Ty>),
+    Arrow(Arc<Ty>, Arc<Ty>),
     /// `t1 * t2 * ...`.
-    Tuple(Vec<Ty>),
+    Tuple(Arc<[Ty]>),
+}
+
+/// The builtin types, built once per process.
+struct Builtins {
+    int: Ty,
+    float: Ty,
+    string: Ty,
+    bool: Ty,
+    unit: Ty,
+    exn: Ty,
+    list: Arc<str>,
+    reference: Arc<str>,
+    option: Arc<str>,
+    /// Every nullary constructor's argument list.
+    no_args: Arc<[Ty]>,
+}
+
+impl Builtins {
+    fn get() -> &'static Builtins {
+        static BUILTINS: OnceLock<Builtins> = OnceLock::new();
+        BUILTINS.get_or_init(|| {
+            let no_args: Arc<[Ty]> = Arc::new([]);
+            let con = |name: &str| Ty::Con(Arc::from(name), no_args.clone());
+            Builtins {
+                int: con("int"),
+                float: con("float"),
+                string: con("string"),
+                bool: con("bool"),
+                unit: con("unit"),
+                exn: con("exn"),
+                list: Arc::from("list"),
+                reference: Arc::from("ref"),
+                option: Arc::from("option"),
+                no_args,
+            }
+        })
+    }
+
+    /// The shared nullary builtin called `name`, if there is one.
+    fn nullary(&self, name: &str) -> Option<&Ty> {
+        Some(match name {
+            "int" => &self.int,
+            "float" => &self.float,
+            "string" => &self.string,
+            "bool" => &self.bool,
+            "unit" => &self.unit,
+            "exn" => &self.exn,
+            _ => return None,
+        })
+    }
+
+    /// `name` as a constructor name: the shared one for a builtin, a
+    /// fresh one otherwise.
+    fn name(&self, name: &str) -> Arc<str> {
+        match name {
+            "list" => self.list.clone(),
+            "ref" => self.reference.clone(),
+            "option" => self.option.clone(),
+            _ => match self.nullary(name) {
+                Some(Ty::Con(shared, _)) => shared.clone(),
+                _ => Arc::from(name),
+            },
+        }
+    }
 }
 
 impl Ty {
-    /// Nullary constructor shorthand.
+    /// Nullary constructor shorthand. A builtin name yields the shared
+    /// type; any other name gets a name of its own.
     pub fn con(name: &str) -> Ty {
-        Ty::Con(name.to_owned(), Vec::new())
+        Ty::apply(name, Vec::new())
+    }
+
+    /// Applied constructor `(args) name`.
+    pub fn apply(name: &str, args: Vec<Ty>) -> Ty {
+        let b = Builtins::get();
+        if !args.is_empty() {
+            return Ty::Con(b.name(name), args.into());
+        }
+        match b.nullary(name) {
+            Some(shared) => shared.clone(),
+            None => Ty::Con(b.name(name), b.no_args.clone()),
+        }
     }
 
     pub fn int() -> Ty {
-        Ty::con("int")
+        Builtins::get().int.clone()
     }
 
     pub fn float() -> Ty {
-        Ty::con("float")
+        Builtins::get().float.clone()
     }
 
     pub fn string() -> Ty {
-        Ty::con("string")
+        Builtins::get().string.clone()
     }
 
     pub fn bool() -> Ty {
-        Ty::con("bool")
+        Builtins::get().bool.clone()
     }
 
     pub fn unit() -> Ty {
-        Ty::con("unit")
+        Builtins::get().unit.clone()
     }
 
     pub fn exn() -> Ty {
-        Ty::con("exn")
+        Builtins::get().exn.clone()
     }
 
     /// `t list`.
     pub fn list(elem: Ty) -> Ty {
-        Ty::Con("list".to_owned(), vec![elem])
+        Ty::Con(Builtins::get().list.clone(), Arc::new([elem]))
     }
 
     /// `t ref`.
     pub fn reference(inner: Ty) -> Ty {
-        Ty::Con("ref".to_owned(), vec![inner])
+        Ty::Con(Builtins::get().reference.clone(), Arc::new([inner]))
+    }
+
+    /// `t option`.
+    pub fn option(inner: Ty) -> Ty {
+        Ty::Con(Builtins::get().option.clone(), Arc::new([inner]))
     }
 
     /// `a -> b`.
     pub fn arrow(a: Ty, b: Ty) -> Ty {
-        Ty::Arrow(Box::new(a), Box::new(b))
+        Ty::Arrow(Arc::new(a), Arc::new(b))
     }
 
     /// `a1 -> a2 -> ... -> r`, right associated.
     pub fn arrows(params: Vec<Ty>, ret: Ty) -> Ty {
         params.into_iter().rev().fold(ret, |acc, p| Ty::arrow(p, acc))
+    }
+
+    /// `p1 * p2 * ...`.
+    pub fn tuple(parts: Vec<Ty>) -> Ty {
+        Ty::Tuple(parts.into())
     }
 
     /// Collects every variable occurring in the type (unresolved view).
@@ -85,7 +185,7 @@ impl Ty {
                 }
             }
             Ty::Con(_, args) | Ty::Tuple(args) => {
-                for a in args {
+                for a in args.iter() {
                     a.vars(out);
                 }
             }
@@ -235,13 +335,13 @@ mod tests {
 
     #[test]
     fn pretty_tuple_in_list() {
-        let t = Ty::list(Ty::Tuple(vec![Ty::int(), Ty::bool()]));
+        let t = Ty::list(Ty::tuple(vec![Ty::int(), Ty::bool()]));
         assert_eq!(pretty(&t), "(int * bool) list");
     }
 
     #[test]
     fn pretty_multi_arg_con() {
-        let t = Ty::Con("result".into(), vec![Ty::int(), Ty::string()]);
+        let t = Ty::apply("result", vec![Ty::int(), Ty::string()]);
         assert_eq!(pretty(&t), "(int, string) result");
     }
 
@@ -256,6 +356,36 @@ mod tests {
     fn arrows_builder() {
         let t = Ty::arrows(vec![Ty::int(), Ty::bool()], Ty::string());
         assert_eq!(pretty(&t), "int -> bool -> string");
+    }
+
+    #[test]
+    fn clones_share_their_children() {
+        let t = Ty::arrow(Ty::list(Ty::int()), Ty::tuple(vec![Ty::bool(), Ty::Var(TvId(0))]));
+        let (Ty::Arrow(a1, b1), Ty::Arrow(a2, b2)) = (&t, &t.clone()) else { unreachable!() };
+        assert!(Arc::ptr_eq(a1, a2) && Arc::ptr_eq(b1, b2));
+        let (Ty::Tuple(p1), Ty::Tuple(p2)) = (&**b1, &**b2) else { unreachable!() };
+        assert!(Arc::ptr_eq(p1, p2));
+    }
+
+    #[test]
+    fn builtins_are_shared_and_user_names_are_not() {
+        let (Ty::Con(n1, args1), Ty::Con(n2, args2)) = (Ty::int(), Ty::int()) else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(&n1, &n2) && Arc::ptr_eq(&args1, &args2));
+        let (Ty::Con(l1, _), Ty::Con(l2, _)) = (Ty::list(Ty::int()), Ty::con("list")) else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(&l1, &l2), "`list` by name is the builtin name");
+        assert_eq!(Ty::con("int"), Ty::int());
+
+        let (Ty::Con(t1, targs), Ty::Con(t2, _)) = (Ty::con("t"), Ty::con("t")) else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(&targs, &args1), "every empty argument list is the shared one");
+        assert!(!Arc::ptr_eq(&t1, &t2), "user names are not interned");
+        assert_eq!(Arc::strong_count(&t1), 1);
+        assert_eq!(Arc::strong_count(&t2), 1);
     }
 
     #[test]

@@ -9,8 +9,17 @@
 //! chain keeps one checkpoint open per clean declaration boundary, so a
 //! probe can pop back to any of them and be undone in O(probe) instead
 //! of cloning the whole store.
+//!
+//! Only [`Unifier::shallow_resolve`] compresses paths, and
+//! [`Unifier::resolve`] and [`Unifier::subst`] through it. The occurs
+//! check and [`Unifier::mark_occurring`] are read-only walks: they
+//! follow bindings without cloning or writing anything. Types share
+//! their children (see [`crate::types`]), so the types the store hands
+//! out cost refcount bumps, and `subst` rebuilds only the paths that
+//! change.
 
 use crate::types::{TvId, Ty};
+use std::sync::Arc;
 
 /// Outcome of a failed unification, before blame is attached.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,38 +129,88 @@ impl Unifier {
     /// Follows variable bindings one level at the root (with path
     /// compression), leaving sub-structure untouched.
     pub fn shallow_resolve(&mut self, ty: &Ty) -> Ty {
+        let Ty::Var(v) = ty else { return ty.clone() };
+        // Scheme-local variables (ids beyond the store) are always
+        // unbound; see `stdlib`.
+        let bound = match self.bindings.get(v.0 as usize) {
+            Some(Some(bound @ Ty::Var(_))) => bound.clone(),
+            Some(Some(bound)) => return bound.clone(),
+            _ => return ty.clone(),
+        };
+        // Only a chain of variables can be compressed; rewriting a
+        // binding with its own value would change nothing but still cost
+        // a trail entry under a checkpoint.
+        let root = self.shallow_resolve(&bound);
+        if root != bound {
+            self.set_binding(v.0, Some(root.clone()));
+        }
+        root
+    }
+
+    /// Fully substitutes solved variables throughout the type. Subtrees
+    /// holding no bound variable are shared with `ty`, not rebuilt.
+    pub fn resolve(&mut self, ty: &Ty) -> Ty {
+        self.subst(ty, &[])
+    }
+
+    /// `ty` with every variable `map` names replaced by its image and
+    /// every other variable resolved as [`Unifier::resolve`] does it.
+    /// Subtrees holding neither are shared with `ty`, not rebuilt.
+    pub fn subst(&mut self, ty: &Ty, map: &[(TvId, Ty)]) -> Ty {
+        self.subst_changed(ty, map).unwrap_or_else(|| ty.clone())
+    }
+
+    /// [`Unifier::subst`], or `None` when the result is `ty` itself.
+    /// Path-compresses at every unmapped variable of the result, left to
+    /// right.
+    fn subst_changed(&mut self, ty: &Ty, map: &[(TvId, Ty)]) -> Option<Ty> {
         match ty {
             Ty::Var(v) => {
-                // Scheme-local variables (ids beyond the store) are always
-                // unbound; see `stdlib`.
-                let Some(bound) = self.bindings.get(v.0 as usize).cloned().flatten() else {
-                    return ty.clone();
-                };
-                // Only a chain of variables can be compressed; rewriting a
-                // binding with its own value would change nothing but
-                // still cost a trail entry under a checkpoint.
-                if !matches!(bound, Ty::Var(_)) {
-                    return bound;
+                if let Some((_, image)) = map.iter().find(|(w, _)| w == v) {
+                    return Some(image.clone());
                 }
-                let root = self.shallow_resolve(&bound);
-                if root != bound {
-                    self.set_binding(v.0, Some(root.clone()));
+                let root = self.shallow_resolve(ty);
+                if root == *ty {
+                    return None;
                 }
-                root
+                Some(self.subst_changed(&root, map).unwrap_or(root))
             }
-            other => other.clone(),
+            Ty::Con(name, args) => {
+                self.subst_all(args, map).map(|args| Ty::Con(name.clone(), args))
+            }
+            Ty::Tuple(parts) => self.subst_all(parts, map).map(Ty::Tuple),
+            Ty::Arrow(a, b) => {
+                let sa = self.subst_changed(a, map);
+                let sb = self.subst_changed(b, map);
+                if sa.is_none() && sb.is_none() {
+                    return None;
+                }
+                let sa = sa.map_or_else(|| a.clone(), Arc::new);
+                let sb = sb.map_or_else(|| b.clone(), Arc::new);
+                Some(Ty::Arrow(sa, sb))
+            }
         }
     }
 
-    /// Fully substitutes solved variables throughout the type.
-    pub fn resolve(&mut self, ty: &Ty) -> Ty {
-        let root = self.shallow_resolve(ty);
-        match root {
-            Ty::Var(_) => root,
-            Ty::Con(name, args) => Ty::Con(name, args.iter().map(|a| self.resolve(a)).collect()),
-            Ty::Arrow(a, b) => Ty::arrow(self.resolve(&a), self.resolve(&b)),
-            Ty::Tuple(parts) => Ty::Tuple(parts.iter().map(|p| self.resolve(p)).collect()),
+    /// [`Unifier::subst_changed`] over a list: `None` when no element
+    /// changes, else the new list, built in one allocation.
+    fn subst_all(&mut self, tys: &[Ty], map: &[(TvId, Ty)]) -> Option<Arc<[Ty]>> {
+        let (i, first) =
+            tys.iter().enumerate().find_map(|(i, t)| Some((i, self.subst_changed(t, map)?)))?;
+        let rest = tys[i + 1..].iter().map(|t| self.subst(t, map));
+        Some(tys[..i].iter().cloned().chain(std::iter::once(first)).chain(rest).collect())
+    }
+
+    /// The end of `ty`'s chain of bound variables, followed without
+    /// path compression.
+    fn root<'a>(&'a self, mut ty: &'a Ty) -> &'a Ty {
+        while let Ty::Var(v) = ty {
+            match self.bindings.get(v.0 as usize) {
+                Some(Some(bound)) => ty = bound,
+                _ => break,
+            }
         }
+        ty
     }
 
     /// Marks `found[i]` for every `candidates[i]` that occurs in the
@@ -161,21 +220,14 @@ impl Unifier {
     /// writes nothing and leaves no trail: it marks exactly the
     /// candidates among `self.resolve(ty)`'s variables.
     pub fn mark_occurring(&self, ty: &Ty, candidates: &[TvId], found: &mut [bool]) {
-        let mut root = ty;
-        while let Ty::Var(v) = root {
-            match self.bindings.get(v.0 as usize) {
-                Some(Some(bound)) => root = bound,
-                _ => break,
-            }
-        }
-        match root {
+        match self.root(ty) {
             Ty::Var(v) => {
                 if let Some(i) = candidates.iter().position(|c| c == v) {
                     found[i] = true;
                 }
             }
             Ty::Con(_, args) | Ty::Tuple(args) => {
-                for a in args {
+                for a in args.iter() {
                     self.mark_occurring(a, candidates, found);
                 }
             }
@@ -186,19 +238,14 @@ impl Unifier {
         }
     }
 
-    /// Whether `v` occurs in (the resolution of) `ty`.
-    fn occurs(&mut self, v: TvId, ty: &Ty) -> bool {
-        let root = self.shallow_resolve(ty);
-        match &root {
+    /// Whether `v` occurs in (the resolution of) `ty`. Like
+    /// [`Unifier::mark_occurring`], a read-only walk: it clones nothing
+    /// and writes nothing, so it leaves no trail.
+    fn occurs(&self, v: TvId, ty: &Ty) -> bool {
+        match self.root(ty) {
             Ty::Var(w) => *w == v,
-            Ty::Con(_, args) | Ty::Tuple(args) => args.iter().any(|a| {
-                let a = a.clone();
-                self.occurs(v, &a)
-            }),
-            Ty::Arrow(a, b) => {
-                let (a, b) = (a.as_ref().clone(), b.as_ref().clone());
-                self.occurs(v, &a) || self.occurs(v, &b)
-            }
+            Ty::Con(_, args) | Ty::Tuple(args) => args.iter().any(|a| self.occurs(v, a)),
+            Ty::Arrow(a, b) => self.occurs(v, a) || self.occurs(v, b),
         }
     }
 
@@ -232,7 +279,7 @@ impl Unifier {
                 Ok(())
             }
             (Ty::Con(n1, a1), Ty::Con(n2, a2)) if n1 == n2 && a1.len() == a2.len() => {
-                for (x, y) in a1.iter().zip(a2) {
+                for (x, y) in a1.iter().zip(a2.iter()) {
                     self.unify(x, y).map_err(|e| self.outer_blame(e, &ra, &rb))?;
                 }
                 Ok(())
@@ -242,7 +289,7 @@ impl Unifier {
                 self.unify(y1, y2).map_err(|e| self.outer_blame(e, &ra, &rb))
             }
             (Ty::Tuple(p1), Ty::Tuple(p2)) if p1.len() == p2.len() => {
-                for (x, y) in p1.iter().zip(p2) {
+                for (x, y) in p1.iter().zip(p2.iter()) {
                     self.unify(x, y).map_err(|e| self.outer_blame(e, &ra, &rb))?;
                 }
                 Ok(())
@@ -343,8 +390,8 @@ mod tests {
     #[test]
     fn tuple_arity_mismatch() {
         let mut u = Unifier::new();
-        let t2 = Ty::Tuple(vec![Ty::int(), Ty::int()]);
-        let t3 = Ty::Tuple(vec![Ty::int(), Ty::int(), Ty::int()]);
+        let t2 = Ty::tuple(vec![Ty::int(), Ty::int()]);
+        let t3 = Ty::tuple(vec![Ty::int(), Ty::int(), Ty::int()]);
         assert!(matches!(u.unify(&t2, &t3), Err(UnifyError::Mismatch(_, _))));
     }
 
@@ -423,6 +470,26 @@ mod tests {
     }
 
     #[test]
+    fn occurs_check_trails_nothing() {
+        let mut u = Unifier::new();
+        let a = u.fresh();
+        let b = u.fresh();
+        let c = u.fresh();
+        // The raw chain a -> b -> c, as in the test above.
+        u.unify(&a, &b).unwrap();
+        u.unify(&b, &c).unwrap();
+
+        u.checkpoint();
+        let fresh = u.fresh();
+        // The occurs check walks `a list` down the chain without
+        // compressing it, so the binding is the only write.
+        u.unify(&fresh, &Ty::list(a.clone())).unwrap();
+        assert_eq!(u.trail_len(), 1);
+        u.rollback();
+        assert_eq!(observe(&mut u), vec![c.clone(), c.clone(), c]);
+    }
+
+    #[test]
     fn nested_checkpoints_pop_lifo() {
         let mut u = Unifier::new();
         let a = u.fresh();
@@ -463,8 +530,8 @@ mod tests {
         // (a, int) vs (bool, int list): binds a := bool before failing on
         // int vs int list — partial sub-unification bindings are exactly
         // what the trail must clean up after a failed probe.
-        let t1 = Ty::Tuple(vec![a.clone(), Ty::int()]);
-        let t2 = Ty::Tuple(vec![Ty::bool(), Ty::list(Ty::int())]);
+        let t1 = Ty::tuple(vec![a.clone(), Ty::int()]);
+        let t2 = Ty::tuple(vec![Ty::bool(), Ty::list(Ty::int())]);
         assert!(u.unify(&t1, &t2).is_err());
         u.rollback();
 

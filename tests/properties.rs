@@ -97,7 +97,7 @@ fn gen_ty(rng: &mut SplitMix64, depth: usize) -> Ty {
     match rng.random_range(0..3usize) {
         0 => Ty::arrow(gen_ty(rng, d), gen_ty(rng, d)),
         1 => Ty::list(gen_ty(rng, d)),
-        _ => Ty::Tuple(vec![gen_ty(rng, d), gen_ty(rng, d)]),
+        _ => Ty::tuple(vec![gen_ty(rng, d), gen_ty(rng, d)]),
     }
 }
 

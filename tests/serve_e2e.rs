@@ -353,6 +353,57 @@ fn idle_client_does_not_block_shutdown() {
     std::mem::forget(guard);
 }
 
+/// A client that trickles an unfinished line one byte every 50 ms is
+/// closed when the idle budget runs out, exactly like a silent one, and
+/// the daemon then serves a fresh connection.
+#[test]
+fn trickling_client_is_closed_at_the_idle_limit() {
+    use std::io::Read;
+    use std::time::{Duration, Instant};
+    let (mut guard, addr) = spawn_tcp_serve(&["--idle-timeout-ms", "300"]);
+
+    let mut trickler =
+        std::net::TcpStream::connect(&addr).unwrap_or_else(|e| panic!("connect to {addr}: {e}"));
+    // The read timeout paces the trickle.
+    trickler.set_read_timeout(Some(Duration::from_millis(50))).expect("set read timeout");
+    let started = Instant::now();
+    loop {
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "a client trickling one byte every 50 ms is still connected after 5 s"
+        );
+        if trickler.write_all(b"x").is_err() {
+            break;
+        }
+        let mut reply = [0u8; 64];
+        match trickler.read(&mut reply) {
+            Ok(0) => break,
+            Ok(_) => panic!("the server answered an unfinished line"),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) => {}
+            Err(_) => break,
+        }
+    }
+
+    let mut client = TcpClient::connect(&addr);
+    let Response::Check(check) = client.round_trip(&Request::Check(CheckRequest::new(1, FIGURE2)))
+    else {
+        panic!("check answered with a non-check response");
+    };
+    assert_eq!(check.status, Status::TypeErrors);
+    let Response::Shutdown(resp) =
+        client.round_trip(&Request::Shutdown(ShutdownRequest { id: 2, deadline_ms: None }))
+    else {
+        panic!("shutdown answered with a non-shutdown response");
+    };
+    assert_eq!(resp.status, Status::Ok);
+    assert_eq!(wait_with_deadline(&mut guard, Duration::from_secs(10)), 0);
+    std::mem::forget(guard);
+}
+
 /// The load-shedding acceptance: with a single admission slot held
 /// busy, a concurrent check with a 1ms deadline is answered with a
 /// typed `overloaded` response carrying a retry hint — not an error,
