@@ -76,10 +76,10 @@ pub struct SearchConfig {
     /// Largest argument count for which full permutations are attempted
     /// (gated on the all-wildcards probe succeeding, §2.2).
     pub max_permutation_args: usize,
-    /// Memoize oracle verdicts by rendered program text: different search
+    /// Memoize probe outcomes by program fingerprint: different search
     /// paths often construct identical variants (e.g. a removal revisited
     /// during triage), and the checker is deterministic, so cached
-    /// verdicts are always safe. Off by default so oracle-call counts
+    /// outcomes are always safe. Off by default so oracle-call counts
     /// stay comparable with the paper's cost model.
     pub memoize_oracle: bool,
     /// Capture the structured trace into
@@ -354,7 +354,7 @@ impl SearchConfigBuilder {
         self
     }
 
-    /// Memoize oracle verdicts by rendered program text.
+    /// Memoize probe outcomes by program fingerprint.
     #[must_use]
     pub fn memoize(mut self, on: bool) -> Self {
         self.cfg.memoize_oracle = on;

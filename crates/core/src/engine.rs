@@ -1,5 +1,5 @@
-//! The parallel probe engine: batched, work-stealing oracle dispatch
-//! behind a sharded concurrent memo cache.
+//! The parallel probe engine: work-stealing oracle dispatch into the
+//! search's [`VerdictMemo`].
 //!
 //! SEMINAL's search is probe-bound and embarrassingly parallel — each
 //! enumerated variant (§2.2) is an independent black-box oracle query —
@@ -10,172 +10,38 @@
 //! parallelizes **speculatively** rather than restructuring the
 //! recursion: at each enumeration frontier the searcher hands the whole
 //! candidate set to [`ProbeEngine::prefetch`], which drains it through
-//! a pool of scoped `std::thread` workers into the [`ShardedMemo`]; the
-//! unchanged sequential logic then *consumes* verdicts from the memo in
-//! its original order. Verdicts are deterministic (the oracle is a pure
-//! function of the rendered program), so the suggestion set, ranks, and
-//! trace structure are identical at any thread count — parallelism only
-//! changes *when* a verdict is computed, never *what* it is.
+//! a pool of scoped `std::thread` workers into the memo; the unchanged
+//! sequential logic then *consumes* outcomes from the memo in its
+//! original order. Outcomes are deterministic (the oracle is a pure
+//! function of the program), so the suggestion set, ranks, and trace
+//! structure are identical at any thread count — parallelism only
+//! changes *when* an outcome is computed, never *what* it is.
 //!
 //! Workers pull index chunks from per-worker deques (own front first,
-//! then steal from a victim's back) and submit each chunk through
-//! [`Oracle::check_batch`], so oracles with per-call setup amortize it
-//! across the chunk. Prefetched entries the searcher never reads are
+//! then steal from a victim's back) and probe each variant under its
+//! own panic guard. Prefetched entries the searcher never reads are
 //! counted as `engine.speculative_waste`; the accounting identity
 //! `CountingOracle::calls == oracle_calls + speculative_waste` (and
 //! `consumed probes + memo hits == logical queries`) is what the
-//! determinism suite reconciles.
-//!
-//! The memo is a fixed array of `Mutex<HashMap>` shards rather than a
-//! lock-free map: the workspace is dependency-free by policy (offline
-//! builds), probe latency is micro- to milliseconds while a shard
-//! critical section is tens of nanoseconds, and FNV-spread keys make
-//! contention on 16 shards negligible. See DESIGN.md §10.
+//! determinism suite reconciles. See DESIGN.md §10.
 
 use crate::budget::Budget;
+use crate::memo::VerdictMemo;
 use seminal_ml::ast::Program;
-use seminal_ml::pretty::program_to_string;
 use seminal_obs::{EventKind, SpanContext, SpanKind, TraceHandle, Tracer};
-use seminal_typeck::{guarded_probe, Oracle, ProbeOutcome};
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use seminal_typeck::{guarded_probe, FingerprintCache, Oracle};
+use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Number of memo shards. A power of two, sized so that even a full
-/// worker complement on a large machine rarely collides on a shard.
-pub const MEMO_SHARDS: usize = 16;
-
-/// Largest index chunk a worker claims at once — the unit handed to
-/// [`Oracle::check_batch`]. Small enough that stealing keeps the tail
-/// of a frontier balanced, large enough to amortize batch setup.
+/// Largest index chunk a worker claims at once. Small enough that
+/// stealing keeps the tail of a frontier balanced, large enough that
+/// workers rarely touch the queue locks.
 const CHUNK: usize = 8;
 
-/// One cached oracle verdict.
-#[derive(Debug, Clone, Copy)]
-struct MemoEntry {
-    /// The probe's three-valued verdict ([`ProbeOutcome::Faulted`] when
-    /// the oracle panicked and the panic was isolated — cached like any
-    /// other verdict, so a deterministic fault costs one fault total).
-    verdict: ProbeOutcome,
-    /// Wall-clock of the oracle call that produced the verdict.
-    latency_ns: u64,
-    /// Whether the searcher has already read this entry. The first read
-    /// of a prefetched entry is accounted as a real probe (the oracle
-    /// did run, speculatively, on the searcher's behalf); later reads
-    /// are memo hits.
-    consumed: bool,
-}
-
-/// What [`ShardedMemo::consume`] found for a key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemoLookup {
-    /// A prefetched verdict read for the first time: account it as the
-    /// probe the sequential engine would have issued here, with the
-    /// latency the worker measured.
-    Fresh {
-        /// The probe's verdict.
-        verdict: ProbeOutcome,
-        /// Wall-clock of the speculative oracle call.
-        latency_ns: u64,
-    },
-    /// An already-consumed verdict: a true cache hit.
-    Hit {
-        /// The probe's verdict.
-        verdict: ProbeOutcome,
-        /// Latency of the original call — the cost the cache saved.
-        saved_ns: u64,
-    },
-    /// Not cached; the caller must query the oracle itself.
-    Miss,
-}
-
-/// An `N`-way sharded `Mutex<HashMap>` memo keyed by rendered program
-/// text (the same key [`SearchConfig::memoize_oracle`] always used —
-/// the pretty-printer is deterministic and the oracle is a function of
-/// the rendered program). Shared by all workers within a frontier batch
-/// and across batches and triage rounds of one search.
-///
-/// [`SearchConfig::memoize_oracle`]: crate::SearchConfig::memoize_oracle
-#[derive(Debug)]
-pub struct ShardedMemo {
-    shards: Vec<Mutex<HashMap<String, MemoEntry>>>,
-}
-
-/// FNV-1a, inlined so shard selection never allocates or depends on
-/// `RandomState` (shard choice must be stable within a process run).
-fn fnv1a(key: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.as_bytes() {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-impl ShardedMemo {
-    /// An empty memo with `shards` shards (at least 1).
-    pub fn new(shards: usize) -> ShardedMemo {
-        let n = shards.max(1);
-        ShardedMemo { shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect() }
-    }
-
-    fn shard(&self, key: &str) -> &Mutex<HashMap<String, MemoEntry>> {
-        &self.shards[(fnv1a(key) as usize) % self.shards.len()]
-    }
-
-    /// Whether `key` is cached (consumed or not).
-    pub fn contains(&self, key: &str) -> bool {
-        self.shard(key).lock().expect("memo shard poisoned").contains_key(key)
-    }
-
-    /// Reads the verdict for `key`, marking it consumed.
-    pub fn consume(&self, key: &str) -> MemoLookup {
-        let mut shard = self.shard(key).lock().expect("memo shard poisoned");
-        match shard.get_mut(key) {
-            Some(e) if !e.consumed => {
-                e.consumed = true;
-                MemoLookup::Fresh { verdict: e.verdict, latency_ns: e.latency_ns }
-            }
-            Some(e) => MemoLookup::Hit { verdict: e.verdict, saved_ns: e.latency_ns },
-            None => MemoLookup::Miss,
-        }
-    }
-
-    /// Caches a verdict. The first writer wins; a concurrent duplicate
-    /// insert (two workers racing on the same rendered text) is dropped
-    /// rather than overwriting, so a consumed flag is never reset.
-    pub fn insert(&self, key: String, verdict: ProbeOutcome, latency_ns: u64, consumed: bool) {
-        let mut shard = self.shard(&key).lock().expect("memo shard poisoned");
-        shard.entry(key).or_insert(MemoEntry { verdict, latency_ns, consumed });
-    }
-
-    /// Total cached entries across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("memo shard poisoned").len()).sum()
-    }
-
-    /// Whether the memo holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Entries prefetched but never consumed — the engine's speculative
-    /// waste, reported as the `engine.speculative_waste` counter.
-    pub fn unconsumed(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock().expect("memo shard poisoned").values().filter(|e| !e.consumed).count()
-                    as u64
-            })
-            .sum()
-    }
-}
-
 /// Work-stealing parallel prefetcher over a borrowed oracle. One engine
-/// serves one search: its [`ShardedMemo`] persists across every
+/// serves one search: its [`VerdictMemo`] persists across every
 /// frontier batch and triage round of that search.
 ///
 /// Workers are scoped threads spawned per frontier batch
@@ -188,7 +54,7 @@ impl ShardedMemo {
 pub struct ProbeEngine<'o, O> {
     oracle: &'o O,
     threads: usize,
-    memo: ShardedMemo,
+    memo: VerdictMemo,
     prefetched: AtomicU64,
     batches: AtomicU64,
     largest_batch: AtomicU64,
@@ -210,7 +76,7 @@ impl<'o, O: Oracle> ProbeEngine<'o, O> {
         ProbeEngine {
             oracle,
             threads: threads.max(1),
-            memo: ShardedMemo::new(MEMO_SHARDS),
+            memo: VerdictMemo::default(),
             prefetched: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             largest_batch: AtomicU64::new(0),
@@ -240,8 +106,8 @@ impl<'o, O: Oracle> ProbeEngine<'o, O> {
         self.halt.as_ref().is_some_and(Budget::interrupted)
     }
 
-    /// The shared memo the sequential consumer reads verdicts from.
-    pub fn memo(&self) -> &ShardedMemo {
+    /// The memo the sequential consumer reads outcomes from.
+    pub fn memo(&self) -> &VerdictMemo {
         &self.memo
     }
 
@@ -271,10 +137,12 @@ impl<'o, O: Oracle> ProbeEngine<'o, O> {
     }
 
     /// Speculatively evaluates a frontier of variants into the memo and
-    /// blocks until every verdict is cached. Variants already cached (or
-    /// duplicated within the frontier) are dispatched once.
-    pub fn prefetch(&self, variants: &[Program]) {
-        self.prefetch_under(variants, None);
+    /// blocks until every outcome is cached. Each variant is keyed
+    /// through `keys`, a [`FingerprintCache`] of the search's input;
+    /// variants already cached (or duplicated within the frontier) are
+    /// dispatched once.
+    pub fn prefetch(&self, variants: &[Program], keys: &FingerprintCache) {
+        self.prefetch_under(variants, keys, None);
     }
 
     /// [`ProbeEngine::prefetch`] with an explicit causal parent: when a
@@ -284,15 +152,20 @@ impl<'o, O: Oracle> ProbeEngine<'o, O> {
     /// step that caused them. The parent span must stay open for the
     /// duration of the call — trivially true, since prefetch blocks
     /// until the workers join.
-    pub fn prefetch_under(&self, variants: &[Program], parent: Option<SpanContext>) {
+    pub fn prefetch_under(
+        &self,
+        variants: &[Program],
+        keys: &FingerprintCache,
+        parent: Option<SpanContext>,
+    ) {
         if self.interrupted() {
             return;
         }
         let mut seen = HashSet::new();
-        let jobs: Vec<(String, &Program)> = variants
+        let jobs: Vec<(u64, &Program)> = variants
             .iter()
-            .map(|p| (program_to_string(p), p))
-            .filter(|(key, _)| !self.memo.contains(key) && seen.insert(key.clone()))
+            .map(|p| (keys.program_fingerprint(p), p))
+            .filter(|&(key, _)| !self.memo.contains(key) && seen.insert(key))
             .collect();
         if jobs.is_empty() {
             return;
@@ -304,14 +177,8 @@ impl<'o, O: Oracle> ProbeEngine<'o, O> {
 
         let workers = self.threads.min(jobs.len());
         if workers <= 1 {
-            let progs: Vec<&Program> = jobs.iter().map(|(_, p)| *p).collect();
             let mut span = parent.map(|ctx| self.open_worker_span(0, ctx));
-            self.run_chunk(
-                &jobs,
-                &progs,
-                &(0..jobs.len()).collect::<Vec<_>>(),
-                span.as_mut().map(|(t, _)| t),
-            );
+            self.run_chunk(&jobs, 0..jobs.len(), span.as_mut().map(|(t, _)| t));
             if let Some((mut tracer, id)) = span {
                 tracer.close(id);
             }
@@ -336,7 +203,6 @@ impl<'o, O: Oracle> ProbeEngine<'o, O> {
                 let jobs = &jobs;
                 scope.spawn(move || {
                     let mut chunk = Vec::with_capacity(CHUNK);
-                    let mut progs: Vec<&Program> = Vec::with_capacity(CHUNK);
                     // Opened lazily on the first claimed chunk, so idle
                     // workers leave no empty tracks in the trace.
                     let mut span: Option<(Tracer, u64)> = None;
@@ -355,9 +221,7 @@ impl<'o, O: Oracle> ProbeEngine<'o, O> {
                         if span.is_none() {
                             span = parent.map(|ctx| self.open_worker_span(w, ctx));
                         }
-                        progs.clear();
-                        progs.extend(chunk.iter().map(|&i| jobs[i].1));
-                        self.run_chunk(jobs, &progs, &chunk, span.as_mut().map(|(t, _)| t));
+                        self.run_chunk(jobs, chunk.iter().copied(), span.as_mut().map(|(t, _)| t));
                     }
                     if let Some((mut tracer, id)) = span {
                         tracer.close(id);
@@ -377,47 +241,20 @@ impl<'o, O: Oracle> ProbeEngine<'o, O> {
         (tracer, id)
     }
 
-    /// Checks one chunk through `Oracle::check_batch` and caches the
-    /// verdicts as unconsumed entries. Per-variant latency is the chunk
-    /// wall-clock split evenly — exact enough for the latency histogram
-    /// whose buckets are powers of two.
-    ///
-    /// The batch runs under a panic guard: if the oracle unwinds
-    /// mid-batch, each variant of the chunk is retried under its own
-    /// guard so one poisoned variant is cached as `Faulted` while its
-    /// chunk-mates keep their real verdicts — a fault never kills a
-    /// worker or poisons the memo.
+    /// Probes the `indices` of `jobs`, each under its own panic guard,
+    /// and caches the outcomes as unconsumed entries. A panicking probe
+    /// is cached as `Faulted` while its chunk-mates keep their real
+    /// outcomes — a fault never kills a worker or poisons the memo.
     fn run_chunk(
         &self,
-        jobs: &[(String, &Program)],
-        progs: &[&Program],
-        indices: &[usize],
+        jobs: &[(u64, &Program)],
+        indices: impl IntoIterator<Item = usize>,
         mut tracer: Option<&mut Tracer>,
     ) {
-        if indices.is_empty() {
-            return;
-        }
-        let clock = Instant::now();
-        if let Ok(verdicts) = catch_unwind(AssertUnwindSafe(|| self.oracle.check_batch(progs))) {
-            let per_probe_ns = u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX)
-                / indices.len() as u64;
-            debug_assert_eq!(verdicts.len(), progs.len(), "check_batch must answer every variant");
-            for (&i, verdict) in indices.iter().zip(&verdicts) {
-                let outcome = ProbeOutcome::from_verdict(verdict);
-                if let Some(t) = tracer.as_mut() {
-                    let _ = t.event(EventKind::SpeculativeProbe {
-                        outcome: outcome.passed(),
-                        faulted: false,
-                        latency_ns: per_probe_ns,
-                    });
-                }
-                self.memo.insert(jobs[i].0.clone(), outcome, per_probe_ns, false);
-            }
-            return;
-        }
-        for &i in indices {
+        for i in indices {
+            let (key, prog) = jobs[i];
             let clock = Instant::now();
-            let outcome = guarded_probe(self.oracle, jobs[i].1);
+            let outcome = guarded_probe(self.oracle, prog);
             let latency_ns = u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
             if outcome.faulted() {
                 self.probe_faults.fetch_add(1, Ordering::Relaxed);
@@ -429,7 +266,7 @@ impl<'o, O: Oracle> ProbeEngine<'o, O> {
                     latency_ns,
                 });
             }
-            self.memo.insert(jobs[i].0.clone(), outcome, latency_ns, false);
+            self.memo.insert(key, outcome, latency_ns, false);
         }
     }
 }
@@ -460,31 +297,14 @@ fn take_work(queues: &[Mutex<VecDeque<usize>>], w: usize, out: &mut Vec<usize>) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memo::MemoLookup;
     use seminal_ml::parser::parse_program;
-    use seminal_typeck::{CountingOracle, TypeCheckOracle};
+    use seminal_ml::pretty::program_to_string;
+    use seminal_typeck::{program_fingerprint, CountingOracle, ProbeOutcome, TypeCheckOracle};
 
-    #[test]
-    fn memo_consume_distinguishes_fresh_from_hit() {
-        let memo = ShardedMemo::new(4);
-        assert_eq!(memo.consume("k"), MemoLookup::Miss);
-        memo.insert("k".to_owned(), ProbeOutcome::Pass, 120, false);
-        assert_eq!(
-            memo.consume("k"),
-            MemoLookup::Fresh { verdict: ProbeOutcome::Pass, latency_ns: 120 }
-        );
-        assert_eq!(
-            memo.consume("k"),
-            MemoLookup::Hit { verdict: ProbeOutcome::Pass, saved_ns: 120 }
-        );
-        // First writer wins: a racing duplicate cannot flip the verdict
-        // or reset the consumed flag.
-        memo.insert("k".to_owned(), ProbeOutcome::Fail, 7, false);
-        assert_eq!(
-            memo.consume("k"),
-            MemoLookup::Hit { verdict: ProbeOutcome::Pass, saved_ns: 120 }
-        );
-        assert_eq!(memo.len(), 1);
-        assert_eq!(memo.unconsumed(), 0);
+    /// Keys for programs that share no declarations with one another.
+    fn no_base() -> FingerprintCache {
+        FingerprintCache::new(&Program::default())
     }
 
     #[test]
@@ -494,22 +314,20 @@ mod tests {
         let good = parse_program("let x = 1 + 2").unwrap();
         let bad = parse_program("let x = 1 + true").unwrap();
         let variants = vec![good.clone(), bad.clone(), good.clone()];
-        engine.prefetch(&variants);
+        engine.prefetch(&variants, &no_base());
         // The duplicate is dispatched once; re-prefetching adds nothing.
         assert_eq!(oracle.calls(), 2);
         assert_eq!(engine.prefetched(), 2);
-        engine.prefetch(&variants);
+        engine.prefetch(&variants, &no_base());
         assert_eq!(oracle.calls(), 2);
         assert_eq!(engine.batches(), 1);
-        let good_key = program_to_string(&good);
-        let bad_key = program_to_string(&bad);
         assert!(matches!(
-            engine.memo().consume(&good_key),
-            MemoLookup::Fresh { verdict: ProbeOutcome::Pass, .. }
+            engine.memo().consume(program_fingerprint(&good)),
+            MemoLookup::Fresh { outcome: ProbeOutcome::Pass, .. }
         ));
         assert!(matches!(
-            engine.memo().consume(&bad_key),
-            MemoLookup::Fresh { verdict: ProbeOutcome::Fail, .. }
+            engine.memo().consume(program_fingerprint(&bad)),
+            MemoLookup::Fresh { outcome: ProbeOutcome::Fail, .. }
         ));
         assert_eq!(engine.memo().unconsumed(), 0);
     }
@@ -542,28 +360,17 @@ mod tests {
         let good = parse_program("let x = 1 + 2").unwrap();
         let bad = parse_program("let x = 1 + true").unwrap();
         let trap = parse_program("let boom = 0").unwrap();
-        engine.prefetch(&[good.clone(), trap.clone(), bad.clone()]);
+        engine.prefetch(&[good.clone(), trap.clone(), bad.clone()], &no_base());
         std::panic::set_hook(prev);
 
         assert_eq!(engine.probe_faults(), 1, "exactly the trapped probe faulted");
-        assert!(matches!(
-            engine.memo().consume(&program_to_string(&good)),
-            MemoLookup::Fresh { verdict: ProbeOutcome::Pass, .. }
-        ));
-        assert!(matches!(
-            engine.memo().consume(&program_to_string(&trap)),
-            MemoLookup::Fresh { verdict: ProbeOutcome::Faulted, .. }
-        ));
-        assert!(matches!(
-            engine.memo().consume(&program_to_string(&bad)),
-            MemoLookup::Fresh { verdict: ProbeOutcome::Fail, .. }
-        ));
+        let consume = |p: &Program| engine.memo().consume(program_fingerprint(p));
+        assert!(matches!(consume(&good), MemoLookup::Fresh { outcome: ProbeOutcome::Pass, .. }));
+        assert!(matches!(consume(&trap), MemoLookup::Fresh { outcome: ProbeOutcome::Faulted, .. }));
+        assert!(matches!(consume(&bad), MemoLookup::Fresh { outcome: ProbeOutcome::Fail, .. }));
         // A faulted entry re-reads as a hit like any other (the fault is
         // memoized, not recomputed).
-        assert!(matches!(
-            engine.memo().consume(&program_to_string(&trap)),
-            MemoLookup::Hit { verdict: ProbeOutcome::Faulted, .. }
-        ));
+        assert!(matches!(consume(&trap), MemoLookup::Hit { outcome: ProbeOutcome::Faulted, .. }));
     }
 
     #[test]
@@ -576,7 +383,7 @@ mod tests {
         let engine = ProbeEngine::new(&oracle, 4).with_trace(tracer.handle());
         let variants: Vec<Program> =
             (0..32).map(|i| parse_program(&format!("let v{i} = {i}")).unwrap()).collect();
-        engine.prefetch_under(&variants, tracer.context());
+        engine.prefetch_under(&variants, &no_base(), tracer.context());
         tracer.close(root);
         let records = sink.drain();
         check_invariants(&records).expect("engine records keep the stream valid");
@@ -602,7 +409,7 @@ mod tests {
             (32..40).map(|i| parse_program(&format!("let v{i} = {i}")).unwrap()).collect();
         let mut tracer2 = Tracer::new(vec![sink.clone()]);
         let root2 = tracer2.open(SpanKind::Search);
-        silent.prefetch_under(&more, tracer2.context());
+        silent.prefetch_under(&more, &no_base(), tracer2.context());
         tracer2.close(root2);
         assert_eq!(sink.drain().len(), 2, "only the open/close pair from the consumer");
     }
@@ -617,7 +424,7 @@ mod tests {
         handle.cancel();
         let variants: Vec<Program> =
             (0..64).map(|i| parse_program(&format!("let v{i} = {i}")).unwrap()).collect();
-        engine.prefetch(&variants);
+        engine.prefetch(&variants, &no_base());
         assert_eq!(oracle.calls(), 0, "a cancelled engine dispatches nothing");
         assert!(engine.memo().is_empty());
     }

@@ -55,7 +55,7 @@ pub mod session;
 pub use budget::{Budget, SearchHandle, StopReason};
 pub use change::{Candidate, ChangeKind, Focus, Probe, Suggestion};
 pub use config::{ConfigError, SearchConfig, SearchConfigBuilder};
-pub use memo::{CrossRequestMemo, SharedMemoOracle, DEFAULT_CROSS_MEMO_CAPACITY};
+pub use memo::{MemoLookup, SharedMemoOracle, VerdictMemo, DEFAULT_CROSS_MEMO_CAPACITY};
 #[allow(deprecated)]
 pub use search::Searcher;
 pub use search::{CustomChange, Outcome, SearchReport, SearchStats};

@@ -1,186 +1,247 @@
-//! Process-lifetime probe-verdict cache for the serve daemon.
+//! The verdict memo: probe outcomes keyed by program fingerprint.
 //!
-//! The in-search [`ShardedMemo`](crate::engine::ShardedMemo) lives for
-//! one `SearchSession::search` call and keys on pretty-printed program
-//! text. A long-lived `seminal serve` process wants the complement: a
-//! cache that **outlives** every session, keyed by the compact
-//! [`program_fingerprint`] content hash so repeated edits to the same
-//! file replay probe verdicts across requests instead of re-running the
-//! oracle.
+//! [`VerdictMemo`] is the workspace's one cache of oracle answers. It
+//! lives for one search ([`SearchConfig::memoize_oracle`]), for the
+//! parallel engine's prefetch (`crate::engine`: workers insert outcomes
+//! unconsumed, the search reads them back [`MemoLookup::Fresh`] once),
+//! or, bounded by FIFO eviction per shard ([`VerdictMemo::bounded`],
+//! `--memo-capacity`), for the serve daemon's lifetime behind
+//! [`SharedMemoOracle`].
 //!
-//! The key of every probe after the first is built by a
-//! [`FingerprintCache`] seeded from the request's first program (the
-//! search's base): declarations a probe shares with the base by `Arc`
-//! reuse the base's fingerprints, so a key costs O(edit) to build and
-//! stays bit-identical to [`program_fingerprint`].
-//!
-//! [`CrossRequestMemo`] is that cache: 16-way sharded like the engine
-//! memo, bounded by FIFO eviction per shard, with process-lifetime
-//! hit/miss/evict counters (surfaced as the `memo.cross_request_*`
-//! metrics). [`SharedMemoOracle`] is the per-request adapter: an
-//! [`Oracle`] wrapper that consults the shared memo before its inner
-//! oracle and additionally keeps **per-request** counters, so one
-//! response can report how much of its work the warm cache absorbed —
-//! including `oracle.real_calls`, the number the e2e warm-cache test
-//! pins to zero for an identical second request.
-//!
-//! Probe *faults* (inner-oracle panics) propagate uncached: a chaotic
-//! or buggy oracle must not poison verdicts for every later request.
-//! Typing and constraint traces are not probes: they pass straight to
-//! the inner oracle, uncounted and uncached.
+//! Every key is [`program_fingerprint`], built through a
+//! [`FingerprintCache`] of the search's input, so a key costs O(edit).
+//! That key ignores layout, so an entry holds only what layout cannot
+//! change: a [`ProbeOutcome`] and its latency, never a `TypeError` with
+//! spans. The baseline, the one verdict whose message and location are
+//! shown, always comes from the checker ([`Oracle::check`]); so a warm
+//! daemon answers a layout twin exactly like a cold one. Entries are
+//! fixed-size, so a bounded memo's capacity bounds its memory too.
 //!
 //! [`program_fingerprint`]: seminal_typeck::program_fingerprint
+//! [`SearchConfig::memoize_oracle`]: crate::SearchConfig::memoize_oracle
 
 use seminal_ml::ast::{NodeId, Program};
-use seminal_typeck::fingerprint::fnv1a;
-use seminal_typeck::{ConstraintTrace, FingerprintCache, Oracle, TypeError};
+use seminal_obs::fnv1a;
+use seminal_typeck::{ConstraintTrace, FingerprintCache, Oracle, ProbeOutcome, TypeError};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Instant;
 
-/// Shard count; must be a power of two (same layout as `ShardedMemo`).
+/// Shard count; a power of two.
 const SHARDS: usize = 16;
 
-/// Default capacity (total verdicts across shards) when the server is
-/// started without `--memo-capacity`.
+/// Default capacity (total outcomes across shards) of the daemon's
+/// memo when the server is started without `--memo-capacity`.
 pub const DEFAULT_CROSS_MEMO_CAPACITY: usize = 1 << 16;
 
-/// One shard: verdicts plus insertion order for FIFO eviction.
-#[derive(Default)]
+/// One cached probe.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    /// `Faulted` when a search's probe panicked: a deterministic fault
+    /// costs one fault, not one per duplicate probe.
+    outcome: ProbeOutcome,
+    /// Wall-clock of the oracle call that produced the outcome.
+    latency_ns: u64,
+    /// Whether a search has read this entry. The first read of a
+    /// prefetched entry is accounted as the probe (the oracle did run,
+    /// on the search's behalf); later reads are memo hits.
+    consumed: bool,
+}
+
+/// One shard: entries, plus their insertion order when bounded.
+#[derive(Debug, Default)]
 struct Shard {
-    verdicts: HashMap<u64, Result<(), TypeError>>,
+    entries: HashMap<u64, Entry>,
     order: VecDeque<u64>,
 }
 
-/// A bounded, sharded, process-lifetime map from program fingerprints
-/// to oracle verdicts. All counters are monotonic process totals.
-pub struct CrossRequestMemo {
-    shards: Vec<Mutex<Shard>>,
-    /// FIFO bound per shard (total capacity distributed evenly).
-    per_shard_capacity: usize,
+/// What [`VerdictMemo::consume`] found for a key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MemoLookup {
+    /// A prefetched outcome read for the first time: account it as the
+    /// probe the sequential search would have issued here, with the
+    /// latency the worker measured.
+    Fresh {
+        /// The probe's outcome.
+        outcome: ProbeOutcome,
+        /// Wall-clock of the speculative oracle call.
+        latency_ns: u64,
+    },
+    /// An already-consumed outcome: a true cache hit.
+    Hit {
+        /// The probe's outcome.
+        outcome: ProbeOutcome,
+        /// Latency of the original call — the cost the cache saved.
+        saved_ns: u64,
+    },
+    /// Not cached; the caller must query the oracle itself.
+    Miss,
+}
+
+/// A 16-way sharded map from program fingerprints to probe outcomes,
+/// unbounded by default (one search's lifetime).
+///
+/// The shards are `Mutex<HashMap>`s rather than a lock-free map: the
+/// workspace is dependency-free by policy, a probe costs micro- to
+/// milliseconds while a shard critical section costs tens of
+/// nanoseconds, and FNV-spread keys make contention negligible. Inserts
+/// are first-writer-wins, so a racing duplicate never changes a stored
+/// outcome or resets a consumed flag. The hit, miss and eviction
+/// counters are totals over the memo's lifetime.
+#[derive(Debug, Default)]
+pub struct VerdictMemo {
+    shards: [Mutex<Shard>; SHARDS],
+    /// FIFO bound per shard; `None` is unbounded.
+    per_shard_capacity: Option<usize>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
 }
 
-impl CrossRequestMemo {
-    /// A memo bounded to roughly `capacity` verdicts (rounded up to a
-    /// multiple of the shard count; a zero capacity still holds one
-    /// verdict per shard so the daemon degrades to "tiny cache", never
-    /// to "divide by zero").
+impl VerdictMemo {
+    /// A memo bounded to roughly `capacity` outcomes by FIFO eviction
+    /// per shard: the daemon's process-lifetime tier. The capacity is
+    /// rounded up to a multiple of the shard count, and a zero capacity
+    /// still holds one outcome per shard ("tiny cache", never "divide by
+    /// zero").
     #[must_use]
-    pub fn new(capacity: usize) -> CrossRequestMemo {
-        CrossRequestMemo {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            per_shard_capacity: capacity.div_ceil(SHARDS).max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+    pub fn bounded(capacity: usize) -> VerdictMemo {
+        VerdictMemo {
+            per_shard_capacity: Some(capacity.div_ceil(SHARDS).max(1)),
+            ..VerdictMemo::default()
         }
     }
 
-    fn shard(&self, key: u64) -> &Mutex<Shard> {
-        &self.shards[(fnv1a(&key.to_le_bytes()) as usize) & (SHARDS - 1)]
+    fn lock(&self, key: u64) -> MutexGuard<'_, Shard> {
+        let shard = &self.shards[(fnv1a(&key.to_le_bytes()) as usize) & (SHARDS - 1)];
+        shard.lock().expect("verdict memo shard poisoned")
     }
 
-    /// Looks up a verdict, bumping the process hit/miss counters.
+    /// Whether `key` is cached, consumed or not. Counts nothing.
     #[must_use]
-    pub fn get(&self, key: u64) -> Option<Result<(), TypeError>> {
-        let shard = self.shard(key).lock().expect("cross-request memo poisoned");
-        let verdict = shard.verdicts.get(&key).cloned();
-        drop(shard);
-        if verdict.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        verdict
+    pub fn contains(&self, key: u64) -> bool {
+        self.lock(key).entries.contains_key(&key)
     }
 
-    /// Caches a verdict (first writer wins — a concurrent duplicate is
-    /// dropped, matching the engine memo). Returns `true` when an old
-    /// verdict was evicted to make room.
-    pub fn insert(&self, key: u64, verdict: Result<(), TypeError>) -> bool {
-        let mut shard = self.shard(key).lock().expect("cross-request memo poisoned");
-        if shard.verdicts.contains_key(&key) {
+    /// Reads the outcome for `key`, marking it consumed, and bumps the
+    /// hit or miss counter.
+    pub fn consume(&self, key: u64) -> MemoLookup {
+        let lookup = match self.lock(key).entries.get_mut(&key) {
+            Some(e) if !e.consumed => {
+                e.consumed = true;
+                MemoLookup::Fresh { outcome: e.outcome, latency_ns: e.latency_ns }
+            }
+            Some(e) => MemoLookup::Hit { outcome: e.outcome, saved_ns: e.latency_ns },
+            None => MemoLookup::Miss,
+        };
+        let counter = if lookup == MemoLookup::Miss { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        lookup
+    }
+
+    /// Caches an outcome. The first writer wins: a duplicate insert is
+    /// dropped. Returns `true` when a bounded memo evicted an older
+    /// outcome to make room.
+    pub fn insert(&self, key: u64, outcome: ProbeOutcome, latency_ns: u64, consumed: bool) -> bool {
+        let mut shard = self.lock(key);
+        if shard.entries.contains_key(&key) {
             return false;
         }
         let mut evicted = false;
-        while shard.order.len() >= self.per_shard_capacity {
-            if let Some(old) = shard.order.pop_front() {
-                shard.verdicts.remove(&old);
-                evicted = true;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+        if let Some(capacity) = self.per_shard_capacity {
+            while shard.order.len() >= capacity {
+                if let Some(old) = shard.order.pop_front() {
+                    shard.entries.remove(&old);
+                    evicted = true;
+                    self.evictions.fetch_add(1, Ordering::Relaxed);
+                }
             }
+            shard.order.push_back(key);
         }
-        shard.verdicts.insert(key, verdict);
-        shard.order.push_back(key);
+        shard.entries.insert(key, Entry { outcome, latency_ns, consumed });
         evicted
     }
 
-    /// Number of cached verdicts right now.
+    /// Outcomes cached right now.
     #[must_use]
-    pub fn entries(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("cross-request memo poisoned").verdicts.len())
+            .map(|s| s.lock().expect("verdict memo shard poisoned").entries.len())
             .sum()
     }
 
-    /// Process-lifetime hit count.
+    /// Whether the memo holds no outcomes.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Outcomes inserted but never consumed — the probe engine's
+    /// speculative waste, reported as `engine.speculative_waste`.
+    #[must_use]
+    pub fn unconsumed(&self) -> u64 {
+        self.shards
+            .iter()
+            .map(|s| {
+                let shard = s.lock().expect("verdict memo shard poisoned");
+                shard.entries.values().filter(|e| !e.consumed).count() as u64
+            })
+            .sum()
+    }
+
+    /// Lookups that found an outcome.
     #[must_use]
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Process-lifetime miss count.
+    /// Lookups that found nothing.
     #[must_use]
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Process-lifetime eviction count.
+    /// Outcomes evicted to stay under the bound.
     #[must_use]
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
 }
 
-impl Default for CrossRequestMemo {
-    fn default() -> CrossRequestMemo {
-        CrossRequestMemo::new(DEFAULT_CROSS_MEMO_CAPACITY)
-    }
-}
-
-/// Per-request oracle adapter over a shared [`CrossRequestMemo`].
+/// Per-request oracle adapter over the daemon's shared [`VerdictMemo`].
 ///
-/// Wraps any inner [`Oracle`]; every `check` first consults the shared
-/// memo by [`program_fingerprint`], built through a [`FingerprintCache`]
-/// of the first program checked, and only on a miss calls the inner
-/// oracle and caches its verdict. The wrapper's own counters are
-/// per-request (they start at zero for each wrapper), so `dispatch`
-/// can stamp `memo.cross_request_hits`/`_misses` and
-/// `oracle.real_calls` deltas into each response while the memo keeps
-/// the process totals.
+/// Only probes ([`Oracle::passes`]) go through the memo: a probe looks
+/// its key up and, on a miss, asks the inner oracle and caches the
+/// outcome. [`Oracle::check`] (the baseline), typing and traces pass
+/// straight through, uncached and uncounted, so a baseline's message and
+/// location are always the request's own. A panicking inner oracle
+/// propagates uncached, so chaos never poisons a later request.
 ///
-/// [`program_fingerprint`]: seminal_typeck::program_fingerprint
+/// The wrapper stays an [`Oracle`] on purpose: the search counts a probe
+/// the memo answered as an oracle call, so a served answer reports the
+/// same `oracle_calls` as a one-shot run. Its counters are per-request,
+/// so `dispatch` can stamp `memo.cross_request_hits`/`_misses` and
+/// `oracle.real_calls` into each response while the memo keeps the
+/// process totals.
 pub struct SharedMemoOracle<O> {
     inner: O,
-    memo: Arc<CrossRequestMemo>,
-    /// Declaration fingerprints of the first program checked.
-    base: OnceLock<FingerprintCache>,
+    memo: Arc<VerdictMemo>,
+    keys: FingerprintCache,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
 }
 
 impl<O: Oracle> SharedMemoOracle<O> {
-    /// Wraps `inner` over the shared `memo`.
-    pub fn new(inner: O, memo: Arc<CrossRequestMemo>) -> SharedMemoOracle<O> {
+    /// Wraps `inner` over the shared `memo`, keying probes through the
+    /// declaration fingerprints of `base`, the program being searched.
+    pub fn new(inner: O, memo: Arc<VerdictMemo>, base: &Program) -> SharedMemoOracle<O> {
         SharedMemoOracle {
             inner,
             memo,
-            base: OnceLock::new(),
+            keys: FingerprintCache::new(base),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -193,9 +254,8 @@ impl<O: Oracle> SharedMemoOracle<O> {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Probes that fell through to the inner oracle. Every miss is
-    /// exactly one real oracle call, so this doubles as
-    /// `oracle.real_calls`.
+    /// Probes the memo could not answer. Each is exactly one inner
+    /// oracle call, so this is `oracle.real_calls`.
     #[must_use]
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
@@ -210,21 +270,28 @@ impl<O: Oracle> SharedMemoOracle<O> {
 
 impl<O: Oracle> Oracle for SharedMemoOracle<O> {
     fn check(&self, prog: &Program) -> Result<(), TypeError> {
-        let key = self.base.get_or_init(|| FingerprintCache::new(prog)).program_fingerprint(prog);
-        if let Some(verdict) = self.memo.get(key) {
+        self.inner.check(prog)
+    }
+
+    fn passes(&self, prog: &Program) -> bool {
+        let key = self.keys.program_fingerprint(prog);
+        if let MemoLookup::Fresh { outcome, .. } | MemoLookup::Hit { outcome, .. } =
+            self.memo.consume(key)
+        {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return verdict;
+            return outcome.passed();
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        // A panicking inner oracle propagates here and nothing is
-        // cached: the per-probe `guarded_probe` isolation above us
-        // synthesizes the fault, and the next request retries the
-        // probe instead of replaying a poisoned verdict.
-        let verdict = self.inner.check(prog);
-        if self.memo.insert(key, verdict.clone()) {
+        // A panic unwinds from here before anything is cached; the
+        // search's per-probe guard turns it into a fault.
+        let clock = Instant::now();
+        let passed = self.inner.passes(prog);
+        let latency_ns = u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let outcome = if passed { ProbeOutcome::Pass } else { ProbeOutcome::Fail };
+        if self.memo.insert(key, outcome, latency_ns, true) {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        verdict
+        passed
     }
 
     fn types(
@@ -251,36 +318,79 @@ mod tests {
     use seminal_typeck::{CountingOracle, TypeCheckOracle};
 
     #[test]
-    fn warm_lookup_skips_the_inner_oracle() {
-        let memo = Arc::new(CrossRequestMemo::default());
-        let prog = parse_program("let x = 1 + true").unwrap();
-
-        let first =
-            SharedMemoOracle::new(CountingOracle::new(TypeCheckOracle::new()), memo.clone());
-        let cold = first.check(&prog);
-        assert_eq!(first.hits(), 0);
-        assert_eq!(first.misses(), 1);
-
-        let second =
-            SharedMemoOracle::new(CountingOracle::new(TypeCheckOracle::new()), memo.clone());
-        let warm = second.check(&prog);
-        assert_eq!(second.hits(), 1);
-        assert_eq!(second.misses(), 0, "warm verdict must not reach the inner oracle");
-        assert_eq!(cold.is_ok(), warm.is_ok());
-        assert_eq!(memo.hits(), 1);
-        assert_eq!(memo.misses(), 1);
-        assert_eq!(memo.entries(), 1);
+    fn consume_distinguishes_fresh_from_hit() {
+        let memo = VerdictMemo::default();
+        assert_eq!(memo.consume(7), MemoLookup::Miss);
+        assert!(!memo.insert(7, ProbeOutcome::Pass, 120, false));
+        assert_eq!(
+            memo.consume(7),
+            MemoLookup::Fresh { outcome: ProbeOutcome::Pass, latency_ns: 120 }
+        );
+        assert_eq!(memo.consume(7), MemoLookup::Hit { outcome: ProbeOutcome::Pass, saved_ns: 120 });
+        // First writer wins: a racing duplicate cannot flip the outcome
+        // or reset the consumed flag.
+        memo.insert(7, ProbeOutcome::Fail, 3, false);
+        assert_eq!(memo.consume(7), MemoLookup::Hit { outcome: ProbeOutcome::Pass, saved_ns: 120 });
+        assert_eq!((memo.len(), memo.unconsumed()), (1, 0));
+        assert_eq!((memo.hits(), memo.misses(), memo.evictions()), (3, 1, 0));
     }
 
     #[test]
-    fn verdicts_cache_errors_too() {
-        let memo = Arc::new(CrossRequestMemo::default());
-        let oracle = SharedMemoOracle::new(TypeCheckOracle::new(), memo.clone());
-        let bad = parse_program("let x = 1 + true").unwrap();
-        let cold = oracle.check(&bad).unwrap_err();
-        let warm = oracle.check(&bad).unwrap_err();
-        assert_eq!(cold.message(), warm.message());
-        assert_eq!(oracle.hits(), 1);
+    fn bounded_memo_evicts_fifo_per_shard() {
+        // Capacity 0 rounds up to one outcome per shard, so inserting
+        // two keys that land in the same shard must evict the first.
+        let memo = VerdictMemo::bounded(0);
+        let shard_of = |k: u64| (fnv1a(&k.to_le_bytes()) as usize) & (SHARDS - 1);
+        let b = (1..64u64).find(|k| shard_of(*k) == shard_of(0)).unwrap();
+        assert!(!memo.insert(0, ProbeOutcome::Pass, 1, true));
+        assert!(memo.insert(b, ProbeOutcome::Pass, 1, true), "a full shard must evict");
+        assert_eq!(memo.evictions(), 1);
+        assert_eq!(memo.consume(0), MemoLookup::Miss, "FIFO evicts the oldest key");
+        assert!(memo.contains(b));
+
+        let unbounded = VerdictMemo::default();
+        assert!((0..64u64).all(|k| !unbounded.insert(k, ProbeOutcome::Fail, 1, true)));
+        assert_eq!((unbounded.len(), unbounded.evictions()), (64, 0));
+    }
+
+    #[test]
+    fn warm_probe_skips_the_inner_oracle() {
+        let memo = Arc::new(VerdictMemo::bounded(DEFAULT_CROSS_MEMO_CAPACITY));
+        let prog = parse_program("let x = 1 + true").unwrap();
+
+        let counting = CountingOracle::new(TypeCheckOracle::new());
+        let first = SharedMemoOracle::new(&counting, memo.clone(), &prog);
+        assert!(!first.passes(&prog));
+        assert_eq!((first.hits(), first.misses(), counting.calls()), (0, 1, 1));
+
+        let second = SharedMemoOracle::new(&counting, memo.clone(), &prog);
+        assert!(!second.passes(&prog));
+        assert_eq!((second.hits(), second.misses()), (1, 0));
+        assert_eq!(counting.calls(), 1, "a warm probe must not reach the inner oracle");
+        assert_eq!((memo.hits(), memo.misses(), memo.len()), (1, 1, 1));
+    }
+
+    #[test]
+    fn the_baseline_check_is_never_cached() {
+        // Layout twins share every key, and their errors sit at
+        // different places: each must get its own.
+        let memo = Arc::new(VerdictMemo::bounded(DEFAULT_CROSS_MEMO_CAPACITY));
+        let a = parse_program("let x = 1 + true").unwrap();
+        let b = parse_program("(* twin *)\nlet x = 1 + true").unwrap();
+        assert_eq!(
+            seminal_typeck::program_fingerprint(&a),
+            seminal_typeck::program_fingerprint(&b)
+        );
+        let first = SharedMemoOracle::new(TypeCheckOracle::new(), memo.clone(), &a);
+        assert!(!first.passes(&a));
+        assert_eq!(first.check(&a), seminal_typeck::check_program(&a));
+
+        let second = SharedMemoOracle::new(TypeCheckOracle::new(), memo.clone(), &b);
+        assert!(!second.passes(&b), "the twin's probe is warm");
+        assert_eq!(second.check(&b), seminal_typeck::check_program(&b));
+        assert_ne!(second.check(&b), first.check(&a), "each baseline keeps its own span");
+        assert_eq!((second.hits(), second.misses()), (1, 0), "checks count nowhere");
+        assert_eq!((memo.hits(), memo.misses(), memo.len()), (1, 1, 1));
     }
 
     #[test]
@@ -288,76 +398,41 @@ mod tests {
         // The first request's probes key through the base's cached
         // declaration fingerprints; a second request re-parses the same
         // texts (no shared `Arc`s) and must land on the very same keys.
-        let memo = Arc::new(CrossRequestMemo::default());
+        let memo = Arc::new(VerdictMemo::bounded(DEFAULT_CROSS_MEMO_CAPACITY));
         let src = "let x = 1\nlet y = x + 1\nlet z = y + true";
         let base = parse_program(src).unwrap();
         let mut ids = Vec::new();
         base.decls[2].for_each_expr(&mut |e| ids.push(e.id));
         let probe = seminal_ml::edit::remove_expr(&base, ids[0]);
-        let programs = [base.clone(), probe.clone(), base.prefix(2)];
 
-        let first = SharedMemoOracle::new(TypeCheckOracle::new(), memo.clone());
-        for p in &programs {
-            let _ = first.check(p);
+        let first = SharedMemoOracle::new(TypeCheckOracle::new(), memo.clone(), &base);
+        for p in [&base, &probe, &base.prefix(2)] {
+            first.passes(p);
         }
-        assert_eq!(first.misses(), 3);
-        assert_eq!(memo.entries(), 3);
+        assert_eq!((first.misses(), memo.len()), (3, 3));
 
-        let second = SharedMemoOracle::new(TypeCheckOracle::new(), memo.clone());
         let reparsed = parse_program(src).unwrap();
-        let _ = second.check(&reparsed);
-        let _ =
-            second.check(&parse_program(&seminal_ml::pretty::program_to_string(&probe)).unwrap());
-        let _ = second.check(&reparsed.prefix(2));
-        assert_eq!(second.hits(), 3);
-        assert_eq!(second.misses(), 0);
+        let second = SharedMemoOracle::new(TypeCheckOracle::new(), memo.clone(), &reparsed);
+        second.passes(&reparsed);
+        second.passes(&parse_program(&seminal_ml::pretty::program_to_string(&probe)).unwrap());
+        second.passes(&reparsed.prefix(2));
+        assert_eq!((second.hits(), second.misses()), (3, 0));
     }
 
     #[test]
     fn types_and_traces_bypass_the_memo() {
-        let memo = Arc::new(CrossRequestMemo::default());
+        let memo = Arc::new(VerdictMemo::bounded(DEFAULT_CROSS_MEMO_CAPACITY));
         let prog = parse_program("let x = 1\nlet y = x + true").unwrap();
         let mut ids = Vec::new();
         prog.decls[1].for_each_expr(&mut |e| ids.push(e.id));
         let inner = seminal_typeck::CheckpointedOracle::new();
-        let oracle = SharedMemoOracle::new(&inner, memo.clone());
+        let oracle = SharedMemoOracle::new(&inner, memo.clone(), &prog);
         assert!(oracle.check(&prog).is_err());
-        let (hits, misses, entries) = (oracle.hits(), oracle.misses(), memo.entries());
 
         assert_eq!(oracle.types(&prog, &ids), seminal_typeck::check_program_types(&prog, &ids));
         let trace = oracle.constraint_trace(&prog);
         assert!(Arc::ptr_eq(&trace, &inner.constraint_trace(&prog)));
-        assert_eq!((oracle.hits(), oracle.misses(), memo.entries()), (hits, misses, entries));
-        assert_eq!((memo.hits(), memo.misses()), (0, 1));
-    }
-
-    #[test]
-    fn capacity_evicts_fifo() {
-        // Capacity 0 rounds up to one verdict per shard, so inserting
-        // two programs that land in the same shard must evict the
-        // first. Find such a pair by fingerprint shard index.
-        let memo = CrossRequestMemo::new(0);
-        let keys: Vec<u64> = (0..64u64).collect();
-        let shard_of = |k: u64| (fnv1a(&k.to_le_bytes()) as usize) & (SHARDS - 1);
-        let a = keys[0];
-        let b = *keys[1..].iter().find(|k| shard_of(**k) == shard_of(a)).unwrap();
-        assert!(!memo.insert(a, Ok(())));
-        assert!(memo.insert(b, Ok(())), "second insert into a full shard must evict");
-        assert_eq!(memo.evictions(), 1);
-        assert!(memo.get(a).is_none(), "FIFO evicts the oldest key");
-        assert!(memo.get(b).is_some());
-    }
-
-    #[test]
-    fn first_writer_wins_on_duplicate_insert() {
-        let memo = CrossRequestMemo::default();
-        let fault = TypeError {
-            kind: seminal_typeck::TypeErrorKind::OracleFault,
-            span: seminal_ml::span::Span::DUMMY,
-        };
-        assert!(!memo.insert(7, Ok(())));
-        assert!(!memo.insert(7, Err(fault)), "duplicate insert is dropped");
-        assert!(memo.get(7).unwrap().is_ok());
-        assert_eq!(memo.entries(), 1);
+        assert_eq!((oracle.hits(), oracle.misses(), memo.len()), (0, 0, 0));
+        assert_eq!((memo.hits(), memo.misses()), (0, 0));
     }
 }

@@ -32,8 +32,9 @@
 use crate::budget::{Budget, SearchHandle, StopReason};
 use crate::change::{ChangeKind, Focus, Suggestion};
 use crate::config::SearchConfig;
-use crate::engine::{MemoLookup, ProbeEngine};
+use crate::engine::ProbeEngine;
 use crate::enumerate::changes_for;
+use crate::memo::{MemoLookup, VerdictMemo};
 use crate::rank::rank;
 use seminal_analysis::Localization;
 use seminal_ml::ast::*;
@@ -45,7 +46,8 @@ use seminal_obs::{
     ProbeKind, SpanKind, SrcSpan, TraceRecord, TraceSink, Tracer,
 };
 use seminal_typeck::{
-    guarded_check, guarded_probe, IncrementalStats, Oracle, ProbeOutcome, TypeError,
+    guarded_check, guarded_probe, FingerprintCache, IncrementalStats, Oracle, ProbeOutcome,
+    TypeError,
 };
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -133,8 +135,9 @@ pub struct SearchStats {
     pub probe_faults: u64,
     /// Index (1-based) of the first ill-typed top-level definition.
     pub first_bad_decl: usize,
-    /// Oracle calls answered from the memo cache
-    /// ([`SearchConfig::memoize_oracle`](crate::SearchConfig)).
+    /// Probes answered from the search's verdict memo
+    /// ([`SearchConfig::memoize_oracle`](crate::SearchConfig), or the
+    /// parallel engine's).
     pub memo_hits: u64,
     /// Size of the minimal unsatisfiable constraint core computed by the
     /// blame pass (0 when guidance is off, the program is well-typed, or
@@ -151,9 +154,8 @@ pub struct SearchStats {
     /// connected component (the replay universe), so it grows with that
     /// component, not with the file. Recording the trace is in it only
     /// when the oracle has not recorded the program already: the
-    /// incremental oracle records while inferring the baseline check, or
-    /// here, seeding its empty chain, when a warm cross-request memo
-    /// answered that check; a scratch oracle records here. Disjoint from
+    /// incremental oracle records while inferring the baseline check,
+    /// which no memo answers; a scratch oracle records here. Disjoint from
     /// the oracle-driven search time by construction — the blame pass
     /// runs once, before the search proper, and this field measures
     /// exactly that interval.
@@ -432,6 +434,10 @@ impl<O: Oracle> SearchCore<O> {
     ) -> SearchReport {
         let start = Instant::now();
         let inc_before = self.oracle.incremental_stats();
+        // One memo per search: the engine's when it runs, else the run's
+        // own when memoization is on, else none, and no key is built.
+        let solo = (engine.is_none() && self.config.memoize_oracle).then(VerdictMemo::default);
+        let memo = engine.map(ProbeEngine::memo).or(solo.as_ref());
         let mut run = Run {
             oracle: &self.oracle,
             cfg: &self.config,
@@ -443,7 +449,7 @@ impl<O: Oracle> SearchCore<O> {
             probe_faults: 0,
             triage_used: false,
             suggestions: Vec::new(),
-            memo: HashMap::new(),
+            memo: memo.map(|m| (m, FingerprintCache::new(prog))),
             memo_hits: 0,
             tracer,
             probe_label: None,
@@ -838,10 +844,10 @@ struct Run<'a, O> {
     probe_faults: u64,
     triage_used: bool,
     suggestions: Vec<Suggestion>,
-    /// Sequential memo ([`SearchConfig::memoize_oracle`]): verdict plus
-    /// the original call's latency, so hits can report saved cost. The
-    /// parallel engine uses its own sharded memo instead.
-    memo: HashMap<String, (ProbeOutcome, u64)>,
+    /// The search's memo — the engine's, or the run's own under
+    /// [`SearchConfig::memoize_oracle`] — with the key cache of the
+    /// search's input; `None` at `threads == 1` without memoization.
+    memo: Option<(&'a VerdictMemo, FingerprintCache)>,
     memo_hits: u64,
     /// Structured-trace emitter (inert unless sinks are attached).
     tracer: Tracer,
@@ -869,15 +875,17 @@ impl<O: Oracle> Run<'_, O> {
         let clock = Instant::now();
         let verdict = guarded_check(self.oracle, prog);
         let latency_ns = duration_ns(clock.elapsed());
-        let faulted = verdict.as_ref().err().is_some_and(TypeError::is_fault);
-        if faulted {
+        let outcome = match &verdict {
+            Ok(()) => ProbeOutcome::Pass,
+            Err(e) if e.is_fault() => ProbeOutcome::Faulted,
+            Err(_) => ProbeOutcome::Fail,
+        };
+        if outcome.faulted() {
             self.probe_faults += 1;
         } else {
             self.calls += 1;
         }
         self.probe_label = Some((ProbeKind::Baseline, String::new(), Span::DUMMY));
-        let outcome =
-            if faulted { ProbeOutcome::Faulted } else { ProbeOutcome::from_verdict(&verdict) };
         self.record_probe(outcome, false, latency_ns);
         verdict
     }
@@ -894,53 +902,37 @@ impl<O: Oracle> Run<'_, O> {
     /// Bounded boolean oracle query, optionally memoized; always counted
     /// and timed, and emitted as a structured probe event when tracing.
     /// Oracle panics are isolated ([`guarded_probe`]): a faulted probe
-    /// reads as "did not type-check", is memoized like any verdict, and
+    /// reads as "did not type-check", is memoized like any outcome, and
     /// is tallied in `probe_faults` instead of `calls`.
     ///
-    /// With the parallel engine active, verdicts come from its sharded
-    /// memo: the first read of a prefetched entry is accounted as the
-    /// probe the sequential engine would have issued here (counted in
-    /// `calls`, with the worker-measured latency); later reads of the
-    /// same rendered variant are memo hits. A miss falls through to a
-    /// direct oracle call whose verdict is cached for later rounds.
+    /// With a memo, the first read of an entry the engine prefetched is
+    /// accounted as the probe the sequential engine would have issued
+    /// here (counted in `calls`, with the worker-measured latency);
+    /// later reads of the same key are memo hits. A miss falls through
+    /// to a direct oracle call whose outcome is cached for later rounds.
     fn check(&mut self, prog: &Program) -> bool {
         if self.halted() {
             self.probe_label = None;
             return false;
         }
-        let (outcome, cached, latency_ns) = if let Some(engine) = self.engine {
-            let key = seminal_ml::pretty::program_to_string(prog);
-            match engine.memo().consume(&key) {
-                MemoLookup::Fresh { verdict, latency_ns } => (verdict, false, latency_ns),
-                MemoLookup::Hit { verdict, saved_ns } => {
+        let key = self.memo.as_ref().map(|(memo, keys)| (memo, keys.program_fingerprint(prog)));
+        let (outcome, cached, latency_ns) =
+            match key.map_or(MemoLookup::Miss, |(memo, key)| memo.consume(key)) {
+                MemoLookup::Fresh { outcome, latency_ns } => (outcome, false, latency_ns),
+                MemoLookup::Hit { outcome, saved_ns } => {
                     self.local.memo_hit_saved.observe(saved_ns);
-                    (verdict, true, 0)
+                    (outcome, true, 0)
                 }
                 MemoLookup::Miss => {
                     let clock = Instant::now();
                     let outcome = guarded_probe(self.oracle, prog);
                     let latency_ns = duration_ns(clock.elapsed());
-                    engine.memo().insert(key, outcome, latency_ns, true);
+                    if let Some((memo, key)) = key {
+                        memo.insert(key, outcome, latency_ns, true);
+                    }
                     (outcome, false, latency_ns)
                 }
-            }
-        } else if self.cfg.memoize_oracle {
-            let key = seminal_ml::pretty::program_to_string(prog);
-            if let Some(&(outcome, saved_ns)) = self.memo.get(&key) {
-                self.local.memo_hit_saved.observe(saved_ns);
-                (outcome, true, 0)
-            } else {
-                let clock = Instant::now();
-                let outcome = guarded_probe(self.oracle, prog);
-                let latency_ns = duration_ns(clock.elapsed());
-                self.memo.insert(key, (outcome, latency_ns));
-                (outcome, false, latency_ns)
-            }
-        } else {
-            let clock = Instant::now();
-            let outcome = guarded_probe(self.oracle, prog);
-            (outcome, false, duration_ns(clock.elapsed()))
-        };
+            };
         // Every logical probe is exactly one of: a memo hit, a fault, or
         // an oracle call — so the three tallies reconcile at any thread
         // count.
@@ -965,11 +957,11 @@ impl<O: Oracle> Run<'_, O> {
     /// capped at the remaining oracle budget so speculation cannot run
     /// far past `max_oracle_calls`.
     fn prefetch(&self, variants: &[Program]) {
-        if let Some(engine) = self.engine {
+        if let (Some(engine), Some((_, keys))) = (self.engine, &self.memo) {
             let room = self.cfg.max_oracle_calls.saturating_sub(self.calls);
             let cap = usize::try_from(room).unwrap_or(usize::MAX).min(variants.len());
             if cap > 0 {
-                engine.prefetch_under(&variants[..cap], self.tracer.context());
+                engine.prefetch_under(&variants[..cap], keys, self.tracer.context());
             }
         }
     }

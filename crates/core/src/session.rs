@@ -127,7 +127,7 @@ impl<O: Oracle> SearchSessionBuilder<O> {
         self
     }
 
-    /// Memoize oracle verdicts by rendered program text.
+    /// Memoize probe outcomes by program fingerprint.
     #[must_use]
     pub fn memoize(mut self, on: bool) -> Self {
         self.config.memoize_oracle = on;

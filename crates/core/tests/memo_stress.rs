@@ -6,24 +6,30 @@
 //! ```
 //!
 //! The engine's determinism contract (see `tests/determinism.rs`) rests
-//! on three properties of [`ShardedMemo`] under contention, each
+//! on three properties of [`VerdictMemo`] under contention, each
 //! hammered here by many threads over shared keys:
 //!
 //! 1. exactly one `Fresh` read per key, globally — the first consume
 //!    wins, every later consume is a `Hit`;
 //! 2. first-writer-wins inserts — a racing duplicate insert never
-//!    changes a stored verdict and never resets a consumed flag;
-//! 3. `prefetch` dispatches each distinct rendered variant to the
-//!    oracle exactly once, across duplicates within a frontier and
-//!    across overlapping frontiers.
+//!    changes a stored outcome and never resets a consumed flag;
+//! 3. `prefetch` dispatches each distinct variant to the oracle exactly
+//!    once, across duplicates within a frontier and across overlapping
+//!    frontiers.
+//!
+//! A fourth covers the daemon's bounded tier: concurrent inserts past
+//! the bound keep every shard at its capacity and account every
+//! eviction.
 
 #![cfg(feature = "slow-tests")]
 
-use seminal_core::engine::{MemoLookup, ProbeEngine, ShardedMemo};
+use seminal_core::engine::ProbeEngine;
+use seminal_core::{MemoLookup, VerdictMemo};
 use seminal_ml::ast::Program;
 use seminal_ml::parser::parse_program;
-use seminal_ml::pretty::program_to_string;
-use seminal_typeck::{CountingOracle, ProbeOutcome, TypeCheckOracle};
+use seminal_typeck::{
+    program_fingerprint, CountingOracle, FingerprintCache, ProbeOutcome, TypeCheckOracle,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -39,15 +45,16 @@ fn outcome(even: bool) -> ProbeOutcome {
     }
 }
 
-fn key(i: usize) -> String {
-    format!("let probe{i} = {i}")
+fn key(i: usize) -> u64 {
+    program_fingerprint(&parse_program(&format!("let probe{i} = {i}")).unwrap())
 }
 
 #[test]
 fn concurrent_consumes_yield_exactly_one_fresh_per_key() {
-    let memo = ShardedMemo::new(16);
-    for i in 0..KEYS {
-        memo.insert(key(i), outcome(i % 2 == 0), 1_000 + i as u64, false);
+    let memo = VerdictMemo::default();
+    let keys: Vec<u64> = (0..KEYS).map(key).collect();
+    for (i, &k) in keys.iter().enumerate() {
+        memo.insert(k, outcome(i % 2 == 0), 1_000 + i as u64, false);
     }
 
     let fresh: Vec<AtomicU64> = (0..KEYS).map(|_| AtomicU64::new(0)).collect();
@@ -55,14 +62,15 @@ fn concurrent_consumes_yield_exactly_one_fresh_per_key() {
         for t in 0..THREADS {
             let memo = &memo;
             let fresh = &fresh;
+            let keys = &keys;
             s.spawn(move || {
                 for round in 0..ROUNDS {
                     for j in 0..KEYS {
                         // Offset each thread's walk so lock contention
                         // spreads over different shards each pass.
                         let i = (j + t * 61 + round * 17) % KEYS;
-                        match memo.consume(&key(i)) {
-                            MemoLookup::Fresh { verdict, latency_ns } => {
+                        match memo.consume(keys[i]) {
+                            MemoLookup::Fresh { outcome: verdict, latency_ns } => {
                                 fresh[i].fetch_add(1, Ordering::Relaxed);
                                 assert_eq!(
                                     verdict,
@@ -71,7 +79,7 @@ fn concurrent_consumes_yield_exactly_one_fresh_per_key() {
                                 );
                                 assert_eq!(latency_ns, 1_000 + i as u64);
                             }
-                            MemoLookup::Hit { verdict, saved_ns } => {
+                            MemoLookup::Hit { outcome: verdict, saved_ns } => {
                                 assert_eq!(
                                     verdict,
                                     outcome(i % 2 == 0),
@@ -104,7 +112,8 @@ fn concurrent_consumes_yield_exactly_one_fresh_per_key() {
 
 #[test]
 fn racing_duplicate_inserts_never_change_a_verdict_or_reset_consumed() {
-    let memo = ShardedMemo::new(16);
+    let memo = VerdictMemo::default();
+    let keys: Vec<u64> = (0..KEYS).map(key).collect();
     let fresh: Vec<AtomicU64> = (0..KEYS).map(|_| AtomicU64::new(0)).collect();
     let first_verdict: Vec<Mutex<Option<ProbeOutcome>>> =
         (0..KEYS).map(|_| Mutex::new(None)).collect();
@@ -114,19 +123,20 @@ fn racing_duplicate_inserts_never_change_a_verdict_or_reset_consumed() {
             let memo = &memo;
             let fresh = &fresh;
             let first_verdict = &first_verdict;
+            let keys = &keys;
             s.spawn(move || {
                 for round in 0..ROUNDS {
                     for j in 0..KEYS {
                         let i = (j + t * 67 + round * 13) % KEYS;
                         // Each thread proposes its own verdict; only the
                         // first writer's may ever be observed.
-                        memo.insert(key(i), outcome(t % 2 == 0), t as u64 + 1, false);
-                        let seen = match memo.consume(&key(i)) {
-                            MemoLookup::Fresh { verdict, .. } => {
+                        memo.insert(keys[i], outcome(t % 2 == 0), t as u64 + 1, false);
+                        let seen = match memo.consume(keys[i]) {
+                            MemoLookup::Fresh { outcome, .. } => {
                                 fresh[i].fetch_add(1, Ordering::Relaxed);
-                                verdict
+                                outcome
                             }
-                            MemoLookup::Hit { verdict, .. } => verdict,
+                            MemoLookup::Hit { outcome, .. } => outcome,
                             MemoLookup::Miss => {
                                 panic!("key {i}: miss after this thread inserted it")
                             }
@@ -153,14 +163,14 @@ fn racing_duplicate_inserts_never_change_a_verdict_or_reset_consumed() {
         );
         // After the storm, the entry is consumed for good.
         assert!(
-            matches!(memo.consume(&key(i)), MemoLookup::Hit { .. }),
+            matches!(memo.consume(keys[i]), MemoLookup::Hit { .. }),
             "key {i}: entry must stay consumed"
         );
     }
     assert_eq!(memo.len(), KEYS);
 }
 
-/// Distinct ill-typed variants whose rendered text differs per index.
+/// Distinct ill-typed variants whose printed text differs per index.
 fn variants(base: usize, n: usize) -> Vec<Program> {
     (0..n)
         .map(|i| {
@@ -175,6 +185,8 @@ fn variants(base: usize, n: usize) -> Vec<Program> {
 fn prefetch_dispatches_each_distinct_variant_to_the_oracle_once() {
     let oracle = CountingOracle::new(TypeCheckOracle::new());
     let engine = ProbeEngine::new(&oracle, THREADS);
+    // The variants share no declarations, so no base helps their keys.
+    let keys = FingerprintCache::new(&Program::default());
 
     let mut distinct = 0u64;
     for round in 0..4 {
@@ -189,7 +201,7 @@ fn prefetch_dispatches_each_distinct_variant_to_the_oracle_once() {
         if round > 0 {
             frontier.extend(variants((round - 1) * 100, 100));
         }
-        engine.prefetch(&frontier);
+        engine.prefetch(&frontier, &keys);
 
         assert_eq!(
             oracle.calls(),
@@ -202,18 +214,36 @@ fn prefetch_dispatches_each_distinct_variant_to_the_oracle_once() {
     assert_eq!(engine.batches(), 4);
     assert!(engine.largest_batch() >= 100);
 
-    // Every cached verdict reads back Fresh exactly once, with the
-    // ill-typed verdict the oracle actually produced.
+    // Every cached outcome reads back Fresh exactly once, with the
+    // ill-typed outcome the oracle actually produced.
     for round in 0..4 {
-        for prog in variants(round * 100, 100) {
-            let rendered = program_to_string(&prog);
-            match engine.memo().consume(&rendered) {
-                MemoLookup::Fresh { verdict, .. } => {
-                    assert_eq!(verdict, ProbeOutcome::Fail, "every stress variant is ill-typed");
+        for (i, prog) in variants(round * 100, 100).iter().enumerate() {
+            match engine.memo().consume(program_fingerprint(prog)) {
+                MemoLookup::Fresh { outcome, .. } => {
+                    assert_eq!(outcome, ProbeOutcome::Fail, "every stress variant is ill-typed");
                 }
-                other => panic!("first consume of {rendered:?} was {other:?}"),
+                other => panic!("first consume of variant {} was {other:?}", round * 100 + i),
             }
         }
     }
     assert_eq!(engine.memo().unconsumed(), 0);
+}
+
+#[test]
+fn concurrent_inserts_past_the_bound_keep_every_shard_at_capacity() {
+    const CAPACITY: usize = 64;
+    let memo = VerdictMemo::bounded(CAPACITY);
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let memo = &memo;
+            s.spawn(move || {
+                for i in 0..KEYS {
+                    memo.insert((t * KEYS + i) as u64, outcome(i % 2 == 0), 1, true);
+                }
+            });
+        }
+    });
+    let inserted = (THREADS * KEYS) as u64;
+    assert_eq!(memo.len(), CAPACITY, "16 shards of 4, every one full");
+    assert_eq!(memo.evictions(), inserted - CAPACITY as u64, "every eviction is accounted");
 }

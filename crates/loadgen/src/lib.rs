@@ -14,8 +14,9 @@
 //! parse as a well-formed `seminal-api/v1` response (completed,
 //! degraded, or typed `overloaded` with a `retry_after_ms` hint), and
 //! every clean `check` response must satisfy the probe-accounting
-//! identity (`memo.cross_request_hits + oracle.real_calls ==
-//! oracle_calls`) no matter how hard the server is being squeezed.
+//! identity (`memo.cross_request_hits + oracle.real_calls +
+//! probes.baseline >= oracle_calls`) no matter how hard the server is
+//! being squeezed.
 //! Violations are counted into the report, and the suite pins them at
 //! zero.
 

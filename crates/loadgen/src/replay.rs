@@ -106,8 +106,8 @@ struct ClientTally {
     /// typed responses violating their own contract (an `overloaded`
     /// without a retry hint).
     malformed: u64,
-    /// Clean check responses where `memo.cross_request_hits +
-    /// oracle.real_calls != oracle_calls`.
+    /// Check responses where `memo.cross_request_hits +
+    /// oracle.real_calls + probes.baseline < oracle_calls`.
     accounting_violations: u64,
     latencies_ns: Vec<u64>,
 }
@@ -252,15 +252,18 @@ fn classify(line: &str, tally: &mut ClientTally) {
                 tally.completed += 1;
             }
             // Probe accounting on clean checks: every search-level
-            // oracle call either hit the shared memo or reached the
-            // real oracle. (Chaos requests bypass the memo and report
-            // zero hits, so the identity covers them too, except when
-            // panics interrupt calls mid-flight — those report
-            // `real >= calls`, which the `>` guard tolerates.)
+            // oracle call is the baseline check, which never reads the
+            // memo, or a probe that either hit the shared memo or
+            // reached the real oracle. (Chaos requests bypass the memo
+            // and report zero hits and every call as real, so the
+            // identity covers them too, except when panics interrupt
+            // calls mid-flight — those report `real >= calls`, which
+            // the `>` guard tolerates.)
             let hits = check.metrics.counter("memo.cross_request_hits");
             let real = check.metrics.counter("oracle.real_calls");
+            let baseline = check.metrics.counter("probes.baseline");
             let calls = check.metrics.counter("oracle_calls");
-            if hits + real < calls {
+            if hits + real + baseline < calls {
                 tally.accounting_violations += 1;
             }
         }

@@ -15,6 +15,7 @@
 //! pass the full stream invariants — it is evidence, not a complete
 //! trace.
 
+use crate::hash::fnv1a;
 use crate::json::{parse, Json, JsonError};
 use crate::metrics::MetricsSnapshot;
 use crate::trace::TraceRecord;
@@ -185,15 +186,6 @@ impl CrashReport {
         let body = self.to_json().to_string_compact();
         format!("seminal-crash-{:016x}.json", fnv1a(body.as_bytes()))
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

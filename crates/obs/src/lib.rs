@@ -20,6 +20,8 @@
 //!   document (one track per worker) for `chrome://tracing`/Perfetto;
 //! * [`baseline`] — the perf-trend gate comparing a snapshot against a
 //!   committed baseline under counter/time tolerances;
+//! * [`hash`] — FNV-1a, the one hash function every content key and
+//!   content-addressed name in the workspace is built from;
 //! * [`profile`] — attributes cumulative oracle cost to source spans and
 //!   prints a text "flame" report;
 //! * [`json`] — the dependency-free JSON layer underneath both (the
@@ -38,6 +40,7 @@ pub mod chrome;
 pub mod completion;
 pub mod crash;
 pub mod flight;
+pub mod hash;
 pub mod json;
 pub mod metrics;
 pub mod profile;
@@ -48,6 +51,7 @@ pub use chrome::chrome_trace;
 pub use completion::Completion;
 pub use crash::CrashReport;
 pub use flight::FlightRecorder;
+pub use hash::fnv1a;
 pub use json::{parse as parse_json, Json, JsonError};
 pub use metrics::{keys, Histogram, MetricsRegistry, MetricsSnapshot, SCHEMA};
 pub use profile::{profile, render as render_profile, ProfileNode, SpanProfile};

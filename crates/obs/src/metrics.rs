@@ -38,14 +38,16 @@ pub mod keys {
     /// Counter: probes that missed the cross-request memo and fell
     /// through to the real oracle.
     pub const CROSS_REQUEST_MISSES: &str = "memo.cross_request_misses";
-    /// Counter: verdicts evicted from the cross-request memo (FIFO,
-    /// per shard) to stay under its capacity.
+    /// Counter: probe outcomes evicted from the cross-request memo
+    /// (FIFO, per shard) to stay under its capacity.
     pub const CROSS_REQUEST_EVICTIONS: &str = "memo.cross_request_evictions";
-    /// Gauge (reported as a counter): verdicts resident in the
+    /// Gauge (reported as a counter): probe outcomes resident in the
     /// cross-request memo when the snapshot was taken.
     pub const CROSS_REQUEST_ENTRIES: &str = "memo.cross_request_entries";
-    /// Counter: calls that reached the real (inner) oracle this request
-    /// — the number the e2e warm-cache test pins to zero.
+    /// Counter: probes this request's cross-request memo could not
+    /// answer, each one real oracle call — the number the e2e
+    /// warm-cache test pins to zero. The baseline check is never
+    /// cached and not counted here.
     pub const ORACLE_REAL_CALLS: &str = "oracle.real_calls";
     /// Counter: probes the incremental (checkpointed) oracle answered by
     /// reusing a previously checked declaration prefix — including probes

@@ -10,9 +10,9 @@
 //! [`ErrorResponse`] — never as an ad-hoc string.
 //!
 //! [`ServerState`] is what makes the daemon warm: the process-lifetime
-//! [`CrossRequestMemo`] every clean request's oracle is wrapped over
-//! (chaos requests bypass it — see `MemoUse`), plus the running
-//! metrics aggregate a `metrics` request snapshots.
+//! [`VerdictMemo`] every clean request's probes go through (chaos
+//! requests bypass it — see `MemoUse`), plus the running metrics
+//! aggregate a `metrics` request snapshots.
 
 use crate::api::{
     AnalyzeRequest, AnalyzeResponse, ApiError, CheckRequest, CheckResponse, ErrorResponse,
@@ -22,8 +22,8 @@ use crate::api::{
 use crate::overload::{Admission, OverloadPolicy};
 use seminal_analysis::BackendKind;
 use seminal_core::{
-    message, CrossRequestMemo, Outcome, SearchConfig, SearchReport, SearchSession,
-    SharedMemoOracle, DEFAULT_CROSS_MEMO_CAPACITY,
+    message, Outcome, SearchConfig, SearchReport, SearchSession, SharedMemoOracle, VerdictMemo,
+    DEFAULT_CROSS_MEMO_CAPACITY,
 };
 use seminal_ml::parser::parse_program;
 use seminal_obs::{keys, MetricsSnapshot, TraceSink};
@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 /// policy the admission gate enforces.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Cross-request memo capacity (`--memo-capacity`).
+    /// Cross-request memo capacity in probe outcomes (`--memo-capacity`).
     pub memo_capacity: usize,
     /// Admission-gate policy (`--max-inflight`).
     pub overload: OverloadPolicy,
@@ -53,7 +53,7 @@ impl Default for ServerConfig {
 
 /// Process-lifetime server state shared by every request.
 pub struct ServerState {
-    memo: Arc<CrossRequestMemo>,
+    memo: Arc<VerdictMemo>,
     /// Running aggregate of every request's metrics (counters add,
     /// histograms combine — the eval runner's merge semantics).
     totals: Mutex<MetricsSnapshot>,
@@ -70,20 +70,11 @@ impl ServerState {
         ServerState::with_config(ServerConfig::default())
     }
 
-    /// State with an explicit memo capacity (`--memo-capacity`).
-    #[must_use]
-    pub fn with_memo_capacity(capacity: usize) -> ServerState {
-        ServerState::with_config(ServerConfig {
-            memo_capacity: capacity,
-            ..ServerConfig::default()
-        })
-    }
-
     /// State with full construction-time tuning.
     #[must_use]
     pub fn with_config(config: ServerConfig) -> ServerState {
         ServerState {
-            memo: Arc::new(CrossRequestMemo::new(config.memo_capacity)),
+            memo: Arc::new(VerdictMemo::bounded(config.memo_capacity)),
             totals: Mutex::new(MetricsSnapshot::default()),
             requests: AtomicU64::new(0),
             admission: Admission::new(config.overload),
@@ -105,7 +96,7 @@ impl ServerState {
 
     /// The shared cross-request memo.
     #[must_use]
-    pub fn memo(&self) -> &Arc<CrossRequestMemo> {
+    pub fn memo(&self) -> &Arc<VerdictMemo> {
         &self.memo
     }
 
@@ -125,7 +116,7 @@ impl ServerState {
         snap.counters.insert(keys::CROSS_REQUEST_HITS.to_owned(), self.memo.hits());
         snap.counters.insert(keys::CROSS_REQUEST_MISSES.to_owned(), self.memo.misses());
         snap.counters.insert(keys::CROSS_REQUEST_EVICTIONS.to_owned(), self.memo.evictions());
-        snap.counters.insert(keys::CROSS_REQUEST_ENTRIES.to_owned(), self.memo.entries() as u64);
+        snap.counters.insert(keys::CROSS_REQUEST_ENTRIES.to_owned(), self.memo.len() as u64);
         snap.counters.insert(keys::SERVER_REQUESTS.to_owned(), self.requests_served());
         snap.counters.insert(keys::SERVER_SHED.to_owned(), self.admission.shed());
         snap.counters.insert(keys::SERVER_INFLIGHT.to_owned(), self.admission.inflight() as u64);
@@ -261,11 +252,11 @@ fn overloaded(id: u64, retry_after_ms: u64) -> Dispatched {
 }
 
 /// How a `check` request's probes relate to the shared cross-request
-/// memo. Chaos-flipped verdicts are ordinary `Ok`/`Err` returns (unlike
-/// panics, which always propagate uncached), so letting a chaos request
-/// share the memo would cache corrupted verdicts by fingerprint and
-/// replay them to later clean requests — and, in the other direction, a
-/// warm memo would answer chaos probes from cache and neutralize the
+/// memo. Chaos-flipped verdicts are ordinary returns (unlike panics,
+/// which always propagate uncached), so letting a chaos request share
+/// the memo would cache corrupted outcomes by fingerprint and replay
+/// them to later clean requests — and, in the other direction, a warm
+/// memo would answer chaos probes from cache and neutralize the
 /// injection. Chaos requests therefore bypass the memo entirely.
 enum MemoUse<'a> {
     /// Probes go through the shared memo; the wrapper's per-request
@@ -301,10 +292,10 @@ fn run_check(
         let oracle = CountingOracle::new(ChaosOracle::new(checker, chaos));
         run_search(state, c, hooks, queued, &prog, &oracle, MemoUse::Bypassed(&oracle))
     } else {
-        // Every probe goes through the process-lifetime memo; a warm
-        // identical request is answered without touching the real
-        // oracle.
-        let oracle = SharedMemoOracle::new(checker, state.memo.clone());
+        // Every probe goes through the process-lifetime memo, so a warm
+        // identical request makes no real probe; the baseline check
+        // always reaches the checker, so its location is this source's.
+        let oracle = SharedMemoOracle::new(checker, state.memo.clone(), &prog);
         run_search(state, c, hooks, queued, &prog, &oracle, MemoUse::Shared(&oracle))
     }
 }
@@ -356,8 +347,8 @@ fn run_search<O: Oracle>(
 
     let mut metrics = report.metrics.clone();
     let (hits, misses, evictions, real_calls) = match memo {
-        // Every cross-request miss is exactly one inner-oracle
-        // invocation.
+        // Every cross-request miss is exactly one real probe; the
+        // uncached baseline check is not counted.
         MemoUse::Shared(shared) => {
             (shared.hits(), shared.misses(), shared.evictions(), shared.misses())
         }
@@ -366,7 +357,7 @@ fn run_search<O: Oracle>(
     metrics.counters.insert(keys::CROSS_REQUEST_HITS.to_owned(), hits);
     metrics.counters.insert(keys::CROSS_REQUEST_MISSES.to_owned(), misses);
     metrics.counters.insert(keys::CROSS_REQUEST_EVICTIONS.to_owned(), evictions);
-    metrics.counters.insert(keys::CROSS_REQUEST_ENTRIES.to_owned(), state.memo.entries() as u64);
+    metrics.counters.insert(keys::CROSS_REQUEST_ENTRIES.to_owned(), state.memo.len() as u64);
     metrics.counters.insert(keys::ORACLE_REAL_CALLS.to_owned(), real_calls);
 
     let status = match &report.outcome {
@@ -535,7 +526,7 @@ mod tests {
         let clean = Request::Check(CheckRequest::new(1, ILL_TYPED));
         let cold = check_response(&state, &clean);
         assert!(cold.metrics.counter("oracle.real_calls") > 0);
-        let warmed_entries = state.memo().entries();
+        let warmed_entries = state.memo().len();
         assert!(warmed_entries > 0, "the clean request must warm the memo");
         let (hits, misses) = (state.memo().hits(), state.memo().misses());
 
@@ -553,11 +544,7 @@ mod tests {
         );
         assert_eq!(state.memo().hits(), hits, "chaos must not read the shared memo");
         assert_eq!(state.memo().misses(), misses, "chaos must not probe the shared memo");
-        assert_eq!(
-            state.memo().entries(),
-            warmed_entries,
-            "chaos must not write into the shared memo"
-        );
+        assert_eq!(state.memo().len(), warmed_entries, "chaos must not write into the shared memo");
 
         // A later identical clean request is still answered entirely
         // from the unpoisoned memo, matching the cold payload.

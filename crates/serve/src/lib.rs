@@ -11,8 +11,8 @@
 //!   exit-code table.
 //! * [`dispatch`] — the **single** entry point mapping a `Request`
 //!   onto a `SearchConfig`/`Budget` and running it against shared
-//!   [`ServerState`]: the process-lifetime [`CrossRequestMemo`] that
-//!   keeps probe verdicts warm across requests, and the merged
+//!   [`ServerState`]: the process-lifetime [`VerdictMemo`] that
+//!   keeps probe outcomes warm across requests, and the merged
 //!   process metrics a `metrics` request snapshots.
 //! * [`overload`] — bounded admission in front of the dispatcher:
 //!   `--max-inflight` concurrent work requests, deadline-aware load
@@ -40,12 +40,13 @@
 //!     panic!("check requests get check responses");
 //! };
 //! assert_eq!(cold.payload, warm.payload);
-//! // The second, identical request never touched the real oracle.
+//! // Every probe of the second, identical request was answered from
+//! // the memo; only its baseline check reached the checker.
 //! assert_eq!(warm.metrics.counter("oracle.real_calls"), 0);
 //! assert!(warm.metrics.counter("memo.cross_request_hits") > 0);
 //! ```
 //!
-//! [`CrossRequestMemo`]: seminal_core::CrossRequestMemo
+//! [`VerdictMemo`]: seminal_core::VerdictMemo
 
 pub mod api;
 pub mod dispatch;

@@ -21,14 +21,18 @@
 //! | `backend-agreement` | the blame and MCS localization backends agree on well-typedness, baseline error, and core size; every MCS subset hits the blame core and its removal replays to SAT |
 //! | `completion-consistency` | `Completion` agrees with the stats that justify it |
 //! | `incremental-scratch-identity` | the checkpointed incremental oracle and a from-scratch oracle produce byte-identical payloads, ranks, and probe accounting |
+//! | `warm-twin-identity` | a layout twin searched through a memo its original warmed reports what it reports cold: baseline, payload, completion, oracle calls |
 
-use seminal_core::{Outcome, SearchConfig, SearchReport, SearchSession};
+use seminal_core::{
+    Oracle, Outcome, SearchConfig, SearchReport, SearchSession, SharedMemoOracle, VerdictMemo,
+};
 use seminal_ml::ast::Program;
 use seminal_ml::parser::parse_program;
 use seminal_ml::pretty::program_to_string;
 use seminal_obs::Completion;
 use seminal_typeck::{check_program, ChaosConfig, ChaosOracle, CheckpointedOracle};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Stable identifier: suggestions re-typecheck under a fresh oracle.
 pub const INV_SUGGESTION_REVALIDATES: &str = "suggestion-revalidates";
@@ -48,6 +52,8 @@ pub const INV_BACKEND_AGREEMENT: &str = "backend-agreement";
 pub const INV_COMPLETION_CONSISTENCY: &str = "completion-consistency";
 /// Stable identifier: incremental vs from-scratch oracle identity.
 pub const INV_INCREMENTAL_SCRATCH_IDENTITY: &str = "incremental-scratch-identity";
+/// Stable identifier: a warm shared memo answers a layout twin cold.
+pub const INV_WARM_TWIN_IDENTITY: &str = "warm-twin-identity";
 
 /// Every invariant name, in catalog order.
 pub const ALL_INVARIANTS: &[&str] = &[
@@ -60,6 +66,7 @@ pub const ALL_INVARIANTS: &[&str] = &[
     INV_BACKEND_AGREEMENT,
     INV_COMPLETION_CONSISTENCY,
     INV_INCREMENTAL_SCRATCH_IDENTITY,
+    INV_WARM_TWIN_IDENTITY,
 ];
 
 /// One invariant violation: which oracle fired and why.
@@ -173,6 +180,10 @@ impl InvariantSuite {
         out.extend(completion_consistency(&base));
         out.extend(completion_consistency(&par));
         out.extend(incremental_scratch_identity(incr, scratch));
+        // The daemon never puts an injected oracle over its memo.
+        if self.chaos.is_none() {
+            out.extend(warm_twin_identity(prog, self.incremental));
+        }
         out
     }
 }
@@ -410,6 +421,43 @@ pub fn incremental_scratch_identity(
         ));
     }
     None
+}
+
+/// A warm cross-request memo must be invisible. The twin is the printed
+/// program with a comment line in front: it shares every memo key with
+/// the original while every span moves. Searched through one shared
+/// [`VerdictMemo`] right after the original, as a daemon would answer
+/// the two, the twin must report what it reports cold: the same
+/// baseline error, payload, completion and `oracle_calls`.
+pub fn warm_twin_identity(prog: &Program, incremental: bool) -> Option<Violation> {
+    let printed = program_to_string(prog);
+    // A printed program that does not reparse is `pretty-roundtrip`'s.
+    let original = parse_program(&printed).ok()?;
+    let twin = parse_program(&format!("(* layout twin *)\n{printed}")).ok()?;
+    let checker = || CheckpointedOracle::with_enabled(incremental);
+    let cold = twin_search(checker(), &twin);
+    let memo = Arc::new(VerdictMemo::bounded(seminal_core::DEFAULT_CROSS_MEMO_CAPACITY));
+    twin_search(SharedMemoOracle::new(checker(), memo.clone(), &original), &original);
+    let warm = twin_search(SharedMemoOracle::new(checker(), memo, &twin), &twin);
+    let seen =
+        |r: &SearchReport| (r.baseline.clone(), r.payload(), r.completion, r.stats.oracle_calls);
+    let (warm, cold) = (seen(&warm), seen(&cold));
+    (warm != cold).then(|| {
+        Violation::new(
+            INV_WARM_TWIN_IDENTITY,
+            format!(
+                "warm twin differs from cold (baseline, payload, completion, oracle_calls): \
+                 {warm:?} vs {cold:?}"
+            ),
+        )
+    })
+}
+
+/// One sequential, deadline-free search in the daemon's configuration.
+fn twin_search<O: Oracle>(oracle: O, prog: &Program) -> SearchReport {
+    let config = SearchConfig { deadline: None, threads: 1, ..SearchConfig::default() };
+    let session = SearchSession::builder(oracle).config(config).build();
+    session.expect("fuzz search config is valid").search(prog)
 }
 
 /// `Completion` must agree with the stats that justify it: `Complete`

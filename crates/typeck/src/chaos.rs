@@ -23,6 +23,7 @@ use crate::record::ConstraintTrace;
 use seminal_ml::ast::{NodeId, Program};
 use seminal_ml::pretty::program_to_string;
 use seminal_ml::span::Span;
+use seminal_obs::fnv1a;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -160,15 +161,6 @@ impl<O: Oracle> Oracle for ChaosOracle<O> {
     fn incremental_stats(&self) -> Option<crate::oracle::IncrementalStats> {
         self.inner.incremental_stats()
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// One step of the SplitMix64 sequence (Steele–Lea–Flood), advancing

@@ -1,11 +1,15 @@
 //! Content fingerprints for programs and their top-level subtrees.
 //!
-//! The serve daemon's cross-request memo (PR 8) needs a key that is
-//! stable across processes and across re-parses of the same text:
-//! `NodeId`s are neither (the parser hands them out in visit order), so
-//! the key is an FNV-1a hash over the **pretty-printed** subtree — the
-//! same canonical text the in-search [`ShardedMemo`] already keys on,
-//! compressed to a `u64` so millions of verdicts fit in memory.
+//! Every verdict memo — one search's, the parallel engine's and the
+//! serve daemon's process-lifetime tier alike — keys on
+//! [`program_fingerprint`]. The key must be stable across processes and
+//! across re-parses of the same text: `NodeId`s are neither (the parser
+//! hands them out in visit order), so the key is an FNV-1a hash over
+//! the **pretty-printed** subtree, compressed to a `u64` so millions of
+//! outcomes fit in memory. It ignores layout by design: a comment-only
+//! resubmission keys like its original. That is sound because a memo
+//! caches only the probe outcome — pass or fail — which layout cannot
+//! change; nothing that carries a span is ever cached under it.
 //!
 //! Printing is the expensive part, and a probe shares every declaration
 //! but its edited one with the base program by `Arc`. A
@@ -15,33 +19,15 @@
 //! path built it.
 //!
 //! Two programs collide only if their printed forms collide under
-//! FNV-1a 64; for a cache of probe verdicts that is an acceptable risk
-//! (a collision can at worst replay a stale verdict, never corrupt the
-//! search — and the differential suites would catch a systematic one).
-//!
-//! [`ShardedMemo`]: ../seminal_core/engine/struct.ShardedMemo.html
+//! FNV-1a 64; for a cache of probe outcomes that is an accepted risk
+//! (a collision can at worst replay another program's outcome — about
+//! n²/2⁶⁵ for n keys — and the differential suites would catch a
+//! systematic one).
 
 use seminal_ml::ast::{Decl, DeclKind, Program};
 use seminal_ml::pretty::decl_to_string;
+use seminal_obs::hash::{fnv1a, fnv1a_extend, FNV_OFFSET};
 use std::sync::Arc;
-
-/// FNV-1a 64-bit offset basis.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over raw bytes — the same function the probe engine uses for
-/// shard selection, exposed here so every fingerprint in the workspace
-/// agrees byte-for-byte.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 /// Fingerprint of one top-level declaration subtree: FNV-1a over its
 /// pretty-printed text.
@@ -68,10 +54,8 @@ fn decl_fingerprint(d: &Decl) -> u64 {
 pub fn decl_fingerprint_spanned(d: &Decl) -> u64 {
     let mut hash = fnv1a(decl_to_string(d).as_bytes());
     let mut mix = |start: u32, end: u32| {
-        for b in start.to_le_bytes().into_iter().chain(end.to_le_bytes()) {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
+        hash = fnv1a_extend(hash, &start.to_le_bytes());
+        hash = fnv1a_extend(hash, &end.to_le_bytes());
     };
     mix(d.span.start, d.span.end);
     d.for_each_expr(&mut |e| mix(e.span.start, e.span.end));
@@ -98,14 +82,7 @@ pub fn program_fingerprint(prog: &Program) -> u64 {
 
 /// Folds per-declaration fingerprints into a program fingerprint.
 fn fold(decl_fps: impl IntoIterator<Item = u64>) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for sub in decl_fps {
-        for b in sub.to_le_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-    }
-    hash
+    decl_fps.into_iter().fold(FNV_OFFSET, |hash, sub| fnv1a_extend(hash, &sub.to_le_bytes()))
 }
 
 /// The per-declaration fingerprints of one base program, kept with its
@@ -196,6 +173,15 @@ mod tests {
         for p in &probes {
             assert_eq!(cache.program_fingerprint(p), program_fingerprint(p));
         }
+    }
+
+    #[test]
+    fn key_values_are_pinned() {
+        // Every memo tier keys on these values; pin them so that a
+        // change to the hash is a deliberate one.
+        let p = parse_program("let x = 1 + true\nlet y = x").unwrap();
+        assert_eq!(program_fingerprint(&p), 0xe0db_1852_7f92_88e3);
+        assert_eq!(decl_fingerprint_spanned(&p.decls[0]), 0x75da_4335_bcbd_97dd);
     }
 
     #[test]

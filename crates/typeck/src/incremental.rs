@@ -655,10 +655,10 @@ mod tests {
 
     #[test]
     fn a_passing_probe_can_seed_the_chain() {
-        // A warm cross-request memo can answer the base program, so the
-        // chain's first program is a probe: here one that fixes the
-        // base's failing decl 3. Later probes edit that declaration
-        // differently and must still match scratch.
+        // A caller may probe before it checks the base, so the chain's
+        // first program can be a probe: here one that fixes the base's
+        // failing decl 3. Later probes edit that declaration differently
+        // and must still match scratch.
         let prog = parse_program(SRC).unwrap();
         let ids = expr_ids(&prog, 3);
         let fixed = edit::remove_expr(&prog, ids[2]);
@@ -736,10 +736,9 @@ mod tests {
 
     #[test]
     fn a_trace_request_can_seed_the_chain() {
-        // The warm-memo order: the cross-request memo answered the
-        // baseline check, so the chain's first call is the trace. It
-        // seeds (charged as seeding always is), and later probes still
-        // answer like scratch.
+        // A caller may ask for the trace before any check, so the
+        // chain's first call is the trace. It seeds (charged as seeding
+        // always is), and later probes still answer like scratch.
         let prog = parse_program(SRC).unwrap();
         let inc = CheckpointedOracle::new();
         assert_same_trace(&inc.constraint_trace(&prog), &trace_program(&prog));

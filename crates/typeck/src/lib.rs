@@ -48,8 +48,8 @@ pub use fingerprint::{
 pub use incremental::CheckpointedOracle;
 pub use infer::{check_program, check_program_types, trace_program, InferState};
 pub use oracle::{
-    guarded_check, guarded_probe, CountingOracle, IncrementalStats, InstrumentedOracle, Oracle,
-    ProbeOutcome, TypeCheckOracle,
+    guarded_check, guarded_probe, CountingOracle, IncrementalStats, Oracle, ProbeOutcome,
+    TypeCheckOracle,
 };
 pub use record::{Constraint, ConstraintGraph, ConstraintTrace, GraphNode};
 pub use types::{pretty, Scheme, TvId, Ty};

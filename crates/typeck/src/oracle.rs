@@ -6,13 +6,15 @@
 //! never on inference internals — which is what keeps the approach free
 //! of type-checker modifications.
 //!
-//! The search decides on verdicts alone ([`Oracle::check`]). The trait
-//! also hands out two by-products of inference that never decide
-//! anything: the principal types that format a suggestion's "of type …"
-//! line ([`Oracle::types`]) and the recorded constraint system whose
-//! localization orders the search ([`Oracle::constraint_trace`]). An
-//! oracle that has already inferred the program answers them from that
-//! inference instead of running a second one.
+//! The search decides on one bit per variant ([`Oracle::passes`]); only
+//! the baseline asks for the checker's own error ([`Oracle::check`]).
+//! The trait also hands out two by-products of inference that never
+//! decide anything: the principal types that format a suggestion's
+//! "of type …" line ([`Oracle::types`]) and the recorded constraint
+//! system whose localization orders the search
+//! ([`Oracle::constraint_trace`]). An oracle that has already inferred
+//! the program answers them from that inference instead of running a
+//! second one.
 
 use crate::error::{TypeError, TypeErrorKind};
 use crate::infer::{check_program, check_program_types, trace_program};
@@ -54,15 +56,6 @@ impl ProbeOutcome {
     pub fn faulted(self) -> bool {
         matches!(self, ProbeOutcome::Faulted)
     }
-
-    /// Collapses an oracle verdict (no fault involved).
-    pub fn from_verdict<E>(verdict: &Result<(), E>) -> ProbeOutcome {
-        if verdict.is_ok() {
-            ProbeOutcome::Pass
-        } else {
-            ProbeOutcome::Fail
-        }
-    }
 }
 
 /// Runs one probe under a panic guard: a panicking oracle yields
@@ -73,8 +66,9 @@ impl ProbeOutcome {
 /// mutability to be panic-consistent (the built-in oracles hold atomics
 /// or locks that the guard never leaves mid-update).
 pub fn guarded_probe<O: Oracle + ?Sized>(oracle: &O, prog: &Program) -> ProbeOutcome {
-    match catch_unwind(AssertUnwindSafe(|| oracle.check(prog))) {
-        Ok(verdict) => ProbeOutcome::from_verdict(&verdict),
+    match catch_unwind(AssertUnwindSafe(|| oracle.passes(prog))) {
+        Ok(true) => ProbeOutcome::Pass,
+        Ok(false) => ProbeOutcome::Fail,
         Err(_) => ProbeOutcome::Faulted,
     }
 }
@@ -114,12 +108,16 @@ pub struct IncrementalStats {
 /// A black-box type checker.
 ///
 /// Oracles are `Send + Sync`: the parallel probe engine shares one oracle
-/// across its worker threads, so `check` must be callable concurrently.
-/// Oracles carrying mutable state (counters, registries) use interior
-/// mutability with atomics or locks, as [`CountingOracle`] and
-/// [`InstrumentedOracle`] do.
+/// across its worker threads, so `passes` must be callable concurrently.
+/// Oracles carrying mutable state (counters, caches) use interior
+/// mutability with atomics or locks, as [`CountingOracle`] does.
 ///
-/// Only [`Oracle::check`] is a probe. [`Oracle::types`] and
+/// [`Oracle::check`] and [`Oracle::passes`] are the oracle calls, and
+/// the search's cost model counts both. Every probe asks
+/// [`Oracle::passes`], for one bit; only the search's baseline asks
+/// [`Oracle::check`], because only the baseline's message and location
+/// are ever shown. A wrapper that caches therefore caches `passes`
+/// alone, and nothing it stores carries a span. [`Oracle::types`] and
 /// [`Oracle::constraint_trace`] format messages and order the search;
 /// wrappers forward them to their inner oracle without counting,
 /// caching or injecting faults, and their defaults infer from scratch.
@@ -131,19 +129,11 @@ pub trait Oracle: Send + Sync {
     /// The first [`TypeError`] in inference order.
     fn check(&self, prog: &Program) -> Result<(), TypeError>;
 
-    /// Type-checks a whole frontier of program variants at once, in
-    /// order. The default just maps [`Oracle::check`]; oracles with
-    /// per-call setup worth amortizing (an external checker process, the
-    /// C++ instantiation checker warming a template cache) override this
-    /// to pay that setup once per batch. The parallel probe engine hands
-    /// each worker's stolen chunk through this method.
-    ///
-    /// # Errors
-    ///
-    /// One verdict per variant, each carrying the first [`TypeError`] in
-    /// inference order when ill-typed.
-    fn check_batch(&self, progs: &[&Program]) -> Vec<Result<(), TypeError>> {
-        progs.iter().map(|p| self.check(p)).collect()
+    /// Whether the whole program type-checks: the probe. The default is
+    /// `self.check(prog).is_ok()`, so a wrapper that counts or injects
+    /// in `check` counts and injects probes too without overriding this.
+    fn passes(&self, prog: &Program) -> bool {
+        self.check(prog).is_ok()
     }
 
     /// The resolved principal types of the `wanted` nodes of `prog`, as
@@ -252,6 +242,10 @@ impl<O: Oracle + ?Sized> Oracle for &O {
         (**self).check(prog)
     }
 
+    fn passes(&self, prog: &Program) -> bool {
+        (**self).passes(prog)
+    }
+
     fn types(
         &self,
         prog: &Program,
@@ -266,66 +260,6 @@ impl<O: Oracle + ?Sized> Oracle for &O {
 
     fn incremental_stats(&self) -> Option<IncrementalStats> {
         (**self).incremental_stats()
-    }
-}
-
-/// Wraps an oracle and publishes calls, errors, and per-call latency to
-/// a shared [`MetricsRegistry`](seminal_obs::MetricsRegistry): counter
-/// `oracle.calls`, counter `oracle.errors` (ill-typed verdicts), and
-/// histogram `oracle.check_latency_ns`. Unlike the search's own
-/// per-report metrics, the registry is shared and thread-safe, so one
-/// registry can aggregate across many searches (the eval harness) or
-/// across oracles.
-#[derive(Debug)]
-pub struct InstrumentedOracle<O> {
-    inner: O,
-    registry: std::sync::Arc<seminal_obs::MetricsRegistry>,
-}
-
-impl<O: Oracle> InstrumentedOracle<O> {
-    /// Wraps `inner`, publishing into `registry`.
-    pub fn new(inner: O, registry: std::sync::Arc<seminal_obs::MetricsRegistry>) -> Self {
-        InstrumentedOracle { inner, registry }
-    }
-
-    /// The registry this oracle publishes into.
-    pub fn registry(&self) -> &std::sync::Arc<seminal_obs::MetricsRegistry> {
-        &self.registry
-    }
-
-    /// Unwraps the inner oracle.
-    pub fn into_inner(self) -> O {
-        self.inner
-    }
-}
-
-impl<O: Oracle> Oracle for InstrumentedOracle<O> {
-    fn check(&self, prog: &Program) -> Result<(), TypeError> {
-        let clock = std::time::Instant::now();
-        let verdict = self.inner.check(prog);
-        let ns = u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.registry.inc("oracle.calls");
-        if verdict.is_err() {
-            self.registry.inc("oracle.errors");
-        }
-        self.registry.observe("oracle.check_latency_ns", ns);
-        verdict
-    }
-
-    fn types(
-        &self,
-        prog: &Program,
-        wanted: &[NodeId],
-    ) -> Result<HashMap<NodeId, String>, TypeError> {
-        self.inner.types(prog, wanted)
-    }
-
-    fn constraint_trace(&self, prog: &Program) -> Arc<ConstraintTrace> {
-        self.inner.constraint_trace(prog)
-    }
-
-    fn incremental_stats(&self) -> Option<IncrementalStats> {
-        self.inner.incremental_stats()
     }
 }
 
@@ -347,20 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_oracle_publishes_metrics() {
-        let registry = std::sync::Arc::new(seminal_obs::MetricsRegistry::new());
-        let oracle = InstrumentedOracle::new(TypeCheckOracle::new(), registry.clone());
-        let good = parse_program("let x = 1").unwrap();
-        let bad = parse_program("let x = 1 + true").unwrap();
-        assert!(oracle.check(&good).is_ok());
-        assert!(oracle.check(&bad).is_err());
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("oracle.calls"), 2);
-        assert_eq!(snap.counter("oracle.errors"), 1);
-        assert_eq!(snap.histograms["oracle.check_latency_ns"].count, 2);
-    }
-
-    #[test]
     fn counting_oracle_counts() {
         let prog = parse_program("let x = 1").unwrap();
         let oracle = CountingOracle::new(TypeCheckOracle::new());
@@ -378,14 +298,14 @@ mod tests {
         let mut ids = Vec::new();
         prog.decls[0].for_each_expr(&mut |e| ids.push(e.id));
         let inner = crate::incremental::CheckpointedOracle::new();
-        let registry = Arc::new(seminal_obs::MetricsRegistry::new());
-        let oracle = InstrumentedOracle::new(CountingOracle::new(&inner), registry.clone());
+        let oracle = CountingOracle::new(&inner);
         assert!(oracle.check(&prog).is_err());
+        assert!(!oracle.passes(&prog), "a probe is counted like a check");
 
         assert_eq!(oracle.types(&prog, &ids), check_program_types(&prog, &ids));
         let trace = oracle.constraint_trace(&prog);
         assert!(Arc::ptr_eq(&trace, &inner.constraint_trace(&prog)), "the inner chain's trace");
-        assert_eq!(oracle.into_inner().calls(), 1);
-        assert_eq!(registry.snapshot().counter("oracle.calls"), 1);
+        assert_eq!(oracle.incremental_stats(), Some(inner.stats()));
+        assert_eq!(oracle.calls(), 2);
     }
 }

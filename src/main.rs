@@ -48,7 +48,7 @@
 //! and crash attachment cannot drift between the two front ends.
 //! `serve` speaks newline-delimited JSON over stdio (default) or TCP
 //! (`--tcp ADDR`), holds a process-lifetime cross-request memo
-//! (`--memo-capacity N` verdicts), and `--connect ADDR` turns the
+//! (`--memo-capacity N` probe outcomes), and `--connect ADDR` turns the
 //! binary into a line-forwarding client for testing a running server.
 //!
 //! `fuzz` runs the deterministic property-fuzzing harness from
@@ -150,7 +150,7 @@ struct Opts {
     tcp: Option<String>,
     /// Client mode: forward stdin lines to a running server (`serve`).
     connect: Option<String>,
-    /// Cross-request memo capacity in verdicts (`serve`).
+    /// Cross-request memo capacity in probe outcomes (`serve`).
     memo_capacity: Option<usize>,
     /// Concurrent-connection cap for the TCP daemon (`serve --tcp`).
     max_connections: Option<usize>,
@@ -515,8 +515,10 @@ fn usage() -> ExitCode {
          long-lived seminal-api/v1 request server (NDJSON over\n                            \
          stdio, or TCP with --tcp; --connect forwards stdin lines\n                            \
          to a running server, with --timeout-ms bounding each\n                            \
-         response; requests past the admission gate's capacity\n                            \
-         are shed with a typed `overloaded` response)\n  \
+         response; --memo-capacity bounds the probe outcomes\n                            \
+         cached across requests; requests past the admission\n                            \
+         gate's capacity are shed with a typed `overloaded`\n                            \
+         response)\n  \
          seminal loadgen [--connect ADDR] [--clients N] [--problems N] [--seed S]\n               \
          [--arrival-ms N] [--deadline-ms N] [--chaos-share PM]\n               \
          [--chaos-flip PM] [--chaos-panic PM] [--max-inflight N]\n               \

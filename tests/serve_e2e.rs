@@ -1,10 +1,12 @@
 //! End-to-end tests of `seminal serve`: a real child process speaking
 //! `seminal-api/v1` NDJSON over its standard streams.
 //!
-//! The headline property (ISSUE 8 acceptance): a warm second `check`
-//! request for an identical program is answered entirely from the
-//! cross-request memo — zero real oracle calls — with a payload
-//! byte-identical to the cold one.
+//! The headline property: a warm second `check` request for an
+//! identical program has every probe answered from the cross-request
+//! memo — zero real oracle calls — with a payload byte-identical to the
+//! cold one. Its complement: a warm daemon answers a layout twin (the
+//! same program with a comment added) exactly as a cold daemon does,
+//! baseline location included.
 
 use seminal::serve::{CheckRequest, Request, Response, ShutdownRequest, Status};
 use std::io::{BufRead, BufReader, Write};
@@ -101,6 +103,70 @@ fn warm_second_check_is_answered_from_the_cross_request_memo() {
     );
 
     shutdown_clean(server);
+}
+
+/// `source` with a comment inserted after its first `= `: the same
+/// program to the memo's layout-blind key, with every later span moved.
+fn layout_twin(source: &str) -> String {
+    let at = source.find("= ").expect("every input has a `let … = `") + 2;
+    let comment = "(* running sum, updated by the loop further below *) ";
+    format!("{}{comment}{}", &source[..at], &source[at..])
+}
+
+/// Checks `sources` in order on a fresh daemon and returns the last
+/// answer.
+fn check_on_fresh_daemon(sources: &[&str]) -> seminal::serve::CheckResponse {
+    let mut server = spawn_serve(&[]);
+    let mut last = None;
+    for (id, source) in (1..).zip(sources) {
+        let request = Request::Check(CheckRequest::new(id, *source)).to_json_string();
+        let Response::Check(answer) = round_trip(&mut server, &request) else {
+            panic!("check answered with a non-check response");
+        };
+        last = Some(*answer);
+    }
+    shutdown_clean(server);
+    last.expect("at least one source")
+}
+
+#[test]
+fn a_warm_daemon_answers_layout_twins_like_a_cold_one() {
+    // A daemon that cached baselines put this twin's error inside the
+    // comment, then searched, and blamed, the well-typed first line.
+    let mut inputs = vec![(
+        "the two-line List.mem program".to_owned(),
+        "let total = 0\nlet r = List.mem [\"a\"] \"a\"\n".to_owned(),
+    )];
+    for dir in ["samples", "crates/testkit/golden"] {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(dir);
+        let mut paths: Vec<_> = std::fs::read_dir(&dir)
+            .expect("read input directory")
+            .map(|e| e.expect("directory entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "ml"))
+            .collect();
+        paths.sort();
+        for path in paths {
+            let source = std::fs::read_to_string(&path).expect("read input");
+            inputs.push((path.display().to_string(), source));
+        }
+    }
+    assert!(inputs.len() >= 19, "the two-line program, the samples and the golden corpus");
+
+    let print = |source: &str| {
+        let prog = seminal::ml::parser::parse_program(source).expect("inputs parse");
+        seminal::ml::pretty::program_to_string(&prog)
+    };
+    for (name, original) in &inputs {
+        let twin = layout_twin(original);
+        assert_eq!(print(&twin), print(original), "{name}: the twin must print like the original");
+        let cold = check_on_fresh_daemon(&[&twin]);
+        let warm = check_on_fresh_daemon(&[original, &twin]);
+        assert_eq!(warm.status, cold.status, "{name}: status");
+        assert_eq!(warm.baseline, cold.baseline, "{name}: baseline");
+        assert_eq!(warm.rendered, cold.rendered, "{name}: rendered report");
+        assert_eq!(warm.payload, cold.payload, "{name}: payload");
+        assert_eq!(warm.stats.oracle_calls, cold.stats.oracle_calls, "{name}: oracle calls");
+    }
 }
 
 #[test]
