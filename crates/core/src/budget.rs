@@ -10,7 +10,7 @@
 //! both the search and its speculative prefetch stop promptly. Stopping
 //! is always *cooperative*: no thread is killed, scoped workers drain
 //! and join, and the report carries best-so-far suggestions with an
-//! honest [`Completion`](seminal_obs::Completion).
+//! honest [`Completion`].
 
 use seminal_obs::Completion;
 use std::sync::atomic::{AtomicBool, Ordering};

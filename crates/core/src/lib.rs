@@ -15,7 +15,7 @@
 //!
 //! The four stages of the paper's §2 map onto this crate as:
 //!
-//! * top-down removal (§2.1) — [`search::Searcher`]'s recursive descent;
+//! * top-down removal (§2.1) — [`SearchSession::search`]'s recursive descent;
 //! * constructive changes (§2.2) — [`enumerate::changes_for`];
 //! * adaptation to context (§2.3) — `adapt e` probes in the searcher;
 //! * triage for multiple errors (§2.4) — sibling-wildcarding and the
@@ -54,10 +54,8 @@ pub mod session;
 
 pub use budget::{Budget, SearchHandle, StopReason};
 pub use change::{Candidate, ChangeKind, Focus, Probe, Suggestion};
-pub use config::{ConfigError, SearchConfig, SearchConfigBuilder};
+pub use config::{ConfigError, SearchConfig};
 pub use memo::{MemoLookup, SharedMemoOracle, VerdictMemo, DEFAULT_CROSS_MEMO_CAPACITY};
-#[allow(deprecated)]
-pub use search::Searcher;
 pub use search::{CustomChange, Outcome, SearchReport, SearchStats};
 pub use session::{SearchSession, SearchSessionBuilder};
 

@@ -23,19 +23,21 @@
 //! Every search emits a structured trace (spans for the blame pass,
 //! prefix localization, each descent and triage round; one event per
 //! oracle probe with outcome and latency) through `seminal-obs`. Records
-//! stream to any sinks registered with [`Searcher::add_sink`] and, when
-//! [`SearchConfig::collect_trace`] is on, are captured into
+//! stream to any sinks attached with
+//! [`SearchSessionBuilder::sink`](crate::SearchSessionBuilder::sink) and,
+//! when [`SearchConfig::collect_trace`] is on, are captured into
 //! [`SearchReport::records`]. Aggregate counters and latency histograms
 //! are always collected (the cost is two clock reads and a few integer
 //! bumps per oracle call) and published as [`SearchReport::metrics`].
 
-use crate::budget::{Budget, SearchHandle, StopReason};
+use crate::budget::{Budget, StopReason};
 use crate::change::{ChangeKind, Focus, Suggestion};
 use crate::config::SearchConfig;
 use crate::engine::ProbeEngine;
 use crate::enumerate::changes_for;
 use crate::memo::{MemoLookup, VerdictMemo};
 use crate::rank::rank;
+use crate::session::SearchSession;
 use seminal_analysis::Localization;
 use seminal_ml::ast::*;
 use seminal_ml::edit::{self, app_chain, Edit};
@@ -53,63 +55,6 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// One oracle probe of the legacy flat trace.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the structured stream in `SearchReport::records` \
-            (`seminal_obs::TraceRecord`) instead"
-)]
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// What the probe was trying ("removal", "constructive: …",
-    /// "adaptation", "gate", "prefix", "triage-context", …).
-    pub action: String,
-    /// Concrete syntax of the node being changed (empty for whole-program
-    /// probes such as prefixes).
-    pub target: String,
-    /// Whether the variant type-checked.
-    pub success: bool,
-}
-
-#[allow(deprecated)]
-impl TraceEvent {
-    /// Projects the structured record stream onto the legacy flat trace:
-    /// one event per oracle probe (the initial whole-program check is
-    /// skipped, as it predates the legacy trace) plus the synthetic
-    /// `prefix` entry for blame-localized prefix inference. This is the
-    /// compatibility shim — [`SearchReport::trace`] is exactly this
-    /// projection of [`SearchReport::records`].
-    pub fn from_records(records: &[TraceRecord]) -> Vec<TraceEvent> {
-        records
-            .iter()
-            .filter_map(|rec| match rec {
-                TraceRecord::Event {
-                    kind: EventKind::OracleProbe { probe, target, outcome, .. },
-                    ..
-                } => {
-                    if matches!(probe, ProbeKind::Baseline) {
-                        None
-                    } else {
-                        Some(TraceEvent {
-                            action: probe.legacy_action(),
-                            target: target.clone(),
-                            success: *outcome,
-                        })
-                    }
-                }
-                TraceRecord::Event { kind: EventKind::PrefixLocalized { detail, .. }, .. } => {
-                    Some(TraceEvent {
-                        action: "prefix".to_owned(),
-                        target: detail.clone(),
-                        success: false,
-                    })
-                }
-                _ => None,
-            })
-            .collect()
-    }
-}
 
 /// Cost and coverage counters for one search.
 #[derive(Debug, Clone, Default)]
@@ -191,7 +136,7 @@ pub enum Outcome {
     NoSuggestion,
 }
 
-/// The result of running [`Searcher::search`].
+/// The result of running [`SearchSession::search`].
 #[derive(Debug, Clone)]
 pub struct SearchReport {
     pub outcome: Outcome,
@@ -205,12 +150,6 @@ pub struct SearchReport {
     /// The conventional type-checker's message for the same input, for
     /// side-by-side presentation and for the evaluation harness.
     pub baseline: Option<TypeError>,
-    /// Legacy probe-by-probe log — the projection of [`Self::records`]
-    /// through [`TraceEvent::from_records`] (empty unless
-    /// [`SearchConfig::collect_trace`](crate::SearchConfig) is set).
-    #[deprecated(since = "0.2.0", note = "use `records` (the structured stream) instead")]
-    #[allow(deprecated)]
-    pub trace: Vec<TraceEvent>,
     /// Captured structured trace: span open/close records with
     /// parent/child nesting and one event per oracle probe (empty unless
     /// [`SearchConfig::collect_trace`](crate::SearchConfig) is set).
@@ -266,120 +205,25 @@ impl SearchReport {
 /// threaten correctness, only waste oracle calls.
 pub type CustomChange = Box<dyn Fn(&Expr) -> Vec<crate::change::Candidate> + Send + Sync>;
 
-/// The assembled search machinery — oracle, configuration, user
-/// changes, and sinks. [`crate::SearchSession`] is the public face;
-/// the deprecated [`Searcher`] wraps the same core.
-pub(crate) struct SearchCore<O> {
-    pub(crate) oracle: O,
-    pub(crate) config: SearchConfig,
-    pub(crate) extra_changes: Vec<CustomChange>,
-    pub(crate) sinks: Vec<Arc<dyn TraceSink>>,
-    /// The session-scoped cancellation handle every search's budget
-    /// polls; [`crate::SearchSession::handle`] clones it out.
-    pub(crate) handle: SearchHandle,
-}
+/// Ring capacity, in records, of the in-report trace capture when
+/// [`SearchConfig::collect_trace`] is on; the oldest records are dropped
+/// beyond it and counted in the `trace.dropped` metric.
+const TRACE_CAPACITY: usize = 262_144;
 
-impl<O: std::fmt::Debug> std::fmt::Debug for SearchCore<O> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SearchCore")
-            .field("oracle", &self.oracle)
-            .field("config", &self.config)
-            .field("extra_changes", &self.extra_changes.len())
-            .field("sinks", &self.sinks.len())
-            .finish()
-    }
-}
+/// Ring capacity, in records, of the flight recorder when
+/// [`SearchConfig::flight_recorder`] is on; the oldest records are
+/// overwritten beyond it and counted in the crash report's
+/// `records_dropped`.
+const FLIGHT_CAPACITY: usize = 1024;
 
-/// The original search entry point, superseded by the builder-based
-/// [`crate::SearchSession`]. This shim delegates to the same engine,
-/// so behavior is identical; only the construction API moved.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `SearchSession::builder(oracle)` — `.threads(n)`, \
-            `.memoize(true)`, `.sink(s)`, `.custom_change(c)` replace \
-            `with_config`/`add_sink`/`add_change` mutation chains; \
-            request-shaped callers (CLI front ends, servers) should go \
-            through `seminal_serve::dispatch`, the single place that \
-            maps API requests onto `SearchConfig`/`Budget`"
-)]
-pub struct Searcher<O> {
-    core: SearchCore<O>,
-}
-
-#[allow(deprecated)]
-impl<O: std::fmt::Debug> std::fmt::Debug for Searcher<O> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.core.fmt(f)
-    }
-}
-
-#[allow(deprecated)]
-impl<O: Oracle> Searcher<O> {
-    /// A searcher with the full-tool configuration.
-    pub fn new(oracle: O) -> Searcher<O> {
-        Searcher {
-            core: SearchCore {
-                oracle,
-                config: SearchConfig::default(),
-                extra_changes: Vec::new(),
-                sinks: Vec::new(),
-                handle: SearchHandle::new(),
-            },
-        }
-    }
-
-    /// A searcher with an explicit configuration (for the ablations).
-    pub fn with_config(oracle: O, config: SearchConfig) -> Searcher<O> {
-        Searcher {
-            core: SearchCore {
-                oracle,
-                config,
-                extra_changes: Vec::new(),
-                sinks: Vec::new(),
-                handle: SearchHandle::new(),
-            },
-        }
-    }
-
-    /// Registers a user-defined constructive change (§6's open framework).
-    /// The change is consulted at every node whose removal succeeds, like
-    /// the built-in families; candidates it proposes are oracle-validated
-    /// before they can become suggestions, so user changes cannot produce
-    /// unsound messages.
-    pub fn add_change(&mut self, change: CustomChange) -> &mut Searcher<O> {
-        self.core.extra_changes.push(change);
-        self
-    }
-
-    /// Attaches a trace sink: every search streams its structured records
-    /// into it (in addition to the in-report capture that
-    /// [`SearchConfig::collect_trace`](crate::SearchConfig) controls).
-    /// Use a [`seminal_obs::JsonlSink`] to persist traces, or a
-    /// [`seminal_obs::MemorySink`] to observe a search from tests.
-    pub fn add_sink(&mut self, sink: Arc<dyn TraceSink>) -> &mut Searcher<O> {
-        self.core.sinks.push(sink);
-        self
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &SearchConfig {
-        &self.core.config
-    }
-
-    /// Runs the full search on `prog`.
-    pub fn search(&self, prog: &Program) -> SearchReport {
-        self.core.search(prog)
-    }
-}
-
-impl<O: Oracle> SearchCore<O> {
+impl<O: Oracle> SearchSession<O> {
     /// Runs the full search on `prog`. At `config.threads == 1` this is
     /// the sequential engine, byte-identical to the pre-engine tool; at
     /// higher thread counts a [`ProbeEngine`] speculatively drains each
     /// enumeration frontier into a sharded memo the sequential logic
     /// consumes, so the suggestion set and ranks are unchanged while
     /// wall-clock drops (see `crate::engine`).
-    pub(crate) fn search(&self, prog: &Program) -> SearchReport {
+    pub fn search(&self, prog: &Program) -> SearchReport {
         // Queue wait under admission control is part of the deadline:
         // a request that waited 40ms of a 50ms deadline gets a 10ms
         // search, and one whose wait consumed the whole deadline runs
@@ -394,12 +238,12 @@ impl<O: Oracle> SearchCore<O> {
         // share the tracer through its cloneable handle: every parallel
         // probe then opens under the search span that caused it.
         let capture = if self.config.collect_trace {
-            Some(Arc::new(MemorySink::new(self.config.trace_capacity)))
+            Some(Arc::new(MemorySink::new(TRACE_CAPACITY)))
         } else {
             None
         };
         let flight = if self.config.flight_recorder {
-            Some(Arc::new(FlightRecorder::new(self.config.flight_capacity)))
+            Some(Arc::new(FlightRecorder::new(FLIGHT_CAPACITY)))
         } else {
             None
         };
@@ -422,7 +266,6 @@ impl<O: Oracle> SearchCore<O> {
         self.run_search(prog, engine.as_ref(), budget, tracer, capture, flight)
     }
 
-    #[allow(deprecated)]
     fn run_search(
         &self,
         prog: &Program,
@@ -476,7 +319,6 @@ impl<O: Oracle> SearchCore<O> {
                     completion: Completion::Complete,
                     stats,
                     baseline: None,
-                    trace: TraceEvent::from_records(&records),
                     records,
                     metrics,
                     crash: None,
@@ -630,7 +472,6 @@ impl<O: Oracle> SearchCore<O> {
             completion,
             stats,
             baseline: Some(baseline),
-            trace: TraceEvent::from_records(&records),
             records,
             metrics,
             crash,
@@ -824,6 +665,16 @@ fn build_meta(
     });
 }
 
+/// Cap on suggestions gathered before the search stops early.
+const MAX_SUGGESTIONS: usize = 64;
+
+/// Minimum node count for a subtree to be considered "a nontrivial
+/// number of descendants" worth triaging (§2.4).
+const TRIAGE_SIZE_THRESHOLD: usize = 6;
+
+/// Maximum nesting of triage within triage.
+const MAX_TRIAGE_DEPTH: usize = 3;
+
 struct Run<'a, O> {
     oracle: &'a O,
     cfg: &'a SearchConfig,
@@ -999,7 +850,7 @@ impl<O: Oracle> Run<'_, O> {
     }
 
     fn done(&self) -> bool {
-        self.stop.is_some() || self.suggestions.len() >= self.cfg.max_suggestions
+        self.stop.is_some() || self.suggestions.len() >= MAX_SUGGESTIONS
     }
 
     /// Quantized blame score for a suggestion at `span` (0 with guidance
@@ -1179,8 +1030,8 @@ impl<O: Oracle> Run<'_, O> {
         if self.cfg.triage
             && !any_child
             && !any_specific
-            && node.size() >= self.cfg.triage_size_threshold
-            && triage_depth < self.cfg.max_triage_depth
+            && node.size() >= TRIAGE_SIZE_THRESHOLD
+            && triage_depth < MAX_TRIAGE_DEPTH
         {
             let before = self.suggestions.len();
             self.triage(scope, node, triage_depth);
@@ -1225,7 +1076,7 @@ impl<O: Oracle> Run<'_, O> {
         !triaged
             && triage_depth == 0
             && !node.span.is_empty()
-            && node.size() < self.cfg.triage_size_threshold
+            && node.size() < TRIAGE_SIZE_THRESHOLD
             && !matches!(node.kind, ExprKind::Var(_))
             && guidance.is_zero_blame(node.span)
     }

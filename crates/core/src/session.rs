@@ -1,8 +1,8 @@
-//! `SearchSession`: the unified builder entry point for running
-//! searches.
+//! `SearchSession`: the one way to build and run a search.
 //!
-//! One construction path replaces the `Searcher::new` /
-//! `Searcher::with_config` / `add_change` / `add_sink` mutation chains:
+//! Start from [`SearchSession::builder`], optionally replace the whole
+//! [`SearchConfig`] (an ablation preset, say) with `.config(..)`, adjust
+//! single settings with the setters, and [`build`](SearchSessionBuilder::build):
 //!
 //! ```
 //! use seminal_core::SearchSession;
@@ -21,15 +21,15 @@
 //! # }
 //! ```
 //!
-//! The builder validates at [`SearchSessionBuilder::build`] (typed
-//! [`ConfigError`]s, no panics), and the C++ front end mirrors the same
-//! shape (`seminal_cpp::CppSearchSession::builder`), so ML and C++
-//! callers read identically.
+//! `build` runs [`SearchConfig::validate`], the one validator, so a bad
+//! value comes back as a typed [`ConfigError`] instead of a panic deep
+//! inside a search. The C++ front end mirrors the same shape
+//! (`seminal_cpp::CppSearchSession::builder`), so ML and C++ callers
+//! read identically.
 
 use crate::budget::SearchHandle;
-use crate::config::{ConfigError, SearchConfig, SearchConfigBuilder};
-use crate::search::{CustomChange, SearchCore, SearchReport};
-use seminal_ml::ast::Program;
+use crate::config::{ConfigError, SearchConfig};
+use crate::search::CustomChange;
 use seminal_obs::TraceSink;
 use seminal_typeck::Oracle;
 use std::sync::Arc;
@@ -44,12 +44,23 @@ use std::time::Duration;
 /// from several threads at once (each search keeps its own memo and
 /// engine).
 pub struct SearchSession<O> {
-    core: SearchCore<O>,
+    pub(crate) oracle: O,
+    pub(crate) config: SearchConfig,
+    pub(crate) extra_changes: Vec<CustomChange>,
+    pub(crate) sinks: Vec<Arc<dyn TraceSink>>,
+    /// The session-scoped cancellation handle every search's budget
+    /// polls; [`SearchSession::handle`] clones it out.
+    pub(crate) handle: SearchHandle,
 }
 
 impl<O: std::fmt::Debug> std::fmt::Debug for SearchSession<O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SearchSession").field("core", &self.core).finish()
+        f.debug_struct("SearchSession")
+            .field("oracle", &self.oracle)
+            .field("config", &self.config)
+            .field("extra_changes", &self.extra_changes.len())
+            .field("sinks", &self.sinks.len())
+            .finish()
     }
 }
 
@@ -65,28 +76,23 @@ impl<O: Oracle> SearchSession<O> {
         }
     }
 
-    /// Runs the full search on `prog`.
-    pub fn search(&self, prog: &Program) -> SearchReport {
-        self.core.search(prog)
-    }
-
     /// A cancellation handle for this session's searches: call
     /// [`SearchHandle::cancel`] from any thread and every in-flight and
     /// future search stops at its next probe boundary, reporting
     /// `Completion::Cancelled` with best-so-far suggestions.
     /// Cancellation is sticky; build a new session to search again.
     pub fn handle(&self) -> SearchHandle {
-        self.core.handle.clone()
+        self.handle.clone()
     }
 
     /// The validated configuration this session runs with.
     pub fn config(&self) -> &SearchConfig {
-        &self.core.config
+        &self.config
     }
 
     /// Unwraps the oracle, consuming the session.
     pub fn into_oracle(self) -> O {
-        self.core.oracle
+        self.oracle
     }
 }
 
@@ -106,16 +112,6 @@ impl<O: Oracle> SearchSessionBuilder<O> {
     #[must_use]
     pub fn config(mut self, config: SearchConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Edits the configuration through the validating
-    /// [`SearchConfigBuilder`] (validation still happens at build).
-    #[must_use]
-    pub fn configure(mut self, f: impl FnOnce(SearchConfigBuilder) -> SearchConfigBuilder) -> Self {
-        let builder = SearchConfigBuilder::from_config(self.config);
-        // Defer validation to `build` so errors surface in one place.
-        self.config = f(builder).build_unchecked();
         self
     }
 
@@ -160,26 +156,11 @@ impl<O: Oracle> SearchSessionBuilder<O> {
         self
     }
 
-    /// Capture the structured trace into each report.
-    #[must_use]
-    pub fn collect_trace(mut self, on: bool) -> Self {
-        self.config.collect_trace = on;
-        self
-    }
-
     /// Enable/disable the always-on flight recorder (on by default);
     /// see [`SearchConfig::flight_recorder`].
     #[must_use]
     pub fn flight_recorder(mut self, on: bool) -> Self {
         self.config.flight_recorder = on;
-        self
-    }
-
-    /// Flight-recorder ring capacity in records (validated `>= 1` at
-    /// build when the recorder is on).
-    #[must_use]
-    pub fn flight_capacity(mut self, records: usize) -> Self {
-        self.config.flight_capacity = records;
         self
     }
 
@@ -208,13 +189,11 @@ impl<O: Oracle> SearchSessionBuilder<O> {
     pub fn build(self) -> Result<SearchSession<O>, ConfigError> {
         self.config.validate()?;
         Ok(SearchSession {
-            core: SearchCore {
-                oracle: self.oracle,
-                config: self.config,
-                extra_changes: self.changes,
-                sinks: self.sinks,
-                handle: SearchHandle::new(),
-            },
+            oracle: self.oracle,
+            config: self.config,
+            extra_changes: self.changes,
+            sinks: self.sinks,
+            handle: SearchHandle::new(),
         })
     }
 }
@@ -230,11 +209,11 @@ mod tests {
         let session = SearchSession::builder(TypeCheckOracle::new())
             .threads(2)
             .memoize(true)
-            .collect_trace(true)
+            .flight_recorder(false)
             .build()
             .unwrap();
         assert_eq!(session.config().threads, 2);
-        assert!(session.config().memoize_oracle && session.config().collect_trace);
+        assert!(session.config().memoize_oracle && !session.config().flight_recorder);
 
         let err = SearchSession::builder(TypeCheckOracle::new()).threads(0).build();
         assert!(matches!(err, Err(ConfigError::ZeroThreads)));
@@ -245,11 +224,11 @@ mod tests {
         let oracle = TypeCheckOracle::new();
         let session = SearchSession::builder(&oracle)
             .config(SearchConfig::without_triage())
-            .configure(|c| c.max_suggestions(8))
+            .threads(2)
             .build()
             .unwrap();
-        assert!(!session.config().triage);
-        assert_eq!(session.config().max_suggestions, 8);
+        assert!(!session.config().triage, "the preset survives a later setter");
+        assert_eq!(session.config().threads, 2);
         let prog = parse_program("let x = 1 + true").unwrap();
         assert!(session.search(&prog).best().is_some());
     }

@@ -4,6 +4,7 @@
 //! suggestion, and (c) report a superset-or-equal of the unguided top-3 —
 //! guidance reorders work, it never loses messages.
 
+use seminal_core::obs::{EventKind, TraceRecord};
 use seminal_core::{SearchConfig, SearchReport, SearchSession};
 use seminal_ml::parser::parse_program;
 use seminal_typeck::TypeCheckOracle;
@@ -167,10 +168,12 @@ fn guided_search_is_deterministic() {
 }
 
 #[test]
-#[allow(deprecated)] // asserts on the legacy flat-trace shim
 fn guided_trace_still_records_a_prefix_event() {
     let src = SCENARIOS[0].1; // figure2
     let cfg = SearchConfig { collect_trace: true, ..SearchConfig::default() };
     let report = run(src, cfg);
-    assert!(report.trace.iter().any(|t| t.action == "prefix"));
+    assert!(report
+        .records
+        .iter()
+        .any(|r| matches!(r, TraceRecord::Event { kind: EventKind::PrefixLocalized { .. }, .. })));
 }

@@ -18,7 +18,7 @@
 //! (The C++ prototype's chaos loop is untouched by this: the
 //! checkpointed oracle is Caml-only.)
 
-use seminal_core::{Completion, SearchReport, SearchSession};
+use seminal_core::{Completion, SearchConfig, SearchReport, SearchSession};
 use seminal_ml::parser::parse_program;
 use seminal_typeck::{ChaosConfig, ChaosOracle, CheckpointedOracle, TypeCheckOracle};
 use std::sync::Once;
@@ -297,7 +297,7 @@ fn deadline_expiry_degrades_gracefully_without_leaking_workers() {
 fn budget_exhaustion_still_reports_through_completion() {
     let prog = parse_program(SCENARIOS[0].1).unwrap();
     let report = SearchSession::builder(TypeCheckOracle::new())
-        .configure(|c| c.max_oracle_calls(3))
+        .config(SearchConfig { max_oracle_calls: 3, ..SearchConfig::default() })
         .build()
         .unwrap()
         .search(&prog);

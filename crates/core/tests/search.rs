@@ -1,6 +1,7 @@
 //! End-to-end search tests: every worked example in the paper, plus the
 //! system's core soundness invariant (all suggested variants type-check).
 
+use seminal_core::obs::{EventKind, TraceRecord};
 use seminal_core::{message, ChangeKind, Outcome, SearchConfig, SearchSession};
 use seminal_ml::parser::parse_program;
 use seminal_typeck::{check_program, CountingOracle, TypeCheckOracle};
@@ -410,35 +411,42 @@ fn memoized_search_gives_identical_results_with_fewer_calls() {
 }
 
 #[test]
-#[allow(deprecated)] // exercises the legacy flat-trace shim
 fn trace_records_every_probe() {
     let cfg = SearchConfig { collect_trace: true, ..SearchConfig::default() };
     let report = search_cfg(FIGURE2, cfg);
-    // One trace event per oracle call after the initial whole-program
-    // check (the first check happens before tracing-relevant probes but
-    // still records as a plain probe if labeled).
-    assert!(
-        report.trace.len() as u64 >= report.stats.oracle_calls - 1,
-        "trace {} vs calls {}",
-        report.trace.len(),
-        report.stats.oracle_calls
+    // `(probe label, target, passed)` of every probe event.
+    let probes: Vec<(String, &str, bool)> = report
+        .records
+        .iter()
+        .filter_map(|r| match r {
+            TraceRecord::Event {
+                kind: EventKind::OracleProbe { probe, target, outcome, .. },
+                ..
+            } => Some((probe.label(), target.as_str(), *outcome)),
+            _ => None,
+        })
+        .collect();
+    // One event per logical probe, the baseline check included.
+    assert_eq!(
+        probes.len() as u64,
+        report.stats.oracle_calls + report.stats.memo_hits,
+        "probe events vs calls + memo hits"
     );
     // The famous probes appear, with outcomes.
+    assert!(probes.iter().any(|(l, t, ok)| l == "removal" && *t == "fun (x, y) -> x + y" && *ok));
+    assert!(probes.iter().any(|(l, _, ok)| l.contains("curried") && *ok));
+    assert!(probes.iter().any(|(_, _, ok)| !ok), "failed probes are recorded too");
     assert!(report
-        .trace
+        .records
         .iter()
-        .any(|t| t.action == "removal" && t.target == "fun (x, y) -> x + y" && t.success));
-    assert!(report.trace.iter().any(|t| t.action.contains("curried") && t.success));
-    assert!(report.trace.iter().any(|t| t.action == "prefix"));
-    assert!(report.trace.iter().any(|t| !t.success), "failed probes are recorded too");
+        .any(|r| matches!(r, TraceRecord::Event { kind: EventKind::PrefixLocalized { .. }, .. })));
 }
 
 #[test]
-#[allow(deprecated)] // exercises the legacy flat-trace shim
 fn trace_off_by_default() {
     // threads(1): the parallel engine's shared memo produces memo hits by
     // design, so pin the sequential path for the memo_hits == 0 check.
     let report = search_cfg(FIGURE2, SearchConfig { threads: 1, ..SearchConfig::default() });
-    assert!(report.trace.is_empty());
+    assert!(report.records.is_empty());
     assert_eq!(report.stats.memo_hits, 0);
 }

@@ -1,11 +1,9 @@
 //! Executable specification of the structured trace: nesting and
 //! ordering invariants, exact reconciliation of probe events against
-//! `SearchStats`, the deprecated flat-trace shim, sink streaming, and the
-//! `elapsed`/`blame_time`/`search_time` accounting.
+//! `SearchStats`, sink streaming, and the `elapsed`/`blame_time`/
+//! `search_time` accounting.
 
-use seminal_core::obs::{
-    check_invariants, EventKind, MemorySink, ProbeKind, TraceRecord, TraceSink,
-};
+use seminal_core::obs::{check_invariants, EventKind, MemorySink, TraceRecord, TraceSink};
 use seminal_core::{SearchConfig, SearchSession, TypeCheckOracle};
 use seminal_ml::parser::parse_program;
 use std::sync::Arc;
@@ -107,40 +105,6 @@ fn cached_probe_events_reconcile_with_memo_hits() {
         assert_eq!(uncached, report.stats.oracle_calls, "uncached == oracle_calls on {src:?}");
         assert_eq!(cached, report.stats.memo_hits, "cached == memo_hits on {src:?}");
         assert_eq!(report.metrics.counter("memo_hits"), report.stats.memo_hits);
-    }
-}
-
-#[test]
-#[allow(deprecated)]
-fn legacy_flat_trace_mirrors_the_structured_stream() {
-    use seminal_core::search::TraceEvent;
-    for src in WORKED_EXAMPLES {
-        let report = traced(src, SearchConfig::default());
-        assert_eq!(
-            report.trace,
-            TraceEvent::from_records(&report.records),
-            "shim is the projection of the records on {src:?}"
-        );
-        // The projection keeps one entry per non-baseline probe, in order.
-        let probes = report
-            .records
-            .iter()
-            .filter(|r| {
-                matches!(
-                    r,
-                    TraceRecord::Event { kind: EventKind::OracleProbe { probe, .. }, .. }
-                        if !matches!(probe, ProbeKind::Baseline)
-                )
-            })
-            .count();
-        let prefix_events = report
-            .records
-            .iter()
-            .filter(|r| {
-                matches!(r, TraceRecord::Event { kind: EventKind::PrefixLocalized { .. }, .. })
-            })
-            .count();
-        assert_eq!(report.trace.len(), probes + prefix_events);
     }
 }
 

@@ -19,7 +19,7 @@
 //! Unlike the Caml searcher's verdict-driven recursion, the C++ search
 //! is a *flat* enumeration: every candidate change is known up front
 //! and no probe depends on another's verdict. The search therefore runs
-//! in three phases — collect every [`PendingProbe`], evaluate them (in
+//! in three phases — collect every pending probe, evaluate them (in
 //! parallel when [`CppSearchSession`] is built with `threads > 1`),
 //! then fold verdicts back **in enumeration order** — so the report is
 //! identical at any thread count.
@@ -407,15 +407,10 @@ fn default_threads() -> usize {
     })
 }
 
-/// Runs the C++ search with the default session.
+/// Runs the C++ search with the default session; to attach trace sinks,
+/// build a session with [`CppSearchSession::builder`].
 pub fn search_cpp(prog: &CProgram) -> CppReport {
-    search_cpp_with(prog, &[])
-}
-
-/// Runs the C++ search, streaming structured trace records (one event per
-/// oracle probe under a root span) into `sinks`.
-pub fn search_cpp_with(prog: &CProgram, sinks: &[Arc<dyn TraceSink>]) -> CppReport {
-    search_cpp_impl(prog, default_threads(), None, None, sinks)
+    search_cpp_impl(prog, default_threads(), None, None, &[])
 }
 
 /// Largest contiguous run of pending probes a worker claims at once.

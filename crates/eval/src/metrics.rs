@@ -1,6 +1,6 @@
 //! Corpus-level metric aggregation and the `BENCH_search.json` artifact.
 //!
-//! Each [`FileResult`](crate::runner::FileResult) carries the full tool's
+//! Each [`FileResult`] carries the full tool's
 //! per-search [`MetricsSnapshot`]; this module merges them into one
 //! corpus-wide snapshot and renders the benchmark artifact the CI
 //! pipeline uploads — a single JSON object with the headline aggregates

@@ -22,7 +22,7 @@
 //!   committed baseline under counter/time tolerances;
 //! * [`hash`] — FNV-1a, the one hash function every content key and
 //!   content-addressed name in the workspace is built from;
-//! * [`profile`] — attributes cumulative oracle cost to source spans and
+//! * [`profile`](mod@profile) — attributes cumulative oracle cost to source spans and
 //!   prints a text "flame" report;
 //! * [`json`] — the dependency-free JSON layer underneath both (the
 //!   workspace builds with zero network access).

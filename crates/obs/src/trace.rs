@@ -121,9 +121,8 @@ impl SpanKind {
     }
 }
 
-/// What an oracle probe was trying, typed (the stringly `action` of the
-/// legacy `TraceEvent` API is derived from this via
-/// [`ProbeKind::legacy_action`]).
+/// What an oracle probe was trying, typed (the human-readable form is
+/// [`ProbeKind::label`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProbeKind {
     /// The initial whole-program check that decides ill-typedness.
@@ -152,7 +151,7 @@ pub enum ProbeKind {
     TriagePattern,
     /// A C++ statement-level change (deletion or hoisting, §4.2).
     Statement,
-    /// A probe whose call site did not label it (legacy action "probe").
+    /// A probe whose call site did not label it (label "probe").
     Other,
 }
 
@@ -190,9 +189,10 @@ impl ProbeKind {
             ProbeKind::Other => 10,
         }
     }
-    /// The action string of the legacy flat trace, preserved verbatim for
-    /// the deprecated `TraceEvent` compatibility shim.
-    pub fn legacy_action(&self) -> String {
+
+    /// The human-readable name of the probe, as `seminal check --trace`
+    /// prints it.
+    pub fn label(&self) -> String {
         match self {
             ProbeKind::Baseline => "baseline".to_owned(),
             ProbeKind::Prefix => "prefix".to_owned(),
@@ -213,19 +213,7 @@ impl ProbeKind {
     /// Short stable key for per-family metrics counters
     /// (`probes.<metric_key>`).
     pub fn metric_key(&self) -> &'static str {
-        match self {
-            ProbeKind::Baseline => "baseline",
-            ProbeKind::Prefix => "prefix",
-            ProbeKind::Removal => "removal",
-            ProbeKind::Gate => "gate",
-            ProbeKind::Constructive { .. } => "constructive",
-            ProbeKind::Adaptation => "adaptation",
-            ProbeKind::TriageContext => "triage_context",
-            ProbeKind::TriageMatch { .. } => "triage_match",
-            ProbeKind::TriagePattern => "triage_pattern",
-            ProbeKind::Statement => "statement",
-            ProbeKind::Other => "other",
-        }
+        Self::METRIC_KEYS[self.metric_index()]
     }
 
     fn from_metric_key(key: &str, family: Option<&str>, phase: Option<u64>) -> Option<ProbeKind> {
@@ -292,7 +280,7 @@ pub enum EventKind {
     PrefixLocalized {
         /// 1-based index of the first ill-typed declaration.
         first_bad: u32,
-        /// Human-readable detail (mirrors the legacy trace's target).
+        /// Human-readable detail, as `seminal check --trace` prints it.
         detail: String,
     },
 }

@@ -9,7 +9,7 @@
 //!   types (NDJSON wire form, unknown fields rejected, canonical
 //!   byte-identical re-serialization) plus the shared process
 //!   exit-code table.
-//! * [`dispatch`] — the **single** entry point mapping a `Request`
+//! * [`dispatch`](mod@dispatch) — the **single** entry point mapping a `Request`
 //!   onto a `SearchConfig`/`Budget` and running it against shared
 //!   [`ServerState`]: the process-lifetime [`VerdictMemo`] that
 //!   keeps probe outcomes warm across requests, and the merged
@@ -26,7 +26,7 @@
 //!   resends).
 //!
 //! The one-shot CLI subcommands build the same `Request` values from
-//! their flags and call the same [`dispatch`], so exit codes and
+//! their flags and call the same [`dispatch()`], so exit codes and
 //! statuses cannot drift between `seminal check` and a served `check`.
 //!
 //! ```

@@ -12,7 +12,7 @@
 //!   ill-typed Caml-subset programs: deep nesting straddling the parser
 //!   and inference depth guards, shadowing chains, polymorphic-recursion
 //!   attempts, wide `match` arms, raw mutation chains over the
-//!   corpus templates (which, unlike [`seminal_corpus::mutate`], may be
+//!   corpus templates (which, unlike [`seminal_corpus::mutate()`], may be
 //!   *vacuous* — still well-typed — and are counted rather than hidden),
 //!   and checkpoint-stress programs that plant the error in the first,
 //!   middle, or last of many declarations around let-polymorphic
@@ -25,7 +25,7 @@
 //!   `Completion` consistency with the run's stats, and
 //!   incremental-vs-scratch oracle identity (payloads, ranks, and probe
 //!   accounting must not depend on the checkpointed fast path);
-//! * [`shrink`] — a delta-debugging shrinker that minimizes a failing
+//! * [`shrink`](mod@shrink) — a delta-debugging shrinker that minimizes a failing
 //!   program while preserving the violated invariant, validating every
 //!   candidate through the same render→reparse pipeline the harness
 //!   uses (so minimized regressions never trip the parser's depth

@@ -189,7 +189,7 @@ impl InvariantSuite {
 }
 
 /// Every reported suggestion's variant must re-typecheck under a fresh
-/// [`TypeCheckOracle`] — the paper's core promise. A memo bug, an engine
+/// [`TypeCheckOracle`](seminal_typeck::TypeCheckOracle) — the paper's core promise. A memo bug, an engine
 /// race, or an injected verdict flip all surface here.
 pub fn suggestion_revalidates(report: &SearchReport) -> Option<Violation> {
     for (rank, s) in report.suggestions().iter().enumerate() {

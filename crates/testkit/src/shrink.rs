@@ -49,7 +49,7 @@ fn weight(prog: &Program) -> (usize, usize) {
 }
 
 /// All viable one-step reductions of `prog`, strictly smaller by
-/// [`weight`], each already normalized through render→reparse (a
+/// `weight`, each already normalized through render→reparse (a
 /// candidate that fails to reparse — e.g. one whose printed form would
 /// exceed the parser's depth guard — is discarded here).
 pub fn candidates(prog: &Program) -> Vec<Program> {

@@ -215,10 +215,13 @@ fn main() -> ExitCode {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--top" => {
-                opts.top = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(3);
-                i += 2;
-            }
+            "--top" => match args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
+                Some(n) => {
+                    opts.top = n;
+                    i += 2;
+                }
+                None => return usage(),
+            },
             "--no-triage" => {
                 opts.no_triage = true;
                 i += 1;
@@ -285,7 +288,7 @@ fn main() -> ExitCode {
                 None => return usage(),
             },
             "--threads" => match args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
-                // `0` is kept so the config builder reports the typed
+                // `0` is kept so the session builder reports the typed
                 // error; anything unparsable is a usage error here.
                 Some(n) => {
                     opts.threads = Some(n);
@@ -440,7 +443,7 @@ fn main() -> ExitCode {
                 None => return usage(),
             },
             "--deadline-ms" => match args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) {
-                // `0` is kept so the config builder reports the typed
+                // `0` is kept so the session builder reports the typed
                 // error, matching `--threads 0`.
                 Some(ms) => {
                     opts.deadline_ms = Some(ms);
@@ -716,7 +719,7 @@ fn render_trace_tree(records: &[TraceRecord], source: &str) -> String {
                         "  {:indent$}[{}] {}  `{}`{}{}",
                         "",
                         if *outcome { "ok " } else { "err" },
-                        probe.legacy_action(),
+                        probe.label(),
                         target,
                         if *cached { "  (cached)" } else { "" },
                         if *latency_ns > 0 && !cached {

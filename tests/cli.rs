@@ -123,6 +123,12 @@ fn unknown_flags_are_usage_errors() {
     let out = seminal().args(["check", "--bogus", "x.ml"]).output().expect("run check");
     assert_eq!(out.status.code(), Some(2), "unknown flag exits 2, not treated as a file");
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag `--bogus`"));
+    // A numeric flag without a number is a usage error too, never a
+    // silent fall back to its default.
+    for args in [&["check", "--top", "abc"][..], &["analyze", "--top", "-1"], &["check", "--top"]] {
+        let out = seminal().args(args).output().expect("run seminal");
+        assert_eq!(out.status.code(), Some(2), "{args:?} exits 2");
+    }
 }
 
 #[test]
