@@ -326,8 +326,8 @@ fn name_repair_subsets(prog: &Program, name: &str, span: Span) -> Vec<Correction
         consider(n);
     }
     for decl in &prog.decls {
-        if decl.span.end <= span.start {
-            if let DeclKind::Let { bindings, .. } = &decl.kind {
+        if decl.span().end <= span.start {
+            if let DeclKind::Let { bindings, .. } = decl.kind() {
                 for b in bindings {
                     b.pat.walk(&mut |p| {
                         if let PatKind::Var(n) = &p.kind {

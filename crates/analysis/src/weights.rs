@@ -78,7 +78,7 @@ fn push_pat_sites(p: &Pat, depth: u64, out: &mut Vec<Site>) {
 fn collect_sites(prog: &Program) -> Vec<Site> {
     let mut sites = Vec::new();
     for decl in &prog.decls {
-        match &decl.kind {
+        match decl.kind() {
             DeclKind::Let { bindings, .. } => {
                 for b in bindings {
                     push_pat_sites(&b.pat, 0, &mut sites);

@@ -2,12 +2,20 @@
 //! corpus template. The paper's efficiency argument (§1, advantage 1)
 //! rests on the checker being fast for well-typed code; search cost is
 //! roughly `oracle_cost × oracle_calls`, so this is the unit price.
+//!
+//! The front end every request pays once sits beside it: lexing,
+//! parsing and the memo key of a paper-sized file (the paper's files ran
+//! 100–200 lines; perfbench's paper-sized ones are about 5.6 KB).
 
 use seminal_bench::timing::Group;
 use seminal_corpus::templates::TEMPLATES;
 use seminal_ml::ast::Program;
+use seminal_ml::lexer::lex;
 use seminal_ml::parser::parse_program;
-use seminal_typeck::check_program;
+use seminal_typeck::{check_program, program_fingerprint};
+
+/// Bytes of a paper-sized source file.
+const PAPER_BYTES: usize = 5_600;
 
 fn main() {
     let progs: Vec<(&str, Program)> =
@@ -22,4 +30,19 @@ fn main() {
             parse_program(t.source).unwrap();
         }
     });
+
+    // The templates back to back until the file is paper-sized.
+    let mut paper = String::new();
+    for t in TEMPLATES.iter().cycle() {
+        if paper.len() >= PAPER_BYTES {
+            break;
+        }
+        paper.push_str(t.source);
+        paper.push('\n');
+    }
+    let parsed = parse_program(&paper).unwrap();
+    let mut front = Group::new("front_end");
+    front.bench("lex_paper_sized", || lex(&paper).unwrap().len());
+    front.bench("parse_paper_sized", || parse_program(&paper).unwrap().decls.len());
+    front.bench("fingerprint_paper_sized", || program_fingerprint(&parsed));
 }

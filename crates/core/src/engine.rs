@@ -29,7 +29,7 @@ use crate::budget::Budget;
 use crate::memo::VerdictMemo;
 use seminal_ml::ast::Program;
 use seminal_obs::{EventKind, SpanContext, SpanKind, TraceHandle, Tracer};
-use seminal_typeck::{guarded_probe, FingerprintCache, Oracle};
+use seminal_typeck::{guarded_probe, program_fingerprint, Oracle};
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -137,12 +137,11 @@ impl<'o, O: Oracle> ProbeEngine<'o, O> {
     }
 
     /// Speculatively evaluates a frontier of variants into the memo and
-    /// blocks until every outcome is cached. Each variant is keyed
-    /// through `keys`, a [`FingerprintCache`] of the search's input;
-    /// variants already cached (or duplicated within the frontier) are
-    /// dispatched once.
-    pub fn prefetch(&self, variants: &[Program], keys: &FingerprintCache) {
-        self.prefetch_under(variants, keys, None);
+    /// blocks until every outcome is cached. Each variant is keyed by
+    /// its [`program_fingerprint`]; variants already cached (or
+    /// duplicated within the frontier) are dispatched once.
+    pub fn prefetch(&self, variants: &[Program]) {
+        self.prefetch_under(variants, None);
     }
 
     /// [`ProbeEngine::prefetch`] with an explicit causal parent: when a
@@ -152,19 +151,14 @@ impl<'o, O: Oracle> ProbeEngine<'o, O> {
     /// step that caused them. The parent span must stay open for the
     /// duration of the call — trivially true, since prefetch blocks
     /// until the workers join.
-    pub fn prefetch_under(
-        &self,
-        variants: &[Program],
-        keys: &FingerprintCache,
-        parent: Option<SpanContext>,
-    ) {
+    pub fn prefetch_under(&self, variants: &[Program], parent: Option<SpanContext>) {
         if self.interrupted() {
             return;
         }
         let mut seen = HashSet::new();
         let jobs: Vec<(u64, &Program)> = variants
             .iter()
-            .map(|p| (keys.program_fingerprint(p), p))
+            .map(|p| (program_fingerprint(p), p))
             .filter(|&(key, _)| !self.memo.contains(key) && seen.insert(key))
             .collect();
         if jobs.is_empty() {
@@ -299,13 +293,7 @@ mod tests {
     use super::*;
     use crate::memo::MemoLookup;
     use seminal_ml::parser::parse_program;
-    use seminal_ml::pretty::program_to_string;
-    use seminal_typeck::{program_fingerprint, CountingOracle, ProbeOutcome, TypeCheckOracle};
-
-    /// Keys for programs that share no declarations with one another.
-    fn no_base() -> FingerprintCache {
-        FingerprintCache::new(&Program::default())
-    }
+    use seminal_typeck::{CountingOracle, ProbeOutcome, TypeCheckOracle};
 
     #[test]
     fn prefetch_caches_every_variant_once() {
@@ -314,11 +302,11 @@ mod tests {
         let good = parse_program("let x = 1 + 2").unwrap();
         let bad = parse_program("let x = 1 + true").unwrap();
         let variants = vec![good.clone(), bad.clone(), good.clone()];
-        engine.prefetch(&variants, &no_base());
+        engine.prefetch(&variants);
         // The duplicate is dispatched once; re-prefetching adds nothing.
         assert_eq!(oracle.calls(), 2);
         assert_eq!(engine.prefetched(), 2);
-        engine.prefetch(&variants, &no_base());
+        engine.prefetch(&variants);
         assert_eq!(oracle.calls(), 2);
         assert_eq!(engine.batches(), 1);
         assert!(matches!(
@@ -332,14 +320,14 @@ mod tests {
         assert_eq!(engine.memo().unconsumed(), 0);
     }
 
-    /// Panics on any program whose rendered text contains "boom";
-    /// delegates to the real checker otherwise.
+    /// Panics on any program that binds `boom`; delegates to the real
+    /// checker otherwise.
     struct TrapOracle;
 
     impl Oracle for TrapOracle {
         fn check(&self, prog: &Program) -> Result<(), seminal_typeck::TypeError> {
-            let text = program_to_string(prog);
-            assert!(!text.contains("boom"), "chaos: trap oracle tripped");
+            let boom = prog.decls.iter().any(|d| d.names().iter().any(|n| n == "boom"));
+            assert!(!boom, "chaos: trap oracle tripped");
             TypeCheckOracle::new().check(prog)
         }
     }
@@ -360,7 +348,7 @@ mod tests {
         let good = parse_program("let x = 1 + 2").unwrap();
         let bad = parse_program("let x = 1 + true").unwrap();
         let trap = parse_program("let boom = 0").unwrap();
-        engine.prefetch(&[good.clone(), trap.clone(), bad.clone()], &no_base());
+        engine.prefetch(&[good.clone(), trap.clone(), bad.clone()]);
         std::panic::set_hook(prev);
 
         assert_eq!(engine.probe_faults(), 1, "exactly the trapped probe faulted");
@@ -383,7 +371,7 @@ mod tests {
         let engine = ProbeEngine::new(&oracle, 4).with_trace(tracer.handle());
         let variants: Vec<Program> =
             (0..32).map(|i| parse_program(&format!("let v{i} = {i}")).unwrap()).collect();
-        engine.prefetch_under(&variants, &no_base(), tracer.context());
+        engine.prefetch_under(&variants, tracer.context());
         tracer.close(root);
         let records = sink.drain();
         check_invariants(&records).expect("engine records keep the stream valid");
@@ -409,7 +397,7 @@ mod tests {
             (32..40).map(|i| parse_program(&format!("let v{i} = {i}")).unwrap()).collect();
         let mut tracer2 = Tracer::new(vec![sink.clone()]);
         let root2 = tracer2.open(SpanKind::Search);
-        silent.prefetch_under(&more, &no_base(), tracer2.context());
+        silent.prefetch_under(&more, tracer2.context());
         tracer2.close(root2);
         assert_eq!(sink.drain().len(), 2, "only the open/close pair from the consumer");
     }
@@ -424,7 +412,7 @@ mod tests {
         handle.cancel();
         let variants: Vec<Program> =
             (0..64).map(|i| parse_program(&format!("let v{i} = {i}")).unwrap()).collect();
-        engine.prefetch(&variants, &no_base());
+        engine.prefetch(&variants);
         assert_eq!(oracle.calls(), 0, "a cancelled engine dispatches nothing");
         assert!(engine.memo().is_empty());
     }

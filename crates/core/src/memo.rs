@@ -8,9 +8,9 @@
 //! `--memo-capacity`), for the serve daemon's lifetime behind
 //! [`SharedMemoOracle`].
 //!
-//! Every key is [`program_fingerprint`], built through a
-//! [`FingerprintCache`] of the search's input, so a key costs O(edit).
-//! That key ignores layout, so an entry holds only what layout cannot
+//! Every key is [`program_fingerprint`], a fold over the content keys
+//! each declaration got when it was built, so a key costs one FNV step
+//! per declaration and prints nothing. That key ignores layout, so an entry holds only what layout cannot
 //! change: a [`ProbeOutcome`] and its latency, never a `TypeError` with
 //! spans. The baseline, the one verdict whose message and location are
 //! shown, always comes from the checker ([`Oracle::check`]); so a warm
@@ -22,7 +22,7 @@
 
 use seminal_ml::ast::{NodeId, Program};
 use seminal_obs::fnv1a;
-use seminal_typeck::{ConstraintTrace, FingerprintCache, Oracle, ProbeOutcome, TypeError};
+use seminal_typeck::{program_fingerprint, ConstraintTrace, Oracle, ProbeOutcome, TypeError};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -228,20 +228,17 @@ impl VerdictMemo {
 pub struct SharedMemoOracle<O> {
     inner: O,
     memo: Arc<VerdictMemo>,
-    keys: FingerprintCache,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
 }
 
 impl<O: Oracle> SharedMemoOracle<O> {
-    /// Wraps `inner` over the shared `memo`, keying probes through the
-    /// declaration fingerprints of `base`, the program being searched.
-    pub fn new(inner: O, memo: Arc<VerdictMemo>, base: &Program) -> SharedMemoOracle<O> {
+    /// Wraps `inner` over the shared `memo`.
+    pub fn new(inner: O, memo: Arc<VerdictMemo>) -> SharedMemoOracle<O> {
         SharedMemoOracle {
             inner,
             memo,
-            keys: FingerprintCache::new(base),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -274,7 +271,7 @@ impl<O: Oracle> Oracle for SharedMemoOracle<O> {
     }
 
     fn passes(&self, prog: &Program) -> bool {
-        let key = self.keys.program_fingerprint(prog);
+        let key = program_fingerprint(prog);
         if let MemoLookup::Fresh { outcome, .. } | MemoLookup::Hit { outcome, .. } =
             self.memo.consume(key)
         {
@@ -359,11 +356,11 @@ mod tests {
         let prog = parse_program("let x = 1 + true").unwrap();
 
         let counting = CountingOracle::new(TypeCheckOracle::new());
-        let first = SharedMemoOracle::new(&counting, memo.clone(), &prog);
+        let first = SharedMemoOracle::new(&counting, memo.clone());
         assert!(!first.passes(&prog));
         assert_eq!((first.hits(), first.misses(), counting.calls()), (0, 1, 1));
 
-        let second = SharedMemoOracle::new(&counting, memo.clone(), &prog);
+        let second = SharedMemoOracle::new(&counting, memo.clone());
         assert!(!second.passes(&prog));
         assert_eq!((second.hits(), second.misses()), (1, 0));
         assert_eq!(counting.calls(), 1, "a warm probe must not reach the inner oracle");
@@ -377,15 +374,12 @@ mod tests {
         let memo = Arc::new(VerdictMemo::bounded(DEFAULT_CROSS_MEMO_CAPACITY));
         let a = parse_program("let x = 1 + true").unwrap();
         let b = parse_program("(* twin *)\nlet x = 1 + true").unwrap();
-        assert_eq!(
-            seminal_typeck::program_fingerprint(&a),
-            seminal_typeck::program_fingerprint(&b)
-        );
-        let first = SharedMemoOracle::new(TypeCheckOracle::new(), memo.clone(), &a);
+        assert_eq!(program_fingerprint(&a), program_fingerprint(&b));
+        let first = SharedMemoOracle::new(TypeCheckOracle::new(), memo.clone());
         assert!(!first.passes(&a));
         assert_eq!(first.check(&a), seminal_typeck::check_program(&a));
 
-        let second = SharedMemoOracle::new(TypeCheckOracle::new(), memo.clone(), &b);
+        let second = SharedMemoOracle::new(TypeCheckOracle::new(), memo.clone());
         assert!(!second.passes(&b), "the twin's probe is warm");
         assert_eq!(second.check(&b), seminal_typeck::check_program(&b));
         assert_ne!(second.check(&b), first.check(&a), "each baseline keeps its own span");
@@ -395,9 +389,10 @@ mod tests {
 
     #[test]
     fn keys_match_program_fingerprint_for_shared_and_fresh_programs() {
-        // The first request's probes key through the base's cached
-        // declaration fingerprints; a second request re-parses the same
-        // texts (no shared `Arc`s) and must land on the very same keys.
+        // The first request's probes key through declarations shared
+        // with the base and one an edit rebuilt; a second request
+        // re-parses the same texts (no shared `Arc`s) and must land on
+        // the very same keys.
         let memo = Arc::new(VerdictMemo::bounded(DEFAULT_CROSS_MEMO_CAPACITY));
         let src = "let x = 1\nlet y = x + 1\nlet z = y + true";
         let base = parse_program(src).unwrap();
@@ -405,16 +400,16 @@ mod tests {
         base.decls[2].for_each_expr(&mut |e| ids.push(e.id));
         let probe = seminal_ml::edit::remove_expr(&base, ids[0]);
 
-        let first = SharedMemoOracle::new(TypeCheckOracle::new(), memo.clone(), &base);
+        let first = SharedMemoOracle::new(TypeCheckOracle::new(), memo.clone());
         for p in [&base, &probe, &base.prefix(2)] {
             first.passes(p);
         }
         assert_eq!((first.misses(), memo.len()), (3, 3));
 
         let reparsed = parse_program(src).unwrap();
-        let second = SharedMemoOracle::new(TypeCheckOracle::new(), memo.clone(), &reparsed);
+        let second = SharedMemoOracle::new(TypeCheckOracle::new(), memo.clone());
         second.passes(&reparsed);
-        second.passes(&parse_program(&seminal_ml::pretty::program_to_string(&probe)).unwrap());
+        second.passes(&parse_program("let x = 1\nlet y = x + 1\nlet z = [[...]]").unwrap());
         second.passes(&reparsed.prefix(2));
         assert_eq!((second.hits(), second.misses()), (3, 0));
     }
@@ -426,7 +421,7 @@ mod tests {
         let mut ids = Vec::new();
         prog.decls[1].for_each_expr(&mut |e| ids.push(e.id));
         let inner = seminal_typeck::CheckpointedOracle::new();
-        let oracle = SharedMemoOracle::new(&inner, memo.clone(), &prog);
+        let oracle = SharedMemoOracle::new(&inner, memo.clone());
         assert!(oracle.check(&prog).is_err());
 
         assert_eq!(oracle.types(&prog, &ids), seminal_typeck::check_program_types(&prog, &ids));

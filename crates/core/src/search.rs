@@ -48,7 +48,7 @@ use seminal_obs::{
     ProbeKind, SpanKind, SrcSpan, TraceRecord, TraceSink, Tracer,
 };
 use seminal_typeck::{
-    guarded_check, guarded_probe, FingerprintCache, IncrementalStats, Oracle, ProbeOutcome,
+    guarded_check, guarded_probe, program_fingerprint, IncrementalStats, Oracle, ProbeOutcome,
     TypeError,
 };
 use std::collections::HashMap;
@@ -292,7 +292,7 @@ impl<O: Oracle> SearchSession<O> {
             probe_faults: 0,
             triage_used: false,
             suggestions: Vec::new(),
-            memo: memo.map(|m| (m, FingerprintCache::new(prog))),
+            memo,
             memo_hits: 0,
             tracer,
             probe_label: None,
@@ -359,7 +359,7 @@ impl<O: Oracle> SearchSession<O> {
             if let Some(d) = prog
                 .decls
                 .iter()
-                .position(|decl| !baseline.span.is_empty() && decl.span.contains(baseline.span))
+                .position(|decl| !baseline.span.is_empty() && decl.span().contains(baseline.span))
             {
                 first_bad = d + 1;
                 let _ = run.tracer.event(EventKind::PrefixLocalized {
@@ -623,18 +623,19 @@ struct Scope {
 }
 
 impl Scope {
+    /// A scope over `prog`, a prefix whose last declaration is the one
+    /// searched: the search and every triage context built from it work
+    /// inside that declaration, so only its nodes get metadata.
     fn new(prog: Program) -> Scope {
         let mut meta = HashMap::new();
-        for decl in &prog.decls {
-            match &decl.kind {
-                DeclKind::Let { bindings, .. } => {
-                    for b in bindings {
-                        build_meta(&b.body, 0, None, &mut meta);
-                    }
+        match prog.decls.last().map(|d| d.kind()) {
+            Some(DeclKind::Let { bindings, .. }) => {
+                for b in bindings {
+                    build_meta(&b.body, 0, None, &mut meta);
                 }
-                DeclKind::Expr(e) => build_meta(e, 0, None, &mut meta),
-                _ => {}
             }
+            Some(DeclKind::Expr(e)) => build_meta(e, 0, None, &mut meta),
+            _ => {}
         }
         Scope { prog, meta }
     }
@@ -696,9 +697,9 @@ struct Run<'a, O> {
     triage_used: bool,
     suggestions: Vec<Suggestion>,
     /// The search's memo — the engine's, or the run's own under
-    /// [`SearchConfig::memoize_oracle`] — with the key cache of the
-    /// search's input; `None` at `threads == 1` without memoization.
-    memo: Option<(&'a VerdictMemo, FingerprintCache)>,
+    /// [`SearchConfig::memoize_oracle`]; `None` at `threads == 1`
+    /// without memoization.
+    memo: Option<&'a VerdictMemo>,
     memo_hits: u64,
     /// Structured-trace emitter (inert unless sinks are attached).
     tracer: Tracer,
@@ -766,7 +767,7 @@ impl<O: Oracle> Run<'_, O> {
             self.probe_label = None;
             return false;
         }
-        let key = self.memo.as_ref().map(|(memo, keys)| (memo, keys.program_fingerprint(prog)));
+        let key = self.memo.map(|memo| (memo, program_fingerprint(prog)));
         let (outcome, cached, latency_ns) =
             match key.map_or(MemoLookup::Miss, |(memo, key)| memo.consume(key)) {
                 MemoLookup::Fresh { outcome, latency_ns } => (outcome, false, latency_ns),
@@ -808,11 +809,11 @@ impl<O: Oracle> Run<'_, O> {
     /// capped at the remaining oracle budget so speculation cannot run
     /// far past `max_oracle_calls`.
     fn prefetch(&self, variants: &[Program]) {
-        if let (Some(engine), Some((_, keys))) = (self.engine, &self.memo) {
+        if let Some(engine) = self.engine {
             let room = self.cfg.max_oracle_calls.saturating_sub(self.calls);
             let cap = usize::try_from(room).unwrap_or(usize::MAX).min(variants.len());
             if cap > 0 {
-                engine.prefetch_under(&variants[..cap], keys, self.tracer.context());
+                engine.prefetch_under(&variants[..cap], self.tracer.context());
             }
         }
     }
@@ -872,25 +873,25 @@ impl<O: Oracle> Run<'_, O> {
 
     fn search_decl(&mut self, scope: &Scope, idx: usize) {
         let decl = scope.prog.decls[idx].clone();
-        match &decl.kind {
+        match decl.kind() {
             DeclKind::Let { rec, bindings } => {
                 // Declaration-level `let` → `let rec` (Figure 3's last row).
                 if !*rec && bindings.iter().all(|b| matches!(b.pat.kind, PatKind::Var(_))) {
                     let mut variant = scope.prog.clone();
-                    if let DeclKind::Let { rec, .. } =
-                        &mut std::sync::Arc::make_mut(&mut variant.decls[idx]).kind
-                    {
-                        *rec = true;
-                    }
+                    std::sync::Arc::make_mut(&mut variant.decls[idx]).update_kind(|kind| {
+                        if let DeclKind::Let { rec, .. } = kind {
+                            *rec = true;
+                        }
+                    });
                     self.label(
                         ProbeKind::Constructive { family: "let rec".to_owned() },
-                        decl.span,
+                        decl.span(),
                         || decl_to_string(&decl),
                     );
                     if self.check(&variant) {
                         let context_str = decl_to_string(&variant.decls[idx]);
                         self.suggestions.push(Suggestion {
-                            focus: Focus::DeclRec { decl: decl.id },
+                            focus: Focus::DeclRec { decl: decl.id() },
                             kind: ChangeKind::Constructive(
                                 "make the declaration recursive (`let rec`)".to_owned(),
                             ),
@@ -900,7 +901,7 @@ impl<O: Oracle> Run<'_, O> {
                             replacement_str: "let rec".to_owned(),
                             new_type: None,
                             context_str,
-                            span: decl.span,
+                            span: decl.span(),
                             depth: 0,
                             size: 1,
                             right_pos: 0,
@@ -908,7 +909,7 @@ impl<O: Oracle> Run<'_, O> {
                             superseded: false,
                             variant,
                             unbound_hint: None,
-                            blame: self.blame_at(decl.span),
+                            blame: self.blame_at(decl.span()),
                         });
                     }
                 }

@@ -27,9 +27,7 @@ use seminal_core::engine::ProbeEngine;
 use seminal_core::{MemoLookup, VerdictMemo};
 use seminal_ml::ast::Program;
 use seminal_ml::parser::parse_program;
-use seminal_typeck::{
-    program_fingerprint, CountingOracle, FingerprintCache, ProbeOutcome, TypeCheckOracle,
-};
+use seminal_typeck::{program_fingerprint, CountingOracle, ProbeOutcome, TypeCheckOracle};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -185,8 +183,6 @@ fn variants(base: usize, n: usize) -> Vec<Program> {
 fn prefetch_dispatches_each_distinct_variant_to_the_oracle_once() {
     let oracle = CountingOracle::new(TypeCheckOracle::new());
     let engine = ProbeEngine::new(&oracle, THREADS);
-    // The variants share no declarations, so no base helps their keys.
-    let keys = FingerprintCache::new(&Program::default());
 
     let mut distinct = 0u64;
     for round in 0..4 {
@@ -201,7 +197,7 @@ fn prefetch_dispatches_each_distinct_variant_to_the_oracle_once() {
         if round > 0 {
             frontier.extend(variants((round - 1) * 100, 100));
         }
-        engine.prefetch(&frontier, &keys);
+        engine.prefetch(&frontier);
 
         assert_eq!(
             oracle.calls(),

@@ -198,7 +198,7 @@ pub fn mutate(
         .map(|p| {
             let span = match &p.path {
                 Some(path) => expr_at_path(&reparsed, path).map_or(Span::DUMMY, |e| e.span),
-                None => reparsed.decls.get(p.decl).map_or(Span::DUMMY, |d| d.span),
+                None => reparsed.decls.get(p.decl).map_or(Span::DUMMY, |d| d.span()),
             };
             GroundTruth {
                 kind: p.kind,
@@ -264,7 +264,7 @@ pub fn mutate_chain(
         .map(|p| {
             let span = match &p.path {
                 Some(path) => expr_at_path(&reparsed, path).map_or(Span::DUMMY, |e| e.span),
-                None => reparsed.decls.get(p.decl).map_or(Span::DUMMY, |d| d.span),
+                None => reparsed.decls.get(p.decl).map_or(Span::DUMMY, |d| d.span()),
             };
             GroundTruth {
                 kind: p.kind,
@@ -289,17 +289,17 @@ fn apply_one(
         MutationKind::DropRec => {
             let mut candidates = Vec::new();
             for (i, d) in prog.decls.iter().enumerate() {
-                if let DeclKind::Let { rec: true, .. } = &d.kind {
+                if let DeclKind::Let { rec: true, .. } = d.kind() {
                     candidates.push(i);
                 }
             }
             let idx = *pick(&candidates, rng)?;
             let mut variant = prog.clone();
-            if let DeclKind::Let { rec, .. } =
-                &mut std::sync::Arc::make_mut(&mut variant.decls[idx]).kind
-            {
-                *rec = false;
-            }
+            std::sync::Arc::make_mut(&mut variant.decls[idx]).update_kind(|kind| {
+                if let DeclKind::Let { rec, .. } = kind {
+                    *rec = false;
+                }
+            });
             Some((
                 variant,
                 PendingTruth {

@@ -7,6 +7,7 @@
 //! invalidate outstanding references into unrelated parts of the tree.
 
 use crate::span::Span;
+use seminal_obs::hash::{fnv1a_extend, FNV_OFFSET};
 use std::fmt;
 use std::sync::Arc;
 
@@ -278,20 +279,42 @@ pub struct TypeDef {
 
 /// A top-level declaration.
 ///
-/// A declaration also carries the smallest and largest [`NodeId`] it
-/// holds — its own, and those of every expression and pattern in it,
-/// nested patterns included. [`Decl::new`] computes them from the
-/// nodes, so they are a function of the content: equal declarations
-/// have equal bounds. Lookups by id ([`Decl::find_expr`],
-/// [`Program::decl_of`], [`edit::apply`](crate::edit::apply)) skip any
-/// declaration whose bounds cannot hold the id.
-#[derive(Debug, Clone, PartialEq)]
+/// A declaration also carries what [`Decl::new`] derives from its nodes
+/// in one walk, so each is a function of the content:
+///
+/// - the smallest and largest [`NodeId`] it holds — its own, and those
+///   of every expression and pattern in it, nested patterns included.
+///   Lookups by id ([`Decl::find_expr`], [`Program::decl_of`],
+///   [`edit::apply`](crate::edit::apply)) skip any declaration whose
+///   bounds cannot hold the id;
+/// - its [content key](Decl::content_key) and its
+///   [span key](Decl::span_key), the memo keys.
+///
+/// The fields are private, so nothing can change a declaration without
+/// refreshing them: a declaration is built by [`Decl::new`] and changed
+/// in place only through [`Decl::update_kind`].
+#[derive(Clone, PartialEq)]
 pub struct Decl {
-    pub id: NodeId,
-    pub span: Span,
-    pub kind: DeclKind,
+    id: NodeId,
+    span: Span,
+    kind: DeclKind,
     lo: NodeId,
     hi: NodeId,
+    content_key: u64,
+    span_key: u64,
+}
+
+impl fmt::Debug for Decl {
+    /// The nodes and the id bounds; the keys are a function of them.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Decl")
+            .field("id", &self.id)
+            .field("span", &self.span)
+            .field("kind", &self.kind)
+            .field("lo", &self.lo)
+            .field("hi", &self.hi)
+            .finish()
+    }
 }
 
 /// The shape of a top-level declaration.
@@ -318,15 +341,11 @@ pub enum DeclKind {
 /// checker can resume from a snapshot instead of re-inferring from
 /// scratch. All `Arc`s here are handed out by the parser and by
 /// [`edit::apply`](crate::edit::apply), both through [`Decl::new`];
-/// mutate one in place only through [`Arc::make_mut`], which unshares
-/// exactly the declaration touched.
-///
-/// An in-place edit must keep the declaration's id bounds true: it may
-/// change what a node says (today's in-place edits only flip `rec`), but
-/// it must not add a node id outside the bounds [`Decl::new`] computed.
-/// Anything that adds or renumbers nodes goes through `edit::apply`,
-/// which rebuilds the declaration. [`edit::validate`](crate::edit::validate)
-/// reports a node outside its declaration's bounds.
+/// change one in place only through [`Arc::make_mut`], which unshares
+/// exactly the declaration touched, and [`Decl::update_kind`], which
+/// refreshes its id bounds and keys (today's in-place edits only flip
+/// `rec`). Anything that adds or renumbers nodes goes through
+/// `edit::apply`, which rebuilds the declaration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     pub decls: Vec<Arc<Decl>>,
@@ -486,43 +505,6 @@ impl Expr {
         self.for_each_child(&mut |c| c.walk(f));
     }
 
-    /// Calls `f` on the id of this node and of every expression and
-    /// pattern beneath it: `fun` parameters, local `let` bindings and
-    /// `match`/`try` arm patterns included. Each node comes before its
-    /// patterns and its children.
-    fn for_each_id(&self, f: &mut impl FnMut(NodeId)) {
-        // An explicit stack, not recursion: hand-built trees can nest
-        // deeper than inference's depth guard, and this walk runs first.
-        let mut stack = vec![self];
-        while let Some(e) = stack.pop() {
-            f(e.id);
-            match &e.kind {
-                ExprKind::Fun(params, _) => {
-                    for p in params {
-                        p.walk(&mut |q| f(q.id));
-                    }
-                }
-                ExprKind::Let { bindings, .. } => {
-                    for b in bindings {
-                        b.pat.walk(&mut |q| f(q.id));
-                        for p in &b.params {
-                            p.walk(&mut |q| f(q.id));
-                        }
-                    }
-                }
-                ExprKind::Match(_, arms) | ExprKind::Try(_, arms) => {
-                    for arm in arms {
-                        arm.pat.walk(&mut |q| f(q.id));
-                    }
-                }
-                _ => {}
-            }
-            let at = stack.len();
-            e.for_each_child(&mut |c| stack.push(c));
-            stack[at..].reverse();
-        }
-    }
-
     /// Finds the descendant (or self) with the given id.
     pub fn find(&self, id: NodeId) -> Option<&Expr> {
         if self.id == id {
@@ -624,17 +606,64 @@ impl Pat {
 }
 
 impl Decl {
-    /// Builds a declaration, computing its id bounds from its nodes.
+    /// Builds a declaration, computing its id bounds and keys from its
+    /// nodes.
     pub fn new(id: NodeId, span: Span, kind: DeclKind) -> Decl {
-        let mut d = Decl { id, span, kind, lo: id, hi: id };
-        let (mut lo, mut hi) = (id, id);
-        d.for_each_id(&mut |n| {
-            lo = lo.min(n);
-            hi = hi.max(n);
-        });
-        d.lo = lo;
-        d.hi = hi;
+        let mut d = Decl { id, span, kind, lo: id, hi: id, content_key: 0, span_key: 0 };
+        d.summarize();
         d
+    }
+
+    /// The declaration's node id.
+    pub fn id(&self) -> NodeId {
+        self.id
+    }
+
+    /// The source span of the whole declaration.
+    pub fn span(&self) -> Span {
+        self.span
+    }
+
+    /// What the declaration declares.
+    pub fn kind(&self) -> &DeclKind {
+        &self.kind
+    }
+
+    /// Changes the declaration in place through `f` — on a shared
+    /// declaration, after [`Arc::make_mut`] — and recomputes its id
+    /// bounds and keys. `f` may change what nodes say (the search flips
+    /// `rec`); nodes it adds must carry fresh ids, as
+    /// [`edit::apply`](crate::edit::apply) hands out.
+    pub fn update_kind(&mut self, f: impl FnOnce(&mut DeclKind)) {
+        f(&mut self.kind);
+        self.summarize();
+    }
+
+    /// The kind, for tests that corrupt a declaration on purpose: its
+    /// bounds and keys are not refreshed.
+    #[cfg(test)]
+    pub(crate) fn kind_mut_unchecked(&mut self) -> &mut DeclKind {
+        &mut self.kind
+    }
+
+    /// The content key: FNV-1a over the declaration's node kinds,
+    /// names, literals, operators, `rec` flags, annotations and type
+    /// definitions, in walk order with every count and name length, so
+    /// that two declarations share it only if their trees are equal up
+    /// to node ids and spans (or their hashes collide). Layout twins
+    /// share it — comments, whitespace, redundant parentheses and
+    /// `begin … end` leave no trace in the tree — and it is stable
+    /// across processes and re-parses.
+    pub fn content_key(&self) -> u64 {
+        self.content_key
+    }
+
+    /// The span key: the content key extended with the hash of every
+    /// node's span in walk order — the declaration's own, then each
+    /// expression's and each pattern's. Two declarations that share it
+    /// infer alike and report their type errors at the same places.
+    pub fn span_key(&self) -> u64 {
+        self.span_key
     }
 
     /// Whether `id` lies within this declaration's id bounds — a
@@ -644,23 +673,105 @@ impl Decl {
     }
 
     /// Calls `f` on the id of this declaration and of every expression
-    /// and pattern in it, nested patterns included: the walker behind
-    /// the id bounds and [`edit::validate`](crate::edit::validate).
+    /// and pattern in it, nested patterns included, each node before
+    /// its children: the walk behind the id bounds and
+    /// [`edit::validate`](crate::edit::validate).
     pub fn for_each_id(&self, f: &mut impl FnMut(NodeId)) {
         f(self.id);
+        self.walk(|id, _| f(id));
+    }
+
+    /// Recomputes the id bounds and keys in one walk.
+    fn summarize(&mut self) {
+        let (mut lo, mut hi) = (self.id, self.id);
+        let mut spans = Key::new();
+        spans.span(self.span);
+        let content = self.walk(|id, span| {
+            lo = lo.min(id);
+            hi = hi.max(id);
+            spans.span(span);
+        });
+        self.lo = lo;
+        self.hi = hi;
+        self.content_key = content;
+        self.span_key = fnv1a_extend(content, &spans.0.to_le_bytes());
+    }
+
+    /// Visits every node of the declaration in preorder, calling
+    /// `visit` with the id and span of each expression and pattern, and
+    /// returns the content key. The walk keeps its own stack instead of
+    /// recursing: hand-built trees can nest deeper than inference's
+    /// depth guard, and this walk runs first.
+    fn walk(&self, mut visit: impl FnMut(NodeId, Span)) -> u64 {
+        let mut key = Key::new();
+        // Room for a typical declaration's pending siblings, so the walk
+        // allocates once.
+        let mut stack = Vec::with_capacity(32);
         match &self.kind {
-            DeclKind::Let { bindings, .. } => {
-                for b in bindings {
-                    b.pat.walk(&mut |q| f(q.id));
-                    for p in &b.params {
-                        p.walk(&mut |q| f(q.id));
+            DeclKind::Let { rec, bindings } => {
+                key.tag(0);
+                key.flag(*rec);
+                key.count(bindings.len());
+                stack.extend(bindings.iter().map(Node::Binding));
+            }
+            DeclKind::Type(defs) => {
+                key.tag(1);
+                key.count(defs.len());
+                for def in defs {
+                    key.name(&def.name);
+                    key.count(def.params.len());
+                    for param in &def.params {
+                        key.name(param);
                     }
-                    b.body.for_each_id(f);
+                    match &def.body {
+                        TypeDefBody::Variant(ctors) => {
+                            key.tag(0);
+                            key.count(ctors.len());
+                            for (name, arg) in ctors {
+                                key.name(name);
+                                key.flag(arg.is_some());
+                                stack.extend(arg.iter().map(Node::Type));
+                            }
+                        }
+                        TypeDefBody::Record(fields) => {
+                            key.tag(1);
+                            key.count(fields.len());
+                            for field in fields {
+                                key.name(&field.name);
+                                key.flag(field.mutable);
+                                stack.push(Node::Type(&field.ty));
+                            }
+                        }
+                        TypeDefBody::Alias(ty) => {
+                            key.tag(2);
+                            stack.push(Node::Type(ty));
+                        }
+                    }
                 }
             }
-            DeclKind::Expr(e) => e.for_each_id(f),
-            DeclKind::Type(_) | DeclKind::Exception(_, _) => {}
+            DeclKind::Exception(name, arg) => {
+                key.tag(2);
+                key.name(name);
+                key.flag(arg.is_some());
+                stack.extend(arg.iter().map(Node::Type));
+            }
+            DeclKind::Expr(e) => {
+                key.tag(3);
+                stack.push(Node::Expr(e));
+            }
         }
+        stack.reverse();
+        while let Some(node) = stack.pop() {
+            match node {
+                Node::Expr(e) => visit(e.id, e.span),
+                Node::Pat(p) => visit(p.id, p.span),
+                _ => {}
+            }
+            let at = stack.len();
+            node.expand(&mut key, &mut stack);
+            stack[at..].reverse();
+        }
+        key.0
     }
 
     /// Calls `f` on every expression node in this declaration, preorder.
@@ -710,6 +821,263 @@ impl Program {
     /// Index of the declaration containing the given expression node.
     pub fn decl_of(&self, id: NodeId) -> Option<usize> {
         self.decls.iter().position(|d| d.find_expr(id).is_some())
+    }
+}
+
+/// A node of the walk behind [`Decl::new`].
+#[derive(Clone, Copy)]
+enum Node<'a> {
+    Expr(&'a Expr),
+    Pat(&'a Pat),
+    Binding(&'a Binding),
+    Arm(&'a Arm),
+    Type(&'a TypeExpr),
+}
+
+impl<'a> Node<'a> {
+    /// Feeds what this node says into `key` — its kind, names,
+    /// literals, operators, flags and child counts, never its id, span
+    /// or children — and pushes its children onto `stack` in order.
+    fn expand(self, key: &mut Key, stack: &mut Vec<Node<'a>>) {
+        match self {
+            Node::Expr(e) => match &e.kind {
+                ExprKind::Var(name) => {
+                    key.tag(0);
+                    key.name(name);
+                }
+                ExprKind::Lit(lit) => {
+                    key.tag(1);
+                    key.lit(lit);
+                }
+                ExprKind::App(f, a) => {
+                    key.tag(2);
+                    stack.extend([Node::Expr(f), Node::Expr(a)]);
+                }
+                ExprKind::Fun(params, body) => {
+                    key.tag(3);
+                    key.count(params.len());
+                    stack.extend(params.iter().map(Node::Pat));
+                    stack.push(Node::Expr(body));
+                }
+                ExprKind::Let { rec, bindings, body } => {
+                    key.tag(4);
+                    key.flag(*rec);
+                    key.count(bindings.len());
+                    stack.extend(bindings.iter().map(Node::Binding));
+                    stack.push(Node::Expr(body));
+                }
+                ExprKind::If(c, t, els) => {
+                    key.tag(5);
+                    key.flag(els.is_some());
+                    stack.extend([Node::Expr(c), Node::Expr(t)]);
+                    stack.extend(els.as_deref().map(Node::Expr));
+                }
+                ExprKind::Tuple(es) => {
+                    key.tag(6);
+                    key.count(es.len());
+                    stack.extend(es.iter().map(Node::Expr));
+                }
+                ExprKind::List(es) => {
+                    key.tag(7);
+                    key.count(es.len());
+                    stack.extend(es.iter().map(Node::Expr));
+                }
+                ExprKind::Match(scrut, arms) => {
+                    key.tag(8);
+                    key.count(arms.len());
+                    stack.push(Node::Expr(scrut));
+                    stack.extend(arms.iter().map(Node::Arm));
+                }
+                ExprKind::BinOp(op, a, b) => {
+                    key.tag(9);
+                    key.tag(*op as u8);
+                    stack.extend([Node::Expr(a), Node::Expr(b)]);
+                }
+                ExprKind::UnOp(op, a) => {
+                    key.tag(10);
+                    key.tag(*op as u8);
+                    stack.push(Node::Expr(a));
+                }
+                ExprKind::Seq(a, b) => {
+                    key.tag(11);
+                    stack.extend([Node::Expr(a), Node::Expr(b)]);
+                }
+                ExprKind::Annot(a, ty) => {
+                    key.tag(12);
+                    stack.extend([Node::Expr(a), Node::Type(ty)]);
+                }
+                ExprKind::Construct(name, arg) => {
+                    key.tag(13);
+                    key.name(name);
+                    key.flag(arg.is_some());
+                    stack.extend(arg.as_deref().map(Node::Expr));
+                }
+                ExprKind::Record(fields) => {
+                    key.tag(14);
+                    key.count(fields.len());
+                    for (name, value) in fields {
+                        key.name(name);
+                        stack.push(Node::Expr(value));
+                    }
+                }
+                ExprKind::Field(a, name) => {
+                    key.tag(15);
+                    key.name(name);
+                    stack.push(Node::Expr(a));
+                }
+                ExprKind::SetField(a, name, b) => {
+                    key.tag(16);
+                    key.name(name);
+                    stack.extend([Node::Expr(a), Node::Expr(b)]);
+                }
+                ExprKind::Raise(a) => {
+                    key.tag(17);
+                    stack.push(Node::Expr(a));
+                }
+                ExprKind::Try(body, arms) => {
+                    key.tag(18);
+                    key.count(arms.len());
+                    stack.push(Node::Expr(body));
+                    stack.extend(arms.iter().map(Node::Arm));
+                }
+                ExprKind::Hole => key.tag(19),
+                ExprKind::Adapt(a) => {
+                    key.tag(20);
+                    stack.push(Node::Expr(a));
+                }
+            },
+            Node::Pat(p) => match &p.kind {
+                PatKind::Wild => key.tag(0),
+                PatKind::Var(name) => {
+                    key.tag(1);
+                    key.name(name);
+                }
+                PatKind::Lit(lit) => {
+                    key.tag(2);
+                    key.lit(lit);
+                }
+                PatKind::Tuple(ps) => {
+                    key.tag(3);
+                    key.count(ps.len());
+                    stack.extend(ps.iter().map(Node::Pat));
+                }
+                PatKind::List(ps) => {
+                    key.tag(4);
+                    key.count(ps.len());
+                    stack.extend(ps.iter().map(Node::Pat));
+                }
+                PatKind::Cons(a, b) => {
+                    key.tag(5);
+                    stack.extend([Node::Pat(a), Node::Pat(b)]);
+                }
+                PatKind::Construct(name, arg) => {
+                    key.tag(6);
+                    key.name(name);
+                    key.flag(arg.is_some());
+                    stack.extend(arg.as_deref().map(Node::Pat));
+                }
+                PatKind::Annot(a, ty) => {
+                    key.tag(7);
+                    stack.extend([Node::Pat(a), Node::Type(ty)]);
+                }
+            },
+            Node::Binding(b) => {
+                key.count(b.params.len());
+                key.flag(b.annot.is_some());
+                stack.push(Node::Pat(&b.pat));
+                stack.extend(b.params.iter().map(Node::Pat));
+                stack.extend(b.annot.iter().map(Node::Type));
+                stack.push(Node::Expr(&b.body));
+            }
+            Node::Arm(arm) => {
+                key.flag(arm.guard.is_some());
+                stack.push(Node::Pat(&arm.pat));
+                stack.extend(arm.guard.iter().map(Node::Expr));
+                stack.push(Node::Expr(&arm.body));
+            }
+            Node::Type(ty) => match ty {
+                TypeExpr::Var(name) => {
+                    key.tag(0);
+                    key.name(name);
+                }
+                TypeExpr::Con(name, args) => {
+                    key.tag(1);
+                    key.name(name);
+                    key.count(args.len());
+                    stack.extend(args.iter().map(Node::Type));
+                }
+                TypeExpr::Arrow(a, b) => {
+                    key.tag(2);
+                    stack.extend([Node::Type(a), Node::Type(b)]);
+                }
+                TypeExpr::Tuple(ts) => {
+                    key.tag(3);
+                    key.count(ts.len());
+                    stack.extend(ts.iter().map(Node::Type));
+                }
+            },
+        }
+    }
+}
+
+/// A running FNV-1a hash ([`seminal_obs::hash`]) over a declaration's
+/// walk. Every count and name length goes in, so the byte stream
+/// determines the tree.
+struct Key(u64);
+
+impl Key {
+    fn new() -> Key {
+        Key(FNV_OFFSET)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a_extend(self.0, bytes);
+    }
+
+    fn tag(&mut self, tag: u8) {
+        self.bytes(&[tag]);
+    }
+
+    fn flag(&mut self, flag: bool) {
+        self.tag(u8::from(flag));
+    }
+
+    /// A count or length; counts past `u32::MAX` saturate, which can
+    /// only add collisions.
+    fn count(&mut self, n: usize) {
+        self.bytes(&u32::try_from(n).unwrap_or(u32::MAX).to_le_bytes());
+    }
+
+    fn name(&mut self, name: &str) {
+        self.count(name.len());
+        self.bytes(name.as_bytes());
+    }
+
+    fn lit(&mut self, lit: &Lit) {
+        match lit {
+            Lit::Int(n) => {
+                self.tag(0);
+                self.bytes(&n.to_le_bytes());
+            }
+            Lit::Float(x) => {
+                self.tag(1);
+                self.bytes(&x.to_bits().to_le_bytes());
+            }
+            Lit::Str(s) => {
+                self.tag(2);
+                self.name(s);
+            }
+            Lit::Bool(b) => {
+                self.tag(3);
+                self.flag(*b);
+            }
+            Lit::Unit => self.tag(4),
+        }
+    }
+
+    fn span(&mut self, span: Span) {
+        self.bytes(&span.start.to_le_bytes());
+        self.bytes(&span.end.to_le_bytes());
     }
 }
 

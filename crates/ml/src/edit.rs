@@ -98,7 +98,7 @@ impl Edit {
         if !self.exprs.keys().chain(self.pats.keys()).any(|&id| d.may_hold(id)) {
             return false;
         }
-        match &d.kind {
+        match d.kind() {
             DeclKind::Let { bindings, .. } => bindings.iter().any(|b| {
                 self.touches_pat(&b.pat)
                     || b.params.iter().any(|p| self.touches_pat(p))
@@ -364,7 +364,7 @@ impl Applier<'_> {
     }
 
     fn decl(&mut self, d: &Decl) -> Decl {
-        let kind = match &d.kind {
+        let kind = match d.kind() {
             DeclKind::Let { rec, bindings } => DeclKind::Let {
                 rec: *rec,
                 bindings: bindings
@@ -378,9 +378,9 @@ impl Applier<'_> {
                     .collect(),
             },
             DeclKind::Expr(e) => DeclKind::Expr(self.expr(e)),
-            DeclKind::Type(_) | DeclKind::Exception(_, _) => d.kind.clone(),
+            DeclKind::Type(_) | DeclKind::Exception(_, _) => d.kind().clone(),
         };
-        Decl::new(d.id, d.span, kind)
+        Decl::new(d.id(), d.span(), kind)
     }
 }
 
@@ -442,7 +442,7 @@ pub fn validate(prog: &Program) -> Result<(), ValidationError> {
             } else if !seen.insert(id) {
                 result = Err(ValidationError::DuplicateId(id));
             } else if !d.may_hold(id) {
-                result = Err(ValidationError::OutsideDeclBounds { id, decl: d.id });
+                result = Err(ValidationError::OutsideDeclBounds { id, decl: d.id() });
             }
         });
         result?;
@@ -568,7 +568,7 @@ mod tests {
     fn pattern_replacement() {
         let prog = parse_program("let f = fun (x, y) -> x").unwrap();
         let mut target = None;
-        match &prog.decls[0].kind {
+        match prog.decls[0].kind() {
             DeclKind::Let { bindings, .. } => {
                 if let ExprKind::Fun(params, _) = &bindings[0].body.kind {
                     if let PatKind::Tuple(parts) = &params[0].kind {
@@ -601,7 +601,9 @@ mod tests {
     fn validate_rejects_duplicates_and_synth() {
         let mut prog = parse_program("let x = 1 + 2").unwrap();
         // Force a duplicate id.
-        if let DeclKind::Let { bindings, .. } = &mut Arc::make_mut(&mut prog.decls[0]).kind {
+        if let DeclKind::Let { bindings, .. } =
+            Arc::make_mut(&mut prog.decls[0]).kind_mut_unchecked()
+        {
             if let ExprKind::BinOp(_, l, r) = &mut bindings[0].body.kind {
                 r.id = l.id;
             }
@@ -609,7 +611,9 @@ mod tests {
         assert!(matches!(validate(&prog), Err(ValidationError::DuplicateId(_))));
 
         let mut prog = parse_program("let x = 1").unwrap();
-        if let DeclKind::Let { bindings, .. } = &mut Arc::make_mut(&mut prog.decls[0]).kind {
+        if let DeclKind::Let { bindings, .. } =
+            Arc::make_mut(&mut prog.decls[0]).kind_mut_unchecked()
+        {
             bindings[0].body.id = NodeId::SYNTH;
         }
         assert_eq!(validate(&prog), Err(ValidationError::SynthId));
@@ -617,7 +621,9 @@ mod tests {
         // Patterns nested inside expressions are nodes too: a `fun`
         // parameter left SYNTH ...
         let mut prog = parse_program("let f = fun x -> x").unwrap();
-        if let DeclKind::Let { bindings, .. } = &mut Arc::make_mut(&mut prog.decls[0]).kind {
+        if let DeclKind::Let { bindings, .. } =
+            Arc::make_mut(&mut prog.decls[0]).kind_mut_unchecked()
+        {
             if let ExprKind::Fun(params, _) = &mut bindings[0].body.kind {
                 params[0].id = NodeId::SYNTH;
             }
@@ -626,7 +632,9 @@ mod tests {
 
         // ... and a match-arm pattern sharing its `match`'s id.
         let mut prog = parse_program("let g y = match y with 0 -> 1 | _ -> 2").unwrap();
-        if let DeclKind::Let { bindings, .. } = &mut Arc::make_mut(&mut prog.decls[0]).kind {
+        if let DeclKind::Let { bindings, .. } =
+            Arc::make_mut(&mut prog.decls[0]).kind_mut_unchecked()
+        {
             let match_id = bindings[0].body.id;
             if let ExprKind::Match(_, arms) = &mut bindings[0].body.kind {
                 arms[1].pat.id = match_id;
@@ -642,10 +650,12 @@ mod tests {
         // declaration's bounds: lookups by id would skip the node.
         let stray = NodeId(prog.next_id);
         prog.next_id += 1;
-        if let DeclKind::Let { bindings, .. } = &mut Arc::make_mut(&mut prog.decls[0]).kind {
+        if let DeclKind::Let { bindings, .. } =
+            Arc::make_mut(&mut prog.decls[0]).kind_mut_unchecked()
+        {
             bindings[0].body.id = stray;
         }
-        let decl = prog.decls[0].id;
+        let decl = prog.decls[0].id();
         assert_eq!(validate(&prog), Err(ValidationError::OutsideDeclBounds { id: stray, decl }));
         assert!(prog.find_expr(stray).is_none());
     }
@@ -661,7 +671,7 @@ mod tests {
         }
         // Bounds are a function of content: a rebuilt copy is equal.
         let d = &prog.decls[1];
-        assert_eq!(Decl::new(d.id, d.span, d.kind.clone()), **d);
+        assert_eq!(Decl::new(d.id(), d.span(), d.kind().clone()), **d);
 
         let mut target = None;
         prog.decls[1].for_each_expr(&mut |e| {

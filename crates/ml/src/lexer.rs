@@ -1,15 +1,22 @@
 //! Hand-written lexer for the Caml subset.
 //!
-//! Produces a vector of spanned [`Token`]s. Comments `(* ... *)` nest, as
-//! in OCaml; the corpus collector of the paper obfuscated comment contents,
-//! so nothing downstream ever looks inside them.
+//! Produces a vector of spanned [`Token`]s, its one allocation unless a
+//! number has `_` separators: a token is a kind and a span, its text is
+//! `&source[span]`. Keywords
+//! are matched on the byte slice, numbers are parsed from it (copied
+//! only to drop `_` separators), and string literals are validated here
+//! and unescaped by `unescape` when the parser builds the literal.
+//! Comments `(* ... *)` nest, as in OCaml; the corpus collector of the
+//! paper obfuscated comment contents, so nothing downstream ever looks
+//! inside them.
 
 use crate::span::Span;
 use crate::token::{keyword, Token};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A token together with the source bytes it came from.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Spanned {
     pub token: Token,
     pub span: Span,
@@ -30,27 +37,54 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
-/// Tokenizes `source` in full.
+/// Tokenizes `source` in full, in one allocation: every token but the
+/// final [`Token::Eof`] covers at least one byte, so the output never
+/// outgrows `source.len() + 1` entries.
 ///
 /// # Errors
 ///
 /// Returns the first [`LexError`] (unterminated comment or string, illegal
 /// character, malformed number).
 pub fn lex(source: &str) -> Result<Vec<Spanned>, LexError> {
-    Lexer::new(source).run()
+    Lexer {
+        text: source,
+        src: source.as_bytes(),
+        pos: 0,
+        out: Vec::with_capacity(source.len() + 1),
+    }
+    .run()
+}
+
+/// The value of a string literal's body (the text between its quotes),
+/// with its escapes decoded. The lexer has already rejected unknown
+/// escapes.
+pub(crate) fn unescape(body: &str) -> String {
+    let mut value = String::with_capacity(body.len());
+    let mut chars = body.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            value.push(c);
+            continue;
+        }
+        match chars.next() {
+            Some('n') => value.push('\n'),
+            Some('t') => value.push('\t'),
+            Some('r') => value.push('\r'),
+            Some(other) => value.push(other),
+            None => {}
+        }
+    }
+    value
 }
 
 struct Lexer<'s> {
+    text: &'s str,
     src: &'s [u8],
     pos: usize,
     out: Vec<Spanned>,
 }
 
-impl<'s> Lexer<'s> {
-    fn new(source: &'s str) -> Lexer<'s> {
-        Lexer { src: source.as_bytes(), pos: 0, out: Vec::new() }
-    }
-
+impl Lexer<'_> {
     fn peek(&self) -> u8 {
         self.src.get(self.pos).copied().unwrap_or(0)
     }
@@ -69,12 +103,26 @@ impl<'s> Lexer<'s> {
         b
     }
 
+    /// The whole character starting at byte `at` (a character
+    /// boundary), moving past it.
+    fn bump_char(&mut self, at: usize) -> char {
+        let c = self.text[at..].chars().next().unwrap_or('\0');
+        self.pos = at + c.len_utf8();
+        c
+    }
+
     fn error(&self, start: usize, message: impl Into<String>) -> LexError {
         LexError { message: message.into(), span: Span::new(start as u32, self.pos as u32) }
     }
 
     fn emit(&mut self, start: usize, token: Token) {
         self.out.push(Spanned { token, span: Span::new(start as u32, self.pos as u32) });
+    }
+
+    fn ident_tail(&mut self) {
+        while self.peek().is_ascii_alphanumeric() || self.peek() == b'_' || self.peek() == b'\'' {
+            self.bump();
+        }
     }
 
     fn run(mut self) -> Result<Vec<Spanned>, LexError> {
@@ -96,15 +144,8 @@ impl<'s> Lexer<'s> {
                     self.bump();
                     if self.peek().is_ascii_alphanumeric() || self.peek() == b'_' {
                         // `_foo` is an ordinary (ignorable) identifier.
-                        while self.peek().is_ascii_alphanumeric()
-                            || self.peek() == b'_'
-                            || self.peek() == b'\''
-                        {
-                            self.bump();
-                        }
-                        let text =
-                            std::str::from_utf8(&self.src[start..self.pos]).unwrap().to_owned();
-                        self.emit(start, Token::Lident(text));
+                        self.ident_tail();
+                        self.emit(start, Token::Lident);
                     } else {
                         self.emit(start, Token::Underscore);
                     }
@@ -171,26 +212,24 @@ impl<'s> Lexer<'s> {
                 self.bump();
             }
         }
-        let text: String = std::str::from_utf8(&self.src[start..self.pos])
-            .unwrap()
-            .chars()
-            .filter(|&c| c != '_')
-            .collect();
-        if is_float {
-            let value: f64 =
-                text.parse().map_err(|_| self.error(start, format!("bad float `{text}`")))?;
-            self.emit(start, Token::Float(value));
+        let raw = &self.text[start..self.pos];
+        let text: Cow<'_, str> =
+            if raw.contains('_') { raw.replace('_', "").into() } else { raw.into() };
+        let token = if is_float {
+            Token::Float(
+                text.parse().map_err(|_| self.error(start, format!("bad float `{text}`")))?,
+            )
         } else {
-            let value: i64 =
-                text.parse().map_err(|_| self.error(start, format!("bad integer `{text}`")))?;
-            self.emit(start, Token::Int(value));
-        }
+            Token::Int(
+                text.parse().map_err(|_| self.error(start, format!("bad integer `{text}`")))?,
+            )
+        };
+        self.emit(start, token);
         Ok(())
     }
 
     fn string(&mut self, start: usize) -> Result<(), LexError> {
         self.bump(); // opening quote
-        let mut value = String::new();
         loop {
             if self.pos >= self.src.len() {
                 return Err(self.error(start, "unterminated string literal"));
@@ -198,24 +237,22 @@ impl<'s> Lexer<'s> {
             match self.bump() {
                 b'"' => break,
                 b'\\' => {
-                    let esc = self.bump();
-                    value.push(match esc {
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'r' => '\r',
-                        b'\\' => '\\',
-                        b'"' => '"',
-                        other => {
-                            return Err(
-                                self.error(start, format!("unknown escape `\\{}`", other as char))
-                            )
-                        }
-                    });
+                    // A backslash ending the input reads a NUL one past
+                    // the end.
+                    let esc = if self.pos < self.src.len() {
+                        self.bump_char(self.pos)
+                    } else {
+                        self.pos += 1;
+                        '\0'
+                    };
+                    if !matches!(esc, 'n' | 't' | 'r' | '\\' | '"') {
+                        return Err(self.error(start, format!("unknown escape `\\{esc}`")));
+                    }
                 }
-                other => value.push(other as char),
+                _ => {}
             }
         }
-        self.emit(start, Token::Str(value));
+        self.emit(start, Token::Str);
         Ok(())
     }
 
@@ -224,47 +261,33 @@ impl<'s> Lexer<'s> {
         if !self.peek().is_ascii_lowercase() {
             return Err(self.error(start, "expected type variable after `'`"));
         }
-        let name_start = self.pos;
         while self.peek().is_ascii_alphanumeric() || self.peek() == b'_' {
             self.bump();
         }
-        let name = std::str::from_utf8(&self.src[name_start..self.pos]).unwrap().to_owned();
-        self.emit(start, Token::TyVar(name));
+        self.emit(start, Token::TyVar);
         Ok(())
     }
 
     fn lower_ident(&mut self, start: usize) {
-        while self.peek().is_ascii_alphanumeric() || self.peek() == b'_' || self.peek() == b'\'' {
-            self.bump();
-        }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap().to_owned();
-        match keyword(&text) {
-            Some(tok) => self.emit(start, tok),
-            None => self.emit(start, Token::Lident(text)),
-        }
+        self.ident_tail();
+        let token = keyword(&self.src[start..self.pos]).unwrap_or(Token::Lident);
+        self.emit(start, token);
     }
 
     /// Upper-case identifier; a following `.lident` run folds into a
     /// qualified lower identifier (`List.map`), matching how the parser
     /// wants to see module paths.
     fn upper_ident(&mut self, start: usize) {
-        while self.peek().is_ascii_alphanumeric() || self.peek() == b'_' || self.peek() == b'\'' {
-            self.bump();
-        }
+        self.ident_tail();
         // Qualified path: `Mod.name` — only when a lowercase ident follows
         // the dot; `Mod.Ctor` keeps constructors unqualified for simplicity.
         if self.peek() == b'.' && self.peek2().is_ascii_lowercase() {
             self.bump(); // dot
-            while self.peek().is_ascii_alphanumeric() || self.peek() == b'_' || self.peek() == b'\''
-            {
-                self.bump();
-            }
-            let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap().to_owned();
-            self.emit(start, Token::Lident(text));
+            self.ident_tail();
+            self.emit(start, Token::Lident);
             return;
         }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap().to_owned();
-        self.emit(start, Token::Uident(text));
+        self.emit(start, Token::Uident);
     }
 
     fn symbol(&mut self, start: usize) -> Result<(), LexError> {
@@ -410,7 +433,8 @@ impl<'s> Lexer<'s> {
             }
             b'.' => Token::Dot,
             other => {
-                return Err(self.error(start, format!("unexpected character `{}`", other as char)))
+                let c = if other.is_ascii() { char::from(other) } else { self.bump_char(start) };
+                return Err(self.error(start, format!("unexpected character `{c}`")));
             }
         };
         self.emit(start, tok);
@@ -422,8 +446,9 @@ impl<'s> Lexer<'s> {
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Token> {
-        lex(src).unwrap().into_iter().map(|s| s.token).collect()
+    /// Each token with its source text.
+    fn toks(src: &str) -> Vec<(Token, &str)> {
+        lex(src).unwrap().into_iter().map(|s| (s.token, s.span.text(src))).collect()
     }
 
     #[test]
@@ -431,15 +456,15 @@ mod tests {
         assert_eq!(
             toks("let rec foo = fun x -> x"),
             vec![
-                Token::Let,
-                Token::Rec,
-                Token::Lident("foo".into()),
-                Token::Eq,
-                Token::Fun,
-                Token::Lident("x".into()),
-                Token::Arrow,
-                Token::Lident("x".into()),
-                Token::Eof
+                (Token::Let, "let"),
+                (Token::Rec, "rec"),
+                (Token::Lident, "foo"),
+                (Token::Eq, "="),
+                (Token::Fun, "fun"),
+                (Token::Lident, "x"),
+                (Token::Arrow, "->"),
+                (Token::Lident, "x"),
+                (Token::Eof, "")
             ]
         );
     }
@@ -449,17 +474,17 @@ mod tests {
         assert_eq!(
             toks("List.map f xs"),
             vec![
-                Token::Lident("List.map".into()),
-                Token::Lident("f".into()),
-                Token::Lident("xs".into()),
-                Token::Eof
+                (Token::Lident, "List.map"),
+                (Token::Lident, "f"),
+                (Token::Lident, "xs"),
+                (Token::Eof, "")
             ]
         );
     }
 
     #[test]
     fn constructor_stays_upper() {
-        assert_eq!(toks("For"), vec![Token::Uident("For".into()), Token::Eof]);
+        assert_eq!(toks("For"), vec![(Token::Uident, "For"), (Token::Eof, "")]);
     }
 
     #[test]
@@ -467,11 +492,11 @@ mod tests {
         assert_eq!(
             toks("42 2.75 1e3 1_000"),
             vec![
-                Token::Int(42),
-                Token::Float(2.75),
-                Token::Float(1000.0),
-                Token::Int(1000),
-                Token::Eof
+                (Token::Int(42), "42"),
+                (Token::Float(2.75), "2.75"),
+                (Token::Float(1000.0), "1e3"),
+                (Token::Int(1000), "1_000"),
+                (Token::Eof, "")
             ]
         );
     }
@@ -480,16 +505,27 @@ mod tests {
     fn float_then_int_ops() {
         assert_eq!(
             toks("1 +. 2.0"),
-            vec![Token::Int(1), Token::PlusDot, Token::Float(2.0), Token::Eof]
+            vec![
+                (Token::Int(1), "1"),
+                (Token::PlusDot, "+."),
+                (Token::Float(2.0), "2.0"),
+                (Token::Eof, "")
+            ]
         );
     }
 
     #[test]
     fn strings_with_escapes() {
-        assert_eq!(
-            toks(r#""hi\n\"there\"""#),
-            vec![Token::Str("hi\n\"there\"".into()), Token::Eof]
-        );
+        let src = r#""hi\n\"there\"""#;
+        assert_eq!(toks(src), vec![(Token::Str, src), (Token::Eof, "")]);
+        assert_eq!(unescape(&src[1..src.len() - 1]), "hi\n\"there\"");
+    }
+
+    #[test]
+    fn strings_are_utf8() {
+        let src = "\"h\u{e9}llo\\t\"";
+        assert_eq!(toks(src), vec![(Token::Str, src), (Token::Eof, "")]);
+        assert_eq!(unescape(&src[1..src.len() - 1]), "h\u{e9}llo\t");
     }
 
     #[test]
@@ -499,7 +535,10 @@ mod tests {
 
     #[test]
     fn nested_comments() {
-        assert_eq!(toks("1 (* a (* b *) c *) 2"), vec![Token::Int(1), Token::Int(2), Token::Eof]);
+        assert_eq!(
+            toks("1 (* a (* b *) c *) 2"),
+            vec![(Token::Int(1), "1"), (Token::Int(2), "2"), (Token::Eof, "")]
+        );
     }
 
     #[test]
@@ -512,43 +551,43 @@ mod tests {
         assert_eq!(
             toks(":= :: <- -> <> == != <= >= && || ;;"),
             vec![
-                Token::ColonEq,
-                Token::ColonColon,
-                Token::LeftArrow,
-                Token::Arrow,
-                Token::LtGt,
-                Token::EqEq,
-                Token::BangEq,
-                Token::Le,
-                Token::Ge,
-                Token::AmpAmp,
-                Token::BarBar,
-                Token::SemiSemi,
-                Token::Eof
+                (Token::ColonEq, ":="),
+                (Token::ColonColon, "::"),
+                (Token::LeftArrow, "<-"),
+                (Token::Arrow, "->"),
+                (Token::LtGt, "<>"),
+                (Token::EqEq, "=="),
+                (Token::BangEq, "!="),
+                (Token::Le, "<="),
+                (Token::Ge, ">="),
+                (Token::AmpAmp, "&&"),
+                (Token::BarBar, "||"),
+                (Token::SemiSemi, ";;"),
+                (Token::Eof, "")
             ]
         );
     }
 
     #[test]
     fn hole_literal() {
-        assert_eq!(toks("[[...]]"), vec![Token::Hole, Token::Eof]);
+        assert_eq!(toks("[[...]]"), vec![(Token::Hole, "[[...]]"), (Token::Eof, "")]);
         // `[[` not followed by dots is two list brackets.
         assert_eq!(
             toks("[[1]]"),
             vec![
-                Token::LBracket,
-                Token::LBracket,
-                Token::Int(1),
-                Token::RBracket,
-                Token::RBracket,
-                Token::Eof
+                (Token::LBracket, "["),
+                (Token::LBracket, "["),
+                (Token::Int(1), "1"),
+                (Token::RBracket, "]"),
+                (Token::RBracket, "]"),
+                (Token::Eof, "")
             ]
         );
     }
 
     #[test]
     fn tyvars() {
-        assert_eq!(toks("'a"), vec![Token::TyVar("a".into()), Token::Eof]);
+        assert_eq!(toks("'a"), vec![(Token::TyVar, "'a"), (Token::Eof, "")]);
     }
 
     #[test]
@@ -562,7 +601,16 @@ mod tests {
     fn prime_in_identifier() {
         assert_eq!(
             toks("x' e1"),
-            vec![Token::Lident("x'".into()), Token::Lident("e1".into()), Token::Eof]
+            vec![(Token::Lident, "x'"), (Token::Lident, "e1"), (Token::Eof, "")]
+        );
+    }
+
+    #[test]
+    fn an_unexpected_character_is_reported_whole() {
+        let err = lex("let x = \u{e9}").unwrap_err();
+        assert_eq!(
+            (err.message.as_str(), err.span),
+            ("unexpected character `\u{e9}`", Span::new(8, 10))
         );
     }
 }

@@ -19,10 +19,11 @@
 //! ```
 //!
 //! `let … in`, `if`, `match`, and `fun` may appear wherever an operand is
-//! expected and extend as far right as possible, as in OCaml.
+//! expected and extend as far right as possible, as in OCaml. The binary
+//! levels from `||` to `*` are parsed by precedence climbing.
 
 use crate::ast::*;
-use crate::lexer::{lex, LexError, Spanned};
+use crate::lexer::{lex, unescape, LexError, Spanned};
 use crate::span::Span;
 use crate::token::Token;
 use std::fmt;
@@ -49,7 +50,7 @@ impl From<LexError> for ParseError {
 }
 
 /// The spelling of an operator usable in a `( op )` section.
-fn section_op(t: &Token) -> Option<&'static str> {
+fn section_op(t: Token) -> Option<&'static str> {
     Some(match t {
         Token::Plus => "+",
         Token::Minus => "-",
@@ -82,12 +83,11 @@ fn section_op(t: &Token) -> Option<&'static str> {
 /// system only ever sees programs that already parse; parse errors are the
 /// front end's problem.
 pub fn parse_program(source: &str) -> Result<Program, ParseError> {
-    let tokens = lex(source)?;
-    let mut p = Parser::new(tokens);
+    let mut p = Parser::new(source)?;
     let mut program = Program::new();
     loop {
-        while p.eat(&Token::SemiSemi) {}
-        if p.at(&Token::Eof) {
+        while p.eat(Token::SemiSemi) {}
+        if p.at(Token::Eof) {
             break;
         }
         let decl = p.decl(&mut program)?;
@@ -103,8 +103,7 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
 ///
 /// Returns the first syntax error, or an error if trailing tokens remain.
 pub fn parse_expr(source: &str) -> Result<(Expr, Program), ParseError> {
-    let tokens = lex(source)?;
-    let mut p = Parser::new(tokens);
+    let mut p = Parser::new(source)?;
     let mut program = Program::new();
     let e = p.expr(&mut program)?;
     p.expect(Token::Eof)?;
@@ -113,12 +112,17 @@ pub fn parse_expr(source: &str) -> Result<(Expr, Program), ParseError> {
 
 /// Deepest nesting the recursive-descent parser will follow before
 /// reporting a diagnostic instead of risking a stack overflow. Each
-/// level costs a dozen-odd stack frames through the precedence chain, so
-/// this keeps worst-case stack use far below any platform default while
-/// accepting any program a person (or the enumerator) plausibly writes.
+/// level costs a handful of stack frames through the expression levels,
+/// so this keeps worst-case stack use far below any platform default
+/// while accepting any program a person (or the enumerator) plausibly
+/// writes.
 const MAX_DEPTH: usize = 64;
 
-struct Parser {
+/// The parser advances by index over the lexer's tokens, which are
+/// `Copy`; a name's text is copied out of `src` only into the AST node
+/// that holds it.
+struct Parser<'s> {
+    src: &'s str,
     tokens: Vec<Spanned>,
     pos: usize,
     /// Current nesting depth across the recursion chokepoints
@@ -126,9 +130,9 @@ struct Parser {
     depth: usize,
 }
 
-impl Parser {
-    fn new(tokens: Vec<Spanned>) -> Parser {
-        Parser { tokens, pos: 0, depth: 0 }
+impl<'s> Parser<'s> {
+    fn new(src: &'s str) -> Result<Parser<'s>, ParseError> {
+        Ok(Parser { src, tokens: lex(src)?, pos: 0, depth: 0 })
     }
 
     /// Bumps the nesting depth, failing with a regular [`ParseError`]
@@ -146,16 +150,20 @@ impl Parser {
         Ok(())
     }
 
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)].token
+    fn current(&self) -> Spanned {
+        self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
 
-    fn peek2(&self) -> &Token {
-        &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].token
+    fn peek(&self) -> Token {
+        self.current().token
+    }
+
+    fn peek2(&self) -> Token {
+        self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].token
     }
 
     fn span(&self) -> Span {
-        self.tokens[self.pos.min(self.tokens.len() - 1)].span
+        self.current().span
     }
 
     fn prev_span(&self) -> Span {
@@ -163,18 +171,23 @@ impl Parser {
     }
 
     fn bump(&mut self) -> Spanned {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
+        let t = self.current();
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
         t
     }
 
-    fn at(&self, t: &Token) -> bool {
+    /// Consumes the current token and copies its source text.
+    fn bump_text(&mut self) -> String {
+        self.bump().span.text(self.src).to_owned()
+    }
+
+    fn at(&self, t: Token) -> bool {
         self.peek() == t
     }
 
-    fn eat(&mut self, t: &Token) -> bool {
+    fn eat(&mut self, t: Token) -> bool {
         if self.at(t) {
             self.bump();
             true
@@ -184,11 +197,17 @@ impl Parser {
     }
 
     fn expect(&mut self, t: Token) -> Result<Span, ParseError> {
-        if self.at(&t) {
+        if self.at(t) {
             Ok(self.bump().span)
         } else {
-            Err(self.error(format!("expected `{}`, found {}", t.lexeme(), self.peek())))
+            Err(self.error(format!("expected `{}`, found {}", t.lexeme(), self.found())))
         }
+    }
+
+    /// The current token as a parse-error message names it.
+    fn found(&self) -> String {
+        let t = self.current();
+        t.token.describe(t.span.text(self.src))
     }
 
     fn error(&self, message: impl Into<String>) -> ParseError {
@@ -196,13 +215,24 @@ impl Parser {
     }
 
     fn lident(&mut self) -> Result<(String, Span), ParseError> {
-        match self.peek().clone() {
-            Token::Lident(s) => {
-                let sp = self.bump().span;
-                Ok((s, sp))
-            }
-            other => Err(self.error(format!("expected identifier, found {other}"))),
+        if self.at(Token::Lident) {
+            let sp = self.span();
+            Ok((self.bump_text(), sp))
+        } else {
+            Err(self.error(format!("expected identifier, found {}", self.found())))
         }
+    }
+
+    /// The value of the string literal under the cursor, consumed.
+    fn string_literal(&mut self) -> String {
+        let text = self.bump().span.text(self.src);
+        unescape(&text[1..text.len() - 1])
+    }
+
+    /// The name of the type variable under the cursor (its quote
+    /// dropped), consumed.
+    fn tyvar_name(&mut self) -> String {
+        self.bump().span.text(self.src)[1..].to_owned()
     }
 
     // ------------------------------------------------------------------
@@ -215,16 +245,16 @@ impl Parser {
         let kind = match self.peek() {
             Token::Let => {
                 self.bump();
-                let rec = self.eat(&Token::Rec);
+                let rec = self.eat(Token::Rec);
                 let mut bindings = vec![self.binding(prog)?];
-                while self.eat(&Token::And) {
+                while self.eat(Token::And) {
                     bindings.push(self.binding(prog)?);
                 }
                 // `let ... in ...` at the top level is an expression decl in
                 // OCaml; we only support declaration `let` here, and the
                 // binding parser already consumed up to the body, so an `in`
                 // now means the user wrote a top-level let-expression.
-                if self.at(&Token::In) {
+                if self.at(Token::In) {
                     self.bump();
                     let body = self.expr(prog)?;
                     let span = start.merge(body.span);
@@ -241,23 +271,20 @@ impl Parser {
             Token::Type => {
                 self.bump();
                 let mut defs = vec![self.type_def()?];
-                while self.eat(&Token::And) {
+                while self.eat(Token::And) {
                     defs.push(self.type_def()?);
                 }
                 DeclKind::Type(defs)
             }
             Token::Exception => {
                 self.bump();
-                let name = match self.peek().clone() {
-                    Token::Uident(s) => {
-                        self.bump();
-                        s
-                    }
-                    other => {
-                        return Err(self.error(format!("expected exception name, found {other}")))
-                    }
-                };
-                let arg = if self.eat(&Token::Of) { Some(self.type_expr()?) } else { None };
+                if !self.at(Token::Uident) {
+                    return Err(
+                        self.error(format!("expected exception name, found {}", self.found()))
+                    );
+                }
+                let name = self.bump_text();
+                let arg = if self.eat(Token::Of) { Some(self.type_expr()?) } else { None };
                 DeclKind::Exception(name, arg)
             }
             _ => DeclKind::Expr(self.expr(prog)?),
@@ -272,7 +299,7 @@ impl Parser {
         while self.starts_pattern() {
             params.push(self.pat_atom(prog)?);
         }
-        let annot = if self.eat(&Token::Colon) { Some(self.type_expr()?) } else { None };
+        let annot = if self.eat(Token::Colon) { Some(self.type_expr()?) } else { None };
         self.expect(Token::Eq)?;
         let body = self.expr(prog)?;
         Ok(Binding { pat, params, annot, body })
@@ -281,24 +308,18 @@ impl Parser {
     fn type_def(&mut self) -> Result<TypeDef, ParseError> {
         // Optional parameters: 'a name, or ('a, 'b) name.
         let mut params = Vec::new();
-        match self.peek().clone() {
-            Token::TyVar(v) => {
-                self.bump();
-                params.push(v);
-            }
-            Token::LParen if matches!(self.peek2(), Token::TyVar(_)) => {
+        match self.peek() {
+            Token::TyVar => params.push(self.tyvar_name()),
+            Token::LParen if self.peek2() == Token::TyVar => {
                 self.bump();
                 loop {
-                    match self.peek().clone() {
-                        Token::TyVar(v) => {
-                            self.bump();
-                            params.push(v);
-                        }
-                        other => {
-                            return Err(self.error(format!("expected type variable, found {other}")))
-                        }
+                    if !self.at(Token::TyVar) {
+                        return Err(
+                            self.error(format!("expected type variable, found {}", self.found()))
+                        );
                     }
-                    if !self.eat(&Token::Comma) {
+                    params.push(self.tyvar_name());
+                    if !self.eat(Token::Comma) {
                         break;
                     }
                 }
@@ -308,38 +329,35 @@ impl Parser {
         }
         let (name, _) = self.lident()?;
         self.expect(Token::Eq)?;
-        let body = if self.at(&Token::LBrace) {
+        let body = if self.at(Token::LBrace) {
             self.bump();
             let mut fields = Vec::new();
             loop {
-                let mutable = self.eat(&Token::Mutable);
+                let mutable = self.eat(Token::Mutable);
                 let (fname, _) = self.lident()?;
                 self.expect(Token::Colon)?;
                 let ty = self.type_expr()?;
                 fields.push(FieldDef { name: fname, mutable, ty });
-                if !self.eat(&Token::Semi) {
+                if !self.eat(Token::Semi) {
                     break;
                 }
-                if self.at(&Token::RBrace) {
+                if self.at(Token::RBrace) {
                     break;
                 }
             }
             self.expect(Token::RBrace)?;
             TypeDefBody::Record(fields)
-        } else if matches!(self.peek(), Token::Uident(_) | Token::Bar) {
-            self.eat(&Token::Bar);
+        } else if matches!(self.peek(), Token::Uident | Token::Bar) {
+            self.eat(Token::Bar);
             let mut ctors = Vec::new();
             loop {
-                let cname = match self.peek().clone() {
-                    Token::Uident(s) => {
-                        self.bump();
-                        s
-                    }
-                    other => return Err(self.error(format!("expected constructor, found {other}"))),
-                };
-                let arg = if self.eat(&Token::Of) { Some(self.type_expr()?) } else { None };
+                if !self.at(Token::Uident) {
+                    return Err(self.error(format!("expected constructor, found {}", self.found())));
+                }
+                let cname = self.bump_text();
+                let arg = if self.eat(Token::Of) { Some(self.type_expr()?) } else { None };
                 ctors.push((cname, arg));
-                if !self.eat(&Token::Bar) {
+                if !self.eat(Token::Bar) {
                     break;
                 }
             }
@@ -356,7 +374,7 @@ impl Parser {
 
     fn type_expr(&mut self) -> Result<TypeExpr, ParseError> {
         let lhs = self.type_tuple()?;
-        if self.eat(&Token::Arrow) {
+        if self.eat(Token::Arrow) {
             let rhs = self.type_expr()?;
             Ok(TypeExpr::Arrow(Box::new(lhs), Box::new(rhs)))
         } else {
@@ -366,11 +384,11 @@ impl Parser {
 
     fn type_tuple(&mut self) -> Result<TypeExpr, ParseError> {
         let first = self.type_app()?;
-        if !self.at(&Token::Star) {
+        if !self.at(Token::Star) {
             return Ok(first);
         }
         let mut parts = vec![first];
-        while self.eat(&Token::Star) {
+        while self.eat(Token::Star) {
             parts.push(self.type_app()?);
         }
         Ok(TypeExpr::Tuple(parts))
@@ -385,23 +403,17 @@ impl Parser {
     }
 
     fn type_app_inner(&mut self) -> Result<TypeExpr, ParseError> {
-        let mut base = match self.peek().clone() {
-            Token::TyVar(v) => {
-                self.bump();
-                TypeExpr::Var(v)
-            }
-            Token::Lident(name) => {
-                self.bump();
-                TypeExpr::Con(name, Vec::new())
-            }
+        let mut base = match self.peek() {
+            Token::TyVar => TypeExpr::Var(self.tyvar_name()),
+            Token::Lident => TypeExpr::Con(self.bump_text(), Vec::new()),
             Token::LParen => {
                 self.bump();
                 let first = self.type_expr()?;
-                if self.eat(&Token::Comma) {
+                if self.eat(Token::Comma) {
                     let mut args = vec![first];
                     loop {
                         args.push(self.type_expr()?);
-                        if !self.eat(&Token::Comma) {
+                        if !self.eat(Token::Comma) {
                             break;
                         }
                     }
@@ -413,11 +425,10 @@ impl Parser {
                     first
                 }
             }
-            other => return Err(self.error(format!("expected type, found {other}"))),
+            _ => return Err(self.error(format!("expected type, found {}", self.found()))),
         };
-        while let Token::Lident(name) = self.peek().clone() {
-            self.bump();
-            base = TypeExpr::Con(name, vec![base]);
+        while self.at(Token::Lident) {
+            base = TypeExpr::Con(self.bump_text(), vec![base]);
         }
         Ok(base)
     }
@@ -429,13 +440,13 @@ impl Parser {
     fn starts_pattern(&self) -> bool {
         matches!(
             self.peek(),
-            Token::Lident(_)
+            Token::Lident
                 | Token::Underscore
                 | Token::LParen
                 | Token::LBracket
                 | Token::Int(_)
                 | Token::Float(_)
-                | Token::Str(_)
+                | Token::Str
                 | Token::True
                 | Token::False
         )
@@ -451,11 +462,11 @@ impl Parser {
     fn pattern_inner(&mut self, prog: &mut Program) -> Result<Pat, ParseError> {
         let start = self.span();
         let first = self.pat_cons(prog)?;
-        if !self.at(&Token::Comma) {
+        if !self.at(Token::Comma) {
             return Ok(first);
         }
         let mut parts = vec![first];
-        while self.eat(&Token::Comma) {
+        while self.eat(Token::Comma) {
             parts.push(self.pat_cons(prog)?);
         }
         let span = start.merge(self.prev_span());
@@ -465,7 +476,7 @@ impl Parser {
     fn pat_cons(&mut self, prog: &mut Program) -> Result<Pat, ParseError> {
         let start = self.span();
         let head = self.pat_ctor(prog)?;
-        if self.eat(&Token::ColonColon) {
+        if self.eat(Token::ColonColon) {
             let tail = self.pat_cons(prog)?;
             let span = start.merge(tail.span);
             Ok(Pat {
@@ -479,9 +490,10 @@ impl Parser {
     }
 
     fn pat_ctor(&mut self, prog: &mut Program) -> Result<Pat, ParseError> {
-        if let Token::Uident(name) = self.peek().clone() {
-            let start = self.bump().span;
-            let arg = if self.starts_pattern() || matches!(self.peek(), Token::Uident(_)) {
+        if self.at(Token::Uident) {
+            let start = self.span();
+            let name = self.bump_text();
+            let arg = if self.starts_pattern() || self.at(Token::Uident) {
                 Some(Box::new(self.pat_atom(prog)?))
             } else {
                 None
@@ -495,19 +507,13 @@ impl Parser {
     fn pat_atom(&mut self, prog: &mut Program) -> Result<Pat, ParseError> {
         let start = self.span();
         let id = prog.fresh_id();
-        let kind = match self.peek().clone() {
+        let kind = match self.peek() {
             Token::Underscore => {
                 self.bump();
                 PatKind::Wild
             }
-            Token::Lident(name) => {
-                self.bump();
-                PatKind::Var(name)
-            }
-            Token::Uident(name) => {
-                self.bump();
-                PatKind::Construct(name, None)
-            }
+            Token::Lident => PatKind::Var(self.bump_text()),
+            Token::Uident => PatKind::Construct(self.bump_text(), None),
             Token::Int(n) => {
                 self.bump();
                 PatKind::Lit(Lit::Int(n))
@@ -516,10 +522,7 @@ impl Parser {
                 self.bump();
                 PatKind::Lit(Lit::Float(x))
             }
-            Token::Str(s) => {
-                self.bump();
-                PatKind::Lit(Lit::Str(s))
-            }
+            Token::Str => PatKind::Lit(Lit::Str(self.string_literal())),
             Token::True => {
                 self.bump();
                 PatKind::Lit(Lit::Bool(true))
@@ -538,11 +541,11 @@ impl Parser {
             }
             Token::LParen => {
                 self.bump();
-                if self.eat(&Token::RParen) {
+                if self.eat(Token::RParen) {
                     PatKind::Lit(Lit::Unit)
                 } else {
                     let inner = self.pattern(prog)?;
-                    if self.eat(&Token::Colon) {
+                    if self.eat(Token::Colon) {
                         let ty = self.type_expr()?;
                         self.expect(Token::RParen)?;
                         PatKind::Annot(Box::new(inner), ty)
@@ -556,10 +559,10 @@ impl Parser {
             Token::LBracket => {
                 self.bump();
                 let mut parts = Vec::new();
-                if !self.at(&Token::RBracket) {
+                if !self.at(Token::RBracket) {
                     loop {
                         parts.push(self.pat_cons(prog)?);
-                        if !self.eat(&Token::Semi) {
+                        if !self.eat(Token::Semi) {
                             break;
                         }
                     }
@@ -567,7 +570,7 @@ impl Parser {
                 self.expect(Token::RBracket)?;
                 PatKind::List(parts)
             }
-            other => return Err(self.error(format!("expected pattern, found {other}"))),
+            _ => return Err(self.error(format!("expected pattern, found {}", self.found()))),
         };
         let span = start.merge(self.prev_span());
         Ok(Pat { id, span, kind })
@@ -586,9 +589,9 @@ impl Parser {
 
     /// Entry point: sequence level.
     fn expr(&mut self, prog: &mut Program) -> Result<Expr, ParseError> {
-        let mut lhs = self.operand(prog, Parser::expr_tuple)?;
-        while self.eat(&Token::Semi) {
-            let rhs = self.operand(prog, Parser::expr_tuple)?;
+        let mut lhs = self.operand(prog, Self::expr_tuple)?;
+        while self.eat(Token::Semi) {
+            let rhs = self.operand(prog, Self::expr_tuple)?;
             let span = lhs.span.merge(rhs.span);
             lhs = Expr {
                 id: prog.fresh_id(),
@@ -603,7 +606,7 @@ impl Parser {
     fn operand(
         &mut self,
         prog: &mut Program,
-        next: fn(&mut Parser, &mut Program) -> Result<Expr, ParseError>,
+        next: fn(&mut Self, &mut Program) -> Result<Expr, ParseError>,
     ) -> Result<Expr, ParseError> {
         if self.starts_kw_form() {
             self.kw_form(prog)
@@ -625,9 +628,9 @@ impl Parser {
         let kind = match self.peek() {
             Token::Let => {
                 self.bump();
-                let rec = self.eat(&Token::Rec);
+                let rec = self.eat(Token::Rec);
                 let mut bindings = vec![self.binding(prog)?];
-                while self.eat(&Token::And) {
+                while self.eat(Token::And) {
                     bindings.push(self.binding(prog)?);
                 }
                 self.expect(Token::In)?;
@@ -639,7 +642,7 @@ impl Parser {
                 let cond = self.expr_assign_or_kw(prog)?;
                 self.expect(Token::Then)?;
                 let then = self.expr_assign_or_kw(prog)?;
-                let els = if self.eat(&Token::Else) {
+                let els = if self.eat(Token::Else) {
                     Some(Box::new(self.expr_assign_or_kw(prog)?))
                 } else {
                     None
@@ -648,13 +651,13 @@ impl Parser {
             }
             Token::Match => {
                 self.bump();
-                let scrut = self.operand(prog, Parser::expr_tuple)?;
+                let scrut = self.operand(prog, Self::expr_tuple)?;
                 self.expect(Token::With)?;
-                self.eat(&Token::Bar);
+                self.eat(Token::Bar);
                 let mut arms = Vec::new();
                 loop {
                     let pat = self.pattern(prog)?;
-                    let guard = if self.eat(&Token::When) {
+                    let guard = if self.eat(Token::When) {
                         Some(self.expr_assign_or_kw(prog)?)
                     } else {
                         None
@@ -662,7 +665,7 @@ impl Parser {
                     self.expect(Token::Arrow)?;
                     let body = self.expr(prog)?;
                     arms.push(Arm { pat, guard, body });
-                    if !self.eat(&Token::Bar) {
+                    if !self.eat(Token::Bar) {
                         break;
                     }
                 }
@@ -683,11 +686,11 @@ impl Parser {
                 // `function | p -> e | …` is sugar for
                 // `fun __fn_arg -> match __fn_arg with …`.
                 self.bump();
-                self.eat(&Token::Bar);
+                self.eat(Token::Bar);
                 let mut arms = Vec::new();
                 loop {
                     let pat = self.pattern(prog)?;
-                    let guard = if self.eat(&Token::When) {
+                    let guard = if self.eat(Token::When) {
                         Some(self.expr_assign_or_kw(prog)?)
                     } else {
                         None
@@ -695,7 +698,7 @@ impl Parser {
                     self.expect(Token::Arrow)?;
                     let body = self.expr(prog)?;
                     arms.push(Arm { pat, guard, body });
-                    if !self.eat(&Token::Bar) {
+                    if !self.eat(Token::Bar) {
                         break;
                     }
                 }
@@ -720,11 +723,11 @@ impl Parser {
                 self.bump();
                 let body = self.expr(prog)?;
                 self.expect(Token::With)?;
-                self.eat(&Token::Bar);
+                self.eat(Token::Bar);
                 let mut arms = Vec::new();
                 loop {
                     let pat = self.pattern(prog)?;
-                    let guard = if self.eat(&Token::When) {
+                    let guard = if self.eat(Token::When) {
                         Some(self.expr_assign_or_kw(prog)?)
                     } else {
                         None
@@ -732,7 +735,7 @@ impl Parser {
                     self.expect(Token::Arrow)?;
                     let handler = self.expr(prog)?;
                     arms.push(Arm { pat, guard, body: handler });
-                    if !self.eat(&Token::Bar) {
+                    if !self.eat(Token::Bar) {
                         break;
                     }
                 }
@@ -745,17 +748,17 @@ impl Parser {
     }
 
     fn expr_assign_or_kw(&mut self, prog: &mut Program) -> Result<Expr, ParseError> {
-        self.operand(prog, Parser::expr_assign)
+        self.operand(prog, Self::expr_assign)
     }
 
     /// Tuple level: `a, b, c`.
     fn expr_tuple(&mut self, prog: &mut Program) -> Result<Expr, ParseError> {
         let first = self.expr_assign(prog)?;
-        if !self.at(&Token::Comma) {
+        if !self.at(Token::Comma) {
             return Ok(first);
         }
         let mut parts = vec![first];
-        while self.eat(&Token::Comma) {
+        while self.eat(Token::Comma) {
             parts.push(self.expr_assign_or_kw(prog)?);
         }
         let span = parts[0].span.merge(parts[parts.len() - 1].span);
@@ -764,8 +767,8 @@ impl Parser {
 
     /// Assignment level: `r := e` and `e.f <- e`.
     fn expr_assign(&mut self, prog: &mut Program) -> Result<Expr, ParseError> {
-        let lhs = self.expr_or(prog)?;
-        if self.eat(&Token::ColonEq) {
+        let lhs = self.expr_binary(prog, 1)?;
+        if self.eat(Token::ColonEq) {
             let rhs = self.expr_assign_or_kw(prog)?;
             let span = lhs.span.merge(rhs.span);
             return Ok(Expr {
@@ -774,7 +777,7 @@ impl Parser {
                 kind: ExprKind::BinOp(BinOp::Assign, Box::new(lhs), Box::new(rhs)),
             });
         }
-        if self.at(&Token::LeftArrow) {
+        if self.at(Token::LeftArrow) {
             if let ExprKind::Field(obj, fname) = lhs.kind {
                 self.bump();
                 let rhs = self.expr_assign_or_kw(prog)?;
@@ -790,135 +793,49 @@ impl Parser {
         Ok(lhs)
     }
 
-    fn expr_or(&mut self, prog: &mut Program) -> Result<Expr, ParseError> {
-        let lhs = self.expr_and(prog)?;
-        if self.eat(&Token::BarBar) {
-            let rhs = self.operand(prog, Parser::expr_or)?;
-            let span = lhs.span.merge(rhs.span);
-            return Ok(Expr {
-                id: prog.fresh_id(),
-                span,
-                kind: ExprKind::BinOp(BinOp::Or, Box::new(lhs), Box::new(rhs)),
-            });
-        }
-        Ok(lhs)
-    }
-
-    fn expr_and(&mut self, prog: &mut Program) -> Result<Expr, ParseError> {
-        let lhs = self.expr_cmp(prog)?;
-        if self.eat(&Token::AmpAmp) {
-            let rhs = self.operand(prog, Parser::expr_and)?;
-            let span = lhs.span.merge(rhs.span);
-            return Ok(Expr {
-                id: prog.fresh_id(),
-                span,
-                kind: ExprKind::BinOp(BinOp::And, Box::new(lhs), Box::new(rhs)),
-            });
-        }
-        Ok(lhs)
-    }
-
-    fn cmp_op(&self) -> Option<BinOp> {
+    /// The binary operator under the cursor with its level, from 1 for
+    /// `||` (loosest) to 7 for `*` (tightest), and whether it groups to
+    /// the right.
+    fn binop(&self) -> Option<(BinOp, u8, bool)> {
         Some(match self.peek() {
-            Token::Eq => BinOp::Eq,
-            Token::EqEq => BinOp::PhysEq,
-            Token::LtGt => BinOp::Neq,
-            Token::BangEq => BinOp::PhysNeq,
-            Token::Lt => BinOp::Lt,
-            Token::Gt => BinOp::Gt,
-            Token::Le => BinOp::Le,
-            Token::Ge => BinOp::Ge,
+            Token::BarBar => (BinOp::Or, 1, true),
+            Token::AmpAmp => (BinOp::And, 2, true),
+            Token::Eq => (BinOp::Eq, 3, false),
+            Token::EqEq => (BinOp::PhysEq, 3, false),
+            Token::LtGt => (BinOp::Neq, 3, false),
+            Token::BangEq => (BinOp::PhysNeq, 3, false),
+            Token::Lt => (BinOp::Lt, 3, false),
+            Token::Gt => (BinOp::Gt, 3, false),
+            Token::Le => (BinOp::Le, 3, false),
+            Token::Ge => (BinOp::Ge, 3, false),
+            Token::Caret => (BinOp::Concat, 4, true),
+            Token::At => (BinOp::Append, 4, true),
+            Token::ColonColon => (BinOp::Cons, 5, true),
+            Token::Plus => (BinOp::Add, 6, false),
+            Token::Minus => (BinOp::Sub, 6, false),
+            Token::PlusDot => (BinOp::AddF, 6, false),
+            Token::MinusDot => (BinOp::SubF, 6, false),
+            Token::Star => (BinOp::Mul, 7, false),
+            Token::Slash => (BinOp::Div, 7, false),
+            Token::Mod => (BinOp::Mod, 7, false),
+            Token::StarDot => (BinOp::MulF, 7, false),
+            Token::SlashDot => (BinOp::DivF, 7, false),
             _ => return None,
         })
     }
 
-    fn expr_cmp(&mut self, prog: &mut Program) -> Result<Expr, ParseError> {
-        let mut lhs = self.expr_concat(prog)?;
-        while let Some(op) = self.cmp_op() {
-            self.bump();
-            let rhs = self.operand(prog, Parser::expr_concat)?;
-            let span = lhs.span.merge(rhs.span);
-            lhs = Expr {
-                id: prog.fresh_id(),
-                span,
-                kind: ExprKind::BinOp(op, Box::new(lhs), Box::new(rhs)),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn expr_concat(&mut self, prog: &mut Program) -> Result<Expr, ParseError> {
-        let lhs = self.expr_cons(prog)?;
-        let op = match self.peek() {
-            Token::Caret => BinOp::Concat,
-            Token::At => BinOp::Append,
-            _ => return Ok(lhs),
-        };
-        self.bump();
-        let rhs = self.operand(prog, Parser::expr_concat)?;
-        let span = lhs.span.merge(rhs.span);
-        Ok(Expr {
-            id: prog.fresh_id(),
-            span,
-            kind: ExprKind::BinOp(op, Box::new(lhs), Box::new(rhs)),
-        })
-    }
-
-    fn expr_cons(&mut self, prog: &mut Program) -> Result<Expr, ParseError> {
-        let lhs = self.expr_add(prog)?;
-        if self.eat(&Token::ColonColon) {
-            let rhs = self.operand(prog, Parser::expr_cons)?;
-            let span = lhs.span.merge(rhs.span);
-            return Ok(Expr {
-                id: prog.fresh_id(),
-                span,
-                kind: ExprKind::BinOp(BinOp::Cons, Box::new(lhs), Box::new(rhs)),
-            });
-        }
-        Ok(lhs)
-    }
-
-    fn add_op(&self) -> Option<BinOp> {
-        Some(match self.peek() {
-            Token::Plus => BinOp::Add,
-            Token::Minus => BinOp::Sub,
-            Token::PlusDot => BinOp::AddF,
-            Token::MinusDot => BinOp::SubF,
-            _ => return None,
-        })
-    }
-
-    fn expr_add(&mut self, prog: &mut Program) -> Result<Expr, ParseError> {
-        let mut lhs = self.expr_mul(prog)?;
-        while let Some(op) = self.add_op() {
-            self.bump();
-            let rhs = self.operand(prog, Parser::expr_mul)?;
-            let span = lhs.span.merge(rhs.span);
-            lhs = Expr {
-                id: prog.fresh_id(),
-                span,
-                kind: ExprKind::BinOp(op, Box::new(lhs), Box::new(rhs)),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn mul_op(&self) -> Option<BinOp> {
-        Some(match self.peek() {
-            Token::Star => BinOp::Mul,
-            Token::Slash => BinOp::Div,
-            Token::Mod => BinOp::Mod,
-            Token::StarDot => BinOp::MulF,
-            Token::SlashDot => BinOp::DivF,
-            _ => return None,
-        })
-    }
-
-    fn expr_mul(&mut self, prog: &mut Program) -> Result<Expr, ParseError> {
+    /// The binary levels from `||` down to `*`, by precedence climbing:
+    /// parses an operand joined by operators of level `min` or tighter.
+    /// A right operand may be a keyword form, which extends maximally.
+    fn expr_binary(&mut self, prog: &mut Program, min: u8) -> Result<Expr, ParseError> {
         let mut lhs = self.expr_unary(prog)?;
-        while let Some(op) = self.mul_op() {
+        while let Some((op, level, right)) = self.binop().filter(|&(_, level, _)| level >= min) {
             self.bump();
-            let rhs = self.operand(prog, Parser::expr_unary)?;
+            let rhs = if self.starts_kw_form() {
+                self.kw_form(prog)?
+            } else {
+                self.expr_binary(prog, if right { level } else { level + 1 })?
+            };
             let span = lhs.span.merge(rhs.span);
             lhs = Expr {
                 id: prog.fresh_id(),
@@ -968,11 +885,11 @@ impl Parser {
     fn starts_atom(&self) -> bool {
         matches!(
             self.peek(),
-            Token::Lident(_)
-                | Token::Uident(_)
+            Token::Lident
+                | Token::Uident
                 | Token::Int(_)
                 | Token::Float(_)
-                | Token::Str(_)
+                | Token::Str
                 | Token::True
                 | Token::False
                 | Token::LParen
@@ -1007,7 +924,7 @@ impl Parser {
         head_position: bool,
     ) -> Result<Expr, ParseError> {
         let mut e = self.expr_atom(prog, head_position)?;
-        while self.at(&Token::Dot) && matches!(self.peek2(), Token::Lident(_)) {
+        while self.at(Token::Dot) && self.peek2() == Token::Lident {
             self.bump();
             let (name, fspan) = self.lident()?;
             let span = e.span.merge(fspan);
@@ -1030,14 +947,11 @@ impl Parser {
     ) -> Result<Expr, ParseError> {
         let start = self.span();
         let id = prog.fresh_id();
-        let kind = match self.peek().clone() {
-            Token::Lident(name) => {
-                self.bump();
-                ExprKind::Var(name)
-            }
-            Token::Uident(name) => {
-                self.bump();
-                if head_position && self.starts_atom() && !self.at(&Token::Bang) {
+        let kind = match self.peek() {
+            Token::Lident => ExprKind::Var(self.bump_text()),
+            Token::Uident => {
+                let name = self.bump_text();
+                if head_position && self.starts_atom() && !self.at(Token::Bang) {
                     let arg = self.expr_postfix(prog, false)?;
                     ExprKind::Construct(name, Some(Box::new(arg)))
                 } else {
@@ -1052,10 +966,7 @@ impl Parser {
                 self.bump();
                 ExprKind::Lit(Lit::Float(x))
             }
-            Token::Str(s) => {
-                self.bump();
-                ExprKind::Lit(Lit::Str(s))
-            }
+            Token::Str => ExprKind::Lit(Lit::Str(self.string_literal())),
             Token::True => {
                 self.bump();
                 ExprKind::Lit(Lit::Bool(true))
@@ -1077,18 +988,18 @@ impl Parser {
                 self.bump();
                 // Operator section: `(+)`, `(^)`, `(=)`, ….
                 if let Some(op) = section_op(self.peek()) {
-                    if matches!(self.peek2(), Token::RParen) {
+                    if self.peek2() == Token::RParen {
                         self.bump();
                         self.bump();
                         let span = start.merge(self.prev_span());
                         return Ok(Expr { id, span, kind: ExprKind::Var(op.to_owned()) });
                     }
                 }
-                if self.eat(&Token::RParen) {
+                if self.eat(Token::RParen) {
                     ExprKind::Lit(Lit::Unit)
                 } else {
                     let inner = self.expr(prog)?;
-                    if self.eat(&Token::Colon) {
+                    if self.eat(Token::Colon) {
                         let ty = self.type_expr()?;
                         self.expect(Token::RParen)?;
                         ExprKind::Annot(Box::new(inner), ty)
@@ -1109,13 +1020,13 @@ impl Parser {
             Token::LBracket => {
                 self.bump();
                 let mut parts = Vec::new();
-                if !self.at(&Token::RBracket) {
+                if !self.at(Token::RBracket) {
                     loop {
-                        parts.push(self.operand(prog, Parser::expr_tuple)?);
-                        if !self.eat(&Token::Semi) {
+                        parts.push(self.operand(prog, Self::expr_tuple)?);
+                        if !self.eat(Token::Semi) {
                             break;
                         }
-                        if self.at(&Token::RBracket) {
+                        if self.at(Token::RBracket) {
                             break;
                         }
                     }
@@ -1131,17 +1042,17 @@ impl Parser {
                     self.expect(Token::Eq)?;
                     let value = self.expr_assign_or_kw(prog)?;
                     fields.push((fname, value));
-                    if !self.eat(&Token::Semi) {
+                    if !self.eat(Token::Semi) {
                         break;
                     }
-                    if self.at(&Token::RBrace) {
+                    if self.at(Token::RBrace) {
                         break;
                     }
                 }
                 self.expect(Token::RBrace)?;
                 ExprKind::Record(fields)
             }
-            other => return Err(self.error(format!("expected expression, found {other}"))),
+            _ => return Err(self.error(format!("expected expression, found {}", self.found()))),
         };
         let span = start.merge(self.prev_span());
         Ok(Expr { id, span, kind })
@@ -1291,7 +1202,7 @@ mod tests {
         let src = "type move = For of int * move list | Rot of int | Stop\ntype point = { x : int; mutable y : int }\ntype 'a pair = 'a * 'a\n";
         let prog = parse_program(src).unwrap();
         assert_eq!(prog.decls.len(), 3);
-        match &prog.decls[0].kind {
+        match prog.decls[0].kind() {
             DeclKind::Type(defs) => match &defs[0].body {
                 TypeDefBody::Variant(cs) => assert_eq!(cs.len(), 3),
                 other => panic!("{other:?}"),
@@ -1335,7 +1246,7 @@ mod tests {
     #[test]
     fn top_level_let_in_is_expr_decl() {
         let prog = parse_program("let x = 1 in x + 1\n").unwrap();
-        assert!(matches!(prog.decls[0].kind, DeclKind::Expr(_)));
+        assert!(matches!(prog.decls[0].kind(), DeclKind::Expr(_)));
     }
 
     #[test]
@@ -1353,7 +1264,7 @@ mod tests {
     fn spans_cover_source() {
         let src = "let y = f 2";
         let prog = parse_program(src).unwrap();
-        match &prog.decls[0].kind {
+        match prog.decls[0].kind() {
             DeclKind::Let { bindings, .. } => {
                 assert_eq!(bindings[0].body.span.text(src), "f 2");
             }

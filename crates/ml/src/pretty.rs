@@ -523,7 +523,7 @@ fn write_type(out: &mut String, t: &TypeExpr, ctx: u8) {
 }
 
 fn write_decl(out: &mut String, d: &Decl) {
-    match &d.kind {
+    match d.kind() {
         DeclKind::Let { rec, bindings } => {
             out.push_str("let ");
             if *rec {

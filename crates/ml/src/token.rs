@@ -1,22 +1,26 @@
 //! Tokens produced by the [`lexer`](crate::lexer).
+//!
+//! A token is a kind; its text is the source slice under its span. The
+//! parser copies a name out of the source once, when it builds the AST
+//! node that holds it.
 
-use std::fmt;
+use crate::lexer::unescape;
 
 /// A lexical token of the Caml subset.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Token {
     /// Lower-case identifier or qualified path such as `List.map`.
-    Lident(String),
+    Lident,
     /// Upper-case identifier (constructor or module prefix without a path).
-    Uident(String),
-    /// Type variable such as `'a`.
-    TyVar(String),
+    Uident,
+    /// Type variable such as `'a`; its text includes the quote.
+    TyVar,
     /// Integer literal.
     Int(i64),
     /// Floating-point literal (must contain `.` in source).
     Float(f64),
-    /// String literal, with escapes already decoded.
-    Str(String),
+    /// String literal; its text is the quoted source, escapes and all.
+    Str,
 
     // Keywords.
     Let,
@@ -91,14 +95,15 @@ pub enum Token {
 }
 
 impl Token {
-    /// Human-readable name used in parse-error messages.
-    pub fn describe(&self) -> String {
+    /// Human-readable name used in parse-error messages; `text` is the
+    /// token's source text.
+    pub fn describe(&self, text: &str) -> String {
         match self {
-            Token::Lident(s) | Token::Uident(s) => format!("identifier `{s}`"),
-            Token::TyVar(s) => format!("type variable `'{s}`"),
+            Token::Lident | Token::Uident => format!("identifier `{text}`"),
+            Token::TyVar => format!("type variable `{text}`"),
             Token::Int(n) => format!("integer `{n}`"),
             Token::Float(x) => format!("float `{x}`"),
-            Token::Str(s) => format!("string {s:?}"),
+            Token::Str => format!("string {:?}", unescape(&text[1..text.len() - 1])),
             Token::Eof => "end of input".to_owned(),
             other => format!("`{}`", other.lexeme()),
         }
@@ -174,38 +179,32 @@ impl Token {
     }
 }
 
-impl fmt::Display for Token {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.describe())
-    }
-}
-
 /// Looks up the keyword for an identifier spelling, if any.
-pub fn keyword(ident: &str) -> Option<Token> {
+pub fn keyword(ident: &[u8]) -> Option<Token> {
     Some(match ident {
-        "let" => Token::Let,
-        "rec" => Token::Rec,
-        "and" => Token::And,
-        "in" => Token::In,
-        "fun" => Token::Fun,
-        "function" => Token::Function,
-        "if" => Token::If,
-        "then" => Token::Then,
-        "else" => Token::Else,
-        "match" => Token::Match,
-        "with" => Token::With,
-        "type" => Token::Type,
-        "of" => Token::Of,
-        "exception" => Token::Exception,
-        "raise" => Token::Raise,
-        "try" => Token::Try,
-        "begin" => Token::Begin,
-        "end" => Token::End,
-        "true" => Token::True,
-        "false" => Token::False,
-        "mutable" => Token::Mutable,
-        "mod" => Token::Mod,
-        "when" => Token::When,
+        b"let" => Token::Let,
+        b"rec" => Token::Rec,
+        b"and" => Token::And,
+        b"in" => Token::In,
+        b"fun" => Token::Fun,
+        b"function" => Token::Function,
+        b"if" => Token::If,
+        b"then" => Token::Then,
+        b"else" => Token::Else,
+        b"match" => Token::Match,
+        b"with" => Token::With,
+        b"type" => Token::Type,
+        b"of" => Token::Of,
+        b"exception" => Token::Exception,
+        b"raise" => Token::Raise,
+        b"try" => Token::Try,
+        b"begin" => Token::Begin,
+        b"end" => Token::End,
+        b"true" => Token::True,
+        b"false" => Token::False,
+        b"mutable" => Token::Mutable,
+        b"mod" => Token::Mod,
+        b"when" => Token::When,
         _ => return None,
     })
 }

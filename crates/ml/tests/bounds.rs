@@ -106,7 +106,7 @@ fn bounds_agree_with_brute_force_after_every_edit_kind() {
             });
         }
         let expr_ids: HashSet<NodeId> = exprs.iter().copied().collect();
-        let decl_ids: HashSet<NodeId> = prog.decls.iter().map(|d| d.id).collect();
+        let decl_ids: HashSet<NodeId> = prog.decls.iter().map(|d| d.id()).collect();
         let mut pats = Vec::new();
         for d in &prog.decls {
             d.for_each_id(&mut |id| {

@@ -48,7 +48,7 @@ fn try_in_program_decl() {
     )
     .unwrap();
     assert_eq!(prog.decls.len(), 2);
-    match &prog.decls[0].kind {
+    match prog.decls[0].kind() {
         DeclKind::Let { bindings, .. } => {
             assert!(matches!(bindings[0].body.kind, ExprKind::Try(_, _)));
         }

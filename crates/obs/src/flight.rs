@@ -9,9 +9,10 @@
 //! [`crate::crash::CrashReport`], the post-mortem evidence for what the
 //! search was doing in its final moments.
 //!
-//! Cost model: the ring is preallocated at construction; recording a
-//! record is one short mutex hold, one clone, and one slot write — no
-//! allocation, no resizing. The `obs_overhead` bench holds this to the
+//! Cost model: the ring's storage is reserved at construction and
+//! filled as records arrive; recording a record is one short mutex
+//! hold, one clone, and one push (or, once the ring is full, one slot
+//! overwrite) — no allocation, no resizing. The `obs_overhead` bench holds this to the
 //! same <2% ambient budget as the disabled tracer.
 
 use crate::trace::{TraceRecord, TraceSink};
@@ -31,9 +32,10 @@ pub struct FlightRecorder {
 
 #[derive(Debug)]
 struct FlightState {
-    /// Preallocated ring storage; `None` slots are not yet written.
-    slots: Vec<Option<TraceRecord>>,
-    /// Next slot to overwrite.
+    /// Ring storage, reserved at `capacity` and pushed to until full.
+    records: Vec<TraceRecord>,
+    capacity: usize,
+    /// Oldest record once the ring is full: the next slot to overwrite.
     head: usize,
     /// Records written in total (written − capacity, clamped at 0, is
     /// the overwrite count).
@@ -46,13 +48,18 @@ impl FlightRecorder {
     pub fn new(capacity: usize) -> FlightRecorder {
         let capacity = capacity.max(1);
         FlightRecorder {
-            state: Mutex::new(FlightState { slots: vec![None; capacity], head: 0, written: 0 }),
+            state: Mutex::new(FlightState {
+                records: Vec::with_capacity(capacity),
+                capacity,
+                head: 0,
+                written: 0,
+            }),
         }
     }
 
     /// The ring capacity.
     pub fn capacity(&self) -> usize {
-        self.state.lock().expect("flight recorder poisoned").slots.len()
+        self.state.lock().expect("flight recorder poisoned").capacity
     }
 
     /// The surviving records (oldest first) and how many older records
@@ -60,26 +67,17 @@ impl FlightRecorder {
     /// ring.
     pub fn snapshot(&self) -> (Vec<TraceRecord>, u64) {
         let state = self.state.lock().expect("flight recorder poisoned");
-        let capacity = state.slots.len();
-        let dropped = state.written.saturating_sub(capacity as u64);
-        let mut records = Vec::with_capacity(capacity.min(state.written as usize));
+        let dropped = state.written.saturating_sub(state.capacity as u64);
         // Oldest surviving record sits at `head` once the ring has
-        // wrapped; before that, the ring is a plain prefix.
-        for offset in 0..capacity {
-            let idx = (state.head + offset) % capacity;
-            if let Some(rec) = &state.slots[idx] {
-                records.push(rec.clone());
-            }
-        }
-        (records, dropped)
+        // wrapped; before that, `head` is 0 and the ring a plain prefix.
+        let (newer, older) = state.records.split_at(state.head);
+        (older.iter().chain(newer).cloned().collect(), dropped)
     }
 
     /// Forgets everything recorded so far (the capacity is kept).
     pub fn clear(&self) {
         let mut state = self.state.lock().expect("flight recorder poisoned");
-        for slot in &mut state.slots {
-            *slot = None;
-        }
+        state.records.clear();
         state.head = 0;
         state.written = 0;
     }
@@ -88,9 +86,13 @@ impl FlightRecorder {
 impl TraceSink for FlightRecorder {
     fn record(&self, rec: &TraceRecord) {
         let mut state = self.state.lock().expect("flight recorder poisoned");
-        let head = state.head;
-        state.slots[head] = Some(rec.clone());
-        state.head = (head + 1) % state.slots.len();
+        if state.records.len() < state.capacity {
+            state.records.push(rec.clone());
+        } else {
+            let head = state.head;
+            state.records[head] = rec.clone();
+            state.head = (head + 1) % state.capacity;
+        }
         state.written += 1;
     }
 }

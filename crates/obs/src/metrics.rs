@@ -77,6 +77,10 @@ pub mod keys {
     /// Counter: wall-clock the last graceful drain spent waiting for
     /// in-flight connections at shutdown, ns.
     pub const SERVER_DRAIN_NS: &str = "server.drain_ns";
+    /// Counter: wall-clock `dispatch` spent lexing and parsing a
+    /// `check` request's source, ns; summed over requests in the
+    /// daemon's totals. The parse stage of the per-stage ledger.
+    pub const STAGE_PARSE_NS: &str = "stage.parse_ns";
 }
 
 /// A latency/size histogram with power-of-two buckets.

@@ -275,7 +275,10 @@ fn run_check(
     hooks: &DispatchHooks,
     queued: Duration,
 ) -> Dispatched {
-    let prog = match parse_program(&c.source) {
+    let clock = Instant::now();
+    let parsed = parse_program(&c.source);
+    let parse_ns = u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    let prog = match parsed {
         Ok(p) => p,
         Err(e) => return error_response(c.id, Status::ParseError, e.to_string()),
     };
@@ -286,7 +289,7 @@ fn run_check(
     // pure function of rendered text and seed, so they are identical
     // whichever inner path answers the clean probes.
     let checker = CheckpointedOracle::with_enabled(!c.no_incremental);
-    if c.chaos_flip > 0 || c.chaos_panic > 0 {
+    let mut dispatched = if c.chaos_flip > 0 || c.chaos_panic > 0 {
         let mut chaos = ChaosConfig::flips(c.chaos_seed, c.chaos_flip);
         chaos.panic_per_mille = c.chaos_panic;
         let oracle = CountingOracle::new(ChaosOracle::new(checker, chaos));
@@ -295,9 +298,18 @@ fn run_check(
         // Every probe goes through the process-lifetime memo, so a warm
         // identical request makes no real probe; the baseline check
         // always reaches the checker, so its location is this source's.
-        let oracle = SharedMemoOracle::new(checker, state.memo.clone(), &prog);
+        let oracle = SharedMemoOracle::new(checker, state.memo.clone());
         run_search(state, c, hooks, queued, &prog, &oracle, MemoUse::Shared(&oracle))
+    };
+    // The parse stage, in the wire snapshot (and so the daemon's
+    // totals) and in the report's (`--metrics-json`).
+    if let Response::Check(r) = &mut dispatched.response {
+        r.metrics.counters.insert(keys::STAGE_PARSE_NS.to_owned(), parse_ns);
     }
+    if let Some(report) = &mut dispatched.report {
+        report.metrics.counters.insert(keys::STAGE_PARSE_NS.to_owned(), parse_ns);
+    }
+    dispatched
 }
 
 fn run_search<O: Oracle>(
@@ -552,5 +564,20 @@ mod tests {
         assert_eq!(warm.metrics.counter("oracle.real_calls"), 0);
         assert_eq!(warm.payload, cold.payload);
         assert_eq!(warm.rendered, cold.rendered);
+    }
+
+    #[test]
+    fn parse_time_is_stamped_into_every_snapshot() {
+        let state = ServerState::new();
+        let request = Request::Check(CheckRequest::new(1, ILL_TYPED));
+        let dispatched = dispatch(&state, &request);
+        let Response::Check(response) = &dispatched.response else { panic!("not a check") };
+        let parse_ns = response.metrics.counter(keys::STAGE_PARSE_NS);
+        assert!(parse_ns > 0);
+        let report = dispatched.report.expect("a check carries its report");
+        assert_eq!(report.metrics.counter(keys::STAGE_PARSE_NS), parse_ns);
+
+        let second = check_response(&state, &request).metrics.counter(keys::STAGE_PARSE_NS);
+        assert_eq!(state.process_snapshot().counter(keys::STAGE_PARSE_NS), parse_ns + second);
     }
 }

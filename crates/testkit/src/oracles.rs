@@ -437,8 +437,8 @@ pub fn warm_twin_identity(prog: &Program, incremental: bool) -> Option<Violation
     let checker = || CheckpointedOracle::with_enabled(incremental);
     let cold = twin_search(checker(), &twin);
     let memo = Arc::new(VerdictMemo::bounded(seminal_core::DEFAULT_CROSS_MEMO_CAPACITY));
-    twin_search(SharedMemoOracle::new(checker(), memo.clone(), &original), &original);
-    let warm = twin_search(SharedMemoOracle::new(checker(), memo, &twin), &twin);
+    twin_search(SharedMemoOracle::new(checker(), memo.clone()), &original);
+    let warm = twin_search(SharedMemoOracle::new(checker(), memo), &twin);
     let seen =
         |r: &SearchReport| (r.baseline.clone(), r.payload(), r.completion, r.stats.oracle_calls);
     let (warm, cold) = (seen(&warm), seen(&cold));

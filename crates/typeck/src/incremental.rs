@@ -8,8 +8,7 @@
 //! infers the base once and pushes a mark on its [`InferState`] at
 //! every clean declaration boundary. A probe
 //! finds the longest prefix it shares with the base (pointer equality
-//! on `Arc<Decl>` handles first, span-aware content fingerprints as
-//! the fallback) and moves the live state to the deepest boundary
+//! on `Arc<Decl>` handles first, equal [span keys] as the fallback) and moves the live state to the deepest boundary
 //! inside that prefix: it pops back to an earlier mark, or re-infers
 //! clean base declarations up to a later one. It then re-infers only
 //! its own tail and pops back. Rollback restores the variable store
@@ -32,6 +31,7 @@
 //! constraint trace its localization pass replays. Nothing else
 //! records: probes and typing pay nothing for it.
 //!
+//! [span keys]: seminal_ml::Decl::span_key
 //! [`check_program_types`]: crate::infer::check_program_types
 //! [`trace_program`]: crate::infer::trace_program
 //!
@@ -45,12 +45,10 @@
 //! half-rolled-back trail can never leak into a later probe.
 
 use crate::error::TypeError;
-use crate::fingerprint::decl_fingerprint_spanned;
 use crate::infer::{check_program, check_program_types, trace_program, InferState};
 use crate::oracle::{IncrementalStats, Oracle};
 use crate::record::ConstraintTrace;
 use seminal_ml::ast::{Decl, NodeId, Program};
-use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, TryLockError};
@@ -71,9 +69,6 @@ use std::time::Instant;
 #[derive(Debug, Default)]
 pub(crate) struct InferChain {
     decls: Vec<Arc<Decl>>,
-    /// Span-aware content fingerprint per base declaration, computed the
-    /// first time a program's declaration there is not the same `Arc`.
-    fps: Vec<OnceCell<u64>>,
     /// The live state; `state.depth() == at + 1` once seeded.
     state: InferState,
     /// Number of leading base declarations known to check clean.
@@ -188,7 +183,6 @@ impl InferChain {
     /// one).
     fn seed(&mut self, prog: &Program) -> Result<(), TypeError> {
         self.decls = prog.decls.clone();
-        self.fps = vec![OnceCell::new(); prog.decls.len()];
         self.state = InferState::initial();
         self.state.record();
         self.state.push();
@@ -216,21 +210,20 @@ impl InferChain {
     }
 
     /// Length of the prefix `prog` shares with the base: leading
-    /// declarations that are the same `Arc` or have the same span-aware
-    /// fingerprint. Stops at the first mismatch, so at most one probe
-    /// declaration is fingerprinted per call.
+    /// declarations that are the same `Arc` or have the same
+    /// [span key](Decl::span_key). Content alone is not enough: type
+    /// errors carry spans, so two declarations that differ only in
+    /// where they sit must not pass for the same prefix (the cached
+    /// `TypeError` would point at the wrong place). Node ids are not
+    /// in the key; inference never reads them.
     fn shared_prefix(&self, prog: &Program) -> usize {
-        let mut j = 0;
-        for (base, probe) in self.decls.iter().zip(&prog.decls) {
-            let same = Arc::ptr_eq(base, probe)
-                || *self.fps[j].get_or_init(|| decl_fingerprint_spanned(base))
-                    == decl_fingerprint_spanned(probe);
-            if !same {
-                break;
-            }
-            j += 1;
-        }
-        j
+        self.decls
+            .iter()
+            .zip(&prog.decls)
+            .take_while(|(base, probe)| {
+                Arc::ptr_eq(base, probe) || base.span_key() == probe.span_key()
+            })
+            .count()
     }
 
     /// The base's error when a program shares the base through its

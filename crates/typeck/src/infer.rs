@@ -261,17 +261,17 @@ impl Infer {
     // ------------------------------------------------------------------
 
     fn decl(&mut self, d: &Decl) -> Res<()> {
-        match &d.kind {
-            DeclKind::Let { rec, bindings } => self.let_bindings(*rec, bindings, d.span),
+        match d.kind() {
+            DeclKind::Let { rec, bindings } => self.let_bindings(*rec, bindings, d.span()),
             DeclKind::Expr(e) => {
                 self.annot_vars.clear();
                 self.infer(e)?;
                 Ok(())
             }
-            DeclKind::Type(defs) => self.type_decl(defs, d.span),
+            DeclKind::Type(defs) => self.type_decl(defs, d.span()),
             DeclKind::Exception(name, arg) => {
                 let arg = match arg {
-                    Some(t) => Some(self.conv_type(t, d.span)?),
+                    Some(t) => Some(self.conv_type(t, d.span())?),
                     None => None,
                 };
                 std::sync::Arc::make_mut(&mut self.env.ctors)

@@ -42,9 +42,7 @@ pub mod unify;
 
 pub use chaos::{ChaosConfig, ChaosOracle};
 pub use error::{TypeError, TypeErrorKind};
-pub use fingerprint::{
-    decl_fingerprint_spanned, decl_fingerprints, program_fingerprint, FingerprintCache,
-};
+pub use fingerprint::program_fingerprint;
 pub use incremental::CheckpointedOracle;
 pub use infer::{check_program, check_program_types, trace_program, InferState};
 pub use oracle::{

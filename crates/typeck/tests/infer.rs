@@ -353,7 +353,7 @@ fn prefix_programs_check_independently() {
 #[test]
 fn top_level_expression_decl() {
     let prog = parse_program("let x = 1 in print_int x").unwrap();
-    assert!(matches!(prog.decls[0].kind, DeclKind::Expr(_)));
+    assert!(matches!(prog.decls[0].kind(), DeclKind::Expr(_)));
     assert!(check_program(&prog).is_ok());
 }
 
@@ -552,7 +552,7 @@ fn principal_type_of(src: &str) -> String {
     let prog = parse_program(src).unwrap();
     let mut target = None;
     // The last declaration's binding body.
-    if let DeclKind::Let { bindings, .. } = &prog.decls.last().unwrap().kind {
+    if let DeclKind::Let { bindings, .. } = prog.decls.last().unwrap().kind() {
         target = Some(bindings[0].body.id);
     }
     let types = check_program_types(&prog, &[target.unwrap()]).unwrap();

@@ -102,6 +102,37 @@ fn check_rejects_unparseable_file() {
 }
 
 #[test]
+fn check_reads_non_ascii_source_as_utf8() {
+    let dir = std::env::temp_dir().join("seminal-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |name: &str, source: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, source).unwrap();
+        let out = seminal().arg("check").arg(&path).output().expect("run check");
+        std::fs::remove_file(&path).ok();
+        let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+        let stderr = String::from_utf8(out.stderr).expect("stderr is UTF-8");
+        (out.status.code(), stdout, stderr)
+    };
+
+    // A string literal keeps its characters in suggestions.
+    let (code, stdout, _) = run("utf8-literal.ml", "let n = \"héllo\" + 1\n");
+    assert_eq!(code, Some(1));
+    assert!(stdout.contains("int_of_string \"héllo\""), "{stdout}");
+    assert!(!stdout.contains('Ã'), "{stdout}");
+
+    // ... and in parse errors.
+    let (code, _, stderr) = run("utf8-found.ml", "type t = \"hé\"\n");
+    assert_eq!(code, Some(3));
+    assert!(stderr.contains("expected type, found string \"hé\""), "{stderr}");
+
+    // An unexpected character is reported whole, with its full span.
+    let (code, _, stderr) = run("utf8-char.ml", "let x = é\n");
+    assert_eq!(code, Some(3));
+    assert!(stderr.contains("parse error at 8..10: unexpected character `é`"), "{stderr}");
+}
+
+#[test]
 fn check_missing_file_fails_cleanly() {
     let out = seminal().arg("check").arg("/definitely/not/a/file.ml").output().expect("run check");
     assert_eq!(out.status.code(), Some(4), "I/O failures exit 4");
