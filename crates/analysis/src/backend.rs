@@ -3,8 +3,8 @@
 //! Two backends localize type errors over the same recorded constraint
 //! system: PR 1's unsat-core **blame** analysis and the weighted **MCS**
 //! enumerator ([`crate::mcs`]). Consumers that only need "where should I
-//! look first" — the search's guidance, chiefly — speak to them through
-//! one [`LocalizationBackend`] trait producing a backend-agnostic
+//! look first" — the search's guidance, chiefly — call [`localize`] with
+//! a [`BackendKind`] and get back a backend-agnostic
 //! [`Localization`]: the baseline error, the shrunk core size, and a
 //! normalized per-span score ranking, plus the solver counters the
 //! observability layer exports (`analysis.backend`,
@@ -133,54 +133,6 @@ impl McsAnalysis {
     }
 }
 
-/// A localization backend: anything that can turn an ill-typed program
-/// and its recorded constraint system into a ranked span localization
-/// without oracle calls.
-pub trait LocalizationBackend {
-    /// Which catalog entry this is.
-    fn kind(&self) -> BackendKind;
-    /// Localizes `prog` from `trace`, the recording of its inference;
-    /// `None` when it is well-typed.
-    fn localize(&self, prog: &Program, trace: &ConstraintTrace) -> Option<Localization>;
-}
-
-/// The unsat-core blame analysis as a [`LocalizationBackend`] — the
-/// trait's first implementor.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BlameBackend;
-
-impl LocalizationBackend for BlameBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Blame
-    }
-
-    fn localize(&self, _prog: &Program, trace: &ConstraintTrace) -> Option<Localization> {
-        blame::analyze_trace(trace).map(BlameAnalysis::into_localization)
-    }
-}
-
-/// The weighted MCS enumerator as a [`LocalizationBackend`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct McsBackend;
-
-impl LocalizationBackend for McsBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Mcs
-    }
-
-    fn localize(&self, prog: &Program, trace: &ConstraintTrace) -> Option<Localization> {
-        mcs::analyze_mcs_trace(prog, trace).map(McsAnalysis::into_localization)
-    }
-}
-
-/// The backend registered for `kind`.
-pub fn backend(kind: BackendKind) -> &'static dyn LocalizationBackend {
-    match kind {
-        BackendKind::Blame => &BlameBackend,
-        BackendKind::Mcs => &McsBackend,
-    }
-}
-
 /// Localizes `prog` from `trace`, the recording of its inference (the
 /// search takes its oracle's), with the chosen backend; `None` when
 /// well-typed.
@@ -189,7 +141,10 @@ pub fn localize(
     trace: &ConstraintTrace,
     kind: BackendKind,
 ) -> Option<Localization> {
-    backend(kind).localize(prog, trace)
+    match kind {
+        BackendKind::Blame => blame::analyze_trace(trace).map(BlameAnalysis::into_localization),
+        BackendKind::Mcs => mcs::analyze_mcs_trace(prog, trace).map(McsAnalysis::into_localization),
+    }
 }
 
 #[cfg(test)]

@@ -39,9 +39,9 @@
 //! lowers the recorded constraints into weighted soft/hard clauses
 //! ([`weights`]) and enumerates ranked alternative minimal correction
 //! subsets by a grow-and-block loop over the same replay primitive.
-//! Both backends implement the [`LocalizationBackend`] trait and are
-//! selected by [`BackendKind`] (`seminal analyze --backend`, or
-//! `SearchConfig::guidance_backend` for the search).
+//! [`localize`] runs either one, selected by [`BackendKind`]
+//! (`seminal analyze --backend`, or `SearchConfig::guidance_backend` for
+//! the search).
 
 pub mod backend;
 pub mod blame;
@@ -49,9 +49,7 @@ pub mod mcs;
 pub mod report;
 pub mod weights;
 
-pub use backend::{
-    backend, localize, BackendKind, BlameBackend, Localization, LocalizationBackend, McsBackend,
-};
+pub use backend::{localize, BackendKind, Localization};
 pub use blame::{analyze, analyze_trace, BlameAnalysis, SpanBlame};
 pub use mcs::{analyze_mcs, analyze_mcs_trace, CorrectionSubset, McsAnalysis, McsMember};
 pub use report::{render_mcs_report, render_report};

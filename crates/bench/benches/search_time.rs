@@ -1,7 +1,7 @@
 //! Wall-clock bench: Figure 7's configurations over a corpus sample —
 //! full tool (slow reparenthesizing change enabled), slow change
-//! disabled, triage disabled, plus the memoized-oracle and blame-guidance
-//! variants. The paper's finding to reproduce: the no-triage
+//! disabled, triage disabled, plus the blame-guidance, removal-only and
+//! parallel-engine variants. The paper's finding to reproduce: the no-triage
 //! configuration has no heavy tail; the slow change dominates the full
 //! tool's tail.
 
@@ -21,7 +21,6 @@ fn main() {
     for (name, cfg) in [
         ("full_with_slow_change", SearchConfig::with_slow_match_reassoc()),
         ("slow_change_disabled", SearchConfig::default()),
-        ("memoized_oracle", SearchConfig { memoize_oracle: true, ..SearchConfig::default() }),
         ("triage_disabled", SearchConfig::without_triage()),
         ("blame_guidance_disabled", SearchConfig::without_blame_guidance()),
         ("removal_only_ablation", SearchConfig::removal_only()),

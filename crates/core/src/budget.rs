@@ -17,30 +17,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Why a search stopped before finishing its planned enumeration.
-/// Ordered weakest to strongest; when several bounds trip at once the
-/// strongest one observed is reported.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum StopReason {
-    /// The oracle-call cap (`max_oracle_calls`) was reached.
-    BudgetExhausted,
-    /// The wall-clock deadline passed.
-    DeadlineExpired,
-    /// The caller cancelled through a [`SearchHandle`].
-    Cancelled,
-}
-
-impl StopReason {
-    /// The completion status this stop maps to.
-    pub fn completion(self) -> Completion {
-        match self {
-            StopReason::BudgetExhausted => Completion::BudgetExhausted,
-            StopReason::DeadlineExpired => Completion::DeadlineExpired,
-            StopReason::Cancelled => Completion::Cancelled,
-        }
-    }
-}
-
 /// The run bounds of one search, clock already started.
 ///
 /// Cloning shares the cancellation flag (it is the same logical budget);
@@ -87,14 +63,15 @@ impl Budget {
         self.cancelled() || self.deadline_expired()
     }
 
-    /// The strongest bound in force after `calls` oracle calls, if any.
-    pub fn stop_reason(&self, calls: u64) -> Option<StopReason> {
+    /// The completion of the strongest bound in force after `calls`
+    /// oracle calls, if any: cancel over deadline over the call cap.
+    pub fn stop_reason(&self, calls: u64) -> Option<Completion> {
         if self.cancelled() {
-            Some(StopReason::Cancelled)
+            Some(Completion::Cancelled)
         } else if self.deadline_expired() {
-            Some(StopReason::DeadlineExpired)
+            Some(Completion::DeadlineExpired)
         } else if calls >= self.max_oracle_calls {
-            Some(StopReason::BudgetExhausted)
+            Some(Completion::BudgetExhausted)
         } else {
             None
         }
@@ -146,7 +123,7 @@ mod tests {
     fn call_cap_trips_at_the_boundary() {
         let budget = Budget::start(10, None, Arc::default());
         assert_eq!(budget.stop_reason(9), None);
-        assert_eq!(budget.stop_reason(10), Some(StopReason::BudgetExhausted));
+        assert_eq!(budget.stop_reason(10), Some(Completion::BudgetExhausted));
         assert!(!budget.interrupted(), "the call cap is not a worker interrupt");
     }
 
@@ -155,7 +132,7 @@ mod tests {
         let budget = Budget::start(u64::MAX, Some(Duration::from_millis(5)), Arc::default());
         assert_eq!(budget.stop_reason(0), None);
         std::thread::sleep(Duration::from_millis(10));
-        assert_eq!(budget.stop_reason(0), Some(StopReason::DeadlineExpired));
+        assert_eq!(budget.stop_reason(0), Some(Completion::DeadlineExpired));
         assert!(budget.interrupted());
     }
 
@@ -164,20 +141,11 @@ mod tests {
         let handle = SearchHandle::new();
         let budget = Budget::start(0, Some(Duration::ZERO), handle.flag());
         // Budget and deadline are both tripped, but cancel wins.
-        assert_eq!(budget.stop_reason(100), Some(StopReason::DeadlineExpired));
+        assert_eq!(budget.stop_reason(100), Some(Completion::DeadlineExpired));
         handle.cancel();
         assert!(handle.is_cancelled());
-        assert_eq!(budget.stop_reason(100), Some(StopReason::Cancelled));
+        assert_eq!(budget.stop_reason(100), Some(Completion::Cancelled));
         // A clone shares the same flag.
         assert!(budget.clone().cancelled());
-    }
-
-    #[test]
-    fn stop_reasons_map_to_completions() {
-        use seminal_obs::Completion;
-        assert_eq!(StopReason::BudgetExhausted.completion(), Completion::BudgetExhausted);
-        assert_eq!(StopReason::DeadlineExpired.completion(), Completion::DeadlineExpired);
-        assert_eq!(StopReason::Cancelled.completion(), Completion::Cancelled);
-        assert!(StopReason::Cancelled > StopReason::DeadlineExpired);
     }
 }

@@ -66,12 +66,6 @@ pub struct SearchConfig {
     /// Budget on oracle invocations; the search stops gracefully when
     /// exhausted (the paper measures cost in type-checker calls).
     pub max_oracle_calls: u64,
-    /// Memoize probe outcomes by program fingerprint: different search
-    /// paths often construct identical variants (e.g. a removal revisited
-    /// during triage), and the checker is deterministic, so cached
-    /// outcomes are always safe. Off by default so oracle-call counts
-    /// stay comparable with the paper's cost model.
-    pub memoize_oracle: bool,
     /// Capture the structured trace into
     /// [`SearchReport::records`](crate::search::SearchReport::records)
     /// (span open/close records plus one event per oracle probe), for
@@ -169,7 +163,6 @@ impl Default for SearchConfig {
             constructive: true,
             slow_match_reassoc: false,
             max_oracle_calls: 50_000,
-            memoize_oracle: false,
             collect_trace: false,
             flight_recorder: true,
             blame_guidance: true,

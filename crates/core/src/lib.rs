@@ -52,7 +52,7 @@ pub mod rank;
 pub mod search;
 pub mod session;
 
-pub use budget::{Budget, SearchHandle, StopReason};
+pub use budget::{Budget, SearchHandle};
 pub use change::{Candidate, ChangeKind, Focus, Probe, Suggestion};
 pub use config::{ConfigError, SearchConfig};
 pub use memo::{MemoLookup, SharedMemoOracle, VerdictMemo, DEFAULT_CROSS_MEMO_CAPACITY};

@@ -1,12 +1,13 @@
 //! The verdict memo: probe outcomes keyed by program fingerprint.
 //!
 //! [`VerdictMemo`] is the workspace's one cache of oracle answers. It
-//! lives for one search ([`SearchConfig::memoize_oracle`]), for the
-//! parallel engine's prefetch (`crate::engine`: workers insert outcomes
-//! unconsumed, the search reads them back [`MemoLookup::Fresh`] once),
-//! or, bounded by FIFO eviction per shard ([`VerdictMemo::bounded`],
+//! lives for one parallel search, as the probe engine's memo
+//! (`crate::engine`: workers insert outcomes unconsumed, the search reads
+//! them back [`MemoLookup::Fresh`] once and later repeats as hits), or,
+//! bounded by FIFO eviction per shard ([`VerdictMemo::bounded`],
 //! `--memo-capacity`), for the serve daemon's lifetime behind
-//! [`SharedMemoOracle`].
+//! [`SharedMemoOracle`]. A sequential search keeps none: it counts every
+//! probe as an oracle call, the paper's cost model.
 //!
 //! Every key is [`program_fingerprint`], a fold over the content keys
 //! each declaration got when it was built, so a key costs one FNV step
@@ -18,7 +19,6 @@
 //! fixed-size, so a bounded memo's capacity bounds its memory too.
 //!
 //! [`program_fingerprint`]: seminal_typeck::program_fingerprint
-//! [`SearchConfig::memoize_oracle`]: crate::SearchConfig::memoize_oracle
 
 use seminal_ml::ast::{NodeId, Program};
 use seminal_obs::fnv1a;

@@ -69,8 +69,9 @@ pub fn render_line(s: &Suggestion) -> String {
     }
 }
 
-/// Renders a whole report: the best few suggestions with locations, or a
-/// fallback to the baseline message.
+/// Renders a whole report: the best `limit` suggestions with locations
+/// (none at `limit == 0`, like `seminal analyze --top 0`), or a fallback
+/// to the baseline message.
 pub fn render_report(report: &SearchReport, source: &str, limit: usize) -> String {
     match &report.outcome {
         Outcome::WellTyped => "The program type-checks.".to_owned(),
@@ -84,7 +85,7 @@ pub fn render_report(report: &SearchReport, source: &str, limit: usize) -> Strin
         Outcome::Suggestions(suggestions) => {
             let lm = LineMap::new(source);
             let mut out = String::new();
-            for (i, s) in suggestions.iter().take(limit.max(1)).enumerate() {
+            for (i, s) in suggestions.iter().take(limit).enumerate() {
                 if i > 0 {
                     out.push('\n');
                 }

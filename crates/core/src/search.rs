@@ -30,7 +30,7 @@
 //! are always collected (the cost is two clock reads and a few integer
 //! bumps per oracle call) and published as [`SearchReport::metrics`].
 
-use crate::budget::{Budget, StopReason};
+use crate::budget::Budget;
 use crate::change::{ChangeKind, Focus, Suggestion};
 use crate::config::SearchConfig;
 use crate::engine::ProbeEngine;
@@ -44,8 +44,8 @@ use seminal_ml::edit::{self, app_chain, Edit};
 use seminal_ml::pretty::{decl_to_string, expr_to_string, pat_to_string};
 use seminal_ml::span::Span;
 use seminal_obs::{
-    Completion, CrashReport, EventKind, FlightRecorder, Histogram, MemorySink, MetricsSnapshot,
-    ProbeKind, SpanKind, SrcSpan, TraceRecord, TraceSink, Tracer,
+    Completion, CrashReport, EventKind, Histogram, MemorySink, MetricsSnapshot, ProbeKind,
+    SpanKind, SrcSpan, TraceRecord, TraceSink, Tracer,
 };
 use seminal_typeck::{
     guarded_check, guarded_probe, program_fingerprint, IncrementalStats, Oracle, ProbeOutcome,
@@ -68,10 +68,6 @@ pub struct SearchStats {
     pub elapsed: Duration,
     /// Whether triage mode was entered.
     pub triage_used: bool,
-    /// Whether the oracle-call budget stopped the search early
-    /// (equivalent to `completion == Completion::BudgetExhausted` on the
-    /// report; kept here for the paper's cost accounting).
-    pub budget_exhausted: bool,
     /// Logical probes whose oracle call panicked and was isolated
     /// ([`ProbeOutcome::Faulted`]). Each logical probe is exactly one of
     /// an oracle call, a memo hit, or a probe fault, so
@@ -80,9 +76,10 @@ pub struct SearchStats {
     pub probe_faults: u64,
     /// Index (1-based) of the first ill-typed top-level definition.
     pub first_bad_decl: usize,
-    /// Probes answered from the search's verdict memo
-    /// ([`SearchConfig::memoize_oracle`](crate::SearchConfig), or the
-    /// parallel engine's).
+    /// Probes answered from the parallel engine's verdict memo. Always 0
+    /// at `threads == 1`, where a search keeps no memo of its own (a
+    /// served request's cross-request memo sits inside its oracle, so
+    /// its answers count as oracle calls here).
     pub memo_hits: u64,
     /// Size of the minimal unsatisfiable constraint core computed by the
     /// blame pass (0 when guidance is off, the program is well-typed, or
@@ -157,8 +154,8 @@ pub struct SearchReport {
     /// Aggregate counters and latency histograms for this search
     /// (always collected; schema `seminal-obs/metrics-v1`).
     pub metrics: MetricsSnapshot,
-    /// Post-mortem bundle built from the flight recorder whenever the
-    /// run ended non-`Complete` or isolated probe faults occurred:
+    /// Post-mortem bundle built from the search's trace ring whenever
+    /// the run ended non-`Complete` or isolated probe faults occurred:
     /// the last trace records plus the final metrics snapshot
     /// (schema `seminal-obs/crash-v1`). `None` on clean runs and when
     /// [`SearchConfig::flight_recorder`](crate::SearchConfig) is off.
@@ -205,15 +202,14 @@ impl SearchReport {
 /// threaten correctness, only waste oracle calls.
 pub type CustomChange = Box<dyn Fn(&Expr) -> Vec<crate::change::Candidate> + Send + Sync>;
 
-/// Ring capacity, in records, of the in-report trace capture when
+/// Capacity, in records, of the search's trace ring when
 /// [`SearchConfig::collect_trace`] is on; the oldest records are dropped
 /// beyond it and counted in the `trace.dropped` metric.
 const TRACE_CAPACITY: usize = 262_144;
 
-/// Ring capacity, in records, of the flight recorder when
-/// [`SearchConfig::flight_recorder`] is on; the oldest records are
-/// overwritten beyond it and counted in the crash report's
-/// `records_dropped`.
+/// Length, in records, of a crash report's trace tail, and the ring's
+/// capacity when only [`SearchConfig::flight_recorder`] is on. Older
+/// records are counted in the crash report's `records_dropped`.
 const FLIGHT_CAPACITY: usize = 1024;
 
 impl<O: Oracle> SearchSession<O> {
@@ -236,23 +232,18 @@ impl<O: Oracle> SearchSession<O> {
         let budget = Budget::start(self.config.max_oracle_calls, deadline, self.handle.flag());
         // Sinks are assembled before the engine so worker threads can
         // share the tracer through its cloneable handle: every parallel
-        // probe then opens under the search span that caused it.
-        let capture = if self.config.collect_trace {
+        // probe then opens under the search span that caused it. One ring
+        // serves both the captured trace and the crash report's tail.
+        let ring = if self.config.collect_trace {
             Some(Arc::new(MemorySink::new(TRACE_CAPACITY)))
-        } else {
-            None
-        };
-        let flight = if self.config.flight_recorder {
-            Some(Arc::new(FlightRecorder::new(FLIGHT_CAPACITY)))
+        } else if self.config.flight_recorder {
+            Some(Arc::new(MemorySink::new(FLIGHT_CAPACITY)))
         } else {
             None
         };
         let mut sinks = self.sinks.clone();
-        if let Some(c) = &capture {
-            sinks.push(c.clone() as Arc<dyn TraceSink>);
-        }
-        if let Some(f) = &flight {
-            sinks.push(f.clone() as Arc<dyn TraceSink>);
+        if let Some(r) = &ring {
+            sinks.push(r.clone() as Arc<dyn TraceSink>);
         }
         let tracer = Tracer::new(sinks);
         let engine = if self.config.threads > 1 {
@@ -263,7 +254,7 @@ impl<O: Oracle> SearchSession<O> {
         } else {
             None
         };
-        self.run_search(prog, engine.as_ref(), budget, tracer, capture, flight)
+        self.run_search(prog, engine.as_ref(), budget, tracer, ring)
     }
 
     fn run_search(
@@ -272,15 +263,10 @@ impl<O: Oracle> SearchSession<O> {
         engine: Option<&ProbeEngine<'_, O>>,
         budget: Budget,
         tracer: Tracer,
-        capture: Option<Arc<MemorySink>>,
-        flight: Option<Arc<FlightRecorder>>,
+        ring: Option<Arc<MemorySink>>,
     ) -> SearchReport {
         let start = Instant::now();
         let inc_before = self.oracle.incremental_stats();
-        // One memo per search: the engine's when it runs, else the run's
-        // own when memoization is on, else none, and no key is built.
-        let solo = (engine.is_none() && self.config.memoize_oracle).then(VerdictMemo::default);
-        let memo = engine.map(ProbeEngine::memo).or(solo.as_ref());
         let mut run = Run {
             oracle: &self.oracle,
             cfg: &self.config,
@@ -292,7 +278,7 @@ impl<O: Oracle> SearchSession<O> {
             probe_faults: 0,
             triage_used: false,
             suggestions: Vec::new(),
-            memo,
+            memo: engine.map(ProbeEngine::memo),
             memo_hits: 0,
             tracer,
             probe_label: None,
@@ -310,7 +296,10 @@ impl<O: Oracle> SearchSession<O> {
                     elapsed: start.elapsed(),
                     ..SearchStats::default()
                 };
-                let records = capture.as_ref().map(|c| c.drain()).unwrap_or_default();
+                let records = match &ring {
+                    Some(r) if self.config.collect_trace => r.drain(),
+                    _ => Vec::new(),
+                };
                 let mut metrics = run.local.snapshot(&stats, 0, Completion::Complete);
                 fold_engine_metrics(&mut metrics, engine);
                 fold_incremental_metrics(&mut metrics, inc_before, self.oracle.incremental_stats());
@@ -413,7 +402,7 @@ impl<O: Oracle> SearchSession<O> {
         // stopped it but probes faulted, the plan was silently thinned
         // and the run is honest about being degraded.
         let completion = match run.stop {
-            Some(reason) => reason.completion(),
+            Some(stop) => stop,
             None if run.probe_faults > 0 => Completion::Degraded { faults: run.probe_faults },
             None => Completion::Complete,
         };
@@ -421,7 +410,6 @@ impl<O: Oracle> SearchSession<O> {
             oracle_calls: run.calls,
             elapsed: start.elapsed(),
             triage_used: run.triage_used,
-            budget_exhausted: run.stop == Some(StopReason::BudgetExhausted),
             probe_faults: run.probe_faults,
             first_bad_decl: first_bad,
             memo_hits: run.memo_hits,
@@ -429,39 +417,46 @@ impl<O: Oracle> SearchSession<O> {
             sites_pruned: run.sites_pruned,
             blame_time,
         };
-        let records = capture.as_ref().map(|c| c.drain()).unwrap_or_default();
-        if let Some(c) = &capture {
-            run.local.trace_dropped = c.dropped();
+        // Post-mortem evidence: whenever the run ends anything but
+        // cleanly — a bound stopped it, or isolated probe faults thinned
+        // the plan — the ring's last `FLIGHT_CAPACITY` records and the
+        // final metrics freeze into a crash report the caller can persist.
+        let engine_faults = engine.map_or(0, |e| e.probe_faults());
+        let total_faults = stats.probe_faults.max(engine_faults);
+        let crashed =
+            self.config.flight_recorder && (!completion.is_complete() || total_faults > 0);
+        // The ring is read only when its records are reported: as the
+        // captured trace, as a crash report's tail, or both.
+        let (mut records, dropped) = match &ring {
+            Some(r) if self.config.collect_trace || crashed => (r.drain(), r.dropped()),
+            _ => (Vec::new(), 0),
+        };
+        if self.config.collect_trace {
+            run.local.trace_dropped = dropped;
         }
         let mut metrics = run.local.snapshot(&stats, suggestions.len() as u64, completion);
         fold_engine_metrics(&mut metrics, engine);
         fold_incremental_metrics(&mut metrics, inc_before, self.oracle.incremental_stats());
-        // Post-mortem evidence: whenever the run ends anything but
-        // cleanly — a bound stopped it, or isolated probe faults thinned
-        // the plan — the flight recorder's tail and the final metrics
-        // freeze into a crash report the caller can persist.
-        let engine_faults = engine.map_or(0, |e| e.probe_faults());
-        let total_faults = stats.probe_faults.max(engine_faults);
-        let crash = match &flight {
-            Some(f) if !completion.is_complete() || total_faults > 0 => {
-                let (records, records_dropped) = f.snapshot();
-                let reason = if completion.is_complete() {
-                    format!("{total_faults} isolated probe fault(s)")
-                } else {
-                    format!("completion: {}", completion.tag())
-                };
-                Some(CrashReport {
-                    reason,
-                    completion: completion.tag().to_owned(),
-                    probe_faults: total_faults,
-                    threads: self.config.threads as u64,
-                    records_dropped,
-                    records,
-                    metrics: metrics.clone(),
-                })
+        let crash = crashed.then(|| {
+            let tail = &records[records.len().saturating_sub(FLIGHT_CAPACITY)..];
+            let reason = if completion.is_complete() {
+                format!("{total_faults} isolated probe fault(s)")
+            } else {
+                format!("completion: {}", completion.tag())
+            };
+            CrashReport {
+                reason,
+                completion: completion.tag().to_owned(),
+                probe_faults: total_faults,
+                threads: self.config.threads as u64,
+                records_dropped: dropped + (records.len() - tail.len()) as u64,
+                records: tail.to_vec(),
+                metrics: metrics.clone(),
             }
-            _ => None,
-        };
+        });
+        if !self.config.collect_trace {
+            records.clear();
+        }
         let outcome = if suggestions.is_empty() {
             Outcome::NoSuggestion
         } else {
@@ -572,7 +567,11 @@ impl LocalMetrics {
         c.insert("core_size".to_owned(), stats.core_size as u64);
         c.insert("sites_pruned".to_owned(), stats.sites_pruned);
         c.insert("triage.rounds".to_owned(), self.triage_rounds);
-        c.insert("budget_exhausted".to_owned(), u64::from(stats.budget_exhausted));
+        // Summed across merged snapshots (the daemon's totals, the eval
+        // corpus), this counts the searches a budget stopped; the summed
+        // `completion` code cannot say that.
+        let budget_exhausted = completion == Completion::BudgetExhausted;
+        c.insert("budget_exhausted".to_owned(), u64::from(budget_exhausted));
         c.insert("descend.max_depth".to_owned(), self.max_depth);
         c.insert("elapsed_ns".to_owned(), duration_ns(stats.elapsed));
         c.insert("blame_ns".to_owned(), self.blame_ns);
@@ -687,18 +686,17 @@ struct Run<'a, O> {
     /// The run's bounds: call cap, deadline, cancellation. Consulted
     /// before every probe; the engine holds a clone for its workers.
     budget: Budget,
-    /// The first bound that tripped, sticky for the rest of the run so
-    /// the completion reports one coherent reason.
-    stop: Option<StopReason>,
+    /// The completion of the first bound that tripped, sticky for the
+    /// rest of the run so the report gives one coherent reason.
+    stop: Option<Completion>,
     /// Probes whose oracle call panicked and was isolated (each is a
     /// logical probe alongside `calls` and `memo_hits`, never double
     /// counted).
     probe_faults: u64,
     triage_used: bool,
     suggestions: Vec<Suggestion>,
-    /// The search's memo — the engine's, or the run's own under
-    /// [`SearchConfig::memoize_oracle`]; `None` at `threads == 1`
-    /// without memoization.
+    /// The parallel engine's memo; `None` at `threads == 1`, where every
+    /// probe is an oracle call and no key is built.
     memo: Option<&'a VerdictMemo>,
     memo_hits: u64,
     /// Structured-trace emitter (inert unless sinks are attached).
@@ -742,8 +740,8 @@ impl<O: Oracle> Run<'_, O> {
         verdict
     }
 
-    /// Whether a bound has tripped, computing and latching the stop
-    /// reason on first trip.
+    /// Whether a bound has tripped, computing and latching its
+    /// completion on first trip.
     fn halted(&mut self) -> bool {
         if self.stop.is_none() {
             self.stop = self.budget.stop_reason(self.calls);
@@ -751,7 +749,8 @@ impl<O: Oracle> Run<'_, O> {
         self.stop.is_some()
     }
 
-    /// Bounded boolean oracle query, optionally memoized; always counted
+    /// Bounded boolean oracle query, memoized when the parallel engine
+    /// runs; always counted
     /// and timed, and emitted as a structured probe event when tracing.
     /// Oracle panics are isolated ([`guarded_probe`]): a faulted probe
     /// reads as "did not type-check", is memoized like any outcome, and

@@ -12,7 +12,6 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let session = SearchSession::builder(TypeCheckOracle::new())
 //!     .threads(2)
-//!     .memoize(true)
 //!     .build()?;
 //! let prog = parse_program("let x = 1 + true")?;
 //! let report = session.search(&prog);
@@ -123,13 +122,6 @@ impl<O: Oracle> SearchSessionBuilder<O> {
         self
     }
 
-    /// Memoize probe outcomes by program fingerprint.
-    #[must_use]
-    pub fn memoize(mut self, on: bool) -> Self {
-        self.config.memoize_oracle = on;
-        self
-    }
-
     /// Wall-clock deadline per search (`None` = unbounded; validated
     /// non-zero at build). When it expires the search stops
     /// cooperatively and reports `Completion::DeadlineExpired`.
@@ -208,12 +200,11 @@ mod tests {
     fn builder_assembles_and_validates() {
         let session = SearchSession::builder(TypeCheckOracle::new())
             .threads(2)
-            .memoize(true)
             .flight_recorder(false)
             .build()
             .unwrap();
         assert_eq!(session.config().threads, 2);
-        assert!(session.config().memoize_oracle && !session.config().flight_recorder);
+        assert!(!session.config().flight_recorder);
 
         let err = SearchSession::builder(TypeCheckOracle::new()).threads(0).build();
         assert!(matches!(err, Err(ConfigError::ZeroThreads)));

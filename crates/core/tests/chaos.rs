@@ -6,7 +6,10 @@
 //! absorb every injection: finish, rank best-so-far suggestions, report
 //! `Completion::Degraded` with an exact fault count, and keep the probe
 //! accounting identity `oracle_calls + memo_hits + probe_faults`
-//! constant across thread counts. Cancellation and deadlines degrade the
+//! constant across thread counts. A sequential search keeps no memo, so
+//! it faults on every repeat of a faulting variant that a parallel
+//! search's engine memo answers; the two fault counts differ by exactly
+//! those cached, faulted probes. Cancellation and deadlines degrade the
 //! same way: cooperative stop, best-so-far payload, honest completion.
 
 //! Since the checkpointed incremental oracle landed, the whole suite is
@@ -18,6 +21,7 @@
 //! (The C++ prototype's chaos loop is untouched by this: the
 //! checkpointed oracle is Caml-only.)
 
+use seminal_core::obs::{EventKind, TraceRecord};
 use seminal_core::{Completion, SearchConfig, SearchReport, SearchSession};
 use seminal_ml::parser::parse_program;
 use seminal_typeck::{ChaosConfig, ChaosOracle, CheckpointedOracle, TypeCheckOracle};
@@ -89,7 +93,23 @@ fn run_chaotic_mode(src: &str, seed: u64, threads: usize, incremental: bool) -> 
         CheckpointedOracle::with_enabled(incremental),
         ChaosConfig::panics(seed, PANIC_PER_MILLE),
     );
-    SearchSession::builder(oracle).threads(threads).memoize(true).build().unwrap().search(&prog)
+    let config = SearchConfig { collect_trace: true, threads, ..SearchConfig::default() };
+    SearchSession::builder(oracle).config(config).build().unwrap().search(&prog)
+}
+
+/// Probes the engine's memo answered with a faulted verdict: a
+/// sequential search (no memo) probes each of them again, and faults.
+fn faulted_memo_hits(report: &SearchReport) -> u64 {
+    let faulted_hit = |rec: &&TraceRecord| {
+        matches!(
+            rec,
+            TraceRecord::Event {
+                kind: EventKind::OracleProbe { cached: true, faulted: true, .. },
+                ..
+            }
+        )
+    };
+    report.records.iter().filter(faulted_hit).count() as u64
 }
 
 /// The user-visible payload: every suggestion in rank order.
@@ -145,9 +165,16 @@ fn chaotic_payloads_and_completion_are_identical_across_thread_counts() {
                      chaotic payload changed at {threads} threads"
                 );
                 assert_eq!(
-                    base.completion, par.completion,
+                    base.completion.tag(),
+                    par.completion.tag(),
                     "{name} (incremental={incremental}): \
                      completion changed at {threads} threads"
+                );
+                assert_eq!(
+                    base.stats.probe_faults,
+                    par.stats.probe_faults + faulted_memo_hits(&par),
+                    "{name} (incremental={incremental}): at {threads} threads the faults \
+                     and faulted memo hits do not add up to the sequential faults"
                 );
             }
         }
@@ -302,5 +329,5 @@ fn budget_exhaustion_still_reports_through_completion() {
         .unwrap()
         .search(&prog);
     assert_eq!(report.completion, Completion::BudgetExhausted);
-    assert!(report.stats.budget_exhausted, "legacy flag mirrors the completion");
+    assert_eq!(report.metrics.counter("budget_exhausted"), 1);
 }

@@ -8,7 +8,7 @@
 //! * the raw oracle sees exactly `oracle_calls + engine.speculative_waste`
 //!   calls when the engine is on.
 
-use seminal_core::obs::check_invariants;
+use seminal_core::obs::{check_invariants, EventKind, TraceRecord};
 use seminal_core::{Outcome, SearchConfig, SearchReport, SearchSession};
 use seminal_ml::parser::parse_program;
 use seminal_typeck::{ChaosConfig, ChaosOracle, CountingOracle, TypeCheckOracle};
@@ -260,26 +260,39 @@ fn determinism_survives_seeded_fault_injection() {
     // keyed by program text, so the same variants fault at every thread
     // count, and payloads, completion status, and the full probe
     // accounting (`oracle_calls + memo_hits + probe_faults`) must all
-    // reconcile exactly.
+    // reconcile exactly. The sequential search keeps no memo, so each
+    // faulted verdict the engine's memo serves is one more fault there.
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
+    let faulted_hit = |rec: &&TraceRecord| {
+        matches!(
+            rec,
+            TraceRecord::Event {
+                kind: EventKind::OracleProbe { cached: true, faulted: true, .. },
+                ..
+            }
+        )
+    };
     for (name, src) in SCENARIOS {
         let prog = parse_program(src).unwrap();
         let run = |threads: usize| {
             let oracle = ChaosOracle::new(TypeCheckOracle::new(), ChaosConfig::panics(1729, 100));
-            SearchSession::builder(oracle)
-                .threads(threads)
-                .memoize(true)
-                .build()
-                .unwrap()
-                .search(&prog)
+            let config = SearchConfig { collect_trace: true, threads, ..SearchConfig::default() };
+            SearchSession::builder(oracle).config(config).build().unwrap().search(&prog)
         };
         let base = run(1);
         let logical = base.stats.oracle_calls + base.stats.memo_hits + base.stats.probe_faults;
         for threads in [2, 8] {
             let par = run(threads);
             assert_eq!(payload(&base), payload(&par), "{name}: payload at {threads} threads");
-            assert_eq!(base.completion, par.completion, "{name}: completion at {threads} threads");
+            let (kind, par_kind) = (base.completion.tag(), par.completion.tag());
+            assert_eq!(kind, par_kind, "{name}: completion at {threads} threads");
+            let faulted_hits = par.records.iter().filter(faulted_hit).count() as u64;
+            assert_eq!(
+                base.stats.probe_faults,
+                par.stats.probe_faults + faulted_hits,
+                "{name}: faults at {threads} threads"
+            );
             assert_eq!(
                 par.stats.oracle_calls + par.stats.memo_hits + par.stats.probe_faults,
                 logical,

@@ -2,7 +2,7 @@
 //! system's core soundness invariant (all suggested variants type-check).
 
 use seminal_core::obs::{EventKind, TraceRecord};
-use seminal_core::{message, ChangeKind, Outcome, SearchConfig, SearchSession};
+use seminal_core::{message, ChangeKind, Completion, Outcome, SearchConfig, SearchSession};
 use seminal_ml::parser::parse_program;
 use seminal_typeck::{check_program, CountingOracle, TypeCheckOracle};
 
@@ -295,7 +295,7 @@ fn oracle_calls_are_counted_and_bounded() {
 fn tiny_budget_degrades_gracefully() {
     let cfg = SearchConfig { max_oracle_calls: 3, ..SearchConfig::default() };
     let report = search_cfg(FIGURE2, cfg);
-    assert!(report.stats.budget_exhausted || report.suggestions().len() <= 3);
+    assert!(report.completion == Completion::BudgetExhausted || report.suggestions().len() <= 3);
 }
 
 #[test]
@@ -384,30 +384,6 @@ fn search_is_deterministic() {
     };
     assert_eq!(keys(&a), keys(&b));
     assert_eq!(a.stats.oracle_calls, b.stats.oracle_calls);
-}
-
-#[test]
-fn memoized_search_gives_identical_results_with_fewer_calls() {
-    let cfg = SearchConfig { memoize_oracle: true, ..SearchConfig::default() };
-    let plain = search(FIGURE2);
-    let memo = search_cfg(FIGURE2, cfg);
-    let keys = |r: &seminal_core::SearchReport| {
-        r.suggestions()
-            .iter()
-            .map(|s| (s.original_str.clone(), s.replacement_str.clone()))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(keys(&plain), keys(&memo), "memoization must not change results");
-    assert!(
-        memo.stats.oracle_calls + memo.stats.memo_hits >= plain.stats.oracle_calls,
-        "probe count accounting"
-    );
-    assert!(
-        memo.stats.oracle_calls <= plain.stats.oracle_calls,
-        "memoized calls {} should not exceed plain {}",
-        memo.stats.oracle_calls,
-        plain.stats.oracle_calls
-    );
 }
 
 #[test]

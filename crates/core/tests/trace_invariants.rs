@@ -29,8 +29,8 @@ const WORKED_EXAMPLES: [&str; 3] = [FIGURE2, FIGURE8, MULTI_ERROR];
 fn traced(src: &str, cfg: SearchConfig) -> seminal_core::SearchReport {
     let prog = parse_program(src).unwrap_or_else(|e| panic!("parse: {e}"));
     // threads(1): these tests pin the *sequential* reconciliation rules
-    // (e.g. zero cached probes without memoize_oracle), which the parallel
-    // engine's shared memo deliberately changes. The determinism suite
+    // (e.g. zero cached probes: a sequential search keeps no memo), which
+    // the parallel engine's shared memo deliberately changes. The determinism suite
     // covers the engine's own reconciliation at several thread counts.
     let cfg = SearchConfig { collect_trace: true, threads: 1, ..cfg };
     SearchSession::builder(TypeCheckOracle::new()).config(cfg).build().unwrap().search(&prog)
@@ -91,21 +91,29 @@ fn probe_events_reconcile_exactly_with_search_stats() {
             uncached, report.stats.oracle_calls,
             "uncached probe events == oracle_calls on {src:?}"
         );
-        assert_eq!(cached, 0, "no cache without memoize_oracle");
+        assert_eq!(cached, 0, "a sequential search keeps no memo");
         assert_eq!(report.metrics.counter("oracle_calls"), report.stats.oracle_calls);
     }
 }
 
 #[test]
 fn cached_probe_events_reconcile_with_memo_hits() {
-    let cfg = SearchConfig { memoize_oracle: true, ..SearchConfig::default() };
+    // At two threads the engine's memo answers repeated variants: each
+    // such probe is a cached event and a memo hit, every other one an
+    // uncached event and an oracle call.
+    let mut hits = 0;
     for src in WORKED_EXAMPLES {
-        let report = traced(src, cfg.clone());
+        let prog = parse_program(src).unwrap();
+        let cfg = SearchConfig { collect_trace: true, threads: 2, ..SearchConfig::default() };
+        let session = SearchSession::builder(TypeCheckOracle::new()).config(cfg).build().unwrap();
+        let report = session.search(&prog);
         let (uncached, cached) = probe_counts(&report.records);
         assert_eq!(uncached, report.stats.oracle_calls, "uncached == oracle_calls on {src:?}");
         assert_eq!(cached, report.stats.memo_hits, "cached == memo_hits on {src:?}");
         assert_eq!(report.metrics.counter("memo_hits"), report.stats.memo_hits);
+        hits += report.stats.memo_hits;
     }
+    assert!(hits > 0, "no memo hit on any example: nothing was reconciled");
 }
 
 #[test]
@@ -154,4 +162,55 @@ fn metrics_snapshot_round_trips_through_the_strict_schema() {
         .expect("searcher-produced snapshots are schema-valid");
     assert_eq!(back, report.metrics);
     assert!(report.metrics.counter("probes.removal") > 0, "per-family counters populated");
+}
+
+/// `rec` with its timestamp and probe latency zeroed: the parts of a
+/// record that differ between two runs of the same search.
+fn untimed(rec: &TraceRecord) -> TraceRecord {
+    let mut rec = rec.clone();
+    match &mut rec {
+        TraceRecord::Open { at_ns, .. } | TraceRecord::Close { at_ns, .. } => *at_ns = 0,
+        TraceRecord::Event { kind, at_ns, .. } => {
+            *at_ns = 0;
+            if let EventKind::OracleProbe { latency_ns, .. }
+            | EventKind::SpeculativeProbe { latency_ns, .. } = kind
+            {
+                *latency_ns = 0;
+            }
+        }
+    }
+    rec
+}
+
+#[test]
+fn crash_tail_is_the_end_of_the_captured_trace() {
+    // Unbounded, this sample makes 3,182 oracle calls; a cap of 2,000
+    // stops it after far more than a crash tail's worth of records.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../samples/deadline_stress.ml");
+    let prog = parse_program(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let run = |collect_trace| {
+        let cfg = SearchConfig {
+            max_oracle_calls: 2000,
+            collect_trace,
+            threads: 1,
+            deadline: None,
+            ..SearchConfig::default()
+        };
+        SearchSession::builder(TypeCheckOracle::new()).config(cfg).build().unwrap().search(&prog)
+    };
+
+    let captured = run(true);
+    assert_eq!(captured.completion, seminal_core::Completion::BudgetExhausted);
+    let crash = captured.crash.as_ref().expect("a budget stop writes a crash report");
+    let all = &captured.records;
+    assert!(all.len() > crash.records.len(), "the search outran the crash tail");
+    assert_eq!(crash.records[..], all[all.len() - crash.records.len()..]);
+    assert_eq!(crash.records_dropped + crash.records.len() as u64, all.len() as u64);
+
+    let uncaptured = run(false);
+    assert!(uncaptured.records.is_empty(), "collect_trace off: nothing in the report");
+    let ring = uncaptured.crash.as_ref().expect("the ring runs without capture too");
+    assert_eq!(ring.records_dropped, crash.records_dropped);
+    let untimed_tail = |records: &[TraceRecord]| records.iter().map(untimed).collect::<Vec<_>>();
+    assert_eq!(untimed_tail(&ring.records), untimed_tail(&crash.records));
 }

@@ -30,7 +30,7 @@ pub use ast::{CExpr, CExprKind, CFn, CId, CProgram, CStmt, CStmtKind};
 pub use check::{check, CppError};
 pub use parser::{parse_cpp, CppParseError};
 pub use search::{
-    search_cpp, CppChangeKind, CppChaos, CppConfigError, CppReport, CppSearchSession,
-    CppSearchSessionBuilder, CppSuggestion,
+    search_cpp, CppChangeKind, CppChaos, CppReport, CppSearchSession, CppSearchSessionBuilder,
+    CppSuggestion,
 };
 pub use types::CType;

@@ -27,6 +27,7 @@
 use crate::ast::*;
 use crate::check::{check, CppError};
 use crate::edit::{remove_stmt, replace_expr, replace_stmt};
+use seminal_core::{ConfigError, SearchConfig};
 use seminal_ml::span::Span;
 use seminal_obs::{
     Completion, EventKind, Histogram, MetricsSnapshot, ProbeKind, SpanKind, SrcSpan, TraceSink,
@@ -217,28 +218,6 @@ impl ProbeCtx<'_> {
     }
 }
 
-/// A rejected [`CppSearchSession`] configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CppConfigError {
-    /// `threads` must be at least 1 (1 = the sequential search).
-    ZeroThreads,
-    /// `deadline` must be a positive duration when set.
-    ZeroDeadline,
-}
-
-impl fmt::Display for CppConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CppConfigError::ZeroThreads => write!(f, "`threads` must be >= 1 (1 = sequential)"),
-            CppConfigError::ZeroDeadline => {
-                write!(f, "`deadline` must be a positive duration when set")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CppConfigError {}
-
 /// Deterministic fault injection for the C++ searcher's chaos tests.
 ///
 /// The C++ checker is built in (no oracle object to wrap), so injection
@@ -292,8 +271,8 @@ impl fmt::Debug for CppSearchSession {
 }
 
 impl CppSearchSession {
-    /// Starts a builder with the sequential default (or the
-    /// `SEMINAL_THREADS` environment default, like the ML engine).
+    /// Starts a builder with the ML search's default thread count (1,
+    /// or `SEMINAL_THREADS`) and no deadline.
     pub fn builder() -> CppSearchSessionBuilder {
         CppSearchSessionBuilder {
             threads: default_threads(),
@@ -376,14 +355,14 @@ impl CppSearchSessionBuilder {
     ///
     /// # Errors
     ///
-    /// [`CppConfigError::ZeroThreads`] when `threads == 0`;
-    /// [`CppConfigError::ZeroDeadline`] when `deadline == Some(0)`.
-    pub fn build(self) -> Result<CppSearchSession, CppConfigError> {
+    /// [`ConfigError::ZeroThreads`] when `threads == 0`;
+    /// [`ConfigError::ZeroDeadline`] when `deadline == Some(0)`.
+    pub fn build(self) -> Result<CppSearchSession, ConfigError> {
         if self.threads == 0 {
-            return Err(CppConfigError::ZeroThreads);
+            return Err(ConfigError::ZeroThreads);
         }
         if self.deadline == Some(Duration::ZERO) {
-            return Err(CppConfigError::ZeroDeadline);
+            return Err(ConfigError::ZeroDeadline);
         }
         Ok(CppSearchSession {
             threads: self.threads,
@@ -394,17 +373,11 @@ impl CppSearchSessionBuilder {
     }
 }
 
-/// Default thread count: `SEMINAL_THREADS` when set to a positive
-/// integer, else 1 (sequential). Read once per process.
+/// Default thread count: the ML search's, which honours
+/// `SEMINAL_THREADS`. Only the thread count is taken: the C++ search has
+/// no default deadline.
 fn default_threads() -> usize {
-    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THREADS.get_or_init(|| {
-        std::env::var("SEMINAL_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(1)
-    })
+    SearchConfig::default().threads
 }
 
 /// Runs the C++ search with the default session; to attach trace sinks,

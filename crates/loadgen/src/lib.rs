@@ -24,4 +24,4 @@ pub mod bench;
 pub mod replay;
 
 pub use bench::{bench_serve_json, percentile, BENCH_SERVE_SCHEMA};
-pub use replay::{replay, run_self_hosted, LoadConfig, LoadReport, ServerTuning};
+pub use replay::{replay, run_self_hosted, LoadConfig, LoadReport};

@@ -70,30 +70,6 @@ impl Default for LoadConfig {
     }
 }
 
-/// Server knobs for the self-hosted mode.
-#[derive(Debug, Clone)]
-pub struct ServerTuning {
-    /// Cross-request memo capacity.
-    pub memo_capacity: usize,
-    /// Admission-gate concurrency (`--max-inflight`).
-    pub max_inflight: usize,
-    /// Connection cap (`--max-connections`).
-    pub max_connections: usize,
-    /// Graceful-drain budget (`--drain-ms`).
-    pub drain_ms: u64,
-}
-
-impl Default for ServerTuning {
-    fn default() -> ServerTuning {
-        ServerTuning {
-            memo_capacity: seminal_serve::ServerConfig::default().memo_capacity,
-            max_inflight: seminal_serve::DEFAULT_MAX_INFLIGHT,
-            max_connections: 64,
-            drain_ms: 2_000,
-        }
-    }
-}
-
 /// One client's tally.
 #[derive(Debug, Clone, Default)]
 struct ClientTally {
@@ -411,7 +387,11 @@ fn send_shutdown_best_effort(addr: &str) {
 ///
 /// Bind/transport failures from either side, or a server thread that
 /// panicked.
-pub fn run_self_hosted(cfg: &LoadConfig, tuning: &ServerTuning) -> std::io::Result<LoadReport> {
+pub fn run_self_hosted(
+    cfg: &LoadConfig,
+    server: ServerConfig,
+    options: &ServeOptions,
+) -> std::io::Result<LoadReport> {
     // The server runs in this process, so injected chaos panics would
     // flood stderr through the default hook; silence it for the run,
     // same as the fuzz harness (the panics are isolated by the
@@ -421,30 +401,23 @@ pub fn run_self_hosted(cfg: &LoadConfig, tuning: &ServerTuning) -> std::io::Resu
     if quiet {
         std::panic::set_hook(Box::new(|_| {}));
     }
-    let report = run_self_hosted_inner(cfg, tuning);
+    let report = run_self_hosted_inner(cfg, server, options);
     if let Some(prev) = prev {
         std::panic::set_hook(prev);
     }
     report
 }
 
-fn run_self_hosted_inner(cfg: &LoadConfig, tuning: &ServerTuning) -> std::io::Result<LoadReport> {
+fn run_self_hosted_inner(
+    cfg: &LoadConfig,
+    server: ServerConfig,
+    options: &ServeOptions,
+) -> std::io::Result<LoadReport> {
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?.to_string();
-    let state = ServerState::with_config(ServerConfig {
-        memo_capacity: tuning.memo_capacity,
-        overload: seminal_serve::OverloadPolicy {
-            max_inflight: tuning.max_inflight,
-            ..seminal_serve::OverloadPolicy::default()
-        },
-    });
-    let options = ServeOptions {
-        max_connections: tuning.max_connections,
-        drain_ms: tuning.drain_ms,
-        ..ServeOptions::default()
-    };
+    let state = ServerState::with_config(server);
     std::thread::scope(|scope| {
-        let server = scope.spawn(|| serve_tcp(&state, &options, &listener));
+        let server = scope.spawn(|| serve_tcp(&state, options, &listener));
         let report = replay(&addr, cfg, true);
         if report.is_err() {
             send_shutdown_best_effort(&addr);
@@ -464,6 +437,13 @@ fn run_self_hosted_inner(cfg: &LoadConfig, tuning: &ServerTuning) -> std::io::Re
 mod tests {
     use super::*;
 
+    /// The default server with an admission gate of `max_inflight`.
+    fn gate(max_inflight: usize) -> ServerConfig {
+        let mut server = ServerConfig::default();
+        server.overload.max_inflight = max_inflight;
+        server
+    }
+
     /// The happy-path contract: an unsaturated server answers every
     /// replayed request completely, the accounting identity holds on
     /// every response, and the server's own `requests_served` agrees
@@ -477,8 +457,8 @@ mod tests {
             deadline_ms: Some(10_000),
             ..LoadConfig::default()
         };
-        let tuning = ServerTuning { max_inflight: 8, ..ServerTuning::default() };
-        let report = run_self_hosted(&cfg, &tuning).expect("self-hosted replay");
+        let report =
+            run_self_hosted(&cfg, gate(8), &ServeOptions::default()).expect("self-hosted replay");
 
         assert!(report.requests > 0);
         assert_eq!(report.malformed, 0, "every response must parse");
@@ -519,8 +499,8 @@ mod tests {
             chaos_panic: 100,
             ..LoadConfig::default()
         };
-        let tuning = ServerTuning { max_inflight: 1, ..ServerTuning::default() };
-        let report = run_self_hosted(&cfg, &tuning).expect("self-hosted replay");
+        let report =
+            run_self_hosted(&cfg, gate(1), &ServeOptions::default()).expect("self-hosted replay");
 
         assert!(report.requests > 0);
         assert_eq!(report.malformed, 0, "saturation must not produce malformed responses");

@@ -126,7 +126,8 @@ struct Parser<'s> {
     tokens: Vec<Spanned>,
     pos: usize,
     /// Current nesting depth across the recursion chokepoints
-    /// (atoms, keyword forms, unary chains, patterns, type expressions).
+    /// (atoms, keyword forms, unary chains, patterns, list patterns,
+    /// `::` pattern tails, type expressions).
     depth: usize,
 }
 
@@ -473,11 +474,15 @@ impl<'s> Parser<'s> {
         Ok(Pat { id: prog.fresh_id(), span, kind: PatKind::Tuple(parts) })
     }
 
+    /// `p :: p :: …`: each `::` nests its tail one level deeper, so each
+    /// counts against [`MAX_DEPTH`].
     fn pat_cons(&mut self, prog: &mut Program) -> Result<Pat, ParseError> {
         let start = self.span();
         let head = self.pat_ctor(prog)?;
         if self.eat(Token::ColonColon) {
+            self.enter()?;
             let tail = self.pat_cons(prog)?;
+            self.depth -= 1;
             let span = start.merge(tail.span);
             Ok(Pat {
                 id: prog.fresh_id(),
@@ -558,6 +563,7 @@ impl<'s> Parser<'s> {
             }
             Token::LBracket => {
                 self.bump();
+                self.enter()?;
                 let mut parts = Vec::new();
                 if !self.at(Token::RBracket) {
                     loop {
@@ -567,6 +573,7 @@ impl<'s> Parser<'s> {
                         }
                     }
                 }
+                self.depth -= 1;
                 self.expect(Token::RBracket)?;
                 PatKind::List(parts)
             }

@@ -151,6 +151,18 @@ const NESTING: &[Nesting] = &[
         first_rejected: 63,
         span: (71, 72),
     },
+    Nesting {
+        name: "list patterns",
+        source: |k| format!("let f {}x{} = 1", "[".repeat(k), "]".repeat(k)),
+        first_rejected: 65,
+        span: (71, 72),
+    },
+    Nesting {
+        name: "cons patterns",
+        source: |k| format!("let f l = match l with {}[] -> 1 | _ -> 2", "x :: ".repeat(k)),
+        first_rejected: 62,
+        span: (334, 335),
+    },
 ];
 
 #[test]

@@ -4,8 +4,8 @@
 //! A [`CrashReport`] bundles everything needed to reconstruct a failed
 //! or degraded search after the fact: why it was written (`reason`),
 //! how the search completed, how many probes faulted, the final
-//! metrics snapshot, and the tail of the trace stream preserved by the
-//! [`crate::flight::FlightRecorder`]. The JSON encoding carries the
+//! metrics snapshot, and the tail of the trace stream the search's
+//! [`crate::MemorySink`] ring preserved. The JSON encoding carries the
 //! [`SCHEMA`] tag and the decoder rejects unknown fields, mirroring the
 //! metrics-snapshot contract, so `seminal crash show` either replays an
 //! artifact exactly or fails loudly.
@@ -38,8 +38,8 @@ pub struct CrashReport {
     pub probe_faults: u64,
     /// Probe threads the search ran with.
     pub threads: u64,
-    /// Trace records older than the flight-recorder tail that were
-    /// overwritten before the dump.
+    /// Trace records the search wrote before the tail (overwritten in
+    /// its ring, or older than the tail's length).
     pub records_dropped: u64,
     /// The surviving trace tail, oldest first.
     pub records: Vec<TraceRecord>,

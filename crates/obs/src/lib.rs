@@ -12,10 +12,9 @@
 //! * [`metrics`] — a registry of counters and power-of-two latency
 //!   histograms with a stable, schema-versioned JSON snapshot
 //!   ([`metrics::SCHEMA`]) whose decoder rejects unknown fields;
-//! * [`flight`] — the always-on flight recorder: a lock-cheap
-//!   fixed-capacity ring of the most recent trace records;
-//! * [`crash`] — versioned crash reports bundling the flight-recorder
-//!   tail with the final metrics snapshot for post-mortem replay;
+//! * [`crash`] — versioned crash reports bundling the tail of a
+//!   search's trace ring ([`MemorySink`]) with the final metrics snapshot
+//!   for post-mortem replay;
 //! * [`chrome`] — renders a captured trace as a Chrome `trace_event`
 //!   document (one track per worker) for `chrome://tracing`/Perfetto;
 //! * [`baseline`] — the perf-trend gate comparing a snapshot against a
@@ -39,7 +38,6 @@ pub mod baseline;
 pub mod chrome;
 pub mod completion;
 pub mod crash;
-pub mod flight;
 pub mod hash;
 pub mod json;
 pub mod metrics;
@@ -50,7 +48,6 @@ pub use baseline::{extract_snapshot, regressions, Tolerance};
 pub use chrome::chrome_trace;
 pub use completion::Completion;
 pub use crash::CrashReport;
-pub use flight::FlightRecorder;
 pub use hash::fnv1a;
 pub use json::{parse as parse_json, Json, JsonError};
 pub use metrics::{keys, Histogram, MetricsRegistry, MetricsSnapshot, SCHEMA};

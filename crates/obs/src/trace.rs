@@ -9,7 +9,8 @@
 //! [`TraceSink`]:
 //!
 //! * [`MemorySink`] — bounded in-memory ring buffer (what powers the
-//!   report's captured record stream and the CLI's `--trace`/`--profile`);
+//!   report's captured record stream, the CLI's `--trace`/`--profile` and
+//!   the crash report's record tail);
 //! * [`JsonlSink`] — one JSON document per record, for offline analysis;
 //! * [`NullSink`] — swallows everything (useful as an explicit default).
 //!
@@ -574,25 +575,35 @@ impl TraceSink for NullSink {
 
 /// Bounded in-memory ring buffer: keeps the most recent `capacity`
 /// records, dropping the oldest (and counting the drops) on overflow.
+///
+/// A search attaches one: its contents are both the report's captured
+/// trace and, when the run ends abnormally, the record tail of its
+/// [`crate::CrashReport`]. Recording is one short mutex hold, one clone
+/// and one push (plus one pop once full). Storage is reserved at
+/// construction and never resized, and a slot is written only when a
+/// record arrives, so the slots a search never fills are never touched.
 #[derive(Debug)]
 pub struct MemorySink {
     capacity: usize,
     state: Mutex<MemoryState>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct MemoryState {
     buf: VecDeque<TraceRecord>,
     dropped: u64,
 }
 
 impl MemorySink {
-    /// A ring buffer holding at most `capacity` records.
+    /// A ring buffer holding at most `capacity` records (`capacity` is
+    /// clamped to at least 1).
     pub fn new(capacity: usize) -> MemorySink {
-        MemorySink { capacity: capacity.max(1), state: Mutex::new(MemoryState::default()) }
+        let capacity = capacity.max(1);
+        let state = MemoryState { buf: VecDeque::with_capacity(capacity), dropped: 0 };
+        MemorySink { capacity, state: Mutex::new(state) }
     }
 
-    /// Takes the buffered records, leaving the sink empty.
+    /// Takes the buffered records (oldest first), leaving the sink empty.
     pub fn drain(&self) -> Vec<TraceRecord> {
         let mut state = self.state.lock().expect("memory sink poisoned");
         state.buf.drain(..).collect()
@@ -1069,17 +1080,73 @@ mod tests {
         check_invariants(&records).unwrap();
     }
 
+    fn rec(i: u64) -> TraceRecord {
+        close(i, 0, i)
+    }
+
     #[test]
-    fn ring_buffer_drops_oldest() {
-        let sink = MemorySink::new(2);
-        for i in 0..5u64 {
-            sink.record(&TraceRecord::Close { id: i, thread: 0, at_ns: i });
+    fn ring_buffer_keeps_the_newest_records_oldest_first() {
+        let ring = MemorySink::new(3);
+        assert!(ring.records().is_empty());
+        assert_eq!(ring.dropped(), 0);
+        for i in 0..5 {
+            ring.record(&rec(i));
         }
-        assert_eq!(sink.dropped(), 3);
-        let kept = sink.records();
-        assert_eq!(kept.len(), 2);
-        assert_eq!(kept[0], TraceRecord::Close { id: 3, thread: 0, at_ns: 3 });
-        assert_eq!(kept[1], TraceRecord::Close { id: 4, thread: 0, at_ns: 4 });
+        assert_eq!(ring.records(), vec![rec(2), rec(3), rec(4)]);
+        assert_eq!(ring.dropped(), 2);
+        // Reading is non-destructive; draining empties the ring but
+        // keeps the drop count.
+        assert_eq!(ring.records().len(), 3);
+        assert_eq!(ring.drain(), vec![rec(2), rec(3), rec(4)]);
+        assert!(ring.records().is_empty());
+        assert_eq!(ring.dropped(), 2);
+    }
+
+    #[test]
+    fn partly_filled_ring_holds_a_plain_prefix() {
+        let ring = MemorySink::new(8);
+        ring.record(&rec(1));
+        ring.record(&rec(2));
+        assert_eq!(ring.records(), vec![rec(1), rec(2)]);
+        assert_eq!(ring.dropped(), 0);
+    }
+
+    #[test]
+    fn zero_capacity_is_clamped_to_one() {
+        let ring = MemorySink::new(0);
+        ring.record(&rec(1));
+        ring.record(&rec(2));
+        assert_eq!(ring.records(), vec![rec(2)]);
+        assert_eq!(ring.dropped(), 1);
+    }
+
+    #[test]
+    fn records_from_many_threads_are_all_counted() {
+        let ring = Arc::new(MemorySink::new(20));
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let ring = Arc::clone(&ring);
+                scope.spawn(move || {
+                    for i in 0..8 {
+                        ring.record(&rec(t * 100 + i));
+                    }
+                });
+            }
+        });
+        let kept = ring.records();
+        assert_eq!(kept.len(), 20);
+        assert_eq!(ring.dropped(), 12, "every record is either kept or counted");
+        // Each writer's own records stay in the order it wrote them.
+        for t in 0..4u64 {
+            let ids: Vec<u64> = kept
+                .iter()
+                .filter_map(|r| match r {
+                    TraceRecord::Close { id, .. } if id / 100 == t => Some(*id),
+                    _ => None,
+                })
+                .collect();
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "thread {t}: {ids:?}");
+        }
     }
 
     #[test]

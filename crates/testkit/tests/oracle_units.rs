@@ -12,7 +12,7 @@ use seminal_core::{Outcome, SearchConfig, SearchReport, SearchSession};
 use seminal_ml::ast::{Expr, Program};
 use seminal_ml::edit;
 use seminal_ml::parser::parse_program;
-use seminal_obs::Completion;
+use seminal_obs::{Completion, EventKind, ProbeKind, SrcSpan, TraceRecord};
 use seminal_testkit::oracles::{
     blame_agreement, completion_consistency, incremental_scratch_identity, outcome_agreement,
     pretty_roundtrip, probe_accounting, suggestion_revalidates, thread_identity,
@@ -29,7 +29,6 @@ fn real_report(src: &str) -> (Program, SearchReport) {
     let report = SearchSession::builder(TypeCheckOracle::new())
         .config(config)
         .threads(1)
-        .memoize(true)
         .build()
         .expect("config is valid")
         .search(&prog);
@@ -100,6 +99,33 @@ fn thread_identity_rejects_payload_and_completion_divergence() {
     let v = thread_identity(&base, &par, 4).expect("completion divergence must be caught");
     assert_eq!(v.invariant, INV_THREAD_IDENTITY);
     assert!(v.detail.contains("completion"), "detail blames completion: {}", v.detail);
+
+    // A sequential run faults again where the engine's memo answered a
+    // repeat with a fault: such a cached, faulted probe in the parallel
+    // run's trace counts as one of its faults, and nothing else does.
+    let mut seq = base.clone();
+    seq.completion = Completion::Degraded { faults: 3 };
+    let mut par = base.clone();
+    par.completion = Completion::Degraded { faults: 2 };
+    assert!(thread_identity(&seq, &par, 4).is_some(), "a missing fault must be caught");
+    let probe = |cached| TraceRecord::Event {
+        parent: 1,
+        kind: EventKind::OracleProbe {
+            probe: ProbeKind::Removal,
+            target: String::new(),
+            span: SrcSpan::EMPTY,
+            outcome: false,
+            cached,
+            faulted: true,
+            latency_ns: 0,
+        },
+        thread: 0,
+        at_ns: 0,
+    };
+    par.records = vec![probe(false)];
+    assert!(thread_identity(&seq, &par, 4).is_some(), "an uncached fault is already counted");
+    par.records = vec![probe(false), probe(true)];
+    assert!(thread_identity(&seq, &par, 4).is_none(), "a faulted memo hit is a sequential fault");
 }
 
 #[test]
@@ -181,11 +207,6 @@ fn completion_consistency_rejects_each_stat_contradiction() {
     let v = completion_consistency(&r).expect("Complete+faults must be caught");
     assert_eq!(v.invariant, INV_COMPLETION_CONSISTENCY);
 
-    // Complete, yet the budget flag is set.
-    let mut r = clean.clone();
-    r.stats.budget_exhausted = true;
-    assert!(completion_consistency(&r).is_some(), "Complete+budget must be caught");
-
     // Degraded must carry exactly the counted faults, and never zero.
     let mut r = clean.clone();
     r.completion = Completion::Degraded { faults: 0 };
@@ -199,10 +220,8 @@ fn completion_consistency_rejects_each_stat_contradiction() {
     r.stats.probe_faults = 2;
     assert!(completion_consistency(&r).is_none(), "a consistent Degraded passes");
 
-    // BudgetExhausted requires the stats flag.
+    // A bound's completion needs no stats to back it.
     let mut r = clean.clone();
     r.completion = Completion::BudgetExhausted;
-    assert!(completion_consistency(&r).is_some(), "BudgetExhausted without flag must be caught");
-    r.stats.budget_exhausted = true;
-    assert!(completion_consistency(&r).is_none(), "a consistent BudgetExhausted passes");
+    assert!(completion_consistency(&r).is_none(), "a fault-free BudgetExhausted passes");
 }

@@ -66,7 +66,7 @@
 
 use seminal::serve::{
     dispatch, dispatch_with, AnalyzeRequest, CheckRequest, DispatchHooks, Dispatched, Request,
-    Response, ServeOptions, ServerState, Status,
+    Response, ServeOptions, ServerConfig, ServerState, Status,
 };
 use seminal_obs::{
     chrome_trace, extract_snapshot, parse_json, profile, regressions, render_profile, CrashReport,
@@ -76,22 +76,14 @@ use std::io::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-/// The program found type errors (`check`, `analyze`, `cpp`) or the
-/// metrics file failed validation (`metrics-check`).
-const EXIT_TYPE_ERRORS: u8 = 1;
-/// Bad command line.
-const EXIT_USAGE: u8 = 2;
-/// The input file does not parse.
-const EXIT_PARSE: u8 = 3;
-/// A file could not be read or written.
-const EXIT_IO: u8 = 4;
-/// Type errors were found but the search degraded: it hit its deadline
-/// or oracle budget, was cancelled, or isolated probe faults, so the
-/// printed suggestions are best-so-far rather than exhaustive.
-const EXIT_DEGRADED: u8 = 5;
-// Exit 6 ("analyze: no rankable core") has no local constant: the
-// dispatch path derives it from `Status::NoCore` via the shared
-// `seminal::serve::EXIT_CODES` table.
+/// The process exit for `status`: every code comes from the one table,
+/// `seminal::serve::EXIT_CODES`, through [`Status::exit_code`]. Commands
+/// that do not dispatch a request reuse the statuses' meanings: type
+/// errors found (also an invalid metrics file or fuzz violations), a
+/// usage error, a parse error, an I/O error, a degraded search.
+fn exit(status: Status) -> ExitCode {
+    ExitCode::from(status.exit_code())
+}
 
 /// Options parsed from the command line.
 struct Opts {
@@ -536,7 +528,7 @@ fn usage() -> ExitCode {
          {}",
         seminal::serve::render_exit_table_help()
     );
-    ExitCode::from(EXIT_USAGE)
+    exit(Status::InvalidRequest)
 }
 
 /// `seminal check`: builds a `seminal-api/v1` request from the flags
@@ -547,7 +539,7 @@ fn check_file(path: &str, opts: &Opts) -> ExitCode {
         Ok(s) => s,
         Err(e) => {
             eprintln!("cannot read {path}: {e}");
-            return ExitCode::from(EXIT_IO);
+            return exit(Status::IoError);
         }
     };
     let request = Request::Check(CheckRequest {
@@ -575,7 +567,7 @@ fn check_file(path: &str, opts: &Opts) -> ExitCode {
             Ok(f) => hooks.sinks.push(Arc::new(JsonlSink::new(std::io::BufWriter::new(f)))),
             Err(e) => {
                 eprintln!("cannot write {out}: {e}");
-                return ExitCode::from(EXIT_IO);
+                return exit(Status::IoError);
             }
         }
     }
@@ -595,12 +587,12 @@ fn render_check(path: &str, source: &str, opts: &Opts, dispatched: Dispatched) -
                 Status::ParseError => eprintln!("{}", err.error),
                 _ => eprintln!("invalid configuration: {}", err.error),
             }
-            return ExitCode::from(err.status.exit_code());
+            return exit(err.status);
         }
         Response::Check(resp) => resp,
         other => {
             eprintln!("unexpected response type {:?}", other.kind());
-            return ExitCode::from(EXIT_IO);
+            return exit(Status::IoError);
         }
     };
     let report = dispatched.report.expect("a check response carries its report");
@@ -609,24 +601,24 @@ fn render_check(path: &str, source: &str, opts: &Opts, dispatched: Dispatched) -
         // cross-memo deltas): the PR 2 artifact contract.
         if let Err(e) = std::fs::write(out, report.metrics.to_json_string()) {
             eprintln!("cannot write {out}: {e}");
-            return ExitCode::from(EXIT_IO);
+            return exit(Status::IoError);
         }
     }
     if let Some(out) = &opts.trace_chrome {
         if let Err(e) = std::fs::write(out, chrome_trace(&report.records).to_string_pretty()) {
             eprintln!("cannot write {out}: {e}");
-            return ExitCode::from(EXIT_IO);
+            return exit(Status::IoError);
         }
     }
     if let (Some(dir), Some(crash)) = (&opts.crash_dir, &report.crash) {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create {dir}: {e}");
-            return ExitCode::from(EXIT_IO);
+            return exit(Status::IoError);
         }
         let file = std::path::Path::new(dir).join(crash.file_name());
         if let Err(e) = std::fs::write(&file, crash.to_json_string()) {
             eprintln!("cannot write {}: {e}", file.display());
-            return ExitCode::from(EXIT_IO);
+            return exit(Status::IoError);
         }
         eprintln!("crash report written to {}", file.display());
     }
@@ -660,7 +652,7 @@ fn render_check(path: &str, source: &str, opts: &Opts, dispatched: Dispatched) -
     if resp.status != Status::Ok && resp.status != Status::TypeErrors {
         eprintln!("search degraded: {} — suggestions are best-so-far", report.completion);
     }
-    ExitCode::from(resp.status.exit_code())
+    exit(resp.status)
 }
 
 /// Writes one report through a single locked stdout handle.
@@ -675,7 +667,7 @@ fn print_report(
     match write(&mut out).and_then(|()| out.flush()) {
         Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
             eprintln!("cannot write to stdout: {e}");
-            Err(ExitCode::from(EXIT_IO))
+            Err(exit(Status::IoError))
         }
         _ => Ok(()),
     }
@@ -766,7 +758,7 @@ fn analyze_file(path: &str, opts: &Opts) -> ExitCode {
         Ok(s) => s,
         Err(e) => {
             eprintln!("cannot read {path}: {e}");
-            return ExitCode::from(EXIT_IO);
+            return exit(Status::IoError);
         }
     };
     let request = Request::Analyze(AnalyzeRequest {
@@ -783,7 +775,7 @@ fn analyze_file(path: &str, opts: &Opts) -> ExitCode {
                 Status::ParseError => eprintln!("{}", err.error),
                 _ => eprintln!("invalid configuration: {}", err.error),
             }
-            ExitCode::from(err.status.exit_code())
+            exit(err.status)
         }
         Response::Analyze(resp) => {
             let printed = print_report(|out| match resp.status {
@@ -799,13 +791,34 @@ fn analyze_file(path: &str, opts: &Opts) -> ExitCode {
                     resp.backend.name()
                 );
             }
-            ExitCode::from(resp.status.exit_code())
+            exit(resp.status)
         }
         other => {
             eprintln!("unexpected response type {:?}", other.kind());
-            ExitCode::from(EXIT_IO)
+            exit(Status::IoError)
         }
     }
+}
+
+/// The server settings `serve` and self-hosted `loadgen` share: memo
+/// capacity, admission gate, connection cap and drain budget, each the
+/// library default unless its flag is given.
+fn server_settings(opts: &Opts) -> (ServerConfig, ServeOptions) {
+    let mut config = ServerConfig::default();
+    let mut options = ServeOptions::default();
+    if let Some(n) = opts.memo_capacity {
+        config.memo_capacity = n;
+    }
+    if let Some(n) = opts.max_inflight {
+        config.overload.max_inflight = n;
+    }
+    if let Some(n) = opts.max_connections {
+        options.max_connections = n;
+    }
+    if let Some(ms) = opts.drain_ms {
+        options.drain_ms = ms;
+    }
+    (config, options)
 }
 
 /// `seminal serve`: the long-lived daemon (or, with `--connect`, a
@@ -826,20 +839,12 @@ fn serve_cmd(opts: &Opts) -> ExitCode {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("forward to {addr} failed: {e}");
-                ExitCode::from(EXIT_IO)
+                exit(Status::IoError)
             }
         };
     }
-    let mut options = ServeOptions {
-        crash_dir: opts.crash_dir.as_ref().map(std::path::PathBuf::from),
-        ..ServeOptions::default()
-    };
-    if let Some(n) = opts.max_connections {
-        options.max_connections = n;
-    }
-    if let Some(ms) = opts.drain_ms {
-        options.drain_ms = ms;
-    }
+    let (config, mut options) = server_settings(opts);
+    options.crash_dir = opts.crash_dir.as_ref().map(std::path::PathBuf::from);
     if let Some(ms) = opts.idle_timeout_ms {
         // `--idle-timeout-ms 0` disables the idle disconnect.
         options.idle_timeout_ms = (ms > 0).then_some(ms);
@@ -849,16 +854,9 @@ fn serve_cmd(opts: &Opts) -> ExitCode {
             Ok(f) => options.sinks.push(Arc::new(JsonlSink::new(std::io::BufWriter::new(f)))),
             Err(e) => {
                 eprintln!("cannot write {out}: {e}");
-                return ExitCode::from(EXIT_IO);
+                return exit(Status::IoError);
             }
         }
-    }
-    let mut config = seminal::serve::ServerConfig::default();
-    if let Some(n) = opts.memo_capacity {
-        config.memo_capacity = n;
-    }
-    if let Some(n) = opts.max_inflight {
-        config.overload.max_inflight = n;
     }
     let state = ServerState::with_config(config);
     let served = if let Some(addr) = &opts.tcp {
@@ -866,7 +864,7 @@ fn serve_cmd(opts: &Opts) -> ExitCode {
             Ok(l) => l,
             Err(e) => {
                 eprintln!("cannot bind {addr}: {e}");
-                return ExitCode::from(EXIT_IO);
+                return exit(Status::IoError);
             }
         };
         match listener.local_addr() {
@@ -888,7 +886,7 @@ fn serve_cmd(opts: &Opts) -> ExitCode {
         }
         Err(e) => {
             eprintln!("serve transport error: {e}");
-            ExitCode::from(EXIT_IO)
+            exit(Status::IoError)
         }
     }
 }
@@ -902,7 +900,7 @@ fn serve_cmd(opts: &Opts) -> ExitCode {
 /// errored, or violated the probe-accounting identity. Shed and
 /// degraded responses are expected outcomes under load, not failures.
 fn loadgen_cmd(opts: &Opts) -> ExitCode {
-    use seminal::loadgen::{bench_serve_json, percentile, LoadConfig, ServerTuning};
+    use seminal::loadgen::{bench_serve_json, percentile, LoadConfig};
     let defaults = LoadConfig::default();
     // A bare `--chaos-share` still injects: fall back to the library's
     // flip/panic rates so the chaos slice is never a silent no-op.
@@ -926,26 +924,14 @@ fn loadgen_cmd(opts: &Opts) -> ExitCode {
     let report = if let Some(addr) = &opts.connect {
         seminal::loadgen::replay(addr, &cfg, false)
     } else {
-        let mut tuning = ServerTuning::default();
-        if let Some(n) = opts.memo_capacity {
-            tuning.memo_capacity = n;
-        }
-        if let Some(n) = opts.max_inflight {
-            tuning.max_inflight = n;
-        }
-        if let Some(n) = opts.max_connections {
-            tuning.max_connections = n;
-        }
-        if let Some(ms) = opts.drain_ms {
-            tuning.drain_ms = ms;
-        }
-        seminal::loadgen::run_self_hosted(&cfg, &tuning)
+        let (config, options) = server_settings(opts);
+        seminal::loadgen::run_self_hosted(&cfg, config, &options)
     };
     let report = match report {
         Ok(r) => r,
         Err(e) => {
             eprintln!("loadgen transport error: {e}");
-            return ExitCode::from(EXIT_IO);
+            return exit(Status::IoError);
         }
     };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
@@ -953,7 +939,7 @@ fn loadgen_cmd(opts: &Opts) -> ExitCode {
     if let Some(path) = &opts.out {
         if let Err(e) = std::fs::write(path, artifact + "\n") {
             eprintln!("cannot write {path}: {e}");
-            return ExitCode::from(EXIT_IO);
+            return exit(Status::IoError);
         }
         eprintln!("loadgen: wrote {path}");
     } else {
@@ -975,7 +961,7 @@ fn loadgen_cmd(opts: &Opts) -> ExitCode {
     );
     if report.malformed > 0 || report.errors > 0 || report.accounting_violations > 0 {
         eprintln!("loadgen: run violated the serving contract");
-        return ExitCode::from(EXIT_TYPE_ERRORS);
+        return exit(Status::TypeErrors);
     }
     ExitCode::SUCCESS
 }
@@ -992,7 +978,7 @@ fn metrics_check(path: &str, opts: &Opts) -> ExitCode {
         Ok(s) => s,
         Err(e) => {
             eprintln!("cannot read {path}: {e}");
-            return ExitCode::from(EXIT_IO);
+            return exit(Status::IoError);
         }
     };
     let snap = match load_snapshot(path, &text) {
@@ -1011,7 +997,7 @@ fn metrics_check(path: &str, opts: &Opts) -> ExitCode {
         Ok(s) => s,
         Err(e) => {
             eprintln!("cannot read {base_path}: {e}");
-            return ExitCode::from(EXIT_IO);
+            return exit(Status::IoError);
         }
     };
     let base = match load_snapshot(base_path, &base_text) {
@@ -1035,7 +1021,7 @@ fn metrics_check(path: &str, opts: &Opts) -> ExitCode {
         for f in &findings {
             eprintln!("  {f}");
         }
-        ExitCode::from(EXIT_TYPE_ERRORS)
+        exit(Status::TypeErrors)
     }
 }
 
@@ -1047,12 +1033,12 @@ fn load_snapshot(path: &str, text: &str) -> Result<MetricsSnapshot, ExitCode> {
         Ok(d) => d,
         Err(e) => {
             eprintln!("{path}: invalid metrics snapshot: {e}");
-            return Err(ExitCode::from(EXIT_TYPE_ERRORS));
+            return Err(exit(Status::TypeErrors));
         }
     };
     extract_snapshot(&doc).map_err(|e| {
         eprintln!("{path}: invalid metrics snapshot: {e}");
-        ExitCode::from(EXIT_TYPE_ERRORS)
+        exit(Status::TypeErrors)
     })
 }
 
@@ -1065,14 +1051,14 @@ fn crash_show(path: &str) -> ExitCode {
         Ok(s) => s,
         Err(e) => {
             eprintln!("cannot read {path}: {e}");
-            return ExitCode::from(EXIT_IO);
+            return exit(Status::IoError);
         }
     };
     let report = match CrashReport::from_json_str(&text) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("{path}: invalid crash report: {e}");
-            return ExitCode::from(EXIT_TYPE_ERRORS);
+            return exit(Status::TypeErrors);
         }
     };
     println!("crash report ({}):", seminal_obs::crash::SCHEMA);
@@ -1126,14 +1112,14 @@ fn check_cpp(path: &str, opts: &Opts) -> ExitCode {
         Ok(s) => s,
         Err(e) => {
             eprintln!("cannot read {path}: {e}");
-            return ExitCode::from(EXIT_IO);
+            return exit(Status::IoError);
         }
     };
     let prog = match seminal::cpp::parse_cpp(&source) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::from(EXIT_PARSE);
+            return exit(Status::ParseError);
         }
     };
     let mut builder = seminal::cpp::CppSearchSession::builder();
@@ -1147,7 +1133,7 @@ fn check_cpp(path: &str, opts: &Opts) -> ExitCode {
         Ok(s) => s,
         Err(e) => {
             eprintln!("invalid configuration: {e}");
-            return ExitCode::from(EXIT_USAGE);
+            return exit(Status::InvalidRequest);
         }
     };
     let report = session.search(&prog);
@@ -1164,10 +1150,10 @@ fn check_cpp(path: &str, opts: &Opts) -> ExitCode {
         println!("  {}", s.render());
     }
     if report.completion.is_complete() {
-        ExitCode::from(EXIT_TYPE_ERRORS)
+        exit(Status::TypeErrors)
     } else {
         eprintln!("search degraded: {} — suggestions are best-so-far", report.completion);
-        ExitCode::from(EXIT_DEGRADED)
+        exit(Status::Degraded)
     }
 }
 
@@ -1177,12 +1163,12 @@ fn fuzz_cmd(opts: &Opts) -> ExitCode {
     let threads = opts.threads.unwrap_or(2);
     if threads == 0 {
         eprintln!("invalid configuration: --threads must be at least 1");
-        return ExitCode::from(EXIT_USAGE);
+        return exit(Status::InvalidRequest);
     }
     let (rendered, ok, jsonl) = if opts.cpp {
         if opts.chaos_flip > 0 {
             eprintln!("invalid configuration: the C++ loop has no --chaos-flip (panics only)");
-            return ExitCode::from(EXIT_USAGE);
+            return exit(Status::InvalidRequest);
         }
         let cfg = CppFuzzConfig {
             threads,
@@ -1221,7 +1207,7 @@ fn fuzz_cmd(opts: &Opts) -> ExitCode {
         }
         if let Err(e) = std::fs::write(out, text) {
             eprintln!("cannot write {out}: {e}");
-            return ExitCode::from(EXIT_IO);
+            return exit(Status::IoError);
         }
     }
     if ok {
@@ -1230,7 +1216,7 @@ fn fuzz_cmd(opts: &Opts) -> ExitCode {
         for line in &jsonl {
             eprintln!("{line}");
         }
-        ExitCode::from(EXIT_TYPE_ERRORS)
+        exit(Status::TypeErrors)
     }
 }
 
@@ -1240,7 +1226,7 @@ fn demo() -> ExitCode {
     let state = ServerState::new();
     let Response::Check(resp) = dispatch(&state, &request).response else {
         eprintln!("figure 2 did not dispatch");
-        return ExitCode::from(EXIT_IO);
+        return exit(Status::IoError);
     };
     if let Some(baseline) = &resp.baseline {
         println!("Type-checker:\n{baseline}\n");

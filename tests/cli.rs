@@ -102,6 +102,24 @@ fn check_rejects_unparseable_file() {
 }
 
 #[test]
+fn deep_list_and_cons_patterns_are_parse_errors() {
+    let dir = std::env::temp_dir().join("seminal-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let levels = 100_000;
+    let list = format!("let f {}x{} = 1\n", "[".repeat(levels), "]".repeat(levels));
+    let cons = format!("let f l = match l with {}[] -> 1 | _ -> 2\n", "x :: ".repeat(levels));
+    for (name, source) in [("deep_list.ml", list), ("deep_cons.ml", cons)] {
+        let path = dir.join(name);
+        std::fs::write(&path, source).unwrap();
+        let out = seminal().arg("check").arg(&path).output().expect("run check");
+        std::fs::remove_file(&path).ok();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{name}: {stderr}");
+        assert!(stderr.contains("nesting exceeds the supported depth (64)"), "{name}: {stderr}");
+    }
+}
+
+#[test]
 fn check_reads_non_ascii_source_as_utf8() {
     let dir = std::env::temp_dir().join("seminal-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
@@ -172,6 +190,12 @@ fn top_flag_limits_suggestions() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("[1]"));
     assert!(!stdout.contains("[2]"));
+    // `--top 0` shows no suggestion, as it does for `analyze`.
+    let out = seminal().args(["check", "--top", "0"]).arg(&path).output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stdout.contains("Type-checker:"), "{stdout}");
+    assert!(!stdout.contains("[1]"), "{stdout}");
     std::fs::remove_file(&path).ok();
 }
 

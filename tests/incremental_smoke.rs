@@ -31,7 +31,6 @@ fn run(source: &str, incremental: bool) -> SearchReport {
     SearchSession::builder(CheckpointedOracle::with_enabled(incremental))
         .config(config)
         .threads(1)
-        .memoize(true)
         .build()
         .expect("config is valid")
         .search(&prog)
