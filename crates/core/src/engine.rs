@@ -21,15 +21,15 @@
 //! then steal from a victim's back) and probe each variant under its
 //! own panic guard. Prefetched entries the searcher never reads are
 //! counted as `engine.speculative_waste`; the accounting identity
-//! `CountingOracle::calls == oracle_calls + speculative_waste` (and
-//! `consumed probes + memo hits == logical queries`) is what the
+//! "calls that reached the oracle == `oracle_calls + speculative_waste`"
+//! (and `consumed probes + memo hits == logical queries`) is what the
 //! determinism suite reconciles. See DESIGN.md §10.
 
 use crate::budget::Budget;
 use crate::memo::VerdictMemo;
 use seminal_ml::ast::Program;
 use seminal_obs::{EventKind, SpanContext, SpanKind, TraceHandle, Tracer};
-use seminal_typeck::{guarded_probe, program_fingerprint, Oracle};
+use seminal_typeck::{guarded_probe, program_fingerprint, ChaosConfig, Oracle};
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -67,6 +67,9 @@ pub struct ProbeEngine<'o, O> {
     /// Trace fan-out for worker-side causal records (disabled by
     /// default; see [`ProbeEngine::with_trace`]).
     trace: TraceHandle,
+    /// Faults the workers' probe guards inject (see
+    /// [`ProbeEngine::with_chaos`]).
+    chaos: Option<ChaosConfig>,
 }
 
 impl<'o, O: Oracle> ProbeEngine<'o, O> {
@@ -83,6 +86,7 @@ impl<'o, O: Oracle> ProbeEngine<'o, O> {
             probe_faults: AtomicU64::new(0),
             halt: None,
             trace: TraceHandle::disabled(),
+            chaos: None,
         }
     }
 
@@ -99,6 +103,15 @@ impl<'o, O: Oracle> ProbeEngine<'o, O> {
     /// it runs.
     pub fn with_trace(mut self, trace: TraceHandle) -> ProbeEngine<'o, O> {
         self.trace = trace;
+        self
+    }
+
+    /// Injects `chaos` into every speculative probe, as the search's
+    /// own guards inject it into the probes it makes: the draws are
+    /// keyed by program text, so a variant faults the same whichever
+    /// side probes it.
+    pub fn with_chaos(mut self, chaos: Option<ChaosConfig>) -> ProbeEngine<'o, O> {
+        self.chaos = chaos;
         self
     }
 
@@ -248,7 +261,7 @@ impl<'o, O: Oracle> ProbeEngine<'o, O> {
         for i in indices {
             let (key, prog) = jobs[i];
             let clock = Instant::now();
-            let outcome = guarded_probe(self.oracle, prog);
+            let outcome = guarded_probe(self.oracle, prog, self.chaos.as_ref());
             let latency_ns = u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
             if outcome.faulted() {
                 self.probe_faults.fetch_add(1, Ordering::Relaxed);

@@ -17,6 +17,8 @@
 //! shown, always comes from the checker ([`Oracle::check`]); so a warm
 //! daemon answers a layout twin exactly like a cold one. Entries are
 //! fixed-size, so a bounded memo's capacity bounds its memory too.
+//! Injected faults (a search's `ChaosConfig`) never reach a memo: the
+//! search's probe guards inject them above it.
 //!
 //! [`program_fingerprint`]: seminal_typeck::program_fingerprint
 
@@ -217,7 +219,10 @@ impl VerdictMemo {
 /// outcome. [`Oracle::check`] (the baseline), typing and traces pass
 /// straight through, uncached and uncounted, so a baseline's message and
 /// location are always the request's own. A panicking inner oracle
-/// propagates uncached, so chaos never poisons a later request.
+/// propagates uncached. Injected faults never reach the wrapper: the
+/// search's guards inject them above it, so what it caches is always
+/// the inner oracle's real outcome, and a chaos request shares the memo
+/// with clean ones.
 ///
 /// The wrapper stays an [`Oracle`] on purpose: the search counts a probe
 /// the memo answered as an oracle call, so a served answer reports the

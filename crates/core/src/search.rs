@@ -48,8 +48,8 @@ use seminal_obs::{
     SpanKind, SrcSpan, TraceRecord, TraceSink, Tracer,
 };
 use seminal_typeck::{
-    guarded_check, guarded_probe, program_fingerprint, IncrementalStats, Oracle, ProbeOutcome,
-    TypeError,
+    guarded_check, guarded_probe, program_fingerprint, ChaosConfig, IncrementalStats, Oracle,
+    ProbeOutcome, TypeError,
 };
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -249,7 +249,8 @@ impl<O: Oracle> SearchSession<O> {
         let engine = if self.config.threads > 1 {
             Some(
                 ProbeEngine::with_halt(&self.oracle, self.config.threads, budget.clone())
-                    .with_trace(tracer.handle()),
+                    .with_trace(tracer.handle())
+                    .with_chaos(self.chaos),
             )
         } else {
             None
@@ -269,6 +270,7 @@ impl<O: Oracle> SearchSession<O> {
         let inc_before = self.oracle.incremental_stats();
         let mut run = Run {
             oracle: &self.oracle,
+            chaos: self.chaos.as_ref(),
             cfg: &self.config,
             engine,
             extra_changes: &self.extra_changes,
@@ -677,6 +679,8 @@ const MAX_TRIAGE_DEPTH: usize = 3;
 
 struct Run<'a, O> {
     oracle: &'a O,
+    /// Faults the oracle guards inject, if any.
+    chaos: Option<&'a ChaosConfig>,
     cfg: &'a SearchConfig,
     /// Parallel probe engine (`None` at `threads == 1`, where the run
     /// is the literal sequential engine).
@@ -723,7 +727,7 @@ impl<O: Oracle> Run<'_, O> {
     /// error — the search proceeds, treating the program as ill-typed.
     fn check_full(&mut self, prog: &Program) -> Result<(), TypeError> {
         let clock = Instant::now();
-        let verdict = guarded_check(self.oracle, prog);
+        let verdict = guarded_check(self.oracle, prog, self.chaos);
         let latency_ns = duration_ns(clock.elapsed());
         let outcome = match &verdict {
             Ok(()) => ProbeOutcome::Pass,
@@ -776,7 +780,7 @@ impl<O: Oracle> Run<'_, O> {
                 }
                 MemoLookup::Miss => {
                     let clock = Instant::now();
-                    let outcome = guarded_probe(self.oracle, prog);
+                    let outcome = guarded_probe(self.oracle, prog, self.chaos);
                     let latency_ns = duration_ns(clock.elapsed());
                     if let Some((memo, key)) = key {
                         memo.insert(key, outcome, latency_ns, true);

@@ -30,13 +30,14 @@ use crate::budget::SearchHandle;
 use crate::config::{ConfigError, SearchConfig};
 use crate::search::CustomChange;
 use seminal_obs::TraceSink;
-use seminal_typeck::Oracle;
+use seminal_typeck::{ChaosConfig, Oracle};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// A fully-assembled search pipeline: oracle, validated configuration,
-/// user-registered constructive changes, and trace sinks. Construct
-/// with [`SearchSession::builder`]; run with [`SearchSession::search`].
+/// user-registered constructive changes, trace sinks, and any fault
+/// injection. Construct with [`SearchSession::builder`]; run with
+/// [`SearchSession::search`].
 ///
 /// Sessions borrow nothing and share nothing mutable, so one session
 /// can serve many programs, and `&session` handles can run searches
@@ -47,6 +48,8 @@ pub struct SearchSession<O> {
     pub(crate) config: SearchConfig,
     pub(crate) extra_changes: Vec<CustomChange>,
     pub(crate) sinks: Vec<Arc<dyn TraceSink>>,
+    /// Faults every search injects at its oracle guards, if any.
+    pub(crate) chaos: Option<ChaosConfig>,
     /// The session-scoped cancellation handle every search's budget
     /// polls; [`SearchSession::handle`] clones it out.
     pub(crate) handle: SearchHandle,
@@ -59,6 +62,7 @@ impl<O: std::fmt::Debug> std::fmt::Debug for SearchSession<O> {
             .field("config", &self.config)
             .field("extra_changes", &self.extra_changes.len())
             .field("sinks", &self.sinks.len())
+            .field("chaos", &self.chaos)
             .finish()
     }
 }
@@ -72,6 +76,7 @@ impl<O: Oracle> SearchSession<O> {
             config: SearchConfig::default(),
             changes: Vec::new(),
             sinks: Vec::new(),
+            chaos: None,
         }
     }
 
@@ -88,11 +93,6 @@ impl<O: Oracle> SearchSession<O> {
     pub fn config(&self) -> &SearchConfig {
         &self.config
     }
-
-    /// Unwraps the oracle, consuming the session.
-    pub fn into_oracle(self) -> O {
-        self.oracle
-    }
 }
 
 /// Fluent constructor for [`SearchSession`]. Setters are infallible and
@@ -103,6 +103,7 @@ pub struct SearchSessionBuilder<O> {
     config: SearchConfig,
     changes: Vec<CustomChange>,
     sinks: Vec<Arc<dyn TraceSink>>,
+    chaos: Option<ChaosConfig>,
 }
 
 impl<O: Oracle> SearchSessionBuilder<O> {
@@ -163,6 +164,18 @@ impl<O: Oracle> SearchSessionBuilder<O> {
         self
     }
 
+    /// Injects `chaos` into every oracle call the search makes: the
+    /// baseline check, the sequential probes and the parallel engine's
+    /// speculative probes all run under a guard that panics, delays or
+    /// flips the verdict of a seeded, text-keyed fraction of them (see
+    /// [`seminal_typeck::chaos`]). Typing and constraint traces are
+    /// never injected.
+    #[must_use]
+    pub fn chaos(mut self, chaos: ChaosConfig) -> Self {
+        self.chaos = Some(chaos);
+        self
+    }
+
     /// Registers a user-defined constructive change (§6's open
     /// framework). Proposed candidates are oracle-validated before they
     /// can become suggestions, so user changes cannot produce unsound
@@ -185,6 +198,7 @@ impl<O: Oracle> SearchSessionBuilder<O> {
             config: self.config,
             extra_changes: self.changes,
             sinks: self.sinks,
+            chaos: self.chaos,
             handle: SearchHandle::new(),
         })
     }

@@ -1,8 +1,9 @@
 //! The chaos suite: degradation invariants under deterministic fault
 //! injection.
 //!
-//! A [`ChaosOracle`] panics on a seeded, text-keyed fraction of probes —
-//! the same variants fault at every thread count — and the search must
+//! A session built with [`SearchSessionBuilder::chaos`] makes its
+//! oracle guards panic on a seeded, text-keyed fraction of calls — the
+//! same variants fault at every thread count — and the search must
 //! absorb every injection: finish, rank best-so-far suggestions, report
 //! `Completion::Degraded` with an exact fault count, and keep the probe
 //! accounting identity `oracle_calls + memo_hits + probe_faults`
@@ -11,20 +12,22 @@
 //! search's engine memo answers; the two fault counts differ by exactly
 //! those cached, faulted probes. Cancellation and deadlines degrade the
 //! same way: cooperative stop, best-so-far payload, honest completion.
-
-//! Since the checkpointed incremental oracle landed, the whole suite is
-//! additionally pinned in **both** oracle modes: chaos wraps *outside*
-//! the checkpointed oracle and injection decisions are a pure function
-//! of rendered text and seed, so the same variants must fault — and the
-//! payloads, completions, and probe accounting must stay identical —
-//! whether the clean probes are answered incrementally or from scratch.
+//!
+//! The whole suite is pinned with **both** checkers, the checkpointed
+//! incremental oracle and the from-scratch [`TypeCheckOracle`]:
+//! injection happens in the guard, above the checker, and its decisions
+//! are a pure function of rendered text and seed, so the same variants
+//! must fault — and the payloads, completions, and probe accounting
+//! must stay identical — whichever checker answers the clean probes.
 //! (The C++ prototype's chaos loop is untouched by this: the
 //! checkpointed oracle is Caml-only.)
+//!
+//! [`SearchSessionBuilder::chaos`]: seminal_core::SearchSessionBuilder::chaos
 
 use seminal_core::obs::{EventKind, TraceRecord};
-use seminal_core::{Completion, SearchConfig, SearchReport, SearchSession};
+use seminal_core::{Completion, Oracle, SearchConfig, SearchReport, SearchSession};
 use seminal_ml::parser::parse_program;
-use seminal_typeck::{ChaosConfig, ChaosOracle, CheckpointedOracle, TypeCheckOracle};
+use seminal_typeck::{ChaosConfig, CheckpointedOracle, TypeCheckOracle};
 use std::sync::Once;
 use std::time::{Duration, Instant};
 
@@ -89,12 +92,15 @@ fn run_chaotic(src: &str, seed: u64, threads: usize) -> SearchReport {
 fn run_chaotic_mode(src: &str, seed: u64, threads: usize, incremental: bool) -> SearchReport {
     quiet_chaos_panics();
     let prog = parse_program(src).unwrap_or_else(|e| panic!("parse: {e}"));
-    let oracle = ChaosOracle::new(
-        CheckpointedOracle::with_enabled(incremental),
-        ChaosConfig::panics(seed, PANIC_PER_MILLE),
-    );
+    let (chain, scratch) = (CheckpointedOracle::new(), TypeCheckOracle::new());
+    let checker: &dyn Oracle = if incremental { &chain } else { &scratch };
     let config = SearchConfig { collect_trace: true, threads, ..SearchConfig::default() };
-    SearchSession::builder(oracle).config(config).build().unwrap().search(&prog)
+    SearchSession::builder(checker)
+        .config(config)
+        .chaos(ChaosConfig::panics(seed, PANIC_PER_MILLE))
+        .build()
+        .unwrap()
+        .search(&prog)
 }
 
 /// Probes the engine's memo answered with a faulted verdict: a
@@ -208,8 +214,8 @@ fn chaotic_probe_accounting_reconciles_across_thread_counts() {
 
 #[test]
 fn chaotic_runs_are_identical_between_incremental_and_scratch_oracles() {
-    // Injection decisions are text-keyed, so the same variants fault in
-    // both oracle modes; everything user-visible — payload, completion,
+    // Injection decisions are text-keyed, so the same variants fault
+    // with both checkers; everything user-visible — payload, completion,
     // and the full probe accounting partition — must therefore be
     // byte-identical between the checkpointed and scratch paths, at
     // every pinned thread count.
@@ -294,12 +300,9 @@ fn deadline_expiry_degrades_gracefully_without_leaking_workers() {
     // mid-search at every thread count.
     let prog = parse_program(SCENARIOS[0].1).unwrap();
     for threads in THREAD_COUNTS {
-        let oracle = ChaosOracle::new(
-            TypeCheckOracle::new(),
-            ChaosConfig::delays(5, 1000, Duration::from_millis(2)),
-        );
         let started = Instant::now();
-        let report = SearchSession::builder(oracle)
+        let report = SearchSession::builder(TypeCheckOracle::new())
+            .chaos(ChaosConfig::delays(5, 1000, Duration::from_millis(2)))
             .threads(threads)
             .deadline(Some(Duration::from_millis(5)))
             .build()

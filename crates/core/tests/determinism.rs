@@ -11,7 +11,7 @@
 use seminal_core::obs::{check_invariants, EventKind, TraceRecord};
 use seminal_core::{Outcome, SearchConfig, SearchReport, SearchSession};
 use seminal_ml::parser::parse_program;
-use seminal_typeck::{ChaosConfig, ChaosOracle, CountingOracle, TypeCheckOracle};
+use seminal_typeck::{ChaosConfig, CountingOracle, TypeCheckOracle};
 
 const SCENARIOS: &[(&str, &str)] = &[
     (
@@ -276,9 +276,13 @@ fn determinism_survives_seeded_fault_injection() {
     for (name, src) in SCENARIOS {
         let prog = parse_program(src).unwrap();
         let run = |threads: usize| {
-            let oracle = ChaosOracle::new(TypeCheckOracle::new(), ChaosConfig::panics(1729, 100));
             let config = SearchConfig { collect_trace: true, threads, ..SearchConfig::default() };
-            SearchSession::builder(oracle).config(config).build().unwrap().search(&prog)
+            SearchSession::builder(TypeCheckOracle::new())
+                .config(config)
+                .chaos(ChaosConfig::panics(1729, 100))
+                .build()
+                .unwrap()
+                .search(&prog)
         };
         let base = run(1);
         let logical = base.stats.oracle_calls + base.stats.memo_hits + base.stats.probe_faults;

@@ -9,8 +9,8 @@
 //! for).
 
 use crate::mutate::{mutate, GroundTruth, MutationKind, ALL_KINDS};
-use crate::rng::SplitMix64;
 use crate::templates::{for_assignment, Template};
+use seminal_obs::SplitMix64;
 
 /// One ill-typed corpus file with its ground truth.
 #[derive(Debug, Clone)]

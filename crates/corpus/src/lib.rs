@@ -24,7 +24,6 @@
 pub mod generate;
 pub mod mutate;
 pub mod path;
-pub mod rng;
 pub mod session;
 pub mod templates;
 

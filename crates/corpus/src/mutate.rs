@@ -9,12 +9,12 @@
 //! *mechanically* where the paper judged by hand (DESIGN.md §5).
 
 use crate::path::{expr_at_path, path_of_expr, NodePath};
-use crate::rng::SplitMix64;
 use seminal_ml::ast::*;
 use seminal_ml::edit;
 use seminal_ml::parser::parse_program;
 use seminal_ml::pretty::{expr_to_string, program_to_string};
 use seminal_ml::span::Span;
+use seminal_obs::SplitMix64;
 use seminal_typeck::check_program;
 
 /// The error classes the mutator can inject.

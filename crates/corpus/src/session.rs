@@ -8,7 +8,7 @@
 //! (Figure 6 is log-scale). We model group sizes as geometric with a
 //! rare heavy-tail multiplier.
 
-use crate::rng::SplitMix64;
+use seminal_obs::SplitMix64;
 
 /// Samples the number of same-problem recompiles for one problem.
 pub fn sample_group_size(rng: &mut SplitMix64) -> usize {

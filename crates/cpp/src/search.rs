@@ -30,8 +30,8 @@ use crate::edit::{remove_stmt, replace_expr, replace_stmt};
 use seminal_core::{ConfigError, SearchConfig};
 use seminal_ml::span::Span;
 use seminal_obs::{
-    Completion, EventKind, Histogram, MetricsSnapshot, ProbeKind, SpanKind, SrcSpan, TraceSink,
-    Tracer,
+    Completion, EventKind, Histogram, MetricsSnapshot, ProbeKind, SpanKind, SplitMix64, SrcSpan,
+    TraceSink, Tracer,
 };
 use std::collections::HashSet;
 use std::fmt;
@@ -235,17 +235,13 @@ pub struct CppChaos {
 }
 
 impl CppChaos {
-    /// Whether probe `index` is chosen to panic under this seed.
+    /// Whether probe `index` is chosen to panic under this seed: the
+    /// first draw of a SplitMix64 stream whose start is `index` steps of
+    /// the generator past `seed`, so consecutive indices draw
+    /// well-mixed, independent values.
     pub fn would_panic(&self, index: usize) -> bool {
-        // SplitMix64 finalizer over the seeded index: cheap, stateless,
-        // and well-mixed for consecutive indices.
-        let mut z = self
-            .seed
-            .wrapping_add((index as u64).wrapping_add(1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        z % 1000 < u64::from(self.panic_per_mille)
+        let start = self.seed.wrapping_add((index as u64).wrapping_mul(SplitMix64::GAMMA));
+        SplitMix64::seed_from_u64(start).next_u64() % 1000 < u64::from(self.panic_per_mille)
     }
 }
 

@@ -162,3 +162,15 @@ fn cpp_deadline_expiry_degrades_without_leaking_workers() {
         }
     }
 }
+
+#[test]
+fn injected_fault_set_is_pinned() {
+    // The fault set is a pure function of (seed, index); a changed
+    // generator would silently move every chaos run onto other probes.
+    let chaos = CppChaos { seed: 1729, panic_per_mille: 100 };
+    let faulted: Vec<usize> = (0..200).filter(|&i| chaos.would_panic(i)).collect();
+    assert_eq!(
+        faulted,
+        [0, 2, 17, 19, 27, 30, 32, 47, 62, 65, 76, 85, 99, 108, 120, 121, 183, 186]
+    );
+}

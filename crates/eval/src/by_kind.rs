@@ -104,8 +104,8 @@ mod tests {
         // §3.3: the checker is genuinely good at unbound variables; on
         // those files it must not be systematically beaten.
         use seminal_corpus::mutate::{mutate, MutationKind};
-        use seminal_corpus::rng::SplitMix64;
         use seminal_corpus::templates::TEMPLATES;
+        use seminal_obs::SplitMix64;
         let mut files = Vec::new();
         for (i, t) in TEMPLATES.iter().enumerate() {
             let mut rng = SplitMix64::seed_from_u64(i as u64);

@@ -216,8 +216,8 @@ mod tests {
     use super::*;
     use seminal_core::SearchSession;
     use seminal_corpus::mutate::mutate;
-    use seminal_corpus::rng::SplitMix64;
     use seminal_corpus::templates::TEMPLATES;
+    use seminal_obs::SplitMix64;
     use seminal_typeck::TypeCheckOracle;
 
     fn file_from(template_name: &str, kind: MutationKind, seed: u64) -> CorpusFile {

@@ -4,20 +4,25 @@
 //! every problem it draws a group size from the session model and
 //! re-sends the *same* source that many times — the same-problem
 //! recompile loop that makes the cross-request memo earn its keep.
+//! The fleet runs in lockstep rounds: every client connects, then all
+//! send their next request together, and every client starts problem
+//! `p` in the same round. So each problem's first, memo-cold
+//! submissions arrive as one burst, and a small admission gate is
+//! overloaded by the load's shape rather than by scheduling luck.
 //! Clients classify every response (completed / degraded / shed /
-//! error / malformed), validate the probe-accounting identity on clean
-//! checks, and time each round trip.
+//! error / malformed), validate the probe-accounting identity on every
+//! check, and time each round trip.
 
 use seminal_corpus::generate::{generate, small_config};
-use seminal_corpus::rng::SplitMix64;
 use seminal_corpus::session::sample_group_size;
-use seminal_obs::MetricsSnapshot;
+use seminal_obs::{MetricsSnapshot, SplitMix64};
 use seminal_serve::{
     serve_tcp, CheckRequest, MetricsRequest, Request, Response, ServeOptions, ServerConfig,
     ServerState, ShutdownRequest, Status,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 /// How long a client waits for any single response before declaring
@@ -151,32 +156,19 @@ impl LoadReport {
     }
 }
 
-/// One client's session: replay its slice of the corpus against `addr`.
-fn run_client(
-    addr: &str,
-    cfg: &LoadConfig,
-    client: usize,
-    sources: &[String],
-) -> std::io::Result<ClientTally> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(CLIENT_READ_TIMEOUT))?;
-    // Without this, Nagle + delayed ACK adds ~40ms per round trip and
-    // de-facto serializes the fleet — no saturation, no shed coverage.
-    let _ = stream.set_nodelay(true);
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut stream = stream;
+/// One client's session, drawn up front from the session model as wire
+/// lines: for each problem of its slice of the corpus, a recompile
+/// group re-sending the *same* source.
+fn plan_client(cfg: &LoadConfig, client: usize, sources: &[String]) -> Vec<Vec<String>> {
     let mut rng = SplitMix64::seed_from_u64(cfg.seed ^ (client as u64).wrapping_mul(0x9E37));
-    let mut tally = ClientTally::default();
     let mut seq: u64 = 0;
-
+    let mut plan = Vec::new();
     for problem in 0..cfg.problems_per_client {
         let source = &sources[(client * cfg.problems_per_client + problem) % sources.len()];
         // The Figure 6 recompile loop: the same problem, resubmitted.
         let group = sample_group_size(&mut rng).min(cfg.max_group.max(1));
+        let mut lines = Vec::with_capacity(group);
         for _recompile in 0..group {
-            if cfg.arrival_ms > 0 {
-                std::thread::sleep(Duration::from_millis(cfg.arrival_ms));
-            }
             seq += 1;
             let mut request = CheckRequest::new((client as u64) << 32 | seq, source.as_str());
             request.top = cfg.top;
@@ -189,23 +181,76 @@ fn run_client(
             }
             let mut line = Request::Check(request).to_json_string();
             line.push('\n');
-            let started = Instant::now();
-            stream.write_all(line.as_bytes())?;
-            stream.flush()?;
-            let mut response = String::new();
-            if reader.read_line(&mut response)? == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    format!("server closed client {client}'s connection mid-session"),
-                ));
+            lines.push(line);
+        }
+        plan.push(lines);
+    }
+    plan
+}
+
+/// One client's session: its `schedule` against `addr`, one line per
+/// round. The fleet meets at `round` before every round, so a round's
+/// requests arrive together; a client that sits a round out (`None`),
+/// or whose connection failed, still meets the others.
+fn run_client(
+    addr: &str,
+    cfg: &LoadConfig,
+    client: usize,
+    schedule: &[Option<&String>],
+    round: &Barrier,
+) -> std::io::Result<ClientTally> {
+    let who = format!("client {client}'s connection");
+    let mut tally = ClientTally::default();
+    let mut conn = connect(addr);
+    for line in schedule {
+        round.wait();
+        let (Ok((reader, stream)), Some(line)) = (&mut conn, line) else { continue };
+        if cfg.arrival_ms > 0 {
+            std::thread::sleep(Duration::from_millis(cfg.arrival_ms));
+        }
+        let started = Instant::now();
+        match round_trip(reader, stream, line, &who) {
+            Ok(response) => {
+                tally.requests += 1;
+                tally
+                    .latencies_ns
+                    .push(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
+                classify(&response, &mut tally);
             }
-            let latency = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            tally.requests += 1;
-            tally.latencies_ns.push(latency);
-            classify(&response, &mut tally);
+            Err(e) => conn = Err(e),
         }
     }
-    Ok(tally)
+    conn.map(|_| tally)
+}
+
+/// A connection to `addr` with the harness's read timeout.
+fn connect(addr: &str) -> std::io::Result<(BufReader<TcpStream>, TcpStream)> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(CLIENT_READ_TIMEOUT))?;
+    // Without this, Nagle + delayed ACK adds ~40ms per round trip and
+    // de-facto serializes the fleet — no saturation, no shed coverage.
+    let _ = stream.set_nodelay(true);
+    Ok((BufReader::new(stream.try_clone()?), stream))
+}
+
+/// Sends one request line and reads one response line; `who` names the
+/// connection if the server closes it.
+fn round_trip(
+    reader: &mut impl BufRead,
+    stream: &mut TcpStream,
+    line: &str,
+    who: &str,
+) -> std::io::Result<String> {
+    stream.write_all(line.as_bytes())?;
+    stream.flush()?;
+    let mut response = String::new();
+    if reader.read_line(&mut response)? == 0 {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("server closed {who} mid-session"),
+        ));
+    }
+    Ok(response)
 }
 
 /// Buckets one response line and validates its contract.
@@ -227,14 +272,12 @@ fn classify(line: &str, tally: &mut ClientTally) {
             } else {
                 tally.completed += 1;
             }
-            // Probe accounting on clean checks: every search-level
-            // oracle call is the baseline check, which never reads the
-            // memo, or a probe that either hit the shared memo or
-            // reached the real oracle. (Chaos requests bypass the memo
-            // and report zero hits and every call as real, so the
-            // identity covers them too, except when panics interrupt
-            // calls mid-flight — those report `real >= calls`, which
-            // the `>` guard tolerates.)
+            // Probe accounting on every check, chaos or not: each
+            // search-level oracle call is the baseline check, which
+            // never reads the memo, or a probe that either hit the
+            // shared memo or reached the real checker. (Speculative
+            // probes of a parallel search, and a baseline that
+            // faulted, make the left side larger, never smaller.)
             let hits = check.metrics.counter("memo.cross_request_hits");
             let real = check.metrics.counter("oracle.real_calls");
             let baseline = check.metrics.counter("probes.baseline");
@@ -250,7 +293,7 @@ fn classify(line: &str, tally: &mut ClientTally) {
     }
 }
 
-/// A control round trip: send one request line, read one response.
+/// A control round trip: send one request, read its response.
 fn control_round_trip(
     reader: &mut impl BufRead,
     stream: &mut TcpStream,
@@ -258,16 +301,8 @@ fn control_round_trip(
 ) -> std::io::Result<Response> {
     let mut line = request.to_json_string();
     line.push('\n');
-    stream.write_all(line.as_bytes())?;
-    stream.flush()?;
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "server closed the control connection",
-        ));
-    }
-    Response::from_json_str(line.trim_end())
+    let response = round_trip(reader, stream, &line, "the control connection")?;
+    Response::from_json_str(response.trim_end())
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
 }
 
@@ -286,12 +321,27 @@ pub fn replay(addr: &str, cfg: &LoadConfig, shutdown: bool) -> std::io::Result<L
     if sources.is_empty() {
         return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, "empty corpus"));
     }
+    let plans: Vec<Vec<Vec<String>>> =
+        (0..cfg.clients.max(1)).map(|client| plan_client(cfg, client, &sources)).collect();
+    // Lockstep rounds: every client starts problem `p` in the same round,
+    // so each problem's memo-cold first submissions arrive as one burst;
+    // a client with a shorter group sits the rest of it out.
+    let mut schedules = vec![Vec::new(); plans.len()];
+    for p in 0..cfg.problems_per_client {
+        let width = plans.iter().map(|groups| groups[p].len()).max().unwrap_or(0);
+        for (schedule, groups) in schedules.iter_mut().zip(&plans) {
+            schedule.extend((0..width).map(|k| groups[p].get(k)));
+        }
+    }
+    let round = Barrier::new(schedules.len());
     let started = Instant::now();
     let tallies: Vec<std::io::Result<ClientTally>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..cfg.clients.max(1))
-            .map(|client| {
-                let sources = &sources;
-                scope.spawn(move || run_client(addr, cfg, client, sources))
+        let handles: Vec<_> = schedules
+            .iter()
+            .enumerate()
+            .map(|(client, schedule)| {
+                let round = &round;
+                scope.spawn(move || run_client(addr, cfg, client, schedule, round))
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("client thread panicked")).collect()
@@ -330,10 +380,7 @@ pub fn replay(addr: &str, cfg: &LoadConfig, shutdown: bool) -> std::io::Result<L
 
     // The control connection: snapshot the server's own view of the
     // run, then (in self-hosted mode) stop it.
-    let control = TcpStream::connect(addr)?;
-    control.set_read_timeout(Some(CLIENT_READ_TIMEOUT))?;
-    let mut reader = BufReader::new(control.try_clone()?);
-    let mut control = control;
+    let (mut reader, mut control) = connect(addr)?;
     let metrics_request = Request::Metrics(MetricsRequest { id: u64::MAX - 1, deadline_ms: None });
     match control_round_trip(&mut reader, &mut control, &metrics_request)? {
         Response::Metrics(m) => report.snapshot = Some(m.metrics),
@@ -364,18 +411,8 @@ pub fn replay(addr: &str, cfg: &LoadConfig, shutdown: bool) -> std::io::Result<L
 /// Best-effort shutdown so a failed replay cannot leave the self-hosted
 /// server thread blocked in accept forever.
 fn send_shutdown_best_effort(addr: &str) {
-    let Ok(stream) = TcpStream::connect(addr) else { return };
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    });
-    let mut stream = stream;
     let request = Request::Shutdown(ShutdownRequest { id: u64::MAX, deadline_ms: None });
-    let _ = writeln!(stream, "{}", request.to_json_string());
-    let _ = stream.flush();
-    let mut line = String::new();
-    let _ = reader.read_line(&mut line);
+    let _ = connect(addr).and_then(|(mut r, mut s)| control_round_trip(&mut r, &mut s, &request));
 }
 
 /// One-command mode: bind an ephemeral loopback listener, run a real
@@ -499,8 +536,36 @@ mod tests {
             chaos_panic: 100,
             ..LoadConfig::default()
         };
-        let report =
-            run_self_hosted(&cfg, gate(1), &ServeOptions::default()).expect("self-hosted replay");
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let state = ServerState::with_config(gate(1));
+        let state = &state;
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let report = std::thread::scope(|scope| {
+            let server = scope.spawn(|| serve_tcp(state, &ServeOptions::default(), &listener));
+            // The overload, by construction rather than by timing: the
+            // test holds the gate's only slot until a request has been
+            // shed, so the first requests queue behind a slot that does
+            // not free within their 1ms deadline. Then the replay runs
+            // on against the saturated gate.
+            let held = state.admission().admit(None).expect("an idle gate admits");
+            scope.spawn(move || {
+                let waited = Instant::now();
+                while state.admission().shed() == 0 && waited.elapsed() < CLIENT_READ_TIMEOUT {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                drop(held);
+            });
+            let report = replay(&addr, &cfg, true);
+            if report.is_err() {
+                send_shutdown_best_effort(&addr);
+            }
+            server.join().expect("server thread").expect("server transport");
+            report
+        });
+        std::panic::set_hook(prev);
+        let report = report.expect("replay");
 
         assert!(report.requests > 0);
         assert_eq!(report.malformed, 0, "saturation must not produce malformed responses");

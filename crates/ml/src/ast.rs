@@ -518,33 +518,6 @@ impl Expr {
         });
         found
     }
-
-    /// A short category label for the node, used in diagnostics and stats.
-    pub fn kind_name(&self) -> &'static str {
-        match &self.kind {
-            ExprKind::Var(_) => "variable",
-            ExprKind::Lit(_) => "literal",
-            ExprKind::App(_, _) => "application",
-            ExprKind::Fun(_, _) => "function",
-            ExprKind::Let { .. } => "let",
-            ExprKind::If(_, _, _) => "if",
-            ExprKind::Tuple(_) => "tuple",
-            ExprKind::List(_) => "list",
-            ExprKind::Match(_, _) => "match",
-            ExprKind::BinOp(_, _, _) => "operator",
-            ExprKind::UnOp(_, _) => "unary operator",
-            ExprKind::Seq(_, _) => "sequence",
-            ExprKind::Annot(_, _) => "annotation",
-            ExprKind::Construct(_, _) => "constructor",
-            ExprKind::Record(_) => "record",
-            ExprKind::Field(_, _) => "field access",
-            ExprKind::SetField(_, _, _) => "field update",
-            ExprKind::Raise(_) => "raise",
-            ExprKind::Try(_, _) => "try",
-            ExprKind::Hole => "hole",
-            ExprKind::Adapt(_) => "adapt",
-        }
-    }
 }
 
 impl Pat {

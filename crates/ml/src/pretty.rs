@@ -84,13 +84,6 @@ pub fn pat_to_string(p: &Pat) -> String {
     s
 }
 
-/// Renders a syntactic type.
-pub fn type_expr_to_string(t: &TypeExpr) -> String {
-    let mut s = String::new();
-    write_type(&mut s, t, 0);
-    s
-}
-
 /// Renders a declaration (single logical line).
 pub fn decl_to_string(d: &Decl) -> String {
     let mut s = String::new();

@@ -1,6 +1,6 @@
 //! The workspace's one non-cryptographic hash, FNV-1a 64: program
-//! fingerprints, the verdict memo's shard choice, the chaos oracle's
-//! draws and crash-report file names all hash through it. It lives in
+//! fingerprints, the verdict memo's shard choice, the chaos draws'
+//! keys and crash-report file names all hash through it. It lives in
 //! the dependency-free root so every crate can reach it.
 
 /// FNV-1a 64-bit offset basis: the hash of no bytes.

@@ -21,6 +21,8 @@
 //!   committed baseline under counter/time tolerances;
 //! * [`hash`] — FNV-1a, the one hash function every content key and
 //!   content-addressed name in the workspace is built from;
+//! * [`rng`] — SplitMix64, the one pseudo-random generator: corpus and
+//!   load generation, chaos draws, retry jitter;
 //! * [`profile`](mod@profile) — attributes cumulative oracle cost to source spans and
 //!   prints a text "flame" report;
 //! * [`json`] — the dependency-free JSON layer underneath both (the
@@ -42,6 +44,7 @@ pub mod hash;
 pub mod json;
 pub mod metrics;
 pub mod profile;
+pub mod rng;
 pub mod trace;
 
 pub use baseline::{extract_snapshot, regressions, Tolerance};
@@ -52,6 +55,7 @@ pub use hash::fnv1a;
 pub use json::{parse as parse_json, Json, JsonError};
 pub use metrics::{keys, Histogram, MetricsRegistry, MetricsSnapshot, SCHEMA};
 pub use profile::{profile, render as render_profile, ProfileNode, SpanProfile};
+pub use rng::SplitMix64;
 pub use trace::{
     check_invariants, EventKind, JsonlSink, MemorySink, NullSink, ProbeKind, SpanContext, SpanKind,
     SrcSpan, TraceError, TraceHandle, TraceRecord, TraceSink, Tracer,

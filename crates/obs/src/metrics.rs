@@ -47,7 +47,8 @@ pub mod keys {
     /// Counter: probes this request's cross-request memo could not
     /// answer, each one real oracle call — the number the e2e
     /// warm-cache test pins to zero. The baseline check is never
-    /// cached and not counted here.
+    /// cached and not counted here, nor is a probe an injected panic
+    /// cut short, for chaos and clean requests alike.
     pub const ORACLE_REAL_CALLS: &str = "oracle.real_calls";
     /// Counter: probes the incremental (checkpointed) oracle answered by
     /// reusing a previously checked declaration prefix — including probes

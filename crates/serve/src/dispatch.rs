@@ -10,9 +10,11 @@
 //! [`ErrorResponse`] — never as an ad-hoc string.
 //!
 //! [`ServerState`] is what makes the daemon warm: the process-lifetime
-//! [`VerdictMemo`] every clean request's probes go through (chaos
-//! requests bypass it — see `MemoUse`), plus the running metrics
-//! aggregate a `metrics` request snapshots.
+//! [`VerdictMemo`] every request's probes go through, plus the running
+//! metrics aggregate a `metrics` request snapshots. A chaos request
+//! shares the memo too: its faults are injected at the search's probe
+//! guards, above the memo, so the memo only ever holds the checker's
+//! clean outcomes.
 
 use crate::api::{
     AnalyzeRequest, AnalyzeResponse, ApiError, CheckRequest, CheckResponse, ErrorResponse,
@@ -27,7 +29,7 @@ use seminal_core::{
 };
 use seminal_ml::parser::parse_program;
 use seminal_obs::{keys, MetricsSnapshot, TraceSink};
-use seminal_typeck::{ChaosConfig, ChaosOracle, CheckpointedOracle, CountingOracle, Oracle};
+use seminal_typeck::{ChaosConfig, CheckpointedOracle, Oracle, TypeCheckOracle};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -251,24 +253,8 @@ fn overloaded(id: u64, retry_after_ms: u64) -> Dispatched {
     }
 }
 
-/// How a `check` request's probes relate to the shared cross-request
-/// memo. Chaos-flipped verdicts are ordinary returns (unlike panics,
-/// which always propagate uncached), so letting a chaos request share
-/// the memo would cache corrupted outcomes by fingerprint and replay
-/// them to later clean requests — and, in the other direction, a warm
-/// memo would answer chaos probes from cache and neutralize the
-/// injection. Chaos requests therefore bypass the memo entirely.
-enum MemoUse<'a> {
-    /// Probes go through the shared memo; the wrapper's per-request
-    /// counters are stamped into the response metrics.
-    Shared(&'a SharedMemoOracle<CheckpointedOracle>),
-    /// Probes never touch the shared memo (chaos injection active);
-    /// `oracle.real_calls` comes from the counting wrapper instead.
-    Bypassed(&'a CountingOracle<ChaosOracle<CheckpointedOracle>>),
-}
-
-/// `check`: assemble the oracle (chaos injection changes its type, so
-/// the session is built in a generic helper) and run the search.
+/// `check`: one oracle stack for every request, the shared memo over
+/// the request's checker, and the search.
 fn run_check(
     state: &ServerState,
     c: &CheckRequest,
@@ -284,23 +270,14 @@ fn run_check(
     };
     // The real checker for this request: checkpointed (incremental)
     // unless the client opted out. Its one inference of the base also
-    // records the blame trace and types the suggestions. Chaos wraps
-    // *outside* the checkpointed oracle — injection decisions are a
-    // pure function of rendered text and seed, so they are identical
-    // whichever inner path answers the clean probes.
-    let checker = CheckpointedOracle::with_enabled(!c.no_incremental);
-    let mut dispatched = if c.chaos_flip > 0 || c.chaos_panic > 0 {
-        let mut chaos = ChaosConfig::flips(c.chaos_seed, c.chaos_flip);
-        chaos.panic_per_mille = c.chaos_panic;
-        let oracle = CountingOracle::new(ChaosOracle::new(checker, chaos));
-        run_search(state, c, hooks, queued, &prog, &oracle, MemoUse::Bypassed(&oracle))
-    } else {
-        // Every probe goes through the process-lifetime memo, so a warm
-        // identical request makes no real probe; the baseline check
-        // always reaches the checker, so its location is this source's.
-        let oracle = SharedMemoOracle::new(checker, state.memo.clone());
-        run_search(state, c, hooks, queued, &prog, &oracle, MemoUse::Shared(&oracle))
-    };
+    // records the blame trace and types the suggestions. Every probe
+    // goes through the process-lifetime memo, so a warm identical
+    // request makes no real probe; the baseline check always reaches
+    // the checker, so its location is this source's.
+    let (incremental, scratch) = (CheckpointedOracle::new(), TypeCheckOracle::new());
+    let checker: &dyn Oracle = if c.no_incremental { &scratch } else { &incremental };
+    let oracle = SharedMemoOracle::new(checker, state.memo.clone());
+    let mut dispatched = run_search(state, c, hooks, queued, &prog, &oracle);
     // The parse stage, in the wire snapshot (and so the daemon's
     // totals) and in the report's (`--metrics-json`).
     if let Response::Check(r) = &mut dispatched.response {
@@ -312,20 +289,24 @@ fn run_check(
     dispatched
 }
 
-fn run_search<O: Oracle>(
+fn run_search(
     state: &ServerState,
     c: &CheckRequest,
     hooks: &DispatchHooks,
     queued: Duration,
     prog: &seminal_ml::ast::Program,
-    oracle: &O,
-    memo: MemoUse<'_>,
+    oracle: &SharedMemoOracle<&dyn Oracle>,
 ) -> Dispatched {
     let mut config =
         if c.no_triage { SearchConfig::without_triage() } else { SearchConfig::default() };
     config.collect_trace = hooks.collect_trace;
     config.guidance_backend = c.backend;
     let mut builder = SearchSession::builder(oracle).config(config);
+    if c.chaos_flip > 0 || c.chaos_panic > 0 {
+        let mut chaos = ChaosConfig::flips(c.chaos_seed, c.chaos_flip);
+        chaos.panic_per_mille = c.chaos_panic;
+        builder = builder.chaos(chaos);
+    }
     if let Some(n) = c.threads {
         let Ok(n) = usize::try_from(n) else {
             return error_response(
@@ -357,20 +338,15 @@ fn run_search<O: Oracle>(
     };
     let report = session.search(prog);
 
+    // Every cross-request miss is exactly one real probe; the uncached
+    // baseline check is not counted.
     let mut metrics = report.metrics.clone();
-    let (hits, misses, evictions, real_calls) = match memo {
-        // Every cross-request miss is exactly one real probe; the
-        // uncached baseline check is not counted.
-        MemoUse::Shared(shared) => {
-            (shared.hits(), shared.misses(), shared.evictions(), shared.misses())
-        }
-        MemoUse::Bypassed(counting) => (0, 0, 0, counting.calls()),
-    };
-    metrics.counters.insert(keys::CROSS_REQUEST_HITS.to_owned(), hits);
-    metrics.counters.insert(keys::CROSS_REQUEST_MISSES.to_owned(), misses);
-    metrics.counters.insert(keys::CROSS_REQUEST_EVICTIONS.to_owned(), evictions);
-    metrics.counters.insert(keys::CROSS_REQUEST_ENTRIES.to_owned(), state.memo.len() as u64);
-    metrics.counters.insert(keys::ORACLE_REAL_CALLS.to_owned(), real_calls);
+    let counters = &mut metrics.counters;
+    counters.insert(keys::CROSS_REQUEST_HITS.to_owned(), oracle.hits());
+    counters.insert(keys::CROSS_REQUEST_MISSES.to_owned(), oracle.misses());
+    counters.insert(keys::CROSS_REQUEST_EVICTIONS.to_owned(), oracle.evictions());
+    counters.insert(keys::CROSS_REQUEST_ENTRIES.to_owned(), state.memo.len() as u64);
+    counters.insert(keys::ORACLE_REAL_CALLS.to_owned(), oracle.misses());
 
     let status = match &report.outcome {
         Outcome::WellTyped => Status::Ok,
@@ -527,43 +503,69 @@ mod tests {
         assert_eq!(scratch.metrics.counter(keys::ORACLE_DECLS_RECHECK), 0);
     }
 
-    /// The memo.rs invariant: a chaotic oracle must not poison verdicts
-    /// for later requests. Flipped verdicts are ordinary returns, so
-    /// the only safe memo interaction for a chaos request is none at
-    /// all — no reads (a warm memo would neutralize the injection) and
-    /// no writes (a later clean request would replay corruption).
+    const FIGURE2: &str = "let map2 f aList bList = List.map (fun (a, b) -> f a b) \
+                           (List.combine aList bList)\n\
+                           let lst = map2 (fun (x, y) -> x + y) [1;2;3] [4;5;6]\n\
+                           let ans = List.filter (fun x -> x == 0) lst";
+
+    /// A one-thread check of [`FIGURE2`] with the given chaos rates.
+    fn figure2(id: u64, chaos_flip: u16, chaos_panic: u16) -> Request {
+        Request::Check(CheckRequest {
+            threads: Some(1),
+            chaos_flip,
+            chaos_panic,
+            chaos_seed: 5,
+            ..CheckRequest::new(id, FIGURE2)
+        })
+    }
+
+    /// What a user sees of a check answer.
+    fn answer(r: &CheckResponse) -> (Status, &str, &[PayloadEntry], Option<&str>) {
+        (r.status, r.rendered.as_str(), r.payload.as_slice(), r.baseline.as_deref())
+    }
+
+    /// Chaos requests share the daemon's memo. Their faults are injected
+    /// above it, so a warm memo neither neutralizes a flip (the chaos
+    /// answer is the cold one) nor learns one (a later clean request
+    /// is answered like the first, entirely from the memo). Half the
+    /// calls flip; seed 5 leaves the baseline alone, so the request
+    /// searches (a flipped baseline reads well-typed and probes nothing).
     #[test]
-    fn chaos_requests_bypass_the_shared_memo() {
+    fn chaos_requests_answer_alike_through_a_cold_and_a_warm_memo() {
+        let cold = check_response(&ServerState::new(), &figure2(1, 500, 0));
+        assert_eq!(cold.status, Status::TypeErrors, "the baseline was not flipped");
+
         let state = ServerState::new();
-        let clean = Request::Check(CheckRequest::new(1, ILL_TYPED));
-        let cold = check_response(&state, &clean);
-        assert!(cold.metrics.counter("oracle.real_calls") > 0);
-        let warmed_entries = state.memo().len();
-        assert!(warmed_entries > 0, "the clean request must warm the memo");
-        let (hits, misses) = (state.memo().hits(), state.memo().misses());
+        let clean = check_response(&state, &figure2(2, 0, 0));
+        let warm = check_response(&state, &figure2(3, 500, 0));
+        assert_eq!(answer(&warm), answer(&cold));
+        assert_ne!(warm.payload, clean.payload, "the flips change the answer");
+        assert!(warm.metrics.counter(keys::CROSS_REQUEST_HITS) > 0, "the memo answered probes");
 
-        let chaos = Request::Check(CheckRequest {
-            chaos_flip: 1000,
-            chaos_seed: 7,
-            ..CheckRequest::new(2, ILL_TYPED)
-        });
-        let flipped = check_response(&state, &chaos);
-        assert_eq!(flipped.metrics.counter("memo.cross_request_hits"), 0);
-        assert_eq!(flipped.metrics.counter("memo.cross_request_misses"), 0);
-        assert!(
-            flipped.metrics.counter("oracle.real_calls") > 0,
-            "every chaos probe must reach the injected oracle"
-        );
-        assert_eq!(state.memo().hits(), hits, "chaos must not read the shared memo");
-        assert_eq!(state.memo().misses(), misses, "chaos must not probe the shared memo");
-        assert_eq!(state.memo().len(), warmed_entries, "chaos must not write into the shared memo");
+        let again = check_response(&state, &figure2(4, 0, 0));
+        assert_eq!(answer(&again), answer(&clean));
+        assert_eq!(again.metrics.counter(keys::ORACLE_REAL_CALLS), 0);
+    }
 
-        // A later identical clean request is still answered entirely
-        // from the unpoisoned memo, matching the cold payload.
-        let warm = check_response(&state, &Request::Check(CheckRequest::new(3, ILL_TYPED)));
-        assert_eq!(warm.metrics.counter("oracle.real_calls"), 0);
-        assert_eq!(warm.payload, cold.payload);
-        assert_eq!(warm.rendered, cold.rendered);
+    /// Every search-level oracle call of a one-thread request whose
+    /// baseline did not fault is that baseline, which no memo answers,
+    /// or a probe the memo answered or passed on to the checker, clean
+    /// and chaos requests alike.
+    #[test]
+    fn every_oracle_call_is_the_baseline_a_memo_hit_or_a_real_call() {
+        let prog = parse_program(FIGURE2).unwrap();
+        let state = ServerState::new();
+        for (id, flip, panic) in [(1, 0, 0), (2, 500, 0), (3, 0, 0), (4, 0, 200), (5, 300, 200)] {
+            let chaos = ChaosConfig { flip_per_mille: flip, ..ChaosConfig::panics(5, panic) };
+            assert!(!chaos.would_panic(&prog), "request {id}: the baseline does not fault");
+            let m = check_response(&state, &figure2(id, flip, panic)).metrics;
+            assert_eq!(m.counter("probe_faults") > 0, panic > 0, "request {id}: panics fired");
+            assert_eq!(
+                m.counter(keys::CROSS_REQUEST_HITS) + m.counter(keys::ORACLE_REAL_CALLS) + 1,
+                m.counter("oracle_calls"),
+                "request {id} (flip {flip}, panic {panic})"
+            );
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@
 
 use crate::api::{ErrorResponse, OverloadedResponse, Request, Response, Status};
 use crate::dispatch::{dispatch_with, DispatchHooks, ServerState};
-use seminal_obs::{parse_json, Json, SpanKind, TraceSink, Tracer};
+use seminal_obs::{parse_json, Json, SpanKind, SplitMix64, TraceSink, Tracer};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -170,7 +170,7 @@ pub fn serve_lines<R: BufRead, W: Write>(
     let root = tracer.open(SpanKind::Server);
     let mut summary = ServeSummary { requests: 0, shutdown: false };
     let run = || -> std::io::Result<()> {
-        for line in input.lines() {
+        for line in lossy_lines(input) {
             let line = line?;
             let Some(answer) = answer_line(state, options, &mut tracer, &line) else {
                 continue;
@@ -190,6 +190,19 @@ pub fn serve_lines<R: BufRead, W: Write>(
     let result = run();
     tracer.close(root);
     result.map(|()| summary)
+}
+
+/// The lines of `input`, decoded the way every transport decodes a
+/// line ([`decode_line`]): a line that is not UTF-8 is answered as a
+/// malformed request instead of ending the stream.
+fn lossy_lines<R: BufRead>(input: R) -> impl Iterator<Item = std::io::Result<String>> {
+    input.split(b'\n').map(|line| line.map(|bytes| decode_line(&bytes)))
+}
+
+/// One raw request line as text: invalid UTF-8 becomes U+FFFD, so the
+/// line fails request decoding like any other malformed line.
+fn decode_line(bytes: &[u8]) -> String {
+    String::from_utf8_lossy(bytes).into_owned()
 }
 
 /// Best-effort `id` recovery from a line that failed strict decoding,
@@ -446,7 +459,7 @@ impl TickReader {
         let waiting_since = Instant::now();
         loop {
             if let Some(line) = self.buffer.take_line() {
-                return Ok(Some(String::from_utf8_lossy(&line).into_owned()));
+                return Ok(Some(decode_line(&line)));
             }
             if idle_limit.is_some_and(|limit| waiting_since.elapsed() >= limit) {
                 return Ok(None);
@@ -577,7 +590,7 @@ pub fn forward_with<R: BufRead, W: Write>(
     let mut stream = stream;
     let mut jitter = Jitter::seeded();
     let mut responses: u64 = 0;
-    for line in input.lines() {
+    for line in lossy_lines(input) {
         let line = line?;
         if line.trim().is_empty() {
             continue;
@@ -649,27 +662,16 @@ fn connect_with_backoff(addr: &str, options: &ForwardOptions) -> std::io::Result
     }
 }
 
-/// A tiny xorshift64* generator for backoff jitter, seeded from the
-/// wall clock (no external RNG dependency; quality is irrelevant here,
-/// only that concurrent clients decorrelate).
-struct Jitter(u64);
+/// Backoff jitter: a SplitMix64 stream seeded from the wall clock, so
+/// concurrent clients decorrelate.
+struct Jitter(SplitMix64);
 
 impl Jitter {
     fn seeded() -> Jitter {
-        let seed =
-            SystemTime::now().duration_since(UNIX_EPOCH).map_or(0x9E37_79B9_7F4A_7C15, |d| {
-                u64::from(d.subsec_nanos()) ^ d.as_secs().rotate_left(32)
-            });
-        Jitter(seed | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        let seed = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map_or(0, |d| u64::from(d.subsec_nanos()) ^ d.as_secs().rotate_left(32));
+        Jitter(SplitMix64::seed_from_u64(seed))
     }
 
     fn up_to(&mut self, max: Duration) -> Duration {
@@ -677,7 +679,7 @@ impl Jitter {
         if cap == 0 {
             return Duration::ZERO;
         }
-        Duration::from_nanos(self.next() % cap)
+        Duration::from_nanos(self.0.random_range(0..cap))
     }
 }
 
@@ -731,6 +733,32 @@ mod tests {
         assert_eq!(buf.take_line().as_deref(), Some(&b"a\ncde\n"[..]));
         assert_eq!(buf.take_line(), None);
         assert_eq!(buf.pending, b"f");
+    }
+
+    /// A line that is not UTF-8 is a malformed request: stdio answers it
+    /// with a typed error and goes on, as the TCP reader does.
+    #[test]
+    fn a_non_utf8_line_is_answered_and_serving_goes_on() {
+        use crate::api::MetricsRequest;
+        let metrics = |id| Request::Metrics(MetricsRequest { id, deadline_ms: None });
+        let mut input = format!("{}\n", metrics(1).to_json_string()).into_bytes();
+        input.extend_from_slice(b"\xff\xfe\n");
+        input.extend_from_slice(format!("{}\n", metrics(2).to_json_string()).as_bytes());
+        let mut output = Vec::new();
+        let state = ServerState::new();
+        let summary =
+            serve_lines(&state, &ServeOptions::default(), Cursor::new(input), &mut output)
+                .expect("a bad line is not a transport error");
+        let responses: Vec<Response> = String::from_utf8(output)
+            .expect("responses are UTF-8")
+            .lines()
+            .map(|line| Response::from_json_str(line).expect("a v1 response"))
+            .collect();
+        assert_eq!(responses.len(), 3, "{responses:?}");
+        assert!(matches!(&responses[0], Response::Metrics(m) if m.id == 1));
+        assert!(matches!(&responses[1], Response::Error(e) if e.status == Status::InvalidRequest));
+        assert!(matches!(&responses[2], Response::Metrics(m) if m.id == 2));
+        assert_eq!(summary.requests, 2, "the malformed line is answered, not counted");
     }
 
     /// Satellite: a server that dies mid-session must produce a

@@ -10,9 +10,8 @@
 //! `threads=N`, conservation of `oracle_calls + probe_faults`, and
 //! every accepted suggestion strictly reducing the error count.
 
-use seminal_corpus::rng::SplitMix64;
 use seminal_cpp::{parse_cpp, CppChaos, CppReport, CppSearchSession};
-use seminal_obs::Json;
+use seminal_obs::{Json, SplitMix64};
 
 use crate::gen::case_seed;
 

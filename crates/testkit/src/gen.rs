@@ -13,8 +13,8 @@
 //! Every case is a pure function of `(seed, index)`, so any failing case
 //! can be regenerated alone from its recorded per-case seed.
 
-use seminal_corpus::rng::SplitMix64;
 use seminal_corpus::{mutate_chain, ALL_KINDS, TEMPLATES};
+use seminal_obs::SplitMix64;
 
 /// The six adversarial program families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -30,7 +30,7 @@ use seminal_ml::ast::Program;
 use seminal_ml::parser::parse_program;
 use seminal_ml::pretty::program_to_string;
 use seminal_obs::{Completion, EventKind, TraceRecord};
-use seminal_typeck::{check_program, ChaosConfig, ChaosOracle, CheckpointedOracle};
+use seminal_typeck::{check_program, ChaosConfig, CheckpointedOracle, TypeCheckOracle};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -85,14 +85,15 @@ impl Violation {
 }
 
 /// The configured catalog runner: how many worker threads the parallel
-/// differential run uses and what chaos (if any) wraps the *search*
-/// oracle. The revalidation oracle is always fresh and chaos-free —
-/// that asymmetry is what lets injected verdict flips be caught.
+/// differential run uses and what chaos (if any) the *searches* inject
+/// at their oracle guards. The revalidation oracle is always fresh and
+/// chaos-free — that asymmetry is what lets injected verdict flips be
+/// caught.
 #[derive(Debug, Clone, Copy)]
 pub struct InvariantSuite {
     /// Thread count of the parallel side of the differential pair.
     pub threads: usize,
-    /// Optional fault injection around the search oracle only.
+    /// Optional fault injection into the searches' oracle calls only.
     pub chaos: Option<ChaosConfig>,
     /// Whether the primary runs use the checkpointed incremental oracle
     /// (the shipping default) or the from-scratch path. Either way the
@@ -107,7 +108,7 @@ impl InvariantSuite {
         InvariantSuite { threads: threads.max(1), chaos: None, incremental: true }
     }
 
-    /// Wraps the search oracle (not the revalidation oracle) in `chaos`.
+    /// Injects `chaos` into the searches (not the revalidation oracle).
     pub fn with_chaos(mut self, chaos: ChaosConfig) -> InvariantSuite {
         self.chaos = Some(chaos);
         self
@@ -127,7 +128,7 @@ impl InvariantSuite {
     /// One search run. Deadline is pinned off and the thread count is
     /// pinned explicitly so fuzz results never depend on ambient
     /// `SEMINAL_THREADS` / `SEMINAL_DEADLINE_MS` settings. Chaos, when
-    /// configured, wraps *outside* the checkpointed oracle — injection
+    /// configured, is injected at the search's oracle guards — injection
     /// decisions are a pure function of rendered text and seed, so they
     /// are identical in both oracle modes.
     fn run_mode(
@@ -143,21 +144,59 @@ impl InvariantSuite {
         // A parallel run's trace tells `thread_identity` which of its
         // probes the engine's memo answered with a fault.
         config.collect_trace = threads > 1;
-        let checker = CheckpointedOracle::with_enabled(incremental);
-        match self.chaos {
-            Some(chaos) => SearchSession::builder(ChaosOracle::new(checker, chaos))
-                .config(config)
-                .threads(threads)
-                .build()
-                .expect("fuzz search config is valid")
-                .search(prog),
-            None => SearchSession::builder(checker)
-                .config(config)
-                .threads(threads)
-                .build()
-                .expect("fuzz search config is valid")
-                .search(prog),
+        config.threads = threads;
+        self.session(&*checker(incremental), config).search(prog)
+    }
+
+    /// A session over `oracle` with `config` and the suite's chaos.
+    fn session<O: Oracle>(&self, oracle: O, config: SearchConfig) -> SearchSession<O> {
+        let mut builder = SearchSession::builder(oracle).config(config);
+        if let Some(chaos) = self.chaos {
+            builder = builder.chaos(chaos);
         }
+        builder.build().expect("fuzz search config is valid")
+    }
+
+    /// A warm cross-request memo must be invisible. The twin is the
+    /// printed program with a comment line in front: it shares every
+    /// memo key with the original while every span moves. Searched
+    /// through one shared [`VerdictMemo`] right after the original, as a
+    /// daemon would answer the two, the twin must report what it
+    /// reports cold: the same baseline error, payload, completion and
+    /// `oracle_calls`. Under chaos both draw the same faults (the
+    /// decisions are keyed by the printed text, which the comment does
+    /// not change), and the memo, below the injection, holds only clean
+    /// outcomes.
+    pub fn warm_twin_identity(&self, prog: &Program) -> Option<Violation> {
+        let printed = program_to_string(prog);
+        // A printed program that does not reparse is `pretty-roundtrip`'s.
+        let original = parse_program(&printed).ok()?;
+        let twin = parse_program(&format!("(* layout twin *)\n{printed}")).ok()?;
+        // Sequential, deadline-free searches in the daemon's
+        // configuration.
+        let config = SearchConfig { deadline: None, threads: 1, ..SearchConfig::default() };
+        let cold = self.session(&*checker(self.incremental), config.clone()).search(&twin);
+        let memo = Arc::new(VerdictMemo::bounded(seminal_core::DEFAULT_CROSS_MEMO_CAPACITY));
+        let warm_search = |prog: &Program| {
+            let checker = checker(self.incremental);
+            let oracle = SharedMemoOracle::new(&*checker, memo.clone());
+            self.session(oracle, config.clone()).search(prog)
+        };
+        warm_search(&original);
+        let warm = warm_search(&twin);
+        let seen = |r: &SearchReport| {
+            (r.baseline.clone(), r.payload(), r.completion, r.stats.oracle_calls)
+        };
+        let (warm, cold) = (seen(&warm), seen(&cold));
+        (warm != cold).then(|| {
+            Violation::new(
+                INV_WARM_TWIN_IDENTITY,
+                format!(
+                    "warm twin differs from cold (baseline, payload, completion, oracle_calls): \
+                     {warm:?} vs {cold:?}"
+                ),
+            )
+        })
     }
 
     /// Runs the whole catalog against `prog`, returning every violation
@@ -181,16 +220,23 @@ impl InvariantSuite {
         out.extend(completion_consistency(&base));
         out.extend(completion_consistency(&par));
         out.extend(incremental_scratch_identity(incr, scratch));
-        // The daemon never puts an injected oracle over its memo.
-        if self.chaos.is_none() {
-            out.extend(warm_twin_identity(prog, self.incremental));
-        }
+        out.extend(self.warm_twin_identity(prog));
         out
     }
 }
 
+/// A fresh checker: the checkpointed incremental oracle, or the
+/// from-scratch one.
+fn checker(incremental: bool) -> Box<dyn Oracle> {
+    if incremental {
+        Box::new(CheckpointedOracle::new())
+    } else {
+        Box::new(TypeCheckOracle::new())
+    }
+}
+
 /// Every reported suggestion's variant must re-typecheck under a fresh
-/// [`TypeCheckOracle`](seminal_typeck::TypeCheckOracle) — the paper's core promise. A memo bug, an engine
+/// [`TypeCheckOracle`] — the paper's core promise. A memo bug, an engine
 /// race, or an injected verdict flip all surface here.
 pub fn suggestion_revalidates(report: &SearchReport) -> Option<Violation> {
     for (rank, s) in report.suggestions().iter().enumerate() {
@@ -442,43 +488,6 @@ pub fn incremental_scratch_identity(
         ));
     }
     None
-}
-
-/// A warm cross-request memo must be invisible. The twin is the printed
-/// program with a comment line in front: it shares every memo key with
-/// the original while every span moves. Searched through one shared
-/// [`VerdictMemo`] right after the original, as a daemon would answer
-/// the two, the twin must report what it reports cold: the same
-/// baseline error, payload, completion and `oracle_calls`.
-pub fn warm_twin_identity(prog: &Program, incremental: bool) -> Option<Violation> {
-    let printed = program_to_string(prog);
-    // A printed program that does not reparse is `pretty-roundtrip`'s.
-    let original = parse_program(&printed).ok()?;
-    let twin = parse_program(&format!("(* layout twin *)\n{printed}")).ok()?;
-    let checker = || CheckpointedOracle::with_enabled(incremental);
-    let cold = twin_search(checker(), &twin);
-    let memo = Arc::new(VerdictMemo::bounded(seminal_core::DEFAULT_CROSS_MEMO_CAPACITY));
-    twin_search(SharedMemoOracle::new(checker(), memo.clone()), &original);
-    let warm = twin_search(SharedMemoOracle::new(checker(), memo), &twin);
-    let seen =
-        |r: &SearchReport| (r.baseline.clone(), r.payload(), r.completion, r.stats.oracle_calls);
-    let (warm, cold) = (seen(&warm), seen(&cold));
-    (warm != cold).then(|| {
-        Violation::new(
-            INV_WARM_TWIN_IDENTITY,
-            format!(
-                "warm twin differs from cold (baseline, payload, completion, oracle_calls): \
-                 {warm:?} vs {cold:?}"
-            ),
-        )
-    })
-}
-
-/// One sequential, deadline-free search in the daemon's configuration.
-fn twin_search<O: Oracle>(oracle: O, prog: &Program) -> SearchReport {
-    let config = SearchConfig { deadline: None, threads: 1, ..SearchConfig::default() };
-    let session = SearchSession::builder(oracle).config(config).build();
-    session.expect("fuzz search config is valid").search(prog)
 }
 
 /// `Completion` must agree with the fault count that justifies it:

@@ -32,6 +32,7 @@
 //! records: probes and typing pay nothing for it.
 //!
 //! [span keys]: seminal_ml::Decl::span_key
+//! [`check_program`]: crate::infer::check_program
 //! [`check_program_types`]: crate::infer::check_program_types
 //! [`trace_program`]: crate::infer::trace_program
 //!
@@ -40,12 +41,13 @@
 //! several workers; whoever holds the lock gets the incremental path and
 //! everyone else falls back to a scratch check (correct, just uncached).
 //! `types` and `constraint_trace` follow the same rules. A panic that
-//! unwinds through the lock (injected chaos, a checker bug) poisons the
-//! mutex; the next call resets the chain wholesale, so a
-//! half-rolled-back trail can never leak into a later probe.
+//! unwinds through the lock (a checker bug) poisons the mutex; the next
+//! call resets the chain wholesale, so a half-rolled-back trail can
+//! never leak into a later probe. Injected chaos panics fire in the
+//! probe guard, before the oracle is called, and never reach the lock.
 
 use crate::error::TypeError;
-use crate::infer::{check_program, check_program_types, trace_program, InferState};
+use crate::infer::{check_program_types, trace_program, InferState};
 use crate::oracle::{IncrementalStats, Oracle};
 use crate::record::ConstraintTrace;
 use seminal_ml::ast::{Decl, NodeId, Program};
@@ -60,7 +62,8 @@ use std::time::Instant;
 /// extends no further than the base's first failing declaration.
 ///
 /// [`check`](InferChain::check), [`types`](InferChain::types) and
-/// [`trace`](InferChain::trace) answer exactly like [`check_program`],
+/// [`trace`](InferChain::trace) answer exactly like
+/// [`check_program`](crate::infer::check_program),
 /// [`check_program_types`] and [`trace_program`] for any program,
 /// sharing a prefix with the base or not; only the work they do depends
 /// on that prefix. [`InferChain::stats`] counts the work of seeding and
@@ -90,7 +93,8 @@ impl InferChain {
     ///
     /// # Errors
     ///
-    /// The same first [`TypeError`] as [`check_program`].
+    /// The same first [`TypeError`] as
+    /// [`check_program`](crate::infer::check_program).
     pub(crate) fn check(&mut self, prog: &Program) -> Result<(), TypeError> {
         if self.state.depth() == 0 {
             return self.seed(prog);
@@ -284,8 +288,9 @@ impl InferChain {
     }
 }
 
-/// A scratch [`check_program`] that also reports how many declarations
-/// inference visited: it stops at the first failing one.
+/// A scratch [`check_program`](crate::infer::check_program) that also
+/// reports how many declarations inference visited: it stops at the
+/// first failing one.
 fn scratch_check(prog: &Program) -> (Result<(), TypeError>, u64) {
     let mut state = InferState::initial();
     for (i, d) in prog.decls.iter().enumerate() {
@@ -306,15 +311,12 @@ fn scratch_check(prog: &Program) -> (Result<(), TypeError>, u64) {
 /// [`Oracle::constraint_trace`], so one inference of the base serves the
 /// baseline verdict, the localization pass and every suggestion's type.
 ///
-/// Construct with [`CheckpointedOracle::new`] (incremental on) or
-/// [`CheckpointedOracle::scratch`] (`--no-incremental`: every call is a
-/// plain [`check_program`], [`check_program_types`] or
-/// [`trace_program`], counters stay zero). Both modes are the same type
-/// so the oracle stacks above — memo, chaos, counting — never change
-/// shape.
+/// `--no-incremental` selects [`TypeCheckOracle`] instead, the same
+/// answers from scratch on every call.
+///
+/// [`TypeCheckOracle`]: crate::oracle::TypeCheckOracle
 #[derive(Debug, Default)]
 pub struct CheckpointedOracle {
-    enabled: bool,
     chain: Mutex<InferChain>,
     /// Declarations visited by scratch checks made while another worker
     /// held the chain.
@@ -324,27 +326,7 @@ pub struct CheckpointedOracle {
 impl CheckpointedOracle {
     /// An incremental oracle with an empty chain.
     pub fn new() -> CheckpointedOracle {
-        CheckpointedOracle { enabled: true, ..CheckpointedOracle::default() }
-    }
-
-    /// A passthrough oracle: every `check` is a scratch
-    /// [`check_program`]. The `--no-incremental` escape hatch.
-    pub fn scratch() -> CheckpointedOracle {
         CheckpointedOracle::default()
-    }
-
-    /// `new()` when `enabled`, `scratch()` otherwise.
-    pub fn with_enabled(enabled: bool) -> CheckpointedOracle {
-        if enabled {
-            CheckpointedOracle::new()
-        } else {
-            CheckpointedOracle::scratch()
-        }
-    }
-
-    /// Whether the incremental path is active.
-    pub fn is_incremental(&self) -> bool {
-        self.enabled
     }
 
     /// Current counter values.
@@ -354,14 +336,10 @@ impl CheckpointedOracle {
         stats
     }
 
-    /// Runs `f` on the chain, or returns `None` when the oracle is in
-    /// scratch mode or another worker holds the chain: the caller's
-    /// scratch answer is always correct and avoids serializing the
-    /// probe engine.
+    /// Runs `f` on the chain, or returns `None` when another worker
+    /// holds the chain: the caller's scratch answer is always correct
+    /// and avoids serializing the probe engine.
     fn with_chain<T>(&self, f: impl FnOnce(&mut InferChain) -> T) -> Option<T> {
-        if !self.enabled {
-            return None;
-        }
         match self.chain.try_lock() {
             Ok(mut chain) => Some(f(&mut chain)),
             Err(TryLockError::Poisoned(poisoned)) => {
@@ -380,9 +358,6 @@ impl CheckpointedOracle {
 
 impl Oracle for CheckpointedOracle {
     fn check(&self, prog: &Program) -> Result<(), TypeError> {
-        if !self.enabled {
-            return check_program(prog);
-        }
         self.with_chain(|chain| chain.check(prog)).unwrap_or_else(|| {
             let (verdict, visited) = scratch_check(prog);
             self.fallback_decls.fetch_add(visited, Ordering::Relaxed);
@@ -411,6 +386,7 @@ impl Oracle for CheckpointedOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::infer::check_program;
     use crate::oracle::TypeCheckOracle;
     use seminal_ml::edit;
     use seminal_ml::parser::parse_program;
@@ -528,18 +504,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_mode_is_passthrough_with_zero_counters() {
-        let prog = parse_program(SRC).unwrap();
-        let inc = CheckpointedOracle::scratch();
-        assert_eq!(inc.check(&prog), check_program(&prog));
-        assert_eq!(inc.check(&prog), check_program(&prog));
-        let stats = inc.stats();
-        assert_eq!(stats.incremental_hits, 0);
-        assert_eq!(stats.decls_recheck, 0);
-        assert!(!inc.is_incremental());
-    }
-
-    #[test]
     fn poisoned_chain_resets_and_next_probe_is_clean() {
         let prog = parse_program(SRC).unwrap();
         let inc = CheckpointedOracle::new();
@@ -566,20 +530,20 @@ mod tests {
 
     #[test]
     fn faulted_probe_does_not_leak_into_the_next_probe() {
-        use crate::chaos::{ChaosConfig, ChaosOracle};
+        use crate::chaos::ChaosConfig;
         use crate::oracle::{guarded_probe, ProbeOutcome};
 
-        // Chaos panics sit *above* the incremental oracle, exactly as the
-        // serve dispatch stacks them; a probe that faults must leave the
-        // chain in a state where the following probes still match scratch.
+        // Chaos panics fire in the probe guard, *above* the incremental
+        // oracle; a probe that faults must leave the chain in a state
+        // where the following probes still match scratch.
         let prog = parse_program(SRC).unwrap();
-        let stack = ChaosOracle::new(CheckpointedOracle::new(), ChaosConfig::panics(11, 1000));
+        let inner = CheckpointedOracle::new();
+        let chaos = ChaosConfig::panics(11, 1000);
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        assert_eq!(guarded_probe(&stack, &prog), ProbeOutcome::Faulted);
+        assert_eq!(guarded_probe(&inner, &prog, Some(&chaos)), ProbeOutcome::Faulted);
         std::panic::set_hook(prev);
 
-        let inner = stack.into_inner();
         let probe = edit::remove_expr(&prog, expr_ids(&prog, 3)[2]);
         assert_eq!(inner.check(&probe), check_program(&probe));
         assert_eq!(inner.check(&prog), check_program(&prog));
@@ -789,15 +753,5 @@ mod tests {
         assert_same_trace(&contended, &trace_program(&prog));
         drop(guard);
         assert_eq!(inc.stats(), before, "scratch typing and tracing charge nothing");
-    }
-
-    #[test]
-    fn scratch_mode_types_and_traces_from_scratch() {
-        let prog = parse_program(SRC).unwrap();
-        let inc = CheckpointedOracle::scratch();
-        let wanted = expr_ids(&prog, 1);
-        assert_eq!(inc.types(&prog, &wanted), check_program_types(&prog, &wanted));
-        assert_same_trace(&inc.constraint_trace(&prog), &trace_program(&prog));
-        assert_eq!(inc.stats(), IncrementalStats::default());
     }
 }

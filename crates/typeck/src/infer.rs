@@ -117,23 +117,16 @@ impl InferState {
         capture: &mut HashSet<NodeId>,
         captured: &mut HashMap<NodeId, Ty>,
     ) -> Result<(), TypeError> {
-        let mut infer = Infer {
-            uni: std::mem::take(&mut self.uni),
+        Infer {
+            uni: &mut self.uni,
             depth: 0,
-            env: std::mem::take(&mut self.env),
-            capture: std::mem::take(capture),
-            captured: std::mem::take(captured),
-            annot_vars: std::mem::take(&mut self.annot_vars),
-            recorder: self.recorder.take(),
-        };
-        let result = infer.decl(d);
-        self.uni = infer.uni;
-        self.env = infer.env;
-        self.annot_vars = infer.annot_vars;
-        self.recorder = infer.recorder;
-        *capture = infer.capture;
-        *captured = infer.captured;
-        result
+            env: &mut self.env,
+            capture,
+            captured,
+            annot_vars: &mut self.annot_vars,
+            recorder: &mut self.recorder,
+        }
+        .decl(d)
     }
 
     /// Marks the current state (push): from here on every store write
@@ -238,24 +231,26 @@ pub fn check_program_types(
 /// overflow on adversarial input.
 const MAX_DEPTH: usize = 48;
 
-struct Infer {
-    uni: Unifier,
+/// Inference of one declaration, advancing the fields of the
+/// [`InferState`] it borrows.
+struct Infer<'s> {
+    uni: &'s mut Unifier,
     /// Current recursion depth across `infer`/`check`.
     depth: usize,
-    env: Env,
-    capture: HashSet<NodeId>,
-    captured: HashMap<NodeId, Ty>,
+    env: &'s mut Env,
+    capture: &'s mut HashSet<NodeId>,
+    captured: &'s mut HashMap<NodeId, Ty>,
     /// Map from annotation type-variable names to inference vars, scoped
     /// per top-level declaration.
-    annot_vars: HashMap<String, Ty>,
+    annot_vars: &'s mut HashMap<String, Ty>,
     /// When set, every `unify_at` demand is logged before being solved
     /// (see [`trace_program`]); `None` costs nothing on the oracle path.
-    recorder: Option<Vec<Constraint>>,
+    recorder: &'s mut Option<Vec<Constraint>>,
 }
 
 type Res<T> = Result<T, TypeError>;
 
-impl Infer {
+impl Infer<'_> {
     // ------------------------------------------------------------------
     // Declarations
     // ------------------------------------------------------------------
@@ -617,7 +612,7 @@ impl Infer {
                         span: p.span,
                     });
                 };
-                let map = fresh_for(&mut self.uni, &info.vars);
+                let map = fresh_for(self.uni, &info.vars);
                 let result = self.uni.subst(&info.result, &map);
                 self.unify_at(p.span, &result, expected)?;
                 match (&info.arg, arg) {
@@ -722,7 +717,7 @@ impl Infer {
                         let saved: HashMap<String, Ty> = self.annot_vars.clone();
                         self.let_bindings(*rec, bindings, e.span)?;
                         let r = self.check(body, expected);
-                        self.annot_vars = saved;
+                        *self.annot_vars = saved;
                         self.env.truncate(mark);
                         r
                     }
@@ -795,7 +790,7 @@ impl Infer {
                         span: e.span,
                     });
                 };
-                Ok(instantiate(&mut self.uni, scheme))
+                Ok(instantiate(self.uni, scheme))
             }
             ExprKind::Lit(l) => Ok(lit_type(l)),
             ExprKind::Hole => Ok(self.uni.fresh()),
@@ -841,7 +836,7 @@ impl Infer {
                 let saved: HashMap<String, Ty> = self.annot_vars.clone();
                 self.let_bindings(*rec, bindings, e.span)?;
                 let t = self.infer(body)?;
-                self.annot_vars = saved;
+                *self.annot_vars = saved;
                 self.env.truncate(mark);
                 Ok(t)
             }
@@ -914,7 +909,7 @@ impl Infer {
                         span: e.span,
                     });
                 };
-                let map = fresh_for(&mut self.uni, &info.vars);
+                let map = fresh_for(self.uni, &info.vars);
                 match (&info.arg, arg) {
                     (Some(at), Some(ae)) => {
                         let at = self.uni.subst(at, &map);
@@ -951,7 +946,7 @@ impl Infer {
                     });
                 };
                 let Ty::Con(rec_name, _) = &finfo.record else { unreachable!() };
-                let map = fresh_for(&mut self.uni, &finfo.vars);
+                let map = fresh_for(self.uni, &finfo.vars);
                 let record_ty = self.uni.subst(&finfo.record, &map);
                 let types = Arc::clone(&self.env.types);
                 let declared = match types.get(&**rec_name) {
@@ -1034,7 +1029,7 @@ impl Infer {
         let Some(fi) = self.env.fields.get(fname) else {
             return Err(TypeError { kind: TypeErrorKind::UnboundField(fname.to_owned()), span });
         };
-        let map = fresh_for(&mut self.uni, &fi.vars);
+        let map = fresh_for(self.uni, &fi.vars);
         let record = self.uni.subst(&fi.record, &map);
         let fty = self.uni.subst(&fi.ty, &map);
         Ok((record, fty, fi.mutable))

@@ -40,7 +40,7 @@ pub mod stdlib;
 pub mod types;
 pub mod unify;
 
-pub use chaos::{ChaosConfig, ChaosOracle};
+pub use chaos::ChaosConfig;
 pub use error::{TypeError, TypeErrorKind};
 pub use fingerprint::program_fingerprint;
 pub use incremental::CheckpointedOracle;

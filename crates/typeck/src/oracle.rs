@@ -16,6 +16,7 @@
 //! the program answers them from that inference instead of running a
 //! second one.
 
+use crate::chaos::{inject, ChaosConfig};
 use crate::error::{TypeError, TypeErrorKind};
 use crate::infer::{check_program, check_program_types, trace_program};
 use crate::record::ConstraintTrace;
@@ -61,12 +62,19 @@ impl ProbeOutcome {
 /// Runs one probe under a panic guard: a panicking oracle yields
 /// [`ProbeOutcome::Faulted`] instead of unwinding into the search.
 ///
+/// With `chaos`, the guard also injects its faults (see [`crate::chaos`]).
+///
 /// `AssertUnwindSafe` is sound here because the oracle is only observed
 /// through `&self` afterwards and the trait contract requires interior
 /// mutability to be panic-consistent (the built-in oracles hold atomics
 /// or locks that the guard never leaves mid-update).
-pub fn guarded_probe<O: Oracle + ?Sized>(oracle: &O, prog: &Program) -> ProbeOutcome {
-    match catch_unwind(AssertUnwindSafe(|| oracle.passes(prog))) {
+pub fn guarded_probe<O: Oracle + ?Sized>(
+    oracle: &O,
+    prog: &Program,
+    chaos: Option<&ChaosConfig>,
+) -> ProbeOutcome {
+    let probe = || inject(chaos, prog, || oracle.passes(prog), |passed| !passed);
+    match catch_unwind(AssertUnwindSafe(probe)) {
         Ok(true) => ProbeOutcome::Pass,
         Ok(false) => ProbeOutcome::Fail,
         Err(_) => ProbeOutcome::Faulted,
@@ -79,13 +87,22 @@ pub fn guarded_probe<O: Oracle + ?Sized>(oracle: &O, prog: &Program) -> ProbeOut
 /// just a verdict — can keep going. Distinguish real errors from
 /// isolated faults with [`TypeError::is_fault`].
 ///
+/// With `chaos`, faults are injected as by [`guarded_probe`]; a flipped
+/// `Ok` is the synthesized fault error, a flipped error is `Ok`.
+///
 /// # Errors
 ///
 /// The oracle's own [`TypeError`] when the program is ill-typed, or the
 /// synthesized fault error when the oracle panicked.
-pub fn guarded_check<O: Oracle + ?Sized>(oracle: &O, prog: &Program) -> Result<(), TypeError> {
-    catch_unwind(AssertUnwindSafe(|| oracle.check(prog)))
-        .unwrap_or(Err(TypeError { kind: TypeErrorKind::OracleFault, span: Span::DUMMY }))
+pub fn guarded_check<O: Oracle + ?Sized>(
+    oracle: &O,
+    prog: &Program,
+    chaos: Option<&ChaosConfig>,
+) -> Result<(), TypeError> {
+    let fault = || TypeError { kind: TypeErrorKind::OracleFault, span: Span::DUMMY };
+    let flip = |verdict: Result<(), TypeError>| if verdict.is_ok() { Err(fault()) } else { Ok(()) };
+    catch_unwind(AssertUnwindSafe(|| inject(chaos, prog, || oracle.check(prog), flip)))
+        .unwrap_or_else(|_| Err(fault()))
 }
 
 /// Counters published by an incremental oracle (see
@@ -110,17 +127,19 @@ pub struct IncrementalStats {
 /// Oracles are `Send + Sync`: the parallel probe engine shares one oracle
 /// across its worker threads, so `passes` must be callable concurrently.
 /// Oracles carrying mutable state (counters, caches) use interior
-/// mutability with atomics or locks, as [`CountingOracle`] does.
+/// mutability with atomics or locks.
 ///
 /// [`Oracle::check`] and [`Oracle::passes`] are the oracle calls, and
 /// the search's cost model counts both. Every probe asks
 /// [`Oracle::passes`], for one bit; only the search's baseline asks
 /// [`Oracle::check`], because only the baseline's message and location
 /// are ever shown. A wrapper that caches therefore caches `passes`
-/// alone, and nothing it stores carries a span. [`Oracle::types`] and
+/// alone, and nothing it stores carries a span. The search makes both
+/// calls through its guards ([`guarded_probe`], [`guarded_check`]),
+/// which is where faults are injected. [`Oracle::types`] and
 /// [`Oracle::constraint_trace`] format messages and order the search;
-/// wrappers forward them to their inner oracle without counting,
-/// caching or injecting faults, and their defaults infer from scratch.
+/// wrappers forward them to their inner oracle without counting or
+/// caching, and their defaults infer from scratch.
 pub trait Oracle: Send + Sync {
     /// Type-checks the whole program, returning the first error if any.
     ///
@@ -130,8 +149,8 @@ pub trait Oracle: Send + Sync {
     fn check(&self, prog: &Program) -> Result<(), TypeError>;
 
     /// Whether the whole program type-checks: the probe. The default is
-    /// `self.check(prog).is_ok()`, so a wrapper that counts or injects
-    /// in `check` counts and injects probes too without overriding this.
+    /// `self.check(prog).is_ok()`, so a wrapper that counts in `check`
+    /// counts probes too without overriding this.
     fn passes(&self, prog: &Program) -> bool {
         self.check(prog).is_ok()
     }
@@ -165,7 +184,11 @@ pub trait Oracle: Send + Sync {
     }
 }
 
-/// The real checker from [`crate::infer`].
+/// The real checker from [`crate::infer`], from scratch on every call:
+/// `check`, `types` and `constraint_trace` are [`check_program`],
+/// [`check_program_types`] and [`trace_program`]. It is the
+/// `--no-incremental` checker, and the reference the incremental
+/// [`crate::incremental::CheckpointedOracle`] must answer like.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TypeCheckOracle;
 
@@ -184,8 +207,10 @@ impl Oracle for TypeCheckOracle {
 
 /// Wraps an oracle and counts calls — the cost metric of the paper's
 /// efficiency discussion (search cost ≈ number of type-checker runs).
-/// The counter is atomic so the wrapper stays a valid [`Oracle`] when
-/// probes run on the parallel engine's worker threads.
+/// A test utility: tests reconcile a search's `oracle_calls` against
+/// what really reached the checker. The counter is atomic so the
+/// wrapper stays a valid [`Oracle`] when probes run on the parallel
+/// engine's worker threads.
 #[derive(Debug, Default)]
 pub struct CountingOracle<O> {
     inner: O,
@@ -201,16 +226,6 @@ impl<O: Oracle> CountingOracle<O> {
     /// Number of `check` calls made so far.
     pub fn calls(&self) -> u64 {
         self.calls.load(Ordering::Relaxed)
-    }
-
-    /// Resets the counter to zero.
-    pub fn reset(&self) {
-        self.calls.store(0, Ordering::Relaxed);
-    }
-
-    /// Unwraps the inner oracle.
-    pub fn into_inner(self) -> O {
-        self.inner
     }
 }
 
@@ -288,8 +303,6 @@ mod tests {
             oracle.check(&prog).unwrap();
         }
         assert_eq!(oracle.calls(), 3);
-        oracle.reset();
-        assert_eq!(oracle.calls(), 0);
     }
 
     #[test]

@@ -18,7 +18,9 @@ use seminal::ml::edit;
 use seminal::ml::parser::parse_program;
 use seminal::obs::keys;
 use seminal::testkit::golden::{default_dir, load_corpus};
-use seminal::typeck::{check_program_types, CheckpointedOracle, InferState, Oracle};
+use seminal::typeck::{
+    check_program_types, CheckpointedOracle, InferState, Oracle, TypeCheckOracle,
+};
 
 /// The ill-typed Caml samples (figure10.cpp belongs to the C++
 /// prototype; deadline_stress.ml is sized for deadline tests, not for
@@ -28,7 +30,9 @@ const SAMPLES: &[&str] = &["samples/figure2.ml", "samples/figure8.ml", "samples/
 fn run(source: &str, incremental: bool) -> SearchReport {
     let prog = parse_program(source).expect("sample parses");
     let config = SearchConfig { deadline: None, ..SearchConfig::default() };
-    SearchSession::builder(CheckpointedOracle::with_enabled(incremental))
+    let (chain, scratch) = (CheckpointedOracle::new(), TypeCheckOracle::new());
+    let checker: &dyn Oracle = if incremental { &chain } else { &scratch };
+    SearchSession::builder(checker)
         .config(config)
         .threads(1)
         .build()
@@ -85,8 +89,8 @@ fn incremental_and_scratch_reports_agree_on_samples() {
             incr.stats.oracle_calls, scratch.stats.oracle_calls,
             "{sample}: incremental reuse must save work inside calls, never calls"
         );
-        // The scratch mode publishes zeroed counters (the wrapper is a
-        // passthrough), so metric consumers never see stale reuse stats.
+        // The scratch checker publishes no reuse counters, so metric
+        // consumers never see stale reuse stats.
         assert_eq!(scratch.metrics.counter(keys::ORACLE_DECLS_RECHECK), 0, "{sample}");
         assert_eq!(scratch.metrics.counter(keys::ORACLE_INCREMENTAL_HITS), 0, "{sample}");
     }

@@ -11,13 +11,13 @@
 
 use seminal::core::SearchSession;
 use seminal::corpus::mutate::{mutate, ALL_KINDS};
-use seminal::corpus::rng::SplitMix64;
 use seminal::corpus::templates::TEMPLATES;
 use seminal::ml::ast::{BinOp, Expr, ExprKind, Lit, NodeId, Pat, PatKind};
 use seminal::ml::edit;
 use seminal::ml::parser::{parse_expr, parse_program};
 use seminal::ml::pretty::{expr_to_string, program_to_string};
 use seminal::ml::span::Span;
+use seminal::obs::SplitMix64;
 use seminal::typeck::unify::Unifier;
 use seminal::typeck::{check_program, pretty, Ty, TypeCheckOracle};
 

@@ -8,11 +8,12 @@
 //! same program with a comment added) exactly as a cold daemon does,
 //! baseline location included.
 
-use seminal::serve::{CheckRequest, Request, Response, ShutdownRequest, Status};
+use seminal::serve::{CheckRequest, MetricsRequest, Request, Response, ShutdownRequest, Status};
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, Stdio};
 
 const FIGURE2: &str = include_str!("../samples/figure2.ml");
+const DEADLINE_STRESS: &str = include_str!("../samples/deadline_stress.ml");
 
 /// Kills the server on test panic so a failed assertion cannot leave
 /// an orphaned child holding the pipes open. The response reader lives
@@ -248,6 +249,37 @@ fn malformed_and_invalid_requests_do_not_kill_the_server() {
     assert_eq!(shutdown_clean(server), 4, "malformed lines are not counted as requests");
 }
 
+/// Bytes that are not UTF-8 on stdin are one malformed line: the daemon
+/// answers it with a typed error, serves the next line, and exits 0 at
+/// end of input.
+#[test]
+fn a_non_utf8_line_does_not_end_stdio_serve() {
+    let metrics = |id| Request::Metrics(MetricsRequest { id, deadline_ms: None }).to_json_string();
+    let mut input = format!("{}\n", metrics(1)).into_bytes();
+    input.extend_from_slice(b"\xff\xfe\n");
+    input.extend_from_slice(format!("{}\n", metrics(2)).as_bytes());
+    let mut child = Command::new(env!("CARGO_BIN_EXE_seminal"))
+        .arg("serve")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn seminal serve");
+    child.stdin.take().expect("server stdin").write_all(&input).expect("write requests");
+    let out = child.wait_with_output().expect("serve runs to end of input");
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8(out.stdout).expect("responses are UTF-8");
+    let statuses: Vec<Status> = stdout
+        .lines()
+        .map(|line| match Response::from_json_str(line).expect("a v1 response") {
+            Response::Metrics(m) => m.status,
+            Response::Error(e) => e.status,
+            other => panic!("unexpected response {other:?}"),
+        })
+        .collect();
+    assert_eq!(statuses, [Status::Ok, Status::InvalidRequest, Status::Ok]);
+}
+
 /// Kills a child on test panic without holding any of its pipes.
 struct KillOnDrop(Child);
 
@@ -478,20 +510,19 @@ fn trickling_client_is_closed_at_the_idle_limit() {
 fn saturated_admission_gate_sheds_with_a_typed_response() {
     let (mut guard, addr) = spawn_tcp_serve(&["--max-inflight", "1"]);
 
-    // Keep the one slot busy: a pump thread sends chaos-flagged checks
-    // back to back. Chaos requests bypass the cross-request memo, so
-    // each one really occupies the slot for a full search.
+    // Keep the one slot busy: a pump thread sends slow checks back to
+    // back. Each is the ~3k-probe deadline stress program under a first
+    // declaration of its own, so every probe key is new to the
+    // cross-request memo and each check occupies the slot for a full
+    // search.
     let stop = std::sync::atomic::AtomicBool::new(false);
     let shed = std::thread::scope(|scope| {
         let pump = scope.spawn(|| {
             let mut conn = TcpClient::connect(&addr);
             let mut id = 10;
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                let request = CheckRequest {
-                    chaos_flip: 1,
-                    chaos_seed: id,
-                    ..CheckRequest::new(id, FIGURE2)
-                };
+                let source = format!("let pump_{id} = {id}\n{DEADLINE_STRESS}");
+                let request = CheckRequest::new(id, source);
                 let response = conn.round_trip(&Request::Check(request));
                 assert!(
                     matches!(response, Response::Check(_)),

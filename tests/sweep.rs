@@ -5,10 +5,10 @@
 
 use seminal::core::{Outcome, SearchSession};
 use seminal::corpus::mutate::{mutate, ALL_KINDS};
-use seminal::corpus::rng::SplitMix64;
 use seminal::corpus::templates::TEMPLATES;
 use seminal::ml::edit::validate;
 use seminal::ml::parser::parse_program;
+use seminal::obs::SplitMix64;
 use seminal::typeck::{check_program, TypeCheckOracle};
 
 #[test]
