@@ -26,46 +26,31 @@ use seminal_ml::parser::parse_program;
 use seminal_typeck::TypeCheckOracle;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut which = "all".to_owned();
-    let mut target: Option<String> = None;
+    let mut args = std::env::args().skip(1);
+    let mut positional: Vec<String> = Vec::new();
     let mut scale = 1usize;
     let mut threads = 1usize;
-    let mut i = 0;
-    let mut positional = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                scale = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(1);
-                i += 2;
-            }
-            "--threads" => {
-                threads = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(1).max(1);
-                i += 2;
-            }
-            other => {
-                if positional == 0 {
-                    which = other.to_owned();
-                } else {
-                    target = Some(other.to_owned());
-                }
-                positional += 1;
-                i += 1;
-            }
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--scale" => scale = value(&arg, args.next()),
+            "--threads" => threads = value(&arg, args.next()).max(1),
+            flag if flag.starts_with("--") => usage_error(&format!("unknown flag `{flag}`")),
+            _ if positional.len() == 2 => usage_error(&format!("unexpected argument `{arg}`")),
+            _ => positional.push(arg),
         }
     }
+    let which = positional.first().map_or("all", String::as_str);
+    let target = positional.get(1).map(String::as_str);
 
-    match which.as_str() {
+    match which {
         "figure5" | "headline" => print_figure5(scale),
         "figure6" => print_figure6(scale),
         "figure7" => print_figure7(scale),
         "examples" => print_examples(),
         "cpp" => print_cpp(),
         "ablations" => print_ablations(scale),
-        "export" => export_corpus(scale, target.as_deref().unwrap_or("corpus-out")),
-        "eval-metrics" => {
-            eval_metrics(scale, threads, target.as_deref().unwrap_or("BENCH_search.json"));
-        }
+        "export" => export_corpus(scale, target.unwrap_or("corpus-out")),
+        "eval-metrics" => eval_metrics(scale, threads, target.unwrap_or("BENCH_search.json")),
         "debug-kinds" => debug_kinds(scale),
         "all" => {
             print_examples();
@@ -83,6 +68,21 @@ fn main() {
             std::process::exit(2);
         }
     }
+}
+
+/// The number after `flag`; a missing or unparsable one is a usage error.
+fn value(flag: &str, raw: Option<String>) -> usize {
+    raw.and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage_error(&format!("`{flag}` takes a number")))
+}
+
+/// Exits 2, the usage-error code `seminal` also uses, naming `problem`.
+fn usage_error(problem: &str) -> ! {
+    eprintln!(
+        "{problem}\nusage: figures [all|figure5|figure6|figure7|headline|examples|cpp|\
+         eval-metrics [OUT]] [--scale N] [--threads N]"
+    );
+    std::process::exit(2)
 }
 
 fn print_ablations(scale: usize) {

@@ -28,7 +28,6 @@ use seminal_core::obs::{EventKind, TraceRecord};
 use seminal_core::{Completion, Oracle, SearchConfig, SearchReport, SearchSession};
 use seminal_ml::parser::parse_program;
 use seminal_typeck::{ChaosConfig, CheckpointedOracle, TypeCheckOracle};
-use std::sync::Once;
 use std::time::{Duration, Instant};
 
 const SCENARIOS: &[(&str, &str)] = &[
@@ -63,34 +62,11 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 /// Ten percent nominal panic rate — the ISSUE's headline chaos load.
 const PANIC_PER_MILLE: u16 = 100;
 
-/// Installs a process-wide panic hook that swallows the expected
-/// `"chaos"`-marked injections but still prints anything else. Installed
-/// once and left in place: hooks are global, and these tests run
-/// concurrently.
-fn quiet_chaos_panics() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<&str>()
-                .map(|s| s.contains("chaos"))
-                .or_else(|| info.payload().downcast_ref::<String>().map(|s| s.contains("chaos")))
-                .unwrap_or(false);
-            if !injected {
-                prev(info);
-            }
-        }));
-    });
-}
-
 fn run_chaotic(src: &str, seed: u64, threads: usize) -> SearchReport {
     run_chaotic_mode(src, seed, threads, true)
 }
 
 fn run_chaotic_mode(src: &str, seed: u64, threads: usize, incremental: bool) -> SearchReport {
-    quiet_chaos_panics();
     let prog = parse_program(src).unwrap_or_else(|e| panic!("parse: {e}"));
     let (chain, scratch) = (CheckpointedOracle::new(), TypeCheckOracle::new());
     let checker: &dyn Oracle = if incremental { &chain } else { &scratch };
@@ -295,7 +271,6 @@ fn cancelling_mid_search_still_returns_a_report() {
 
 #[test]
 fn deadline_expiry_degrades_gracefully_without_leaking_workers() {
-    quiet_chaos_panics();
     // Delay-injected probes make the tiny deadline certain to expire
     // mid-search at every thread count.
     let prog = parse_program(SCENARIOS[0].1).unwrap();

@@ -262,8 +262,6 @@ fn determinism_survives_seeded_fault_injection() {
     // accounting (`oracle_calls + memo_hits + probe_faults`) must all
     // reconcile exactly. The sequential search keeps no memo, so each
     // faulted verdict the engine's memo serves is one more fault there.
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
     let faulted_hit = |rec: &&TraceRecord| {
         matches!(
             rec,
@@ -304,5 +302,4 @@ fn determinism_survives_seeded_fault_injection() {
             );
         }
     }
-    std::panic::set_hook(prev);
 }

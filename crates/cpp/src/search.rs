@@ -31,7 +31,7 @@ use seminal_core::{ConfigError, SearchConfig};
 use seminal_ml::span::Span;
 use seminal_obs::{
     Completion, EventKind, Histogram, MetricsSnapshot, ProbeKind, SpanKind, SplitMix64, SrcSpan,
-    TraceSink, Tracer,
+    TraceSink, Tracer, INJECTED_PANIC,
 };
 use std::collections::HashSet;
 use std::fmt;
@@ -405,7 +405,7 @@ fn evaluate_probes(
         let clock = Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| {
             if chaos.is_some_and(|c| c.would_panic(i)) {
-                panic!("chaos: injected C++ checker panic");
+                panic!("{INJECTED_PANIC} injected C++ checker panic");
             }
             check(&p.variant)
         }));

@@ -5,7 +5,6 @@
 
 use seminal_cpp::{parse_cpp, CppChaos, CppReport, CppSearchSession};
 use seminal_obs::Completion;
-use std::sync::Once;
 use std::time::{Duration, Instant};
 
 const SCENARIOS: &[(&str, &str)] = &[
@@ -36,28 +35,7 @@ const SCENARIOS: &[(&str, &str)] = &[
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
-/// Silences the expected `"chaos"`-marked injected panics; everything
-/// else still prints. Global and installed once, as hooks are global.
-fn quiet_chaos_panics() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<&str>()
-                .map(|s| s.contains("chaos"))
-                .or_else(|| info.payload().downcast_ref::<String>().map(|s| s.contains("chaos")))
-                .unwrap_or(false);
-            if !injected {
-                prev(info);
-            }
-        }));
-    });
-}
-
 fn run_chaotic(src: &str, seed: u64, threads: usize) -> CppReport {
-    quiet_chaos_panics();
     let prog = parse_cpp(src).unwrap_or_else(|e| panic!("parse: {e}"));
     CppSearchSession::builder()
         .threads(threads)

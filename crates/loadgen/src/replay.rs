@@ -430,26 +430,11 @@ pub fn run_self_hosted(
     options: &ServeOptions,
 ) -> std::io::Result<LoadReport> {
     // The server runs in this process, so injected chaos panics would
-    // flood stderr through the default hook; silence it for the run,
-    // same as the fuzz harness (the panics are isolated by the
-    // search's fault tolerance either way).
-    let quiet = cfg.chaos_share_milli > 0 && cfg.chaos_panic > 0;
-    let prev = quiet.then(std::panic::take_hook);
-    if quiet {
-        std::panic::set_hook(Box::new(|_| {}));
+    // flood stderr; keep them off it, as the fuzz harness does (the
+    // search's fault tolerance isolates them either way).
+    if cfg.chaos_share_milli > 0 && cfg.chaos_panic > 0 {
+        seminal_obs::silence_injected_panics();
     }
-    let report = run_self_hosted_inner(cfg, server, options);
-    if let Some(prev) = prev {
-        std::panic::set_hook(prev);
-    }
-    report
-}
-
-fn run_self_hosted_inner(
-    cfg: &LoadConfig,
-    server: ServerConfig,
-    options: &ServeOptions,
-) -> std::io::Result<LoadReport> {
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?.to_string();
     let state = ServerState::with_config(server);
@@ -540,8 +525,6 @@ mod tests {
         let addr = listener.local_addr().expect("addr").to_string();
         let state = ServerState::with_config(gate(1));
         let state = &state;
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
         let report = std::thread::scope(|scope| {
             let server = scope.spawn(|| serve_tcp(state, &ServeOptions::default(), &listener));
             // The overload, by construction rather than by timing: the
@@ -564,7 +547,6 @@ mod tests {
             server.join().expect("server thread").expect("server transport");
             report
         });
-        std::panic::set_hook(prev);
         let report = report.expect("replay");
 
         assert!(report.requests > 0);

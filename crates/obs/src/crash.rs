@@ -188,6 +188,33 @@ impl CrashReport {
     }
 }
 
+/// How the message of every deliberately injected panic starts (the
+/// Caml probe guards' and the C++ search's fault injection alike), so a
+/// panic hook can tell an injected fault from a real one.
+pub const INJECTED_PANIC: &str = "chaos:";
+
+/// Installs, once per process, a panic hook that drops panics whose
+/// message starts with [`INJECTED_PANIC`] and forwards every other
+/// panic to the hook it replaced. Runs that inject panics on purpose
+/// call it, so the expected faults do not flood stderr while a real
+/// bug's panic still prints.
+pub fn silence_injected_panics() {
+    static INSTALL: std::sync::Once = std::sync::Once::new();
+    INSTALL.call_once(|| {
+        let forward = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let payload = info.payload();
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+            if !message.is_some_and(|m| m.starts_with(INJECTED_PANIC)) {
+                forward(info);
+            }
+        }));
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

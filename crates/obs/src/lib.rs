@@ -50,7 +50,7 @@ pub mod trace;
 pub use baseline::{extract_snapshot, regressions, Tolerance};
 pub use chrome::chrome_trace;
 pub use completion::Completion;
-pub use crash::CrashReport;
+pub use crash::{silence_injected_panics, CrashReport, INJECTED_PANIC};
 pub use hash::fnv1a;
 pub use json::{parse as parse_json, Json, JsonError};
 pub use metrics::{keys, Histogram, MetricsRegistry, MetricsSnapshot, SCHEMA};

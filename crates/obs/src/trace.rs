@@ -1065,11 +1065,8 @@ mod tests {
         tr.close(root);
         // Release builds used to fabricate parent span id 0 here; now
         // the event is rejected and dropped.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
         let result =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| tr.event(probe(true))));
-        std::panic::set_hook(prev);
         match result {
             // Debug builds assert; release builds return the typed error.
             Err(_) => {}

@@ -18,7 +18,7 @@
 //! under `server.queue_depth_ns`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Upper bound on the `retry_after_ms` hint so a momentary spike never
@@ -126,21 +126,38 @@ impl Admission {
                     granted: Instant::now(),
                 });
             }
-            let estimate = estimated_wait(&gate, self.policy.max_inflight);
             let remaining = budget.saturating_sub(entered.elapsed());
-            if remaining.is_zero() || estimate > remaining {
+            if remaining.is_zero() || estimated_wait(&gate, self.policy.max_inflight) > remaining {
                 // Shed immediately: waiting would only burn the
                 // client's deadline on a queue it cannot clear.
-                drop(gate);
-                self.shed.fetch_add(1, Ordering::Relaxed);
-                return Err(clamp_retry_ms(estimate));
+                return Err(self.reject(gate));
             }
             gate.waiters += 1;
             let (next, _timed_out) =
                 self.freed.wait_timeout(gate, remaining).expect("admission gate poisoned");
             gate = next;
             gate.waiters -= 1;
+            if entered.elapsed() >= budget {
+                // Woke past its budget, perhaps to a free slot: the
+                // client has given up, so shed it and hand the wakeup
+                // to a waiter that has not.
+                let free = gate.inflight < self.policy.max_inflight;
+                let retry = self.reject(gate);
+                if free {
+                    self.freed.notify_one();
+                }
+                return Err(retry);
+            }
         }
+    }
+
+    /// Sheds the request holding `gate`; the hint is the queue wait a
+    /// newcomer would face.
+    fn reject(&self, gate: MutexGuard<'_, Gate>) -> u64 {
+        let estimate = estimated_wait(&gate, self.policy.max_inflight);
+        drop(gate);
+        self.shed.fetch_add(1, Ordering::Relaxed);
+        clamp_retry_ms(estimate)
     }
 
     /// Work requests shed so far (`server.shed`).
@@ -277,6 +294,32 @@ mod tests {
         assert!(waited >= Duration::from_millis(45), "must wait its budget: {waited:?}");
         assert!(waited < Duration::from_secs(2), "must not overstay: {waited:?}");
         drop(held);
+    }
+
+    #[test]
+    fn waiter_woken_late_to_a_free_slot_is_shed() {
+        // The waiter's deadline passes while this test holds the gate's
+        // lock; the slot frees before the lock is released, so the
+        // waiter wakes late to a free slot and must still be shed.
+        let gate = Admission::new(policy(1, 5_000, 0));
+        std::mem::forget(gate.admit(None).expect("first admit"));
+        thread::scope(|scope| {
+            let waiter = scope.spawn(|| gate.admit(Some(20)).map(|permit| permit.queued()));
+            let mut locked = gate.gate.lock().unwrap();
+            while locked.waiters == 0 {
+                drop(locked);
+                thread::yield_now();
+                locked = gate.gate.lock().unwrap();
+            }
+            thread::sleep(Duration::from_millis(60));
+            locked.inflight = 0;
+            drop(locked);
+            gate.freed.notify_one();
+            let outcome = waiter.join().expect("no panic");
+            assert!(outcome.is_err(), "a waiter past its deadline was admitted: {outcome:?}");
+        });
+        assert_eq!(gate.shed(), 1);
+        assert_eq!(gate.inflight(), 0, "the freed slot stays free");
     }
 
     #[test]

@@ -139,21 +139,12 @@ fn run_session(src: &str, threads: usize, cfg: &CppFuzzConfig) -> Option<CppRepo
     Some(builder.build().ok()?.search(&prog))
 }
 
-/// Runs one C++ fuzz campaign; deterministic in `cfg`.
+/// Runs one C++ fuzz campaign; deterministic in `cfg`. Injected panics
+/// are kept off stderr, as in [`crate::run_fuzz`].
 pub fn run_cpp_fuzz(cfg: &CppFuzzConfig) -> CppFuzzSummary {
-    let quiet = cfg.chaos_panic_per_mille > 0;
-    let prev = quiet.then(std::panic::take_hook);
-    if quiet {
-        std::panic::set_hook(Box::new(|_| {}));
+    if cfg.chaos_panic_per_mille > 0 {
+        seminal_obs::silence_injected_panics();
     }
-    let summary = run_cpp_fuzz_inner(cfg);
-    if let Some(prev) = prev {
-        std::panic::set_hook(prev);
-    }
-    summary
-}
-
-fn run_cpp_fuzz_inner(cfg: &CppFuzzConfig) -> CppFuzzSummary {
     let mut summary = CppFuzzSummary { cases: cfg.cases, ..CppFuzzSummary::default() };
     for index in 0..cfg.cases {
         let source = generate_cpp_case(cfg.seed, index);

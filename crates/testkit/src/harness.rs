@@ -139,23 +139,13 @@ impl FuzzSummary {
 
 /// Runs one fuzz campaign. Deterministic in `cfg`; failures carry
 /// per-case seeds for standalone replay. When chaos panic injection is
-/// configured, the default panic hook is silenced for the duration so
-/// expected injections don't flood stderr (the panics themselves are
-/// isolated by the search's fault tolerance either way).
+/// configured, injected panics are kept off stderr
+/// ([`seminal_obs::silence_injected_panics`]); the search's fault
+/// tolerance isolates them either way.
 pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzSummary {
-    let quiet = cfg.chaos.is_some_and(|c| c.panic_per_mille > 0);
-    let prev = quiet.then(std::panic::take_hook);
-    if quiet {
-        std::panic::set_hook(Box::new(|_| {}));
+    if cfg.chaos.is_some_and(|c| c.panic_per_mille > 0) {
+        seminal_obs::silence_injected_panics();
     }
-    let summary = run_fuzz_inner(cfg);
-    if let Some(prev) = prev {
-        std::panic::set_hook(prev);
-    }
-    summary
-}
-
-fn run_fuzz_inner(cfg: &FuzzConfig) -> FuzzSummary {
     let mut suite = InvariantSuite::new(cfg.threads).with_incremental(cfg.incremental);
     if let Some(chaos) = cfg.chaos {
         suite = suite.with_chaos(chaos);

@@ -17,8 +17,8 @@
 //! daemon's shared memo) only ever sees clean calls: a panic fires
 //! before the oracle is asked and a flip inverts its answer afterwards.
 //!
-//! Injected panics carry the marker string `"chaos"` in their payload so
-//! test harnesses can install a panic hook that silences expected
+//! Injected panics start with [`seminal_obs::INJECTED_PANIC`], so
+//! [`seminal_obs::silence_injected_panics`] can silence the expected
 //! injections without hiding real bugs.
 //!
 //! Only the baseline check and the probes are injected:
@@ -31,7 +31,7 @@
 
 use seminal_ml::ast::Program;
 use seminal_ml::pretty::program_to_string;
-use seminal_obs::{fnv1a, SplitMix64};
+use seminal_obs::{fnv1a, SplitMix64, INJECTED_PANIC};
 use std::time::Duration;
 
 /// How much chaos to inject. Rates are per-mille (0–1000) of oracle
@@ -120,7 +120,7 @@ pub(crate) fn inject<T>(
     let Some(chaos) = chaos else { return call() };
     let (panic_hit, flip_hit, delay_hit) = chaos.draws(prog);
     if panic_hit {
-        panic!("chaos: injected oracle panic");
+        panic!("{INJECTED_PANIC} injected oracle panic");
     }
     if delay_hit {
         std::thread::sleep(chaos.delay);
@@ -172,11 +172,8 @@ mod tests {
         let chaos = ChaosConfig::panics(11, 1000);
         let prog = parse_program("let x = 1").unwrap();
         assert!(chaos.would_panic(&prog), "rate 1000 panics on every probe");
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
         let outcome = guarded_probe(&TypeCheckOracle::new(), &prog, Some(&chaos));
         let baseline = guarded_check(&TypeCheckOracle::new(), &prog, Some(&chaos));
-        std::panic::set_hook(prev);
         assert_eq!(outcome, ProbeOutcome::Faulted);
         assert!(baseline.unwrap_err().is_fault(), "a panicking baseline is a synthesized fault");
     }

@@ -511,13 +511,10 @@ mod tests {
 
         // Panic while holding the chain lock — the worst-case fault: a
         // checkpoint is conceptually mid-flight and the mutex poisons.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _guard = inc.chain.lock().unwrap();
             panic!("chaos: injected oracle panic");
         }));
-        std::panic::set_hook(prev);
         assert!(unwound.is_err());
 
         // The next probe must reset the chain rather than resume from a
@@ -539,10 +536,7 @@ mod tests {
         let prog = parse_program(SRC).unwrap();
         let inner = CheckpointedOracle::new();
         let chaos = ChaosConfig::panics(11, 1000);
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
         assert_eq!(guarded_probe(&inner, &prog, Some(&chaos)), ProbeOutcome::Faulted);
-        std::panic::set_hook(prev);
 
         let probe = edit::remove_expr(&prog, expr_ids(&prog, 3)[2]);
         assert_eq!(inner.check(&probe), check_program(&probe));

@@ -12,6 +12,11 @@
 //! seminal demo                     run the paper's worked examples
 //! ```
 //!
+//! The subcommand comes first. Each subcommand takes exactly the flags
+//! its usage line lists (`seminal --help`), in any order among its
+//! positional arguments; any other flag, a missing or unparsable value,
+//! or an extra positional argument is a usage error, never ignored.
+//!
 //! `check` prints the conventional type-checker message followed by the
 //! search system's ranked suggestions — the side-by-side view the paper's
 //! evaluation compares. `analyze` runs only the static constraint-blame
@@ -59,21 +64,31 @@
 //! switches to the index-keyed C++ loop. A clean campaign exits 0;
 //! invariant violations exit 1.
 //!
+//! `loadgen` replays the recompile-session model as concurrent TCP
+//! clients: `--clients`, `--problems`, `--seed`, `--arrival-ms`,
+//! `--deadline-ms`, `--top` and `--chaos-share`/`--chaos-flip`/
+//! `--chaos-panic` shape the load; `--memo-capacity`, `--max-inflight`,
+//! `--max-connections` and `--drain-ms` tune the in-process server it
+//! hosts unless `--connect ADDR` names a running one; `--out PATH`
+//! writes the `seminal-bench/serve-v1` artifact.
+//!
 //! Exit codes (see `--help`): 0 success/no errors, 1 type errors found or
 //! invalid metrics or fuzz invariant violations, 2 usage error, 3 parse
 //! error, 4 file I/O error, 5 type errors found but the search degraded
 //! (deadline, budget, cancellation, or isolated probe faults).
 
+use seminal::analysis::BackendKind;
 use seminal::serve::{
-    dispatch, dispatch_with, AnalyzeRequest, CheckRequest, DispatchHooks, Dispatched, Request,
-    Response, ServeOptions, ServerConfig, ServerState, Status,
+    dispatch, dispatch_with, AnalyzeRequest, CheckRequest, DispatchHooks, Dispatched,
+    ForwardOptions, Request, Response, ServeOptions, ServerConfig, ServerState, Status,
 };
 use seminal_obs::{
     chrome_trace, extract_snapshot, parse_json, profile, regressions, render_profile, CrashReport,
-    EventKind, JsonlSink, MetricsSnapshot, SpanKind, Tolerance, TraceRecord,
+    EventKind, JsonlSink, MetricsSnapshot, SpanKind, Tolerance, TraceRecord, TraceSink,
 };
 use std::io::Write as _;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 
 /// The process exit for `status`: every code comes from the one table,
@@ -85,405 +100,109 @@ fn exit(status: Status) -> ExitCode {
     ExitCode::from(status.exit_code())
 }
 
-/// Options parsed from the command line.
-struct Opts {
-    /// How many ranked suggestions to print.
-    top: usize,
-    /// Disable triage (§2.4) — the evaluation's ablation, exposed for use.
-    no_triage: bool,
-    /// Disable the checkpointed incremental oracle (`check`, `fuzz`):
-    /// probes, suggestion typing and the blame trace re-infer the whole
-    /// program from scratch. The escape hatch for bisecting a suspected
-    /// incremental-path bug.
-    no_incremental: bool,
-    /// Print the structured search trace (spans nested, one line per probe).
-    trace: bool,
-    /// Print the per-span oracle-cost flame report.
-    profile: bool,
-    /// Write the metrics snapshot (JSON, schema `seminal-obs/metrics-v1`).
-    metrics_json: Option<String>,
-    /// Stream trace records as JSON lines.
-    trace_json: Option<String>,
-    /// Write the captured trace as a Chrome `trace_event` document.
-    trace_chrome: Option<String>,
-    /// Directory to persist flight-recorder crash reports into.
-    crash_dir: Option<String>,
-    /// Baseline snapshot for the `metrics-check` perf-trend gate.
-    baseline: Option<String>,
-    /// Counter tolerance (percent) for the perf-trend gate.
-    tolerance: Option<u64>,
-    /// Time tolerance (percent) for `*_ns` values in the perf-trend gate.
-    time_tolerance: Option<u64>,
-    /// Worker threads for the parallel probe engine (`None` = config
-    /// default, which honors `SEMINAL_THREADS`).
-    threads: Option<usize>,
-    /// Wall-clock deadline per search in milliseconds (`None` = config
-    /// default, which honors `SEMINAL_DEADLINE_MS`).
-    deadline_ms: Option<u64>,
-    /// Fuzz campaign seed (`fuzz`).
-    seed: u64,
-    /// Fuzz case count (`fuzz`).
-    cases: u64,
-    /// Minimize failing fuzz cases before reporting them (`fuzz`).
-    shrink: bool,
-    /// Stream fuzz failures as JSON lines to this path (`fuzz`).
-    out: Option<String>,
-    /// Verdict-flip injection rate in per mille (`fuzz`).
-    chaos_flip: u16,
-    /// Panic injection rate in per mille (`fuzz`).
-    chaos_panic: u16,
-    /// Seed for the chaos layer's own draws (`fuzz`).
-    chaos_seed: u64,
-    /// Run the index-keyed C++ fuzz loop instead of the Caml one (`fuzz`).
-    cpp: bool,
-    /// Localization backend for `analyze` and the guidance of `check`.
-    backend: seminal::analysis::BackendKind,
-    /// Bind the serve daemon to this TCP address instead of stdio.
-    tcp: Option<String>,
-    /// Client mode: forward stdin lines to a running server (`serve`).
-    connect: Option<String>,
-    /// Cross-request memo capacity in probe outcomes (`serve`).
-    memo_capacity: Option<usize>,
-    /// Concurrent-connection cap for the TCP daemon (`serve --tcp`).
-    max_connections: Option<usize>,
-    /// Admission-gate concurrency (`serve`, `loadgen`).
-    max_inflight: Option<usize>,
-    /// Graceful-drain budget in milliseconds on shutdown (`serve`).
-    drain_ms: Option<u64>,
-    /// Per-connection idle timeout in ms; 0 disables (`serve --tcp`).
-    idle_timeout_ms: Option<u64>,
-    /// Per-response timeout in milliseconds (`serve --connect`).
-    timeout_ms: Option<u64>,
-    /// Concurrent load clients (`loadgen`).
-    clients: Option<usize>,
-    /// Distinct corpus problems per client (`loadgen`).
-    problems: Option<usize>,
-    /// Think time between a client's requests in ms (`loadgen`).
-    arrival_ms: Option<u64>,
-    /// Per-mille of load requests carrying chaos flags (`loadgen`).
-    chaos_share: u16,
-}
-
+/// Runs the subcommand the first argument names on the arguments after
+/// it. A subcommand returns its process exit; an `Err` is an early one:
+/// a usage error, `--help`, or a file that cannot be read or written.
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut positional: Vec<&str> = Vec::new();
-    let mut opts = Opts {
-        top: 3,
-        no_triage: false,
-        no_incremental: false,
-        trace: false,
-        profile: false,
-        metrics_json: None,
-        trace_json: None,
-        trace_chrome: None,
-        crash_dir: None,
-        baseline: None,
-        tolerance: None,
-        time_tolerance: None,
-        threads: None,
-        deadline_ms: None,
-        seed: 42,
-        cases: 200,
-        shrink: false,
-        out: None,
-        chaos_flip: 0,
-        chaos_panic: 0,
-        chaos_seed: 0,
-        cpp: false,
-        backend: seminal::analysis::BackendKind::Blame,
-        tcp: None,
-        connect: None,
-        memo_capacity: None,
-        max_connections: None,
-        max_inflight: None,
-        drain_ms: None,
-        idle_timeout_ms: None,
-        timeout_ms: None,
-        clients: None,
-        problems: None,
-        arrival_ms: None,
-        chaos_share: 0,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--top" => match args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) => {
-                    opts.top = n;
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--no-triage" => {
-                opts.no_triage = true;
-                i += 1;
-            }
-            "--no-incremental" => {
-                opts.no_incremental = true;
-                i += 1;
-            }
-            "--trace" => {
-                opts.trace = true;
-                i += 1;
-            }
-            "--profile" => {
-                opts.profile = true;
-                i += 1;
-            }
-            "--metrics-json" => match args.get(i + 1) {
-                Some(path) => {
-                    opts.metrics_json = Some(path.clone());
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--trace-json" => match args.get(i + 1) {
-                Some(path) => {
-                    opts.trace_json = Some(path.clone());
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--trace-chrome" => match args.get(i + 1) {
-                Some(path) => {
-                    opts.trace_chrome = Some(path.clone());
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--crash-dir" => match args.get(i + 1) {
-                Some(dir) => {
-                    opts.crash_dir = Some(dir.clone());
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--baseline" => match args.get(i + 1) {
-                Some(path) => {
-                    opts.baseline = Some(path.clone());
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--tolerance" => match args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) {
-                Some(pct) => {
-                    opts.tolerance = Some(pct);
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--time-tolerance" => match args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) {
-                Some(pct) => {
-                    opts.time_tolerance = Some(pct);
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--threads" => match args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
-                // `0` is kept so the session builder reports the typed
-                // error; anything unparsable is a usage error here.
-                Some(n) => {
-                    opts.threads = Some(n);
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--seed" => match args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) {
-                Some(s) => {
-                    opts.seed = s;
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--cases" => match args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) {
-                Some(n) => {
-                    opts.cases = n;
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--shrink" => {
-                opts.shrink = true;
-                i += 1;
-            }
-            "--out" => match args.get(i + 1) {
-                Some(path) => {
-                    opts.out = Some(path.clone());
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--chaos-flip" => match args.get(i + 1).and_then(|s| s.parse::<u16>().ok()) {
-                Some(pm) => {
-                    opts.chaos_flip = pm;
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--chaos-panic" => match args.get(i + 1).and_then(|s| s.parse::<u16>().ok()) {
-                Some(pm) => {
-                    opts.chaos_panic = pm;
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--chaos-seed" => match args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) {
-                Some(s) => {
-                    opts.chaos_seed = s;
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--cpp" => {
-                opts.cpp = true;
-                i += 1;
-            }
-            "--backend" => {
-                match args.get(i + 1).and_then(|s| seminal::analysis::BackendKind::parse(s)) {
-                    Some(kind) => {
-                        opts.backend = kind;
-                        i += 2;
-                    }
-                    None => {
-                        eprintln!("--backend takes `blame` or `mcs`");
-                        return usage();
-                    }
-                }
-            }
-            "--tcp" => match args.get(i + 1) {
-                Some(addr) => {
-                    opts.tcp = Some(addr.clone());
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--connect" => match args.get(i + 1) {
-                Some(addr) => {
-                    opts.connect = Some(addr.clone());
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--memo-capacity" => match args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) => {
-                    opts.memo_capacity = Some(n);
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--max-connections" => match args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) => {
-                    opts.max_connections = Some(n);
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--max-inflight" => match args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) => {
-                    opts.max_inflight = Some(n);
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--drain-ms" => match args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) {
-                Some(ms) => {
-                    opts.drain_ms = Some(ms);
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--idle-timeout-ms" => match args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) {
-                Some(ms) => {
-                    opts.idle_timeout_ms = Some(ms);
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--timeout-ms" => match args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) {
-                Some(ms) => {
-                    opts.timeout_ms = Some(ms);
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--clients" => match args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) => {
-                    opts.clients = Some(n);
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--problems" => match args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) => {
-                    opts.problems = Some(n);
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--arrival-ms" => match args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) {
-                Some(ms) => {
-                    opts.arrival_ms = Some(ms);
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--chaos-share" => match args.get(i + 1).and_then(|s| s.parse::<u16>().ok()) {
-                Some(pm) => {
-                    opts.chaos_share = pm;
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--deadline-ms" => match args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) {
-                // `0` is kept so the session builder reports the typed
-                // error, matching `--threads 0`.
-                Some(ms) => {
-                    opts.deadline_ms = Some(ms);
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            other => {
-                if other.starts_with("--") {
-                    eprintln!("unknown flag `{other}`");
-                    return usage();
-                }
-                positional.push(other);
-                i += 1;
-            }
+    let mut argv = std::env::args().skip(1);
+    let command = argv.next();
+    let args = Args { rest: argv, positionals: Vec::new() };
+    let run = match command.as_deref() {
+        Some("check") => check_cmd(args),
+        Some("analyze") => analyze_cmd(args),
+        Some("metrics-check") => metrics_check(args),
+        Some("crash") => crash_show(args),
+        Some("cpp") => check_cpp(args),
+        Some("fuzz") => fuzz_cmd(args),
+        Some("serve") => serve_cmd(args),
+        Some("loadgen") => loadgen_cmd(args),
+        Some("demo") => demo(args),
+        Some("--help" | "-h") => Ok(help()),
+        Some(flag) if flag.starts_with('-') => {
+            eprintln!("expected a subcommand before `{flag}`");
+            Err(usage())
         }
-    }
-    match positional.first().copied() {
-        Some("check") => match positional.get(1) {
-            Some(path) => check_file(path, &opts),
-            None => usage(),
-        },
-        Some("analyze") => match positional.get(1) {
-            Some(path) => analyze_file(path, &opts),
-            None => usage(),
-        },
-        Some("metrics-check") => match positional.get(1) {
-            Some(path) => metrics_check(path, &opts),
-            None => usage(),
-        },
-        Some("crash") => match (positional.get(1).copied(), positional.get(2)) {
-            (Some("show"), Some(path)) => crash_show(path),
-            _ => usage(),
-        },
-        Some("cpp") => match positional.get(1) {
-            Some(path) => check_cpp(path, &opts),
-            None => usage(),
-        },
-        Some("fuzz") => fuzz_cmd(&opts),
-        Some("serve") => serve_cmd(&opts),
-        Some("loadgen") => loadgen_cmd(&opts),
-        Some("demo") => demo(),
-        _ => usage(),
+        _ => Err(usage()),
+    };
+    match run {
+        Ok(code) | Err(code) => code,
     }
 }
 
+/// One subcommand's arguments, read left to right: flags, each followed
+/// by its value if it takes one, in any order among the positional
+/// arguments.
+struct Args {
+    rest: std::iter::Skip<std::env::Args>,
+    positionals: Vec<String>,
+}
+
+impl Args {
+    /// The next flag, setting positional arguments aside on the way.
+    /// `--help` or `-h` ends the subcommand with the usage on stdout.
+    fn next_flag(&mut self) -> Result<Option<String>, ExitCode> {
+        for arg in self.rest.by_ref() {
+            if arg == "--help" || arg == "-h" {
+                return Err(help());
+            }
+            if arg.starts_with("--") {
+                return Ok(Some(arg));
+            }
+            self.positionals.push(arg);
+        }
+        Ok(None)
+    }
+
+    /// The value of the flag just read, parsed as `T`: a missing or
+    /// unparsable value is a usage error. Values the library validates
+    /// (`--threads 0`, `--deadline-ms 0`) pass through to get its typed
+    /// error.
+    fn value<T: FromStr>(&mut self) -> Result<T, ExitCode> {
+        self.rest.next().and_then(|v| v.parse().ok()).ok_or_else(usage)
+    }
+
+    /// `--backend`'s value, with a hint naming the backends when it is
+    /// missing or unknown.
+    fn backend(&mut self) -> Result<BackendKind, ExitCode> {
+        let kind = self.rest.next().as_deref().and_then(BackendKind::parse);
+        kind.ok_or_else(|| {
+            eprintln!("--backend takes `blame` or `mcs`");
+            usage()
+        })
+    }
+
+    /// The positional arguments, exactly `N` of them, once every flag is
+    /// read: a flag still unread here is one the subcommand does not take.
+    fn positionals<const N: usize>(mut self) -> Result<[String; N], ExitCode> {
+        if let Some(flag) = self.next_flag()? {
+            return Err(unknown(&flag));
+        }
+        self.positionals.try_into().map_err(|_| usage())
+    }
+}
+
+/// The usage error for a flag the subcommand does not take.
+fn unknown(flag: &str) -> ExitCode {
+    eprintln!("unknown flag `{flag}`");
+    usage()
+}
+
+/// A usage error: the usage text on stderr, exit 2.
 fn usage() -> ExitCode {
-    eprint!(
+    eprint!("{}", usage_text());
+    exit(Status::InvalidRequest)
+}
+
+/// `--help`: the usage text on stdout, exit 0.
+fn help() -> ExitCode {
+    match print_report(|out| write!(out, "{}", usage_text())) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(code) => code,
+    }
+}
+
+fn usage_text() -> String {
+    format!(
         "usage:\n  \
          seminal check [--top N] [--no-triage] [--no-incremental] [--threads N]\n               \
          [--deadline-ms N] [--backend blame|mcs] [--trace] [--profile]\n               \
@@ -516,113 +235,152 @@ fn usage() -> ExitCode {
          response)\n  \
          seminal loadgen [--connect ADDR] [--clients N] [--problems N] [--seed S]\n               \
          [--arrival-ms N] [--deadline-ms N] [--chaos-share PM]\n               \
-         [--chaos-flip PM] [--chaos-panic PM] [--max-inflight N]\n               \
-         [--max-connections N] [--memo-capacity N] [--out PATH]\n                            \
+         [--chaos-flip PM] [--chaos-panic PM] [--top N] [--max-inflight N]\n               \
+         [--max-connections N] [--memo-capacity N] [--drain-ms N]\n               \
+         [--out PATH]\n                            \
          replay the paper's recompile-session model as concurrent\n                            \
          TCP clients (self-hosted server unless --connect) and\n                            \
          write the seminal-bench/serve-v1 artifact\n  \
          seminal demo              run the paper's worked examples\n\n\
+         Flags follow the subcommand, which takes only the flags on its\n\
+         lines; `seminal --help` prints this text.\n\n\
          `--deadline-ms N` bounds one search's wall clock (default honors\n\
          SEMINAL_DEADLINE_MS); when it expires the best-so-far suggestions\n\
          are still printed and the run exits 5.\n\n\
          {}",
         seminal::serve::render_exit_table_help()
-    );
-    exit(Status::InvalidRequest)
+    )
+}
+
+/// Reads `path` as text; a failure is an I/O error.
+fn read(path: &str) -> Result<String, ExitCode> {
+    std::fs::read_to_string(path).map_err(|e| {
+        eprintln!("cannot read {path}: {e}");
+        exit(Status::IoError)
+    })
+}
+
+/// Writes `contents` to `path`; a failure is an I/O error.
+fn write_file(path: impl AsRef<std::path::Path>, contents: String) -> Result<(), ExitCode> {
+    let path = path.as_ref();
+    std::fs::write(path, contents).map_err(|e| {
+        eprintln!("cannot write {}: {e}", path.display());
+        exit(Status::IoError)
+    })
+}
+
+/// A sink streaming trace records to `path` as JSON lines (`--trace-json`).
+fn jsonl_sink(path: &str) -> Result<Arc<dyn TraceSink>, ExitCode> {
+    let file = std::fs::File::create(path).map_err(|e| {
+        eprintln!("cannot write {path}: {e}");
+        exit(Status::IoError)
+    })?;
+    Ok(Arc::new(JsonlSink::new(std::io::BufWriter::new(file))))
+}
+
+/// The exit for a dispatched request whose response is not the one it
+/// asked for: an error response's status, with its message on stderr.
+fn failed(response: &Response) -> ExitCode {
+    let Response::Error(err) = response else {
+        eprintln!("unexpected response type {:?}", response.kind());
+        return exit(Status::IoError);
+    };
+    match err.status {
+        Status::ParseError => eprintln!("{}", err.error),
+        _ => eprintln!("invalid configuration: {}", err.error),
+    }
+    exit(err.status)
+}
+
+/// What `check` writes besides its report: the `--trace` span tree, the
+/// `--profile` flame report, and the files the other flags name.
+#[derive(Default)]
+struct CheckOutputs {
+    trace: bool,
+    profile: bool,
+    metrics_json: Option<String>,
+    trace_json: Option<String>,
+    trace_chrome: Option<String>,
+    crash_dir: Option<String>,
 }
 
 /// `seminal check`: builds a `seminal-api/v1` request from the flags
 /// and feeds it to the same `dispatch` the serve daemon uses; only the
 /// rendering below is CLI-specific.
-fn check_file(path: &str, opts: &Opts) -> ExitCode {
-    let source = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return exit(Status::IoError);
+fn check_cmd(mut args: Args) -> Result<ExitCode, ExitCode> {
+    let mut request = CheckRequest::new(0, String::new());
+    let mut outputs = CheckOutputs::default();
+    while let Some(flag) = args.next_flag()? {
+        match flag.as_str() {
+            "--top" => request.top = args.value()?,
+            "--no-triage" => request.no_triage = true,
+            "--no-incremental" => request.no_incremental = true,
+            "--backend" => request.backend = args.backend()?,
+            "--threads" => request.threads = Some(args.value()?),
+            "--deadline-ms" => request.deadline_ms = Some(args.value()?),
+            "--chaos-flip" => request.chaos_flip = args.value()?,
+            "--chaos-panic" => request.chaos_panic = args.value()?,
+            "--chaos-seed" => request.chaos_seed = args.value()?,
+            "--trace" => outputs.trace = true,
+            "--profile" => outputs.profile = true,
+            "--metrics-json" => outputs.metrics_json = Some(args.value()?),
+            "--trace-json" => outputs.trace_json = Some(args.value()?),
+            "--trace-chrome" => outputs.trace_chrome = Some(args.value()?),
+            "--crash-dir" => outputs.crash_dir = Some(args.value()?),
+            _ => return Err(unknown(&flag)),
         }
-    };
-    let request = Request::Check(CheckRequest {
-        id: 0,
-        source: source.clone(),
-        top: opts.top as u64,
-        no_triage: opts.no_triage,
-        backend: opts.backend,
-        threads: opts.threads.map(|n| n as u64),
-        deadline_ms: opts.deadline_ms,
-        chaos_flip: opts.chaos_flip,
-        chaos_panic: opts.chaos_panic,
-        chaos_seed: opts.chaos_seed,
-        no_incremental: opts.no_incremental,
-    });
+    }
+    let [path] = args.positionals()?;
+    let source = read(&path)?;
+    request.source = source.clone();
     let mut hooks = DispatchHooks {
         sinks: Vec::new(),
-        collect_trace: opts.trace
-            || opts.profile
-            || opts.metrics_json.is_some()
-            || opts.trace_chrome.is_some(),
+        collect_trace: outputs.trace
+            || outputs.profile
+            || outputs.metrics_json.is_some()
+            || outputs.trace_chrome.is_some(),
     };
-    if let Some(out) = &opts.trace_json {
-        match std::fs::File::create(out) {
-            Ok(f) => hooks.sinks.push(Arc::new(JsonlSink::new(std::io::BufWriter::new(f)))),
-            Err(e) => {
-                eprintln!("cannot write {out}: {e}");
-                return exit(Status::IoError);
-            }
-        }
+    if let Some(file) = &outputs.trace_json {
+        hooks.sinks.push(jsonl_sink(file)?);
     }
     // One-shot runs get a fresh (cold) server state; only a long-lived
     // `seminal serve` process keeps the cross-request memo warm.
     let state = ServerState::new();
-    render_check(path, &source, opts, dispatch_with(&state, &request, hooks))
+    render_check(&path, &source, &outputs, dispatch_with(&state, &Request::Check(request), hooks))
 }
 
 /// Renders a dispatched `check` to the terminal, byte-identical to the
 /// pre-dispatch CLI: the exit code comes from the response's status,
 /// the prose from the in-process report.
-fn render_check(path: &str, source: &str, opts: &Opts, dispatched: Dispatched) -> ExitCode {
+fn render_check(
+    path: &str,
+    source: &str,
+    outputs: &CheckOutputs,
+    dispatched: Dispatched,
+) -> Result<ExitCode, ExitCode> {
     let resp = match dispatched.response {
-        Response::Error(err) => {
-            match err.status {
-                Status::ParseError => eprintln!("{}", err.error),
-                _ => eprintln!("invalid configuration: {}", err.error),
-            }
-            return exit(err.status);
-        }
         Response::Check(resp) => resp,
-        other => {
-            eprintln!("unexpected response type {:?}", other.kind());
-            return exit(Status::IoError);
-        }
+        other => return Err(failed(&other)),
     };
     let report = dispatched.report.expect("a check response carries its report");
-    if let Some(out) = &opts.metrics_json {
-        // The report's own snapshot (without the per-request
-        // cross-memo deltas): the PR 2 artifact contract.
-        if let Err(e) = std::fs::write(out, report.metrics.to_json_string()) {
-            eprintln!("cannot write {out}: {e}");
-            return exit(Status::IoError);
-        }
+    if let Some(file) = &outputs.metrics_json {
+        // The report's own snapshot, without the per-request cross-memo
+        // deltas: the document `metrics-check` validates.
+        write_file(file, report.metrics.to_json_string())?;
     }
-    if let Some(out) = &opts.trace_chrome {
-        if let Err(e) = std::fs::write(out, chrome_trace(&report.records).to_string_pretty()) {
-            eprintln!("cannot write {out}: {e}");
-            return exit(Status::IoError);
-        }
+    if let Some(file) = &outputs.trace_chrome {
+        write_file(file, chrome_trace(&report.records).to_string_pretty())?;
     }
-    if let (Some(dir), Some(crash)) = (&opts.crash_dir, &report.crash) {
+    if let (Some(dir), Some(crash)) = (&outputs.crash_dir, &report.crash) {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create {dir}: {e}");
-            return exit(Status::IoError);
+            return Err(exit(Status::IoError));
         }
         let file = std::path::Path::new(dir).join(crash.file_name());
-        if let Err(e) = std::fs::write(&file, crash.to_json_string()) {
-            eprintln!("cannot write {}: {e}", file.display());
-            return exit(Status::IoError);
-        }
+        write_file(&file, crash.to_json_string())?;
         eprintln!("crash report written to {}", file.display());
     }
-    let printed = print_report(|out| {
+    print_report(|out| {
         if resp.status == Status::Ok {
             return writeln!(out, "{path}: no type errors");
         }
@@ -637,22 +395,19 @@ fn render_check(path: &str, source: &str, opts: &Opts, dispatched: Dispatched) -
             report.stats.elapsed,
             if report.stats.triage_used { ", triage used" } else { "" }
         )?;
-        if opts.trace {
+        if outputs.trace {
             write!(out, "{}", render_trace_tree(&report.records, source))?;
         }
-        if opts.profile {
+        if outputs.profile {
             writeln!(out)?;
             write!(out, "{}", render_profile(&profile(&report.records), Some(source)))?;
         }
         Ok(())
-    });
-    if let Err(code) = printed {
-        return code;
-    }
+    })?;
     if resp.status != Status::Ok && resp.status != Status::TypeErrors {
         eprintln!("search degraded: {} — suggestions are best-so-far", report.completion);
     }
-    exit(resp.status)
+    Ok(exit(resp.status))
 }
 
 /// Writes one report through a single locked stdout handle.
@@ -753,118 +508,94 @@ fn render_trace_tree(records: &[TraceRecord], source: &str) -> String {
 
 /// `seminal analyze`: the same thin-client pattern as `check` — build
 /// a request, dispatch it, render the response.
-fn analyze_file(path: &str, opts: &Opts) -> ExitCode {
-    let source = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return exit(Status::IoError);
-        }
-    };
-    let request = Request::Analyze(AnalyzeRequest {
+fn analyze_cmd(mut args: Args) -> Result<ExitCode, ExitCode> {
+    let mut request = AnalyzeRequest {
         id: 0,
-        source,
-        top: opts.top as u64,
-        backend: opts.backend,
-        deadline_ms: opts.deadline_ms,
-    });
-    let state = ServerState::new();
-    match dispatch(&state, &request).response {
-        Response::Error(err) => {
-            match err.status {
-                Status::ParseError => eprintln!("{}", err.error),
-                _ => eprintln!("invalid configuration: {}", err.error),
-            }
-            exit(err.status)
-        }
-        Response::Analyze(resp) => {
-            let printed = print_report(|out| match resp.status {
-                Status::Ok => writeln!(out, "{path}: no type errors"),
-                _ => write!(out, "{}", resp.rendered),
-            });
-            if let Err(code) = printed {
-                return code;
-            }
-            if resp.status == Status::NoCore {
-                eprintln!(
-                    "analysis produced no core: the {} backend has nothing to rank",
-                    resp.backend.name()
-                );
-            }
-            exit(resp.status)
-        }
-        other => {
-            eprintln!("unexpected response type {:?}", other.kind());
-            exit(Status::IoError)
+        source: String::new(),
+        top: 3,
+        backend: BackendKind::Blame,
+        deadline_ms: None,
+    };
+    while let Some(flag) = args.next_flag()? {
+        match flag.as_str() {
+            "--top" => request.top = args.value()?,
+            "--backend" => request.backend = args.backend()?,
+            _ => return Err(unknown(&flag)),
         }
     }
-}
-
-/// The server settings `serve` and self-hosted `loadgen` share: memo
-/// capacity, admission gate, connection cap and drain budget, each the
-/// library default unless its flag is given.
-fn server_settings(opts: &Opts) -> (ServerConfig, ServeOptions) {
-    let mut config = ServerConfig::default();
-    let mut options = ServeOptions::default();
-    if let Some(n) = opts.memo_capacity {
-        config.memo_capacity = n;
+    let [path] = args.positionals()?;
+    request.source = read(&path)?;
+    let resp = match dispatch(&ServerState::new(), &Request::Analyze(request)).response {
+        Response::Analyze(resp) => resp,
+        other => return Err(failed(&other)),
+    };
+    print_report(|out| match resp.status {
+        Status::Ok => writeln!(out, "{path}: no type errors"),
+        _ => write!(out, "{}", resp.rendered),
+    })?;
+    if resp.status == Status::NoCore {
+        eprintln!(
+            "analysis produced no core: the {} backend has nothing to rank",
+            resp.backend.name()
+        );
     }
-    if let Some(n) = opts.max_inflight {
-        config.overload.max_inflight = n;
-    }
-    if let Some(n) = opts.max_connections {
-        options.max_connections = n;
-    }
-    if let Some(ms) = opts.drain_ms {
-        options.drain_ms = ms;
-    }
-    (config, options)
+    Ok(exit(resp.status))
 }
 
 /// `seminal serve`: the long-lived daemon (or, with `--connect`, a
 /// line-forwarding client for one).
-fn serve_cmd(opts: &Opts) -> ExitCode {
-    if let Some(addr) = &opts.connect {
+fn serve_cmd(mut args: Args) -> Result<ExitCode, ExitCode> {
+    let (mut config, mut options) = (ServerConfig::default(), ServeOptions::default());
+    let mut forward_options = ForwardOptions::default();
+    let (mut tcp, mut connect, mut trace_json) = (None::<String>, None::<String>, None::<String>);
+    while let Some(flag) = args.next_flag()? {
+        match flag.as_str() {
+            "--tcp" => tcp = Some(args.value()?),
+            "--connect" => connect = Some(args.value()?),
+            "--memo-capacity" => config.memo_capacity = args.value()?,
+            "--max-inflight" => config.overload.max_inflight = args.value()?,
+            "--max-connections" => options.max_connections = args.value()?,
+            "--drain-ms" => options.drain_ms = args.value()?,
+            // `--idle-timeout-ms 0` disables the idle disconnect.
+            "--idle-timeout-ms" => {
+                options.idle_timeout_ms = Some(args.value()?).filter(|&ms| ms > 0);
+            }
+            "--timeout-ms" => forward_options.timeout_ms = Some(args.value()?),
+            "--crash-dir" => options.crash_dir = Some(args.value()?),
+            "--trace-json" => trace_json = Some(args.value()?),
+            _ => return Err(unknown(&flag)),
+        }
+    }
+    let [] = args.positionals()?;
+    if let Some(addr) = &connect {
+        if tcp.is_some() {
+            eprintln!("`--tcp` serves and `--connect` forwards: give one of them");
+            return Err(usage());
+        }
         let stdin = std::io::stdin();
-        let forward_options = seminal::serve::ForwardOptions {
-            timeout_ms: opts.timeout_ms,
-            ..seminal::serve::ForwardOptions::default()
-        };
         return match seminal::serve::forward_with(
             addr,
             &forward_options,
             stdin.lock(),
             std::io::stdout(),
         ) {
-            Ok(()) => ExitCode::SUCCESS,
+            Ok(()) => Ok(ExitCode::SUCCESS),
             Err(e) => {
                 eprintln!("forward to {addr} failed: {e}");
-                exit(Status::IoError)
+                Err(exit(Status::IoError))
             }
         };
     }
-    let (config, mut options) = server_settings(opts);
-    options.crash_dir = opts.crash_dir.as_ref().map(std::path::PathBuf::from);
-    if let Some(ms) = opts.idle_timeout_ms {
-        // `--idle-timeout-ms 0` disables the idle disconnect.
-        options.idle_timeout_ms = (ms > 0).then_some(ms);
-    }
-    if let Some(out) = &opts.trace_json {
-        match std::fs::File::create(out) {
-            Ok(f) => options.sinks.push(Arc::new(JsonlSink::new(std::io::BufWriter::new(f)))),
-            Err(e) => {
-                eprintln!("cannot write {out}: {e}");
-                return exit(Status::IoError);
-            }
-        }
+    if let Some(file) = &trace_json {
+        options.sinks.push(jsonl_sink(file)?);
     }
     let state = ServerState::with_config(config);
-    let served = if let Some(addr) = &opts.tcp {
+    let served = if let Some(addr) = &tcp {
         let listener = match std::net::TcpListener::bind(addr) {
             Ok(l) => l,
             Err(e) => {
                 eprintln!("cannot bind {addr}: {e}");
-                return exit(Status::IoError);
+                return Err(exit(Status::IoError));
             }
         };
         match listener.local_addr() {
@@ -882,11 +613,11 @@ fn serve_cmd(opts: &Opts) -> ExitCode {
                 summary.requests,
                 if summary.shutdown { "shut down cleanly" } else { "input closed" }
             );
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Err(e) => {
             eprintln!("serve transport error: {e}");
-            exit(Status::IoError)
+            Err(exit(Status::IoError))
         }
     }
 }
@@ -899,48 +630,47 @@ fn serve_cmd(opts: &Opts) -> ExitCode {
 /// Exits 0 on a well-formed run; exits 1 if any response was malformed,
 /// errored, or violated the probe-accounting identity. Shed and
 /// degraded responses are expected outcomes under load, not failures.
-fn loadgen_cmd(opts: &Opts) -> ExitCode {
+fn loadgen_cmd(mut args: Args) -> Result<ExitCode, ExitCode> {
     use seminal::loadgen::{bench_serve_json, percentile, LoadConfig};
-    let defaults = LoadConfig::default();
-    // A bare `--chaos-share` still injects: fall back to the library's
-    // flip/panic rates so the chaos slice is never a silent no-op.
-    let (chaos_flip, chaos_panic) = if opts.chaos_flip == 0 && opts.chaos_panic == 0 {
-        (defaults.chaos_flip, defaults.chaos_panic)
-    } else {
-        (opts.chaos_flip, opts.chaos_panic)
-    };
-    let cfg = LoadConfig {
-        clients: opts.clients.unwrap_or(defaults.clients),
-        problems_per_client: opts.problems.unwrap_or(defaults.problems_per_client),
-        seed: opts.seed,
-        arrival_ms: opts.arrival_ms.unwrap_or(defaults.arrival_ms),
-        deadline_ms: opts.deadline_ms.or(defaults.deadline_ms),
-        chaos_share_milli: opts.chaos_share,
-        chaos_flip,
-        chaos_panic,
-        max_group: defaults.max_group,
-        top: opts.top as u64,
-    };
-    let report = if let Some(addr) = &opts.connect {
-        seminal::loadgen::replay(addr, &cfg, false)
-    } else {
-        let (config, options) = server_settings(opts);
-        seminal::loadgen::run_self_hosted(&cfg, config, &options)
+    let mut cfg = LoadConfig::default();
+    let (mut config, mut options) = (ServerConfig::default(), ServeOptions::default());
+    let (mut connect, mut out) = (None::<String>, None::<String>);
+    while let Some(flag) = args.next_flag()? {
+        match flag.as_str() {
+            "--clients" => cfg.clients = args.value()?,
+            "--problems" => cfg.problems_per_client = args.value()?,
+            "--seed" => cfg.seed = args.value()?,
+            "--arrival-ms" => cfg.arrival_ms = args.value()?,
+            "--deadline-ms" => cfg.deadline_ms = Some(args.value()?),
+            "--chaos-share" => cfg.chaos_share_milli = args.value()?,
+            "--chaos-flip" => cfg.chaos_flip = args.value()?,
+            "--chaos-panic" => cfg.chaos_panic = args.value()?,
+            "--top" => cfg.top = args.value()?,
+            "--memo-capacity" => config.memo_capacity = args.value()?,
+            "--max-inflight" => config.overload.max_inflight = args.value()?,
+            "--max-connections" => options.max_connections = args.value()?,
+            "--drain-ms" => options.drain_ms = args.value()?,
+            "--connect" => connect = Some(args.value()?),
+            "--out" => out = Some(args.value()?),
+            _ => return Err(unknown(&flag)),
+        }
+    }
+    let [] = args.positionals()?;
+    let report = match &connect {
+        Some(addr) => seminal::loadgen::replay(addr, &cfg, false),
+        None => seminal::loadgen::run_self_hosted(&cfg, config, &options),
     };
     let report = match report {
         Ok(r) => r,
         Err(e) => {
             eprintln!("loadgen transport error: {e}");
-            return exit(Status::IoError);
+            return Err(exit(Status::IoError));
         }
     };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
     let artifact = bench_serve_json(&report, cores).to_string_pretty();
-    if let Some(path) = &opts.out {
-        if let Err(e) = std::fs::write(path, artifact + "\n") {
-            eprintln!("cannot write {path}: {e}");
-            return exit(Status::IoError);
-        }
+    if let Some(path) = &out {
+        write_file(path, artifact + "\n")?;
         eprintln!("loadgen: wrote {path}");
     } else {
         println!("{artifact}");
@@ -961,9 +691,9 @@ fn loadgen_cmd(opts: &Opts) -> ExitCode {
     );
     if report.malformed > 0 || report.errors > 0 || report.accounting_violations > 0 {
         eprintln!("loadgen: run violated the serving contract");
-        return exit(Status::TypeErrors);
+        return Ok(exit(Status::TypeErrors));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Validates a metrics snapshot file against the documented schema
@@ -973,18 +703,19 @@ fn loadgen_cmd(opts: &Opts) -> ExitCode {
 /// the baseline, `*_ns` values and latency-histogram percentiles within
 /// `--time-tolerance` percent. Either file may be a bare snapshot or a
 /// `figures eval-metrics` BENCH artifact.
-fn metrics_check(path: &str, opts: &Opts) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return exit(Status::IoError);
+fn metrics_check(mut args: Args) -> Result<ExitCode, ExitCode> {
+    let mut baseline = None::<String>;
+    let mut tol = Tolerance::default();
+    while let Some(flag) = args.next_flag()? {
+        match flag.as_str() {
+            "--baseline" => baseline = Some(args.value()?),
+            "--tolerance" => tol.counters_pct = args.value()?,
+            "--time-tolerance" => tol.times_pct = args.value()?,
+            _ => return Err(unknown(&flag)),
         }
-    };
-    let snap = match load_snapshot(path, &text) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
+    }
+    let [path] = args.positionals()?;
+    let snap = load_snapshot(&path)?;
     println!(
         "{path}: valid {} snapshot ({} counters, {} histograms, {} oracle calls)",
         seminal_obs::SCHEMA,
@@ -992,22 +723,8 @@ fn metrics_check(path: &str, opts: &Opts) -> ExitCode {
         snap.histograms.len(),
         snap.counter("oracle_calls"),
     );
-    let Some(base_path) = &opts.baseline else { return ExitCode::SUCCESS };
-    let base_text = match std::fs::read_to_string(base_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot read {base_path}: {e}");
-            return exit(Status::IoError);
-        }
-    };
-    let base = match load_snapshot(base_path, &base_text) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
-    let tol = Tolerance {
-        counters_pct: opts.tolerance.unwrap_or(Tolerance::default().counters_pct),
-        times_pct: opts.time_tolerance.unwrap_or(Tolerance::default().times_pct),
-    };
+    let Some(base_path) = baseline else { return Ok(ExitCode::SUCCESS) };
+    let base = load_snapshot(&base_path)?;
     let findings = regressions(&snap, &base, tol);
     if findings.is_empty() {
         println!(
@@ -1015,28 +732,21 @@ fn metrics_check(path: &str, opts: &Opts) -> ExitCode {
              (counters +{}%, times +{}%)",
             tol.counters_pct, tol.times_pct
         );
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     } else {
         eprintln!("{path}: {} regression(s) against {base_path}:", findings.len());
         for f in &findings {
             eprintln!("  {f}");
         }
-        exit(Status::TypeErrors)
+        Ok(exit(Status::TypeErrors))
     }
 }
 
-/// Reads a snapshot out of `text`, which may be a bare
+/// Reads the snapshot in `path`, which may be a bare
 /// `seminal-obs/metrics-v1` document (validated strictly) or a BENCH
 /// artifact embedding one under `"metrics"`.
-fn load_snapshot(path: &str, text: &str) -> Result<MetricsSnapshot, ExitCode> {
-    let doc = match parse_json(text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("{path}: invalid metrics snapshot: {e}");
-            return Err(exit(Status::TypeErrors));
-        }
-    };
-    extract_snapshot(&doc).map_err(|e| {
+fn load_snapshot(path: &str) -> Result<MetricsSnapshot, ExitCode> {
+    parse_json(&read(path)?).and_then(|doc| extract_snapshot(&doc)).map_err(|e| {
         eprintln!("{path}: invalid metrics snapshot: {e}");
         exit(Status::TypeErrors)
     })
@@ -1046,19 +756,16 @@ fn load_snapshot(path: &str, text: &str) -> Result<MetricsSnapshot, ExitCode> {
 /// (why the run degraded), the key metrics, and the recorded trace tail.
 /// The tail is ring-truncated evidence, not a complete trace, so it is
 /// shown as-is rather than validated against the stream invariants.
-fn crash_show(path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return exit(Status::IoError);
-        }
-    };
-    let report = match CrashReport::from_json_str(&text) {
+fn crash_show(args: Args) -> Result<ExitCode, ExitCode> {
+    let [show, path] = args.positionals()?;
+    if show != "show" {
+        return Err(usage());
+    }
+    let report = match CrashReport::from_json_str(&read(&path)?) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("{path}: invalid crash report: {e}");
-            return exit(Status::TypeErrors);
+            return Err(exit(Status::TypeErrors));
         }
     };
     println!("crash report ({}):", seminal_obs::crash::SCHEMA);
@@ -1104,42 +811,39 @@ fn crash_show(path: &str) -> ExitCode {
         };
         println!("    {line}");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn check_cpp(path: &str, opts: &Opts) -> ExitCode {
-    let source = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return exit(Status::IoError);
-        }
-    };
+/// `seminal cpp`: the C++ template-function prototype's search.
+fn check_cpp(mut args: Args) -> Result<ExitCode, ExitCode> {
+    let mut builder = seminal::cpp::CppSearchSession::builder();
+    while let Some(flag) = args.next_flag()? {
+        builder = match flag.as_str() {
+            "--threads" => builder.threads(args.value()?),
+            "--deadline-ms" => builder.deadline_ms(args.value()?),
+            _ => return Err(unknown(&flag)),
+        };
+    }
+    let [path] = args.positionals()?;
+    let source = read(&path)?;
     let prog = match seminal::cpp::parse_cpp(&source) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("{e}");
-            return exit(Status::ParseError);
+            return Err(exit(Status::ParseError));
         }
     };
-    let mut builder = seminal::cpp::CppSearchSession::builder();
-    if let Some(n) = opts.threads {
-        builder = builder.threads(n);
-    }
-    if let Some(ms) = opts.deadline_ms {
-        builder = builder.deadline_ms(ms);
-    }
     let session = match builder.build() {
         Ok(s) => s,
         Err(e) => {
             eprintln!("invalid configuration: {e}");
-            return exit(Status::InvalidRequest);
+            return Err(exit(Status::InvalidRequest));
         }
     };
     let report = session.search(&prog);
     if report.baseline.is_empty() {
         println!("{path}: no type errors");
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     println!("Compiler diagnostics ({}):", report.baseline.len());
     for e in &report.baseline {
@@ -1150,87 +854,93 @@ fn check_cpp(path: &str, opts: &Opts) -> ExitCode {
         println!("  {}", s.render());
     }
     if report.completion.is_complete() {
-        exit(Status::TypeErrors)
+        Ok(exit(Status::TypeErrors))
     } else {
         eprintln!("search degraded: {} — suggestions are best-so-far", report.completion);
-        exit(Status::Degraded)
+        Ok(exit(Status::Degraded))
     }
 }
 
 /// Runs the deterministic property-fuzzing harness (`seminal fuzz`).
-fn fuzz_cmd(opts: &Opts) -> ExitCode {
+fn fuzz_cmd(mut args: Args) -> Result<ExitCode, ExitCode> {
     use seminal::testkit::{run_cpp_fuzz, run_fuzz, CppFuzzConfig, FuzzConfig};
-    let threads = opts.threads.unwrap_or(2);
-    if threads == 0 {
-        eprintln!("invalid configuration: --threads must be at least 1");
-        return exit(Status::InvalidRequest);
-    }
-    let (rendered, ok, jsonl) = if opts.cpp {
-        if opts.chaos_flip > 0 {
-            eprintln!("invalid configuration: the C++ loop has no --chaos-flip (panics only)");
-            return exit(Status::InvalidRequest);
+    let mut cfg = FuzzConfig::new(42, 200);
+    let mut chaos = seminal::typeck::ChaosConfig::flips(0, 0);
+    let (mut cpp, mut out) = (false, None::<String>);
+    while let Some(flag) = args.next_flag()? {
+        match flag.as_str() {
+            "--seed" => cfg.seed = args.value()?,
+            "--cases" => cfg.cases = args.value()?,
+            "--threads" => cfg.threads = args.value()?,
+            "--shrink" => cfg.shrink = true,
+            "--no-incremental" => cfg.incremental = false,
+            "--chaos-flip" => chaos.flip_per_mille = args.value()?,
+            "--chaos-panic" => chaos.panic_per_mille = args.value()?,
+            "--chaos-seed" => chaos.seed = args.value()?,
+            "--cpp" => cpp = true,
+            "--out" => out = Some(args.value()?),
+            _ => return Err(unknown(&flag)),
         }
-        let cfg = CppFuzzConfig {
-            threads,
-            chaos_panic_per_mille: opts.chaos_panic,
-            ..CppFuzzConfig::new(opts.seed, opts.cases)
+    }
+    let [] = args.positionals()?;
+    if cfg.threads == 0 {
+        eprintln!("invalid configuration: --threads must be at least 1");
+        return Err(exit(Status::InvalidRequest));
+    }
+    let (rendered, ok, jsonl) = if cpp {
+        if chaos.flip_per_mille > 0 {
+            eprintln!("invalid configuration: the C++ loop has no --chaos-flip (panics only)");
+            return Err(exit(Status::InvalidRequest));
+        }
+        let cpp_cfg = CppFuzzConfig {
+            threads: cfg.threads,
+            chaos_panic_per_mille: chaos.panic_per_mille,
+            ..CppFuzzConfig::new(cfg.seed, cfg.cases)
         };
-        let summary = run_cpp_fuzz(&cfg);
+        let summary = run_cpp_fuzz(&cpp_cfg);
         let jsonl: Vec<String> =
             summary.failures.iter().map(|f| f.to_json().to_string_compact()).collect();
         (summary.render(), summary.ok(), jsonl)
     } else {
-        let chaos = (opts.chaos_flip > 0 || opts.chaos_panic > 0).then(|| {
-            let mut c = seminal::typeck::ChaosConfig::flips(opts.chaos_seed, opts.chaos_flip);
-            c.panic_per_mille = opts.chaos_panic;
-            c
-        });
-        let cfg = FuzzConfig {
-            threads,
-            shrink: opts.shrink,
-            chaos,
-            incremental: !opts.no_incremental,
-            ..FuzzConfig::new(opts.seed, opts.cases)
-        };
+        cfg.chaos = (chaos.flip_per_mille > 0 || chaos.panic_per_mille > 0).then_some(chaos);
         let summary = run_fuzz(&cfg);
         let jsonl: Vec<String> =
             summary.failures.iter().map(|f| f.to_json().to_string_compact()).collect();
         (summary.render(), summary.ok(), jsonl)
     };
     print!("{rendered}");
-    if let Some(out) = &opts.out {
+    if let Some(path) = &out {
         // Always written — an empty artifact is how CI distinguishes a
         // clean campaign from one that never ran.
         let mut text = jsonl.join("\n");
         if !text.is_empty() {
             text.push('\n');
         }
-        if let Err(e) = std::fs::write(out, text) {
-            eprintln!("cannot write {out}: {e}");
-            return exit(Status::IoError);
-        }
+        write_file(path, text)?;
     }
     if ok {
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     } else {
         for line in &jsonl {
             eprintln!("{line}");
         }
-        exit(Status::TypeErrors)
+        Ok(exit(Status::TypeErrors))
     }
 }
 
-fn demo() -> ExitCode {
+/// `seminal demo`: Figure 2 through the same `dispatch` as `check`.
+fn demo(args: Args) -> Result<ExitCode, ExitCode> {
+    let [] = args.positionals()?;
     let figure2 = "let map2 f aList bList = List.map (fun (a, b) -> f a b) (List.combine aList bList)\nlet lst = map2 (fun (x, y) -> x + y) [1;2;3] [4;5;6]\nlet ans = List.filter (fun x -> x == 0) lst\n";
     let request = Request::Check(CheckRequest { top: 1, ..CheckRequest::new(0, figure2) });
     let state = ServerState::new();
     let Response::Check(resp) = dispatch(&state, &request).response else {
         eprintln!("figure 2 did not dispatch");
-        return exit(Status::IoError);
+        return Err(exit(Status::IoError));
     };
     if let Some(baseline) = &resp.baseline {
         println!("Type-checker:\n{baseline}\n");
     }
     println!("Our approach:\n{}", resp.rendered);
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -167,6 +167,46 @@ fn usage_lists_the_exit_code_table() {
     }
 }
 
+/// A flag and its metavariable (`None` for a switch).
+type Flag = (String, Option<String>);
+
+/// Each subcommand with the flags its usage lines list, read from the
+/// `[...]` groups of the usage text's subcommand listing.
+fn usage_table() -> Vec<(String, Vec<Flag>)> {
+    let out = seminal().output().expect("run seminal");
+    let usage = String::from_utf8_lossy(&out.stderr).into_owned();
+    let listing = usage.split("\n\n").next().expect("the subcommand listing");
+    let mut table: Vec<(String, Vec<Flag>)> = Vec::new();
+    for line in listing.lines().skip(1) {
+        if let Some(rest) = line.strip_prefix("  seminal ") {
+            let name = rest.split_whitespace().next().expect("a subcommand name");
+            table.push((name.to_owned(), Vec::new()));
+        }
+        let (_, flags) = table.last_mut().expect("a usage line names its subcommand first");
+        for group in line.split('[').skip(1) {
+            let group = group.split(']').next().expect("a closed group");
+            for choice in group.split(" | ") {
+                let mut words = choice.split_whitespace();
+                let flag = words.next().expect("a flag");
+                assert!(flag.starts_with("--"), "`[{group}]` is not a flag group");
+                flags.push((flag.to_owned(), words.next().map(str::to_owned)));
+            }
+        }
+    }
+    table
+}
+
+/// A value of the kind `meta` names, for a flag that must parse.
+fn placeholder(meta: &str) -> &'static str {
+    match meta {
+        "N" | "PM" | "S" | "PCT" => "1",
+        "PATH" | "DIR" | "FILE" => "never-written.out",
+        "ADDR" => "127.0.0.1:9",
+        "blame|mcs" => "mcs",
+        other => panic!("no placeholder for metavariable `{other}`"),
+    }
+}
+
 #[test]
 fn unknown_flags_are_usage_errors() {
     let out = seminal().args(["check", "--bogus", "x.ml"]).output().expect("run check");
@@ -177,6 +217,60 @@ fn unknown_flags_are_usage_errors() {
     for args in [&["check", "--top", "abc"][..], &["analyze", "--top", "-1"], &["check", "--top"]] {
         let out = seminal().args(args).output().expect("run seminal");
         assert_eq!(out.status.code(), Some(2), "{args:?} exits 2");
+    }
+
+    // The usage text and the parsers cannot drift: every flag a
+    // subcommand lists parses (the trailing `--zz` then stops the run
+    // before anything happens), and every flag only other subcommands
+    // list is unknown to it.
+    let table = usage_table();
+    let names: Vec<&str> = table.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(
+        names,
+        ["check", "analyze", "metrics-check", "crash", "cpp", "fuzz", "serve", "loadgen", "demo"]
+    );
+    let every_flag: std::collections::BTreeSet<&str> =
+        table.iter().flat_map(|(_, flags)| flags.iter().map(|(flag, _)| flag.as_str())).collect();
+    for (name, flags) in &table {
+        for (flag, meta) in flags {
+            let mut args = vec![name.as_str(), flag.as_str()];
+            args.extend(meta.as_deref().map(placeholder));
+            args.push("--zz");
+            let out = seminal().args(&args).output().expect("run seminal");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?}:\n{stderr}");
+            assert!(stderr.starts_with("unknown flag `--zz`"), "{args:?} must parse:\n{stderr}");
+        }
+        for flag in every_flag.iter().filter(|&&f| !flags.iter().any(|(own, _)| own == f)) {
+            let out = seminal().args([name.as_str(), flag]).output().expect("run seminal");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "`{name} {flag}`:\n{stderr}");
+            assert!(
+                stderr.starts_with(&format!("unknown flag `{flag}`")),
+                "`{name}` must reject `{flag}`:\n{stderr}"
+            );
+        }
+    }
+
+    // So are an extra positional argument, two transports, and flags
+    // before the subcommand.
+    for args in [
+        &["check", "a.ml", "b.ml"][..],
+        &["analyze", "a.ml", "b.ml"],
+        &["metrics-check", "a.json", "b.json"],
+        &["crash", "show", "a.json", "b.json"],
+        &["cpp", "a.cpp", "b.cpp"],
+        &["fuzz", "--cases", "0", "extra"],
+        &["serve", "extra"],
+        &["loadgen", "--clients", "0", "extra"],
+        &["demo", "extra"],
+        &["serve", "--tcp", "127.0.0.1:0", "--connect", "127.0.0.1:9"],
+        &["--top", "1", "check", "a.ml"],
+    ] {
+        let out = seminal().args(args).output().expect("run seminal");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}:\n{stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}:\n{stderr}");
     }
 }
 

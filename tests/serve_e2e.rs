@@ -674,4 +674,14 @@ fn readme_and_usage_render_the_shared_exit_code_table() {
     for line in seminal::serve::render_exit_table_help().lines() {
         assert!(stderr.contains(line), "usage is missing `{line}`:\n{stderr}");
     }
+    // `--help`, the flag README points readers at, prints the same
+    // usage on stdout and succeeds, before or after a subcommand.
+    for args in [&["--help"][..], &["-h"], &["check", "--help"]] {
+        let help = Command::new(env!("CARGO_BIN_EXE_seminal")).args(args).output().expect("run");
+        assert_eq!(help.status.code(), Some(0), "{args:?} is not a usage error");
+        let stdout = String::from_utf8_lossy(&help.stdout);
+        for line in seminal::serve::render_exit_table_help().lines() {
+            assert!(stdout.contains(line), "{args:?} is missing `{line}`:\n{stdout}");
+        }
+    }
 }
