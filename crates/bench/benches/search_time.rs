@@ -1,7 +1,7 @@
 //! Wall-clock bench: Figure 7's configurations over a corpus sample —
 //! full tool (slow reparenthesizing change enabled), slow change
-//! disabled, triage disabled, plus the blame-guidance, removal-only and
-//! parallel-engine variants. The paper's finding to reproduce: the no-triage
+//! disabled, triage disabled, plus the blame-guidance and removal-only
+//! variants. The paper's finding to reproduce: the no-triage
 //! configuration has no heavy tail; the slow change dominates the full
 //! tool's tail.
 
@@ -24,7 +24,6 @@ fn main() {
         ("triage_disabled", SearchConfig::without_triage()),
         ("blame_guidance_disabled", SearchConfig::without_blame_guidance()),
         ("removal_only_ablation", SearchConfig::removal_only()),
-        ("parallel_engine_4_threads", SearchConfig { threads: 4, ..SearchConfig::default() }),
     ] {
         let searcher = SearchSession::builder(TypeCheckOracle::new()).config(cfg).build().unwrap();
         group.bench(name, || {

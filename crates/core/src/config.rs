@@ -9,9 +9,9 @@
 //! fields with struct-update syntax, and hand it to
 //! [`SearchSessionBuilder::config`](crate::SearchSessionBuilder::config).
 //! The session builder's `build` runs [`SearchConfig::validate`], the one
-//! validator, which rejects nonsense values (`threads == 0`, a zero
-//! budget or deadline) with a typed [`ConfigError`] instead of letting
-//! them panic deep inside a search. The search's fixed cut-offs (the
+//! validator, which rejects nonsense values (a zero budget or deadline)
+//! with a typed [`ConfigError`] instead of letting them panic deep
+//! inside a search. The search's fixed cut-offs (the
 //! suggestion cap, the triage size and depth limits, the permutation
 //! width and the trace ring sizes) are constants beside the code that
 //! reads them.
@@ -24,8 +24,6 @@ use std::time::Duration;
 /// [`SearchConfig::validate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
-    /// `threads` must be at least 1 (1 = the sequential engine).
-    ZeroThreads,
     /// `max_oracle_calls` must be at least 1 (the baseline check).
     ZeroOracleBudget,
     /// `deadline`, when set, must be a positive duration.
@@ -35,7 +33,6 @@ pub enum ConfigError {
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ConfigError::ZeroThreads => write!(f, "`threads` must be >= 1 (1 = sequential)"),
             ConfigError::ZeroOracleBudget => write!(f, "`max_oracle_calls` must be >= 1"),
             ConfigError::ZeroDeadline => {
                 write!(f, "`deadline` must be a positive duration when set")
@@ -47,8 +44,7 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// The settings of one search: which stages run (the ablations), its
-/// bounds (oracle calls, deadline), and its execution and observability
-/// options. Validated once, by [`SearchConfig::validate`] when a
+/// bounds (oracle calls, deadline), and its observability options. Validated once, by [`SearchConfig::validate`] when a
 /// [`SearchSession`](crate::SearchSession) is built.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SearchConfig {
@@ -98,24 +94,13 @@ pub struct SearchConfig {
     /// suggestion set or `oracle_calls`. Ignored when `blame_guidance`
     /// is off.
     pub guidance_backend: BackendKind,
-    /// Worker threads for the parallel probe engine. At 1 (the default)
-    /// the search runs the sequential engine, byte-identical to the
-    /// pre-engine tool. Above 1, each enumeration frontier is drained
-    /// through a work-stealing pool of scoped `std::thread` workers into
-    /// a sharded memo cache; the suggestion set is unchanged (verdicts
-    /// are deterministic) but duplicate probes become memo hits, so
-    /// `oracle_calls` redistributes into `oracle_calls + memo_hits`.
-    /// The default honors the `SEMINAL_THREADS` environment variable so
-    /// CI can sweep a whole test suite through the parallel engine.
-    pub threads: usize,
     /// Wall-clock deadline for one search, measured from the start of
     /// [`search`](crate::SearchSession::search). The baseline check
-    /// always runs; after it, the sequential loop and the probe engine's
-    /// workers stop cooperatively once the deadline passes, and the
-    /// report carries the best-so-far suggestions with
-    /// `Completion::DeadlineExpired`. `None` (the default) means
-    /// unbounded. The default honors `SEMINAL_DEADLINE_MS` the way
-    /// `threads` honors `SEMINAL_THREADS`.
+    /// always runs; after it, the search stops at its next probe once
+    /// the deadline passes, and the report carries the best-so-far
+    /// suggestions with `Completion::DeadlineExpired`. `None` means
+    /// unbounded; the default honors the `SEMINAL_DEADLINE_MS`
+    /// environment variable.
     pub deadline: Option<Duration>,
     /// Wall-clock already consumed before the search started — queue
     /// wait under the serve daemon's admission control. Charged against
@@ -126,19 +111,6 @@ pub struct SearchConfig {
     /// and reports `Completion::DeadlineExpired` with best-so-far
     /// suggestions. Zero (the default) charges nothing.
     pub admission_lag: Duration,
-}
-
-/// Default thread count: `SEMINAL_THREADS` when set to a positive
-/// integer, else 1 (sequential). Read once per process.
-fn default_threads() -> usize {
-    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THREADS.get_or_init(|| {
-        std::env::var("SEMINAL_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(1)
-    })
 }
 
 /// Default per-search deadline: `SEMINAL_DEADLINE_MS` when set to a
@@ -167,7 +139,6 @@ impl Default for SearchConfig {
             flight_recorder: true,
             blame_guidance: true,
             guidance_backend: BackendKind::Blame,
-            threads: default_threads(),
             deadline: default_deadline(),
             admission_lag: Duration::ZERO,
         }
@@ -175,15 +146,12 @@ impl Default for SearchConfig {
 }
 
 impl SearchConfig {
-    /// Checks the invariants the search engine relies on.
+    /// Checks the invariants the search relies on.
     ///
     /// # Errors
     ///
     /// The first violated [`ConfigError`] invariant.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.threads == 0 {
-            return Err(ConfigError::ZeroThreads);
-        }
         if self.max_oracle_calls == 0 {
             return Err(ConfigError::ZeroOracleBudget);
         }
@@ -262,13 +230,12 @@ mod tests {
     fn validate_rejects_zero_bounds() {
         let d = SearchConfig::default;
         let zero_budget = SearchConfig { max_oracle_calls: 0, ..d() };
-        assert_eq!(SearchConfig { threads: 0, ..d() }.validate(), Err(ConfigError::ZeroThreads));
         assert_eq!(zero_budget.validate(), Err(ConfigError::ZeroOracleBudget));
         let deadline = |limit| SearchConfig { deadline: limit, ..d() }.validate();
         assert_eq!(deadline(Some(Duration::ZERO)), Err(ConfigError::ZeroDeadline));
         assert!(deadline(Some(Duration::from_millis(50))).is_ok());
         assert!(deadline(None).is_ok());
         assert!(d().validate().is_ok());
-        assert!(ConfigError::ZeroThreads.to_string().contains("threads"));
+        assert!(ConfigError::ZeroDeadline.to_string().contains("deadline"));
     }
 }

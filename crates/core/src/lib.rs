@@ -35,16 +35,10 @@
 //! # Ok(())
 //! # }
 //! ```
-//!
-//! Searches run sequentially by default; `.threads(n)` on the builder
-//! turns on the parallel probe engine (see [`engine`]), which drains
-//! each enumeration frontier through a work-stealing worker pool into a
-//! sharded memo without changing the suggestion set.
 
 pub mod budget;
 pub mod change;
 pub mod config;
-pub mod engine;
 pub mod enumerate;
 pub mod memo;
 pub mod message;
@@ -55,7 +49,7 @@ pub mod session;
 pub use budget::{Budget, SearchHandle};
 pub use change::{Candidate, ChangeKind, Focus, Probe, Suggestion};
 pub use config::{ConfigError, SearchConfig};
-pub use memo::{MemoLookup, SharedMemoOracle, VerdictMemo, DEFAULT_CROSS_MEMO_CAPACITY};
+pub use memo::{SharedMemoOracle, VerdictMemo, DEFAULT_CROSS_MEMO_CAPACITY};
 pub use search::{CustomChange, Outcome, SearchReport, SearchStats};
 pub use session::{SearchSession, SearchSessionBuilder};
 

@@ -1,24 +1,21 @@
 //! The verdict memo: probe outcomes keyed by program fingerprint.
 //!
-//! [`VerdictMemo`] is the workspace's one cache of oracle answers. It
-//! lives for one parallel search, as the probe engine's memo
-//! (`crate::engine`: workers insert outcomes unconsumed, the search reads
-//! them back [`MemoLookup::Fresh`] once and later repeats as hits), or,
-//! bounded by FIFO eviction per shard ([`VerdictMemo::bounded`],
-//! `--memo-capacity`), for the serve daemon's lifetime behind
-//! [`SharedMemoOracle`]. A sequential search keeps none: it counts every
-//! probe as an oracle call, the paper's cost model.
+//! [`VerdictMemo`] is the workspace's one cache of oracle answers: the
+//! serve daemon's, bounded by FIFO eviction per shard
+//! ([`VerdictMemo::bounded`], `--memo-capacity`) and shared by every
+//! request behind [`SharedMemoOracle`]. A search keeps none of its own:
+//! it counts every probe as an oracle call, the paper's cost model.
 //!
 //! Every key is [`program_fingerprint`], a fold over the content keys
 //! each declaration got when it was built, so a key costs one FNV step
-//! per declaration and prints nothing. That key ignores layout, so an entry holds only what layout cannot
-//! change: a [`ProbeOutcome`] and its latency, never a `TypeError` with
-//! spans. The baseline, the one verdict whose message and location are
-//! shown, always comes from the checker ([`Oracle::check`]); so a warm
-//! daemon answers a layout twin exactly like a cold one. Entries are
-//! fixed-size, so a bounded memo's capacity bounds its memory too.
-//! Injected faults (a search's `ChaosConfig`) never reach a memo: the
-//! search's probe guards inject them above it.
+//! per declaration and prints nothing. That key ignores layout, so an
+//! entry holds only what layout cannot change: a [`ProbeOutcome`], never
+//! a `TypeError` with spans. The baseline, the one verdict whose message
+//! and location are shown, always comes from the checker
+//! ([`Oracle::check`]); so a warm daemon answers a layout twin exactly
+//! like a cold one. Entries are fixed-size, so the capacity bounds the
+//! memo's memory too. Injected faults (a search's `ChaosConfig`) never
+//! reach the memo: the search's probe guards inject them above it.
 //!
 //! [`program_fingerprint`]: seminal_typeck::program_fingerprint
 
@@ -28,7 +25,6 @@ use seminal_typeck::{program_fingerprint, ConstraintTrace, Oracle, ProbeOutcome,
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Instant;
 
 /// Shard count; a power of two.
 const SHARDS: usize = 16;
@@ -37,65 +33,27 @@ const SHARDS: usize = 16;
 /// memo when the server is started without `--memo-capacity`.
 pub const DEFAULT_CROSS_MEMO_CAPACITY: usize = 1 << 16;
 
-/// One cached probe.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    /// `Faulted` when a search's probe panicked: a deterministic fault
-    /// costs one fault, not one per duplicate probe.
-    outcome: ProbeOutcome,
-    /// Wall-clock of the oracle call that produced the outcome.
-    latency_ns: u64,
-    /// Whether a search has read this entry. The first read of a
-    /// prefetched entry is accounted as the probe (the oracle did run,
-    /// on the search's behalf); later reads are memo hits.
-    consumed: bool,
-}
-
-/// One shard: entries, plus their insertion order when bounded.
+/// One shard: outcomes, plus their insertion order for eviction.
 #[derive(Debug, Default)]
 struct Shard {
-    entries: HashMap<u64, Entry>,
+    entries: HashMap<u64, ProbeOutcome>,
     order: VecDeque<u64>,
 }
 
-/// What [`VerdictMemo::consume`] found for a key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemoLookup {
-    /// A prefetched outcome read for the first time: account it as the
-    /// probe the sequential search would have issued here, with the
-    /// latency the worker measured.
-    Fresh {
-        /// The probe's outcome.
-        outcome: ProbeOutcome,
-        /// Wall-clock of the speculative oracle call.
-        latency_ns: u64,
-    },
-    /// An already-consumed outcome: a true cache hit.
-    Hit {
-        /// The probe's outcome.
-        outcome: ProbeOutcome,
-        /// Latency of the original call — the cost the cache saved.
-        saved_ns: u64,
-    },
-    /// Not cached; the caller must query the oracle itself.
-    Miss,
-}
-
 /// A 16-way sharded map from program fingerprints to probe outcomes,
-/// unbounded by default (one search's lifetime).
+/// bounded by FIFO eviction per shard.
 ///
 /// The shards are `Mutex<HashMap>`s rather than a lock-free map: the
 /// workspace is dependency-free by policy, a probe costs micro- to
 /// milliseconds while a shard critical section costs tens of
-/// nanoseconds, and FNV-spread keys make contention negligible. Inserts
-/// are first-writer-wins, so a racing duplicate never changes a stored
-/// outcome or resets a consumed flag. The hit, miss and eviction
-/// counters are totals over the memo's lifetime.
-#[derive(Debug, Default)]
+/// nanoseconds, and FNV-spread keys make contention between the
+/// daemon's connections negligible. Inserts are first-writer-wins, so a
+/// racing duplicate never changes a stored outcome. The hit, miss and
+/// eviction counters are totals over the memo's lifetime.
+#[derive(Debug)]
 pub struct VerdictMemo {
     shards: [Mutex<Shard>; SHARDS],
-    /// FIFO bound per shard; `None` is unbounded.
-    per_shard_capacity: Option<usize>,
+    per_shard_capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -103,15 +61,17 @@ pub struct VerdictMemo {
 
 impl VerdictMemo {
     /// A memo bounded to roughly `capacity` outcomes by FIFO eviction
-    /// per shard: the daemon's process-lifetime tier. The capacity is
-    /// rounded up to a multiple of the shard count, and a zero capacity
-    /// still holds one outcome per shard ("tiny cache", never "divide by
-    /// zero").
+    /// per shard. The capacity is rounded up to a multiple of the shard
+    /// count, and a zero capacity still holds one outcome per shard
+    /// ("tiny cache", never "divide by zero").
     #[must_use]
     pub fn bounded(capacity: usize) -> VerdictMemo {
         VerdictMemo {
-            per_shard_capacity: Some(capacity.div_ceil(SHARDS).max(1)),
-            ..VerdictMemo::default()
+            shards: Default::default(),
+            per_shard_capacity: capacity.div_ceil(SHARDS).max(1),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
         }
     }
 
@@ -120,48 +80,33 @@ impl VerdictMemo {
         shard.lock().expect("verdict memo shard poisoned")
     }
 
-    /// Whether `key` is cached, consumed or not. Counts nothing.
-    #[must_use]
-    pub fn contains(&self, key: u64) -> bool {
-        self.lock(key).entries.contains_key(&key)
-    }
-
-    /// Reads the outcome for `key`, marking it consumed, and bumps the
-    /// hit or miss counter.
-    pub fn consume(&self, key: u64) -> MemoLookup {
-        let lookup = match self.lock(key).entries.get_mut(&key) {
-            Some(e) if !e.consumed => {
-                e.consumed = true;
-                MemoLookup::Fresh { outcome: e.outcome, latency_ns: e.latency_ns }
-            }
-            Some(e) => MemoLookup::Hit { outcome: e.outcome, saved_ns: e.latency_ns },
-            None => MemoLookup::Miss,
-        };
-        let counter = if lookup == MemoLookup::Miss { &self.misses } else { &self.hits };
+    /// The outcome cached for `key`, if any; bumps the hit or miss
+    /// counter.
+    pub fn get(&self, key: u64) -> Option<ProbeOutcome> {
+        let outcome = self.lock(key).entries.get(&key).copied();
+        let counter = if outcome.is_some() { &self.hits } else { &self.misses };
         counter.fetch_add(1, Ordering::Relaxed);
-        lookup
+        outcome
     }
 
     /// Caches an outcome. The first writer wins: a duplicate insert is
-    /// dropped. Returns `true` when a bounded memo evicted an older
-    /// outcome to make room.
-    pub fn insert(&self, key: u64, outcome: ProbeOutcome, latency_ns: u64, consumed: bool) -> bool {
+    /// dropped. Returns `true` when an older outcome was evicted to
+    /// make room.
+    pub fn insert(&self, key: u64, outcome: ProbeOutcome) -> bool {
         let mut shard = self.lock(key);
         if shard.entries.contains_key(&key) {
             return false;
         }
         let mut evicted = false;
-        if let Some(capacity) = self.per_shard_capacity {
-            while shard.order.len() >= capacity {
-                if let Some(old) = shard.order.pop_front() {
-                    shard.entries.remove(&old);
-                    evicted = true;
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
+        while shard.order.len() >= self.per_shard_capacity {
+            if let Some(old) = shard.order.pop_front() {
+                shard.entries.remove(&old);
+                evicted = true;
+                self.evictions.fetch_add(1, Ordering::Relaxed);
             }
-            shard.order.push_back(key);
         }
-        shard.entries.insert(key, Entry { outcome, latency_ns, consumed });
+        shard.order.push_back(key);
+        shard.entries.insert(key, outcome);
         evicted
     }
 
@@ -178,19 +123,6 @@ impl VerdictMemo {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Outcomes inserted but never consumed — the probe engine's
-    /// speculative waste, reported as `engine.speculative_waste`.
-    #[must_use]
-    pub fn unconsumed(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| {
-                let shard = s.lock().expect("verdict memo shard poisoned");
-                shard.entries.values().filter(|e| !e.consumed).count() as u64
-            })
-            .sum()
     }
 
     /// Lookups that found an outcome.
@@ -277,20 +209,16 @@ impl<O: Oracle> Oracle for SharedMemoOracle<O> {
 
     fn passes(&self, prog: &Program) -> bool {
         let key = program_fingerprint(prog);
-        if let MemoLookup::Fresh { outcome, .. } | MemoLookup::Hit { outcome, .. } =
-            self.memo.consume(key)
-        {
+        if let Some(outcome) = self.memo.get(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return outcome.passed();
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         // A panic unwinds from here before anything is cached; the
         // search's per-probe guard turns it into a fault.
-        let clock = Instant::now();
         let passed = self.inner.passes(prog);
-        let latency_ns = u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let outcome = if passed { ProbeOutcome::Pass } else { ProbeOutcome::Fail };
-        if self.memo.insert(key, outcome, latency_ns, true) {
+        if self.memo.insert(key, outcome) {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         passed
@@ -320,21 +248,16 @@ mod tests {
     use seminal_typeck::{CountingOracle, TypeCheckOracle};
 
     #[test]
-    fn consume_distinguishes_fresh_from_hit() {
-        let memo = VerdictMemo::default();
-        assert_eq!(memo.consume(7), MemoLookup::Miss);
-        assert!(!memo.insert(7, ProbeOutcome::Pass, 120, false));
-        assert_eq!(
-            memo.consume(7),
-            MemoLookup::Fresh { outcome: ProbeOutcome::Pass, latency_ns: 120 }
-        );
-        assert_eq!(memo.consume(7), MemoLookup::Hit { outcome: ProbeOutcome::Pass, saved_ns: 120 });
-        // First writer wins: a racing duplicate cannot flip the outcome
-        // or reset the consumed flag.
-        memo.insert(7, ProbeOutcome::Fail, 3, false);
-        assert_eq!(memo.consume(7), MemoLookup::Hit { outcome: ProbeOutcome::Pass, saved_ns: 120 });
-        assert_eq!((memo.len(), memo.unconsumed()), (1, 0));
-        assert_eq!((memo.hits(), memo.misses(), memo.evictions()), (3, 1, 0));
+    fn get_returns_the_first_writers_outcome() {
+        let memo = VerdictMemo::bounded(DEFAULT_CROSS_MEMO_CAPACITY);
+        assert_eq!(memo.get(7), None);
+        assert!(!memo.insert(7, ProbeOutcome::Pass));
+        assert_eq!(memo.get(7), Some(ProbeOutcome::Pass));
+        // First writer wins: a racing duplicate cannot flip the outcome.
+        assert!(!memo.insert(7, ProbeOutcome::Fail));
+        assert_eq!(memo.get(7), Some(ProbeOutcome::Pass));
+        assert_eq!(memo.len(), 1);
+        assert_eq!((memo.hits(), memo.misses(), memo.evictions()), (2, 1, 0));
     }
 
     #[test]
@@ -344,15 +267,11 @@ mod tests {
         let memo = VerdictMemo::bounded(0);
         let shard_of = |k: u64| (fnv1a(&k.to_le_bytes()) as usize) & (SHARDS - 1);
         let b = (1..64u64).find(|k| shard_of(*k) == shard_of(0)).unwrap();
-        assert!(!memo.insert(0, ProbeOutcome::Pass, 1, true));
-        assert!(memo.insert(b, ProbeOutcome::Pass, 1, true), "a full shard must evict");
+        assert!(!memo.insert(0, ProbeOutcome::Pass));
+        assert!(memo.insert(b, ProbeOutcome::Pass), "a full shard must evict");
         assert_eq!(memo.evictions(), 1);
-        assert_eq!(memo.consume(0), MemoLookup::Miss, "FIFO evicts the oldest key");
-        assert!(memo.contains(b));
-
-        let unbounded = VerdictMemo::default();
-        assert!((0..64u64).all(|k| !unbounded.insert(k, ProbeOutcome::Fail, 1, true)));
-        assert_eq!((unbounded.len(), unbounded.evictions()), (64, 0));
+        assert_eq!(memo.get(0), None, "FIFO evicts the oldest key");
+        assert_eq!(memo.get(b), Some(ProbeOutcome::Pass));
     }
 
     #[test]

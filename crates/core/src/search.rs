@@ -33,9 +33,7 @@
 use crate::budget::Budget;
 use crate::change::{ChangeKind, Focus, Suggestion};
 use crate::config::SearchConfig;
-use crate::engine::ProbeEngine;
 use crate::enumerate::changes_for;
-use crate::memo::{MemoLookup, VerdictMemo};
 use crate::rank::rank;
 use crate::session::SearchSession;
 use seminal_analysis::Localization;
@@ -48,8 +46,7 @@ use seminal_obs::{
     SpanKind, SrcSpan, TraceRecord, TraceSink, Tracer,
 };
 use seminal_typeck::{
-    guarded_check, guarded_probe, program_fingerprint, ChaosConfig, IncrementalStats, Oracle,
-    ProbeOutcome, TypeError,
+    guarded_check, guarded_probe, ChaosConfig, IncrementalStats, Oracle, ProbeOutcome, TypeError,
 };
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -68,19 +65,13 @@ pub struct SearchStats {
     pub elapsed: Duration,
     /// Whether triage mode was entered.
     pub triage_used: bool,
-    /// Logical probes whose oracle call panicked and was isolated
-    /// ([`ProbeOutcome::Faulted`]). Each logical probe is exactly one of
-    /// an oracle call, a memo hit, or a probe fault, so
-    /// `oracle_calls + memo_hits + probe_faults` is the logical probe
-    /// count — identical at every thread count.
+    /// Probes whose oracle call panicked and was isolated
+    /// ([`ProbeOutcome::Faulted`]). Each planned probe is exactly one of
+    /// an oracle call or a probe fault, so `oracle_calls + probe_faults`
+    /// is the logical probe count.
     pub probe_faults: u64,
     /// Index (1-based) of the first ill-typed top-level definition.
     pub first_bad_decl: usize,
-    /// Probes answered from the parallel engine's verdict memo. Always 0
-    /// at `threads == 1`, where a search keeps no memo of its own (a
-    /// served request's cross-request memo sits inside its oracle, so
-    /// its answers count as oracle calls here).
-    pub memo_hits: u64,
     /// Size of the minimal unsatisfiable constraint core computed by the
     /// blame pass (0 when guidance is off, the program is well-typed, or
     /// the error is a naming error with no constraint conflict).
@@ -114,11 +105,11 @@ impl SearchStats {
     }
 
     /// The logical probe count: every planned probe resolves as exactly
-    /// one oracle call, memo hit, or isolated fault, so this sum is
-    /// invariant across thread counts and memo settings — the
-    /// conservation identity the determinism and fuzzing suites assert.
+    /// one oracle call or one isolated fault. (A served request's
+    /// cross-request memo sits inside its oracle, so its answers count
+    /// as oracle calls.)
     pub fn logical_probes(&self) -> u64 {
-        self.oracle_calls + self.memo_hits + self.probe_faults
+        self.oracle_calls + self.probe_faults
     }
 }
 
@@ -184,7 +175,7 @@ impl SearchReport {
     /// replacement, inferred type, triage flag). Two reports with equal
     /// payloads are indistinguishable to the user, which makes this the
     /// unit of comparison for the differential suites (the determinism
-    /// tests and the fuzzing harness's thread-identity oracle).
+    /// tests and the fuzzing harness's invariant catalog).
     pub fn payload(&self) -> Vec<(String, String, Option<String>, bool)> {
         self.suggestions()
             .iter()
@@ -213,12 +204,7 @@ const TRACE_CAPACITY: usize = 262_144;
 const FLIGHT_CAPACITY: usize = 1024;
 
 impl<O: Oracle> SearchSession<O> {
-    /// Runs the full search on `prog`. At `config.threads == 1` this is
-    /// the sequential engine, byte-identical to the pre-engine tool; at
-    /// higher thread counts a [`ProbeEngine`] speculatively drains each
-    /// enumeration frontier into a sharded memo the sequential logic
-    /// consumes, so the suggestion set and ranks are unchanged while
-    /// wall-clock drops (see `crate::engine`).
+    /// Runs the full search on `prog`, one probe after another.
     pub fn search(&self, prog: &Program) -> SearchReport {
         // Queue wait under admission control is part of the deadline:
         // a request that waited 40ms of a 50ms deadline gets a 10ms
@@ -230,10 +216,8 @@ impl<O: Oracle> SearchSession<O> {
             .map(|d| d.saturating_sub(self.config.admission_lag))
             .map(|d| if d.is_zero() { Duration::from_nanos(1) } else { d });
         let budget = Budget::start(self.config.max_oracle_calls, deadline, self.handle.flag());
-        // Sinks are assembled before the engine so worker threads can
-        // share the tracer through its cloneable handle: every parallel
-        // probe then opens under the search span that caused it. One ring
-        // serves both the captured trace and the crash report's tail.
+        // One ring serves both the captured trace and the crash report's
+        // tail.
         let ring = if self.config.collect_trace {
             Some(Arc::new(MemorySink::new(TRACE_CAPACITY)))
         } else if self.config.flight_recorder {
@@ -246,33 +230,12 @@ impl<O: Oracle> SearchSession<O> {
             sinks.push(r.clone() as Arc<dyn TraceSink>);
         }
         let tracer = Tracer::new(sinks);
-        let engine = if self.config.threads > 1 {
-            Some(
-                ProbeEngine::with_halt(&self.oracle, self.config.threads, budget.clone())
-                    .with_trace(tracer.handle())
-                    .with_chaos(self.chaos),
-            )
-        } else {
-            None
-        };
-        self.run_search(prog, engine.as_ref(), budget, tracer, ring)
-    }
-
-    fn run_search(
-        &self,
-        prog: &Program,
-        engine: Option<&ProbeEngine<'_, O>>,
-        budget: Budget,
-        tracer: Tracer,
-        ring: Option<Arc<MemorySink>>,
-    ) -> SearchReport {
         let start = Instant::now();
         let inc_before = self.oracle.incremental_stats();
         let mut run = Run {
             oracle: &self.oracle,
             chaos: self.chaos.as_ref(),
             cfg: &self.config,
-            engine,
             extra_changes: &self.extra_changes,
             calls: 0,
             budget,
@@ -280,8 +243,6 @@ impl<O: Oracle> SearchSession<O> {
             probe_faults: 0,
             triage_used: false,
             suggestions: Vec::new(),
-            memo: engine.map(ProbeEngine::memo),
-            memo_hits: 0,
             tracer,
             probe_label: None,
             local: LocalMetrics::default(),
@@ -303,7 +264,6 @@ impl<O: Oracle> SearchSession<O> {
                     _ => Vec::new(),
                 };
                 let mut metrics = run.local.snapshot(&stats, 0, Completion::Complete);
-                fold_engine_metrics(&mut metrics, engine);
                 fold_incremental_metrics(&mut metrics, inc_before, self.oracle.incremental_stats());
                 return SearchReport {
                     outcome: Outcome::WellTyped,
@@ -361,11 +321,6 @@ impl<O: Oracle> SearchSession<O> {
         }
         if first_bad == 0 {
             first_bad = prog.decls.len();
-            if run.wants_prefetch(prog.decls.len()) {
-                let prefixes: Vec<Program> =
-                    (1..=prog.decls.len()).map(|k| prog.prefix(k)).collect();
-                run.prefetch(&prefixes);
-            }
             for k in 1..=prog.decls.len() {
                 run.label(ProbeKind::Prefix, Span::DUMMY, || format!("first {k} declaration(s)"));
                 if !run.check(&prog.prefix(k)) {
@@ -414,7 +369,6 @@ impl<O: Oracle> SearchSession<O> {
             triage_used: run.triage_used,
             probe_faults: run.probe_faults,
             first_bad_decl: first_bad,
-            memo_hits: run.memo_hits,
             core_size,
             sites_pruned: run.sites_pruned,
             blame_time,
@@ -423,10 +377,8 @@ impl<O: Oracle> SearchSession<O> {
         // cleanly — a bound stopped it, or isolated probe faults thinned
         // the plan — the ring's last `FLIGHT_CAPACITY` records and the
         // final metrics freeze into a crash report the caller can persist.
-        let engine_faults = engine.map_or(0, |e| e.probe_faults());
-        let total_faults = stats.probe_faults.max(engine_faults);
         let crashed =
-            self.config.flight_recorder && (!completion.is_complete() || total_faults > 0);
+            self.config.flight_recorder && (!completion.is_complete() || stats.probe_faults > 0);
         // The ring is read only when its records are reported: as the
         // captured trace, as a crash report's tail, or both.
         let (mut records, dropped) = match &ring {
@@ -437,20 +389,19 @@ impl<O: Oracle> SearchSession<O> {
             run.local.trace_dropped = dropped;
         }
         let mut metrics = run.local.snapshot(&stats, suggestions.len() as u64, completion);
-        fold_engine_metrics(&mut metrics, engine);
         fold_incremental_metrics(&mut metrics, inc_before, self.oracle.incremental_stats());
         let crash = crashed.then(|| {
             let tail = &records[records.len().saturating_sub(FLIGHT_CAPACITY)..];
             let reason = if completion.is_complete() {
-                format!("{total_faults} isolated probe fault(s)")
+                format!("{} isolated probe fault(s)", stats.probe_faults)
             } else {
                 format!("completion: {}", completion.tag())
             };
             CrashReport {
                 reason,
                 completion: completion.tag().to_owned(),
-                probe_faults: total_faults,
-                threads: self.config.threads as u64,
+                probe_faults: stats.probe_faults,
+                threads: 1,
                 records_dropped: dropped + (records.len() - tail.len()) as u64,
                 records: tail.to_vec(),
                 metrics: metrics.clone(),
@@ -484,24 +435,6 @@ fn duration_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Folds the probe engine's counters into a finished snapshot: the
-/// configured `probe_parallelism` gauge plus prefetch accounting. Only
-/// present when the parallel engine ran, so `threads = 1` snapshots are
-/// byte-identical to the sequential engine's.
-fn fold_engine_metrics<O: Oracle>(
-    metrics: &mut MetricsSnapshot,
-    engine: Option<&ProbeEngine<'_, O>>,
-) {
-    let Some(e) = engine else { return };
-    let c = &mut metrics.counters;
-    c.insert("probe_parallelism".to_owned(), e.threads() as u64);
-    c.insert("engine.prefetched".to_owned(), e.prefetched());
-    c.insert("engine.batches".to_owned(), e.batches());
-    c.insert("engine.largest_batch".to_owned(), e.largest_batch());
-    c.insert("engine.speculative_waste".to_owned(), e.memo().unconsumed());
-    c.insert("engine.probe_faults".to_owned(), e.probe_faults());
-}
-
 /// Folds the incremental oracle's counter deltas (cumulative stats
 /// snapshotted at run start vs. run end) into a finished snapshot. Only
 /// present when an incremental oracle sits somewhere in the stack, so
@@ -533,9 +466,6 @@ fn fold_incremental_metrics(
 #[derive(Debug, Default)]
 struct LocalMetrics {
     oracle_latency: Histogram,
-    /// Latency each memo hit saved (the original call's cost), kept out
-    /// of `oracle_latency` so cache hits cannot skew its low buckets.
-    memo_hit_saved: Histogram,
     descend_depth: Histogram,
     max_depth: u64,
     probes: [u64; ProbeKind::METRIC_KEYS.len()],
@@ -561,7 +491,6 @@ impl LocalMetrics {
         let mut snap = MetricsSnapshot::default();
         let c = &mut snap.counters;
         c.insert("oracle_calls".to_owned(), stats.oracle_calls);
-        c.insert("memo_hits".to_owned(), stats.memo_hits);
         c.insert("probe_faults".to_owned(), stats.probe_faults);
         c.insert("completion".to_owned(), completion.metric_code());
         c.insert("suggestions".to_owned(), suggestions);
@@ -595,9 +524,6 @@ impl LocalMetrics {
         }
         if self.oracle_latency.count > 0 {
             snap.histograms.insert("oracle.latency_ns".to_owned(), self.oracle_latency.clone());
-        }
-        if self.memo_hit_saved.count > 0 {
-            snap.histograms.insert("memo.hit_saved_ns".to_owned(), self.memo_hit_saved.clone());
         }
         if self.descend_depth.count > 0 {
             snap.histograms.insert("descend.depth".to_owned(), self.descend_depth.clone());
@@ -682,27 +608,19 @@ struct Run<'a, O> {
     /// Faults the oracle guards inject, if any.
     chaos: Option<&'a ChaosConfig>,
     cfg: &'a SearchConfig,
-    /// Parallel probe engine (`None` at `threads == 1`, where the run
-    /// is the literal sequential engine).
-    engine: Option<&'a ProbeEngine<'a, O>>,
     extra_changes: &'a [CustomChange],
     calls: u64,
     /// The run's bounds: call cap, deadline, cancellation. Consulted
-    /// before every probe; the engine holds a clone for its workers.
+    /// before every probe.
     budget: Budget,
     /// The completion of the first bound that tripped, sticky for the
     /// rest of the run so the report gives one coherent reason.
     stop: Option<Completion>,
     /// Probes whose oracle call panicked and was isolated (each is a
-    /// logical probe alongside `calls` and `memo_hits`, never double
-    /// counted).
+    /// logical probe alongside `calls`, never double counted).
     probe_faults: u64,
     triage_used: bool,
     suggestions: Vec<Suggestion>,
-    /// The parallel engine's memo; `None` at `threads == 1`, where every
-    /// probe is an oracle call and no key is built.
-    memo: Option<&'a VerdictMemo>,
-    memo_hits: u64,
     /// Structured-trace emitter (inert unless sinks are attached).
     tracer: Tracer,
     /// Typed label for the next probe's trace event and family counter.
@@ -740,7 +658,7 @@ impl<O: Oracle> Run<'_, O> {
             self.calls += 1;
         }
         self.probe_label = Some((ProbeKind::Baseline, String::new(), Span::DUMMY));
-        self.record_probe(outcome, false, latency_ns);
+        self.record_probe(outcome, latency_ns);
         verdict
     }
 
@@ -753,72 +671,26 @@ impl<O: Oracle> Run<'_, O> {
         self.stop.is_some()
     }
 
-    /// Bounded boolean oracle query, memoized when the parallel engine
-    /// runs; always counted
-    /// and timed, and emitted as a structured probe event when tracing.
-    /// Oracle panics are isolated ([`guarded_probe`]): a faulted probe
-    /// reads as "did not type-check", is memoized like any outcome, and
-    /// is tallied in `probe_faults` instead of `calls`.
-    ///
-    /// With a memo, the first read of an entry the engine prefetched is
-    /// accounted as the probe the sequential engine would have issued
-    /// here (counted in `calls`, with the worker-measured latency);
-    /// later reads of the same key are memo hits. A miss falls through
-    /// to a direct oracle call whose outcome is cached for later rounds.
+    /// Bounded boolean oracle query: always counted and timed, and
+    /// emitted as a structured probe event when tracing. Oracle panics
+    /// are isolated ([`guarded_probe`]): a faulted probe reads as "did
+    /// not type-check" and is tallied in `probe_faults` instead of
+    /// `calls`.
     fn check(&mut self, prog: &Program) -> bool {
         if self.halted() {
             self.probe_label = None;
             return false;
         }
-        let key = self.memo.map(|memo| (memo, program_fingerprint(prog)));
-        let (outcome, cached, latency_ns) =
-            match key.map_or(MemoLookup::Miss, |(memo, key)| memo.consume(key)) {
-                MemoLookup::Fresh { outcome, latency_ns } => (outcome, false, latency_ns),
-                MemoLookup::Hit { outcome, saved_ns } => {
-                    self.local.memo_hit_saved.observe(saved_ns);
-                    (outcome, true, 0)
-                }
-                MemoLookup::Miss => {
-                    let clock = Instant::now();
-                    let outcome = guarded_probe(self.oracle, prog, self.chaos);
-                    let latency_ns = duration_ns(clock.elapsed());
-                    if let Some((memo, key)) = key {
-                        memo.insert(key, outcome, latency_ns, true);
-                    }
-                    (outcome, false, latency_ns)
-                }
-            };
-        // Every logical probe is exactly one of: a memo hit, a fault, or
-        // an oracle call — so the three tallies reconcile at any thread
-        // count.
-        if cached {
-            self.memo_hits += 1;
-        } else if outcome.faulted() {
+        let clock = Instant::now();
+        let outcome = guarded_probe(self.oracle, prog, self.chaos);
+        let latency_ns = duration_ns(clock.elapsed());
+        if outcome.faulted() {
             self.probe_faults += 1;
         } else {
             self.calls += 1;
         }
-        self.record_probe(outcome, cached, latency_ns);
+        self.record_probe(outcome, latency_ns);
         outcome.passed()
-    }
-
-    /// Whether a frontier of `frontier` candidate variants is worth
-    /// handing to the parallel engine.
-    fn wants_prefetch(&self, frontier: usize) -> bool {
-        frontier >= 2 && self.engine.is_some() && self.calls < self.cfg.max_oracle_calls
-    }
-
-    /// Speculatively evaluates a frontier into the engine's memo,
-    /// capped at the remaining oracle budget so speculation cannot run
-    /// far past `max_oracle_calls`.
-    fn prefetch(&self, variants: &[Program]) {
-        if let Some(engine) = self.engine {
-            let room = self.cfg.max_oracle_calls.saturating_sub(self.calls);
-            let cap = usize::try_from(room).unwrap_or(usize::MAX).min(variants.len());
-            if cap > 0 {
-                engine.prefetch_under(&variants[..cap], self.tracer.context());
-            }
-        }
     }
 
     /// Labels the next `check` call's probe. The target string is only
@@ -833,11 +705,11 @@ impl<O: Oracle> Run<'_, O> {
     /// Faulted probes are kept out of the oracle-latency histogram (the
     /// panic's cost is not an oracle latency), so the histogram count
     /// still equals `oracle_calls`.
-    fn record_probe(&mut self, outcome: ProbeOutcome, cached: bool, latency_ns: u64) {
+    fn record_probe(&mut self, outcome: ProbeOutcome, latency_ns: u64) {
         let (probe, target, span) =
             self.probe_label.take().unwrap_or((ProbeKind::Other, String::new(), Span::DUMMY));
         self.local.probes[probe.metric_index()] += 1;
-        if !cached && !outcome.faulted() {
+        if !outcome.faulted() {
             self.local.oracle_latency.observe(latency_ns);
         }
         if self.tracer.enabled() {
@@ -846,7 +718,7 @@ impl<O: Oracle> Run<'_, O> {
                 target,
                 span: src_span(span),
                 outcome: outcome.passed(),
-                cached,
+                cached: false,
                 faulted: outcome.faulted(),
                 latency_ns,
             });
@@ -995,13 +867,6 @@ impl<O: Oracle> Run<'_, O> {
         if let Some(guidance) = &self.guidance {
             children.sort_by_key(|&(_, span)| std::cmp::Reverse(guidance.milli_score_at(span)));
         }
-        // Speculative frontier: each child's own removal probe — the
-        // first oracle query its recursive visit will issue.
-        if self.wants_prefetch(children.len()) {
-            let variants: Vec<Program> =
-                children.iter().map(|&(id, _)| edit::remove_expr(&scope.prog, id)).collect();
-            self.prefetch(&variants);
-        }
         let mut any_child = false;
         for (c, _) in children {
             if self.search_expr(scope, c, triage_depth, triaged, removed_siblings) {
@@ -1132,28 +997,6 @@ impl<O: Oracle> Run<'_, O> {
             None
         };
 
-        // Speculative frontier: every first-wave probe at this node.
-        // Gated second waves are withheld until their gate's verdict.
-        let frontier =
-            probes.len() + extra_candidates.len() + usize::from(adapt_candidate.is_some());
-        if self.wants_prefetch(frontier) {
-            let mut variants = Vec::with_capacity(frontier);
-            for probe in &probes {
-                let head = match probe {
-                    crate::change::Probe::One(c) => &c.replacement,
-                    crate::change::Probe::Gated { gate, .. } => gate,
-                };
-                variants.push(edit::replace_expr(&scope.prog, node.id, head.clone()));
-            }
-            for c in &extra_candidates {
-                variants.push(edit::replace_expr(&scope.prog, node.id, c.replacement.clone()));
-            }
-            if let Some(adapted) = &adapt_candidate {
-                variants.push(edit::replace_expr(&scope.prog, node.id, adapted.clone()));
-            }
-            self.prefetch(&variants);
-        }
-
         // Constructive changes (§2.2).
         for probe in probes {
             if self.done() {
@@ -1176,15 +1019,6 @@ impl<O: Oracle> Run<'_, O> {
                     let gate_variant = edit::replace_expr(&scope.prog, node.id, gate);
                     self.label(ProbeKind::Gate, node.span, || expr_to_string(node));
                     if self.check(&gate_variant) {
-                        if self.wants_prefetch(then.len()) {
-                            let variants: Vec<Program> = then
-                                .iter()
-                                .map(|c| {
-                                    edit::replace_expr(&scope.prog, node.id, c.replacement.clone())
-                                })
-                                .collect();
-                            self.prefetch(&variants);
-                        }
                         for c in then {
                             if self.done() {
                                 break;
@@ -1361,21 +1195,6 @@ impl<O: Oracle> Run<'_, O> {
                 return;
             }
             let others: Vec<NodeId> = members.iter().copied().filter(|&m| m != focus).collect();
-            // Speculative frontier: every widening of this focus's
-            // removed-sibling context.
-            if self.wants_prefetch(others.len()) {
-                let variants: Vec<Program> = (1..=others.len())
-                    .map(|j| {
-                        let removed = &others[others.len() - j..];
-                        let mut probe_edit = Edit::new().remove_expr(focus);
-                        for &r in removed {
-                            probe_edit = probe_edit.remove_expr(r);
-                        }
-                        edit::apply(&scope.prog, &probe_edit)
-                    })
-                    .collect();
-                self.prefetch(&variants);
-            }
             // j = 0 (focus removed alone) is already known to fail — the
             // regular search tried it before entering triage.
             for j in 1..=others.len() {
@@ -1487,21 +1306,6 @@ impl<O: Oracle> Run<'_, O> {
             }
             let others: Vec<NodeId> =
                 pats.iter().enumerate().filter(|&(j, _)| j != i).map(|(_, p)| *p).collect();
-            // Speculative frontier: this focus pattern wildcarded with
-            // each cumulative widening of wildcarded siblings.
-            if self.wants_prefetch(others.len() + 1) {
-                let variants: Vec<Program> = (0..=others.len())
-                    .map(|j| {
-                        let removed = &others[others.len() - j..];
-                        let mut probe = Edit::new().replace_pat(focus, Pat::wild(Span::DUMMY));
-                        for &r in removed {
-                            probe = probe.replace_pat(r, Pat::wild(Span::DUMMY));
-                        }
-                        edit::apply(&scope.prog, &probe)
-                    })
-                    .collect();
-                self.prefetch(&variants);
-            }
             for j in 0..=others.len() {
                 let removed = &others[others.len() - j..];
                 let mut probe = Edit::new().replace_pat(focus, Pat::wild(Span::DUMMY));

@@ -11,7 +11,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let session = SearchSession::builder(TypeCheckOracle::new())
-//!     .threads(2)
+//!     .deadline_ms(2_000)
 //!     .build()?;
 //! let prog = parse_program("let x = 1 + true")?;
 //! let report = session.search(&prog);
@@ -41,8 +41,7 @@ use std::time::Duration;
 ///
 /// Sessions borrow nothing and share nothing mutable, so one session
 /// can serve many programs, and `&session` handles can run searches
-/// from several threads at once (each search keeps its own memo and
-/// engine).
+/// from several threads at once (each search keeps its own state).
 pub struct SearchSession<O> {
     pub(crate) oracle: O,
     pub(crate) config: SearchConfig,
@@ -115,14 +114,6 @@ impl<O: Oracle> SearchSessionBuilder<O> {
         self
     }
 
-    /// Worker threads for the parallel probe engine (validated `>= 1`
-    /// at build; 1 = the sequential engine).
-    #[must_use]
-    pub fn threads(mut self, n: usize) -> Self {
-        self.config.threads = n;
-        self
-    }
-
     /// Wall-clock deadline per search (`None` = unbounded; validated
     /// non-zero at build). When it expires the search stops
     /// cooperatively and reports `Completion::DeadlineExpired`.
@@ -165,9 +156,9 @@ impl<O: Oracle> SearchSessionBuilder<O> {
     }
 
     /// Injects `chaos` into every oracle call the search makes: the
-    /// baseline check, the sequential probes and the parallel engine's
-    /// speculative probes all run under a guard that panics, delays or
-    /// flips the verdict of a seeded, text-keyed fraction of them (see
+    /// baseline check and every probe run under a guard that panics,
+    /// delays or flips the verdict of a seeded, text-keyed fraction of
+    /// them (see
     /// [`seminal_typeck::chaos`]). Typing and constraint traces are
     /// never injected.
     #[must_use]
@@ -213,15 +204,15 @@ mod tests {
     #[test]
     fn builder_assembles_and_validates() {
         let session = SearchSession::builder(TypeCheckOracle::new())
-            .threads(2)
+            .deadline_ms(50)
             .flight_recorder(false)
             .build()
             .unwrap();
-        assert_eq!(session.config().threads, 2);
+        assert_eq!(session.config().deadline, Some(Duration::from_millis(50)));
         assert!(!session.config().flight_recorder);
 
-        let err = SearchSession::builder(TypeCheckOracle::new()).threads(0).build();
-        assert!(matches!(err, Err(ConfigError::ZeroThreads)));
+        let err = SearchSession::builder(TypeCheckOracle::new()).deadline(Some(Duration::ZERO));
+        assert!(matches!(err.build(), Err(ConfigError::ZeroDeadline)));
     }
 
     #[test]
@@ -229,11 +220,11 @@ mod tests {
         let oracle = TypeCheckOracle::new();
         let session = SearchSession::builder(&oracle)
             .config(SearchConfig::without_triage())
-            .threads(2)
+            .deadline_ms(2_000)
             .build()
             .unwrap();
         assert!(!session.config().triage, "the preset survives a later setter");
-        assert_eq!(session.config().threads, 2);
+        assert_eq!(session.config().deadline, Some(Duration::from_millis(2_000)));
         let prog = parse_program("let x = 1 + true").unwrap();
         assert!(session.search(&prog).best().is_some());
     }

@@ -45,15 +45,7 @@ const SCENARIOS: &[(&str, &str)] = &[
 
 fn run(src: &str, cfg: SearchConfig) -> SearchReport {
     let prog = parse_program(src).unwrap_or_else(|e| panic!("parse: {e}"));
-    // threads(1): these tests compare exact oracle-call costs between
-    // configurations, which only makes sense on the sequential path
-    // (the engine's shared memo would fold duplicate probes into hits).
-    SearchSession::builder(TypeCheckOracle::new())
-        .config(cfg)
-        .threads(1)
-        .build()
-        .unwrap()
-        .search(&prog)
+    SearchSession::builder(TypeCheckOracle::new()).config(cfg).build().unwrap().search(&prog)
 }
 
 fn keys(report: &SearchReport) -> Vec<(String, String)> {

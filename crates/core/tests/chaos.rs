@@ -3,15 +3,11 @@
 //!
 //! A session built with [`SearchSessionBuilder::chaos`] makes its
 //! oracle guards panic on a seeded, text-keyed fraction of calls — the
-//! same variants fault at every thread count — and the search must
-//! absorb every injection: finish, rank best-so-far suggestions, report
-//! `Completion::Degraded` with an exact fault count, and keep the probe
-//! accounting identity `oracle_calls + memo_hits + probe_faults`
-//! constant across thread counts. A sequential search keeps no memo, so
-//! it faults on every repeat of a faulting variant that a parallel
-//! search's engine memo answers; the two fault counts differ by exactly
-//! those cached, faulted probes. Cancellation and deadlines degrade the
-//! same way: cooperative stop, best-so-far payload, honest completion.
+//! same variants fault on every run — and the search must absorb every
+//! injection: finish, rank best-so-far suggestions, and report
+//! `Completion::Degraded` with an exact fault count. Cancellation and
+//! deadlines degrade the same way: cooperative stop, best-so-far
+//! payload, honest completion.
 //!
 //! The whole suite is pinned with **both** checkers, the checkpointed
 //! incremental oracle and the from-scratch [`TypeCheckOracle`]:
@@ -24,7 +20,6 @@
 //!
 //! [`SearchSessionBuilder::chaos`]: seminal_core::SearchSessionBuilder::chaos
 
-use seminal_core::obs::{EventKind, TraceRecord};
 use seminal_core::{Completion, Oracle, SearchConfig, SearchReport, SearchSession};
 use seminal_ml::parser::parse_program;
 use seminal_typeck::{ChaosConfig, CheckpointedOracle, TypeCheckOracle};
@@ -57,41 +52,24 @@ const SCENARIOS: &[(&str, &str)] = &[
     ("missing_rec", "let fact n = if n = 0 then 1 else n * fact (n - 1)"),
 ];
 
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
 /// Ten percent nominal panic rate — the ISSUE's headline chaos load.
 const PANIC_PER_MILLE: u16 = 100;
 
-fn run_chaotic(src: &str, seed: u64, threads: usize) -> SearchReport {
-    run_chaotic_mode(src, seed, threads, true)
+fn run_chaotic(src: &str, seed: u64) -> SearchReport {
+    run_chaotic_mode(src, seed, true)
 }
 
-fn run_chaotic_mode(src: &str, seed: u64, threads: usize, incremental: bool) -> SearchReport {
+fn run_chaotic_mode(src: &str, seed: u64, incremental: bool) -> SearchReport {
     let prog = parse_program(src).unwrap_or_else(|e| panic!("parse: {e}"));
     let (chain, scratch) = (CheckpointedOracle::new(), TypeCheckOracle::new());
     let checker: &dyn Oracle = if incremental { &chain } else { &scratch };
-    let config = SearchConfig { collect_trace: true, threads, ..SearchConfig::default() };
+    let config = SearchConfig { collect_trace: true, ..SearchConfig::default() };
     SearchSession::builder(checker)
         .config(config)
         .chaos(ChaosConfig::panics(seed, PANIC_PER_MILLE))
         .build()
         .unwrap()
         .search(&prog)
-}
-
-/// Probes the engine's memo answered with a faulted verdict: a
-/// sequential search (no memo) probes each of them again, and faults.
-fn faulted_memo_hits(report: &SearchReport) -> u64 {
-    let faulted_hit = |rec: &&TraceRecord| {
-        matches!(
-            rec,
-            TraceRecord::Event {
-                kind: EventKind::OracleProbe { cached: true, faulted: true, .. },
-                ..
-            }
-        )
-    };
-    report.records.iter().filter(faulted_hit).count() as u64
 }
 
 /// The user-visible payload: every suggestion in rank order.
@@ -108,7 +86,7 @@ fn every_chaotic_search_finishes_and_reports_faults_honestly() {
     let mut faulted_somewhere = false;
     for (name, src) in SCENARIOS {
         for seed in [1, 7, 42] {
-            let report = run_chaotic(src, seed, 1);
+            let report = run_chaotic(src, seed);
             match report.completion {
                 Completion::Complete => {
                     assert_eq!(report.stats.probe_faults, 0, "{name}/{seed}: hidden faults");
@@ -134,127 +112,55 @@ fn every_chaotic_search_finishes_and_reports_faults_honestly() {
 }
 
 #[test]
-fn chaotic_payloads_and_completion_are_identical_across_thread_counts() {
-    for incremental in [true, false] {
-        for (name, src) in SCENARIOS {
-            let base = run_chaotic_mode(src, 42, 1, incremental);
-            for threads in [2, 8] {
-                let par = run_chaotic_mode(src, 42, threads, incremental);
-                assert_eq!(
-                    payload(&base),
-                    payload(&par),
-                    "{name} (incremental={incremental}): \
-                     chaotic payload changed at {threads} threads"
-                );
-                assert_eq!(
-                    base.completion.tag(),
-                    par.completion.tag(),
-                    "{name} (incremental={incremental}): \
-                     completion changed at {threads} threads"
-                );
-                assert_eq!(
-                    base.stats.probe_faults,
-                    par.stats.probe_faults + faulted_memo_hits(&par),
-                    "{name} (incremental={incremental}): at {threads} threads the faults \
-                     and faulted memo hits do not add up to the sequential faults"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn chaotic_probe_accounting_reconciles_across_thread_counts() {
-    // Every logical probe is exactly one of: real oracle call, memo hit,
-    // isolated fault. The partition varies with the schedule; the sum
-    // may not — in either oracle mode.
-    for incremental in [true, false] {
-        for (name, src) in SCENARIOS {
-            let base = run_chaotic_mode(src, 42, 1, incremental);
-            let logical = base.stats.oracle_calls + base.stats.memo_hits + base.stats.probe_faults;
-            for threads in [2, 8] {
-                let par = run_chaotic_mode(src, 42, threads, incremental);
-                assert_eq!(
-                    par.stats.oracle_calls + par.stats.memo_hits + par.stats.probe_faults,
-                    logical,
-                    "{name} (incremental={incremental}): probe accounting diverged at \
-                     {threads} threads ({} calls + {} hits + {} faults, sequential was {logical})",
-                    par.stats.oracle_calls,
-                    par.stats.memo_hits,
-                    par.stats.probe_faults,
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn chaotic_runs_are_identical_between_incremental_and_scratch_oracles() {
     // Injection decisions are text-keyed, so the same variants fault
     // with both checkers; everything user-visible — payload, completion,
-    // and the full probe accounting partition — must therefore be
-    // byte-identical between the checkpointed and scratch paths, at
-    // every pinned thread count.
+    // and the probe accounting — must therefore be byte-identical
+    // between the checkpointed and scratch paths.
     for (name, src) in SCENARIOS {
-        for threads in THREAD_COUNTS {
-            let incr = run_chaotic_mode(src, 42, threads, true);
-            let scratch = run_chaotic_mode(src, 42, threads, false);
-            assert_eq!(
-                payload(&incr),
-                payload(&scratch),
-                "{name} at {threads} threads: payload depends on the oracle mode"
-            );
-            assert_eq!(
-                incr.completion, scratch.completion,
-                "{name} at {threads} threads: completion depends on the oracle mode"
-            );
-            assert_eq!(
-                (incr.stats.oracle_calls, incr.stats.memo_hits, incr.stats.probe_faults),
-                (scratch.stats.oracle_calls, scratch.stats.memo_hits, scratch.stats.probe_faults),
-                "{name} at {threads} threads: probe accounting depends on the oracle mode"
-            );
-        }
+        let incr = run_chaotic_mode(src, 42, true);
+        let scratch = run_chaotic_mode(src, 42, false);
+        assert_eq!(payload(&incr), payload(&scratch), "{name}: payload depends on the oracle mode");
+        assert_eq!(
+            incr.completion, scratch.completion,
+            "{name}: completion depends on the oracle mode"
+        );
+        assert_eq!(
+            (incr.stats.oracle_calls, incr.stats.probe_faults),
+            (scratch.stats.oracle_calls, scratch.stats.probe_faults),
+            "{name}: probe accounting depends on the oracle mode"
+        );
     }
 }
 
 #[test]
 fn faulted_probes_stay_out_of_the_oracle_latency_histogram() {
     for (name, src) in SCENARIOS {
-        for threads in THREAD_COUNTS {
-            let report = run_chaotic(src, 42, threads);
-            let observed =
-                report.metrics.histograms.get("oracle.latency_ns").map_or(0, |h| h.count);
-            assert_eq!(
-                observed, report.stats.oracle_calls,
-                "{name} at {threads} threads: histogram must hold real calls only"
-            );
-        }
+        let report = run_chaotic(src, 42);
+        let observed = report.metrics.histograms.get("oracle.latency_ns").map_or(0, |h| h.count);
+        assert_eq!(
+            observed, report.stats.oracle_calls,
+            "{name}: histogram must hold real calls only"
+        );
     }
 }
 
 #[test]
 fn cancellation_is_cooperative_sticky_and_honest() {
     let prog = parse_program(SCENARIOS[0].1).unwrap();
-    for threads in THREAD_COUNTS {
-        let session =
-            SearchSession::builder(TypeCheckOracle::new()).threads(threads).build().unwrap();
-        session.handle().cancel();
-        let report = session.search(&prog);
-        assert_eq!(
-            report.completion,
-            Completion::Cancelled,
-            "pre-cancelled search must report Cancelled at {threads} threads"
-        );
-        // Sticky: the same session stays cancelled for later searches.
-        let again = session.search(&prog);
-        assert_eq!(again.completion, Completion::Cancelled);
-    }
+    let session = SearchSession::builder(TypeCheckOracle::new()).build().unwrap();
+    session.handle().cancel();
+    let report = session.search(&prog);
+    assert_eq!(report.completion, Completion::Cancelled, "pre-cancelled search");
+    // Sticky: the same session stays cancelled for later searches.
+    let again = session.search(&prog);
+    assert_eq!(again.completion, Completion::Cancelled);
 }
 
 #[test]
 fn cancelling_mid_search_still_returns_a_report() {
     let prog = parse_program(SCENARIOS[2].1).unwrap();
-    let session = SearchSession::builder(TypeCheckOracle::new()).threads(2).build().unwrap();
+    let session = SearchSession::builder(TypeCheckOracle::new()).build().unwrap();
     let handle = session.handle();
     std::thread::scope(|s| {
         s.spawn(move || handle.cancel());
@@ -270,32 +176,29 @@ fn cancelling_mid_search_still_returns_a_report() {
 }
 
 #[test]
-fn deadline_expiry_degrades_gracefully_without_leaking_workers() {
+fn deadline_expiry_degrades_gracefully() {
     // Delay-injected probes make the tiny deadline certain to expire
-    // mid-search at every thread count.
+    // mid-search.
     let prog = parse_program(SCENARIOS[0].1).unwrap();
-    for threads in THREAD_COUNTS {
-        let started = Instant::now();
-        let report = SearchSession::builder(TypeCheckOracle::new())
-            .chaos(ChaosConfig::delays(5, 1000, Duration::from_millis(2)))
-            .threads(threads)
-            .deadline(Some(Duration::from_millis(5)))
-            .build()
-            .unwrap()
-            .search(&prog);
-        assert_eq!(
-            report.completion,
-            Completion::DeadlineExpired,
-            "slow probes against a 5ms deadline must expire at {threads} threads"
-        );
-        // Scoped workers join before `search` returns; a leak or a
-        // non-cooperative worker would blow well past this bound.
-        assert!(
-            started.elapsed() < Duration::from_secs(10),
-            "search took {:?} at {threads} threads — workers did not stop",
-            started.elapsed()
-        );
-    }
+    let started = Instant::now();
+    let report = SearchSession::builder(TypeCheckOracle::new())
+        .chaos(ChaosConfig::delays(5, 1000, Duration::from_millis(2)))
+        .deadline(Some(Duration::from_millis(5)))
+        .build()
+        .unwrap()
+        .search(&prog);
+    assert_eq!(
+        report.completion,
+        Completion::DeadlineExpired,
+        "slow probes against a 5ms deadline must expire"
+    );
+    // The search stops at its next probe; overrunning by far more than
+    // one probe's delay means it did not.
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "search took {:?} — it did not stop at the deadline",
+        started.elapsed()
+    );
 }
 
 #[test]

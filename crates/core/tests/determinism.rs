@@ -1,12 +1,8 @@
-//! The parallel probe engine's determinism contract, as an executable
-//! specification: at every thread count the search reports the same
-//! suggestions in the same ranks, the trace satisfies the structural
-//! invariants, and the probe accounting reconciles exactly —
-//!
-//! * `oracle_calls + memo_hits` (logical probes) is identical across
-//!   thread counts;
-//! * the raw oracle sees exactly `oracle_calls + engine.speculative_waste`
-//!   calls when the engine is on.
+//! The search's determinism contract, as an executable specification:
+//! repeated searches of one program report the same suggestions in the
+//! same ranks, the trace satisfies the structural invariants, and the
+//! probe accounting reconciles exactly with what reached the oracle —
+//! with and without seeded fault injection.
 
 use seminal_core::obs::{check_invariants, EventKind, TraceRecord};
 use seminal_core::{Outcome, SearchConfig, SearchReport, SearchSession};
@@ -49,13 +45,10 @@ const SCENARIOS: &[(&str, &str)] = &[
     ("missing_rec", "let fact n = if n = 0 then 1 else n * fact (n - 1)"),
 ];
 
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
-fn run(src: &str, threads: usize) -> SearchReport {
+fn run(src: &str) -> SearchReport {
     let prog = parse_program(src).unwrap_or_else(|e| panic!("parse: {e}"));
     SearchSession::builder(TypeCheckOracle::new())
         .config(SearchConfig { collect_trace: true, ..SearchConfig::default() })
-        .threads(threads)
         .build()
         .unwrap()
         .search(&prog)
@@ -72,209 +65,73 @@ fn payload(report: &SearchReport) -> Vec<(String, String, Option<String>, bool)>
 }
 
 #[test]
-fn suggestions_and_ranks_are_identical_at_every_thread_count() {
+fn suggestions_and_ranks_are_identical_across_runs() {
     for (name, src) in SCENARIOS {
-        let base = run(src, 1);
-        for threads in [2, 8] {
-            let par = run(src, threads);
-            assert_eq!(
-                payload(&base),
-                payload(&par),
-                "{name}: suggestion set or ranks changed at {threads} threads"
-            );
-            assert_eq!(
-                std::mem::discriminant(&base.outcome),
-                std::mem::discriminant(&par.outcome),
-                "{name}: outcome changed at {threads} threads"
-            );
-            assert_eq!(base.stats.triage_used, par.stats.triage_used, "{name}");
-            assert_eq!(base.stats.first_bad_decl, par.stats.first_bad_decl, "{name}");
-        }
+        let (first, second) = (run(src), run(src));
+        assert_eq!(payload(&first), payload(&second), "{name}: suggestion set or ranks changed");
+        assert_eq!(
+            std::mem::discriminant(&first.outcome),
+            std::mem::discriminant(&second.outcome),
+            "{name}: outcome changed"
+        );
+        assert_eq!(first.stats.oracle_calls, second.stats.oracle_calls, "{name}");
+        assert_eq!(first.stats.triage_used, second.stats.triage_used, "{name}");
+        assert_eq!(first.stats.first_bad_decl, second.stats.first_bad_decl, "{name}");
     }
 }
 
 #[test]
-fn logical_probe_counts_reconcile_across_thread_counts() {
-    // At 1 thread the engine is off and every logical probe is a real
-    // oracle call. At N threads the shared memo folds duplicate probes
-    // into hits — but the *logical* count (calls + hits) must match the
-    // sequential run exactly, or the engine changed what was probed.
-    for (name, src) in SCENARIOS {
-        let base = run(src, 1);
-        assert_eq!(base.stats.memo_hits, 0, "{name}: no memo on the sequential path");
-        for threads in [2, 8] {
-            let par = run(src, threads);
-            assert_eq!(
-                par.stats.oracle_calls + par.stats.memo_hits,
-                base.stats.oracle_calls,
-                "{name}: logical probes diverged at {threads} threads \
-                 ({} calls + {} hits vs {} sequential)",
-                par.stats.oracle_calls,
-                par.stats.memo_hits,
-                base.stats.oracle_calls
-            );
-        }
-    }
-}
-
-#[test]
-fn raw_oracle_calls_reconcile_with_speculative_waste() {
+fn raw_oracle_calls_equal_the_reported_oracle_calls() {
     for (name, src) in SCENARIOS {
         let prog = parse_program(src).unwrap();
-        for threads in [2, 8] {
-            let oracle = CountingOracle::new(TypeCheckOracle::new());
-            let report =
-                SearchSession::builder(&oracle).threads(threads).build().unwrap().search(&prog);
-            let waste = report.metrics.counter("engine.speculative_waste");
-            assert_eq!(
-                oracle.calls(),
-                report.stats.oracle_calls + waste,
-                "{name}: raw oracle saw {} calls but search attributed {} + {} waste \
-                 at {threads} threads",
-                oracle.calls(),
-                report.stats.oracle_calls,
-                waste
-            );
-        }
+        let oracle = CountingOracle::new(TypeCheckOracle::new());
+        let report = SearchSession::builder(&oracle).build().unwrap().search(&prog);
+        assert_eq!(oracle.calls(), report.stats.oracle_calls, "{name}");
+        assert_eq!(report.stats.logical_probes(), report.stats.oracle_calls, "{name}: no faults");
     }
 }
 
 #[test]
-fn trace_invariants_hold_at_every_thread_count() {
-    use seminal_core::obs::{EventKind, SpanKind, TraceRecord};
+fn trace_invariants_hold_and_reconcile_with_the_stats() {
     for (name, src) in SCENARIOS {
-        for threads in THREAD_COUNTS {
-            let report = run(src, threads);
-            check_invariants(&report.records)
-                .unwrap_or_else(|e| panic!("{name} at {threads} threads: {e}"));
-            // Uncached probe events still reconcile with the stats.
-            let uncached = report
-                .records
-                .iter()
-                .filter(|r| {
-                    matches!(
-                        r,
-                        TraceRecord::Event {
-                            kind: EventKind::OracleProbe { cached: false, .. },
-                            ..
-                        }
-                    )
-                })
-                .count() as u64;
-            assert_eq!(uncached, report.stats.oracle_calls, "{name} at {threads} threads");
-            // Parallel runs that prefetched must show causally-attributed
-            // worker activity: worker spans on distinct non-zero threads,
-            // each parented to a live search-side span.
-            if threads > 1 && report.metrics.counter("engine.prefetched") > 0 {
-                let worker_threads: std::collections::HashSet<u32> = report
-                    .records
-                    .iter()
-                    .filter(|r| {
-                        matches!(r, TraceRecord::Open { kind: SpanKind::Worker { .. }, .. })
-                    })
-                    .map(|r| r.thread())
-                    .collect();
-                assert!(
-                    !worker_threads.is_empty(),
-                    "{name} at {threads} threads: prefetching left no worker spans"
-                );
-                assert!(
-                    !worker_threads.contains(&0),
-                    "{name} at {threads} threads: worker spans must not claim the search thread"
-                );
-                let speculative = report
-                    .records
-                    .iter()
-                    .filter(|r| {
-                        matches!(
-                            r,
-                            TraceRecord::Event { kind: EventKind::SpeculativeProbe { .. }, .. }
-                        )
-                    })
-                    .count() as u64;
-                assert_eq!(
-                    speculative,
-                    report.metrics.counter("engine.prefetched"),
-                    "{name} at {threads} threads: one speculative event per prefetched probe"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn engine_metrics_appear_only_when_parallel() {
-    let (_, src) = SCENARIOS[0];
-    let seq = run(src, 1);
-    assert_eq!(seq.metrics.counter("probe_parallelism"), 0);
-    assert_eq!(seq.metrics.counter("engine.prefetched"), 0);
-    for threads in [2, 8] {
-        let par = run(src, threads);
-        assert_eq!(par.metrics.counter("probe_parallelism"), threads as u64);
-        assert!(par.metrics.counter("engine.prefetched") > 0, "engine actually prefetched");
-        assert!(par.metrics.counter("engine.batches") > 0);
+        let report = run(src);
+        check_invariants(&report.records).unwrap_or_else(|e| panic!("{name}: {e}"));
+        // One probe event per oracle call, none of them cached.
+        let probes: Vec<&EventKind> = report
+            .records
+            .iter()
+            .filter_map(|r| match r {
+                TraceRecord::Event { kind: k @ EventKind::OracleProbe { .. }, .. } => Some(k),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(probes.len() as u64, report.stats.oracle_calls, "{name}");
         assert!(
-            par.metrics.counter("engine.largest_batch") >= 2,
-            "frontiers of at least two variants were batched"
+            probes.iter().all(|k| matches!(k, EventKind::OracleProbe { cached: false, .. })),
+            "{name}: a search answers no probe from a cache"
         );
+        let latency = report.metrics.histograms.get("oracle.latency_ns").map_or(0, |h| h.count);
+        assert_eq!(latency, report.stats.oracle_calls, "{name}: one latency per oracle call");
     }
 }
 
 #[test]
-fn memo_hits_land_in_the_saved_latency_histogram_not_oracle_latency() {
-    // Satellite invariant: cache hits must not pollute the oracle-latency
-    // distribution; their saved cost goes to `memo.hit_saved_ns`.
-    let (_, src) = SCENARIOS[0];
-    for threads in [2, 8] {
-        let par = run(src, threads);
-        if par.stats.memo_hits == 0 {
-            continue;
-        }
-        let saved = par.metrics.histograms.get("memo.hit_saved_ns");
-        assert_eq!(
-            saved.map_or(0, |h| h.count),
-            par.stats.memo_hits,
-            "one saved-latency observation per memo hit at {threads} threads"
-        );
-        let oracle_latency = par.metrics.histograms.get("oracle.latency_ns").map_or(0, |h| h.count);
-        assert_eq!(
-            oracle_latency, par.stats.oracle_calls,
-            "oracle-latency histogram holds real calls only at {threads} threads"
-        );
-    }
-}
-
-#[test]
-fn well_typed_input_is_identical_at_every_thread_count() {
-    for threads in THREAD_COUNTS {
-        let report = run("let x = 1 + 2\nlet y = x * 3\n", threads);
-        assert!(matches!(report.outcome, Outcome::WellTyped));
-        assert_eq!(report.stats.oracle_calls, 1, "one baseline check, no engine work");
-        assert_eq!(report.metrics.counter("engine.prefetched"), 0);
-    }
+fn well_typed_input_costs_one_baseline_check() {
+    let report = run("let x = 1 + 2\nlet y = x * 3\n");
+    assert!(matches!(report.outcome, Outcome::WellTyped));
+    assert_eq!(report.stats.oracle_calls, 1, "one baseline check");
 }
 
 #[test]
 fn determinism_survives_seeded_fault_injection() {
-    // The engine's contract extends to a faulty oracle: injections are
-    // keyed by program text, so the same variants fault at every thread
-    // count, and payloads, completion status, and the full probe
-    // accounting (`oracle_calls + memo_hits + probe_faults`) must all
-    // reconcile exactly. The sequential search keeps no memo, so each
-    // faulted verdict the engine's memo serves is one more fault there.
-    let faulted_hit = |rec: &&TraceRecord| {
-        matches!(
-            rec,
-            TraceRecord::Event {
-                kind: EventKind::OracleProbe { cached: true, faulted: true, .. },
-                ..
-            }
-        )
-    };
+    // Injections are keyed by program text, so repeated chaotic searches
+    // fault on the same variants: payloads, completion status and the
+    // probe accounting (`oracle_calls + probe_faults`) must all match,
+    // and every probe event is either an oracle call or a fault.
     for (name, src) in SCENARIOS {
         let prog = parse_program(src).unwrap();
-        let run = |threads: usize| {
-            let config = SearchConfig { collect_trace: true, threads, ..SearchConfig::default() };
+        let run = || {
+            let config = SearchConfig { collect_trace: true, ..SearchConfig::default() };
             SearchSession::builder(TypeCheckOracle::new())
                 .config(config)
                 .chaos(ChaosConfig::panics(1729, 100))
@@ -282,24 +139,16 @@ fn determinism_survives_seeded_fault_injection() {
                 .unwrap()
                 .search(&prog)
         };
-        let base = run(1);
-        let logical = base.stats.oracle_calls + base.stats.memo_hits + base.stats.probe_faults;
-        for threads in [2, 8] {
-            let par = run(threads);
-            assert_eq!(payload(&base), payload(&par), "{name}: payload at {threads} threads");
-            let (kind, par_kind) = (base.completion.tag(), par.completion.tag());
-            assert_eq!(kind, par_kind, "{name}: completion at {threads} threads");
-            let faulted_hits = par.records.iter().filter(faulted_hit).count() as u64;
-            assert_eq!(
-                base.stats.probe_faults,
-                par.stats.probe_faults + faulted_hits,
-                "{name}: faults at {threads} threads"
-            );
-            assert_eq!(
-                par.stats.oracle_calls + par.stats.memo_hits + par.stats.probe_faults,
-                logical,
-                "{name}: probe accounting diverged at {threads} threads"
-            );
-        }
+        let (first, second) = (run(), run());
+        assert_eq!(payload(&first), payload(&second), "{name}: payload");
+        assert_eq!(first.completion, second.completion, "{name}: completion");
+        let count = |r: &SearchReport| (r.stats.oracle_calls, r.stats.probe_faults);
+        assert_eq!(count(&first), count(&second), "{name}: probe accounting");
+        let events = first
+            .records
+            .iter()
+            .filter(|r| matches!(r, TraceRecord::Event { kind: EventKind::OracleProbe { .. }, .. }))
+            .count() as u64;
+        assert_eq!(events, first.stats.logical_probes(), "{name}: one event per logical probe");
     }
 }

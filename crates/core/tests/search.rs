@@ -283,9 +283,7 @@ fn every_untriaged_suggestion_variant_type_checks() {
 fn oracle_calls_are_counted_and_bounded() {
     let prog = parse_program(FIGURE2).unwrap();
     let oracle = CountingOracle::new(TypeCheckOracle::new());
-    // threads(1): raw-oracle accounting must not include speculative
-    // prefetch waste, so don't let SEMINAL_THREADS enable the engine.
-    let report = SearchSession::builder(&oracle).threads(1).build().unwrap().search(&prog);
+    let report = SearchSession::builder(&oracle).build().unwrap().search(&prog);
     assert!(report.stats.oracle_calls >= oracle.calls());
     assert!(oracle.calls() > 5, "search must actually consult the oracle");
     assert!(oracle.calls() < 5_000, "search should not explode: {}", oracle.calls());
@@ -402,12 +400,8 @@ fn trace_records_every_probe() {
             _ => None,
         })
         .collect();
-    // One event per logical probe, the baseline check included.
-    assert_eq!(
-        probes.len() as u64,
-        report.stats.oracle_calls + report.stats.memo_hits,
-        "probe events vs calls + memo hits"
-    );
+    // One event per oracle call, the baseline check included.
+    assert_eq!(probes.len() as u64, report.stats.oracle_calls, "probe events vs calls");
     // The famous probes appear, with outcomes.
     assert!(probes.iter().any(|(l, t, ok)| l == "removal" && *t == "fun (x, y) -> x + y" && *ok));
     assert!(probes.iter().any(|(l, _, ok)| l.contains("curried") && *ok));
@@ -420,9 +414,6 @@ fn trace_records_every_probe() {
 
 #[test]
 fn trace_off_by_default() {
-    // threads(1): the parallel engine's shared memo produces memo hits by
-    // design, so pin the sequential path for the memo_hits == 0 check.
-    let report = search_cfg(FIGURE2, SearchConfig { threads: 1, ..SearchConfig::default() });
+    let report = search_cfg(FIGURE2, SearchConfig::default());
     assert!(report.records.is_empty());
-    assert_eq!(report.stats.memo_hits, 0);
 }

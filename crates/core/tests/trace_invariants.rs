@@ -28,11 +28,7 @@ const WORKED_EXAMPLES: [&str; 3] = [FIGURE2, FIGURE8, MULTI_ERROR];
 
 fn traced(src: &str, cfg: SearchConfig) -> seminal_core::SearchReport {
     let prog = parse_program(src).unwrap_or_else(|e| panic!("parse: {e}"));
-    // threads(1): these tests pin the *sequential* reconciliation rules
-    // (e.g. zero cached probes: a sequential search keeps no memo), which
-    // the parallel engine's shared memo deliberately changes. The determinism suite
-    // covers the engine's own reconciliation at several thread counts.
-    let cfg = SearchConfig { collect_trace: true, threads: 1, ..cfg };
+    let cfg = SearchConfig { collect_trace: true, ..cfg };
     SearchSession::builder(TypeCheckOracle::new()).config(cfg).build().unwrap().search(&prog)
 }
 
@@ -97,26 +93,6 @@ fn probe_events_reconcile_exactly_with_search_stats() {
 }
 
 #[test]
-fn cached_probe_events_reconcile_with_memo_hits() {
-    // At two threads the engine's memo answers repeated variants: each
-    // such probe is a cached event and a memo hit, every other one an
-    // uncached event and an oracle call.
-    let mut hits = 0;
-    for src in WORKED_EXAMPLES {
-        let prog = parse_program(src).unwrap();
-        let cfg = SearchConfig { collect_trace: true, threads: 2, ..SearchConfig::default() };
-        let session = SearchSession::builder(TypeCheckOracle::new()).config(cfg).build().unwrap();
-        let report = session.search(&prog);
-        let (uncached, cached) = probe_counts(&report.records);
-        assert_eq!(uncached, report.stats.oracle_calls, "uncached == oracle_calls on {src:?}");
-        assert_eq!(cached, report.stats.memo_hits, "cached == memo_hits on {src:?}");
-        assert_eq!(report.metrics.counter("memo_hits"), report.stats.memo_hits);
-        hits += report.stats.memo_hits;
-    }
-    assert!(hits > 0, "no memo hit on any example: nothing was reconciled");
-}
-
-#[test]
 fn attached_sinks_stream_even_with_capture_off() {
     let prog = parse_program(FIGURE2).unwrap();
     let sink = Arc::new(MemorySink::new(1 << 16));
@@ -172,9 +148,7 @@ fn untimed(rec: &TraceRecord) -> TraceRecord {
         TraceRecord::Open { at_ns, .. } | TraceRecord::Close { at_ns, .. } => *at_ns = 0,
         TraceRecord::Event { kind, at_ns, .. } => {
             *at_ns = 0;
-            if let EventKind::OracleProbe { latency_ns, .. }
-            | EventKind::SpeculativeProbe { latency_ns, .. } = kind
-            {
+            if let EventKind::OracleProbe { latency_ns, .. } = kind {
                 *latency_ns = 0;
             }
         }
@@ -192,7 +166,6 @@ fn crash_tail_is_the_end_of_the_captured_trace() {
         let cfg = SearchConfig {
             max_oracle_calls: 2000,
             collect_trace,
-            threads: 1,
             deadline: None,
             ..SearchConfig::default()
         };

@@ -12,22 +12,16 @@
 //!   ones", an implicit form of triage over cascading error lists;
 //! * constructive changes include STL-specific ones, chiefly wrapping and
 //!   unwrapping `ptr_fun` (Figure 10's fix).
-
-//!
-//! ## Parallel probing
 //!
 //! Unlike the Caml searcher's verdict-driven recursion, the C++ search
 //! is a *flat* enumeration: every candidate change is known up front
-//! and no probe depends on another's verdict. The search therefore runs
-//! in three phases — collect every pending probe, evaluate them (in
-//! parallel when [`CppSearchSession`] is built with `threads > 1`),
-//! then fold verdicts back **in enumeration order** — so the report is
-//! identical at any thread count.
+//! and no probe depends on another's verdict. The search collects every
+//! pending probe, then checks them in enumeration order.
 
 use crate::ast::*;
 use crate::check::{check, CppError};
 use crate::edit::{remove_stmt, replace_expr, replace_stmt};
-use seminal_core::{ConfigError, SearchConfig};
+use seminal_core::ConfigError;
 use seminal_ml::span::Span;
 use seminal_obs::{
     Completion, EventKind, Histogram, MetricsSnapshot, ProbeKind, SpanKind, SplitMix64, SrcSpan,
@@ -36,8 +30,7 @@ use seminal_obs::{
 use std::collections::HashSet;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The class of a C++ suggestion, ranked in this order.
@@ -123,7 +116,7 @@ impl CppReport {
     /// The user-visible payload: every suggestion in rank order with the
     /// fields its quick-fix line renders from plus the residual error
     /// counts — the unit of comparison for the differential fuzz loop's
-    /// thread-identity oracle (mirrors the Caml report's `payload`).
+    /// fuzz loop (mirrors the Caml report's `payload`).
     pub fn payload(&self) -> Vec<(String, String, usize, usize)> {
         self.suggestions
             .iter()
@@ -225,7 +218,7 @@ impl ProbeCtx<'_> {
 /// panics when its seeded draw lands under `panic_per_mille`. The
 /// decision is a pure function of `(seed, index)` — the enumeration
 /// order is fixed before any verdict exists — so the injected fault set
-/// is identical at every thread count.
+/// is reproducible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CppChaos {
     /// Mixed into every draw; two seeds give independent fault sets.
@@ -246,10 +239,9 @@ impl CppChaos {
 }
 
 /// The C++ search pipeline, mirroring the ML side's
-/// `SearchSession::builder(...).threads(n).sink(s).build()` shape (the
-/// checker is built in, so no oracle argument).
+/// `SearchSession::builder(...).sink(s).build()` shape (the checker is
+/// built in, so no oracle argument).
 pub struct CppSearchSession {
-    threads: usize,
     deadline: Option<Duration>,
     chaos: Option<CppChaos>,
     sinks: Vec<Arc<dyn TraceSink>>,
@@ -258,7 +250,6 @@ pub struct CppSearchSession {
 impl fmt::Debug for CppSearchSession {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CppSearchSession")
-            .field("threads", &self.threads)
             .field("deadline", &self.deadline)
             .field("chaos", &self.chaos)
             .field("sinks", &self.sinks.len())
@@ -267,31 +258,19 @@ impl fmt::Debug for CppSearchSession {
 }
 
 impl CppSearchSession {
-    /// Starts a builder with the ML search's default thread count (1,
-    /// or `SEMINAL_THREADS`) and no deadline.
+    /// Starts a builder with no deadline.
     pub fn builder() -> CppSearchSessionBuilder {
-        CppSearchSessionBuilder {
-            threads: default_threads(),
-            deadline: None,
-            chaos: None,
-            sinks: Vec::new(),
-        }
-    }
-
-    /// Configured probe parallelism.
-    pub fn threads(&self) -> usize {
-        self.threads
+        CppSearchSessionBuilder { deadline: None, chaos: None, sinks: Vec::new() }
     }
 
     /// Runs the C++ search on `prog`.
     pub fn search(&self, prog: &CProgram) -> CppReport {
-        search_cpp_impl(prog, self.threads, self.deadline, self.chaos, &self.sinks)
+        search_cpp_impl(prog, self.deadline, self.chaos, &self.sinks)
     }
 }
 
 /// Fluent constructor for [`CppSearchSession`].
 pub struct CppSearchSessionBuilder {
-    threads: usize,
     deadline: Option<Duration>,
     chaos: Option<CppChaos>,
     sinks: Vec<Arc<dyn TraceSink>>,
@@ -300,7 +279,6 @@ pub struct CppSearchSessionBuilder {
 impl fmt::Debug for CppSearchSessionBuilder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CppSearchSessionBuilder")
-            .field("threads", &self.threads)
             .field("deadline", &self.deadline)
             .field("chaos", &self.chaos)
             .field("sinks", &self.sinks.len())
@@ -309,13 +287,6 @@ impl fmt::Debug for CppSearchSessionBuilder {
 }
 
 impl CppSearchSessionBuilder {
-    /// Worker threads for probe evaluation (validated `>= 1` at build).
-    #[must_use]
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n;
-        self
-    }
-
     /// Wall-clock deadline per search (`None` = unbounded; validated
     /// non-zero at build). When it expires, remaining probes are skipped
     /// and the report says `Completion::DeadlineExpired` with whatever
@@ -351,105 +322,41 @@ impl CppSearchSessionBuilder {
     ///
     /// # Errors
     ///
-    /// [`ConfigError::ZeroThreads`] when `threads == 0`;
     /// [`ConfigError::ZeroDeadline`] when `deadline == Some(0)`.
     pub fn build(self) -> Result<CppSearchSession, ConfigError> {
-        if self.threads == 0 {
-            return Err(ConfigError::ZeroThreads);
-        }
         if self.deadline == Some(Duration::ZERO) {
             return Err(ConfigError::ZeroDeadline);
         }
-        Ok(CppSearchSession {
-            threads: self.threads,
-            deadline: self.deadline,
-            chaos: self.chaos,
-            sinks: self.sinks,
-        })
+        Ok(CppSearchSession { deadline: self.deadline, chaos: self.chaos, sinks: self.sinks })
     }
-}
-
-/// Default thread count: the ML search's, which honours
-/// `SEMINAL_THREADS`. Only the thread count is taken: the C++ search has
-/// no default deadline.
-fn default_threads() -> usize {
-    SearchConfig::default().threads
 }
 
 /// Runs the C++ search with the default session; to attach trace sinks,
 /// build a session with [`CppSearchSession::builder`].
 pub fn search_cpp(prog: &CProgram) -> CppReport {
-    search_cpp_impl(prog, default_threads(), None, None, &[])
+    search_cpp_impl(prog, None, None, &[])
 }
 
-/// Largest contiguous run of pending probes a worker claims at once.
-const CHUNK: usize = 8;
-
-/// Evaluates pending probes, in parallel at `threads > 1`. The returned
-/// verdicts are indexed like `pending`, so the fold consumes them in
-/// enumeration order regardless of which worker checked what.
-///
-/// Fault tolerance: each check runs under `catch_unwind`, so a panicking
-/// probe yields a `faulted` verdict instead of poisoning its slot or
-/// killing a worker; slots that were poisoned anyway are recovered. When
-/// `deadline` passes, workers stop claiming chunks and unevaluated
-/// probes come back as `None` (skipped) — the scoped threads still join
-/// normally, so nothing leaks.
-fn evaluate_probes(
-    pending: &[PendingProbe],
-    threads: usize,
-    deadline: Option<Instant>,
-    chaos: Option<CppChaos>,
-) -> Vec<Option<Verdict>> {
-    let check_one = |i: usize, p: &PendingProbe| {
-        let clock = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            if chaos.is_some_and(|c| c.would_panic(i)) {
-                panic!("{INJECTED_PANIC} injected C++ checker panic");
-            }
-            check(&p.variant)
-        }));
-        let latency_ns = u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        match result {
-            Ok(errors) => Verdict { errors, latency_ns, faulted: false },
-            Err(_) => Verdict { errors: Vec::new(), latency_ns, faulted: true },
+/// Checks probe `index` of the flat enumeration. The check runs under
+/// `catch_unwind`, so a panicking probe yields a `faulted` verdict
+/// instead of ending the search.
+fn check_probe(index: usize, probe: &PendingProbe, chaos: Option<CppChaos>) -> Verdict {
+    let clock = Instant::now();
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        if chaos.is_some_and(|c| c.would_panic(index)) {
+            panic!("{INJECTED_PANIC} injected C++ checker panic");
         }
-    };
-    let expired = || deadline.is_some_and(|d| Instant::now() >= d);
-    let workers = threads.min(pending.len());
-    if workers <= 1 {
-        return pending
-            .iter()
-            .enumerate()
-            .map(|(i, p)| if expired() { None } else { Some(check_one(i, p)) })
-            .collect();
+        check(&probe.variant)
+    }));
+    let latency_ns = u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    match result {
+        Ok(errors) => Verdict { errors, latency_ns, faulted: false },
+        Err(_) => Verdict { errors: Vec::new(), latency_ns, faulted: true },
     }
-    let slots: Vec<Mutex<Option<Verdict>>> = pending.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                if expired() {
-                    return;
-                }
-                let lo = next.fetch_add(CHUNK, Ordering::Relaxed);
-                if lo >= pending.len() {
-                    return;
-                }
-                let hi = (lo + CHUNK).min(pending.len());
-                for i in lo..hi {
-                    let verdict = check_one(i, &pending[i]);
-                    *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(verdict);
-                }
-            });
-        }
-    });
-    slots.into_iter().map(|s| s.into_inner().unwrap_or_else(PoisonError::into_inner)).collect()
 }
 
 fn search_cpp_impl(
     prog: &CProgram,
-    threads: usize,
     deadline: Option<Duration>,
     chaos: Option<CppChaos>,
     sinks: &[Arc<dyn TraceSink>],
@@ -503,7 +410,7 @@ fn search_cpp_impl(
     }
     if baseline.is_empty() {
         ctx.tracer.close(root);
-        let metrics = cpp_metrics(&ctx, 0, threads, Completion::Complete);
+        let metrics = cpp_metrics(&ctx, 0, Completion::Complete);
         return CppReport {
             suggestions: Vec::new(),
             baseline,
@@ -730,15 +637,15 @@ fn search_cpp_impl(
         }
     }
 
-    // Phase 2: evaluate the frontier (the only parallel section), then
-    // Phase 3: fold verdicts back in enumeration order, so suggestions,
-    // ranks, and trace records are identical at any thread count.
-    let verdicts = evaluate_probes(&pending, threads, deadline, chaos);
-    for (probe, verdict) in pending.into_iter().zip(verdicts) {
-        match verdict {
-            Some(v) => ctx.fold(probe, v),
-            None => ctx.skipped += 1,
+    // Check the frontier in enumeration order. Once the deadline passes,
+    // every remaining probe is skipped.
+    for (i, probe) in pending.into_iter().enumerate() {
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            ctx.skipped += 1;
+            continue;
         }
+        let verdict = check_probe(i, &probe, chaos);
+        ctx.fold(probe, verdict);
     }
 
     // Rank: complete fixes first, then class, then smaller fragments.
@@ -765,7 +672,7 @@ fn search_cpp_impl(
     } else {
         Completion::Complete
     };
-    let metrics = cpp_metrics(&ctx, suggestions.len() as u64, threads, completion);
+    let metrics = cpp_metrics(&ctx, suggestions.len() as u64, completion);
     CppReport {
         suggestions,
         baseline,
@@ -778,12 +685,7 @@ fn search_cpp_impl(
 }
 
 /// Folds the probe context into the stable metrics snapshot schema.
-fn cpp_metrics(
-    ctx: &ProbeCtx<'_>,
-    suggestions: u64,
-    threads: usize,
-    completion: Completion,
-) -> MetricsSnapshot {
+fn cpp_metrics(ctx: &ProbeCtx<'_>, suggestions: u64, completion: Completion) -> MetricsSnapshot {
     let mut snap = MetricsSnapshot::default();
     snap.counters.insert("oracle_calls".to_owned(), ctx.calls);
     snap.counters.insert("probe_faults".to_owned(), ctx.probe_faults);
@@ -793,9 +695,6 @@ fn cpp_metrics(
     }
     snap.counters.insert("errors_before".to_owned(), ctx.n_before as u64);
     snap.counters.insert("suggestions".to_owned(), suggestions);
-    if threads > 1 {
-        snap.counters.insert("probe_parallelism".to_owned(), threads as u64);
-    }
     for (i, &n) in ctx.probes.iter().enumerate() {
         if n > 0 {
             snap.counters.insert(format!("probes.{}", ProbeKind::METRIC_KEYS[i]), n);

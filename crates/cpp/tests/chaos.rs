@@ -1,7 +1,7 @@
 //! Chaos suite for the C++ front end: seeded, index-keyed panic
-//! injection into the checker must degrade the search gracefully — same
-//! payload and completion at every worker count, an honest fault count,
-//! and no faulted probe ever accepted as a fix.
+//! injection into the checker must degrade the search gracefully — the
+//! same payload and completion on every run, an honest fault count, and
+//! no faulted probe ever accepted as a fix.
 
 use seminal_cpp::{parse_cpp, CppChaos, CppReport, CppSearchSession};
 use seminal_obs::Completion;
@@ -33,12 +33,9 @@ const SCENARIOS: &[(&str, &str)] = &[
     ),
 ];
 
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
-fn run_chaotic(src: &str, seed: u64, threads: usize) -> CppReport {
+fn run_chaotic(src: &str, seed: u64) -> CppReport {
     let prog = parse_cpp(src).unwrap_or_else(|e| panic!("parse: {e}"));
     CppSearchSession::builder()
-        .threads(threads)
         .chaos(CppChaos { seed, panic_per_mille: 100 })
         .build()
         .unwrap()
@@ -54,7 +51,7 @@ fn chaotic_cpp_searches_finish_with_honest_fault_counts() {
     let mut faulted_somewhere = false;
     for (name, src) in SCENARIOS {
         for seed in [1, 7, 42] {
-            let report = run_chaotic(src, seed, 1);
+            let report = run_chaotic(src, seed);
             match report.completion {
                 Completion::Complete => {
                     assert_eq!(report.probe_faults, 0, "{name}/{seed}: hidden faults");
@@ -77,67 +74,41 @@ fn chaotic_cpp_searches_finish_with_honest_fault_counts() {
 }
 
 #[test]
-fn chaotic_cpp_payloads_are_identical_across_thread_counts() {
+fn chaotic_cpp_payloads_are_identical_across_runs() {
     // Injection is keyed by probe index and the probe list is fixed
-    // before any verdict lands, so the same probes fault at every
-    // worker count.
+    // before any verdict lands, so the same probes fault on every run.
     for (name, src) in SCENARIOS {
-        let base = run_chaotic(src, 42, 1);
-        for threads in [2, 8] {
-            let par = run_chaotic(src, 42, threads);
-            assert_eq!(payload(&base), payload(&par), "{name}: payload at {threads} threads");
-            assert_eq!(base.completion, par.completion, "{name}: completion at {threads} threads");
-            assert_eq!(
-                base.probe_faults, par.probe_faults,
-                "{name}: fault count at {threads} threads"
-            );
-            assert_eq!(
-                base.oracle_calls, par.oracle_calls,
-                "{name}: call count at {threads} threads"
-            );
-        }
+        let (first, second) = (run_chaotic(src, 42), run_chaotic(src, 42));
+        assert_eq!(payload(&first), payload(&second), "{name}: payload");
+        assert_eq!(first.completion, second.completion, "{name}: completion");
+        assert_eq!(first.probe_faults, second.probe_faults, "{name}: fault count");
+        assert_eq!(first.oracle_calls, second.oracle_calls, "{name}: call count");
     }
 }
 
 #[test]
 fn faulted_cpp_probes_stay_out_of_the_latency_histogram() {
     for (name, src) in SCENARIOS {
-        for threads in THREAD_COUNTS {
-            let report = run_chaotic(src, 42, threads);
-            let observed =
-                report.metrics.histograms.get("oracle.latency_ns").map_or(0, |h| h.count);
-            assert_eq!(
-                observed, report.oracle_calls,
-                "{name} at {threads} threads: histogram must hold real checks only"
-            );
-        }
+        let report = run_chaotic(src, 42);
+        let observed = report.metrics.histograms.get("oracle.latency_ns").map_or(0, |h| h.count);
+        assert_eq!(observed, report.oracle_calls, "{name}: histogram must hold real checks only");
     }
 }
 
 #[test]
-fn cpp_deadline_expiry_degrades_without_leaking_workers() {
+fn cpp_deadline_expiry_degrades_gracefully() {
     for (name, src) in SCENARIOS {
         let prog = parse_cpp(src).unwrap();
-        for threads in THREAD_COUNTS {
-            let started = Instant::now();
-            let report = CppSearchSession::builder()
-                .threads(threads)
-                .deadline(Some(Duration::from_nanos(1)))
-                .build()
-                .unwrap()
-                .search(&prog);
-            assert_eq!(
-                report.completion,
-                Completion::DeadlineExpired,
-                "{name}: a 1ns deadline must expire at {threads} threads"
-            );
-            assert!(
-                started.elapsed() < Duration::from_secs(10),
-                "{name}: workers did not stop at {threads} threads"
-            );
-            // Degraded runs still carry the baseline diagnosis.
-            assert!(!report.baseline.is_empty(), "{name}: baseline must survive expiry");
-        }
+        let started = Instant::now();
+        let report = CppSearchSession::builder()
+            .deadline(Some(Duration::from_nanos(1)))
+            .build()
+            .unwrap()
+            .search(&prog);
+        assert_eq!(report.completion, Completion::DeadlineExpired, "{name}: a 1ns deadline");
+        assert!(started.elapsed() < Duration::from_secs(10), "{name}: the search did not stop");
+        // Degraded runs still carry the baseline diagnosis.
+        assert!(!report.baseline.is_empty(), "{name}: baseline must survive expiry");
     }
 }
 

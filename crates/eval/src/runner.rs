@@ -6,12 +6,9 @@
 //! Corpus files are independent, so [`evaluate_corpus_with`] parallelizes
 //! at file granularity: `threads` scoped workers claim file indices from
 //! an atomic counter and write into per-file slots, which are then
-//! collected in corpus order. Each per-file search runs the sequential
-//! engine (`threads(1)`), so the suggestions, judgments, and oracle-call
-//! counts are identical at every worker count — only wall-clock changes.
-//! (Probe-engine parallelism inside a single search is exercised by the
-//! core determinism suite; stacking it on top of file-level workers
-//! would only oversubscribe the machine.)
+//! collected in corpus order. Each search is sequential and independent
+//! of the others, so the suggestions, judgments, and oracle-call counts
+//! are identical at every worker count — only wall-clock changes.
 
 use crate::category::{classify, Category};
 use crate::judge::{judge_baseline, judge_seminal, Judgment};
@@ -142,9 +139,7 @@ fn guarded_evaluate(file: &CorpusFile) -> Result<FileResult, String> {
         .unwrap_or_else(|_| Err("evaluation panicked (isolated)".to_owned()))
 }
 
-/// Runs all three systems over one file. Sessions are pinned to
-/// `threads(1)` so per-file results do not depend on `SEMINAL_THREADS`
-/// or on the worker count of the surrounding corpus run.
+/// Runs all three systems over one file.
 ///
 /// Both searching systems answer probes through the checkpointed
 /// incremental oracle — the production default — so the
@@ -154,15 +149,12 @@ fn guarded_evaluate(file: &CorpusFile) -> Result<FileResult, String> {
 /// reports byte-identical to the scratch oracle's, so judgments and
 /// call counts are unchanged by this choice.
 fn evaluate_file(file: &CorpusFile) -> Result<FileResult, String> {
-    let full_session = SearchSession::builder(CheckpointedOracle::new())
-        .threads(1)
-        .build()
-        .expect("default config with threads=1 is valid");
+    let full_session =
+        SearchSession::builder(CheckpointedOracle::new()).build().expect("default config is valid");
     let nt_session = SearchSession::builder(CheckpointedOracle::new())
         .config(SearchConfig::without_triage())
-        .threads(1)
         .build()
-        .expect("no-triage config with threads=1 is valid");
+        .expect("no-triage config is valid");
     let prog = parse_program(&file.source).map_err(|e| format!("does not parse: {e}"))?;
     let Some(baseline_err) = check_program(&prog).err() else {
         return Err("unexpectedly type-checks".to_owned());
@@ -248,13 +240,11 @@ mod tests {
                 continue;
             }
             let blame_report = SearchSession::builder(TypeCheckOracle::new())
-                .threads(1)
                 .build()
                 .expect("default config is valid")
                 .search(&prog);
             let mcs_report = SearchSession::builder(TypeCheckOracle::new())
                 .config(SearchConfig::with_mcs_guidance())
-                .threads(1)
                 .build()
                 .expect("mcs-guidance config is valid")
                 .search(&prog);

@@ -275,9 +275,8 @@ fn classify(line: &str, tally: &mut ClientTally) {
             // Probe accounting on every check, chaos or not: each
             // search-level oracle call is the baseline check, which
             // never reads the memo, or a probe that either hit the
-            // shared memo or reached the real checker. (Speculative
-            // probes of a parallel search, and a baseline that
-            // faulted, make the left side larger, never smaller.)
+            // shared memo or reached the real checker. (A baseline
+            // that faulted makes the left side larger, never smaller.)
             let hits = check.metrics.counter("memo.cross_request_hits");
             let real = check.metrics.counter("oracle.real_calls");
             let baseline = check.metrics.counter("probes.baseline");

@@ -834,14 +834,23 @@ impl<'s> Parser<'s> {
     /// The binary levels from `||` down to `*`, by precedence climbing:
     /// parses an operand joined by operators of level `min` or tighter.
     /// A right operand may be a keyword form, which extends maximally.
+    /// A right-associative operator (`||`, `&&`, `^`, `@`, `::`) nests
+    /// its right operand one level deeper, so each counts against
+    /// [`MAX_DEPTH`]; a left-associative chain is this loop, and its
+    /// precedence climb is at most seven calls deep.
     fn expr_binary(&mut self, prog: &mut Program, min: u8) -> Result<Expr, ParseError> {
         let mut lhs = self.expr_unary(prog)?;
         while let Some((op, level, right)) = self.binop().filter(|&(_, level, _)| level >= min) {
             self.bump();
             let rhs = if self.starts_kw_form() {
                 self.kw_form(prog)?
+            } else if right {
+                self.enter()?;
+                let rhs = self.expr_binary(prog, level);
+                self.depth -= 1;
+                rhs?
             } else {
-                self.expr_binary(prog, if right { level } else { level + 1 })?
+                self.expr_binary(prog, level + 1)?
             };
             let span = lhs.span.merge(rhs.span);
             lhs = Expr {

@@ -22,6 +22,27 @@ fn pathological_nesting_is_a_parse_diagnostic_not_an_overflow() {
 }
 
 #[test]
+fn right_associative_operator_chains_are_a_parse_diagnostic_not_an_overflow() {
+    for (op, operand, last) in [
+        ("::", "1", "[]"),
+        ("^", "\"a\"", "\"b\""),
+        ("@", "[1]", "[]"),
+        ("||", "true", "false"),
+        ("&&", "true", "false"),
+    ] {
+        let src = format!("let x = {}{last}", format!("{operand} {op} ").repeat(100_000));
+        let err = parse_program(&src).expect_err("a 100,000-term chain must be rejected");
+        assert!(
+            err.message.contains("nesting exceeds the supported depth (64)"),
+            "{op}: unexpected diagnostic: {}",
+            err.message
+        );
+    }
+    // Chains the checker accepts still parse.
+    parse_program(&format!("let x = {}[]", "1 :: ".repeat(47))).expect("47-term `::` chain");
+}
+
+#[test]
 fn moderate_nesting_still_parses() {
     let prog = parse_program(&parens(25)).expect("25 levels are within the guard");
     assert_eq!(prog.decls.len(), 1);

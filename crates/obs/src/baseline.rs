@@ -7,7 +7,7 @@
 //! the baseline file is regenerated). Two tolerances apply:
 //!
 //! * **counter tolerance** for work counters (`oracle_calls`,
-//!   `memo_hits`, per-family probe counts, …) — these are deterministic
+//!   `suggestions`, per-family probe counts, …) — these are deterministic
 //!   for a fixed corpus and seed, so CI can hold them tight;
 //! * **time tolerance** for anything measured in nanoseconds (`*_ns`
 //!   counters and latency-histogram percentiles) — wall-clock numbers

@@ -36,7 +36,8 @@ pub struct CrashReport {
     pub completion: String,
     /// Probes that panicked and were isolated to faults.
     pub probe_faults: u64,
-    /// Probe threads the search ran with.
+    /// Always 1: a search runs its probes one after another. Kept so
+    /// the `crash-v1` format keeps its shape.
     pub threads: u64,
     /// Trace records the search wrote before the tail (overwritten in
     /// its ring, or older than the tail's length).
@@ -219,7 +220,7 @@ pub fn silence_injected_panics() {
 mod tests {
     use super::*;
     use crate::metrics::MetricsRegistry;
-    use crate::trace::{EventKind, SpanKind, TraceRecord};
+    use crate::trace::{EventKind, ProbeKind, SpanKind, SrcSpan, TraceRecord};
 
     fn report() -> CrashReport {
         let reg = MetricsRegistry::new();
@@ -230,7 +231,7 @@ mod tests {
             reason: "2 probe faults".to_owned(),
             completion: "degraded".to_owned(),
             probe_faults: 2,
-            threads: 4,
+            threads: 1,
             records_dropped: 5,
             records: vec![
                 TraceRecord::Open {
@@ -242,12 +243,16 @@ mod tests {
                 },
                 TraceRecord::Event {
                     parent: 1,
-                    kind: EventKind::SpeculativeProbe {
+                    kind: EventKind::OracleProbe {
+                        probe: ProbeKind::Removal,
+                        target: "x".to_owned(),
+                        span: SrcSpan::new(0, 1),
                         outcome: false,
+                        cached: false,
                         faulted: true,
                         latency_ns: 99,
                     },
-                    thread: 2,
+                    thread: 0,
                     at_ns: 10,
                 },
                 TraceRecord::Close { id: 1, thread: 0, at_ns: 20 },

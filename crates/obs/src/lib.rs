@@ -16,7 +16,7 @@
 //!   search's trace ring ([`MemorySink`]) with the final metrics snapshot
 //!   for post-mortem replay;
 //! * [`chrome`] — renders a captured trace as a Chrome `trace_event`
-//!   document (one track per worker) for `chrome://tracing`/Perfetto;
+//!   document for `chrome://tracing`/Perfetto;
 //! * [`baseline`] — the perf-trend gate comparing a snapshot against a
 //!   committed baseline under counter/time tolerances;
 //! * [`hash`] — FNV-1a, the one hash function every content key and
@@ -57,6 +57,6 @@ pub use metrics::{keys, Histogram, MetricsRegistry, MetricsSnapshot, SCHEMA};
 pub use profile::{profile, render as render_profile, ProfileNode, SpanProfile};
 pub use rng::SplitMix64;
 pub use trace::{
-    check_invariants, EventKind, JsonlSink, MemorySink, NullSink, ProbeKind, SpanContext, SpanKind,
-    SrcSpan, TraceError, TraceHandle, TraceRecord, TraceSink, Tracer,
+    check_invariants, EventKind, JsonlSink, MemorySink, NullSink, ProbeKind, SpanKind, SrcSpan,
+    TraceError, TraceRecord, TraceSink, Tracer,
 };

@@ -189,15 +189,6 @@ impl MetricsRegistry {
         self.add(name, 1);
     }
 
-    /// Sets the counter `name` to `value` outright — gauge semantics,
-    /// for values that describe the run rather than accumulate over it
-    /// (e.g. the `probe_parallelism` gauge the parallel probe engine
-    /// publishes). Last writer wins.
-    pub fn set(&self, name: &str, value: u64) {
-        let mut state = self.inner.lock().expect("metrics registry poisoned");
-        state.counters.insert(name.to_owned(), value);
-    }
-
     /// Raises the counter `name` to `value` if it is currently lower
     /// (for high-water marks such as maximum descent depth).
     pub fn set_max(&self, name: &str, value: u64) {
@@ -439,15 +430,12 @@ mod tests {
         reg.add("oracle_calls", 2);
         reg.set_max("descend.max_depth", 4);
         reg.set_max("descend.max_depth", 2);
-        reg.set("probe_parallelism", 8);
-        reg.set("probe_parallelism", 4);
         for v in [1u64, 2, 3, 1000] {
             reg.observe("oracle.latency_ns", v);
         }
         let snap = reg.snapshot();
         assert_eq!(snap.counter("oracle_calls"), 3);
         assert_eq!(snap.counter("descend.max_depth"), 4);
-        assert_eq!(snap.counter("probe_parallelism"), 4, "gauge takes the last write");
         let h = &snap.histograms["oracle.latency_ns"];
         assert_eq!(h.count, 4);
         assert_eq!(h.sum, 1006);

@@ -17,7 +17,7 @@ pub struct ProfileNode {
     /// The source span the cost is attributed to ([`SrcSpan::EMPTY`] for
     /// the whole-program bucket).
     pub span: SrcSpan,
-    /// Probes whose target was exactly this span (memo hits included).
+    /// Probes whose target was exactly this span.
     pub calls: u64,
     /// Oracle latency of exactly-this-span probes.
     pub self_ns: u64,
@@ -33,7 +33,7 @@ pub struct ProfileNode {
 pub struct SpanProfile {
     /// Top-level spans (plus possibly the whole-program bucket first).
     pub roots: Vec<ProfileNode>,
-    /// All probes seen (cached and uncached).
+    /// All probes seen.
     pub total_calls: u64,
     /// Total attributed latency.
     pub total_ns: u64,

@@ -2,10 +2,9 @@
 //!
 //! A search emits a stream of [`TraceRecord`]s: span open/close pairs
 //! (nesting regions of the search — descent into a node, a triage round,
-//! the blame pass, a probe-engine worker) and point events inside them
-//! (each oracle probe, with outcome and latency). Records carry
-//! monotonic nanosecond timestamps relative to the start of the trace,
-//! the id of the thread that emitted them, and flow into a pluggable
+//! the blame pass) and point events inside them (each oracle probe, with
+//! outcome and latency). Records carry monotonic nanosecond timestamps
+//! relative to the start of the trace and flow into a pluggable
 //! [`TraceSink`]:
 //!
 //! * [`MemorySink`] — bounded in-memory ring buffer (what powers the
@@ -14,28 +13,20 @@
 //! * [`JsonlSink`] — one JSON document per record, for offline analysis;
 //! * [`NullSink`] — swallows everything (useful as an explicit default).
 //!
-//! # Causal trace model
+//! # Trace model
 //!
-//! The trace is a forest of spans distributed over threads. Each thread
-//! owns a LIFO stack of spans it opened; a span's parent is either the
-//! innermost span open *on the same thread* ([`Tracer::open`]) or an
-//! explicit [`SpanContext`] handle captured on another thread
-//! ([`Tracer::open_under`]) — that is how a probe-engine worker's span
-//! hangs under the search span that caused the batch. Cross-thread
-//! parents must be live (opened, not yet closed) when the child opens;
-//! the consumer guarantees this by joining workers before closing the
-//! span it handed out. [`TraceHandle`] carries the shared sink fan-out,
-//! id allocator, and epoch to other threads, where
-//! [`TraceHandle::thread_tracer`] mints a per-thread [`Tracer`].
+//! A trace is a tree of spans emitted by one [`Tracer`]: a span opens
+//! under the innermost span still open ([`Tracer::open`]) and spans
+//! close innermost-first. Every record keeps a `thread` member, which
+//! is always 0, so readers of older trace files keep working.
 //!
 //! [`check_invariants`] is the executable specification of the stream:
-//! unique span ids, balanced open/close per thread, every event under a
-//! live parent, per-thread nondecreasing timestamps.
+//! unique span ids, balanced open/close, every span under the innermost
+//! open one, every event under a live parent, nondecreasing timestamps.
 
 use crate::json::Json;
 use std::collections::VecDeque;
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -90,12 +81,6 @@ pub enum SpanKind {
         /// 1-based round number within this search.
         round: u32,
     },
-    /// A probe-engine worker running speculative probes for one batch.
-    /// Always opened under an explicit cross-thread [`SpanContext`].
-    Worker {
-        /// 0-based worker index within the engine.
-        index: u32,
-    },
     /// The whole lifetime of a `seminal serve` process (or one served
     /// connection) — the root every [`SpanKind::Request`] opens under.
     Server,
@@ -115,7 +100,6 @@ impl SpanKind {
             SpanKind::PrefixLocalization => "prefix-localization",
             SpanKind::Descend { .. } => "descend",
             SpanKind::Triage { .. } => "triage",
-            SpanKind::Worker { .. } => "worker",
             SpanKind::Server => "server",
             SpanKind::Request { .. } => "request",
         }
@@ -240,8 +224,8 @@ impl ProbeKind {
 /// A point event inside a span.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {
-    /// One oracle invocation (or memo-cache hit, when `cached`),
-    /// attributed to the search step that consumed the verdict.
+    /// One oracle invocation, attributed to the search step that asked
+    /// for the verdict.
     OracleProbe {
         /// What the probe was trying.
         probe: ProbeKind,
@@ -253,27 +237,13 @@ pub enum EventKind {
         span: SrcSpan,
         /// Whether the variant type-checked.
         outcome: bool,
-        /// Whether the verdict came from the memo cache instead of a real
-        /// oracle run.
+        /// Always false: a search asks its oracle for every verdict. Kept
+        /// so the JSON encoding keeps its shape.
         cached: bool,
         /// Whether the probe panicked and the verdict was synthesized as
         /// a fault (panic isolation; implies `outcome == false`).
         faulted: bool,
-        /// Wall-clock cost of the oracle call (0 when `cached`).
-        latency_ns: u64,
-    },
-    /// A speculative probe run by a probe-engine worker ahead of the
-    /// search's own consumption. Deliberately lightweight — the causal
-    /// attribution (family, target, span) is carried by the
-    /// [`EventKind::OracleProbe`] event the consumer emits when (if) it
-    /// consumes the memoized verdict; this event records *where and when
-    /// the work physically ran*.
-    SpeculativeProbe {
-        /// Whether the variant type-checked.
-        outcome: bool,
-        /// Whether the probe panicked and was isolated to a fault.
-        faulted: bool,
-        /// Wall-clock cost attributed to this probe.
+        /// Wall-clock cost of the oracle call.
         latency_ns: u64,
     },
     /// The first bad declaration was read off the blame analysis instead
@@ -286,9 +256,9 @@ pub enum EventKind {
     },
 }
 
-/// One record of the structured trace stream. Every record carries the
-/// id of the [`Tracer`] thread that emitted it (0 is the search thread;
-/// engine workers are 1-based).
+/// One record of the structured trace stream. Every record carries a
+/// `thread` id, which a [`Tracer`] always sets to 0; the member stays so
+/// the JSON encoding keeps its shape.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceRecord {
     /// A span opened. `parent` is `None` only for the root span.
@@ -309,15 +279,6 @@ impl TraceRecord {
         }
     }
 
-    /// The id of the tracer thread that emitted the record.
-    pub fn thread(&self) -> u32 {
-        match self {
-            TraceRecord::Open { thread, .. }
-            | TraceRecord::Event { thread, .. }
-            | TraceRecord::Close { thread, .. } => *thread,
-        }
-    }
-
     /// JSON encoding (one object; the JSONL sink emits one per line).
     pub fn to_json(&self) -> Json {
         match self {
@@ -334,9 +295,6 @@ impl TraceRecord {
                     }
                     SpanKind::Triage { round } => {
                         members.push(("round".to_owned(), Json::Num(u64::from(*round))));
-                    }
-                    SpanKind::Worker { index } => {
-                        members.push(("index".to_owned(), Json::Num(u64::from(*index))));
                     }
                     SpanKind::Request { id } => {
                         members.push(("request_id".to_owned(), Json::Num(*id)));
@@ -375,15 +333,6 @@ impl TraceRecord {
                         members.push(("span".to_owned(), span_json(*span)));
                         members.push(("outcome".to_owned(), Json::Bool(*outcome)));
                         members.push(("cached".to_owned(), Json::Bool(*cached)));
-                        if *faulted {
-                            members.push(("faulted".to_owned(), Json::Bool(true)));
-                        }
-                        members.push(("latency_ns".to_owned(), Json::Num(*latency_ns)));
-                    }
-                    EventKind::SpeculativeProbe { outcome, faulted, latency_ns } => {
-                        members
-                            .push(("kind".to_owned(), Json::Str("speculative-probe".to_owned())));
-                        members.push(("outcome".to_owned(), Json::Bool(*outcome)));
                         if *faulted {
                             members.push(("faulted".to_owned(), Json::Bool(true)));
                         }
@@ -444,9 +393,6 @@ impl TraceRecord {
                     "triage" => SpanKind::Triage {
                         round: num_u32(json, "round").ok_or("triage span missing \"round\"")?,
                     },
-                    "worker" => SpanKind::Worker {
-                        index: num_u32(json, "index").ok_or("worker span missing \"index\"")?,
-                    },
                     "server" => SpanKind::Server,
                     "request" => SpanKind::Request {
                         id: json
@@ -494,15 +440,6 @@ impl TraceRecord {
                                 .ok_or("probe event missing \"latency_ns\"")?,
                         }
                     }
-                    "speculative-probe" => EventKind::SpeculativeProbe {
-                        outcome: bool_member(json, "outcome")?
-                            .ok_or("speculative probe missing \"outcome\"")?,
-                        faulted: bool_member(json, "faulted")?.unwrap_or(false),
-                        latency_ns: json
-                            .get("latency_ns")
-                            .and_then(Json::as_num)
-                            .ok_or("speculative probe missing \"latency_ns\"")?,
-                    },
                     "prefix-localized" => EventKind::PrefixLocalized {
                         first_bad: num_u32(json, "first_bad")
                             .ok_or("prefix event missing \"first_bad\"")?,
@@ -556,10 +493,10 @@ fn bool_member(json: &Json, key: &str) -> Result<Option<bool>, String> {
     }
 }
 
-/// Where trace records go. Sinks are called concurrently from the search
-/// thread and every probe-engine worker, so implementations must be
-/// internally synchronized; `Send + Sync` also lets one sink be shared
-/// across searches (e.g. an eval run streaming every search to one file).
+/// Where trace records go. Implementations are internally synchronized:
+/// `Send + Sync` lets one sink be shared across searches running on
+/// different threads (e.g. the serve daemon's connections streaming to
+/// one `--trace-json` file).
 pub trait TraceSink: Send + Sync {
     /// Consumes one record.
     fn record(&self, rec: &TraceRecord);
@@ -664,9 +601,8 @@ impl<W: Write + Send> TraceSink for JsonlSink<W> {
 /// A typed tracing failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceError {
-    /// An event was emitted with no span open on the emitting thread and
-    /// no explicit parent context. The record is dropped rather than
-    /// fabricated under a bogus span id.
+    /// An event was emitted with no span open. The record is dropped
+    /// rather than fabricated under a bogus span id.
     NoOpenSpan,
 }
 
@@ -674,7 +610,7 @@ impl std::fmt::Display for TraceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TraceError::NoOpenSpan => {
-                write!(f, "trace event emitted with no open span on this thread")
+                write!(f, "trace event emitted with no open span")
             }
         }
     }
@@ -682,39 +618,22 @@ impl std::fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// A handle to a live span, safe to send to another thread and open
-/// child spans under ([`Tracer::open_under`]). The referenced span must
-/// stay open until every child opened under it has been recorded — the
-/// probe engine guarantees this by joining its workers before returning
-/// control to the span's owner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanContext {
-    id: u64,
-}
-
-impl SpanContext {
-    /// The span id the context refers to.
-    pub fn id(self) -> u64 {
-        self.id
-    }
-}
-
-/// State shared by every [`Tracer`] of one trace: the sink fan-out, the
-/// process-wide span-id allocator, and the common epoch that makes
-/// timestamps comparable across threads.
+/// The live state of an enabled [`Tracer`]: the sink fan-out, the
+/// span-id allocator, and the epoch timestamps are measured from.
 struct TraceShared {
     sinks: Vec<Arc<dyn TraceSink>>,
-    next_id: AtomicU64,
+    next_id: u64,
     epoch: Instant,
+    last_ns: u64,
 }
 
 impl TraceShared {
-    fn now_ns(&self, last_ns: &mut u64) -> u64 {
-        // Clamp to nondecreasing per thread so the stream invariant
-        // holds even if the platform clock misbehaves.
+    fn now_ns(&mut self) -> u64 {
+        // Clamp to nondecreasing so the stream invariant holds even if
+        // the platform clock misbehaves.
         let ns = u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        *last_ns = (*last_ns).max(ns);
-        *last_ns
+        self.last_ns = self.last_ns.max(ns);
+        self.last_ns
     }
 
     fn emit(&self, rec: &TraceRecord) {
@@ -730,72 +649,33 @@ impl std::fmt::Debug for TraceShared {
     }
 }
 
-/// A cheap, cloneable, `Send` handle to a trace, from which worker
-/// threads mint their own per-thread [`Tracer`]s
-/// ([`TraceHandle::thread_tracer`]). A handle from a disabled tracer
-/// mints disabled tracers.
-#[derive(Debug, Clone, Default)]
-pub struct TraceHandle {
-    shared: Option<Arc<TraceShared>>,
-}
-
-impl TraceHandle {
-    /// A handle that mints only disabled tracers.
-    pub fn disabled() -> TraceHandle {
-        TraceHandle { shared: None }
-    }
-
-    /// Whether tracers minted from this handle record anything.
-    pub fn enabled(&self) -> bool {
-        self.shared.is_some()
-    }
-
-    /// A tracer emitting under thread id `thread`. Thread 0 is reserved
-    /// for the search (consumer) thread; engine workers use their
-    /// 1-based worker ids.
-    pub fn thread_tracer(&self, thread: u32) -> Tracer {
-        Tracer { shared: self.shared.clone(), thread, stack: Vec::new(), last_ns: 0 }
-    }
-}
-
-/// Emits the structured stream: manages span ids, this thread's
-/// open-span stack, and monotonic timestamps, and fans records out to
-/// the attached sinks. One `Tracer` belongs to one thread; cross-thread
-/// causality flows through [`SpanContext`] handles and [`TraceHandle`].
+/// Emits the structured stream: manages span ids, the open-span stack,
+/// and monotonic timestamps, and fans records out to the attached
+/// sinks.
 ///
 /// A disabled tracer ([`Tracer::disabled`]) does no clock reads, no
 /// allocation, and no sink calls — the zero-overhead configuration the
 /// searcher uses by default.
 #[derive(Debug)]
 pub struct Tracer {
-    shared: Option<Arc<TraceShared>>,
-    thread: u32,
+    shared: Option<TraceShared>,
     stack: Vec<u64>,
-    last_ns: u64,
 }
 
 impl Tracer {
     /// A tracer that records nothing.
     pub fn disabled() -> Tracer {
-        Tracer { shared: None, thread: 0, stack: Vec::new(), last_ns: 0 }
+        Tracer { shared: None, stack: Vec::new() }
     }
 
     /// A tracer fanning out to `sinks` (disabled when the list is
-    /// empty), emitting as thread 0.
+    /// empty).
     pub fn new(sinks: Vec<Arc<dyn TraceSink>>) -> Tracer {
         if sinks.is_empty() {
             return Tracer::disabled();
         }
-        Tracer {
-            shared: Some(Arc::new(TraceShared {
-                sinks,
-                next_id: AtomicU64::new(1),
-                epoch: Instant::now(),
-            })),
-            thread: 0,
-            stack: Vec::new(),
-            last_ns: 0,
-        }
+        let shared = TraceShared { sinks, next_id: 1, epoch: Instant::now(), last_ns: 0 };
+        Tracer { shared: Some(shared), stack: Vec::new() }
     }
 
     /// Whether records are being emitted.
@@ -803,165 +683,102 @@ impl Tracer {
         self.shared.is_some()
     }
 
-    /// The thread id this tracer emits under.
-    pub fn thread(&self) -> u32 {
-        self.thread
-    }
-
-    /// A sendable handle for minting tracers on other threads.
-    pub fn handle(&self) -> TraceHandle {
-        TraceHandle { shared: self.shared.clone() }
-    }
-
-    /// A context for the innermost span open on this thread (`None`
-    /// when disabled or when no span is open).
-    pub fn context(&self) -> Option<SpanContext> {
-        self.shared.as_ref()?;
-        self.stack.last().map(|&id| SpanContext { id })
-    }
-
-    /// Opens a span under the innermost one open on this thread;
-    /// returns its id (0 when disabled — a valid argument to
-    /// [`Tracer::close`], which ignores it).
+    /// Opens a span under the innermost one still open; returns its id
+    /// (0 when disabled — a valid argument to [`Tracer::close`], which
+    /// ignores it).
     pub fn open(&mut self, kind: SpanKind) -> u64 {
+        let Some(shared) = &mut self.shared else { return 0 };
+        let id = shared.next_id;
+        shared.next_id += 1;
         let parent = self.stack.last().copied();
-        self.open_with_parent(parent, kind)
-    }
-
-    /// Opens a span under an explicit — possibly cross-thread — parent
-    /// context. The parent must still be open when this records.
-    pub fn open_under(&mut self, parent: SpanContext, kind: SpanKind) -> u64 {
-        self.open_with_parent(Some(parent.id), kind)
-    }
-
-    fn open_with_parent(&mut self, parent: Option<u64>, kind: SpanKind) -> u64 {
-        let Some(shared) = &self.shared else { return 0 };
-        let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
-        let at_ns = shared.now_ns(&mut self.last_ns);
+        let at_ns = shared.now_ns();
         self.stack.push(id);
-        shared.emit(&TraceRecord::Open { id, parent, kind, thread: self.thread, at_ns });
+        shared.emit(&TraceRecord::Open { id, parent, kind, thread: 0, at_ns });
         id
     }
 
-    /// Closes the span `id`, which must be the innermost one open on
-    /// this thread (spans close in LIFO order per thread by construction
-    /// of the searcher).
+    /// Closes the span `id`, which must be the innermost one open
+    /// (spans close in LIFO order by construction of the searcher).
     pub fn close(&mut self, id: u64) {
-        let Some(shared) = &self.shared else { return };
+        let Some(shared) = &mut self.shared else { return };
         debug_assert_eq!(self.stack.last(), Some(&id), "spans must close LIFO");
         self.stack.pop();
-        let at_ns = shared.now_ns(&mut self.last_ns);
-        shared.emit(&TraceRecord::Close { id, thread: self.thread, at_ns });
+        let at_ns = shared.now_ns();
+        shared.emit(&TraceRecord::Close { id, thread: 0, at_ns });
     }
 
-    /// Emits a point event inside the innermost span open on this
-    /// thread.
+    /// Emits a point event inside the innermost open span.
     ///
     /// # Errors
     ///
-    /// [`TraceError::NoOpenSpan`] when no span is open on this thread —
-    /// the event is dropped rather than attached to a fabricated span
-    /// id. (A disabled tracer returns `Ok` and records nothing.)
+    /// [`TraceError::NoOpenSpan`] when no span is open — the event is
+    /// dropped rather than attached to a fabricated span id. (A disabled
+    /// tracer returns `Ok` and records nothing.)
     pub fn event(&mut self, kind: EventKind) -> Result<(), TraceError> {
-        let Some(shared) = &self.shared else { return Ok(()) };
+        let Some(shared) = &mut self.shared else { return Ok(()) };
         debug_assert!(!self.stack.is_empty(), "events need a live parent span");
         let Some(parent) = self.stack.last().copied() else {
             return Err(TraceError::NoOpenSpan);
         };
-        let at_ns = shared.now_ns(&mut self.last_ns);
-        shared.emit(&TraceRecord::Event { parent, kind, thread: self.thread, at_ns });
+        let at_ns = shared.now_ns();
+        shared.emit(&TraceRecord::Event { parent, kind, thread: 0, at_ns });
         Ok(())
     }
 }
 
-/// Checks the stream invariants on a complete captured trace. Spans are
-/// per-thread LIFO; parenthood may cross threads:
+/// Checks the stream invariants on a complete captured trace:
 ///
-/// 1. span ids are unique and opens precede their closes;
-/// 2. open/close records balance exactly on every thread (no span left
-///    open);
-/// 3. every event's parent span is open — and not yet closed — at the
-///    event's position in the stream;
-/// 4. a child span's parent is live at open time; a parent on the same
-///    thread must additionally be that thread's innermost open span;
-/// 5. a span with no parent may open only when no span is live anywhere
-///    (the root);
-/// 6. a span closes on the thread that opened it, innermost-first;
-/// 7. timestamps never decrease per thread (cross-thread order in the
-///    stream is whatever the sink serialization produced).
+/// 1. span ids are unique;
+/// 2. a span opens under the innermost span still open, and only the
+///    root opens with no parent (when no span is open);
+/// 3. every event's parent span is open at the event's position in the
+///    stream;
+/// 4. spans close innermost-first, and none is left open at the end;
+/// 5. timestamps never decrease.
 ///
 /// # Errors
 ///
 /// A description of the first violated invariant.
 pub fn check_invariants(records: &[TraceRecord]) -> Result<(), String> {
-    use std::collections::{HashMap, HashSet};
-    let mut stacks: HashMap<u32, Vec<u64>> = HashMap::new();
-    let mut span_thread: HashMap<u64, u32> = HashMap::new();
-    let mut live: HashSet<u64> = HashSet::new();
-    let mut seen: HashSet<u64> = HashSet::new();
-    let mut last_ns: HashMap<u32, u64> = HashMap::new();
+    let mut stack: Vec<u64> = Vec::new();
+    let mut seen = std::collections::HashSet::new();
+    let mut last_ns = 0;
     for (i, rec) in records.iter().enumerate() {
-        let thread = rec.thread();
-        let last = last_ns.entry(thread).or_insert(0);
-        if rec.at_ns() < *last {
-            return Err(format!("record {i}: timestamp went backwards on thread {thread}"));
+        if rec.at_ns() < last_ns {
+            return Err(format!("record {i}: timestamp went backwards"));
         }
-        *last = rec.at_ns();
+        last_ns = rec.at_ns();
         match rec {
             TraceRecord::Open { id, parent, .. } => {
                 if !seen.insert(*id) {
                     return Err(format!("record {i}: span id {id} reused"));
                 }
-                match parent {
-                    None => {
-                        if !live.is_empty() {
-                            return Err(format!(
-                                "record {i}: span {id} has no parent but spans are open"
-                            ));
-                        }
-                    }
-                    Some(p) => {
-                        if !live.contains(p) {
-                            return Err(format!(
-                                "record {i}: span {id} parent {p} is not live at open"
-                            ));
-                        }
-                        if span_thread.get(p) == Some(&thread)
-                            && stacks.get(&thread).and_then(|s| s.last()) != Some(p)
-                        {
-                            return Err(format!(
-                                "record {i}: span {id} parent {p} is on thread {thread} \
-                                 but is not its innermost open span"
-                            ));
-                        }
-                    }
+                if *parent != stack.last().copied() {
+                    return Err(format!(
+                        "record {i}: span {id} opens under {parent:?}, \
+                         not the innermost open span {:?}",
+                        stack.last()
+                    ));
                 }
-                stacks.entry(thread).or_default().push(*id);
-                span_thread.insert(*id, thread);
-                live.insert(*id);
+                stack.push(*id);
             }
             TraceRecord::Event { parent, .. } => {
-                if !live.contains(parent) {
-                    return Err(format!("record {i}: event parent span {parent} is not live"));
+                if !stack.contains(parent) {
+                    return Err(format!("record {i}: event parent span {parent} is not open"));
                 }
             }
             TraceRecord::Close { id, .. } => {
-                let stack = stacks.entry(thread).or_default();
                 if stack.last() != Some(id) {
                     return Err(format!(
-                        "record {i}: close of {id} does not match the innermost span \
-                         open on thread {thread}"
+                        "record {i}: close of {id} does not match the innermost open span"
                     ));
                 }
                 stack.pop();
-                live.remove(id);
             }
         }
     }
-    let mut open: Vec<u64> = stacks.into_values().flatten().collect();
-    if !open.is_empty() {
-        open.sort_unstable();
-        return Err(format!("spans left open at end of stream: {open:?}"));
+    if !stack.is_empty() {
+        return Err(format!("spans left open at end of stream: {stack:?}"));
     }
     Ok(())
 }
@@ -1005,7 +822,12 @@ mod tests {
         tr.close(root);
         let records = sink.drain();
         assert_eq!(records.len(), 9);
-        assert!(records.iter().all(|r| r.thread() == 0));
+        assert!(records.iter().all(|r| matches!(
+            r,
+            TraceRecord::Open { thread: 0, .. }
+                | TraceRecord::Event { thread: 0, .. }
+                | TraceRecord::Close { thread: 0, .. }
+        )));
         check_invariants(&records).unwrap();
     }
 
@@ -1016,45 +838,8 @@ mod tests {
         let id = tr.open(SpanKind::Search);
         tr.event(probe(true)).unwrap();
         tr.close(id);
-        assert!(tr.context().is_none());
-        assert!(!tr.handle().enabled());
         // Nothing to observe — the point is that none of this panicked
         // and no sink existed to receive anything.
-    }
-
-    #[test]
-    fn cross_thread_worker_spans_nest_under_the_handed_out_context() {
-        let sink = Arc::new(MemorySink::new(1024));
-        let mut tr = Tracer::new(vec![sink.clone()]);
-        let root = tr.open(SpanKind::Search);
-        let ctx = tr.context().expect("root span is open");
-        let handle = tr.handle();
-        std::thread::scope(|scope| {
-            for worker in 0..2u32 {
-                let handle = handle.clone();
-                scope.spawn(move || {
-                    let mut wtr = handle.thread_tracer(worker + 1);
-                    let span = wtr.open_under(ctx, SpanKind::Worker { index: worker });
-                    wtr.event(EventKind::SpeculativeProbe {
-                        outcome: true,
-                        faulted: false,
-                        latency_ns: 7,
-                    })
-                    .unwrap();
-                    wtr.close(span);
-                });
-            }
-        });
-        tr.close(root);
-        let records = sink.drain();
-        check_invariants(&records).unwrap();
-        let threads: std::collections::HashSet<u32> = records.iter().map(|r| r.thread()).collect();
-        assert_eq!(threads.len(), 3, "search thread plus two workers");
-        for rec in &records {
-            if let TraceRecord::Open { kind: SpanKind::Worker { .. }, parent, .. } = rec {
-                assert_eq!(*parent, Some(root), "worker spans hang under the search span");
-            }
-        }
     }
 
     #[test]
@@ -1179,13 +964,6 @@ mod tests {
                 at_ns: 1,
             },
             TraceRecord::Open {
-                id: 3,
-                parent: Some(1),
-                kind: SpanKind::Worker { index: 4 },
-                thread: 5,
-                at_ns: 2,
-            },
-            TraceRecord::Open {
                 id: 4,
                 parent: Some(2),
                 kind: SpanKind::Triage { round: 2 },
@@ -1222,18 +1000,12 @@ mod tests {
                 at_ns: 5,
             },
             TraceRecord::Event {
-                parent: 3,
-                kind: EventKind::SpeculativeProbe { outcome: true, faulted: false, latency_ns: 8 },
-                thread: 5,
-                at_ns: 6,
-            },
-            TraceRecord::Event {
                 parent: 1,
                 kind: EventKind::PrefixLocalized { first_bad: 2, detail: "decl 2".to_owned() },
                 thread: 0,
                 at_ns: 7,
             },
-            TraceRecord::Close { id: 3, thread: 5, at_ns: 8 },
+            TraceRecord::Close { id: 4, thread: 0, at_ns: 8 },
         ];
         for rec in &records {
             let json = rec.to_json();
@@ -1254,6 +1026,10 @@ mod tests {
             r#"{"t":"nonsense","at_ns":9}"#,
             r#"{"t":"open","id":1,"kind":"moonwalk","at_ns":0}"#,
             r#"{"t":"event","parent":1,"kind":"oracle-probe","at_ns":0}"#,
+            // `worker` spans and `speculative-probe` events are not kinds
+            // of the format.
+            r#"{"t":"open","id":2,"parent":1,"kind":"worker","index":0,"thread":1,"at_ns":0}"#,
+            r#"{"t":"event","parent":2,"kind":"speculative-probe","outcome":true,"latency_ns":3,"thread":1,"at_ns":1}"#,
         ] {
             let json = crate::json::parse(bad).unwrap();
             assert!(TraceRecord::from_json(&json).is_err(), "accepted {bad}");
@@ -1290,111 +1066,29 @@ mod tests {
             close(1, 0, 4),
         ];
         assert!(check_invariants(&bad).is_err());
-    }
-
-    #[test]
-    fn invariant_checker_accepts_legal_concurrent_interleavings() {
-        // Two workers interleaved under one root: records from different
-        // threads arrive in sink-serialization order, timestamps are
-        // monotonic only per thread.
-        let stream = vec![
-            TraceRecord::Open { id: 1, parent: None, kind: SpanKind::Search, thread: 0, at_ns: 0 },
-            TraceRecord::Open {
-                id: 2,
-                parent: Some(1),
-                kind: SpanKind::Worker { index: 0 },
-                thread: 1,
-                at_ns: 10,
-            },
-            TraceRecord::Open {
-                id: 3,
-                parent: Some(1),
-                kind: SpanKind::Worker { index: 1 },
-                thread: 2,
-                at_ns: 5, // behind thread 1's clock reads — legal
-            },
-            TraceRecord::Event {
-                parent: 3,
-                kind: EventKind::SpeculativeProbe { outcome: true, faulted: false, latency_ns: 3 },
-                thread: 2,
-                at_ns: 6,
-            },
-            TraceRecord::Event {
-                parent: 2,
-                kind: EventKind::SpeculativeProbe { outcome: false, faulted: true, latency_ns: 4 },
-                thread: 1,
-                at_ns: 11,
-            },
-            close(3, 2, 7),
-            close(2, 1, 12),
-            close(1, 0, 20),
-        ];
-        check_invariants(&stream).unwrap();
-    }
-
-    #[test]
-    fn invariant_checker_rejects_cross_thread_violations() {
-        // Worker closes a span before (without) opening it.
+        // Close of a span that never opened.
         let bad = vec![
             TraceRecord::Open { id: 1, parent: None, kind: SpanKind::Search, thread: 0, at_ns: 0 },
-            close(2, 1, 5),
+            close(2, 0, 5),
             close(1, 0, 9),
         ];
         assert!(check_invariants(&bad).is_err());
-        // Worker opens under a parent that is already closed (dead
-        // cross-thread parent).
+        // A second root while a span is open.
         let bad = vec![
             TraceRecord::Open { id: 1, parent: None, kind: SpanKind::Search, thread: 0, at_ns: 0 },
-            open(2, Some(1), 0, 1),
-            close(2, 0, 2),
-            TraceRecord::Open {
-                id: 3,
-                parent: Some(2),
-                kind: SpanKind::Worker { index: 0 },
-                thread: 1,
-                at_ns: 3,
-            },
-            close(3, 1, 4),
-            close(1, 0, 5),
-        ];
-        assert!(check_invariants(&bad).is_err());
-        // Worker event under a dead cross-thread parent.
-        let bad = vec![
-            TraceRecord::Open { id: 1, parent: None, kind: SpanKind::Search, thread: 0, at_ns: 0 },
-            open(2, Some(1), 0, 1),
-            close(2, 0, 2),
-            TraceRecord::Event {
-                parent: 2,
-                kind: EventKind::SpeculativeProbe { outcome: true, faulted: false, latency_ns: 1 },
-                thread: 1,
-                at_ns: 3,
-            },
-            close(1, 0, 4),
-        ];
-        assert!(check_invariants(&bad).is_err());
-        // A span must close on the thread that opened it.
-        let bad = vec![
-            TraceRecord::Open { id: 1, parent: None, kind: SpanKind::Search, thread: 0, at_ns: 0 },
-            TraceRecord::Open {
-                id: 2,
-                parent: Some(1),
-                kind: SpanKind::Worker { index: 0 },
-                thread: 1,
-                at_ns: 1,
-            },
+            open(2, None, 0, 1),
             close(2, 0, 2),
             close(1, 0, 3),
         ];
         assert!(check_invariants(&bad).is_err());
-        // Per-thread timestamps must still be monotonic.
+        // Timestamps must be monotonic.
         let bad = vec![
             TraceRecord::Open { id: 1, parent: None, kind: SpanKind::Search, thread: 0, at_ns: 9 },
             close(1, 0, 3),
         ];
         assert!(check_invariants(&bad).is_err());
-        // Same-thread parents must still be innermost: a sibling (not
-        // the top of thread 0's stack) is a rejected parent even though
-        // it is live.
+        // A parent must be the innermost open span: a live sibling that
+        // is not the top of the stack is rejected.
         let bad = vec![
             TraceRecord::Open { id: 1, parent: None, kind: SpanKind::Search, thread: 0, at_ns: 0 },
             open(2, Some(1), 0, 1),

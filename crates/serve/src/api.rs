@@ -210,8 +210,6 @@ pub struct CheckRequest {
     pub no_triage: bool,
     /// Localization backend guiding the search.
     pub backend: BackendKind,
-    /// Probe-engine worker threads (absent = server default).
-    pub threads: Option<u64>,
     /// Admission control: wall-clock deadline for this one request.
     pub deadline_ms: Option<u64>,
     /// Chaos: verdict-flip rate, per mille (0 = off).
@@ -238,7 +236,6 @@ impl CheckRequest {
             top: 3,
             no_triage: false,
             backend: BackendKind::Blame,
-            threads: None,
             deadline_ms: None,
             chaos_flip: 0,
             chaos_panic: 0,
@@ -332,9 +329,6 @@ impl Request {
                 members.push(("top".to_owned(), Json::Num(r.top)));
                 members.push(("no_triage".to_owned(), Json::Bool(r.no_triage)));
                 members.push(("backend".to_owned(), Json::Str(r.backend.name().to_owned())));
-                if let Some(n) = r.threads {
-                    members.push(("threads".to_owned(), Json::Num(n)));
-                }
                 if let Some(ms) = r.deadline_ms {
                     members.push(("deadline_ms".to_owned(), Json::Num(ms)));
                 }
@@ -408,7 +402,6 @@ impl Request {
                         "top",
                         "no_triage",
                         "backend",
-                        "threads",
                         "deadline_ms",
                         "chaos_flip",
                         "chaos_panic",
@@ -422,7 +415,6 @@ impl Request {
                     top: req_num(json, "top")?,
                     no_triage: req_bool(json, "no_triage")?,
                     backend: req_backend(json)?,
-                    threads: opt_num(json, "threads")?,
                     deadline_ms: opt_num(json, "deadline_ms")?,
                     chaos_flip: opt_per_mille(json, "chaos_flip")?,
                     chaos_panic: opt_per_mille(json, "chaos_panic")?,
@@ -998,7 +990,6 @@ mod tests {
     fn check_request_roundtrips() {
         roundtrip_request(&Request::Check(CheckRequest::new(7, "let x = 1 + true")));
         roundtrip_request(&Request::Check(CheckRequest {
-            threads: Some(4),
             deadline_ms: Some(500),
             chaos_flip: 3,
             chaos_panic: 2,
@@ -1030,6 +1021,13 @@ mod tests {
             Request::from_json_str(line),
             Err(ApiError::UnknownField("frobnicate".to_owned()))
         );
+        // `threads` is not a v1 `check` member: a request carrying it
+        // is rejected like any unknown member.
+        let line = r#"{"api":"seminal-api/v1","id":1,"type":"check","source":"let x = 1",
+            "top":3,"no_triage":false,"backend":"blame","threads":2}"#;
+        let err = Request::from_json_str(line).unwrap_err();
+        assert_eq!(err, ApiError::UnknownField("threads".to_owned()));
+        assert_eq!(err.to_string(), r#"unknown field "threads""#);
     }
 
     #[test]
@@ -1150,7 +1148,7 @@ mod tests {
         // The CLI renders `invalid configuration: {error}`; the Config
         // variant must therefore display the inner error with no
         // prefix of its own.
-        let api: ApiError = ConfigError::ZeroThreads.into();
-        assert_eq!(api.to_string(), ConfigError::ZeroThreads.to_string());
+        let api: ApiError = ConfigError::ZeroDeadline.into();
+        assert_eq!(api.to_string(), ConfigError::ZeroDeadline.to_string());
     }
 }

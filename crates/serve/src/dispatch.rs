@@ -307,17 +307,6 @@ fn run_search(
         chaos.panic_per_mille = c.chaos_panic;
         builder = builder.chaos(chaos);
     }
-    if let Some(n) = c.threads {
-        let Ok(n) = usize::try_from(n) else {
-            return error_response(
-                c.id,
-                Status::InvalidRequest,
-                ApiError::BadValue { field: "threads", why: "does not fit usize".to_owned() }
-                    .to_string(),
-            );
-        };
-        builder = builder.threads(n);
-    }
     if let Some(ms) = c.deadline_ms {
         // Admission control: the per-request deadline becomes the
         // search `Budget`'s wall-clock bound, and time already burned
@@ -508,10 +497,9 @@ mod tests {
                            let lst = map2 (fun (x, y) -> x + y) [1;2;3] [4;5;6]\n\
                            let ans = List.filter (fun x -> x == 0) lst";
 
-    /// A one-thread check of [`FIGURE2`] with the given chaos rates.
+    /// A check of [`FIGURE2`] with the given chaos rates.
     fn figure2(id: u64, chaos_flip: u16, chaos_panic: u16) -> Request {
         Request::Check(CheckRequest {
-            threads: Some(1),
             chaos_flip,
             chaos_panic,
             chaos_seed: 5,

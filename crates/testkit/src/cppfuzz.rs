@@ -5,10 +5,9 @@
 //! loop: every case is assembled from `(seed, index)` out of a small
 //! grammar of STL-slice calls (algorithm, iterator arguments in a
 //! drawn order, functor), some of which are well-typed (counted
-//! vacuous, skipped). The differential invariants mirror the Caml
-//! side: payload and completion identity at `threads=1` vs
-//! `threads=N`, conservation of `oracle_calls + probe_faults`, and
-//! every accepted suggestion strictly reducing the error count.
+//! vacuous, skipped). Its invariants: every accepted suggestion
+//! strictly reduces the error count, and a `Complete` search isolated
+//! no probe faults.
 
 use seminal_cpp::{parse_cpp, CppChaos, CppReport, CppSearchSession};
 use seminal_obs::{Json, SplitMix64};
@@ -22,17 +21,14 @@ pub struct CppFuzzConfig {
     pub seed: u64,
     /// Number of cases.
     pub cases: u64,
-    /// Thread count of the parallel side of the differential pair.
-    pub threads: usize,
-    /// Index-keyed panic injection rate (0 = off), applied with the
-    /// same seed on both sides of each differential pair.
+    /// Index-keyed panic injection rate (0 = off), seeded by `seed`.
     pub chaos_panic_per_mille: u16,
 }
 
 impl CppFuzzConfig {
-    /// Standard configuration: 2-thread differential, no chaos.
+    /// Standard configuration: no chaos.
     pub fn new(seed: u64, cases: u64) -> CppFuzzConfig {
-        CppFuzzConfig { seed, cases, threads: 2, chaos_panic_per_mille: 0 }
+        CppFuzzConfig { seed, cases, chaos_panic_per_mille: 0 }
     }
 }
 
@@ -129,9 +125,9 @@ fn generate_cpp_case(seed: u64, index: u64) -> String {
     format!("void f(vector<long>& v) {{\n  {call}{second}\n}}\n")
 }
 
-fn run_session(src: &str, threads: usize, cfg: &CppFuzzConfig) -> Option<CppReport> {
+fn run_session(src: &str, cfg: &CppFuzzConfig) -> Option<CppReport> {
     let prog = parse_cpp(src).ok()?;
-    let mut builder = CppSearchSession::builder().threads(threads);
+    let mut builder = CppSearchSession::builder();
     if cfg.chaos_panic_per_mille > 0 {
         builder =
             builder.chaos(CppChaos { seed: cfg.seed, panic_per_mille: cfg.chaos_panic_per_mille });
@@ -156,11 +152,7 @@ pub fn run_cpp_fuzz(cfg: &CppFuzzConfig) -> CppFuzzSummary {
             summary.vacuous += 1;
             continue;
         }
-        let Some(base) = run_session(&source, 1, cfg) else {
-            summary.parse_rejected += 1;
-            continue;
-        };
-        let Some(par) = run_session(&source, cfg.threads, cfg) else {
+        let Some(report) = run_session(&source, cfg) else {
             summary.parse_rejected += 1;
             continue;
         };
@@ -173,44 +165,22 @@ pub fn run_cpp_fuzz(cfg: &CppFuzzConfig) -> CppFuzzSummary {
                 source: source.clone(),
             });
         };
-        if base.payload() != par.payload() {
-            fail(
-                "thread-identity",
-                format!(
-                    "payload diverged at {} threads ({} vs {} suggestions)",
-                    cfg.threads,
-                    base.suggestions.len(),
-                    par.suggestions.len()
-                ),
-            );
-        } else if base.completion != par.completion {
-            fail(
-                "thread-identity",
-                format!("completion diverged: {} vs {}", base.completion, par.completion),
-            );
-        }
-        let (a, b) = (base.oracle_calls + base.probe_faults, par.oracle_calls + par.probe_faults);
-        if a != b {
-            fail("probe-accounting", format!("logical probes diverged: {a} vs {b}"));
-        }
-        for report in [&base, &par] {
-            for s in &report.suggestions {
-                if s.errors_after >= s.errors_before {
-                    fail(
-                        "suggestion-reduces-errors",
-                        format!(
-                            "accepted `{}` -> `{}` leaves {} of {} errors",
-                            s.original, s.replacement, s.errors_after, s.errors_before
-                        ),
-                    );
-                }
-            }
-            if report.completion.is_complete() && report.probe_faults > 0 {
+        for s in &report.suggestions {
+            if s.errors_after >= s.errors_before {
                 fail(
-                    "completion-consistency",
-                    format!("Complete with {} probe faults", report.probe_faults),
+                    "suggestion-reduces-errors",
+                    format!(
+                        "accepted `{}` -> `{}` leaves {} of {} errors",
+                        s.original, s.replacement, s.errors_after, s.errors_before
+                    ),
                 );
             }
+        }
+        if report.completion.is_complete() && report.probe_faults > 0 {
+            fail(
+                "completion-consistency",
+                format!("Complete with {} probe faults", report.probe_faults),
+            );
         }
     }
     summary
@@ -231,7 +201,7 @@ mod tests {
     #[test]
     fn cpp_runs_survive_index_keyed_panic_injection() {
         // Injected panics are isolated and index-keyed, so the
-        // differential invariants must still hold at 10% faults.
+        // invariants must still hold at 10% faults.
         let cfg = CppFuzzConfig { chaos_panic_per_mille: 100, ..CppFuzzConfig::new(11, 15) };
         let summary = run_cpp_fuzz(&cfg);
         assert!(summary.ok(), "chaos run reported failures: {:#?}", summary.failures);

@@ -2,7 +2,7 @@
 //!
 //! The search system's core promise (§2 of the paper) is that every
 //! suggestion it emits comes from a variant the type-checker oracle
-//! *accepted*. After blame guidance, the parallel probe engine, memoized
+//! *accepted*. After blame guidance, the incremental oracle, memoized
 //! verdicts, budgets, and chaos injection, that promise — and the
 //! determinism and accounting identities around it — has an interaction
 //! surface no hand-written suite covers. This crate keeps it honest
@@ -19,12 +19,12 @@
 //!   generalization sites;
 //! * [`oracles`] — the differential invariant catalog checked on every
 //!   case: suggestions re-typecheck under a fresh oracle, pretty-print →
-//!   reparse is a fixpoint, `threads=1` vs `threads=N` payloads are
-//!   identical, the `oracle_calls + memo_hits + probe_faults`
-//!   conservation identity, blame-guided vs unguided agreement,
-//!   `Completion` consistency with the run's stats, and
-//!   incremental-vs-scratch oracle identity (payloads, ranks, and probe
-//!   accounting must not depend on the checkpointed fast path);
+//!   reparse is a fixpoint, blame-guided vs unguided agreement,
+//!   localization-backend agreement, `Completion` consistency with the
+//!   run's stats, incremental-vs-scratch oracle identity (payloads,
+//!   ranks, and probe accounting must not depend on the checkpointed
+//!   fast path), and a warm shared memo answering a layout twin as a
+//!   cold one;
 //! * [`shrink`](mod@shrink) — a delta-debugging shrinker that minimizes a failing
 //!   program while preserving the violated invariant, validating every
 //!   candidate through the same render→reparse pipeline the harness

@@ -3,8 +3,8 @@
 //! Each oracle is a pure check over search reports (plus, where needed,
 //! a fresh run of the real type-checker), returning `None` when the
 //! invariant holds. [`InvariantSuite::check_case`] runs the whole
-//! catalog against one program: it performs the sequential, parallel,
-//! and unguided searches itself so the individual oracles stay
+//! catalog against one program: it performs the guided, unguided and
+//! opposite-oracle-mode searches itself so the individual oracles stay
 //! unit-testable on hand-built reports.
 //!
 //! The catalog (names are the stable identifiers used in JSONL failure
@@ -15,8 +15,6 @@
 //! | `suggestion-revalidates` | every reported suggestion's variant re-typechecks under a fresh, chaos-free oracle |
 //! | `outcome-agreement` | the report says `WellTyped` iff a fresh oracle accepts the input |
 //! | `pretty-roundtrip` | pretty-print → reparse → pretty-print is a fixpoint of the input |
-//! | `thread-identity` | `threads=1` and `threads=N` reports have identical payloads and completion |
-//! | `probe-accounting` | `oracle_calls + memo_hits + probe_faults` is conserved across thread counts |
 //! | `blame-agreement` | blame-guided and unguided search accept the same suggestion set |
 //! | `backend-agreement` | the blame and MCS localization backends agree on well-typedness, baseline error, and core size; every MCS subset hits the blame core and its removal replays to SAT |
 //! | `completion-consistency` | `Completion` agrees with the stats that justify it |
@@ -29,7 +27,7 @@ use seminal_core::{
 use seminal_ml::ast::Program;
 use seminal_ml::parser::parse_program;
 use seminal_ml::pretty::program_to_string;
-use seminal_obs::{Completion, EventKind, TraceRecord};
+use seminal_obs::Completion;
 use seminal_typeck::{check_program, ChaosConfig, CheckpointedOracle, TypeCheckOracle};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -40,10 +38,6 @@ pub const INV_SUGGESTION_REVALIDATES: &str = "suggestion-revalidates";
 pub const INV_OUTCOME_AGREEMENT: &str = "outcome-agreement";
 /// Stable identifier: pretty-print → reparse fixpoint.
 pub const INV_PRETTY_ROUNDTRIP: &str = "pretty-roundtrip";
-/// Stable identifier: payload identity across thread counts.
-pub const INV_THREAD_IDENTITY: &str = "thread-identity";
-/// Stable identifier: logical-probe conservation across thread counts.
-pub const INV_PROBE_ACCOUNTING: &str = "probe-accounting";
 /// Stable identifier: guided/unguided suggestion-set agreement.
 pub const INV_BLAME_AGREEMENT: &str = "blame-agreement";
 /// Stable identifier: blame/MCS localization-backend agreement.
@@ -60,8 +54,6 @@ pub const ALL_INVARIANTS: &[&str] = &[
     INV_SUGGESTION_REVALIDATES,
     INV_OUTCOME_AGREEMENT,
     INV_PRETTY_ROUNDTRIP,
-    INV_THREAD_IDENTITY,
-    INV_PROBE_ACCOUNTING,
     INV_BLAME_AGREEMENT,
     INV_BACKEND_AGREEMENT,
     INV_COMPLETION_CONSISTENCY,
@@ -84,15 +76,12 @@ impl Violation {
     }
 }
 
-/// The configured catalog runner: how many worker threads the parallel
-/// differential run uses and what chaos (if any) the *searches* inject
-/// at their oracle guards. The revalidation oracle is always fresh and
-/// chaos-free — that asymmetry is what lets injected verdict flips be
-/// caught.
+/// The configured catalog runner: what chaos (if any) the *searches*
+/// inject at their oracle guards, and which oracle mode they use. The
+/// revalidation oracle is always fresh and chaos-free — that asymmetry
+/// is what lets injected verdict flips be caught.
 #[derive(Debug, Clone, Copy)]
 pub struct InvariantSuite {
-    /// Thread count of the parallel side of the differential pair.
-    pub threads: usize,
     /// Optional fault injection into the searches' oracle calls only.
     pub chaos: Option<ChaosConfig>,
     /// Whether the primary runs use the checkpointed incremental oracle
@@ -102,10 +91,16 @@ pub struct InvariantSuite {
     pub incremental: bool,
 }
 
+impl Default for InvariantSuite {
+    fn default() -> InvariantSuite {
+        InvariantSuite::new()
+    }
+}
+
 impl InvariantSuite {
-    /// A clean suite comparing `threads=1` against `threads`.
-    pub fn new(threads: usize) -> InvariantSuite {
-        InvariantSuite { threads: threads.max(1), chaos: None, incremental: true }
+    /// A clean suite over the incremental oracle.
+    pub fn new() -> InvariantSuite {
+        InvariantSuite { chaos: None, incremental: true }
     }
 
     /// Injects `chaos` into the searches (not the revalidation oracle).
@@ -121,30 +116,19 @@ impl InvariantSuite {
     }
 
     /// One search run in the suite's own oracle mode.
-    fn run(&self, prog: &Program, threads: usize, guidance: bool) -> SearchReport {
-        self.run_mode(prog, threads, guidance, self.incremental)
+    fn run(&self, prog: &Program, guidance: bool) -> SearchReport {
+        self.run_mode(prog, guidance, self.incremental)
     }
 
-    /// One search run. Deadline is pinned off and the thread count is
-    /// pinned explicitly so fuzz results never depend on ambient
-    /// `SEMINAL_THREADS` / `SEMINAL_DEADLINE_MS` settings. Chaos, when
+    /// One search run. Deadline is pinned off so fuzz results never
+    /// depend on an ambient `SEMINAL_DEADLINE_MS` setting. Chaos, when
     /// configured, is injected at the search's oracle guards — injection
     /// decisions are a pure function of rendered text and seed, so they
     /// are identical in both oracle modes.
-    fn run_mode(
-        &self,
-        prog: &Program,
-        threads: usize,
-        guidance: bool,
-        incremental: bool,
-    ) -> SearchReport {
+    fn run_mode(&self, prog: &Program, guidance: bool, incremental: bool) -> SearchReport {
         let mut config =
             if guidance { SearchConfig::default() } else { SearchConfig::without_blame_guidance() };
         config.deadline = None;
-        // A parallel run's trace tells `thread_identity` which of its
-        // probes the engine's memo answered with a fault.
-        config.collect_trace = threads > 1;
-        config.threads = threads;
         self.session(&*checker(incremental), config).search(prog)
     }
 
@@ -172,9 +156,8 @@ impl InvariantSuite {
         // A printed program that does not reparse is `pretty-roundtrip`'s.
         let original = parse_program(&printed).ok()?;
         let twin = parse_program(&format!("(* layout twin *)\n{printed}")).ok()?;
-        // Sequential, deadline-free searches in the daemon's
-        // configuration.
-        let config = SearchConfig { deadline: None, threads: 1, ..SearchConfig::default() };
+        // Deadline-free searches in the daemon's configuration.
+        let config = SearchConfig { deadline: None, ..SearchConfig::default() };
         let cold = self.session(&*checker(self.incremental), config.clone()).search(&twin);
         let memo = Arc::new(VerdictMemo::bounded(seminal_core::DEFAULT_CROSS_MEMO_CAPACITY));
         let warm_search = |prog: &Program| {
@@ -202,23 +185,19 @@ impl InvariantSuite {
     /// Runs the whole catalog against `prog`, returning every violation
     /// (empty when all invariants hold).
     pub fn check_case(&self, prog: &Program) -> Vec<Violation> {
-        let base = self.run(prog, 1, true);
-        let par = self.run(prog, self.threads, true);
-        let unguided = self.run(prog, 1, false);
-        // The incremental-vs-scratch differential: one extra sequential
-        // run in the *opposite* oracle mode, compared against `base`.
-        let other = self.run_mode(prog, 1, true, !self.incremental);
+        let base = self.run(prog, true);
+        let unguided = self.run(prog, false);
+        // The incremental-vs-scratch differential: one extra run in the
+        // *opposite* oracle mode, compared against `base`.
+        let other = self.run_mode(prog, true, !self.incremental);
         let (incr, scratch) = if self.incremental { (&base, &other) } else { (&other, &base) };
         let mut out = Vec::new();
         out.extend(outcome_agreement(prog, &base));
         out.extend(suggestion_revalidates(&base));
         out.extend(pretty_roundtrip(prog));
-        out.extend(thread_identity(&base, &par, self.threads));
-        out.extend(probe_accounting(&base, &par, self.threads));
         out.extend(blame_agreement(&base, &unguided));
         out.extend(backend_agreement(prog));
         out.extend(completion_consistency(&base));
-        out.extend(completion_consistency(&par));
         out.extend(incremental_scratch_identity(incr, scratch));
         out.extend(self.warm_twin_identity(prog));
         out
@@ -236,8 +215,8 @@ fn checker(incremental: bool) -> Box<dyn Oracle> {
 }
 
 /// Every reported suggestion's variant must re-typecheck under a fresh
-/// [`TypeCheckOracle`] — the paper's core promise. A memo bug, an engine
-/// race, or an injected verdict flip all surface here.
+/// [`TypeCheckOracle`] — the paper's core promise. A memo bug or an
+/// injected verdict flip surfaces here.
 pub fn suggestion_revalidates(report: &SearchReport) -> Option<Violation> {
     for (rank, s) in report.suggestions().iter().enumerate() {
         if check_program(&s.variant).is_err() {
@@ -290,73 +269,6 @@ pub fn pretty_roundtrip(prog: &Program) -> Option<Violation> {
                 ))
             }
         }
-    }
-}
-
-/// `threads=1` and `threads=N` must produce identical user-visible
-/// payloads and the same completion status. A sequential search keeps no
-/// memo, so it faults again on every repeat of a faulting variant that
-/// the parallel engine's memo answers: those cached, faulted probes,
-/// read off `par`'s captured trace, count as faults of `par` here.
-pub fn thread_identity(
-    base: &SearchReport,
-    par: &SearchReport,
-    threads: usize,
-) -> Option<Violation> {
-    if base.payload() != par.payload() {
-        return Some(Violation::new(
-            INV_THREAD_IDENTITY,
-            format!(
-                "payload diverged at {threads} threads ({} vs {} suggestions)",
-                base.suggestions().len(),
-                par.suggestions().len()
-            ),
-        ));
-    }
-    let faulted_hit = |rec: &&TraceRecord| {
-        matches!(
-            rec,
-            TraceRecord::Event {
-                kind: EventKind::OracleProbe { cached: true, faulted: true, .. },
-                ..
-            }
-        )
-    };
-    let par_completion = match par.completion {
-        Completion::Degraded { faults } => {
-            let hits = par.records.iter().filter(faulted_hit).count() as u64;
-            Completion::Degraded { faults: faults + hits }
-        }
-        other => other,
-    };
-    if base.completion != par_completion {
-        return Some(Violation::new(
-            INV_THREAD_IDENTITY,
-            format!(
-                "completion diverged at {threads} threads: {} vs {par_completion} \
-                 (faulted memo hits counted as faults)",
-                base.completion
-            ),
-        ));
-    }
-    None
-}
-
-/// `oracle_calls + memo_hits + probe_faults` — the logical probe count —
-/// must be conserved across thread counts.
-pub fn probe_accounting(
-    base: &SearchReport,
-    par: &SearchReport,
-    threads: usize,
-) -> Option<Violation> {
-    let (a, b) = (base.stats.logical_probes(), par.stats.logical_probes());
-    if a == b {
-        None
-    } else {
-        Some(Violation::new(
-            INV_PROBE_ACCOUNTING,
-            format!("logical probes diverged: {a} sequential vs {b} at {threads} threads"),
-        ))
     }
 }
 
@@ -456,8 +368,8 @@ pub fn backend_agreement(prog: &Program) -> Option<Violation> {
 /// against a from-scratch oracle on the same program, the user-visible
 /// payload must be byte-identical (the ordered comparison also pins
 /// suggestion ranks), the completion must match, and the probe accounting
-/// (`oracle_calls`, `memo_hits`, `probe_faults`) must be identical —
-/// prefix reuse saves *inference work inside* a call, never a call.
+/// (`oracle_calls`, `probe_faults`) must be identical — prefix reuse
+/// saves *inference work inside* a call, never a call.
 pub fn incremental_scratch_identity(
     incr: &SearchReport,
     scratch: &SearchReport,
@@ -476,13 +388,12 @@ pub fn incremental_scratch_identity(
             incr.completion, scratch.completion
         ));
     }
-    let count = |r: &SearchReport| {
-        (r.stats.oracle_calls, r.stats.memo_hits, r.stats.probe_faults, r.stats.first_bad_decl)
-    };
+    let count =
+        |r: &SearchReport| (r.stats.oracle_calls, r.stats.probe_faults, r.stats.first_bad_decl);
     if count(incr) != count(scratch) {
         return bad(format!(
             "probe accounting diverged: {:?} incremental vs {:?} scratch \
-             (oracle_calls, memo_hits, probe_faults, first_bad_decl)",
+             (oracle_calls, probe_faults, first_bad_decl)",
             count(incr),
             count(scratch)
         ));
@@ -513,7 +424,7 @@ mod tests {
 
     #[test]
     fn clean_scenarios_satisfy_the_whole_catalog() {
-        let suite = InvariantSuite::new(2);
+        let suite = InvariantSuite::new();
         for src in [
             "let x = 1 + true",
             "let add str lst = if List.mem str lst then lst else str :: lst\n\
@@ -548,7 +459,7 @@ mod tests {
         // program well-typed (outcome-agreement). Either way the catalog
         // must fire — this is the intentionally-injected violation of
         // the acceptance criteria.
-        let suite = InvariantSuite::new(2).with_chaos(ChaosConfig::flips(1729, 1000));
+        let suite = InvariantSuite::new().with_chaos(ChaosConfig::flips(1729, 1000));
         let prog = parse_program("let x = 1 + true").unwrap();
         let violations = suite.check_case(&prog);
         assert!(

@@ -22,10 +22,11 @@ fn golden_corpus_replays_clean() {
     let corpus = load_corpus(&default_dir()).expect("checked-in corpus loads");
     assert!(corpus.entries.len() >= 10, "corpus has only {} entries", corpus.entries.len());
     assert!(
-        corpus.entries.iter().any(|e| matches!(e.kind, GoldenKind::Caught { .. })
-            && e.threads == 2
-            && e.chaos.is_some()),
-        "corpus must include a chaos-interaction regression at 2 threads"
+        corpus
+            .entries
+            .iter()
+            .any(|e| matches!(e.kind, GoldenKind::Caught { .. }) && e.chaos.is_some()),
+        "corpus must include a chaos-interaction regression"
     );
     assert!(
         corpus.entries.iter().filter(|e| e.name.contains("checkpoint-stress")).count() >= 2,
@@ -67,7 +68,7 @@ fn mcs_backend_ranks_alternatives_on_golden_corpus() {
 
 /// Deterministically rebuilds the corpus: two shrunk ill-typed
 /// regressions per generator family (replayed clean), plus two chaos
-/// verdict-flip regressions at 2 threads shrunk to ≤ 20 nodes while the
+/// verdict-flip regressions shrunk to ≤ 20 nodes while the
 /// caught invariant still fires.
 #[test]
 #[ignore = "rewrites crates/testkit/golden; run explicitly to regenerate"]
@@ -98,7 +99,6 @@ fn regenerate_golden_corpus() {
             GoldenEntry {
                 name: format!("clean-{fam}-{}", case.index),
                 file: format!("clean-{fam}-{}.ml", case.index),
-                threads: 2,
                 chaos: None,
                 kind: GoldenKind::Clean,
             },
@@ -109,7 +109,7 @@ fn regenerate_golden_corpus() {
     let mut caught = 0u32;
     'seeds: for chaos_seed in [1729u64, 9001, 7, 99, 1234, 5555] {
         let chaos = ChaosConfig::flips(chaos_seed, 1000);
-        let suite = InvariantSuite::new(2).with_chaos(chaos);
+        let suite = InvariantSuite::new().with_chaos(chaos);
         // Offset later seeds' scans so the caught entries come from
         // different generated programs, not the same index twice.
         for index in (u64::from(caught) * 10)..40u64 {
@@ -142,7 +142,6 @@ fn regenerate_golden_corpus() {
                 GoldenEntry {
                     name: format!("caught-flip-{chaos_seed}-{index}"),
                     file: format!("caught-flip-{chaos_seed}-{index}.ml"),
-                    threads: 2,
                     chaos: Some(chaos),
                     kind: GoldenKind::Caught { invariant: invariant.to_owned() },
                 },

@@ -5,30 +5,28 @@
 //! tests instead take one genuine [`SearchReport`] and surgically break
 //! it — a flipped outcome, a corrupted variant, a miscounted probe —
 //! asserting that exactly the targeted oracle fires. That proves the
-//! oracles have teeth independently of whether the engine ever
+//! oracles have teeth independently of whether the search ever
 //! misbehaves.
 
 use seminal_core::{Outcome, SearchConfig, SearchReport, SearchSession};
 use seminal_ml::ast::{Expr, Program};
 use seminal_ml::edit;
 use seminal_ml::parser::parse_program;
-use seminal_obs::{Completion, EventKind, ProbeKind, SrcSpan, TraceRecord};
+use seminal_obs::Completion;
 use seminal_testkit::oracles::{
     blame_agreement, completion_consistency, incremental_scratch_identity, outcome_agreement,
-    pretty_roundtrip, probe_accounting, suggestion_revalidates, thread_identity,
-    INV_BLAME_AGREEMENT, INV_COMPLETION_CONSISTENCY, INV_INCREMENTAL_SCRATCH_IDENTITY,
-    INV_OUTCOME_AGREEMENT, INV_PRETTY_ROUNDTRIP, INV_PROBE_ACCOUNTING, INV_SUGGESTION_REVALIDATES,
-    INV_THREAD_IDENTITY,
+    pretty_roundtrip, suggestion_revalidates, INV_BLAME_AGREEMENT, INV_COMPLETION_CONSISTENCY,
+    INV_INCREMENTAL_SCRATCH_IDENTITY, INV_OUTCOME_AGREEMENT, INV_PRETTY_ROUNDTRIP,
+    INV_SUGGESTION_REVALIDATES,
 };
 use seminal_typeck::TypeCheckOracle;
 
-/// One genuine report for `src`, hermetic (deadline off, one thread).
+/// One genuine report for `src`, hermetic (deadline off).
 fn real_report(src: &str) -> (Program, SearchReport) {
     let prog = parse_program(src).expect("test source parses");
     let config = SearchConfig { deadline: None, ..SearchConfig::default() };
     let report = SearchSession::builder(TypeCheckOracle::new())
         .config(config)
-        .threads(1)
         .build()
         .expect("config is valid")
         .search(&prog);
@@ -80,62 +78,6 @@ fn pretty_roundtrip_rejects_a_program_that_prints_unparseable_syntax() {
         edit::replace_expr(&prog, target.unwrap(), Expr::var("", seminal_ml::span::Span::DUMMY));
     let v = pretty_roundtrip(&holed).expect("unprintable AST must break the round-trip");
     assert_eq!(v.invariant, INV_PRETTY_ROUNDTRIP);
-}
-
-#[test]
-fn thread_identity_rejects_payload_and_completion_divergence() {
-    let (_, base) = real_report(ILL_TYPED);
-    assert!(thread_identity(&base, &base, 4).is_none(), "a report equals itself");
-
-    let mut par = base.clone();
-    if let Outcome::Suggestions(s) = &mut par.outcome {
-        s[0].replacement_str = "something else".to_owned();
-    }
-    let v = thread_identity(&base, &par, 4).expect("payload divergence must be caught");
-    assert_eq!(v.invariant, INV_THREAD_IDENTITY);
-
-    let mut par = base.clone();
-    par.completion = Completion::DeadlineExpired;
-    let v = thread_identity(&base, &par, 4).expect("completion divergence must be caught");
-    assert_eq!(v.invariant, INV_THREAD_IDENTITY);
-    assert!(v.detail.contains("completion"), "detail blames completion: {}", v.detail);
-
-    // A sequential run faults again where the engine's memo answered a
-    // repeat with a fault: such a cached, faulted probe in the parallel
-    // run's trace counts as one of its faults, and nothing else does.
-    let mut seq = base.clone();
-    seq.completion = Completion::Degraded { faults: 3 };
-    let mut par = base.clone();
-    par.completion = Completion::Degraded { faults: 2 };
-    assert!(thread_identity(&seq, &par, 4).is_some(), "a missing fault must be caught");
-    let probe = |cached| TraceRecord::Event {
-        parent: 1,
-        kind: EventKind::OracleProbe {
-            probe: ProbeKind::Removal,
-            target: String::new(),
-            span: SrcSpan::EMPTY,
-            outcome: false,
-            cached,
-            faulted: true,
-            latency_ns: 0,
-        },
-        thread: 0,
-        at_ns: 0,
-    };
-    par.records = vec![probe(false)];
-    assert!(thread_identity(&seq, &par, 4).is_some(), "an uncached fault is already counted");
-    par.records = vec![probe(false), probe(true)];
-    assert!(thread_identity(&seq, &par, 4).is_none(), "a faulted memo hit is a sequential fault");
-}
-
-#[test]
-fn probe_accounting_rejects_a_leaked_logical_probe() {
-    let (_, base) = real_report(ILL_TYPED);
-    assert!(probe_accounting(&base, &base, 4).is_none());
-    let mut par = base.clone();
-    par.stats.memo_hits += 1;
-    let v = probe_accounting(&base, &par, 4).expect("probe leak must be caught");
-    assert_eq!(v.invariant, INV_PROBE_ACCOUNTING);
 }
 
 #[test]

@@ -7,11 +7,11 @@
 //! configured fraction of calls: the adversarial workload the
 //! fault-tolerance layer must absorb. Every injection decision is a pure
 //! function of the **rendered program text** and the configured seed
-//! (FNV-1a over the text seeds a SplitMix64 stream), never of call order
-//! or thread interleaving. That is the property the chaos suite leans
-//! on: the same variant faults at 1, 2, and 8 worker threads, so
-//! suggestion payloads and fault counts stay identical while the
-//! schedule varies freely.
+//! (FNV-1a over the text seeds a SplitMix64 stream), never of call order.
+//! That is the property the chaos suite leans on: the same variant
+//! faults whichever oracle answers it and whenever it is probed, so
+//! suggestion payloads and fault counts stay identical across oracle
+//! modes and warm or cold memos.
 //!
 //! Injection sits above the oracle, so an oracle that caches (the serve
 //! daemon's shared memo) only ever sees clean calls: a panic fires

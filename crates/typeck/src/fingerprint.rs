@@ -1,8 +1,7 @@
 //! Content fingerprints for programs.
 //!
-//! Every verdict memo — one search's, the parallel engine's and the
-//! serve daemon's process-lifetime tier alike — keys on
-//! [`program_fingerprint`]. The key must be stable across processes and
+//! The verdict memo — the serve daemon's process-lifetime cache — keys
+//! on [`program_fingerprint`]. The key must be stable across processes and
 //! across re-parses of the same text: `NodeId`s are neither (the parser
 //! hands them out in visit order), so the key folds each declaration's
 //! [content key](seminal_ml::Decl::content_key), which [`Decl::new`]

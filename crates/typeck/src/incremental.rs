@@ -37,23 +37,20 @@
 //! [`trace_program`]: crate::infer::trace_program
 //!
 //! [`CheckpointedOracle`] is the chain as an [`Oracle`]. The chain sits
-//! behind a `Mutex`. The parallel probe engine calls `check` from
-//! several workers; whoever holds the lock gets the incremental path and
-//! everyone else falls back to a scratch check (correct, just uncached).
-//! `types` and `constraint_trace` follow the same rules. A panic that
+//! behind a `Mutex`, so the oracle stays `Sync`; every call takes the
+//! lock, and one search's probes run one after another. A panic that
 //! unwinds through the lock (a checker bug) poisons the mutex; the next
 //! call resets the chain wholesale, so a half-rolled-back trail can
 //! never leak into a later probe. Injected chaos panics fire in the
 //! probe guard, before the oracle is called, and never reach the lock.
 
 use crate::error::TypeError;
-use crate::infer::{check_program_types, trace_program, InferState};
+use crate::infer::{trace_program, InferState};
 use crate::oracle::{IncrementalStats, Oracle};
 use crate::record::ConstraintTrace;
 use seminal_ml::ast::{Decl, NodeId, Program};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, TryLockError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Incremental inference over one base program: the first program it
@@ -64,7 +61,8 @@ use std::time::Instant;
 /// [`check`](InferChain::check), [`types`](InferChain::types) and
 /// [`trace`](InferChain::trace) answer exactly like
 /// [`check_program`](crate::infer::check_program),
-/// [`check_program_types`] and [`trace_program`] for any program,
+/// [`check_program_types`](crate::infer::check_program_types) and
+/// [`trace_program`] for any program,
 /// sharing a prefix with the base or not; only the work they do depends
 /// on that prefix. [`InferChain::stats`] counts the work of seeding and
 /// of `check`: typing and traces format messages and order the search,
@@ -123,7 +121,8 @@ impl InferChain {
     ///
     /// # Errors
     ///
-    /// The same first [`TypeError`] as [`check_program_types`].
+    /// The same first [`TypeError`] as
+    /// [`check_program_types`](crate::infer::check_program_types).
     pub(crate) fn types(
         &mut self,
         prog: &Program,
@@ -288,19 +287,6 @@ impl InferChain {
     }
 }
 
-/// A scratch [`check_program`](crate::infer::check_program) that also
-/// reports how many declarations inference visited: it stops at the
-/// first failing one.
-fn scratch_check(prog: &Program) -> (Result<(), TypeError>, u64) {
-    let mut state = InferState::initial();
-    for (i, d) in prog.decls.iter().enumerate() {
-        if let Err(e) = state.check_decl(d) {
-            return (Err(e), i as u64 + 1);
-        }
-    }
-    (Ok(()), prog.decls.len() as u64)
-}
-
 /// An [`Oracle`] that re-infers only the declarations a probe actually
 /// changed: the module's inference chain behind a `Mutex`. See the module docs for
 /// the model; metric counters ([`IncrementalStats`]) are exposed
@@ -318,9 +304,6 @@ fn scratch_check(prog: &Program) -> (Result<(), TypeError>, u64) {
 #[derive(Debug, Default)]
 pub struct CheckpointedOracle {
     chain: Mutex<InferChain>,
-    /// Declarations visited by scratch checks made while another worker
-    /// held the chain.
-    fallback_decls: AtomicU64,
 }
 
 impl CheckpointedOracle {
@@ -331,38 +314,27 @@ impl CheckpointedOracle {
 
     /// Current counter values.
     pub fn stats(&self) -> IncrementalStats {
-        let mut stats = self.chain.lock().unwrap_or_else(PoisonError::into_inner).stats();
-        stats.decls_recheck += self.fallback_decls.load(Ordering::Relaxed);
-        stats
+        self.chain.lock().unwrap_or_else(PoisonError::into_inner).stats()
     }
 
-    /// Runs `f` on the chain, or returns `None` when another worker
-    /// holds the chain: the caller's scratch answer is always correct
-    /// and avoids serializing the probe engine.
-    fn with_chain<T>(&self, f: impl FnOnce(&mut InferChain) -> T) -> Option<T> {
-        match self.chain.try_lock() {
-            Ok(mut chain) => Some(f(&mut chain)),
-            Err(TryLockError::Poisoned(poisoned)) => {
-                // A panic unwound through a previous call. The trail and
-                // marks may be half-rolled-back — throw the whole chain
-                // away and reseed from this program.
-                let mut chain = poisoned.into_inner();
-                chain.reset();
-                self.chain.clear_poison();
-                Some(f(&mut chain))
-            }
-            Err(TryLockError::WouldBlock) => None,
-        }
+    /// Runs `f` on the chain, waiting for the lock.
+    fn with_chain<T>(&self, f: impl FnOnce(&mut InferChain) -> T) -> T {
+        let mut chain = self.chain.lock().unwrap_or_else(|poisoned| {
+            // A panic unwound through a previous call. The trail and
+            // marks may be half-rolled-back — throw the whole chain away
+            // and reseed from this program.
+            let mut chain = poisoned.into_inner();
+            chain.reset();
+            self.chain.clear_poison();
+            chain
+        });
+        f(&mut chain)
     }
 }
 
 impl Oracle for CheckpointedOracle {
     fn check(&self, prog: &Program) -> Result<(), TypeError> {
-        self.with_chain(|chain| chain.check(prog)).unwrap_or_else(|| {
-            let (verdict, visited) = scratch_check(prog);
-            self.fallback_decls.fetch_add(visited, Ordering::Relaxed);
-            verdict
-        })
+        self.with_chain(|chain| chain.check(prog))
     }
 
     fn types(
@@ -371,11 +343,10 @@ impl Oracle for CheckpointedOracle {
         wanted: &[NodeId],
     ) -> Result<HashMap<NodeId, String>, TypeError> {
         self.with_chain(|chain| chain.types(prog, wanted))
-            .unwrap_or_else(|| check_program_types(prog, wanted))
     }
 
     fn constraint_trace(&self, prog: &Program) -> Arc<ConstraintTrace> {
-        self.with_chain(|chain| chain.trace(prog)).unwrap_or_else(|| Arc::new(trace_program(prog)))
+        self.with_chain(|chain| chain.trace(prog))
     }
 
     fn incremental_stats(&self) -> Option<IncrementalStats> {
@@ -386,7 +357,7 @@ impl Oracle for CheckpointedOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::infer::check_program;
+    use crate::infer::{check_program, check_program_types};
     use crate::oracle::TypeCheckOracle;
     use seminal_ml::edit;
     use seminal_ml::parser::parse_program;
@@ -651,17 +622,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn contended_fallback_charges_only_the_decls_it_visits() {
-        let prog = parse_program(SRC).unwrap();
-        let inc = CheckpointedOracle::new();
-        let guard = inc.chain.lock().unwrap();
-        assert_eq!(inc.check(&prog), check_program(&prog));
-        drop(guard);
-        // `bad` is decl 3: scratch inference stops there.
-        assert_eq!(inc.stats().decls_recheck, 3 + 1);
-    }
-
     /// Trace identity is checked on the `Debug` text: the recorded types
     /// reference the recording run's variable ids, so equal text means
     /// the same demands over the same numbering.
@@ -729,23 +689,5 @@ mod tests {
             assert_eq!(inc.types(&variant, &wanted), check_program_types(&variant, &wanted));
         }
         assert_eq!(inc.stats(), before);
-    }
-
-    #[test]
-    fn contended_types_and_traces_fall_back_to_scratch() {
-        let prog = parse_program(SRC).unwrap();
-        let variant = edit::remove_expr(&prog, expr_ids(&prog, 3)[2]);
-        let wanted = expr_ids(&variant, 3);
-        let inc = CheckpointedOracle::new();
-        inc.check(&prog).unwrap_err();
-        let recorded = inc.constraint_trace(&prog);
-        let before = inc.stats();
-        let guard = inc.chain.lock().unwrap();
-        assert_eq!(inc.types(&variant, &wanted), check_program_types(&variant, &wanted));
-        let contended = inc.constraint_trace(&prog);
-        assert!(!Arc::ptr_eq(&contended, &recorded), "the held chain was not read");
-        assert_same_trace(&contended, &trace_program(&prog));
-        drop(guard);
-        assert_eq!(inc.stats(), before, "scratch typing and tracing charge nothing");
     }
 }

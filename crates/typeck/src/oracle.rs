@@ -31,12 +31,10 @@ use std::sync::Arc;
 ///
 /// The search layers never call an oracle bare on the probe path: every
 /// probe runs under a panic guard ([`guarded_probe`]) and an oracle that
-/// panics yields `Faulted` instead of unwinding into the engine. A
-/// `Faulted` verdict is memoized like any other (so a deterministic
-/// fault costs one fault, not one per duplicate probe), counted in
-/// `probe_faults`, and treated as "did not type-check" by the search —
-/// the conservative reading that can suppress a suggestion but never
-/// fabricate one.
+/// panics yields `Faulted` instead of unwinding into the search. A
+/// `Faulted` verdict is counted in `probe_faults` and treated as "did
+/// not type-check" by the search — the conservative reading that can
+/// suppress a suggestion but never fabricate one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProbeOutcome {
     /// The variant type-checked.
@@ -124,10 +122,10 @@ pub struct IncrementalStats {
 
 /// A black-box type checker.
 ///
-/// Oracles are `Send + Sync`: the parallel probe engine shares one oracle
-/// across its worker threads, so `passes` must be callable concurrently.
-/// Oracles carrying mutable state (counters, caches) use interior
-/// mutability with atomics or locks.
+/// Oracles are `Send + Sync`, so one search session can run searches
+/// from several threads at once, and `passes` must be callable
+/// concurrently. Oracles carrying mutable state (counters, caches) use
+/// interior mutability with atomics or locks.
 ///
 /// [`Oracle::check`] and [`Oracle::passes`] are the oracle calls, and
 /// the search's cost model counts both. Every probe asks
@@ -209,8 +207,7 @@ impl Oracle for TypeCheckOracle {
 /// efficiency discussion (search cost ≈ number of type-checker runs).
 /// A test utility: tests reconcile a search's `oracle_calls` against
 /// what really reached the checker. The counter is atomic so the
-/// wrapper stays a valid [`Oracle`] when probes run on the parallel
-/// engine's worker threads.
+/// wrapper stays a valid [`Oracle`], which must be `Sync`.
 #[derive(Debug, Default)]
 pub struct CountingOracle<O> {
     inner: O,

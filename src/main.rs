@@ -23,23 +23,22 @@
 //! pass: a top-k list of blamed spans from unsat-core localization,
 //! usable as a fast lint without any oracle search.
 //!
-//! `--threads N` on `check` and `cpp` selects the parallel probe engine's
-//! worker count (default honors `SEMINAL_THREADS`; suggestions are
-//! identical at every thread count). `--deadline-ms N` bounds one
-//! search's wall clock (default honors `SEMINAL_DEADLINE_MS`): when it
-//! expires, best-so-far suggestions are still printed and the run exits
-//! with the degraded code 5.
+//! `--deadline-ms N` on `check` and `cpp` bounds one search's wall clock
+//! (default honors `SEMINAL_DEADLINE_MS`): when it expires, best-so-far
+//! suggestions are still printed and the run exits with the degraded
+//! code 5.
 //!
 //! Observability flags on `check`: `--trace` (structured span/probe tree),
 //! `--trace-json PATH` (stream JSONL trace records), `--metrics-json PATH`
 //! (write the `seminal-obs/metrics-v1` snapshot), `--profile` (per-span
 //! oracle-cost flame report), `--trace-chrome PATH` (write a Chrome
-//! `trace_event` document — one track per worker — loadable in
-//! `chrome://tracing` or Perfetto), `--crash-dir DIR` (persist the
-//! flight-recorder crash report when the run degrades or probes fault).
-//! `check` also accepts `--chaos-panic`/`--chaos-flip`/`--chaos-seed` to
-//! inject deterministic faults into the oracle, for exercising the
-//! post-mortem pipeline end to end. `metrics-check` validates a snapshot
+//! `trace_event` document loadable in `chrome://tracing` or Perfetto),
+//! `--crash-dir DIR` (persist the flight-recorder crash report when the
+//! run degrades or probes fault). `check` also accepts
+//! `--chaos-panic`/`--chaos-flip`/`--chaos-seed` to inject deterministic
+//! faults into the oracle, for exercising the post-mortem pipeline end to
+//! end; `check` and `serve` keep the panics they inject off stderr, as
+//! `fuzz` and `loadgen` do. `metrics-check` validates a snapshot
 //! file against the schema with unknown fields rejected; with
 //! `--baseline FILE` it additionally gates the snapshot against a
 //! committed baseline (`--tolerance PCT` for counters, `--time-tolerance
@@ -61,7 +60,8 @@
 //! `--shrink` minimizes failures, `--out PATH` streams failures as JSON
 //! lines, `--chaos-flip`/`--chaos-panic`/`--chaos-seed` inject faults
 //! into the search oracle (the intentional-violation mode), and `--cpp`
-//! switches to the index-keyed C++ loop. A clean campaign exits 0;
+//! switches to the index-keyed C++ loop, which takes neither `--shrink`
+//! nor `--no-incremental` nor `--chaos-flip`. A clean campaign exits 0;
 //! invariant violations exit 1.
 //!
 //! `loadgen` replays the recompile-session model as concurrent TCP
@@ -71,6 +71,10 @@
 //! `--max-connections` and `--drain-ms` tune the in-process server it
 //! hosts unless `--connect ADDR` names a running one; `--out PATH`
 //! writes the `seminal-bench/serve-v1` artifact.
+//!
+//! Every subcommand writes stdout through one locked handle: a reader
+//! that closes early (`seminal cpp f.cpp | head -1`) ends the output
+//! quietly, and the command still exits with its own code.
 //!
 //! Exit codes (see `--help`): 0 success/no errors, 1 type errors found or
 //! invalid metrics or fuzz invariant violations, 2 usage error, 3 parse
@@ -155,8 +159,7 @@ impl Args {
 
     /// The value of the flag just read, parsed as `T`: a missing or
     /// unparsable value is a usage error. Values the library validates
-    /// (`--threads 0`, `--deadline-ms 0`) pass through to get its typed
-    /// error.
+    /// (`--deadline-ms 0`) pass through to get its typed error.
     fn value<T: FromStr>(&mut self) -> Result<T, ExitCode> {
         self.rest.next().and_then(|v| v.parse().ok()).ok_or_else(usage)
     }
@@ -204,7 +207,7 @@ fn help() -> ExitCode {
 fn usage_text() -> String {
     format!(
         "usage:\n  \
-         seminal check [--top N] [--no-triage] [--no-incremental] [--threads N]\n               \
+         seminal check [--top N] [--no-triage] [--no-incremental]\n               \
          [--deadline-ms N] [--backend blame|mcs] [--trace] [--profile]\n               \
          [--metrics-json PATH] [--trace-json PATH] [--trace-chrome PATH]\n               \
          [--crash-dir DIR] [--chaos-panic PM] [--chaos-flip PM]\n               \
@@ -217,11 +220,13 @@ fn usage_text() -> String {
          validate a metrics snapshot; with --baseline, also gate\n                            \
          counters and latency percentiles against a committed run\n  \
          seminal crash show <file.json>         render a crash report\n  \
-         seminal cpp [--threads N] [--deadline-ms N] <file.cpp>    C++ prototype\n  \
-         seminal fuzz [--seed S] [--cases N] [--threads N] [--shrink] [--out PATH]\n               \
+         seminal cpp [--deadline-ms N] <file.cpp>    C++ prototype\n  \
+         seminal fuzz [--seed S] [--cases N] [--shrink] [--out PATH]\n               \
          [--chaos-flip PM] [--chaos-panic PM] [--chaos-seed S] [--cpp]\n               \
          [--no-incremental]\n                            \
-         run the deterministic property-fuzzing harness\n  \
+         run the deterministic property-fuzzing harness (--cpp:\n                            \
+         the C++ loop, without --shrink, --no-incremental and\n                            \
+         --chaos-flip)\n  \
          seminal serve [--tcp ADDR | --connect ADDR] [--memo-capacity N]\n               \
          [--max-connections N] [--max-inflight N] [--drain-ms N]\n               \
          [--idle-timeout-ms N] [--timeout-ms N] [--crash-dir DIR]\n               \
@@ -316,7 +321,6 @@ fn check_cmd(mut args: Args) -> Result<ExitCode, ExitCode> {
             "--no-triage" => request.no_triage = true,
             "--no-incremental" => request.no_incremental = true,
             "--backend" => request.backend = args.backend()?,
-            "--threads" => request.threads = Some(args.value()?),
             "--deadline-ms" => request.deadline_ms = Some(args.value()?),
             "--chaos-flip" => request.chaos_flip = args.value()?,
             "--chaos-panic" => request.chaos_panic = args.value()?,
@@ -346,6 +350,7 @@ fn check_cmd(mut args: Args) -> Result<ExitCode, ExitCode> {
     // One-shot runs get a fresh (cold) server state; only a long-lived
     // `seminal serve` process keeps the cross-request memo warm.
     let state = ServerState::new();
+    seminal_obs::silence_injected_panics();
     render_check(&path, &source, &outputs, dispatch_with(&state, &Request::Check(request), hooks))
 }
 
@@ -451,7 +456,6 @@ fn render_trace_tree(records: &[TraceRecord], source: &str) -> String {
                         format!("descend (line {})", line_of(span.start))
                     }
                     SpanKind::Triage { round } => format!("triage round {round}"),
-                    SpanKind::Worker { index } => format!("worker {index}"),
                     SpanKind::Server => "server".to_owned(),
                     SpanKind::Request { id } => format!("request {id}"),
                 };
@@ -460,16 +464,15 @@ fn render_trace_tree(records: &[TraceRecord], source: &str) -> String {
             }
             TraceRecord::Close { .. } => depth = depth.saturating_sub(1),
             TraceRecord::Event { kind, .. } => match kind {
-                EventKind::OracleProbe { probe, target, outcome, cached, latency_ns, .. } => {
+                EventKind::OracleProbe { probe, target, outcome, latency_ns, .. } => {
                     let _ = writeln!(
                         out,
-                        "  {:indent$}[{}] {}  `{}`{}{}",
+                        "  {:indent$}[{}] {}  `{}`{}",
                         "",
                         if *outcome { "ok " } else { "err" },
                         probe.label(),
                         target,
-                        if *cached { "  (cached)" } else { "" },
-                        if *latency_ns > 0 && !cached {
+                        if *latency_ns > 0 {
                             format!("  {}µs", latency_ns / 1_000)
                         } else {
                             String::new()
@@ -482,21 +485,6 @@ fn render_trace_tree(records: &[TraceRecord], source: &str) -> String {
                         out,
                         "  {:indent$}[loc] prefix  `{detail}`",
                         "",
-                        indent = depth * 2,
-                    );
-                }
-                EventKind::SpeculativeProbe { outcome, faulted, latency_ns } => {
-                    let _ = writeln!(
-                        out,
-                        "  {:indent$}[{}] speculative{}{}",
-                        "",
-                        if *outcome { "ok " } else { "err" },
-                        if *faulted { "  (faulted)" } else { "" },
-                        if *latency_ns > 0 {
-                            format!("  {}µs", latency_ns / 1_000)
-                        } else {
-                            String::new()
-                        },
                         indent = depth * 2,
                     );
                 }
@@ -589,6 +577,9 @@ fn serve_cmd(mut args: Args) -> Result<ExitCode, ExitCode> {
     if let Some(file) = &trace_json {
         options.sinks.push(jsonl_sink(file)?);
     }
+    // Requests may inject panics (`chaos_panic`); the daemon isolates
+    // them and keeps them off its stderr.
+    seminal_obs::silence_injected_panics();
     let state = ServerState::with_config(config);
     let served = if let Some(addr) = &tcp {
         let listener = match std::net::TcpListener::bind(addr) {
@@ -673,7 +664,7 @@ fn loadgen_cmd(mut args: Args) -> Result<ExitCode, ExitCode> {
         write_file(path, artifact + "\n")?;
         eprintln!("loadgen: wrote {path}");
     } else {
-        println!("{artifact}");
+        print_report(|out| writeln!(out, "{artifact}"))?;
     }
     eprintln!(
         "loadgen: {} client(s), {} request(s): {} completed, {} degraded, {} shed, \
@@ -716,22 +707,28 @@ fn metrics_check(mut args: Args) -> Result<ExitCode, ExitCode> {
     }
     let [path] = args.positionals()?;
     let snap = load_snapshot(&path)?;
-    println!(
-        "{path}: valid {} snapshot ({} counters, {} histograms, {} oracle calls)",
-        seminal_obs::SCHEMA,
-        snap.counters.len(),
-        snap.histograms.len(),
-        snap.counter("oracle_calls"),
-    );
+    print_report(|out| {
+        writeln!(
+            out,
+            "{path}: valid {} snapshot ({} counters, {} histograms, {} oracle calls)",
+            seminal_obs::SCHEMA,
+            snap.counters.len(),
+            snap.histograms.len(),
+            snap.counter("oracle_calls"),
+        )
+    })?;
     let Some(base_path) = baseline else { return Ok(ExitCode::SUCCESS) };
     let base = load_snapshot(&base_path)?;
     let findings = regressions(&snap, &base, tol);
     if findings.is_empty() {
-        println!(
-            "{path}: no regressions against {base_path} \
-             (counters +{}%, times +{}%)",
-            tol.counters_pct, tol.times_pct
-        );
+        print_report(|out| {
+            writeln!(
+                out,
+                "{path}: no regressions against {base_path} \
+                 (counters +{}%, times +{}%)",
+                tol.counters_pct, tol.times_pct
+            )
+        })?;
         Ok(ExitCode::SUCCESS)
     } else {
         eprintln!("{path}: {} regression(s) against {base_path}:", findings.len());
@@ -768,49 +765,47 @@ fn crash_show(args: Args) -> Result<ExitCode, ExitCode> {
             return Err(exit(Status::TypeErrors));
         }
     };
-    println!("crash report ({}):", seminal_obs::crash::SCHEMA);
-    println!("  reason:        {}", report.reason);
-    println!("  completion:    {}", report.completion);
-    println!("  probe faults:  {}", report.probe_faults);
-    println!("  threads:       {}", report.threads);
-    println!(
-        "  oracle calls:  {} ({} memo hits)",
-        report.metrics.counter("oracle_calls"),
-        report.metrics.counter("memo_hits"),
-    );
-    println!(
-        "  trace tail:    {} record(s), {} dropped by the ring",
-        report.records.len(),
-        report.records_dropped
-    );
-    for rec in &report.records {
-        let line = match rec {
-            TraceRecord::Open { id, kind, thread, at_ns, .. } => {
-                format!("open  span {id} {} (thread {thread}, +{}µs)", kind.tag(), at_ns / 1_000)
-            }
-            TraceRecord::Close { id, thread, at_ns } => {
-                format!("close span {id} (thread {thread}, +{}µs)", at_ns / 1_000)
-            }
-            TraceRecord::Event { kind, thread, at_ns, .. } => {
-                let what = match kind {
-                    EventKind::OracleProbe { outcome, faulted, cached, .. } => format!(
-                        "oracle probe [{}]{}{}",
-                        if *outcome { "ok" } else { "err" },
-                        if *faulted { " faulted" } else { "" },
-                        if *cached { " cached" } else { "" },
-                    ),
-                    EventKind::SpeculativeProbe { outcome, faulted, .. } => format!(
-                        "speculative probe [{}]{}",
-                        if *outcome { "ok" } else { "err" },
-                        if *faulted { " faulted" } else { "" },
-                    ),
-                    EventKind::PrefixLocalized { detail, .. } => format!("localized: {detail}"),
-                };
-                format!("event {what} (thread {thread}, +{}µs)", at_ns / 1_000)
-            }
-        };
-        println!("    {line}");
-    }
+    print_report(|out| {
+        writeln!(out, "crash report ({}):", seminal_obs::crash::SCHEMA)?;
+        writeln!(out, "  reason:        {}", report.reason)?;
+        writeln!(out, "  completion:    {}", report.completion)?;
+        writeln!(out, "  probe faults:  {}", report.probe_faults)?;
+        writeln!(out, "  threads:       {}", report.threads)?;
+        writeln!(out, "  oracle calls:  {}", report.metrics.counter("oracle_calls"))?;
+        writeln!(
+            out,
+            "  trace tail:    {} record(s), {} dropped by the ring",
+            report.records.len(),
+            report.records_dropped
+        )?;
+        for rec in &report.records {
+            let line = match rec {
+                TraceRecord::Open { id, kind, thread, at_ns, .. } => format!(
+                    "open  span {id} {} (thread {thread}, +{}µs)",
+                    kind.tag(),
+                    at_ns / 1_000
+                ),
+                TraceRecord::Close { id, thread, at_ns } => {
+                    format!("close span {id} (thread {thread}, +{}µs)", at_ns / 1_000)
+                }
+                TraceRecord::Event { kind, thread, at_ns, .. } => {
+                    let what = match kind {
+                        EventKind::OracleProbe { outcome, faulted, .. } => format!(
+                            "oracle probe [{}]{}",
+                            if *outcome { "ok" } else { "err" },
+                            if *faulted { " faulted" } else { "" },
+                        ),
+                        EventKind::PrefixLocalized { detail, .. } => {
+                            format!("localized: {detail}")
+                        }
+                    };
+                    format!("event {what} (thread {thread}, +{}µs)", at_ns / 1_000)
+                }
+            };
+            writeln!(out, "    {line}")?;
+        }
+        Ok(())
+    })?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -819,7 +814,6 @@ fn check_cpp(mut args: Args) -> Result<ExitCode, ExitCode> {
     let mut builder = seminal::cpp::CppSearchSession::builder();
     while let Some(flag) = args.next_flag()? {
         builder = match flag.as_str() {
-            "--threads" => builder.threads(args.value()?),
             "--deadline-ms" => builder.deadline_ms(args.value()?),
             _ => return Err(unknown(&flag)),
         };
@@ -842,17 +836,20 @@ fn check_cpp(mut args: Args) -> Result<ExitCode, ExitCode> {
     };
     let report = session.search(&prog);
     if report.baseline.is_empty() {
-        println!("{path}: no type errors");
+        print_report(|out| writeln!(out, "{path}: no type errors"))?;
         return Ok(ExitCode::SUCCESS);
     }
-    println!("Compiler diagnostics ({}):", report.baseline.len());
-    for e in &report.baseline {
-        print!("{}", e.render(&source));
-    }
-    println!("\nOur approach:");
-    for s in report.suggestions.iter().take(3) {
-        println!("  {}", s.render());
-    }
+    print_report(|out| {
+        writeln!(out, "Compiler diagnostics ({}):", report.baseline.len())?;
+        for e in &report.baseline {
+            write!(out, "{}", e.render(&source))?;
+        }
+        writeln!(out, "\nOur approach:")?;
+        for s in report.suggestions.iter().take(3) {
+            writeln!(out, "  {}", s.render())?;
+        }
+        Ok(())
+    })?;
     if report.completion.is_complete() {
         Ok(exit(Status::TypeErrors))
     } else {
@@ -871,7 +868,6 @@ fn fuzz_cmd(mut args: Args) -> Result<ExitCode, ExitCode> {
         match flag.as_str() {
             "--seed" => cfg.seed = args.value()?,
             "--cases" => cfg.cases = args.value()?,
-            "--threads" => cfg.threads = args.value()?,
             "--shrink" => cfg.shrink = true,
             "--no-incremental" => cfg.incremental = false,
             "--chaos-flip" => chaos.flip_per_mille = args.value()?,
@@ -883,17 +879,19 @@ fn fuzz_cmd(mut args: Args) -> Result<ExitCode, ExitCode> {
         }
     }
     let [] = args.positionals()?;
-    if cfg.threads == 0 {
-        eprintln!("invalid configuration: --threads must be at least 1");
-        return Err(exit(Status::InvalidRequest));
-    }
     let (rendered, ok, jsonl) = if cpp {
         if chaos.flip_per_mille > 0 {
             eprintln!("invalid configuration: the C++ loop has no --chaos-flip (panics only)");
             return Err(exit(Status::InvalidRequest));
         }
+        // The C++ loop neither shrinks nor has an oracle mode to switch.
+        for (set, flag) in [(cfg.shrink, "--shrink"), (!cfg.incremental, "--no-incremental")] {
+            if set {
+                eprintln!("invalid configuration: the C++ loop has no {flag}");
+                return Err(exit(Status::InvalidRequest));
+            }
+        }
         let cpp_cfg = CppFuzzConfig {
-            threads: cfg.threads,
             chaos_panic_per_mille: chaos.panic_per_mille,
             ..CppFuzzConfig::new(cfg.seed, cfg.cases)
         };
@@ -908,7 +906,7 @@ fn fuzz_cmd(mut args: Args) -> Result<ExitCode, ExitCode> {
             summary.failures.iter().map(|f| f.to_json().to_string_compact()).collect();
         (summary.render(), summary.ok(), jsonl)
     };
-    print!("{rendered}");
+    print_report(|out| write!(out, "{rendered}"))?;
     if let Some(path) = &out {
         // Always written — an empty artifact is how CI distinguishes a
         // clean campaign from one that never ran.
@@ -938,9 +936,11 @@ fn demo(args: Args) -> Result<ExitCode, ExitCode> {
         eprintln!("figure 2 did not dispatch");
         return Err(exit(Status::IoError));
     };
-    if let Some(baseline) = &resp.baseline {
-        println!("Type-checker:\n{baseline}\n");
-    }
-    println!("Our approach:\n{}", resp.rendered);
+    print_report(|out| {
+        if let Some(baseline) = &resp.baseline {
+            writeln!(out, "Type-checker:\n{baseline}\n")?;
+        }
+        writeln!(out, "Our approach:\n{}", resp.rendered)
+    })?;
     Ok(ExitCode::SUCCESS)
 }

@@ -32,12 +32,7 @@ fn run(source: &str, incremental: bool) -> SearchReport {
     let config = SearchConfig { deadline: None, ..SearchConfig::default() };
     let (chain, scratch) = (CheckpointedOracle::new(), TypeCheckOracle::new());
     let checker: &dyn Oracle = if incremental { &chain } else { &scratch };
-    SearchSession::builder(checker)
-        .config(config)
-        .threads(1)
-        .build()
-        .expect("config is valid")
-        .search(&prog)
+    SearchSession::builder(checker).config(config).build().expect("config is valid").search(&prog)
 }
 
 #[test]

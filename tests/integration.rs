@@ -81,8 +81,7 @@ fn oracle_call_counts_ordered_across_configs() {
         let prog = parse_program(&f.source).unwrap();
         let count = |cfg: SearchConfig| {
             let oracle = CountingOracle::new(TypeCheckOracle::new());
-            // threads(1): exact counts must not depend on SEMINAL_THREADS.
-            SearchSession::builder(&oracle).config(cfg).threads(1).build().unwrap().search(&prog);
+            SearchSession::builder(&oracle).config(cfg).build().unwrap().search(&prog);
             oracle.calls()
         };
         let full = count(SearchConfig::default());
@@ -105,8 +104,7 @@ let classify a b c =
     let prog = parse_program(src).unwrap();
     let count = |cfg: SearchConfig| {
         let oracle = CountingOracle::new(TypeCheckOracle::new());
-        // threads(1): exact counts must not depend on SEMINAL_THREADS.
-        SearchSession::builder(&oracle).config(cfg).threads(1).build().unwrap().search(&prog);
+        SearchSession::builder(&oracle).config(cfg).build().unwrap().search(&prog);
         oracle.calls()
     };
     let fast = count(SearchConfig::default());

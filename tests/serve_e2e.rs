@@ -215,9 +215,9 @@ fn malformed_and_invalid_requests_do_not_kill_the_server() {
     assert_eq!(err.id, 3, "the id is still recovered from the bad line");
     assert!(err.error.contains("bogus"), "{}", err.error);
 
-    // Decodes fine, but the configuration is invalid: zero threads.
+    // Decodes fine, but the configuration is invalid: a zero deadline.
     let bad_config =
-        Request::Check(CheckRequest { threads: Some(0), ..CheckRequest::new(4, FIGURE2) })
+        Request::Check(CheckRequest { deadline_ms: Some(0), ..CheckRequest::new(4, FIGURE2) })
             .to_json_string();
     let Response::Error(err) = round_trip(&mut server, &bad_config) else {
         panic!("invalid configurations must be rejected");
