@@ -24,6 +24,14 @@ use seminal_eval::figure7::{figure7, render_figure7};
 use seminal_eval::{evaluate_corpus, figure5, render_figure5};
 use seminal_ml::parser::parse_program;
 use seminal_typeck::TypeCheckOracle;
+use std::io::Write as _;
+
+/// Prints one line of an artifact through [`emit`], as `println!` would.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -76,6 +84,21 @@ fn value(flag: &str, raw: Option<String>) -> usize {
         .unwrap_or_else(|| usage_error(&format!("`{flag}` takes a number")))
 }
 
+/// Writes `text` to stdout through its lock. A reader that closed early
+/// ends the run quietly (exit 0), and any other write failure exits 4,
+/// as both do for `seminal`.
+fn emit(text: std::fmt::Arguments<'_>) {
+    let mut out = std::io::stdout().lock();
+    match out.write_fmt(text).and_then(|()| out.flush()) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("cannot write to stdout: {e}");
+            std::process::exit(4)
+        }
+    }
+}
+
 /// Exits 2, the usage-error code `seminal` also uses, naming `problem`.
 fn usage_error(problem: &str) -> ! {
     eprintln!(
@@ -88,9 +111,9 @@ fn usage_error(problem: &str) -> ! {
 fn print_ablations(scale: usize) {
     banner("Ablations (§2's mechanisms removed one at a time) and §3.1 location-only check");
     let corpus = harness_corpus(scale);
-    println!("corpus: {} files (scale {scale})\n", corpus.len());
-    println!("{}", seminal_eval::render_ablations(&seminal_eval::ablations(&corpus)));
-    println!("{}", seminal_eval::render_location_only(&seminal_eval::location_only(&corpus)));
+    say!("corpus: {} files (scale {scale})\n", corpus.len());
+    say!("{}", seminal_eval::render_ablations(&seminal_eval::ablations(&corpus)));
+    say!("{}", seminal_eval::render_location_only(&seminal_eval::location_only(&corpus)));
 }
 
 /// Writes the assignments and the generated corpus to disk — the data
@@ -136,7 +159,7 @@ fn export_corpus(scale: usize, dir: &str) {
         ));
     }
     fs::write(corpus_dir.join("MANIFEST.tsv"), manifest).expect("write manifest");
-    println!(
+    say!(
         "exported {} templates and {} corpus files to {}",
         seminal_corpus::TEMPLATES.len(),
         corpus.len(),
@@ -155,7 +178,7 @@ fn eval_metrics(scale: usize, threads: usize, out: &str) {
     let json = seminal_eval::bench_search_json_with(&results, threads, wall);
     std::fs::write(out, &json).expect("write metrics artifact");
     let merged = seminal_eval::corpus_metrics(&results);
-    println!(
+    say!(
         "wrote {} ({} files, {} oracle calls, {} threads, wall {:?})",
         out,
         results.len(),
@@ -164,7 +187,7 @@ fn eval_metrics(scale: usize, threads: usize, out: &str) {
         wall,
     );
     if let Some(h) = merged.histograms.get("oracle.latency_ns") {
-        println!(
+        say!(
             "oracle latency: p50 <= {}ns  p90 <= {}ns  p99 <= {}ns ({} observations)",
             h.p50(),
             h.p90(),
@@ -179,11 +202,11 @@ fn eval_metrics(scale: usize, threads: usize, out: &str) {
 fn debug_kinds(scale: usize) {
     let corpus = harness_corpus(scale);
     let results = evaluate_corpus(&corpus);
-    println!("{}", seminal_eval::render_by_kind(&seminal_eval::by_kind(&corpus, &results)));
-    println!("sample disagreements (id, kind, baseline, no-triage, full):");
+    say!("{}", seminal_eval::render_by_kind(&seminal_eval::by_kind(&corpus, &results)));
+    say!("sample disagreements (id, kind, baseline, no-triage, full):");
     for (file, r) in corpus.iter().zip(&results).take(300) {
         if r.full.score() != r.baseline.score() {
-            println!(
+            say!(
                 "  {:<34} {:<14} base={} nt={} full={}",
                 r.id,
                 file.truths.iter().map(|t| t.kind.label()).collect::<Vec<_>>().join("+"),
@@ -196,7 +219,7 @@ fn debug_kinds(scale: usize) {
 }
 
 fn banner(title: &str) {
-    println!("\n{}\n{}\n", "=".repeat(72), title);
+    say!("\n{}\n{}\n", "=".repeat(72), title);
 }
 
 fn print_examples() {
@@ -208,16 +231,18 @@ fn print_examples() {
         ("Figure 9 (missing argument to List.nth)", FIGURE9),
         ("§2.4 (two independent errors — triage)", MULTI_ERROR),
     ] {
-        println!("--- {name} ---");
+        say!("--- {name} ---");
         let prog = parse_program(src).expect("example parses");
         let report = searcher.search(&prog);
         if let Some(err) = &report.baseline {
-            println!("Type-checker: {}", err.render(src));
+            say!("Type-checker: {}", err.render(src));
         }
-        println!("Our approach:\n{}", message::render_report(&report, src, 1));
-        println!(
+        say!("Our approach:\n{}", message::render_report(&report, src, 1));
+        say!(
             "(oracle calls: {}, time: {:?}, triage: {})\n",
-            report.stats.oracle_calls, report.stats.elapsed, report.stats.triage_used
+            report.stats.oracle_calls,
+            report.stats.elapsed,
+            report.stats.triage_used
         );
     }
 }
@@ -225,10 +250,10 @@ fn print_examples() {
 fn print_figure5(scale: usize) {
     banner("Figure 5 and §3.2 headline statistics");
     let corpus = harness_corpus(scale);
-    println!("corpus: {} files (scale {scale})\n", corpus.len());
+    say!("corpus: {} files (scale {scale})\n", corpus.len());
     let results = evaluate_corpus(&corpus);
     let fig = figure5(&results);
-    println!("{}", render_figure5(&fig));
+    say!("{}", render_figure5(&fig));
 }
 
 fn print_figure6(scale: usize) {
@@ -236,37 +261,38 @@ fn print_figure6(scale: usize) {
     let problems = 215 * scale.max(1); // ≈ paper's 1075 at scale 5
     let sizes = group_sizes(problems, 2007);
     let s = summarize(&sizes);
-    println!(
+    say!(
         "collected files: {}   analyzed (groups): {}   (paper: 2122 / 1075)\n",
-        s.collected, s.analyzed
+        s.collected,
+        s.analyzed
     );
-    println!("{:>6}  {:>7}  bar (log scale)", "size", "groups");
+    say!("{:>6}  {:>7}  bar (log scale)", "size", "groups");
     for (size, count) in histogram(&sizes) {
         let bar = "#".repeat(((count as f64).ln_1p() * 8.0).ceil() as usize);
-        println!("{size:>6}  {count:>7}  {bar}");
+        say!("{size:>6}  {count:>7}  {bar}");
     }
 }
 
 fn print_figure7(scale: usize) {
     banner("Figure 7: cumulative distribution of search time");
     let corpus = harness_corpus(scale);
-    println!("corpus: {} files (scale {scale})\n", corpus.len());
+    say!("corpus: {} files (scale {scale})\n", corpus.len());
     let fig = figure7(&corpus);
-    println!("{}", render_figure7(&fig));
+    say!("{}", render_figure7(&fig));
 }
 
 fn print_cpp() {
     banner("Figures 10/11: the C++ template-function prototype");
     let prog = seminal_cpp::parse_cpp(FIGURE10_CPP).expect("figure 10 parses");
     let report = seminal_cpp::search_cpp(&prog);
-    println!("gcc-style diagnostics ({} errors):\n", report.baseline.len());
+    say!("gcc-style diagnostics ({} errors):\n", report.baseline.len());
     for e in &report.baseline {
-        print!("{}", e.render(FIGURE10_CPP));
+        emit(format_args!("{}", e.render(FIGURE10_CPP)));
     }
-    println!("\nOur approach:");
+    say!("\nOur approach:");
     match report.best() {
-        Some(s) => println!("  {}", s.render()),
-        None => println!("  (no suggestion)"),
+        Some(s) => say!("  {}", s.render()),
+        None => say!("  (no suggestion)"),
     }
-    println!("  (oracle calls: {})", report.oracle_calls);
+    say!("  (oracle calls: {})", report.oracle_calls);
 }

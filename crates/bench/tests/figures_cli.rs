@@ -33,3 +33,19 @@ fn unparsable_arguments_are_usage_errors() {
     assert_eq!(run.status.code(), Some(0), "{}", String::from_utf8_lossy(&run.stderr));
     assert!(String::from_utf8_lossy(&run.stdout).contains("Worked examples"));
 }
+
+/// A reader that closes early (`figures examples | head -1`) ends the
+/// run quietly with exit 0, not with a broken-pipe panic.
+#[test]
+fn a_closed_stdout_is_a_quiet_exit() {
+    let (reader, writer) = std::io::pipe().expect("create a pipe");
+    drop(reader);
+    let run = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["--scale", "1", "examples"])
+        .stdout(writer)
+        .output()
+        .expect("run figures");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

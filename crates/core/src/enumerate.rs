@@ -14,9 +14,10 @@ use seminal_ml::ast::*;
 use seminal_ml::edit::{app_chain, build_app};
 use seminal_ml::pretty::expr_to_string;
 use seminal_ml::span::Span;
+use std::sync::Arc;
 
-fn hole() -> Expr {
-    Expr::hole(Span::DUMMY)
+fn hole() -> Arc<Expr> {
+    Arc::new(Expr::hole(Span::DUMMY))
 }
 
 fn one(replacement: Expr, description: impl Into<String>) -> Probe {
@@ -94,10 +95,7 @@ pub fn changes_for(e: &Expr, top_of_chain: bool, cfg: &SearchConfig) -> Vec<Prob
         }
         ExprKind::If(c, t, None) => {
             out.push(one(
-                Expr::synth(
-                    ExprKind::If(c.clone(), t.clone(), Some(Box::new(hole()))),
-                    Span::DUMMY,
-                ),
+                Expr::synth(ExprKind::If(c.clone(), t.clone(), Some(hole())), Span::DUMMY),
                 "add an `else` branch",
             ));
         }
@@ -107,7 +105,7 @@ pub fn changes_for(e: &Expr, top_of_chain: bool, cfg: &SearchConfig) -> Vec<Prob
         }
         ExprKind::Construct(name, None) => {
             out.push(one(
-                Expr::synth(ExprKind::Construct(name.clone(), Some(Box::new(hole()))), Span::DUMMY),
+                Expr::synth(ExprKind::Construct(name.clone(), Some(hole())), Span::DUMMY),
                 "apply the constructor to an argument",
             ));
         }
@@ -126,7 +124,7 @@ pub fn changes_for(e: &Expr, top_of_chain: bool, cfg: &SearchConfig) -> Vec<Prob
                 Expr::synth(
                     ExprKind::BinOp(
                         BinOp::Assign,
-                        Box::new(Expr::synth(
+                        Arc::new(Expr::synth(
                             ExprKind::Field(obj.clone(), field.clone()),
                             Span::DUMMY,
                         )),
@@ -148,8 +146,8 @@ pub fn changes_for(e: &Expr, top_of_chain: bool, cfg: &SearchConfig) -> Vec<Prob
             out.push(one(
                 Expr::synth(
                     ExprKind::App(
-                        Box::new(e.clone()),
-                        Box::new(Expr::synth(ExprKind::Lit(Lit::Unit), Span::DUMMY)),
+                        Arc::new(e.clone()),
+                        Arc::new(Expr::synth(ExprKind::Lit(Lit::Unit), Span::DUMMY)),
                     ),
                     Span::DUMMY,
                 ),
@@ -166,12 +164,13 @@ pub fn changes_for(e: &Expr, top_of_chain: bool, cfg: &SearchConfig) -> Vec<Prob
     // numeric/string conversions (`print_string x` → `print_string
     // (string_of_int x)` — a ubiquitous student fix).
     if e.size() <= 3 && !e.is_hole() {
+        let arg = Arc::new(e.clone());
         for conv in
             ["string_of_int", "string_of_float", "float_of_int", "int_of_float", "int_of_string"]
         {
             out.push(one(
                 Expr::synth(
-                    ExprKind::App(Box::new(Expr::var(conv, Span::DUMMY)), Box::new(e.clone())),
+                    ExprKind::App(Arc::new(Expr::var(conv, Span::DUMMY)), arg.clone()),
                     Span::DUMMY,
                 ),
                 format!("convert the value with `{conv}`"),
@@ -187,8 +186,8 @@ const MAX_PERMUTATION_ARGS: usize = 4;
 
 fn app_changes(e: &Expr, out: &mut Vec<Probe>) {
     let (head, args) = app_chain(e);
-    let head = head.clone();
-    let args: Vec<Expr> = args.into_iter().cloned().collect();
+    let head = Arc::new(head.clone());
+    let args: Vec<Arc<Expr>> = args.into_iter().cloned().collect();
     let n = args.len();
 
     // Remove one argument (Figure 3 row 1).
@@ -229,14 +228,17 @@ fn app_changes(e: &Expr, out: &mut Vec<Probe>) {
 
     // Reassociate into a nested call (row 4): `f a1 a2` → `f (a1 a2)`.
     if n >= 2 {
-        let nested = build_app(args[0].clone(), args[1..].to_vec());
+        let nested = Arc::new(build_app(args[0].clone(), args[1..].to_vec()));
         out.push(one(build_app(head.clone(), vec![nested]), "make the arguments a nested call"));
     }
 
     // Tuple the arguments (row 5): `f a1 a2` → `f (a1, a2)`.
     if n >= 2 {
         out.push(one(
-            build_app(head.clone(), vec![Expr::synth(ExprKind::Tuple(args.clone()), Span::DUMMY)]),
+            build_app(
+                head.clone(),
+                vec![Arc::new(Expr::synth(ExprKind::Tuple(args.clone()), Span::DUMMY))],
+            ),
             "pass the arguments as one tuple",
         ));
     }
@@ -252,7 +254,12 @@ fn app_changes(e: &Expr, out: &mut Vec<Probe>) {
     }
 }
 
-fn permute(args: &[Expr], cur: &mut Vec<Expr>, used: &mut Vec<bool>, out: &mut Vec<Vec<Expr>>) {
+fn permute(
+    args: &[Arc<Expr>],
+    cur: &mut Vec<Arc<Expr>>,
+    used: &mut Vec<bool>,
+    out: &mut Vec<Vec<Arc<Expr>>>,
+) {
     if cur.len() == args.len() {
         out.push(cur.clone());
         return;
@@ -268,12 +275,12 @@ fn permute(args: &[Expr], cur: &mut Vec<Expr>, used: &mut Vec<bool>, out: &mut V
     }
 }
 
-fn fun_changes(params: &[Pat], body: &Expr, out: &mut Vec<Probe>) {
+fn fun_changes(params: &[Pat], body: &Arc<Expr>, out: &mut Vec<Probe>) {
     // Tupled → curried (the Figure 2 winner).
     if params.len() == 1 {
         if let PatKind::Tuple(parts) = &params[0].kind {
             out.push(one(
-                Expr::synth(ExprKind::Fun(parts.clone(), Box::new(body.clone())), Span::DUMMY),
+                Expr::synth(ExprKind::Fun(parts.clone(), body.clone()), Span::DUMMY),
                 "take curried arguments instead of a tuple",
             ));
         }
@@ -284,7 +291,7 @@ fn fun_changes(params: &[Pat], body: &Expr, out: &mut Vec<Probe>) {
             Expr::synth(
                 ExprKind::Fun(
                     vec![Pat::synth(PatKind::Tuple(params.to_vec()), Span::DUMMY)],
-                    Box::new(body.clone()),
+                    body.clone(),
                 ),
                 Span::DUMMY,
             ),
@@ -295,7 +302,7 @@ fn fun_changes(params: &[Pat], body: &Expr, out: &mut Vec<Probe>) {
     let mut more = params.to_vec();
     more.push(Pat::wild(Span::DUMMY));
     out.push(one(
-        Expr::synth(ExprKind::Fun(more, Box::new(body.clone())), Span::DUMMY),
+        Expr::synth(ExprKind::Fun(more, body.clone()), Span::DUMMY),
         "add a parameter to the function",
     ));
     // Remove one parameter (the oracle rejects it if the parameter is used).
@@ -304,23 +311,17 @@ fn fun_changes(params: &[Pat], body: &Expr, out: &mut Vec<Probe>) {
             let mut fewer = params.to_vec();
             fewer.remove(i);
             out.push(one(
-                Expr::synth(ExprKind::Fun(fewer, Box::new(body.clone())), Span::DUMMY),
+                Expr::synth(ExprKind::Fun(fewer, body.clone()), Span::DUMMY),
                 format!("remove parameter {} from the function", i + 1),
             ));
         }
     }
 }
 
-fn binop_changes(op: BinOp, l: &Expr, r: &Expr, out: &mut Vec<Probe>) {
+fn binop_changes(op: BinOp, l: &Arc<Expr>, r: &Arc<Expr>, out: &mut Vec<Probe>) {
     use BinOp::*;
     let mk = |nop: BinOp, desc: &str, out: &mut Vec<Probe>| {
-        out.push(one(
-            Expr::synth(
-                ExprKind::BinOp(nop, Box::new(l.clone()), Box::new(r.clone())),
-                Span::DUMMY,
-            ),
-            desc,
-        ));
+        out.push(one(Expr::synth(ExprKind::BinOp(nop, l.clone(), r.clone()), Span::DUMMY), desc));
     };
     // Deep rewrite: `(3.14 * r) * r` needs *every* operator switched at
     // once; single-operator swaps cannot fix nested arithmetic.
@@ -330,8 +331,8 @@ fn binop_changes(op: BinOp, l: &Expr, r: &Expr, out: &mut Vec<Probe>) {
         let rewritten = Expr::synth(
             ExprKind::BinOp(
                 flip_arith(op),
-                Box::new(deep_flip_arith(l, int_arith)),
-                Box::new(deep_flip_arith(r, int_arith)),
+                deep_flip_arith(l, int_arith),
+                deep_flip_arith(r, int_arith),
             ),
             Span::DUMMY,
         );
@@ -372,10 +373,7 @@ fn binop_changes(op: BinOp, l: &Expr, r: &Expr, out: &mut Vec<Probe>) {
             mk(Append, "use `@` to append lists (the left side is a list)", out);
             // `xs :: x` with the operands backwards.
             out.push(one(
-                Expr::synth(
-                    ExprKind::BinOp(Cons, Box::new(r.clone()), Box::new(l.clone())),
-                    Span::DUMMY,
-                ),
+                Expr::synth(ExprKind::BinOp(Cons, r.clone(), l.clone()), Span::DUMMY),
                 "swap the operands of `::` (element on the left, list on the right)",
             ));
         }
@@ -389,7 +387,7 @@ fn binop_changes(op: BinOp, l: &Expr, r: &Expr, out: &mut Vec<Probe>) {
             if let ExprKind::Field(obj, fname) = &l.kind {
                 out.push(one(
                     Expr::synth(
-                        ExprKind::SetField(obj.clone(), fname.clone(), Box::new(r.clone())),
+                        ExprKind::SetField(obj.clone(), fname.clone(), r.clone()),
                         Span::DUMMY,
                     ),
                     "use `<-` to update the mutable field",
@@ -417,8 +415,8 @@ fn flip_arith(op: BinOp) -> BinOp {
 }
 
 /// Recursively flips arithmetic operators (int→float when `to_float`),
-/// descending only through arithmetic structure.
-fn deep_flip_arith(e: &Expr, to_float: bool) -> Expr {
+/// descending only through arithmetic structure and sharing the rest.
+fn deep_flip_arith(e: &Arc<Expr>, to_float: bool) -> Arc<Expr> {
     use BinOp::*;
     match &e.kind {
         ExprKind::BinOp(op, l, r)
@@ -426,14 +424,14 @@ fn deep_flip_arith(e: &Expr, to_float: bool) -> Expr {
         {
             let flipped =
                 if to_float == matches!(op, Add | Sub | Mul | Div) { flip_arith(*op) } else { *op };
-            Expr::synth(
+            Arc::new(Expr::synth(
                 ExprKind::BinOp(
                     flipped,
-                    Box::new(deep_flip_arith(l, to_float)),
-                    Box::new(deep_flip_arith(r, to_float)),
+                    deep_flip_arith(l, to_float),
+                    deep_flip_arith(r, to_float),
                 ),
                 Span::DUMMY,
-            )
+            ))
         }
         ExprKind::UnOp(op @ (UnOp::Neg | UnOp::NegF), inner) => {
             let flipped = match (op, to_float) {
@@ -441,10 +439,10 @@ fn deep_flip_arith(e: &Expr, to_float: bool) -> Expr {
                 (UnOp::NegF, false) => UnOp::Neg,
                 (o, _) => *o,
             };
-            Expr::synth(
-                ExprKind::UnOp(flipped, Box::new(deep_flip_arith(inner, to_float))),
+            Arc::new(Expr::synth(
+                ExprKind::UnOp(flipped, deep_flip_arith(inner, to_float)),
                 Span::DUMMY,
-            )
+            ))
         }
         _ => e.clone(),
     }
@@ -514,7 +512,7 @@ fn match_changes(e: &Expr, cfg: &SearchConfig, out: &mut Vec<Probe>) {
 
 /// Rebuilds a match applying a per-arm split: `Some(j)` keeps the first
 /// `j` arms in the nested match and promotes the rest to the outer one.
-fn reassociate(scrut: &Expr, arms: &[Arm], combo: &[Option<usize>]) -> Expr {
+fn reassociate(scrut: &Arc<Expr>, arms: &[Arm], combo: &[Option<usize>]) -> Expr {
     let mut new_arms = Vec::new();
     for (arm, split) in arms.iter().zip(combo) {
         match (split, &arm.body.kind) {
@@ -524,14 +522,14 @@ fn reassociate(scrut: &Expr, arms: &[Arm], combo: &[Option<usize>]) -> Expr {
                 new_arms.push(Arm {
                     pat: arm.pat.clone(),
                     guard: arm.guard.clone(),
-                    body: Expr::synth(ExprKind::Match(s2.clone(), kept), Span::DUMMY),
+                    body: Arc::new(Expr::synth(ExprKind::Match(s2.clone(), kept), Span::DUMMY)),
                 });
                 new_arms.extend(promoted);
             }
             _ => new_arms.push(arm.clone()),
         }
     }
-    Expr::synth(ExprKind::Match(Box::new(scrut.clone()), new_arms), Span::DUMMY)
+    Expr::synth(ExprKind::Match(scrut.clone(), new_arms), Span::DUMMY)
 }
 
 #[cfg(test)]

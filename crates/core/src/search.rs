@@ -342,9 +342,9 @@ impl<O: Oracle> SearchSession<O> {
             if run.done() {
                 break;
             }
-            if let Some(node) = scope.prog.find_expr(id).cloned() {
+            if let Some(node) = scope.prog.find_expr(id) {
                 let span = run.tracer.open(SpanKind::Descend { span: src_span(node.span) });
-                run.enumerate_changes(&scope, &node, false, 0);
+                run.enumerate_changes(&scope, node, false, 0);
                 run.tracer.close(span);
             }
         }
@@ -825,7 +825,7 @@ impl<O: Oracle> Run<'_, O> {
         if self.done() {
             return false;
         }
-        let Some(node) = scope.prog.find_expr(node_id).cloned() else {
+        let Some(node) = scope.prog.find_expr(node_id) else {
             return false;
         };
         if node.is_hole() {
@@ -835,7 +835,7 @@ impl<O: Oracle> Run<'_, O> {
         self.local.descend_depth.observe(depth);
         self.local.max_depth = self.local.max_depth.max(depth);
         let span = self.tracer.open(SpanKind::Descend { span: src_span(node.span) });
-        let descended = self.search_expr_at(scope, &node, triage_depth, triaged, removed_siblings);
+        let descended = self.search_expr_at(scope, node, triage_depth, triaged, removed_siblings);
         self.tracer.close(span);
         descended
     }
@@ -920,7 +920,7 @@ impl<O: Oracle> Run<'_, O> {
             self.push_suggestion(
                 scope,
                 node,
-                &Expr::hole(Span::DUMMY),
+                Expr::hole(Span::DUMMY),
                 removal_variant,
                 ChangeKind::Removal,
                 triaged,
@@ -992,7 +992,7 @@ impl<O: Oracle> Run<'_, O> {
         }
         // Adaptation to context (§2.3).
         let adapt_candidate = if self.cfg.adaptation && !matches!(node.kind, ExprKind::Adapt(_)) {
-            Some(Expr::synth(ExprKind::Adapt(Box::new(node.clone())), Span::DUMMY))
+            Some(Expr::synth(ExprKind::Adapt(Arc::new(node.clone())), Span::DUMMY))
         } else {
             None
         };
@@ -1007,7 +1007,7 @@ impl<O: Oracle> Run<'_, O> {
                     if self.try_candidate(
                         scope,
                         node,
-                        &c.replacement,
+                        c.replacement,
                         ChangeKind::Constructive(c.description),
                         triaged,
                         removed_siblings,
@@ -1016,7 +1016,7 @@ impl<O: Oracle> Run<'_, O> {
                     }
                 }
                 crate::change::Probe::Gated { gate, then } => {
-                    let gate_variant = edit::replace_expr(&scope.prog, node.id, gate);
+                    let gate_variant = edit::replace_expr(&scope.prog, node.id, &gate);
                     self.label(ProbeKind::Gate, node.span, || expr_to_string(node));
                     if self.check(&gate_variant) {
                         for c in then {
@@ -1026,7 +1026,7 @@ impl<O: Oracle> Run<'_, O> {
                             if self.try_candidate(
                                 scope,
                                 node,
-                                &c.replacement,
+                                c.replacement,
                                 ChangeKind::Constructive(c.description),
                                 triaged,
                                 removed_siblings,
@@ -1046,7 +1046,7 @@ impl<O: Oracle> Run<'_, O> {
             if self.try_candidate(
                 scope,
                 node,
-                &c.replacement,
+                c.replacement,
                 ChangeKind::Constructive(c.description),
                 triaged,
                 removed_siblings,
@@ -1060,7 +1060,7 @@ impl<O: Oracle> Run<'_, O> {
             if self.try_candidate(
                 scope,
                 node,
-                &adapted,
+                adapted,
                 ChangeKind::Adaptation,
                 triaged,
                 removed_siblings,
@@ -1077,12 +1077,12 @@ impl<O: Oracle> Run<'_, O> {
         &mut self,
         scope: &Scope,
         node: &Expr,
-        replacement: &Expr,
+        replacement: Expr,
         kind: ChangeKind,
         triaged: bool,
         removed_siblings: usize,
     ) -> bool {
-        let variant = edit::replace_expr(&scope.prog, node.id, replacement.clone());
+        let variant = edit::replace_expr(&scope.prog, node.id, &replacement);
         let probe = match &kind {
             ChangeKind::Constructive(d) => ProbeKind::Constructive { family: d.clone() },
             ChangeKind::Adaptation => ProbeKind::Adaptation,
@@ -1110,7 +1110,7 @@ impl<O: Oracle> Run<'_, O> {
         &mut self,
         scope: &Scope,
         node: &Expr,
-        replacement: &Expr,
+        replacement: Expr,
         variant: Program,
         kind: ChangeKind,
         triaged: bool,
@@ -1139,16 +1139,17 @@ impl<O: Oracle> Run<'_, O> {
             .unwrap_or_default();
         let preserves_content = {
             let original_leaves = leaf_atoms(node);
-            let new_leaves = leaf_atoms(replacement);
+            let new_leaves = leaf_atoms(&replacement);
             original_leaves.iter().all(|l| new_leaves.contains(l))
         };
+        let replacement_str = expr_to_string(&replacement);
         self.suggestions.push(Suggestion {
-            focus: Focus::Expr { target: node.id, replacement: replacement.clone() },
+            focus: Focus::Expr { target: node.id, replacement },
             kind,
             triaged,
             removed_siblings,
             original_str: expr_to_string(node),
-            replacement_str: expr_to_string(replacement),
+            replacement_str,
             new_type,
             context_str,
             span: node.span,
@@ -1227,7 +1228,7 @@ impl<O: Oracle> Run<'_, O> {
         &mut self,
         scope: &Scope,
         node: &Expr,
-        scrut: &Expr,
+        scrut: &Arc<Expr>,
         arms: &[Arm],
         depth: usize,
     ) {
@@ -1240,23 +1241,20 @@ impl<O: Oracle> Run<'_, O> {
         &mut self,
         scope: &Scope,
         node: &Expr,
-        scrut: &Expr,
+        scrut: &Arc<Expr>,
         arms: &[Arm],
         depth: usize,
     ) {
         // Phase 1: scrutinee alone — `match scrut with _ -> [[...]]`.
+        let hole = Arc::new(Expr::hole(Span::DUMMY));
         let phase1 = Expr::synth(
             ExprKind::Match(
-                Box::new(scrut.clone()),
-                vec![Arm {
-                    pat: Pat::wild(Span::DUMMY),
-                    guard: None,
-                    body: Expr::hole(Span::DUMMY),
-                }],
+                scrut.clone(),
+                vec![Arm { pat: Pat::wild(Span::DUMMY), guard: None, body: hole.clone() }],
             ),
             Span::DUMMY,
         );
-        let p1 = edit::replace_expr(&scope.prog, node.id, phase1);
+        let p1 = edit::replace_expr(&scope.prog, node.id, &phase1);
         self.label(ProbeKind::TriageMatch { phase: 1 }, scrut.span, || expr_to_string(scrut));
         if !self.check(&p1) {
             let ctx = Scope::new(p1);
@@ -1267,7 +1265,7 @@ impl<O: Oracle> Run<'_, O> {
         // Phase 2: patterns, with every arm body removed.
         let phase2 = Expr::synth(
             ExprKind::Match(
-                Box::new(scrut.clone()),
+                scrut.clone(),
                 arms.iter()
                     .map(|arm| Arm {
                         pat: arm.pat.clone(),
@@ -1275,13 +1273,13 @@ impl<O: Oracle> Run<'_, O> {
                         // may carry their own errors, which phase 3 and
                         // the regular descent handle.
                         guard: None,
-                        body: Expr::hole(Span::DUMMY),
+                        body: hole.clone(),
                     })
                     .collect(),
             ),
             Span::DUMMY,
         );
-        let p2 = edit::replace_expr(&scope.prog, node.id, phase2);
+        let p2 = edit::replace_expr(&scope.prog, node.id, &phase2);
         self.label(ProbeKind::TriageMatch { phase: 2 }, node.span, || expr_to_string(node));
         if !self.check(&p2) {
             self.triage_patterns(&Scope::new(p2), arms);
@@ -1325,8 +1323,7 @@ impl<O: Oracle> Run<'_, O> {
                         ctx_edit = ctx_edit.replace_pat(r, Pat::wild(Span::DUMMY));
                     }
                     let ctx = Scope::new(edit::apply(&scope.prog, &ctx_edit));
-                    let pat = arms[i].pat.clone();
-                    self.search_pattern(&ctx, &pat, j);
+                    self.search_pattern(&ctx, &arms[i].pat, j);
                     break;
                 }
             }
@@ -1344,9 +1341,9 @@ impl<O: Oracle> Run<'_, O> {
             return false;
         }
         let mut children = Vec::new();
-        pat.for_each_child(&mut |c| children.push(c.clone()));
+        pat.for_each_child(&mut |c| children.push(c));
         let mut any_child = false;
-        for c in &children {
+        for c in children {
             if self.search_pattern(scope, c, removed_siblings) {
                 any_child = true;
             }

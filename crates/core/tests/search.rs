@@ -5,6 +5,7 @@ use seminal_core::obs::{EventKind, TraceRecord};
 use seminal_core::{message, ChangeKind, Completion, Outcome, SearchConfig, SearchSession};
 use seminal_ml::parser::parse_program;
 use seminal_typeck::{check_program, CountingOracle, TypeCheckOracle};
+use std::sync::Arc;
 
 fn search(src: &str) -> seminal_core::SearchReport {
     let prog = parse_program(src).unwrap_or_else(|e| panic!("parse: {e}"));
@@ -340,17 +341,17 @@ fn custom_changes_extend_the_enumerator() {
             let ExprKind::App(_, _) = &e.kind else { return Vec::new() };
             let wrapped = Expr::synth(
                 ExprKind::App(
-                    Box::new(Expr::synth(
+                    Arc::new(Expr::synth(
                         ExprKind::App(
-                            Box::new(Expr::var("String.concat", Span::DUMMY)),
-                            Box::new(Expr::synth(
+                            Arc::new(Expr::var("String.concat", Span::DUMMY)),
+                            Arc::new(Expr::synth(
                                 ExprKind::Lit(seminal_ml::ast::Lit::Str(String::new())),
                                 Span::DUMMY,
                             )),
                         ),
                         Span::DUMMY,
                     )),
-                    Box::new(e.clone()),
+                    Arc::new(e.clone()),
                 ),
                 Span::DUMMY,
             );

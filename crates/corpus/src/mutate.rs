@@ -16,6 +16,7 @@ use seminal_ml::pretty::{expr_to_string, program_to_string};
 use seminal_ml::span::Span;
 use seminal_obs::SplitMix64;
 use seminal_typeck::check_program;
+use std::sync::Arc;
 
 /// The error classes the mutator can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -319,7 +320,7 @@ fn apply_one(
             let path = path_of_expr(prog, target);
             let original = expr_to_string(node);
             let mutated = expr_to_string(&replacement);
-            let variant = edit::replace_expr(prog, target, replacement);
+            let variant = edit::replace_expr(prog, target, &replacement);
             Some((variant, PendingTruth { kind, path, decl, original, mutated }))
         }
     }
@@ -348,9 +349,10 @@ fn collect_sites(e: &Expr, kind: MutationKind, out: &mut Vec<(NodeId, Expr)>) {
         SwapArgs => {
             if top_of_chain_args(e).len() >= 2 {
                 let (head, args) = edit::app_chain(e);
+                let head = Arc::new(head.clone());
                 for i in 0..args.len() {
                     for j in (i + 1)..args.len() {
-                        let mut swapped: Vec<Expr> = args.iter().map(|a| (*a).clone()).collect();
+                        let mut swapped: Vec<Arc<Expr>> = args.iter().map(|&a| a.clone()).collect();
                         swapped.swap(i, j);
                         out.push((e.id, edit::build_app(head.clone(), swapped)));
                     }
@@ -389,8 +391,9 @@ fn collect_sites(e: &Expr, kind: MutationKind, out: &mut Vec<(NodeId, Expr)>) {
             let args = top_of_chain_args(e);
             if args.len() >= 2 {
                 let (head, args) = edit::app_chain(e);
+                let head = Arc::new(head.clone());
                 for i in 0..args.len() {
-                    let mut fewer: Vec<Expr> = args.iter().map(|a| (*a).clone()).collect();
+                    let mut fewer: Vec<Arc<Expr>> = args.iter().map(|&a| a.clone()).collect();
                     fewer.remove(i);
                     out.push((e.id, edit::build_app(head.clone(), fewer)));
                 }
@@ -400,9 +403,9 @@ fn collect_sites(e: &Expr, kind: MutationKind, out: &mut Vec<(NodeId, Expr)>) {
             let args = top_of_chain_args(e);
             if !args.is_empty() {
                 let (head, args) = edit::app_chain(e);
-                let mut more: Vec<Expr> = args.iter().map(|a| (*a).clone()).collect();
+                let mut more: Vec<Arc<Expr>> = args.iter().map(|&a| a.clone()).collect();
                 more.push(args[args.len() - 1].clone());
-                out.push((e.id, edit::build_app(head.clone(), more)));
+                out.push((e.id, edit::build_app(Arc::new(head.clone()), more)));
             }
         }
         IntFloatOp => {
@@ -441,10 +444,10 @@ fn collect_sites(e: &Expr, kind: MutationKind, out: &mut Vec<(NodeId, Expr)>) {
                     out.push((
                         e.id,
                         Expr::synth(
-                            ExprKind::List(vec![Expr::synth(
+                            ExprKind::List(vec![Arc::new(Expr::synth(
                                 ExprKind::Tuple(items.clone()),
                                 Span::DUMMY,
-                            )]),
+                            ))]),
                             Span::DUMMY,
                         ),
                     ));
@@ -501,7 +504,7 @@ fn collect_sites(e: &Expr, kind: MutationKind, out: &mut Vec<(NodeId, Expr)>) {
                     Expr::synth(
                         ExprKind::BinOp(
                             BinOp::Assign,
-                            Box::new(Expr::synth(
+                            Arc::new(Expr::synth(
                                 ExprKind::Field(obj.clone(), fname.clone()),
                                 Span::DUMMY,
                             )),
@@ -520,7 +523,7 @@ fn collect_sites(e: &Expr, kind: MutationKind, out: &mut Vec<(NodeId, Expr)>) {
 
 /// Arguments of an application chain if `e` heads one (over-approximates
 /// "top of chain": nested heads also match, which only adds sites).
-fn top_of_chain_args(e: &Expr) -> Vec<&Expr> {
+fn top_of_chain_args(e: &Expr) -> Vec<&Arc<Expr>> {
     match &e.kind {
         ExprKind::App(_, _) => edit::app_chain(e).1,
         _ => Vec::new(),

@@ -60,7 +60,7 @@ pub fn expr_at_path<'p>(prog: &'p Program, path: &NodePath) -> Option<&'p Expr> 
 /// The root expressions of a declaration, in order.
 fn decl_roots(decl: &Decl) -> Vec<&Expr> {
     match decl.kind() {
-        DeclKind::Let { bindings, .. } => bindings.iter().map(|b| &b.body).collect(),
+        DeclKind::Let { bindings, .. } => bindings.iter().map(|b| &*b.body).collect(),
         DeclKind::Expr(e) => vec![e],
         DeclKind::Type(_) | DeclKind::Exception(_, _) => Vec::new(),
     }

@@ -8,6 +8,7 @@
 
 use crate::span::Span;
 use seminal_obs::hash::{fnv1a_extend, FNV_OFFSET};
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::sync::Arc;
 
@@ -131,6 +132,15 @@ impl UnOp {
 }
 
 /// An expression node.
+///
+/// Every child expression — in [`ExprKind`], a [`Binding`], an [`Arm`]
+/// or [`DeclKind::Expr`] — is held behind an [`Arc`], so a clone is
+/// shallow: it copies the node's own fields (its id, span, names,
+/// literals, child lists) and bumps the children's reference counts.
+/// Programs share subtrees freely, a probe variant with its base above
+/// all, so a node reached through a shared `Arc` is changed only through
+/// [`Arc::make_mut`], which unshares just that node, or by building a
+/// new tree through [`edit::apply`](crate::edit::apply).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Expr {
     pub id: NodeId,
@@ -146,45 +156,45 @@ pub enum ExprKind {
     /// Constant.
     Lit(Lit),
     /// Curried application `f x`.
-    App(Box<Expr>, Box<Expr>),
+    App(Arc<Expr>, Arc<Expr>),
     /// `fun p1 p2 -> e`.
-    Fun(Vec<Pat>, Box<Expr>),
+    Fun(Vec<Pat>, Arc<Expr>),
     /// `let [rec] b1 and b2 in body`.
-    Let { rec: bool, bindings: Vec<Binding>, body: Box<Expr> },
+    Let { rec: bool, bindings: Vec<Binding>, body: Arc<Expr> },
     /// `if c then t [else e]`.
-    If(Box<Expr>, Box<Expr>, Option<Box<Expr>>),
+    If(Arc<Expr>, Arc<Expr>, Option<Arc<Expr>>),
     /// `(e1, e2, ...)` with at least two components.
-    Tuple(Vec<Expr>),
+    Tuple(Vec<Arc<Expr>>),
     /// `[e1; e2; ...]`.
-    List(Vec<Expr>),
+    List(Vec<Arc<Expr>>),
     /// `match e with arms`.
-    Match(Box<Expr>, Vec<Arm>),
+    Match(Arc<Expr>, Vec<Arm>),
     /// `e1 op e2`.
-    BinOp(BinOp, Box<Expr>, Box<Expr>),
+    BinOp(BinOp, Arc<Expr>, Arc<Expr>),
     /// `op e`.
-    UnOp(UnOp, Box<Expr>),
+    UnOp(UnOp, Arc<Expr>),
     /// `e1; e2`.
-    Seq(Box<Expr>, Box<Expr>),
+    Seq(Arc<Expr>, Arc<Expr>),
     /// `(e : ty)`.
-    Annot(Box<Expr>, TypeExpr),
+    Annot(Arc<Expr>, TypeExpr),
     /// Constructor use `C` or `C arg`.
-    Construct(String, Option<Box<Expr>>),
+    Construct(String, Option<Arc<Expr>>),
     /// `{ f1 = e1; ... }`.
-    Record(Vec<(String, Expr)>),
+    Record(Vec<(String, Arc<Expr>)>),
     /// `e.f`.
-    Field(Box<Expr>, String),
+    Field(Arc<Expr>, String),
     /// `e.f <- e2`.
-    SetField(Box<Expr>, String, Box<Expr>),
+    SetField(Arc<Expr>, String, Arc<Expr>),
     /// `raise e`.
-    Raise(Box<Expr>),
+    Raise(Arc<Expr>),
     /// `try e with arms` — arms match exceptions.
-    Try(Box<Expr>, Vec<Arm>),
+    Try(Arc<Expr>, Vec<Arm>),
     /// The wildcard replacement `[[...]]`. Typed exactly like `raise Foo`:
     /// a fresh, unconstrained type variable (see DESIGN.md §5).
     Hole,
     /// `adapt e`: discards `e`'s result type, keeping its internal
     /// constraints — the paper's `let adapt x = raise Foo` (§2.3).
-    Adapt(Box<Expr>),
+    Adapt(Arc<Expr>),
 }
 
 /// One `pattern [when guard] -> expression` arm of a match.
@@ -192,8 +202,8 @@ pub enum ExprKind {
 pub struct Arm {
     pub pat: Pat,
     /// Optional boolean guard `when g`.
-    pub guard: Option<Expr>,
-    pub body: Expr,
+    pub guard: Option<Arc<Expr>>,
+    pub body: Arc<Expr>,
 }
 
 /// A single binding in a `let`: `name p1 p2 = body` or `pat = body`.
@@ -205,7 +215,7 @@ pub struct Binding {
     pub params: Vec<Pat>,
     /// Optional result annotation `let f x : ty = ...`.
     pub annot: Option<TypeExpr>,
-    pub body: Expr,
+    pub body: Arc<Expr>,
 }
 
 /// A pattern node.
@@ -328,24 +338,27 @@ pub enum DeclKind {
     Exception(String, Option<TypeExpr>),
     /// A top-level expression (`;;`-separated), checked at type `unit`-free:
     /// we infer it and discard the result, as ocaml toplevel phrases do.
-    Expr(Expr),
+    Expr(Arc<Expr>),
 }
 
 /// A whole source file: the unit the searcher operates on.
 ///
-/// Declarations are held behind [`Arc`] so that cloning a program — and
-/// building probe variants that differ in a single declaration — shares
-/// every untouched top-level subtree instead of deep-copying it. The
-/// incremental oracle leans on that sharing: two programs whose leading
-/// declarations are pointer-equal provably have the same prefix, so the
-/// checker can resume from a snapshot instead of re-inferring from
-/// scratch. All `Arc`s here are handed out by the parser and by
+/// Declarations are held behind [`Arc`], as every child expression is
+/// (see [`Expr`]), so a clone of a program is shallow: it copies the
+/// declaration list and shares every declaration. A probe variant shares
+/// every declaration its edit leaves alone, and inside the edited one
+/// every subtree off the path to each target. The incremental oracle
+/// leans on that sharing: two programs whose leading declarations are
+/// pointer-equal provably have the same prefix, so the checker can
+/// resume from a snapshot instead of re-inferring from scratch. All
+/// `Arc<Decl>`s here are handed out by the parser and by
 /// [`edit::apply`](crate::edit::apply), both through [`Decl::new`];
 /// change one in place only through [`Arc::make_mut`], which unshares
 /// exactly the declaration touched, and [`Decl::update_kind`], which
 /// refreshes its id bounds and keys (today's in-place edits only flip
 /// `rec`). Anything that adds or renumbers nodes goes through
-/// `edit::apply`, which rebuilds the declaration.
+/// `edit::apply`, which rebuilds the path from the declaration down to
+/// each node it replaces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     pub decls: Vec<Arc<Decl>>,
@@ -390,6 +403,83 @@ impl Default for Program {
     }
 }
 
+/// Nested expression drops a thread recurses through before it queues
+/// the rest of a tree instead.
+const DROP_DEPTH_LIMIT: usize = 256;
+
+thread_local! {
+    /// Expression drops in progress on this thread, outermost first.
+    static DROP_DEPTH: Cell<usize> = const { Cell::new(0) };
+    /// Children of nodes dropped at [`DROP_DEPTH_LIMIT`], left for the
+    /// outermost drop to finish.
+    static DROP_QUEUE: RefCell<Vec<Arc<Expr>>> = const { RefCell::new(Vec::new()) };
+}
+
+impl Drop for Expr {
+    /// Drops the subtree in bounded stack: recursively through at most
+    /// `DROP_DEPTH_LIMIT` (256) nested drops, below which the children are
+    /// queued and dropped by the outermost drop once it has unwound. A
+    /// tree nests as deep as its longest operator or application chain,
+    /// and each level of a recursive drop takes several frames (the
+    /// `Arc`'s, the node's and its kind's).
+    fn drop(&mut self) {
+        if matches!(self.kind, ExprKind::Var(_) | ExprKind::Lit(_) | ExprKind::Hole) {
+            return;
+        }
+        let kind = self.take_kind();
+        let depth = DROP_DEPTH.get();
+        if depth == DROP_DEPTH_LIMIT {
+            // Past thread-local teardown the queue is gone, and `kind`
+            // drops here instead.
+            let _ = DROP_QUEUE.try_with(move |queue| kind.into_children(&mut queue.borrow_mut()));
+            return;
+        }
+        DROP_DEPTH.set(depth + 1);
+        drop(kind);
+        if depth == 0 {
+            while let Some(child) = DROP_QUEUE.try_with(|q| q.borrow_mut().pop()).ok().flatten() {
+                drop(child);
+            }
+        }
+        DROP_DEPTH.set(depth);
+    }
+}
+
+impl ExprKind {
+    /// Moves the child expressions into `out`, dropping the rest (names,
+    /// literals, patterns, types), none of which holds an expression.
+    fn into_children(self, out: &mut Vec<Arc<Expr>>) {
+        match self {
+            ExprKind::Var(_) | ExprKind::Lit(_) | ExprKind::Hole => {}
+            ExprKind::App(a, b)
+            | ExprKind::Seq(a, b)
+            | ExprKind::BinOp(_, a, b)
+            | ExprKind::SetField(a, _, b) => out.extend([a, b]),
+            ExprKind::Fun(_, a)
+            | ExprKind::UnOp(_, a)
+            | ExprKind::Annot(a, _)
+            | ExprKind::Field(a, _)
+            | ExprKind::Raise(a)
+            | ExprKind::Adapt(a) => out.push(a),
+            ExprKind::Let { bindings, body, .. } => {
+                out.extend(bindings.into_iter().map(|b| b.body));
+                out.push(body);
+            }
+            ExprKind::If(c, t, e) => out.extend([c, t].into_iter().chain(e)),
+            ExprKind::Tuple(es) | ExprKind::List(es) => out.extend(es),
+            ExprKind::Match(a, arms) | ExprKind::Try(a, arms) => {
+                out.push(a);
+                for arm in arms {
+                    out.extend(arm.guard);
+                    out.push(arm.body);
+                }
+            }
+            ExprKind::Construct(_, a) => out.extend(a),
+            ExprKind::Record(fields) => out.extend(fields.into_iter().map(|(_, v)| v)),
+        }
+    }
+}
+
 impl Expr {
     /// Builds a synthesized node (id [`NodeId::SYNTH`], given span).
     pub fn synth(kind: ExprKind, span: Span) -> Expr {
@@ -404,6 +494,12 @@ impl Expr {
     /// A variable reference.
     pub fn var(name: impl Into<String>, span: Span) -> Expr {
         Expr::synth(ExprKind::Var(name.into()), span)
+    }
+
+    /// Moves the kind out, leaving a hole (an expression cannot be
+    /// destructured by value, since it has a destructor).
+    pub(crate) fn take_kind(&mut self) -> ExprKind {
+        std::mem::replace(&mut self.kind, ExprKind::Hole)
     }
 
     /// Number of expression nodes in this subtree.
@@ -433,7 +529,7 @@ impl Expr {
             // NOTE: `Hole` is deliberately *not* a value — it stands for
             // `raise Foo`, which the value restriction keeps monomorphic.
             ExprKind::Var(_) | ExprKind::Lit(_) | ExprKind::Fun(_, _) => true,
-            ExprKind::Tuple(es) | ExprKind::List(es) => es.iter().all(Expr::is_syntactic_value),
+            ExprKind::Tuple(es) | ExprKind::List(es) => es.iter().all(|e| e.is_syntactic_value()),
             ExprKind::Construct(_, arg) => arg.as_ref().is_none_or(|a| a.is_syntactic_value()),
             ExprKind::Annot(e, _) => e.is_syntactic_value(),
             ExprKind::Record(fields) => fields.iter().all(|(_, e)| e.is_syntactic_value()),
@@ -848,12 +944,12 @@ impl<'a> Node<'a> {
                 ExprKind::Tuple(es) => {
                     key.tag(6);
                     key.count(es.len());
-                    stack.extend(es.iter().map(Node::Expr));
+                    stack.extend(es.iter().map(|e| Node::Expr(e)));
                 }
                 ExprKind::List(es) => {
                     key.tag(7);
                     key.count(es.len());
-                    stack.extend(es.iter().map(Node::Expr));
+                    stack.extend(es.iter().map(|e| Node::Expr(e)));
                 }
                 ExprKind::Match(scrut, arms) => {
                     key.tag(8);
@@ -965,7 +1061,7 @@ impl<'a> Node<'a> {
             Node::Arm(arm) => {
                 key.flag(arm.guard.is_some());
                 stack.push(Node::Pat(&arm.pat));
-                stack.extend(arm.guard.iter().map(Node::Expr));
+                stack.extend(arm.guard.as_deref().map(Node::Expr));
                 stack.push(Node::Expr(&arm.body));
             }
             Node::Type(ty) => match ty {
@@ -1065,7 +1161,7 @@ mod tests {
     #[test]
     fn size_counts_all_nodes() {
         let e = Expr::synth(
-            ExprKind::App(Box::new(Expr::var("f", Span::DUMMY)), Box::new(lit(1))),
+            ExprKind::App(Arc::new(Expr::var("f", Span::DUMMY)), Arc::new(lit(1))),
             Span::DUMMY,
         );
         assert_eq!(e.size(), 3);
@@ -1077,11 +1173,12 @@ mod tests {
         assert!(lit(1).is_syntactic_value());
         assert!(Expr::var("x", Span::DUMMY).is_syntactic_value());
         let app = Expr::synth(
-            ExprKind::App(Box::new(Expr::var("f", Span::DUMMY)), Box::new(lit(1))),
+            ExprKind::App(Arc::new(Expr::var("f", Span::DUMMY)), Arc::new(lit(1))),
             Span::DUMMY,
         );
         assert!(!app.is_syntactic_value());
-        let tup = Expr::synth(ExprKind::Tuple(vec![lit(1), lit(2)]), Span::DUMMY);
+        let tup =
+            Expr::synth(ExprKind::Tuple(vec![Arc::new(lit(1)), Arc::new(lit(2))]), Span::DUMMY);
         assert!(tup.is_syntactic_value());
     }
 
@@ -1108,7 +1205,7 @@ mod tests {
         let mut inner = lit(7);
         inner.id = NodeId(42);
         let e = Expr::synth(
-            ExprKind::If(Box::new(Expr::var("b", Span::DUMMY)), Box::new(inner), None),
+            ExprKind::If(Arc::new(Expr::var("b", Span::DUMMY)), Arc::new(inner), None),
             Span::DUMMY,
         );
         assert!(matches!(e.find(NodeId(42)).unwrap().kind, ExprKind::Lit(Lit::Int(7))));

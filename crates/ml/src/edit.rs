@@ -1,14 +1,28 @@
 //! AST surgery: splicing replacement subtrees into a program by [`NodeId`].
 //!
 //! The changer never mutates the input program; it builds an [`Edit`]
-//! (a set of node → replacement substitutions) and [`apply`]s it, receiving
-//! a fresh [`Program`] to hand to the type-checker oracle. Synthesized
-//! nodes (id [`NodeId::SYNTH`]) are renumbered with fresh ids on insertion
-//! so node identity stays unique per program.
+//! (a list of node → replacement substitutions) and [`apply`]s it,
+//! receiving a fresh [`Program`] to hand to the type-checker oracle.
+//!
+//! A variant shares all it can with its base. A clone of an expression
+//! is shallow (see [`Expr`]), and `apply` is a path copy: it builds new
+//! nodes only from a declaration's root down to each target and reuses
+//! the `Arc` of every other subtree and of every declaration that holds
+//! no target. Nothing reached through a shared `Arc` may change in place
+//! except through [`Arc::make_mut`]; build anything else through
+//! `apply`.
+//!
+//! A replacement is renumbered as it is spliced in: a node carrying
+//! [`NodeId::SYNTH`] gets a fresh id, handed out in preorder in the
+//! order the targets occur in the program, and a node carrying
+//! [`Span::DUMMY`] inherits its parent's span, or the target's at the
+//! replacement's root, so suggestions keep pointing at the original
+//! source location. A subtree of the replacement that needs neither is
+//! shared, not copied.
 
 use crate::ast::*;
 use crate::span::Span;
-use std::collections::HashMap;
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// A batch of node substitutions to apply atomically.
@@ -18,8 +32,9 @@ use std::sync::Arc;
 /// targets disjoint — triage relies on this being well-defined either way).
 #[derive(Debug, Clone, Default)]
 pub struct Edit {
-    exprs: HashMap<NodeId, Expr>,
-    pats: HashMap<NodeId, Pat>,
+    // Each sorted by target, with one substitution per target.
+    exprs: Vec<(NodeId, Expr)>,
+    pats: Vec<(NodeId, Pat)>,
 }
 
 impl Edit {
@@ -30,7 +45,7 @@ impl Edit {
 
     /// Replace the expression `target` with `replacement`.
     pub fn replace_expr(mut self, target: NodeId, replacement: Expr) -> Edit {
-        self.exprs.insert(target, replacement);
+        put(&mut self.exprs, target, replacement);
         self
     }
 
@@ -41,7 +56,7 @@ impl Edit {
 
     /// Replace the pattern `target` with `replacement`.
     pub fn replace_pat(mut self, target: NodeId, replacement: Pat) -> Edit {
-        self.pats.insert(target, replacement);
+        put(&mut self.pats, target, replacement);
         self
     }
 
@@ -54,333 +69,321 @@ impl Edit {
     pub fn len(&self) -> usize {
         self.exprs.len() + self.pats.len()
     }
+}
 
-    /// Whether any substitution target lives inside `p`.
-    fn touches_pat(&self, p: &Pat) -> bool {
-        if self.pats.contains_key(&p.id) {
-            return true;
-        }
-        let mut hit = false;
-        p.for_each_child(&mut |child| hit = hit || self.touches_pat(child));
-        hit
+/// Sets the substitution for `target`, replacing an earlier one. Triage
+/// adds its targets in source order, so most land at the end.
+fn put<T>(subs: &mut Vec<(NodeId, T)>, target: NodeId, replacement: T) {
+    match subs.binary_search_by_key(&target, |s| s.0) {
+        Ok(at) => subs[at].1 = replacement,
+        Err(at) => subs.insert(at, (target, replacement)),
     }
+}
 
-    /// Whether any substitution target lives inside `e`, including in
-    /// patterns nested under it (fun params, let bindings, match arms).
-    fn touches_expr(&self, e: &Expr) -> bool {
-        if self.exprs.contains_key(&e.id) {
-            return true;
-        }
-        if !self.pats.is_empty() {
-            let pat_hit = match &e.kind {
-                ExprKind::Fun(ps, _) => ps.iter().any(|p| self.touches_pat(p)),
-                ExprKind::Let { bindings, .. } => bindings.iter().any(|b| {
-                    self.touches_pat(&b.pat) || b.params.iter().any(|p| self.touches_pat(p))
-                }),
-                ExprKind::Match(_, arms) | ExprKind::Try(_, arms) => {
-                    arms.iter().any(|arm| self.touches_pat(&arm.pat))
-                }
-                _ => false,
-            };
-            if pat_hit {
-                return true;
-            }
-        }
-        let mut hit = false;
-        e.for_each_child(&mut |child| hit = hit || self.touches_expr(child));
-        hit
-    }
-
-    /// Whether applying this edit can change `d` at all. Declarations
-    /// that contain no target are shared untouched by [`apply`]; one
-    /// whose id bounds hold no target is skipped without a walk.
-    fn touches_decl(&self, d: &Decl) -> bool {
-        if !self.exprs.keys().chain(self.pats.keys()).any(|&id| d.may_hold(id)) {
-            return false;
-        }
-        match d.kind() {
-            DeclKind::Let { bindings, .. } => bindings.iter().any(|b| {
-                self.touches_pat(&b.pat)
-                    || b.params.iter().any(|p| self.touches_pat(p))
-                    || self.touches_expr(&b.body)
-            }),
-            DeclKind::Expr(e) => self.touches_expr(e),
-            DeclKind::Type(_) | DeclKind::Exception(_, _) => false,
-        }
-    }
+/// The substitution for `id` in `subs`, which is sorted by target.
+fn find<T>(subs: &[(NodeId, T)], id: NodeId) -> Option<&T> {
+    subs.binary_search_by_key(&id, |s| s.0).ok().map(|at| &subs[at].1)
 }
 
 /// Applies `edit` to `prog`, returning the edited copy.
-///
-/// Replacement subtrees whose nodes carry [`NodeId::SYNTH`] are renumbered
-/// with fresh ids; replacements with a [`Span::DUMMY`] span inherit the
-/// span of the node they replace, so suggestions keep pointing at the
-/// original source location.
 pub fn apply(prog: &Program, edit: &Edit) -> Program {
-    let mut cx = Applier { edit, next_id: prog.next_id };
-    // Structure sharing: a declaration that contains no substitution
-    // target is returned as the same `Arc`, so a probe variant deep-copies
-    // only the edited declaration. The incremental oracle detects the
-    // shared prefix by pointer equality and skips re-inferring it.
-    let decls = prog
-        .decls
-        .iter()
-        .map(|d| if edit.touches_decl(d) { Arc::new(cx.decl(d)) } else { Arc::clone(d) })
-        .collect();
-    Program { decls, next_id: cx.next_id }
+    path_copy(prog, &edit.exprs, &edit.pats)
 }
 
-/// Convenience: replace one expression node.
-pub fn replace_expr(prog: &Program, target: NodeId, replacement: Expr) -> Program {
-    apply(prog, &Edit::new().replace_expr(target, replacement))
+/// Convenience: replace one expression node, renumbering straight from
+/// the borrowed replacement.
+pub fn replace_expr(prog: &Program, target: NodeId, replacement: &Expr) -> Program {
+    path_copy(prog, &[(target, replacement)], &[])
 }
 
 /// Convenience: replace one expression node with `[[...]]`.
 pub fn remove_expr(prog: &Program, target: NodeId) -> Program {
-    apply(prog, &Edit::new().remove_expr(target))
+    replace_expr(prog, target, &Expr::hole(Span::DUMMY))
 }
 
-struct Applier<'a> {
-    edit: &'a Edit,
+/// What a rebuild does at each node it reaches: `None` keeps the node,
+/// so its parent reuses its `Arc`; `Some` is the node that takes its
+/// place. A node is rebuilt exactly when it or something below it
+/// changes.
+trait Rebuild {
+    fn expr(&mut self, e: &Expr) -> Option<Expr>;
+    fn pat(&mut self, p: &Pat) -> Option<Pat>;
+}
+
+/// The path copy behind [`apply`].
+struct Applier<'a, E> {
+    /// The substitutions, each list sorted by target.
+    exprs: &'a [(NodeId, E)],
+    pats: &'a [(NodeId, Pat)],
     next_id: u32,
+    /// Substitutions the declaration being rebuilt may still hold (its
+    /// id bounds cover their targets); at 0 the rest of it is shared
+    /// without a look.
+    left: usize,
 }
 
-impl Applier<'_> {
-    fn fresh(&mut self) -> NodeId {
-        let id = NodeId(self.next_id);
-        self.next_id += 1;
-        id
-    }
+/// `prog` with the substitutions made, each list sorted by target.
+fn path_copy<E: Borrow<Expr>>(
+    prog: &Program,
+    exprs: &[(NodeId, E)],
+    pats: &[(NodeId, Pat)],
+) -> Program {
+    let mut cx = Applier { exprs, pats, next_id: prog.next_id, left: 0 };
+    let decls = prog
+        .decls
+        .iter()
+        .map(|d| {
+            let targets = exprs.iter().map(|s| s.0).chain(pats.iter().map(|s| s.0));
+            cx.left = targets.filter(|&id| d.may_hold(id)).count();
+            cx.decl(d).map_or_else(|| Arc::clone(d), Arc::new)
+        })
+        .collect();
+    Program { decls, next_id: cx.next_id }
+}
 
-    /// Clones `e`, renumbering every SYNTH id.
-    fn renumber_expr(&mut self, e: &Expr, default_span: Span) -> Expr {
-        let id = if e.id == NodeId::SYNTH { self.fresh() } else { e.id };
-        let span = if e.span == Span::DUMMY { default_span } else { e.span };
-        let kind = match &e.kind {
-            ExprKind::Var(_) | ExprKind::Lit(_) | ExprKind::Hole => e.kind.clone(),
-            ExprKind::App(f, a) => ExprKind::App(
-                Box::new(self.renumber_expr(f, span)),
-                Box::new(self.renumber_expr(a, span)),
-            ),
-            ExprKind::Fun(ps, b) => ExprKind::Fun(
-                ps.iter().map(|p| self.renumber_pat(p, span)).collect(),
-                Box::new(self.renumber_expr(b, span)),
-            ),
-            ExprKind::Let { rec, bindings, body } => ExprKind::Let {
-                rec: *rec,
-                bindings: bindings
-                    .iter()
-                    .map(|b| Binding {
-                        pat: self.renumber_pat(&b.pat, span),
-                        params: b.params.iter().map(|p| self.renumber_pat(p, span)).collect(),
-                        annot: b.annot.clone(),
-                        body: self.renumber_expr(&b.body, span),
-                    })
-                    .collect(),
-                body: Box::new(self.renumber_expr(body, span)),
-            },
-            ExprKind::If(c, t, els) => ExprKind::If(
-                Box::new(self.renumber_expr(c, span)),
-                Box::new(self.renumber_expr(t, span)),
-                els.as_ref().map(|e| Box::new(self.renumber_expr(e, span))),
-            ),
-            ExprKind::Tuple(es) => {
-                ExprKind::Tuple(es.iter().map(|e| self.renumber_expr(e, span)).collect())
-            }
-            ExprKind::List(es) => {
-                ExprKind::List(es.iter().map(|e| self.renumber_expr(e, span)).collect())
-            }
-            ExprKind::Match(s, arms) => ExprKind::Match(
-                Box::new(self.renumber_expr(s, span)),
-                arms.iter()
-                    .map(|arm| Arm {
-                        pat: self.renumber_pat(&arm.pat, span),
-                        guard: arm.guard.as_ref().map(|g| self.renumber_expr(g, span)),
-                        body: self.renumber_expr(&arm.body, span),
-                    })
-                    .collect(),
-            ),
-            ExprKind::BinOp(op, l, r) => ExprKind::BinOp(
-                *op,
-                Box::new(self.renumber_expr(l, span)),
-                Box::new(self.renumber_expr(r, span)),
-            ),
-            ExprKind::UnOp(op, inner) => {
-                ExprKind::UnOp(*op, Box::new(self.renumber_expr(inner, span)))
-            }
-            ExprKind::Seq(a, b) => ExprKind::Seq(
-                Box::new(self.renumber_expr(a, span)),
-                Box::new(self.renumber_expr(b, span)),
-            ),
-            ExprKind::Annot(inner, ty) => {
-                ExprKind::Annot(Box::new(self.renumber_expr(inner, span)), ty.clone())
-            }
-            ExprKind::Construct(name, arg) => ExprKind::Construct(
-                name.clone(),
-                arg.as_ref().map(|a| Box::new(self.renumber_expr(a, span))),
-            ),
-            ExprKind::Record(fields) => ExprKind::Record(
-                fields.iter().map(|(n, v)| (n.clone(), self.renumber_expr(v, span))).collect(),
-            ),
-            ExprKind::Field(obj, name) => {
-                ExprKind::Field(Box::new(self.renumber_expr(obj, span)), name.clone())
-            }
-            ExprKind::SetField(obj, name, v) => ExprKind::SetField(
-                Box::new(self.renumber_expr(obj, span)),
-                name.clone(),
-                Box::new(self.renumber_expr(v, span)),
-            ),
-            ExprKind::Raise(inner) => ExprKind::Raise(Box::new(self.renumber_expr(inner, span))),
-            ExprKind::Try(body, arms) => ExprKind::Try(
-                Box::new(self.renumber_expr(body, span)),
-                arms.iter()
-                    .map(|arm| Arm {
-                        pat: self.renumber_pat(&arm.pat, span),
-                        guard: arm.guard.as_ref().map(|g| self.renumber_expr(g, span)),
-                        body: self.renumber_expr(&arm.body, span),
-                    })
-                    .collect(),
-            ),
-            ExprKind::Adapt(inner) => ExprKind::Adapt(Box::new(self.renumber_expr(inner, span))),
-        };
-        Expr { id, span, kind }
-    }
-
-    fn renumber_pat(&mut self, p: &Pat, default_span: Span) -> Pat {
-        let id = if p.id == NodeId::SYNTH { self.fresh() } else { p.id };
-        let span = if p.span == Span::DUMMY { default_span } else { p.span };
-        let kind = match &p.kind {
-            PatKind::Wild | PatKind::Var(_) | PatKind::Lit(_) => p.kind.clone(),
-            PatKind::Tuple(ps) => {
-                PatKind::Tuple(ps.iter().map(|q| self.renumber_pat(q, span)).collect())
-            }
-            PatKind::List(ps) => {
-                PatKind::List(ps.iter().map(|q| self.renumber_pat(q, span)).collect())
-            }
-            PatKind::Cons(h, t) => PatKind::Cons(
-                Box::new(self.renumber_pat(h, span)),
-                Box::new(self.renumber_pat(t, span)),
-            ),
-            PatKind::Construct(name, arg) => PatKind::Construct(
-                name.clone(),
-                arg.as_ref().map(|a| Box::new(self.renumber_pat(a, span))),
-            ),
-            PatKind::Annot(inner, ty) => {
-                PatKind::Annot(Box::new(self.renumber_pat(inner, span)), ty.clone())
-            }
-        };
-        Pat { id, span, kind }
-    }
-
-    fn expr(&mut self, e: &Expr) -> Expr {
-        if let Some(replacement) = self.edit.exprs.get(&e.id) {
-            let replacement = replacement.clone();
-            return self.renumber_expr(&replacement, e.span);
-        }
-        let kind = match &e.kind {
-            ExprKind::Var(_) | ExprKind::Lit(_) | ExprKind::Hole => e.kind.clone(),
-            ExprKind::App(f, a) => ExprKind::App(Box::new(self.expr(f)), Box::new(self.expr(a))),
-            ExprKind::Fun(ps, b) => {
-                ExprKind::Fun(ps.iter().map(|p| self.pat(p)).collect(), Box::new(self.expr(b)))
-            }
-            ExprKind::Let { rec, bindings, body } => ExprKind::Let {
-                rec: *rec,
-                bindings: bindings
-                    .iter()
-                    .map(|b| Binding {
-                        pat: self.pat(&b.pat),
-                        params: b.params.iter().map(|p| self.pat(p)).collect(),
-                        annot: b.annot.clone(),
-                        body: self.expr(&b.body),
-                    })
-                    .collect(),
-                body: Box::new(self.expr(body)),
-            },
-            ExprKind::If(c, t, els) => ExprKind::If(
-                Box::new(self.expr(c)),
-                Box::new(self.expr(t)),
-                els.as_ref().map(|e| Box::new(self.expr(e))),
-            ),
-            ExprKind::Tuple(es) => ExprKind::Tuple(es.iter().map(|e| self.expr(e)).collect()),
-            ExprKind::List(es) => ExprKind::List(es.iter().map(|e| self.expr(e)).collect()),
-            ExprKind::Match(s, arms) => ExprKind::Match(
-                Box::new(self.expr(s)),
-                arms.iter()
-                    .map(|arm| Arm {
-                        pat: self.pat(&arm.pat),
-                        guard: arm.guard.as_ref().map(|g| self.expr(g)),
-                        body: self.expr(&arm.body),
-                    })
-                    .collect(),
-            ),
-            ExprKind::BinOp(op, l, r) => {
-                ExprKind::BinOp(*op, Box::new(self.expr(l)), Box::new(self.expr(r)))
-            }
-            ExprKind::UnOp(op, inner) => ExprKind::UnOp(*op, Box::new(self.expr(inner))),
-            ExprKind::Seq(a, b) => ExprKind::Seq(Box::new(self.expr(a)), Box::new(self.expr(b))),
-            ExprKind::Annot(inner, ty) => ExprKind::Annot(Box::new(self.expr(inner)), ty.clone()),
-            ExprKind::Construct(name, arg) => {
-                ExprKind::Construct(name.clone(), arg.as_ref().map(|a| Box::new(self.expr(a))))
-            }
-            ExprKind::Record(fields) => {
-                ExprKind::Record(fields.iter().map(|(n, v)| (n.clone(), self.expr(v))).collect())
-            }
-            ExprKind::Field(obj, name) => ExprKind::Field(Box::new(self.expr(obj)), name.clone()),
-            ExprKind::SetField(obj, name, v) => {
-                ExprKind::SetField(Box::new(self.expr(obj)), name.clone(), Box::new(self.expr(v)))
-            }
-            ExprKind::Raise(inner) => ExprKind::Raise(Box::new(self.expr(inner))),
-            ExprKind::Try(body, arms) => ExprKind::Try(
-                Box::new(self.expr(body)),
-                arms.iter()
-                    .map(|arm| Arm {
-                        pat: self.pat(&arm.pat),
-                        guard: arm.guard.as_ref().map(|g| self.expr(g)),
-                        body: self.expr(&arm.body),
-                    })
-                    .collect(),
-            ),
-            ExprKind::Adapt(inner) => ExprKind::Adapt(Box::new(self.expr(inner))),
-        };
-        Expr { id: e.id, span: e.span, kind }
-    }
-
-    fn pat(&mut self, p: &Pat) -> Pat {
-        if let Some(replacement) = self.edit.pats.get(&p.id) {
-            let replacement = replacement.clone();
-            return self.renumber_pat(&replacement, p.span);
-        }
-        let kind = match &p.kind {
-            PatKind::Wild | PatKind::Var(_) | PatKind::Lit(_) => p.kind.clone(),
-            PatKind::Tuple(ps) => PatKind::Tuple(ps.iter().map(|q| self.pat(q)).collect()),
-            PatKind::List(ps) => PatKind::List(ps.iter().map(|q| self.pat(q)).collect()),
-            PatKind::Cons(h, t) => PatKind::Cons(Box::new(self.pat(h)), Box::new(self.pat(t))),
-            PatKind::Construct(name, arg) => {
-                PatKind::Construct(name.clone(), arg.as_ref().map(|a| Box::new(self.pat(a))))
-            }
-            PatKind::Annot(inner, ty) => PatKind::Annot(Box::new(self.pat(inner)), ty.clone()),
-        };
-        Pat { id: p.id, span: p.span, kind }
-    }
-
-    fn decl(&mut self, d: &Decl) -> Decl {
+impl<E: Borrow<Expr>> Applier<'_, E> {
+    fn decl(&mut self, d: &Decl) -> Option<Decl> {
         let kind = match d.kind() {
-            DeclKind::Let { rec, bindings } => DeclKind::Let {
+            DeclKind::Let { rec, bindings } => rebuild_vec(bindings, |b| binding(self, b))
+                .map(|bindings| DeclKind::Let { rec: *rec, bindings }),
+            DeclKind::Expr(e) => child(self, e).map(DeclKind::Expr),
+            DeclKind::Type(_) | DeclKind::Exception(_, _) => None,
+        }?;
+        Some(Decl::new(d.id(), d.span(), kind))
+    }
+
+    /// The renumbering of a replacement for a target spanning `span`.
+    fn renumber(&mut self, span: Span) -> Renumber<'_> {
+        self.left = self.left.saturating_sub(1);
+        Renumber { next_id: &mut self.next_id, span }
+    }
+}
+
+impl<E: Borrow<Expr>> Rebuild for Applier<'_, E> {
+    fn expr(&mut self, e: &Expr) -> Option<Expr> {
+        if self.left == 0 {
+            return None;
+        }
+        if let Some(replacement) = find(self.exprs, e.id) {
+            let replacement = replacement.borrow();
+            return Some(
+                self.renumber(e.span).expr(replacement).unwrap_or_else(|| replacement.clone()),
+            );
+        }
+        let kind = rebuild_kind(self, &e.kind)?;
+        Some(Expr { id: e.id, span: e.span, kind })
+    }
+
+    fn pat(&mut self, p: &Pat) -> Option<Pat> {
+        if self.left == 0 {
+            return None;
+        }
+        if let Some(replacement) = find(self.pats, p.id) {
+            return Some(
+                self.renumber(p.span).pat(replacement).unwrap_or_else(|| replacement.clone()),
+            );
+        }
+        let kind = rebuild_pat_kind(self, &p.kind)?;
+        Some(Pat { id: p.id, span: p.span, kind })
+    }
+}
+
+/// Renumbers a replacement: fresh ids for SYNTH nodes, `span` for DUMMY
+/// ones directly below.
+struct Renumber<'n> {
+    next_id: &'n mut u32,
+    span: Span,
+}
+
+impl Renumber<'_> {
+    /// The id a node carrying `id` gets.
+    fn id(&mut self, id: NodeId) -> NodeId {
+        if id != NodeId::SYNTH {
+            return id;
+        }
+        let fresh = NodeId(*self.next_id);
+        *self.next_id += 1;
+        fresh
+    }
+
+    /// The span a node carrying `span` gets.
+    fn span(&self, span: Span) -> Span {
+        if span == Span::DUMMY {
+            self.span
+        } else {
+            span
+        }
+    }
+}
+
+impl Rebuild for Renumber<'_> {
+    fn expr(&mut self, e: &Expr) -> Option<Expr> {
+        let (id, span) = (self.id(e.id), self.span(e.span));
+        let kind = rebuild_kind(&mut Renumber { next_id: self.next_id, span }, &e.kind);
+        if id == e.id && span == e.span && kind.is_none() {
+            return None;
+        }
+        Some(Expr { id, span, kind: kind.unwrap_or_else(|| e.kind.clone()) })
+    }
+
+    fn pat(&mut self, p: &Pat) -> Option<Pat> {
+        let (id, span) = (self.id(p.id), self.span(p.span));
+        let kind = rebuild_pat_kind(&mut Renumber { next_id: self.next_id, span }, &p.kind);
+        if id == p.id && span == p.span && kind.is_none() {
+            return None;
+        }
+        Some(Pat { id, span, kind: kind.unwrap_or_else(|| p.kind.clone()) })
+    }
+}
+
+/// `new`, or a clone of `old` when the rebuild kept it.
+fn keep<T: Clone>(new: Option<T>, old: &T) -> T {
+    new.unwrap_or_else(|| old.clone())
+}
+
+fn child(r: &mut impl Rebuild, e: &Arc<Expr>) -> Option<Arc<Expr>> {
+    r.expr(e).map(Arc::new)
+}
+
+/// Rebuilds `items` through `f`, left to right, or `None` when `f`
+/// keeps every item.
+fn rebuild_vec<T: Clone>(items: &[T], mut f: impl FnMut(&T) -> Option<T>) -> Option<Vec<T>> {
+    let mut out: Option<Vec<T>> = None;
+    for (i, item) in items.iter().enumerate() {
+        match (f(item), &mut out) {
+            (Some(new), Some(done)) => done.push(new),
+            (Some(new), None) => {
+                let mut done = Vec::with_capacity(items.len());
+                done.extend_from_slice(&items[..i]);
+                done.push(new);
+                out = Some(done);
+            }
+            (None, Some(done)) => done.push(item.clone()),
+            (None, None) => {}
+        }
+    }
+    out
+}
+
+fn pair(r: &mut impl Rebuild, a: &Arc<Expr>, b: &Arc<Expr>) -> Option<(Arc<Expr>, Arc<Expr>)> {
+    let (new_a, new_b) = (child(r, a), child(r, b));
+    (new_a.is_some() || new_b.is_some()).then(|| (keep(new_a, a), keep(new_b, b)))
+}
+
+fn binding(r: &mut impl Rebuild, b: &Binding) -> Option<Binding> {
+    let pat = r.pat(&b.pat);
+    let params = rebuild_vec(&b.params, |p| r.pat(p));
+    let body = child(r, &b.body);
+    (pat.is_some() || params.is_some() || body.is_some()).then(|| Binding {
+        pat: keep(pat, &b.pat),
+        params: keep(params, &b.params),
+        annot: b.annot.clone(),
+        body: keep(body, &b.body),
+    })
+}
+
+fn arms(r: &mut impl Rebuild, scrut: &Arc<Expr>, arms: &[Arm]) -> Option<(Arc<Expr>, Vec<Arm>)> {
+    let new_scrut = child(r, scrut);
+    let new_arms = rebuild_vec(arms, |arm| {
+        let pat = r.pat(&arm.pat);
+        let guard = arm.guard.as_ref().and_then(|g| child(r, g));
+        let body = child(r, &arm.body);
+        (pat.is_some() || guard.is_some() || body.is_some()).then(|| Arm {
+            pat: keep(pat, &arm.pat),
+            guard: guard.or_else(|| arm.guard.clone()),
+            body: keep(body, &arm.body),
+        })
+    });
+    (new_scrut.is_some() || new_arms.is_some())
+        .then(|| (keep(new_scrut, scrut), new_arms.unwrap_or_else(|| arms.to_vec())))
+}
+
+/// Rebuilds an expression's kind around the children `r` changes, in
+/// the order the ids are handed out: each binding's pattern, parameters
+/// and body, then a `let`'s body; a scrutinee, then each arm's pattern,
+/// guard and body; otherwise left to right.
+///
+/// A rebuild recurses once per level of the tree, so the kinds the
+/// parser lets nest without bound (left-folded application, operator,
+/// sequence and field chains) are rebuilt here, through a small frame,
+/// and the rest in [`rebuild_compound`].
+fn rebuild_kind(r: &mut impl Rebuild, kind: &ExprKind) -> Option<ExprKind> {
+    use ExprKind::*;
+    match kind {
+        Var(_) | Lit(_) | Hole => None,
+        App(f, a) => pair(r, f, a).map(|(f, a)| App(f, a)),
+        BinOp(op, a, b) => pair(r, a, b).map(|(a, b)| BinOp(*op, a, b)),
+        Seq(a, b) => pair(r, a, b).map(|(a, b)| Seq(a, b)),
+        UnOp(op, a) => child(r, a).map(|a| UnOp(*op, a)),
+        Field(a, name) => child(r, a).map(|a| Field(a, name.clone())),
+        _ => rebuild_compound(r, kind),
+    }
+}
+
+/// [`rebuild_kind`] for the kinds that nest only as deep as the
+/// parser's depth guard allows. Never inlined, so its larger frame stays
+/// off the chain recursion.
+#[inline(never)]
+fn rebuild_compound(r: &mut impl Rebuild, kind: &ExprKind) -> Option<ExprKind> {
+    use ExprKind::*;
+    match kind {
+        Var(_) | Lit(_) | Hole | App(..) | BinOp(..) | Seq(..) | UnOp(..) | Field(..) => {
+            unreachable!("rebuild_kind rebuilds leaves and chains")
+        }
+        Fun(params, body) => {
+            let new_params = rebuild_vec(params, |p| r.pat(p));
+            let new_body = child(r, body);
+            (new_params.is_some() || new_body.is_some())
+                .then(|| Fun(keep(new_params, params), keep(new_body, body)))
+        }
+        Let { rec, bindings, body } => {
+            let new_bindings = rebuild_vec(bindings, |b| binding(r, b));
+            let new_body = child(r, body);
+            (new_bindings.is_some() || new_body.is_some()).then(|| Let {
                 rec: *rec,
-                bindings: bindings
-                    .iter()
-                    .map(|b| Binding {
-                        pat: self.pat(&b.pat),
-                        params: b.params.iter().map(|p| self.pat(p)).collect(),
-                        annot: b.annot.clone(),
-                        body: self.expr(&b.body),
-                    })
-                    .collect(),
-            },
-            DeclKind::Expr(e) => DeclKind::Expr(self.expr(e)),
-            DeclKind::Type(_) | DeclKind::Exception(_, _) => d.kind().clone(),
-        };
-        Decl::new(d.id(), d.span(), kind)
+                bindings: keep(new_bindings, bindings),
+                body: keep(new_body, body),
+            })
+        }
+        If(c, t, els) => {
+            let (new_c, new_t) = (child(r, c), child(r, t));
+            let new_els = els.as_ref().and_then(|e| child(r, e));
+            (new_c.is_some() || new_t.is_some() || new_els.is_some())
+                .then(|| If(keep(new_c, c), keep(new_t, t), new_els.or_else(|| els.clone())))
+        }
+        Tuple(es) => rebuild_vec(es, |e| child(r, e)).map(Tuple),
+        List(es) => rebuild_vec(es, |e| child(r, e)).map(List),
+        Match(scrut, cases) => arms(r, scrut, cases).map(|(s, cases)| Match(s, cases)),
+        Try(body, cases) => arms(r, body, cases).map(|(b, cases)| Try(b, cases)),
+        Annot(a, ty) => child(r, a).map(|a| Annot(a, ty.clone())),
+        Construct(name, arg) => {
+            arg.as_ref().and_then(|a| child(r, a)).map(|a| Construct(name.clone(), Some(a)))
+        }
+        Record(fields) => {
+            rebuild_vec(fields, |(name, v)| child(r, v).map(|v| (name.clone(), v))).map(Record)
+        }
+        SetField(a, name, b) => pair(r, a, b).map(|(a, b)| SetField(a, name.clone(), b)),
+        Raise(a) => child(r, a).map(Raise),
+        Adapt(a) => child(r, a).map(Adapt),
+    }
+}
+
+/// [`rebuild_kind`] for patterns, whose children stay boxed.
+fn rebuild_pat_kind(r: &mut impl Rebuild, kind: &PatKind) -> Option<PatKind> {
+    use PatKind::*;
+    let boxed = |p: Option<Pat>| p.map(Box::new);
+    match kind {
+        Wild | Var(_) | Lit(_) => None,
+        Tuple(ps) => rebuild_vec(ps, |p| r.pat(p)).map(Tuple),
+        List(ps) => rebuild_vec(ps, |p| r.pat(p)).map(List),
+        Cons(h, t) => {
+            let (new_h, new_t) = (boxed(r.pat(h)), boxed(r.pat(t)));
+            (new_h.is_some() || new_t.is_some()).then(|| Cons(keep(new_h, h), keep(new_t, t)))
+        }
+        Construct(name, arg) => {
+            arg.as_ref().and_then(|a| boxed(r.pat(a))).map(|a| Construct(name.clone(), Some(a)))
+        }
+        Annot(p, ty) => boxed(r.pat(p)).map(|p| Annot(p, ty.clone())),
     }
 }
 
@@ -454,11 +457,11 @@ pub fn validate(prog: &Program) -> Result<(), ValidationError> {
 ///
 /// Returns the head expression and arguments in source order; a non-
 /// application returns itself with no arguments.
-pub fn app_chain(e: &Expr) -> (&Expr, Vec<&Expr>) {
+pub fn app_chain(e: &Expr) -> (&Expr, Vec<&Arc<Expr>>) {
     let mut args = Vec::new();
     let mut cur = e;
     while let ExprKind::App(f, a) = &cur.kind {
-        args.push(a.as_ref());
+        args.push(a);
         cur = f;
     }
     args.reverse();
@@ -466,14 +469,15 @@ pub fn app_chain(e: &Expr) -> (&Expr, Vec<&Expr>) {
 }
 
 /// Rebuilds a curried application from a head and arguments (synthesized
-/// ids, spans merged from the pieces).
-pub fn build_app(head: Expr, args: Vec<Expr>) -> Expr {
-    let mut cur = head;
-    for a in args {
-        let span = cur.span.merge(a.span);
-        cur = Expr::synth(ExprKind::App(Box::new(cur), Box::new(a)), span);
-    }
-    cur
+/// ids, spans merged from the pieces), sharing the pieces.
+pub fn build_app(head: Arc<Expr>, args: Vec<Arc<Expr>>) -> Expr {
+    let mut args = args.into_iter();
+    let Some(first) = args.next() else { return Arc::unwrap_or_clone(head) };
+    let app = |f: Arc<Expr>, a: Arc<Expr>| {
+        let span = f.span.merge(a.span);
+        Expr::synth(ExprKind::App(f, a), span)
+    };
+    args.fold(app(head, first), |f, a| app(Arc::new(f), a))
 }
 
 #[cfg(test)]
@@ -534,12 +538,12 @@ mod tests {
         fn make_synth(e: &mut Expr) {
             e.id = NodeId::SYNTH;
             if let ExprKind::App(f, a) = &mut e.kind {
-                make_synth(f);
-                make_synth(a);
+                make_synth(Arc::make_mut(f));
+                make_synth(Arc::make_mut(a));
             }
         }
         make_synth(&mut synth);
-        let edited = replace_expr(&prog, target.unwrap(), synth);
+        let edited = replace_expr(&prog, target.unwrap(), &synth);
         let mut seen = std::collections::HashSet::new();
         for d in &edited.decls {
             d.for_each_expr(&mut |e| {
@@ -604,8 +608,8 @@ mod tests {
         if let DeclKind::Let { bindings, .. } =
             Arc::make_mut(&mut prog.decls[0]).kind_mut_unchecked()
         {
-            if let ExprKind::BinOp(_, l, r) = &mut bindings[0].body.kind {
-                r.id = l.id;
+            if let ExprKind::BinOp(_, l, r) = &mut Arc::make_mut(&mut bindings[0].body).kind {
+                Arc::make_mut(r).id = l.id;
             }
         }
         assert!(matches!(validate(&prog), Err(ValidationError::DuplicateId(_))));
@@ -614,7 +618,7 @@ mod tests {
         if let DeclKind::Let { bindings, .. } =
             Arc::make_mut(&mut prog.decls[0]).kind_mut_unchecked()
         {
-            bindings[0].body.id = NodeId::SYNTH;
+            Arc::make_mut(&mut bindings[0].body).id = NodeId::SYNTH;
         }
         assert_eq!(validate(&prog), Err(ValidationError::SynthId));
 
@@ -624,7 +628,7 @@ mod tests {
         if let DeclKind::Let { bindings, .. } =
             Arc::make_mut(&mut prog.decls[0]).kind_mut_unchecked()
         {
-            if let ExprKind::Fun(params, _) = &mut bindings[0].body.kind {
+            if let ExprKind::Fun(params, _) = &mut Arc::make_mut(&mut bindings[0].body).kind {
                 params[0].id = NodeId::SYNTH;
             }
         }
@@ -636,7 +640,7 @@ mod tests {
             Arc::make_mut(&mut prog.decls[0]).kind_mut_unchecked()
         {
             let match_id = bindings[0].body.id;
-            if let ExprKind::Match(_, arms) = &mut bindings[0].body.kind {
+            if let ExprKind::Match(_, arms) = &mut Arc::make_mut(&mut bindings[0].body).kind {
                 arms[1].pat.id = match_id;
             }
         }
@@ -653,7 +657,7 @@ mod tests {
         if let DeclKind::Let { bindings, .. } =
             Arc::make_mut(&mut prog.decls[0]).kind_mut_unchecked()
         {
-            bindings[0].body.id = stray;
+            Arc::make_mut(&mut bindings[0].body).id = stray;
         }
         let decl = prog.decls[0].id();
         assert_eq!(validate(&prog), Err(ValidationError::OutsideDeclBounds { id: stray, decl }));
@@ -702,7 +706,7 @@ mod tests {
     fn build_app_round_trips_chain() {
         let (e, _) = parse_expr("f a b c").unwrap();
         let (head, args) = app_chain(&e);
-        let rebuilt = build_app(head.clone(), args.into_iter().cloned().collect());
+        let rebuilt = build_app(Arc::new(head.clone()), args.into_iter().cloned().collect());
         assert_eq!(expr_to_string(&rebuilt), "f a b c");
     }
 }

@@ -27,6 +27,7 @@ use crate::lexer::{lex, unescape, LexError, Spanned};
 use crate::span::Span;
 use crate::token::Token;
 use std::fmt;
+use std::sync::Arc;
 
 /// A parse (or lex) failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -262,9 +263,9 @@ impl<'s> Parser<'s> {
                     let e = Expr {
                         id: prog.fresh_id(),
                         span,
-                        kind: ExprKind::Let { rec, bindings, body: Box::new(body) },
+                        kind: ExprKind::Let { rec, bindings, body: Arc::new(body) },
                     };
-                    DeclKind::Expr(e)
+                    DeclKind::Expr(Arc::new(e))
                 } else {
                     DeclKind::Let { rec, bindings }
                 }
@@ -288,7 +289,7 @@ impl<'s> Parser<'s> {
                 let arg = if self.eat(Token::Of) { Some(self.type_expr()?) } else { None };
                 DeclKind::Exception(name, arg)
             }
-            _ => DeclKind::Expr(self.expr(prog)?),
+            _ => DeclKind::Expr(Arc::new(self.expr(prog)?)),
         };
         let span = start.merge(self.prev_span());
         Ok(Decl::new(id, span, kind))
@@ -302,7 +303,7 @@ impl<'s> Parser<'s> {
         }
         let annot = if self.eat(Token::Colon) { Some(self.type_expr()?) } else { None };
         self.expect(Token::Eq)?;
-        let body = self.expr(prog)?;
+        let body = Arc::new(self.expr(prog)?);
         Ok(Binding { pat, params, annot, body })
     }
 
@@ -603,7 +604,7 @@ impl<'s> Parser<'s> {
             lhs = Expr {
                 id: prog.fresh_id(),
                 span,
-                kind: ExprKind::Seq(Box::new(lhs), Box::new(rhs)),
+                kind: ExprKind::Seq(Arc::new(lhs), Arc::new(rhs)),
             };
         }
         Ok(lhs)
@@ -642,7 +643,7 @@ impl<'s> Parser<'s> {
                 }
                 self.expect(Token::In)?;
                 let body = self.expr(prog)?;
-                ExprKind::Let { rec, bindings, body: Box::new(body) }
+                ExprKind::Let { rec, bindings, body: Arc::new(body) }
             }
             Token::If => {
                 self.bump();
@@ -650,11 +651,11 @@ impl<'s> Parser<'s> {
                 self.expect(Token::Then)?;
                 let then = self.expr_assign_or_kw(prog)?;
                 let els = if self.eat(Token::Else) {
-                    Some(Box::new(self.expr_assign_or_kw(prog)?))
+                    Some(Arc::new(self.expr_assign_or_kw(prog)?))
                 } else {
                     None
                 };
-                ExprKind::If(Box::new(cond), Box::new(then), els)
+                ExprKind::If(Arc::new(cond), Arc::new(then), els)
             }
             Token::Match => {
                 self.bump();
@@ -665,18 +666,18 @@ impl<'s> Parser<'s> {
                 loop {
                     let pat = self.pattern(prog)?;
                     let guard = if self.eat(Token::When) {
-                        Some(self.expr_assign_or_kw(prog)?)
+                        Some(Arc::new(self.expr_assign_or_kw(prog)?))
                     } else {
                         None
                     };
                     self.expect(Token::Arrow)?;
-                    let body = self.expr(prog)?;
+                    let body = Arc::new(self.expr(prog)?);
                     arms.push(Arm { pat, guard, body });
                     if !self.eat(Token::Bar) {
                         break;
                     }
                 }
-                let scrut = Box::new(scrut);
+                let scrut = Arc::new(scrut);
                 ExprKind::Match(scrut, arms)
             }
             Token::Fun => {
@@ -687,7 +688,7 @@ impl<'s> Parser<'s> {
                 }
                 self.expect(Token::Arrow)?;
                 let body = self.expr(prog)?;
-                ExprKind::Fun(params, Box::new(body))
+                ExprKind::Fun(params, Arc::new(body))
             }
             Token::Function => {
                 // `function | p -> e | …` is sugar for
@@ -698,12 +699,12 @@ impl<'s> Parser<'s> {
                 loop {
                     let pat = self.pattern(prog)?;
                     let guard = if self.eat(Token::When) {
-                        Some(self.expr_assign_or_kw(prog)?)
+                        Some(Arc::new(self.expr_assign_or_kw(prog)?))
                     } else {
                         None
                     };
                     self.expect(Token::Arrow)?;
-                    let body = self.expr(prog)?;
+                    let body = Arc::new(self.expr(prog)?);
                     arms.push(Arm { pat, guard, body });
                     if !self.eat(Token::Bar) {
                         break;
@@ -722,9 +723,9 @@ impl<'s> Parser<'s> {
                 let inner = Expr {
                     id: prog.fresh_id(),
                     span: start.merge(self.prev_span()),
-                    kind: ExprKind::Match(Box::new(scrut), arms),
+                    kind: ExprKind::Match(Arc::new(scrut), arms),
                 };
-                ExprKind::Fun(vec![param], Box::new(inner))
+                ExprKind::Fun(vec![param], Arc::new(inner))
             }
             Token::Try => {
                 self.bump();
@@ -735,18 +736,18 @@ impl<'s> Parser<'s> {
                 loop {
                     let pat = self.pattern(prog)?;
                     let guard = if self.eat(Token::When) {
-                        Some(self.expr_assign_or_kw(prog)?)
+                        Some(Arc::new(self.expr_assign_or_kw(prog)?))
                     } else {
                         None
                     };
                     self.expect(Token::Arrow)?;
-                    let handler = self.expr(prog)?;
+                    let handler = Arc::new(self.expr(prog)?);
                     arms.push(Arm { pat, guard, body: handler });
                     if !self.eat(Token::Bar) {
                         break;
                     }
                 }
-                ExprKind::Try(Box::new(body), arms)
+                ExprKind::Try(Arc::new(body), arms)
             }
             _ => unreachable!("kw_form called on non-keyword"),
         };
@@ -764,9 +765,9 @@ impl<'s> Parser<'s> {
         if !self.at(Token::Comma) {
             return Ok(first);
         }
-        let mut parts = vec![first];
+        let mut parts = vec![Arc::new(first)];
         while self.eat(Token::Comma) {
-            parts.push(self.expr_assign_or_kw(prog)?);
+            parts.push(Arc::new(self.expr_assign_or_kw(prog)?));
         }
         let span = parts[0].span.merge(parts[parts.len() - 1].span);
         Ok(Expr { id: prog.fresh_id(), span, kind: ExprKind::Tuple(parts) })
@@ -774,25 +775,25 @@ impl<'s> Parser<'s> {
 
     /// Assignment level: `r := e` and `e.f <- e`.
     fn expr_assign(&mut self, prog: &mut Program) -> Result<Expr, ParseError> {
-        let lhs = self.expr_binary(prog, 1)?;
+        let mut lhs = self.expr_binary(prog, 1)?;
         if self.eat(Token::ColonEq) {
             let rhs = self.expr_assign_or_kw(prog)?;
             let span = lhs.span.merge(rhs.span);
             return Ok(Expr {
                 id: prog.fresh_id(),
                 span,
-                kind: ExprKind::BinOp(BinOp::Assign, Box::new(lhs), Box::new(rhs)),
+                kind: ExprKind::BinOp(BinOp::Assign, Arc::new(lhs), Arc::new(rhs)),
             });
         }
         if self.at(Token::LeftArrow) {
-            if let ExprKind::Field(obj, fname) = lhs.kind {
+            if let ExprKind::Field(obj, fname) = lhs.take_kind() {
                 self.bump();
                 let rhs = self.expr_assign_or_kw(prog)?;
                 let span = lhs.span.merge(rhs.span);
                 return Ok(Expr {
                     id: prog.fresh_id(),
                     span,
-                    kind: ExprKind::SetField(obj, fname, Box::new(rhs)),
+                    kind: ExprKind::SetField(obj, fname, Arc::new(rhs)),
                 });
             }
             return Err(self.error("`<-` requires a field access on its left"));
@@ -856,7 +857,7 @@ impl<'s> Parser<'s> {
             lhs = Expr {
                 id: prog.fresh_id(),
                 span,
-                kind: ExprKind::BinOp(op, Box::new(lhs), Box::new(rhs)),
+                kind: ExprKind::BinOp(op, Arc::new(lhs), Arc::new(rhs)),
             };
         }
         Ok(lhs)
@@ -876,7 +877,7 @@ impl<'s> Parser<'s> {
                 self.bump();
                 let e = self.expr_unary(prog)?;
                 let span = start.merge(e.span);
-                Ok(Expr { id: prog.fresh_id(), span, kind: ExprKind::UnOp(UnOp::Neg, Box::new(e)) })
+                Ok(Expr { id: prog.fresh_id(), span, kind: ExprKind::UnOp(UnOp::Neg, Arc::new(e)) })
             }
             Token::MinusDot => {
                 self.bump();
@@ -885,14 +886,14 @@ impl<'s> Parser<'s> {
                 Ok(Expr {
                     id: prog.fresh_id(),
                     span,
-                    kind: ExprKind::UnOp(UnOp::NegF, Box::new(e)),
+                    kind: ExprKind::UnOp(UnOp::NegF, Arc::new(e)),
                 })
             }
             Token::Raise => {
                 self.bump();
                 let e = self.expr_unary(prog)?;
                 let span = start.merge(e.span);
-                Ok(Expr { id: prog.fresh_id(), span, kind: ExprKind::Raise(Box::new(e)) })
+                Ok(Expr { id: prog.fresh_id(), span, kind: ExprKind::Raise(Arc::new(e)) })
             }
             _ => self.expr_app(prog),
         }
@@ -925,7 +926,7 @@ impl<'s> Parser<'s> {
             head = Expr {
                 id: prog.fresh_id(),
                 span,
-                kind: ExprKind::App(Box::new(head), Box::new(arg)),
+                kind: ExprKind::App(Arc::new(head), Arc::new(arg)),
             };
         }
         Ok(head)
@@ -944,7 +945,7 @@ impl<'s> Parser<'s> {
             self.bump();
             let (name, fspan) = self.lident()?;
             let span = e.span.merge(fspan);
-            e = Expr { id: prog.fresh_id(), span, kind: ExprKind::Field(Box::new(e), name) };
+            e = Expr { id: prog.fresh_id(), span, kind: ExprKind::Field(Arc::new(e), name) };
         }
         Ok(e)
     }
@@ -969,7 +970,7 @@ impl<'s> Parser<'s> {
                 let name = self.bump_text();
                 if head_position && self.starts_atom() && !self.at(Token::Bang) {
                     let arg = self.expr_postfix(prog, false)?;
-                    ExprKind::Construct(name, Some(Box::new(arg)))
+                    ExprKind::Construct(name, Some(Arc::new(arg)))
                 } else {
                     ExprKind::Construct(name, None)
                 }
@@ -998,7 +999,7 @@ impl<'s> Parser<'s> {
             Token::Bang => {
                 self.bump();
                 let e = self.expr_postfix(prog, false)?;
-                ExprKind::UnOp(UnOp::Deref, Box::new(e))
+                ExprKind::UnOp(UnOp::Deref, Arc::new(e))
             }
             Token::LParen => {
                 self.bump();
@@ -1014,31 +1015,31 @@ impl<'s> Parser<'s> {
                 if self.eat(Token::RParen) {
                     ExprKind::Lit(Lit::Unit)
                 } else {
-                    let inner = self.expr(prog)?;
+                    let mut inner = self.expr(prog)?;
                     if self.eat(Token::Colon) {
                         let ty = self.type_expr()?;
                         self.expect(Token::RParen)?;
-                        ExprKind::Annot(Box::new(inner), ty)
+                        ExprKind::Annot(Arc::new(inner), ty)
                     } else {
                         self.expect(Token::RParen)?;
                         let span = start.merge(self.prev_span());
-                        return Ok(Expr { id, span, ..inner });
+                        return Ok(Expr { id, span, kind: inner.take_kind() });
                     }
                 }
             }
             Token::Begin => {
                 self.bump();
-                let inner = self.expr(prog)?;
+                let mut inner = self.expr(prog)?;
                 self.expect(Token::End)?;
                 let span = start.merge(self.prev_span());
-                return Ok(Expr { id, span, ..inner });
+                return Ok(Expr { id, span, kind: inner.take_kind() });
             }
             Token::LBracket => {
                 self.bump();
                 let mut parts = Vec::new();
                 if !self.at(Token::RBracket) {
                     loop {
-                        parts.push(self.operand(prog, Self::expr_tuple)?);
+                        parts.push(Arc::new(self.operand(prog, Self::expr_tuple)?));
                         if !self.eat(Token::Semi) {
                             break;
                         }
@@ -1056,7 +1057,7 @@ impl<'s> Parser<'s> {
                 loop {
                     let (fname, _) = self.lident()?;
                     self.expect(Token::Eq)?;
-                    let value = self.expr_assign_or_kw(prog)?;
+                    let value = Arc::new(self.expr_assign_or_kw(prog)?);
                     fields.push((fname, value));
                     if !self.eat(Token::Semi) {
                         break;

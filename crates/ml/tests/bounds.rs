@@ -1,9 +1,10 @@
 //! Declaration id bounds are exact: on every shipped program, and on
 //! variants built by every kind of edit, `validate` passes, lookups by
 //! id agree with a brute-force walk for every id, and `edit::apply`
-//! shares every declaration that holds no target.
+//! shares every declaration that holds no target and, inside an edited
+//! declaration, every expression subtree that holds none.
 
-use seminal_ml::ast::{Expr, ExprKind, NodeId, Pat, Program};
+use seminal_ml::ast::{Decl, DeclKind, Expr, ExprKind, NodeId, Pat, Program};
 use seminal_ml::edit::{self, app_chain, build_app, validate, Edit};
 use seminal_ml::parser::parse_program;
 use seminal_ml::span::Span;
@@ -52,31 +53,85 @@ fn check_lookups(prog: &Program, what: &str) {
     }
 }
 
+/// Whether `d` holds one of `targets`, its patterns included.
+fn holds(d: &Decl, targets: &[NodeId]) -> bool {
+    let mut hit = false;
+    d.for_each_id(&mut |id| hit |= targets.contains(&id));
+    hit
+}
+
+/// Whether the subtree `e` holds one of `targets`, its patterns
+/// included. (The shallow clone shares `e`'s children.)
+fn subtree_holds(e: &Expr, targets: &[NodeId]) -> bool {
+    holds(&Decl::new(e.id, e.span, DeclKind::Expr(Arc::new(e.clone()))), targets)
+}
+
+/// The root expressions of a declaration.
+fn roots(d: &Decl) -> Vec<&Arc<Expr>> {
+    match d.kind() {
+        DeclKind::Let { bindings, .. } => bindings.iter().map(|b| &b.body).collect(),
+        DeclKind::Expr(e) => vec![e],
+        DeclKind::Type(_) | DeclKind::Exception(_, _) => Vec::new(),
+    }
+}
+
+/// Walks `base` and its rebuilt counterpart `new` together down to each
+/// target: a subtree holding no target must be the base's own. A child
+/// expression's address is its `Arc`'s, so comparing addresses is
+/// `Arc::ptr_eq`.
+fn check_shared(base: &Expr, new: &Expr, targets: &[NodeId], what: &str) {
+    if targets.contains(&base.id) {
+        return;
+    }
+    if !subtree_holds(base, targets) {
+        assert!(std::ptr::eq(base, new), "{what}: subtree {} was copied", base.id);
+        return;
+    }
+    assert!(!std::ptr::eq(base, new), "{what}: node {} holds a target but is shared", base.id);
+    let (mut old_children, mut new_children) = (Vec::new(), Vec::new());
+    base.for_each_child(&mut |c| old_children.push(c));
+    new.for_each_child(&mut |c| new_children.push(c));
+    assert_eq!(old_children.len(), new_children.len(), "{what}: node {} changed shape", base.id);
+    for (old, new) in old_children.into_iter().zip(new_children) {
+        check_shared(old, new, targets, what);
+    }
+}
+
 /// Applies `edit`, checks the variant's lookups, and checks that
-/// exactly the declarations holding one of `targets` were rebuilt:
-/// every other one comes back as the same `Arc`.
-fn check_edit(prog: &Program, edit: &Edit, targets: &[NodeId], what: &str) {
+/// exactly the declarations holding one of `targets` were rebuilt, and
+/// in those only the nodes on a path to a target: every other
+/// declaration and expression subtree comes back as the same `Arc`.
+fn check_edit(prog: &Program, edit: &Edit, targets: &[NodeId], what: &str) -> Program {
     let variant = edit::apply(prog, edit);
     check_lookups(&variant, what);
     for (i, (base, new)) in prog.decls.iter().zip(&variant.decls).enumerate() {
-        let mut holds = false;
-        base.for_each_id(&mut |id| holds |= targets.contains(&id));
+        let holds = holds(base, targets);
         assert_eq!(
             !holds,
             Arc::ptr_eq(base, new),
             "{what}: declaration {i} (holds a target: {holds})"
         );
+        for (old, new) in roots(base).into_iter().zip(roots(new)) {
+            assert_eq!(
+                Arc::ptr_eq(old, new),
+                !subtree_holds(old, targets),
+                "{what}: root {} of declaration {i}",
+                old.id
+            );
+            check_shared(old, new, targets, what);
+        }
     }
+    variant
 }
 
 /// A synthesized replacement with a nested pattern: `adapt (fun _ -> [[...]])`.
 fn synthesized() -> Expr {
     let fun = Expr::synth(
-        ExprKind::Fun(vec![Pat::wild(Span::DUMMY)], Box::new(Expr::hole(Span::DUMMY))),
+        ExprKind::Fun(vec![Pat::wild(Span::DUMMY)], Arc::new(Expr::hole(Span::DUMMY))),
         Span::DUMMY,
     );
     Expr::synth(
-        ExprKind::App(Box::new(Expr::var("adapt", Span::DUMMY)), Box::new(fun)),
+        ExprKind::App(Arc::new(Expr::var("adapt", Span::DUMMY)), Arc::new(fun)),
         Span::DUMMY,
     )
 }
@@ -99,9 +154,9 @@ fn bounds_agree_with_brute_force_after_every_edit_kind() {
                 exprs.push(e.id);
                 let (head, args) = app_chain(e);
                 if args.len() >= 2 {
-                    let mut swapped: Vec<Expr> = args.into_iter().cloned().collect();
+                    let mut swapped: Vec<Arc<Expr>> = args.into_iter().cloned().collect();
                     swapped.swap(0, 1);
-                    swaps.push((e.id, build_app(head.clone(), swapped)));
+                    swaps.push((e.id, build_app(Arc::new(head.clone()), swapped.clone()), swapped));
                 }
             });
         }
@@ -132,9 +187,19 @@ fn bounds_agree_with_brute_force_after_every_edit_kind() {
             let edit = Edit::new().replace_expr(id, synthesized());
             check_edit(&prog, &edit, &[id], &format!("{name}: synthesize at {id}"));
         }
-        for (id, swapped) in swaps {
-            let edit = Edit::new().replace_expr(id, swapped);
-            check_edit(&prog, &edit, &[id], &format!("{name}: swap arguments at {id}"));
+        for (id, replacement, args) in swaps {
+            let what = format!("{name}: swap arguments at {id}");
+            let variant =
+                check_edit(&prog, &Edit::new().replace_expr(id, replacement), &[id], &what);
+            // The replacement's root takes the first fresh id; the
+            // arguments it moves need no fresh id or span, so the variant
+            // holds the base's own.
+            let spliced = variant.find_expr(NodeId(prog.next_id)).expect("spliced root");
+            let (_, moved) = app_chain(spliced);
+            assert_eq!(moved.len(), args.len(), "{what}");
+            for (new, old) in moved.into_iter().zip(&args) {
+                assert!(Arc::ptr_eq(new, old), "{what}: argument {} was copied", old.id);
+            }
         }
         for &id in &pats {
             let edit = Edit::new().replace_pat(id, Pat::wild(Span::DUMMY));

@@ -6,6 +6,7 @@ use seminal_ml::ast::{Expr, ExprKind, Lit, UnOp};
 use seminal_ml::parser::parse_program;
 use seminal_ml::pretty::expr_to_string;
 use seminal_ml::span::Span;
+use std::sync::Arc;
 
 fn parens(depth: usize) -> String {
     format!("let x = {}1{}", "(".repeat(depth), ")".repeat(depth))
@@ -54,7 +55,7 @@ fn printer_elides_instead_of_overflowing_on_a_programmatic_ast() {
     // hand-built AST can reach it; the printer must stay total anyway.
     let mut e = Expr::synth(ExprKind::Lit(Lit::Int(1)), Span::DUMMY);
     for _ in 0..10_000 {
-        e = Expr::synth(ExprKind::UnOp(UnOp::Neg, Box::new(e)), Span::DUMMY);
+        e = Expr::synth(ExprKind::UnOp(UnOp::Neg, Arc::new(e)), Span::DUMMY);
     }
     let rendered = expr_to_string(&e);
     assert!(rendered.contains("[[...]]"), "the deep tail must be elided as a hole");

@@ -12,8 +12,8 @@ fn shape(src: &str) -> String {
 
 fn top_op(src: &str) -> BinOp {
     let (e, _) = parse_expr(src).unwrap();
-    match e.kind {
-        ExprKind::BinOp(op, _, _) => op,
+    match &e.kind {
+        ExprKind::BinOp(op, _, _) => *op,
         other => panic!("expected binop at top of `{src}`, got {other:?}"),
     }
 }

@@ -82,7 +82,7 @@ pub fn candidates(prog: &Program) -> Vec<Program> {
         let Some(node) = prog.find_expr(id) else { continue };
         // Hoist each direct child over its parent.
         let mut children = Vec::new();
-        node.for_each_child(&mut |c| children.push(c.clone()));
+        node.for_each_child(&mut |c| children.push(c));
         for child in children {
             consider(edit::replace_expr(prog, id, child));
         }
@@ -95,7 +95,7 @@ pub fn candidates(prog: &Program) -> Vec<Program> {
                     consider(edit::replace_expr(
                         prog,
                         id,
-                        Expr::synth(ExprKind::Match(scrut.clone(), kept), node.span),
+                        &Expr::synth(ExprKind::Match(scrut.clone(), kept), node.span),
                     ));
                 }
             }
@@ -105,7 +105,7 @@ pub fn candidates(prog: &Program) -> Vec<Program> {
             consider(edit::replace_expr(
                 prog,
                 id,
-                Expr::synth(ExprKind::Lit(Lit::Int(0)), node.span),
+                &Expr::synth(ExprKind::Lit(Lit::Int(0)), node.span),
             ));
         }
     }

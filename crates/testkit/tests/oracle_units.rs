@@ -75,7 +75,7 @@ fn pretty_roundtrip_rejects_a_program_that_prints_unparseable_syntax() {
     let mut target = None;
     prog.decls[0].for_each_expr(&mut |e| target = target.or(Some(e.id)));
     let holed =
-        edit::replace_expr(&prog, target.unwrap(), Expr::var("", seminal_ml::span::Span::DUMMY));
+        edit::replace_expr(&prog, target.unwrap(), &Expr::var("", seminal_ml::span::Span::DUMMY));
     let v = pretty_roundtrip(&holed).expect("unprintable AST must break the round-trip");
     assert_eq!(v.invariant, INV_PRETTY_ROUNDTRIP);
 }

@@ -11,6 +11,7 @@ use seminal_ml::pretty::program_to_string;
 use seminal_ml::span::Span;
 use seminal_ml::token::Token;
 use seminal_typeck::{check_program, program_fingerprint};
+use std::sync::Arc;
 
 fn fingerprint(src: &str) -> u64 {
     program_fingerprint(&parse_program(src).unwrap_or_else(|e| panic!("{src:?}: {e}")))
@@ -110,7 +111,7 @@ fn an_adaptation_probe_and_a_user_call_of_adapt_differ() {
     });
     let one = one.unwrap();
     let probe =
-        replace_expr(&base, one.id, Expr::synth(ExprKind::Adapt(Box::new(one)), Span::DUMMY));
+        replace_expr(&base, one.id, &Expr::synth(ExprKind::Adapt(Arc::new(one)), Span::DUMMY));
     assert_eq!(program_to_string(&probe), program_to_string(&user));
     assert!(check_program(&user).is_err());
     assert!(check_program(&probe).is_ok());
@@ -133,10 +134,12 @@ fn moving_only_a_pattern_span_changes_the_span_key() {
     // A `fun` parameter ...
     let (content, moved_content, spans, moved_spans) =
         moved("let f = fun x -> x", |kind| match kind {
-            DeclKind::Let { bindings, .. } => match &mut bindings[0].body.kind {
-                ExprKind::Fun(params, _) => shift(&mut params[0].span),
-                other => panic!("{other:?}"),
-            },
+            DeclKind::Let { bindings, .. } => {
+                match &mut Arc::make_mut(&mut bindings[0].body).kind {
+                    ExprKind::Fun(params, _) => shift(&mut params[0].span),
+                    other => panic!("{other:?}"),
+                }
+            }
             other => panic!("{other:?}"),
         });
     assert_eq!(content, moved_content);
@@ -145,13 +148,15 @@ fn moving_only_a_pattern_span_changes_the_span_key() {
     // ... and a `match` arm's nested pattern.
     let (content, moved_content, spans, moved_spans) =
         moved("let g y = match y with Some z -> z | None -> 0", |kind| match kind {
-            DeclKind::Let { bindings, .. } => match &mut bindings[0].body.kind {
-                ExprKind::Match(_, arms) => match &mut arms[0].pat.kind {
-                    PatKind::Construct(_, Some(arg)) => shift(&mut arg.span),
+            DeclKind::Let { bindings, .. } => {
+                match &mut Arc::make_mut(&mut bindings[0].body).kind {
+                    ExprKind::Match(_, arms) => match &mut arms[0].pat.kind {
+                        PatKind::Construct(_, Some(arg)) => shift(&mut arg.span),
+                        other => panic!("{other:?}"),
+                    },
                     other => panic!("{other:?}"),
-                },
-                other => panic!("{other:?}"),
-            },
+                }
+            }
             other => panic!("{other:?}"),
         });
     assert_eq!(content, moved_content);

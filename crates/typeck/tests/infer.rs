@@ -600,10 +600,14 @@ fn pathological_nesting_is_a_too_deep_diagnostic_not_an_overflow() {
     use seminal_ml::span::Span;
     let mut e = Expr::synth(ExprKind::Lit(Lit::Int(1)), Span::DUMMY);
     for _ in 0..3_000 {
-        e = Expr::synth(ExprKind::UnOp(UnOp::Neg, Box::new(e)), Span::DUMMY);
+        e = Expr::synth(ExprKind::UnOp(UnOp::Neg, std::sync::Arc::new(e)), Span::DUMMY);
     }
     let prog = Program {
-        decls: vec![std::sync::Arc::new(Decl::new(NodeId::SYNTH, Span::DUMMY, DeclKind::Expr(e)))],
+        decls: vec![std::sync::Arc::new(Decl::new(
+            NodeId::SYNTH,
+            Span::DUMMY,
+            DeclKind::Expr(std::sync::Arc::new(e)),
+        ))],
         next_id: 0,
     };
     let err = check_program(&prog).expect_err("the guard must fire before the stack overflows");

@@ -17,6 +17,7 @@ use seminal::ml::ast::{Expr, ExprKind};
 use seminal::ml::parser::parse_program;
 use seminal::ml::span::Span;
 use seminal::typeck::TypeCheckOracle;
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let source = r#"
@@ -44,10 +45,7 @@ let shout =
             }
             vec![Candidate {
                 replacement: Expr::synth(
-                    ExprKind::App(
-                        Box::new(Expr::var("List.hd", Span::DUMMY)),
-                        Box::new((**arg).clone()),
-                    ),
+                    ExprKind::App(Arc::new(Expr::var("List.hd", Span::DUMMY)), arg.clone()),
                     Span::DUMMY,
                 ),
                 description: "take the first element with List.hd (team lint #42)".to_owned(),

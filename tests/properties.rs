@@ -20,6 +20,7 @@ use seminal::ml::span::Span;
 use seminal::obs::SplitMix64;
 use seminal::typeck::unify::Unifier;
 use seminal::typeck::{check_program, pretty, Ty, TypeCheckOracle};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // SplitMix64-driven generators
@@ -27,7 +28,7 @@ use seminal::typeck::{check_program, pretty, Ty, TypeCheckOracle};
 
 fn gen_leaf(rng: &mut SplitMix64) -> Expr {
     match rng.random_range(0..8usize) {
-        0 | 1 | 2 => {
+        0..=2 => {
             let n = rng.random_range(0..100u64) as i64;
             Expr::synth(ExprKind::Lit(Lit::Int(n)), Span::DUMMY)
         }
@@ -45,38 +46,44 @@ fn gen_expr(rng: &mut SplitMix64, depth: usize) -> Expr {
     let d = depth - 1;
     match rng.random_range(0..8usize) {
         0 => Expr::synth(
-            ExprKind::App(Box::new(gen_expr(rng, d)), Box::new(gen_expr(rng, d))),
+            ExprKind::App(Arc::new(gen_expr(rng, d)), Arc::new(gen_expr(rng, d))),
             Span::DUMMY,
         ),
         1 => Expr::synth(
-            ExprKind::BinOp(BinOp::Add, Box::new(gen_expr(rng, d)), Box::new(gen_expr(rng, d))),
+            ExprKind::BinOp(BinOp::Add, Arc::new(gen_expr(rng, d)), Arc::new(gen_expr(rng, d))),
             Span::DUMMY,
         ),
         2 => Expr::synth(
             ExprKind::If(
-                Box::new(gen_expr(rng, d)),
-                Box::new(gen_expr(rng, d)),
-                Some(Box::new(gen_expr(rng, d))),
+                Arc::new(gen_expr(rng, d)),
+                Arc::new(gen_expr(rng, d)),
+                Some(Arc::new(gen_expr(rng, d))),
             ),
             Span::DUMMY,
         ),
         3 => {
             let n = rng.random_range(2..4usize);
-            Expr::synth(ExprKind::Tuple((0..n).map(|_| gen_expr(rng, d)).collect()), Span::DUMMY)
+            Expr::synth(
+                ExprKind::Tuple((0..n).map(|_| Arc::new(gen_expr(rng, d))).collect()),
+                Span::DUMMY,
+            )
         }
         4 => {
             let n = rng.random_range(0..4usize);
-            Expr::synth(ExprKind::List((0..n).map(|_| gen_expr(rng, d)).collect()), Span::DUMMY)
+            Expr::synth(
+                ExprKind::List((0..n).map(|_| Arc::new(gen_expr(rng, d))).collect()),
+                Span::DUMMY,
+            )
         }
         5 => Expr::synth(
             ExprKind::Fun(
                 vec![Pat::synth(PatKind::Var("p".into()), Span::DUMMY)],
-                Box::new(gen_expr(rng, d)),
+                Arc::new(gen_expr(rng, d)),
             ),
             Span::DUMMY,
         ),
         6 => Expr::synth(
-            ExprKind::Seq(Box::new(gen_expr(rng, d)), Box::new(gen_expr(rng, d))),
+            ExprKind::Seq(Arc::new(gen_expr(rng, d)), Arc::new(gen_expr(rng, d))),
             Span::DUMMY,
         ),
         _ => gen_leaf(rng),
